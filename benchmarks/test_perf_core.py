@@ -168,10 +168,12 @@ def test_measure_scenario_rejects_divergence(monkeypatch):
     """The harness refuses to report timings for non-identical results."""
     from repro.analysis import perf
 
-    scenario = perf.Scenario(
-        name="diverging",
-        description="fast and reference disagree",
-        run=lambda fast_path, tracer=None: (0.01, "fast" if fast_path else "reference", {}),
+    class DivergingScenario(perf.Scenario):
+        def run(self, fast_path, tracer=None):
+            return 0.01, "fast" if fast_path else "reference", {}
+
+    scenario = DivergingScenario(
+        name="diverging", description="fast and reference disagree", calls=()
     )
     with pytest.raises(perf.FastPathDivergenceError):
         measure_scenario(scenario)

@@ -60,7 +60,6 @@ class AutoscaleExperimentConfig:
     chunked_prefill_tokens: int | None = None
     token_capacity_override: int | None = None
     capacity_scale: float | None = None
-    reject_when_saturated: bool = False
     platforms: Sequence[Platform] | None = None
     limits: SimulationLimits = field(default_factory=SimulationLimits)
     #: event-jump fast path; ``False`` bisects against the reference loop.
@@ -110,7 +109,6 @@ class AutoscaleExperimentConfig:
             chunked_prefill_tokens=self.chunked_prefill_tokens,
             token_capacity_override=self.token_capacity_override,
             capacity_scale=self.capacity_scale,
-            reject_when_saturated=self.reject_when_saturated,
             platforms=self.platforms,
             autoscaler=autoscaler,
             limits=self.limits,

@@ -41,7 +41,6 @@ class ClusterExperimentConfig:
     chunked_prefill_tokens: int | None = None
     token_capacity_override: int | None = None
     capacity_scale: float | None = None
-    reject_when_saturated: bool = False
     platforms: Sequence[Platform] | None = None
     limits: SimulationLimits = field(default_factory=SimulationLimits)
     #: event-jump fast path; ``False`` bisects against the reference loop.
@@ -68,7 +67,6 @@ class ClusterExperimentConfig:
             chunked_prefill_tokens=self.chunked_prefill_tokens,
             token_capacity_override=self.token_capacity_override,
             capacity_scale=self.capacity_scale,
-            reject_when_saturated=self.reject_when_saturated,
             platforms=self.platforms,
             limits=self.limits,
             fast_path=self.fast_path,

@@ -6,23 +6,14 @@ engine one decode iteration at a time; the event-jump fast path
 event-free iterations into vectorized macro-steps with bit-identical results.
 This module pins that claim under regression tracking:
 
-* eight scenarios — single-engine goodput-vs-clients (the fig07 shape), a
-  deeply *saturated* single engine (non-empty waiting queue, the regime the
-  saturated-phase jump targets), cluster routing (fig10), autoscaling
-  (fig11), a heterogeneous mixed-GPU fleet (the fig12 shape), the
-  multi-tenant fairness stack (the fig13 shape: VTC scheduling plus
-  overload throttling under a heavy-tail tenant population), a chaos
-  fleet under a seeded fault plan (the fig14 shape: crashes, a straggler,
-  retries, and replacement launches), and a session-affinity fleet serving
-  multi-turn agentic interactions with per-replica KV prefix reuse (the
-  fig15 shape: closed-loop spawned arrivals bounding the jump horizon) —
-  run at
-  **full-scale** request lengths (the regime the ROADMAP's fleet experiments
-  are bottlenecked on), each once with the fast path and once with the
-  reference one-iteration loop (``fast_path=False``);
-* the two runs' :class:`~repro.serving.results.RunResult` metrics are hashed
-  and compared — any divergence fails the harness before any timing is
-  reported;
+* :data:`SCENARIOS` is a declarative table of eight full-scale workloads —
+  single engines (fig07, fig13), fixed, elastic and heterogeneous fleets
+  (fig10–fig12), a chaos fleet (fig14) and a session-affinity fleet (fig15).
+  Each entry lists the simulator calls it times; one timing path
+  (:meth:`Scenario.run`) runs them all, once with the fast path and once with
+  the reference one-iteration loop (``fast_path=False``);
+* the two runs' result snapshots are hashed and compared — any divergence
+  fails the harness before any timing is reported;
 * wall-clock times and speedups are written to ``BENCH_core.json`` at the
   repo root, which CI's ``perf-smoke`` job regenerates and compares against
   the committed numbers.
@@ -44,11 +35,12 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.engine.engine import JumpStats
-from repro.hardware.platform import Platform, paper_platform, paper_platforms
+from repro.hardware.platform import paper_platform, paper_platforms
 from repro.obs.tracer import Tracer
+from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import create_scheduler
 from repro.serving.autoscale import Autoscaler, create_autoscale_policy
 from repro.serving.cluster import ClusterSimulator
@@ -194,127 +186,124 @@ def cluster_fingerprint(result: ClusterResult) -> str:
 
 
 # ------------------------------------------------------------------ scenarios
-@dataclass
-class Scenario:
-    """One timed workload.
+SimulatorFactory = Callable[[bool, Tracer | None], ServingSimulator | ClusterSimulator]
 
-    ``run`` executes the scenario under the given loop and returns
-    ``(simulation_seconds, fingerprint, jump_summary)`` — only the
-    simulation itself is timed; workload generation and fingerprint hashing
-    are excluded.  ``jump_summary`` is the merged
-    :meth:`~repro.engine.engine.JumpStats.summary` across the scenario's
-    runs (the engine's own profile of how much work the event jumps fused).
-    An optional ``tracer`` keyword attaches an observer to every simulator
-    the scenario builds (see :mod:`repro.obs`); fingerprints are tracer-
-    independent, so traced runs remain valid measurements of *results* —
-    only the timings become untrustworthy.
+
+@dataclass(frozen=True)
+class Call:
+    """One timed simulator call inside a :class:`Scenario`.
+
+    ``simulator(fast_path, tracer)`` builds a fresh simulator — stateful
+    collaborators (scheduler, throttle, autoscaler) are built inside it, so
+    repeats share nothing.  ``method`` names its run entry point
+    (``run_closed_loop``, ``run_open_loop`` or ``run_sessions``), called with
+    ``inputs()`` as the first argument plus ``kwargs``.  ``label`` prefixes
+    this call's fingerprint in a multi-call scenario's digest.
+    """
+
+    simulator: SimulatorFactory
+    method: str
+    inputs: Callable[[], object]
+    kwargs: dict = field(default_factory=dict)
+    label: str | None = None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One timed workload: a name, a description and its simulator calls.
+
+    :meth:`run` returns ``(simulation_seconds, fingerprint, jump_summary)``.
+    Only the run methods are timed; input generation, simulator
+    construction and fingerprint hashing are excluded.  A single unlabelled
+    call's digest is its bare result fingerprint; otherwise the digest hashes
+    the calls' ``label:fingerprint`` parts in call order.  ``jump_summary`` is
+    the merged :meth:`~repro.engine.engine.JumpStats.summary` across the calls
+    (the engine's own profile of how much work the event jumps fused).  An
+    optional ``tracer`` is attached to every simulator built; fingerprints
+    are tracer-independent, so traced runs remain valid measurements of
+    *results* — only the timings become untrustworthy.
     """
 
     name: str
     description: str
-    run: Callable[..., tuple[float, str, dict]] = field(repr=False)
+    calls: tuple[Call, ...] = field(repr=False)
+
+    def run(self, fast_path: bool, tracer: Tracer | None = None) -> tuple[float, str, dict]:
+        """Run every call under the given loop; see the class docstring."""
+        elapsed = 0.0
+        jump = JumpStats()
+        parts: list[str] = []
+        for call in self.calls:
+            inputs = call.inputs()
+            simulator = call.simulator(fast_path, tracer)
+            start = time.perf_counter()
+            result = getattr(simulator, call.method)(inputs, **call.kwargs)
+            elapsed += time.perf_counter() - start
+            jump.merge(result.jump_stats)
+            if isinstance(result, ClusterResult):
+                fingerprint = cluster_fingerprint(result)
+            else:
+                fingerprint = run_fingerprint(result)
+            parts.append(fingerprint if call.label is None else f"{call.label}:{fingerprint}")
+        single = len(parts) == 1 and self.calls[0].label is None
+        digest = parts[0] if single else _hash_parts(parts)
+        return elapsed, digest, jump.summary()
 
 
-def _fig07_scenario(fast_path: bool, tracer: Tracer | None = None) -> tuple[float, str, dict]:
-    """Single-engine goodput-vs-clients sweep (the Figure 7 shape).
-
-    Full-scale ShareGPT-o1 lengths on Llama-2-7B/A100 under the Past-Future
-    scheduler, swept over client counts from light load (almost every
-    iteration is silent and fuses into jumps) to deep saturation (the
-    admission scheduler is consulted every iteration).
-    """
-    platform = paper_platform("7b-a100")
-    parts: list[str] = []
-    elapsed = 0.0
-    jump = JumpStats()
-    for num_clients in (8, 32, 64, 128):
-        workload = generate_sharegpt_o1_workload(250, seed=71)
-        simulator = ServingSimulator(
-            platform,
-            create_scheduler("past-future", reserved_fraction=0.03, seed=7, num_samples=4),
-            token_capacity_override=platform.token_capacity,
-            chunked_prefill_tokens=8192,
-            fast_path=fast_path,
-            tracer=tracer,
-        )
-        start = time.perf_counter()
-        result = simulator.run_closed_loop(workload, num_clients=num_clients)
-        elapsed += time.perf_counter() - start
-        jump.merge(result.jump_stats)
-        parts.append(f"clients={num_clients}:{run_fingerprint(result)}")
-    return elapsed, _hash_parts(parts), jump.summary()
+#: Llama-2-7B on one A100, the platform every scenario but fig12 serves on.
+A100 = paper_platform("7b-a100")
 
 
-def _fig07_saturated_scenario(
-    fast_path: bool, tracer: Tracer | None = None
-) -> tuple[float, str, dict]:
-    """Deep saturation: the regime the saturated-phase event jump targets.
-
-    256 closed-loop clients against *half* the 7B pool keep the waiting queue
-    non-empty for ~90% of all iterations, so the admission scheduler (and its
-    RNG stream) is consulted essentially every step — the workload shape that
-    dominated fleet-sweep wall-clock before ``try_jump_saturated``.
-    """
-    platform = paper_platform("7b-a100")
-    workload = generate_sharegpt_o1_workload(400, seed=71)
-    simulator = ServingSimulator(
-        platform,
-        create_scheduler("past-future", reserved_fraction=0.03, seed=7, num_samples=4),
-        token_capacity_override=platform.token_capacity // 2,
+def _engine(
+    fast_path: bool,
+    tracer: Tracer | None,
+    scheduler: Scheduler,
+    token_capacity: int,
+    throttle: OverloadThrottle | None = None,
+) -> ServingSimulator:
+    """One 7B/A100 engine with 8192-token chunked prefill."""
+    return ServingSimulator(
+        A100,
+        scheduler,
+        token_capacity_override=token_capacity,
         chunked_prefill_tokens=8192,
         fast_path=fast_path,
+        throttle=throttle,
         tracer=tracer,
     )
-    start = time.perf_counter()
-    result = simulator.run_closed_loop(workload, num_clients=256)
-    elapsed = time.perf_counter() - start
-    return elapsed, run_fingerprint(result), result.jump_stats.summary()
 
 
-def _make_cluster(
-    fast_path: bool,
-    *,
-    platform: Platform | None = None,
-    platforms: Sequence[Platform] | None = None,
-    num_replicas: int,
-    router: str,
-    token_capacity_override: int | None = None,
-    capacity_scale: float | None = None,
-    chunked_prefill_tokens: int | None = 8192,
-    autoscaler: Autoscaler | None = None,
-    faults: FaultPlan | None = None,
-    prefix_cache_tokens: int | None = None,
-    tracer: Tracer | None = None,
-) -> ClusterSimulator:
-    """Cluster factory shared by the fleet scenarios.
+def _fleet(fast_path: bool, tracer: Tracer | None, router: str, **options) -> ClusterSimulator:
+    """A fleet of aggressive (watermark 0.95) replicas behind ``router``.
 
-    Accepts either one ``platform`` (homogeneous fleet) or per-replica
-    ``platforms`` (heterogeneous fleet, launches cycling the list) plus the
-    matching capacity knob, so the harness can track mixed-GPU scenarios with
-    the same plumbing the homogeneous ones use.
+    Defaults to four 7B/A100 replicas with an eighth of the pool each and
+    8192-token chunked prefill; ``options`` override any of those or add
+    other :class:`ClusterSimulator` keywords.
     """
+    settings = {
+        "platform": A100,
+        "num_replicas": 4,
+        "token_capacity_override": A100.token_capacity // 8,
+        "chunked_prefill_tokens": 8192,
+        **options,
+    }
     return ClusterSimulator(
-        platform=platform,
-        platforms=platforms,
-        num_replicas=num_replicas,
         router=router,
         scheduler_name="aggressive",
         scheduler_kwargs={"watermark": 0.95},
-        token_capacity_override=token_capacity_override,
-        capacity_scale=capacity_scale,
-        chunked_prefill_tokens=chunked_prefill_tokens,
-        autoscaler=autoscaler,
-        faults=faults,
-        prefix_cache_tokens=prefix_cache_tokens,
         fast_path=fast_path,
         tracer=tracer,
+        **settings,
     )
 
 
+def _past_future() -> Scheduler:
+    return create_scheduler("past-future", reserved_fraction=0.03, seed=7, num_samples=4)
+
+
 def _fig10_workload():
-    workload = generate_sharegpt_workload(400, seed=71)
     return assign_bursty_arrivals(
-        workload,
+        generate_sharegpt_workload(400, seed=71),
         base_rate=0.2,
         burst_rate=8.0,
         burst_length=80,
@@ -323,80 +312,8 @@ def _fig10_workload():
     )
 
 
-def _fig10_scenario(fast_path: bool, tracer: Tracer | None = None) -> tuple[float, str, dict]:
-    """Cluster routing under bursty traffic (the Figure 10 shape).
-
-    Four replicas with an eighth of the 7B pool each behind the memory-aware
-    router, serving a full-scale bursty ShareGPT trace with the
-    aggressive (vLLM-watermark) per-replica scheduler.
-    """
-    platform = paper_platform("7b-a100")
-    workload = _fig10_workload()
-    simulator = _make_cluster(
-        fast_path,
-        platform=platform,
-        num_replicas=4,
-        router="memory-aware",
-        token_capacity_override=platform.token_capacity // 8,
-        tracer=tracer,
-    )
-    start = time.perf_counter()
-    result = simulator.run_open_loop(workload)
-    elapsed = time.perf_counter() - start
-    return elapsed, cluster_fingerprint(result), result.jump_stats.summary()
-
-
-def _fig12_heterogeneous_scenario(
-    fast_path: bool, tracer: Tracer | None = None
-) -> tuple[float, str, dict]:
-    """Mixed-GPU fleet under diurnal two-class traffic (the Figure 12 shape).
-
-    Two A100 replicas plus one RTX-4090 replica (per-replica capacities scaled
-    by ``capacity_scale`` so their ~6.6x ratio survives) behind the
-    capacity-normalised memory-aware router, serving a diurnal ShareGPT-o1
-    trace stamped with the interactive/batch class mix.  Tracks the
-    heterogeneous-fleet plumbing from the placement-API redesign under the
-    same fast-path-vs-reference regression harness as the homogeneous
-    scenarios.
-    """
-    workload = scale_workload(
-        generate_sharegpt_o1_workload(300, seed=71, max_new_tokens=4096), 0.5
-    )
-    workload = assign_sla_classes(workload, {"interactive": 0.7, "batch": 0.3}, seed=5)
-    workload = assign_diurnal_arrivals(
-        workload,
-        base_rate=0.5,
-        burst_rate=20.0,
-        period=60.0,
-        amplitude=0.6,
-        burst_length=60,
-        cycle_length=100,
-        seed=9,
-    )
-    simulator = _make_cluster(
-        fast_path,
-        platforms=paper_platforms("7b-a100", "7b-a100", "7b-4090"),
-        num_replicas=3,
-        router="memory-aware",
-        capacity_scale=1.0 / 8.0,
-        chunked_prefill_tokens=4096,
-        tracer=tracer,
-    )
-    start = time.perf_counter()
-    result = simulator.run_open_loop(workload)
-    elapsed = time.perf_counter() - start
-    return elapsed, cluster_fingerprint(result), result.jump_stats.summary()
-
-
-def _fig11_scenario(fast_path: bool, tracer: Tracer | None = None) -> tuple[float, str, dict]:
-    """Autoscaled fleet under bursty traffic (the Figure 11 shape).
-
-    An elastic fleet (1–6 replicas, predictive policy, warm-up delay) serving
-    the same class of full-scale bursty trace through the least-outstanding
-    router.
-    """
-    platform = paper_platform("7b-a100")
-    workload = assign_bursty_arrivals(
+def _fig11_workload():
+    return assign_bursty_arrivals(
         generate_sharegpt_workload(400, seed=73),
         base_rate=0.1,
         burst_rate=4.0,
@@ -404,7 +321,10 @@ def _fig11_scenario(fast_path: bool, tracer: Tracer | None = None) -> tuple[floa
         cycle_length=100,
         seed=11,
     )
-    autoscaler = Autoscaler(
+
+
+def _fig11_autoscaler() -> Autoscaler:
+    return Autoscaler(
         policy=create_autoscale_policy(
             "predictive", target_utilization=0.8, scale_down_cooldown=60.0, default_length=2048
         ),
@@ -414,85 +334,41 @@ def _fig11_scenario(fast_path: bool, tracer: Tracer | None = None) -> tuple[floa
         warmup_delay=30.0,
         sample_window=40.0,
     )
-    simulator = _make_cluster(
-        fast_path,
-        platform=platform,
-        num_replicas=2,
-        router="least-outstanding",
-        token_capacity_override=platform.token_capacity // 8,
-        autoscaler=autoscaler,
-        tracer=tracer,
+
+
+def _fig12_workload():
+    workload = scale_workload(
+        generate_sharegpt_o1_workload(300, seed=71, max_new_tokens=4096), 0.5
     )
-    start = time.perf_counter()
-    result = simulator.run_open_loop(workload)
-    elapsed = time.perf_counter() - start
-    return elapsed, cluster_fingerprint(result), result.jump_stats.summary()
-
-
-def _fig13_fairness_scenario(
-    fast_path: bool, tracer: Tracer | None = None
-) -> tuple[float, str, dict]:
-    """Multi-tenant fairness stack under load (the Figure 13 shape).
-
-    Two single-engine runs over a heavy-tail tenant population (two abusive
-    users holding half the traffic over a Zipf tail):
-
-    * a deeply saturated closed-loop run under the VTC fair scheduler — the
-      regime where ``saturated_no_admit_horizon`` must prove whole no-admit
-      windows with reordered admission in play, and
-    * an open-loop run under the weighted variant with a per-user RPM
-      throttle in front of routing, exercising the reject path's fingerprint
-      fields.
-    """
-    platform = paper_platform("7b-a100")
-    population = generate_tenant_population(
-        32, num_apps=4, abusive_users=2, abusive_share=0.5
+    workload = assign_sla_classes(workload, {"interactive": 0.7, "batch": 0.3}, seed=5)
+    return assign_diurnal_arrivals(
+        workload,
+        base_rate=0.5,
+        burst_rate=20.0,
+        period=60.0,
+        amplitude=0.6,
+        burst_length=60,
+        cycle_length=100,
+        seed=9,
     )
-    parts: list[str] = []
-    elapsed = 0.0
-    jump = JumpStats()
 
-    workload = assign_tenants(generate_sharegpt_o1_workload(250, seed=71), population, seed=13)
-    simulator = ServingSimulator(
-        platform,
-        create_scheduler("vtc", watermark=0.95),
-        token_capacity_override=platform.token_capacity // 2,
-        chunked_prefill_tokens=8192,
-        fast_path=fast_path,
-        tracer=tracer,
-    )
-    start = time.perf_counter()
-    result = simulator.run_closed_loop(workload, num_clients=128)
-    elapsed += time.perf_counter() - start
-    jump.merge(result.jump_stats)
-    parts.append(f"vtc-saturated:{run_fingerprint(result)}")
 
-    workload = assign_tenants(generate_sharegpt_workload(300, seed=73), population, seed=17)
-    workload = assign_poisson_arrivals(workload, request_rate=2.0, seed=19)
-    simulator = ServingSimulator(
-        platform,
-        create_scheduler("weighted-vtc", weights={"user-0000": 2.0}, watermark=0.95),
-        token_capacity_override=platform.token_capacity // 4,
-        chunked_prefill_tokens=8192,
-        fast_path=fast_path,
-        throttle=OverloadThrottle(user_rpm=12),
-        tracer=tracer,
-    )
-    start = time.perf_counter()
-    result = simulator.run_open_loop(workload)
-    elapsed += time.perf_counter() - start
-    jump.merge(result.jump_stats)
-    parts.append(f"weighted-throttled:{run_fingerprint(result)}")
-    return elapsed, _hash_parts(parts), jump.summary()
+def _fig13_tenants():
+    """Two abusive users hold half the traffic over a Zipf tail."""
+    return generate_tenant_population(32, num_apps=4, abusive_users=2, abusive_share=0.5)
+
+
+def _fig13_closed_workload():
+    return assign_tenants(generate_sharegpt_o1_workload(250, seed=71), _fig13_tenants(), seed=13)
+
+
+def _fig13_open_workload():
+    workload = assign_tenants(generate_sharegpt_workload(300, seed=73), _fig13_tenants(), seed=17)
+    return assign_poisson_arrivals(workload, request_rate=2.0, seed=19)
 
 
 def _fig14_fault_plan() -> FaultPlan:
-    """The fig14 chaos plan: two crashes and one straggler mid-burst.
-
-    Shared by this harness, the fig14 recovery benchmark, and CI's
-    chaos-smoke determinism gate, so all three exercise the same seeded
-    failure schedule.
-    """
+    """Two crashes (replacements boot in 15 s) and one 45 s 3x straggler."""
     return FaultPlan(
         crashes=[ReplicaCrash(time=40.0, replica=1), ReplicaCrash(time=110.0, replica=2)],
         stragglers=[Straggler(start=60.0, duration=45.0, replica=0, slowdown=3.0)],
@@ -502,44 +378,8 @@ def _fig14_fault_plan() -> FaultPlan:
     )
 
 
-def _fig14_failure_recovery_scenario(
-    fast_path: bool, tracer: Tracer | None = None
-) -> tuple[float, str, dict]:
-    """Failure recovery under chaos (the Figure 14 shape).
-
-    The fig10 bursty trace on a four-replica fleet, with a seeded fault plan
-    layered on top: two replica crashes (replacements boot with a 15 s
-    warm-up) and a 45 s 3x straggler window.  Crashed work re-dispatches
-    through the retry policy and dead capacity is relaunched, so the run
-    exercises every fault path — aborts, retries, replacement launches,
-    degraded-health routing — under the same fast-path-vs-reference
-    bit-identity gate as the fault-free scenarios.  FAULT events bound the
-    event-jump horizon, so this also pins that macro-steps never fuse across
-    a fault edge.
-    """
-    platform = paper_platform("7b-a100")
-    workload = _fig10_workload()
-    simulator = _make_cluster(
-        fast_path,
-        platform=platform,
-        num_replicas=4,
-        router="memory-aware",
-        token_capacity_override=platform.token_capacity // 8,
-        faults=_fig14_fault_plan(),
-        tracer=tracer,
-    )
-    start = time.perf_counter()
-    result = simulator.run_open_loop(workload)
-    elapsed = time.perf_counter() - start
-    return elapsed, cluster_fingerprint(result), result.jump_stats.summary()
-
-
 def _fig15_interactions():
-    """The fig15 session trace: heavy-tail multi-turn agentic interactions.
-
-    Shared by this harness and the fig15 affinity benchmark so both exercise
-    the same seeded conversation schedule.
-    """
+    """120 heavy-tail agentic sessions of 2–8 turns."""
     return generate_interactions(
         120,
         seed=71,
@@ -552,76 +392,159 @@ def _fig15_interactions():
     )
 
 
-def _fig15_session_affinity_scenario(
-    fast_path: bool, tracer: Tracer | None = None
-) -> tuple[float, str, dict]:
-    """Session-affinity fleet serving multi-turn interactions (the fig15 shape).
-
-    120 heavy-tail agentic sessions (2–8 turns, each turn's prompt the full
-    accumulated conversation) served closed-loop by a four-replica fleet
-    behind the session-affinity router, with a per-replica KV prefix cache
-    sized at half each replica's pool.  Every follow-up turn is *spawned* by
-    its predecessor's completion, so the scenario pins the jump-horizon
-    argument for reactive arrivals (a spawned turn must never be fused past)
-    alongside the prefix claim/retain accounting, under the same
-    fast-path-vs-reference bit-identity gate as the other fleets.
-    """
-    platform = paper_platform("7b-a100")
-    simulator = _make_cluster(
-        fast_path,
-        platform=platform,
-        num_replicas=4,
-        router="session-affinity",
-        token_capacity_override=platform.token_capacity // 8,
-        prefix_cache_tokens=platform.token_capacity // 16,
-        tracer=tracer,
-    )
-    start = time.perf_counter()
-    result = simulator.run_sessions(_fig15_interactions())
-    elapsed = time.perf_counter() - start
-    return elapsed, cluster_fingerprint(result), result.jump_stats.summary()
-
-
 SCENARIOS: tuple[Scenario, ...] = (
+    # The paper's headline sweep: light load (almost every iteration fuses)
+    # to deep saturation (the scheduler is consulted every iteration).
     Scenario(
         name="fig07_goodput_vs_clients",
         description="single engine, ShareGPT-o1 full length, past-future, clients 8-128",
-        run=_fig07_scenario,
+        calls=tuple(
+            Call(
+                lambda fast_path, tracer: _engine(
+                    fast_path, tracer, _past_future(), A100.token_capacity
+                ),
+                "run_closed_loop",
+                lambda: generate_sharegpt_o1_workload(250, seed=71),
+                {"num_clients": clients},
+                label=f"clients={clients}",
+            )
+            for clients in (8, 32, 64, 128)
+        ),
     ),
+    # 256 clients against half the pool keep the queue non-empty for ~90% of
+    # iterations: the regime try_jump_saturated exists for.
     Scenario(
         name="fig07_saturated",
         description="single engine at half pool, 256 clients, ~90% saturated iterations",
-        run=_fig07_saturated_scenario,
+        calls=(
+            Call(
+                lambda fast_path, tracer: _engine(
+                    fast_path, tracer, _past_future(), A100.token_capacity // 2
+                ),
+                "run_closed_loop",
+                lambda: generate_sharegpt_o1_workload(400, seed=71),
+                {"num_clients": 256},
+            ),
+        ),
     ),
     Scenario(
         name="fig10_cluster_routing",
         description="4-replica fleet, memory-aware router, bursty full-length trace",
-        run=_fig10_scenario,
+        calls=(
+            Call(
+                lambda fast_path, tracer: _fleet(fast_path, tracer, "memory-aware"),
+                "run_open_loop",
+                _fig10_workload,
+            ),
+        ),
     ),
+    # Warm-up completions and autoscale decisions bound the jump horizon.
     Scenario(
         name="fig11_autoscaling",
         description="elastic 1-6 replica fleet, predictive policy, bursty full-length trace",
-        run=_fig11_scenario,
+        calls=(
+            Call(
+                lambda fast_path, tracer: _fleet(
+                    fast_path,
+                    tracer,
+                    "least-outstanding",
+                    num_replicas=2,
+                    autoscaler=_fig11_autoscaler(),
+                ),
+                "run_open_loop",
+                _fig11_workload,
+            ),
+        ),
     ),
+    # capacity_scale keeps the ~6.6x A100:4090 capacity ratio.
     Scenario(
         name="fig12_heterogeneous",
         description="mixed 2x A100 + 1x RTX-4090 fleet, memory-aware router, diurnal two-class trace",
-        run=_fig12_heterogeneous_scenario,
+        calls=(
+            Call(
+                lambda fast_path, tracer: _fleet(
+                    fast_path,
+                    tracer,
+                    "memory-aware",
+                    platform=None,
+                    platforms=paper_platforms("7b-a100", "7b-a100", "7b-4090"),
+                    num_replicas=3,
+                    token_capacity_override=None,
+                    capacity_scale=1.0 / 8.0,
+                    chunked_prefill_tokens=4096,
+                ),
+                "run_open_loop",
+                _fig12_workload,
+            ),
+        ),
     ),
+    # A saturated VTC engine (the fair scheduler's no-admit proof with
+    # reordered admission) plus a throttled open loop (reject-path fields).
     Scenario(
         name="fig13_fairness",
         description="heavy-tail tenants: saturated VTC engine + throttled weighted-VTC open loop",
-        run=_fig13_fairness_scenario,
+        calls=(
+            Call(
+                lambda fast_path, tracer: _engine(
+                    fast_path,
+                    tracer,
+                    create_scheduler("vtc", watermark=0.95),
+                    A100.token_capacity // 2,
+                ),
+                "run_closed_loop",
+                _fig13_closed_workload,
+                {"num_clients": 128},
+                label="vtc-saturated",
+            ),
+            Call(
+                lambda fast_path, tracer: _engine(
+                    fast_path,
+                    tracer,
+                    create_scheduler(
+                        "weighted-vtc", weights={"user-0000": 2.0}, watermark=0.95
+                    ),
+                    A100.token_capacity // 4,
+                    throttle=OverloadThrottle(user_rpm=12),
+                ),
+                "run_open_loop",
+                _fig13_open_workload,
+                label="weighted-throttled",
+            ),
+        ),
     ),
+    # The fig10 fleet under chaos: FAULT events bound the jump horizon, so
+    # macro-steps must never fuse across a crash, retry or replacement.
     Scenario(
         name="fig14_failure_recovery",
         description="4-replica fleet under chaos: 2 crashes + 45s straggler, retries and replacements",
-        run=_fig14_failure_recovery_scenario,
+        calls=(
+            Call(
+                lambda fast_path, tracer: _fleet(
+                    fast_path, tracer, "memory-aware", faults=_fig14_fault_plan()
+                ),
+                "run_open_loop",
+                _fig10_workload,
+            ),
+        ),
     ),
+    # Every follow-up turn is spawned by its predecessor's completion, so
+    # spawned arrivals bound the jump horizon; the prefix cache holds half
+    # of each replica's pool.
     Scenario(
         name="fig15_session_affinity",
         description="4-replica fleet, session-affinity router + prefix cache, 120 multi-turn sessions",
-        run=_fig15_session_affinity_scenario,
+        calls=(
+            Call(
+                lambda fast_path, tracer: _fleet(
+                    fast_path,
+                    tracer,
+                    "session-affinity",
+                    prefix_cache_tokens=A100.token_capacity // 16,
+                ),
+                "run_sessions",
+                _fig15_interactions,
+            ),
+        ),
     ),
 )
 

@@ -1,4 +1,4 @@
-"""KV-cache memory substrate: paged pool, contiguous baseline, accounting."""
+"""KV-cache memory substrate: paged pool, prefix cache, accounting."""
 
 from repro.memory.block_manager import (
     AllocationError,
@@ -6,7 +6,6 @@ from repro.memory.block_manager import (
     BlockTable,
     OutOfMemoryError,
 )
-from repro.memory.contiguous import ContiguousKVCachePool, Extent
 from repro.memory.pool_stats import MemorySample, MemoryTimeline
 from repro.memory.prefix_cache import PrefixCache, PrefixCacheStats, PrefixEntry
 
@@ -18,8 +17,6 @@ __all__ = [
     "PrefixCache",
     "PrefixCacheStats",
     "PrefixEntry",
-    "ContiguousKVCachePool",
-    "Extent",
     "MemorySample",
     "MemoryTimeline",
 ]

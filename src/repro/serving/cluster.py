@@ -93,13 +93,7 @@ from repro.serving.faults import (
     SlowdownCostModel,
 )
 from repro.serving.results import ClusterResult, RunResult
-from repro.serving.routing import (
-    REASON_SATURATED,
-    ReplicaView,
-    Router,
-    RoutingDecision,
-    create_router,
-)
+from repro.serving.routing import ReplicaView, Router, create_router
 from repro.serving.server import (
     LoadGenerator,
     SimulationLimits,
@@ -212,7 +206,9 @@ class ClusterSimulator:
             ``autoscaler`` this is only the starting size.
         router: placement policy, as a :class:`Router` instance or a registry
             name (``round-robin``, ``least-outstanding``, ``least-kv-load``,
-            ``memory-aware``).
+            ``memory-aware``).  Saturation admission (reject, shed, defer)
+            is the router's policy: pass e.g.
+            ``create_router("memory-aware", reject_when_saturated=True)``.
         scheduler_name: per-replica admission scheduler registry name; each
             replica gets its *own* scheduler instance so history-based
             policies learn only from their replica's completions.
@@ -233,12 +229,6 @@ class ClusterSimulator:
             instead — the scaled-experiment knob for heterogeneous fleets,
             where one absolute override would erase the capacity differences
             under study.  Mutually exclusive with ``token_capacity_override``.
-        reject_when_saturated: convenience knob applying the same admission
-            policy routers can carry themselves (see :class:`Router`): when
-            every routable replica is saturated, new arrivals are turned away
-            instead of queued; rejected requests never execute but are
-            reported.  Checked at the cluster level, so a caller-supplied
-            router instance is never mutated.
         platforms: per-replica deployment targets for a heterogeneous fleet.
             Replicas cycle through this list in launch order (the initial
             fleet and every autoscaler launch), so a two-entry list behind a
@@ -296,7 +286,6 @@ class ClusterSimulator:
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
         capacity_scale: float | None = None,
-        reject_when_saturated: bool = False,
         platforms: Sequence[Platform] | None = None,
         autoscaler: Autoscaler | None = None,
         limits: SimulationLimits | None = None,
@@ -333,12 +322,6 @@ class ClusterSimulator:
         #: first platform of the cycle; the homogeneous fleet's platform.
         self.platform = self.platforms[0]
         self.router = create_router(router) if isinstance(router, str) else router
-        # Rejection is a router admission policy in the decision API; the
-        # constructor knob is kept as a convenience and applies the same
-        # check at the cluster level (before the router is consulted, as in
-        # PR 1) rather than mutating a caller-supplied — possibly shared —
-        # router instance.
-        self._force_reject_when_saturated = reject_when_saturated
         self.throttle = throttle
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tracing = self.tracer.enabled
@@ -392,22 +375,6 @@ class ClusterSimulator:
         self._retry_attempts: dict[str, int] = {}
 
     # ------------------------------------------------------------------ state
-    @property
-    def reject_when_saturated(self) -> bool:
-        """Whether arrivals into a fully saturated fleet are rejected.
-
-        True when either the constructor convenience knob or the router's
-        own admission policy (see :class:`~repro.serving.routing.Router`)
-        arms rejection.  Settable, as in PR 1 — assignment toggles the
-        cluster-level knob and leaves the router untouched.
-        """
-        return self._force_reject_when_saturated or self.router.reject_when_saturated
-
-    @reject_when_saturated.setter
-    def reject_when_saturated(self, value: bool) -> None:
-        """Toggle the cluster-level knob (the router's own policy is untouched)."""
-        self._force_reject_when_saturated = value
-
     @property
     def num_replicas(self) -> int:
         """Number of engines ever launched (including retired ones)."""
@@ -894,6 +861,7 @@ class ClusterSimulator:
         # Release it after the next completed iteration, when the fleet
         # has actually made progress.
         self._deferred_releases += 1
+
     def _route_arrival(
         self,
         spec: RequestSpec,
@@ -989,13 +957,7 @@ class ClusterSimulator:
         if first_attempt and self.autoscaler is not None and views:
             saturated = sum(1 for v in views if v.saturated) / len(views)
             self.autoscaler.note_arrival(now, saturated, spec.prompt_tokens)
-        if self._force_reject_when_saturated and views and all(v.saturated for v in views):
-            # Cluster-level convenience knob: reject before consulting the
-            # router, exactly as PR 1 did (placement state such as the
-            # round-robin cursor is untouched by rejected arrivals).
-            decision = RoutingDecision.reject(REASON_SATURATED)
-        else:
-            decision = self.router.decide(spec, views, now)
+        decision = self.router.decide(spec, views, now)
         if decision.is_reject:
             self._reject_spec(
                 spec, now, arrived_at, decision.reason or "unspecified", candidates=len(views)

@@ -13,10 +13,6 @@ lengths — and expects back a :class:`RoutingDecision`:
 * ``RoutingDecision.defer(until)`` — hold the request and re-route it at a
   later instant (the hook request-migration policies build on).
 
-Routers written against the legacy ``select_replica() -> int`` API keep
-working: the base class adapts their integer return into a ``route`` decision
-(and emits a :class:`DeprecationWarning` once per router instance).
-
 Because a fleet may mix accelerator generations
 (``ClusterSimulator(platforms=[a100, a100, rtx4090])``), replicas can differ
 in both KV capacity and decode speed.  Views therefore expose
@@ -59,7 +55,6 @@ from __future__ import annotations
 
 import abc
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -306,17 +301,10 @@ class ReplicaView:
         }
 
 
-#: Deprecated alias for :class:`ReplicaView`, kept for the PR-1/PR-2 API.
-ReplicaSnapshot = ReplicaView
-
-
 class Router(abc.ABC):
     """Placement policy mapping an arriving request to a routing decision.
 
-    Subclasses implement :meth:`decide`.  Routers written against the legacy
-    ``select_replica() -> int`` API still work — the base :meth:`decide`
-    adapts the integer into ``RoutingDecision.route`` and warns once per
-    instance with a :class:`DeprecationWarning`.
+    Subclasses implement :meth:`decide`.
 
     Every router carries two admission-policy knobs, consulted before any
     placement logic whenever *all* routable replicas are saturated:
@@ -340,12 +328,11 @@ class Router(abc.ABC):
     #: human-readable policy name used in tables and figures.
     name: str = "abstract"
 
-    # Class-level defaults so legacy subclasses that never call
-    # ``super().__init__`` still present the neutral admission policy.
+    # Class-level defaults so subclasses that never call ``super().__init__``
+    # still present the neutral admission policy.
     reject_when_saturated: bool = False
     shed_classes: frozenset[str] = frozenset()
     defer_when_saturated: float | None = None
-    _warned_legacy: bool = False
 
     def __init__(
         self,
@@ -360,22 +347,8 @@ class Router(abc.ABC):
         self.shed_classes = frozenset(shed_classes)
         self.defer_when_saturated = defer_when_saturated
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        # Neither decide() nor select_replica() is formally abstract (each
-        # has a real body adapting to the other), so restore the
-        # fail-at-definition behaviour an @abstractmethod would give:
-        # a concrete router must override at least one of them.
-        super().__init_subclass__(**kwargs)
-        if (
-            cls.decide is Router.decide
-            and cls.select_replica is Router.select_replica
-        ):
-            raise TypeError(
-                f"{cls.__name__} must implement decide() "
-                "(or the legacy select_replica())"
-            )
-
     # ------------------------------------------------------------------ API
+    @abc.abstractmethod
     def decide(
         self,
         spec: RequestSpec,
@@ -393,7 +366,9 @@ class Router(abc.ABC):
         opaque keys, never as list indices.  The
         :class:`~repro.serving.cluster.ClusterSimulator` raises
         ``RuntimeError`` if a router routes to an id that is absent from the
-        views (e.g. a warming, draining, or retired replica).
+        views (e.g. a warming, draining, or retired replica).  Start from
+        :meth:`admission_check` so the admission knobs apply before any
+        placement state is touched.
 
         Args:
             spec: the arriving request (including its ``sla_class``).
@@ -401,41 +376,6 @@ class Router(abc.ABC):
             now: fleet-clock instant of the decision, the base for
                 ``RoutingDecision.defer`` targets.
         """
-        if type(self).select_replica is Router.select_replica:
-            raise TypeError(
-                f"{type(self).__name__} must implement decide() "
-                "(or the legacy select_replica())"
-            )
-        if not self._warned_legacy:
-            warnings.warn(
-                f"{type(self).__name__} implements the legacy "
-                "select_replica() -> int API; implement "
-                "decide() -> RoutingDecision instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._warned_legacy = True
-        rejection = self.admission_check(spec, views, now)
-        if rejection is not None:
-            return rejection
-        return RoutingDecision.route(self.select_replica(spec, views))
-
-    def select_replica(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
-        """Legacy accessor: the ``replica_id`` of this router's decision.
-
-        Kept so call sites written against the PR-1 API keep working with
-        new-style routers; raises if the decision was not a ``route`` (an
-        integer cannot express reject/defer — migrate to :meth:`decide`).
-        """
-        decision = self.decide(spec, views)
-        if not decision.is_route:
-            raise RuntimeError(
-                f"router {self.name!r} decided to {decision.action.value}; "
-                "select_replica() can only express route decisions — "
-                "call decide() instead"
-            )
-        assert decision.replica_id is not None
-        return decision.replica_id
 
     # ------------------------------------------------------------- lifecycle
     def on_run_start(self) -> None:
@@ -771,14 +711,6 @@ class MemoryAwareRouter(Router):
         :attr:`ReplicaView.headroom_fraction`.
         """
         return self.predicted_headroom_tokens(view, table) / view.token_capacity
-
-    def headroom_tokens(
-        self,
-        view: ReplicaView,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> int:
-        """Legacy alias of :meth:`predicted_headroom_tokens` (PR-1 name)."""
-        return self.predicted_headroom_tokens(view, table)
 
     def placement_score(
         self,

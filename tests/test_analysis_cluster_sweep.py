@@ -49,12 +49,10 @@ class TestClusterExperimentConfig:
             block_size=4,
             chunked_prefill_tokens=256,
             token_capacity_override=1024,
-            reject_when_saturated=True,
         )
         simulator = config.build_simulator("least-kv-load")
         assert simulator.num_replicas == 3
         assert simulator.router.name == "least-kv-load"
-        assert simulator.reject_when_saturated is True
         for replica in simulator.replicas:
             assert replica.engine.token_capacity == 1024
             assert replica.engine.chunked_prefill_tokens == 256

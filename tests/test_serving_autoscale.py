@@ -16,7 +16,7 @@ from repro.serving.autoscale import (
     create_autoscale_policy,
 )
 from repro.serving.cluster import ClusterSimulator, ReplicaState
-from repro.serving.routing import ReplicaSnapshot, ReplicaView, Router
+from repro.serving.routing import ReplicaView, Router, RoutingDecision
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.spec import RequestSpec, Workload
@@ -25,12 +25,12 @@ from tests.conftest import make_workload
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
 
-def idle_snapshot(replica_id: int, capacity: int = 1000) -> ReplicaSnapshot:
-    return ReplicaSnapshot(replica_id=replica_id, token_capacity=capacity, used_tokens=0)
+def idle_snapshot(replica_id: int, capacity: int = 1000) -> ReplicaView:
+    return ReplicaView(replica_id=replica_id, token_capacity=capacity, used_tokens=0)
 
 
-def saturated_snapshot(replica_id: int, capacity: int = 1000) -> ReplicaSnapshot:
-    return ReplicaSnapshot(
+def saturated_snapshot(replica_id: int, capacity: int = 1000) -> ReplicaView:
+    return ReplicaView(
         replica_id=replica_id,
         token_capacity=capacity,
         used_tokens=capacity,
@@ -82,8 +82,8 @@ class FixedRouter(Router):
     def __init__(self, replica_id: int) -> None:
         self.replica_id = replica_id
 
-    def select_replica(self, spec, snapshots):
-        return self.replica_id
+    def decide(self, spec, views, now=0.0):
+        return RoutingDecision.route(self.replica_id)
 
 
 def instant_workload(num_requests: int, prompt: int = 48, output: int = 64) -> Workload:
@@ -177,7 +177,7 @@ class TestReactivePolicy:
         queued = FleetView(
             time=1.0,
             snapshots=(
-                ReplicaSnapshot(
+                ReplicaView(
                     replica_id=0,
                     token_capacity=1000,
                     used_tokens=0,
@@ -212,7 +212,7 @@ class TestPredictivePolicy:
         loaded = FleetView(
             time=1.0,
             snapshots=(
-                ReplicaSnapshot(
+                ReplicaView(
                     replica_id=0,
                     token_capacity=1000,
                     used_tokens=900,

@@ -8,9 +8,10 @@ from repro.hardware.platform import paper_platforms
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.routing import (
     REASON_SATURATED,
-    ReplicaSnapshot,
+    ReplicaView,
     Router,
     RoutingDecision,
+    create_router,
 )
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
@@ -35,6 +36,11 @@ def make_cluster(
         token_capacity_override=capacity,
         **kwargs,
     )
+
+
+def rejecting_router(name: str = "round-robin") -> Router:
+    """A router armed to reject arrivals into a fully saturated fleet."""
+    return create_router(name, reject_when_saturated=True)
 
 
 def stamped_workload(num_requests: int = 24, prompt: int = 48, output: int = 4) -> Workload:
@@ -122,7 +128,7 @@ class TestConservation:
         # Capacity 64 and 48-token prompts: one admitted plus one queued
         # request saturates a replica, so most of a 24-request instant burst
         # must be rejected — and every request is still accounted for.
-        cluster = make_cluster(platform_7b, capacity=64, reject_when_saturated=True)
+        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
         result = cluster.run_open_loop(stamped_workload())
         assert result.rejected
         assert result.routed_requests + len(result.rejected) == result.submitted_requests == 24
@@ -132,7 +138,7 @@ class TestConservation:
         assert summary.rejected_requests == len(result.rejected)
 
     def test_closed_loop_rejection_does_not_deadlock(self, platform_7b):
-        cluster = make_cluster(platform_7b, capacity=64, reject_when_saturated=True)
+        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
         result = cluster.run_closed_loop(
             make_workload(num_requests=32, input_length=48, output_length=4, max_new_tokens=8),
             num_clients=16,
@@ -145,7 +151,7 @@ class TestConservation:
 
     def test_closed_loop_rejection_off_at_feasible_load(self, platform_7b):
         # The same fleet serves everything once concurrency fits capacity.
-        cluster = make_cluster(platform_7b, capacity=64, reject_when_saturated=True)
+        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
         result = cluster.run_closed_loop(
             make_workload(num_requests=32, input_length=48, output_length=4, max_new_tokens=8),
             num_clients=4,
@@ -188,7 +194,7 @@ class TestFleetAggregates:
 
 class TestRejectDeferBookkeeping:
     def test_reject_reasons_counted(self, platform_7b):
-        cluster = make_cluster(platform_7b, capacity=64, reject_when_saturated=True)
+        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
         result = cluster.run_open_loop(stamped_workload())
         assert result.rejected
         assert sum(result.reject_reasons.values()) == len(result.rejected)
@@ -231,26 +237,12 @@ class TestRejectDeferBookkeeping:
         with pytest.raises(RuntimeError, match="strictly later"):
             cluster.run_open_loop(stamped_workload(num_requests=1))
 
-    def test_cluster_knob_does_not_mutate_shared_router(self, platform_7b):
-        # The convenience knob is cluster-level: a caller-supplied router
-        # reused by a second simulator must not inherit the first one's
-        # admission policy.
-        from repro.serving.routing import LeastKVLoadRouter
-
-        router = LeastKVLoadRouter()
-        rejecting = make_cluster(
-            platform_7b, router=router, capacity=64, reject_when_saturated=True
-        )
-        assert rejecting.reject_when_saturated
-        assert not router.reject_when_saturated
-        assert rejecting.run_open_loop(stamped_workload()).rejected
-        queueing = make_cluster(platform_7b, router=LeastKVLoadRouter(), capacity=64)
-        assert not queueing.reject_when_saturated
-        assert not queueing.run_open_loop(stamped_workload()).rejected
-
     def test_router_level_rejection_without_cluster_knob(self, platform_7b):
-        # Rejection is a router policy now: arming the router directly works
-        # without the ClusterSimulator convenience flag.
+        # Rejection is a router policy: arming the simulator's router after
+        # construction takes effect, and an unarmed fleet queues instead.
+        assert not make_cluster(
+            platform_7b, router="least-kv-load", capacity=64
+        ).run_open_loop(stamped_workload()).rejected
         cluster = make_cluster(platform_7b, router="least-kv-load", capacity=64)
         cluster.router.reject_when_saturated = True
         result = cluster.run_open_loop(stamped_workload())
@@ -352,8 +344,8 @@ class TestValidation:
         class BrokenRouter(Router):
             name = "broken"
 
-            def select_replica(self, spec, snapshots):
-                return 99
+            def decide(self, spec, views, now=0.0):
+                return RoutingDecision.route(99)
 
         cluster = make_cluster(platform_7b, router=BrokenRouter())
         with pytest.raises(RuntimeError, match="invalid replica"):
@@ -374,5 +366,5 @@ class TestValidation:
         cluster = make_cluster(platform_7b, num_replicas=2)
         snapshots = cluster.snapshots()
         assert [s.replica_id for s in snapshots] == [0, 1]
-        assert all(isinstance(s, ReplicaSnapshot) for s in snapshots)
+        assert all(isinstance(s, ReplicaView) for s in snapshots)
         assert all(s.used_tokens == 0 and s.outstanding == 0 for s in snapshots)

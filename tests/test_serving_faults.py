@@ -128,12 +128,12 @@ class TestHealthRouting:
 
     def test_candidates_prefer_healthy_over_degraded(self):
         views = [self._view(0, HEALTH_DEGRADED), self._view(1, HEALTH_HEALTHY)]
-        chosen = Router().candidates(views)
+        chosen = Router.candidates(views)
         assert [v.replica_id for v in chosen] == [1]
 
     def test_degraded_still_routable_when_nothing_healthy(self):
         views = [self._view(0, HEALTH_DEGRADED), self._view(1, HEALTH_DEGRADED)]
-        chosen = Router().candidates(views)
+        chosen = Router.candidates(views)
         assert [v.replica_id for v in chosen] == [0, 1]
 
     def test_view_rejects_unknown_health(self):

@@ -10,7 +10,6 @@ from repro.serving.routing import (
     LeastKVLoadRouter,
     LeastOutstandingRouter,
     MemoryAwareRouter,
-    ReplicaSnapshot,
     ReplicaView,
     RoundRobinRouter,
     Router,
@@ -30,9 +29,9 @@ def snap(
     used: int = 0,
     running: tuple[tuple[int, int], ...] = (),
     waiting: tuple[int, ...] = (),
-) -> ReplicaSnapshot:
-    """Snapshot builder; ``running`` is (current_tokens, generated) pairs."""
-    return ReplicaSnapshot(
+) -> ReplicaView:
+    """View builder; ``running`` is (current_tokens, generated) pairs."""
+    return ReplicaView(
         replica_id=replica_id,
         token_capacity=capacity,
         used_tokens=used,
@@ -45,7 +44,7 @@ def snap(
 SPEC = make_spec()
 
 
-class TestReplicaSnapshot:
+class TestReplicaView:
     def test_derived_counts(self):
         snapshot = snap(0, capacity=100, used=40, running=((30, 10), (10, 2)), waiting=(20, 5))
         assert snapshot.num_running == 2
@@ -63,11 +62,11 @@ class TestReplicaSnapshot:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ReplicaSnapshot(replica_id=0, token_capacity=0, used_tokens=0)
+            ReplicaView(replica_id=0, token_capacity=0, used_tokens=0)
         with pytest.raises(ValueError):
-            ReplicaSnapshot(replica_id=0, token_capacity=10, used_tokens=-1)
+            ReplicaView(replica_id=0, token_capacity=10, used_tokens=-1)
         with pytest.raises(ValueError):
-            ReplicaSnapshot(
+            ReplicaView(
                 replica_id=0,
                 token_capacity=10,
                 used_tokens=0,
@@ -80,46 +79,46 @@ class TestRoundRobin:
     def test_cycles_in_index_order(self):
         router = RoundRobinRouter()
         snapshots = [snap(i) for i in range(4)]
-        picks = [router.select_replica(SPEC, snapshots) for _ in range(8)]
+        picks = [router.decide(SPEC, snapshots).replica_id for _ in range(8)]
         assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_skips_saturated_replica(self):
         router = RoundRobinRouter()
         snapshots = [snap(0), snap(1, capacity=10, used=10), snap(2), snap(3)]
-        picks = [router.select_replica(SPEC, snapshots) for _ in range(6)]
+        picks = [router.decide(SPEC, snapshots).replica_id for _ in range(6)]
         assert picks == [0, 2, 3, 0, 2, 3]
 
     def test_all_saturated_falls_back_to_cycle(self):
         router = RoundRobinRouter()
         snapshots = [snap(i, capacity=10, used=10) for i in range(3)]
-        picks = [router.select_replica(SPEC, snapshots) for _ in range(4)]
+        picks = [router.decide(SPEC, snapshots).replica_id for _ in range(4)]
         assert picks == [0, 1, 2, 0]
 
     def test_reset_on_run_start(self):
         router = RoundRobinRouter()
         snapshots = [snap(i) for i in range(3)]
-        assert router.select_replica(SPEC, snapshots) == 0
+        assert router.decide(SPEC, snapshots).replica_id == 0
         router.on_run_start()
-        assert router.select_replica(SPEC, snapshots) == 0
+        assert router.decide(SPEC, snapshots).replica_id == 0
 
     def test_cycles_over_non_contiguous_ids(self):
         # Elastic fleets leave gaps in the id space (retired ids are never
         # reused); the rotation must treat ids as opaque keys.
         router = RoundRobinRouter()
         snapshots = [snap(0), snap(2), snap(5)]
-        picks = [router.select_replica(SPEC, snapshots) for _ in range(5)]
+        picks = [router.decide(SPEC, snapshots).replica_id for _ in range(5)]
         assert picks == [0, 2, 5, 0, 2]
 
     def test_survives_replica_set_churn(self):
         # The replica last served may vanish between calls (drained or
         # retired); the cursor then wraps within whatever set remains.
         router = RoundRobinRouter()
-        assert router.select_replica(SPEC, [snap(0), snap(1), snap(2)]) == 0
-        assert router.select_replica(SPEC, [snap(0), snap(1), snap(2)]) == 1
+        assert router.decide(SPEC, [snap(0), snap(1), snap(2)]).replica_id == 0
+        assert router.decide(SPEC, [snap(0), snap(1), snap(2)]).replica_id == 1
         # Replica 1 retires; a new replica 3 joins.
-        assert router.select_replica(SPEC, [snap(0), snap(2), snap(3)]) == 2
-        assert router.select_replica(SPEC, [snap(0), snap(2), snap(3)]) == 3
-        assert router.select_replica(SPEC, [snap(0), snap(2), snap(3)]) == 0
+        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]).replica_id == 2
+        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]).replica_id == 3
+        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]).replica_id == 0
 
 
 class TestLeastOutstanding:
@@ -130,40 +129,40 @@ class TestLeastOutstanding:
             snap(1, running=((10, 1),), waiting=(5, 5)),
             snap(2, running=((10, 1),)),
         ]
-        assert router.select_replica(SPEC, snapshots) == 2
+        assert router.decide(SPEC, snapshots).replica_id == 2
 
     def test_tie_breaks_to_lowest_id(self):
         router = LeastOutstandingRouter()
         snapshots = [snap(2), snap(0), snap(1)]
-        assert router.select_replica(SPEC, snapshots) == 0
+        assert router.decide(SPEC, snapshots).replica_id == 0
 
     def test_excludes_saturated(self):
         router = LeastOutstandingRouter()
         snapshots = [snap(0, capacity=10, used=10), snap(1, running=((10, 1),))]
-        assert router.select_replica(SPEC, snapshots) == 1
+        assert router.decide(SPEC, snapshots).replica_id == 1
 
 
 class TestLeastKVLoad:
     def test_picks_lowest_load_fraction(self):
         router = LeastKVLoadRouter()
         snapshots = [snap(0, used=500), snap(1, used=200), snap(2, used=300)]
-        assert router.select_replica(SPEC, snapshots) == 1
+        assert router.decide(SPEC, snapshots).replica_id == 1
 
     def test_counts_queued_demand(self):
         router = LeastKVLoadRouter()
         # Replica 1 looks emptier by resident tokens but has a deep queue.
         snapshots = [snap(0, used=300), snap(1, used=100, waiting=(300,))]
-        assert router.select_replica(SPEC, snapshots) == 0
+        assert router.decide(SPEC, snapshots).replica_id == 0
 
     def test_tie_breaks_to_lowest_id(self):
         router = LeastKVLoadRouter()
         snapshots = [snap(1, used=100), snap(0, used=100)]
-        assert router.select_replica(SPEC, snapshots) == 0
+        assert router.decide(SPEC, snapshots).replica_id == 0
 
     def test_excludes_saturated(self):
         router = LeastKVLoadRouter()
         snapshots = [snap(0, capacity=100, used=100), snap(1, used=900)]
-        assert router.select_replica(SPEC, snapshots) == 1
+        assert router.decide(SPEC, snapshots).replica_id == 1
 
 
 class TestMemoryAware:
@@ -175,20 +174,18 @@ class TestMemoryAware:
             snap(0, used=400, running=((200, 2), (200, 2))),
             snap(1, used=400, running=((200, 99), (200, 99))),
         ]
-        assert router.select_replica(SPEC, snapshots) == 1
+        assert router.decide(SPEC, snapshots).replica_id == 1
 
     def test_counts_waiting_queue_demand(self):
         router = MemoryAwareRouter(default_length=100)
         snapshots = [snap(0, waiting=(50, 50, 50)), snap(1, waiting=(50,))]
-        assert router.select_replica(SPEC, snapshots) == 1
+        assert router.decide(SPEC, snapshots).replica_id == 1
 
     def test_empty_replica_has_full_headroom(self):
         router = MemoryAwareRouter()
         snapshots = [snap(0, used=10, running=((10, 1),)), snap(1)]
         assert router.predicted_headroom_tokens(snapshots[1]) == snapshots[1].token_capacity
-        # PR-1 name still answers (legacy alias).
-        assert router.headroom_tokens(snapshots[1]) == snapshots[1].token_capacity
-        assert router.select_replica(SPEC, snapshots) == 1
+        assert router.decide(SPEC, snapshots).replica_id == 1
 
     def test_learns_from_finished_requests(self):
         router = MemoryAwareRouter(default_length=1000)
@@ -211,8 +208,8 @@ class TestMemoryAware:
             running_current_tokens=(100, 100),
             running_generated_tokens=(4, 4),
         )
-        uncapped = ReplicaSnapshot(**base)
-        capped = ReplicaSnapshot(**base, running_remaining_cap_tokens=(8, 8))
+        uncapped = ReplicaView(**base)
+        capped = ReplicaView(**base, running_remaining_cap_tokens=(8, 8))
         # Cold-start default of 2048 predicted tokens cannot exceed what the
         # requests' max_new_tokens budgets physically allow.
         assert router.predicted_peak_tokens(capped) == 216  # 200 + 2*8
@@ -230,12 +227,12 @@ class TestMemoryAware:
     def test_tie_breaks_to_lowest_id(self):
         router = MemoryAwareRouter()
         snapshots = [snap(1), snap(0)]
-        assert router.select_replica(SPEC, snapshots) == 0
+        assert router.decide(SPEC, snapshots).replica_id == 0
 
     def test_excludes_saturated(self):
         router = MemoryAwareRouter()
         snapshots = [snap(0, capacity=100, used=100), snap(1, capacity=100, used=90)]
-        assert router.select_replica(SPEC, snapshots) == 1
+        assert router.decide(SPEC, snapshots).replica_id == 1
 
 
 class TestRoutingDecision:
@@ -276,7 +273,7 @@ class TestDecideAPI:
         assert decision.is_route
         assert decision.replica_id in (0, 1)
 
-    @pytest.mark.parametrize("name", ["round-robin", "least-outstanding", "least-kv-load", "memory-aware"])
+    @pytest.mark.parametrize("name", available_routers())
     def test_reject_when_saturated_knob(self, name):
         router = create_router(name, reject_when_saturated=True)
         saturated = [snap(i, capacity=10, used=10) for i in range(2)]
@@ -326,63 +323,21 @@ class TestDecideAPI:
         assert "defer=1s" in described
         assert MemoryAwareRouter().describe() == "memory-aware (window=1000)"
 
+    def test_rejection_leaves_session_home_unset(self):
+        router = create_router("session-affinity", reject_when_saturated=True)
+        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        assert router.decide(turn, [snap(0, capacity=10, used=10)]).is_reject
+        assert router.home_of("s0") is None
 
-class LegacyPickFirstRouter(Router):
-    """Old-style router implementing only select_replica() -> int."""
+    def test_router_without_decide_cannot_be_instantiated(self):
+        class EmptyRouter(Router):
+            name = "empty"
 
-    name = "legacy-first"
-
-    def select_replica(self, spec, snapshots):
-        return min(s.replica_id for s in snapshots)
-
-
-class TestLegacyAdapter:
-    def test_int_return_adapted_to_route_decision(self):
-        router = LegacyPickFirstRouter()
-        with pytest.warns(DeprecationWarning, match="select_replica"):
-            decision = router.decide(SPEC, [snap(1), snap(0)])
-        assert decision.is_route
-        assert decision.replica_id == 0
-
-    def test_warns_exactly_once_per_instance(self):
-        import warnings
-
-        router = LegacyPickFirstRouter()
-        with pytest.warns(DeprecationWarning):
-            router.decide(SPEC, [snap(0)])
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            router.decide(SPEC, [snap(0)])
-        assert not [w for w in captured if issubclass(w.category, DeprecationWarning)]
-
-    def test_adapter_honours_reject_when_saturated(self):
-        router = LegacyPickFirstRouter()
-        router.reject_when_saturated = True
-        with pytest.warns(DeprecationWarning):
-            router.decide(SPEC, [snap(0)])
-        decision = router.decide(SPEC, [snap(0, capacity=10, used=10)])
-        assert decision.is_reject
-
-    def test_router_without_either_method_fails_at_definition(self):
-        with pytest.raises(TypeError, match="must implement decide"):
-
-            class EmptyRouter(Router):
-                name = "empty"
-
-    def test_select_replica_unwraps_new_style_decisions(self):
-        assert LeastOutstandingRouter().select_replica(SPEC, [snap(0), snap(1)]) == 0
-
-    def test_select_replica_raises_on_non_route_decision(self):
-        router = LeastOutstandingRouter(reject_when_saturated=True)
-        with pytest.raises(RuntimeError, match="decide"):
-            router.select_replica(SPEC, [snap(0, capacity=10, used=10)])
+        with pytest.raises(TypeError, match="decide"):
+            EmptyRouter()
 
 
 class TestReplicaViewNormalised:
-    def test_replica_view_is_replica_snapshot(self):
-        # The legacy name stays importable as an alias of the new type.
-        assert ReplicaSnapshot is ReplicaView
-
     def test_headroom_properties_under_mixed_capacities(self):
         big = snap(0, capacity=8000, used=4000, waiting=(400,))
         small = snap(1, capacity=800, used=200, waiting=(100,))
@@ -508,4 +463,4 @@ class TestRegistry:
 
     def test_zero_replicas_rejected(self):
         with pytest.raises(ValueError, match="zero replicas"):
-            LeastOutstandingRouter().select_replica(SPEC, [])
+            LeastOutstandingRouter().decide(SPEC, [])

@@ -41,7 +41,6 @@ SKIP_MARKER = "<!-- docs-check: skip -->"
 REQUIRED_DOCS = (
     "architecture.md",
     "fairness.md",
-    "migration.md",
     "observability.md",
     "performance.md",
     "resilience.md",

@@ -2,7 +2,7 @@
 
 The reproduction's figures are produced by stepping the continuous-batching
 engine one decode iteration at a time; the event-jump fast path
-(:meth:`repro.engine.engine.InferenceEngine.try_jump`) fuses provably
+(:meth:`repro.engine.engine.InferenceEngine.try_jump_any`) fuses provably
 event-free iterations into vectorized macro-steps with bit-identical results.
 This module pins that claim under regression tracking:
 
@@ -412,7 +412,7 @@ SCENARIOS: tuple[Scenario, ...] = (
         ),
     ),
     # 256 clients against half the pool keep the queue non-empty for ~90% of
-    # iterations: the regime try_jump_saturated exists for.
+    # iterations: the regime the saturated jump exists for.
     Scenario(
         name="fig07_saturated",
         description="single engine at half pool, 256 clients, ~90% saturated iterations",

@@ -16,8 +16,8 @@ Per continuous-batching iteration the scheduler
 The scheduler never inspects the hidden true output lengths.
 
 For the engine's saturated-phase event jump
-(:meth:`repro.engine.engine.InferenceEngine.try_jump_saturated`) the
-scheduler additionally implements
+(:meth:`repro.engine.engine.InferenceEngine.try_jump_any` with a non-empty
+waiting queue) the scheduler additionally implements
 :meth:`PastFutureScheduler.saturated_no_admit_horizon`: it pre-draws the
 predictor samples of many upcoming iterations — each from the exact
 per-iteration generator the sequential path would seed — evaluates all of

@@ -75,12 +75,12 @@ class StepResult:
 class JumpResult:
     """Outcome of one event-jump macro-step (``steps`` fused iterations).
 
-    Produced by :meth:`InferenceEngine.try_jump` when the engine can prove
-    that no scheduling event occurs for the next ``steps`` iterations, and by
-    :meth:`InferenceEngine.try_jump_saturated` when the admission scheduler
-    additionally proves its next ``steps`` decisions admit nothing; either
-    way the macro-step admits nothing, finishes nothing, and evicts nothing —
-    it only fast-forwards decode.
+    Produced by :meth:`InferenceEngine.try_jump_any` when the engine can
+    prove that no scheduling event occurs for the next ``steps`` iterations
+    (with a non-empty waiting queue, the admission scheduler additionally
+    proves its next ``steps`` decisions admit nothing); either way the
+    macro-step admits nothing, finishes nothing, and evicts nothing — it
+    only fast-forwards decode.
     """
 
     #: number of decode iterations fused into this macro-step.
@@ -91,9 +91,8 @@ class JumpResult:
     end_time: float
     #: decode tokens delivered (``steps * batch_size``).
     decode_tokens: int
-    #: which jump produced the macro-step: ``"silent"`` (empty waiting queue,
-    #: :meth:`InferenceEngine.try_jump`) or ``"saturated"``
-    #: (:meth:`InferenceEngine.try_jump_saturated`).
+    #: which jump produced the macro-step: ``"silent"`` (empty waiting
+    #: queue) or ``"saturated"`` (non-empty queue, scheduler-proven).
     source: str = "silent"
 
 
@@ -126,13 +125,15 @@ class JumpStats:
 
     #: reference iterations executed via :meth:`InferenceEngine.step`.
     loop_steps: int = 0
-    #: silent-jump attempts (:meth:`InferenceEngine.try_jump` calls).
+    #: silent-jump attempts (:meth:`InferenceEngine.try_jump_any` calls
+    #: with an empty waiting queue).
     silent_attempts: int = 0
     #: silent-jump attempts that produced a macro-step.
     silent_jumps: int = 0
     #: iterations fused across all silent macro-steps.
     silent_steps_fused: int = 0
-    #: saturated-jump attempts (:meth:`InferenceEngine.try_jump_saturated`).
+    #: saturated-jump attempts (:meth:`InferenceEngine.try_jump_any` calls
+    #: with a non-empty waiting queue).
     saturated_attempts: int = 0
     #: saturated-jump attempts that produced a macro-step.
     saturated_jumps: int = 0
@@ -141,7 +142,10 @@ class JumpStats:
     #: iterations on which the admission scheduler was consulted (non-empty
     #: waiting queue at :meth:`InferenceEngine.step` time).
     scheduler_consults: int = 0
-    #: why jump attempts fell back to the reference loop, per reason.
+    #: why jump attempts fell back to the reference loop, per reason:
+    #: ``silent:`` ``no-window`` / ``step-budget`` / ``horizon-clip`` and
+    #: ``saturated:`` ``not-uniform`` / ``step-budget`` /
+    #: ``scheduler-horizon`` / ``horizon-clip``.
     fallback_reasons: dict[str, int] = field(default_factory=dict)
 
     def note_fallback(self, reason: str) -> None:
@@ -219,11 +223,11 @@ class InferenceEngine:
             prefills each admitted request in a single iteration.
         token_capacity_override: replaces the platform's KV token capacity,
             used by scaled-down experiments and unit tests.
-        fast_path: whether :meth:`try_jump` / :meth:`try_jump_saturated` may
-            fuse provably event-free decode iterations into vectorized
-            macro-steps.  Metrics are bit-identical either way; the flag
-            exists so any future discrepancy can be bisected against the
-            reference loop in one flip.
+        fast_path: whether :meth:`try_jump_any` may fuse provably event-free
+            decode iterations into vectorized macro-steps.  Metrics are
+            bit-identical either way; the flag exists so any future
+            discrepancy can be bisected against the reference loop in one
+            flip.
         prefix_cache_tokens: if set, a per-engine
             :class:`~repro.memory.prefix_cache.PrefixCache` retains the KV
             context of finished non-final session turns (up to this many
@@ -377,13 +381,14 @@ class InferenceEngine:
         return drained
 
     # ------------------------------------------------------------- admission
-    def _scheduling_context(self, time: float) -> SchedulingContext:
+    def _scheduling_context(self, time: float, step: int | None = None) -> SchedulingContext:
         # Only built when the scheduler is actually consulted (non-empty
-        # waiting queue — see the guard in _admit); the running/waiting list
-        # copies here must never be constructed on pure decode iterations.
+        # waiting queue — see the guards in _admit and try_jump_any); the
+        # running/waiting list copies here must never be constructed on pure
+        # decode iterations.
         return SchedulingContext(
             time=time,
-            step=self._step_counter,
+            step=self._step_counter if step is None else step,
             running=list(self.batch),
             waiting=list(self.waiting),
             token_capacity=self.pool.token_capacity,
@@ -831,14 +836,12 @@ class InferenceEngine:
     def _uniform_decode_bound(self) -> int:
         """Iterations of provably uniform decode, ignoring the waiting queue.
 
-        The shared engine-side half of both event-jump proofs: batch
-        membership cannot change for this many iterations because every
-        resident is decoding, nobody reaches its last token (finishes are
-        events), and the pool provably grows every resident each step (so no
-        eviction is possible).  Whether the *scheduler* would also stay
-        silent is the caller's concern: :meth:`silent_steps_bound` requires
-        an empty waiting queue, :meth:`try_jump_saturated` asks the scheduler
-        to prove its decisions instead.
+        The engine-side half of the event-jump proof: batch membership cannot
+        change for this many iterations because every resident is decoding,
+        nobody reaches its last token (finishes are events), and the pool
+        provably grows every resident each step (so no eviction is possible).
+        Whether the *scheduler* would also stay silent is
+        :meth:`try_jump_any`'s concern.
         """
         if not self.fast_path or not self.batch.requests:
             return 0
@@ -859,20 +862,7 @@ class InferenceEngine:
             return 0
         return self.pool.max_uniform_growth(bound)
 
-    def silent_steps_bound(self) -> int:
-        """Upper bound on decode iterations provably free of any event.
-
-        An iteration is *silent* when it admits nothing (empty waiting
-        queue), prefills nothing, finishes nothing, and cannot evict (the
-        pool is guaranteed to grow every resident by one token).  Returns 0
-        whenever the next iteration might do any of those, in which case the
-        caller must take the reference :meth:`step` path.
-        """
-        if self.waiting:
-            return 0
-        return self._uniform_decode_bound()
-
-    def try_jump(
+    def try_jump_any(
         self,
         time: float,
         horizon: float | None = None,
@@ -882,12 +872,31 @@ class InferenceEngine:
     ) -> JumpResult | None:
         """Fuse as many provably event-free decode iterations as possible.
 
+        The engine's one event-jump entry point.  Fused iterations are always
+        pure uniform decode (:meth:`_uniform_decode_bound`): nothing
+        prefills, finishes, or can evict.  What keeps them admission free
+        depends on the waiting queue:
+
+        * **silent** — the queue is empty, so no iteration consults the
+          scheduler at all;
+        * **saturated** — the queue is not empty, and every iteration would
+          consult the admission scheduler, whose RNG stream is part of the
+          reproduced semantics.  The scheduler itself must prove that its
+          next decisions all admit nothing
+          (:meth:`~repro.schedulers.base.Scheduler.saturated_no_admit_horizon`,
+          handed the context of the first upcoming iteration); after the
+          macro-step it is told how many consultations were fused
+          (:meth:`~repro.schedulers.base.Scheduler.on_saturated_steps_fused`)
+          so RNG-consuming policies advance their stream to exactly where K
+          sequential consultations would have left it.
+
         The macro-step reproduces the reference loop exactly: per-iteration
         durations come from :meth:`CostModel.decode_step_durations` (the same
         float64 operations the scalar path performs), token timestamps are the
         cumulative-sum chain of those durations, the pool grows via bulk
         appends that acquire the same blocks sequential appends would, and the
-        memory timeline receives one sample per fused iteration.
+        memory timeline receives one sample per fused iteration (with the
+        constant waiting-queue depth, as the reference iterations record).
 
         Args:
             time: simulation clock at the start of the macro-step.
@@ -905,127 +914,48 @@ class InferenceEngine:
 
         Returns:
             ``None`` when the fast path is disabled or the next iterations
-            are not provably silent — the caller must fall back to
-            :meth:`step`.
+            are not provably event free — the caller must fall back to
+            :meth:`step`.  Each such attempt counts one
+            :attr:`JumpStats.fallback_reasons` entry.
         """
         if not self.fast_path:
             return None
         stats = self.jump_stats
-        stats.silent_attempts += 1
-        bound = self.silent_steps_bound()
-        if bound < min_steps:
-            stats.note_fallback("silent:no-window")
-            return None
-        if max_steps is not None and max_steps < bound:
-            bound = max_steps
-        if bound < min_steps:
-            stats.note_fallback("silent:step-budget")
-            return None
-        result = self._execute_jump(
-            time, bound, horizon, max_time, min_steps, queued_requests=0, source="silent"
-        )
-        if result is None:
-            stats.note_fallback("silent:horizon-clip")
+        queued = len(self.waiting)
+        if queued:
+            source = "saturated"
+            stats.saturated_attempts += 1
         else:
-            stats.silent_jumps += 1
-            stats.silent_steps_fused += result.steps
-        return result
-
-    def try_jump_any(
-        self,
-        time: float,
-        horizon: float | None = None,
-        max_steps: int | None = None,
-        max_time: float | None = None,
-        min_steps: int = 2,
-    ) -> JumpResult | None:
-        """Try whichever event-jump applies to the current queue state.
-
-        The single entry point drivers use: an empty waiting queue makes the
-        next iterations candidates for a silent jump (:meth:`try_jump`), a
-        non-empty one for a saturated jump (:meth:`try_jump_saturated`).
-        Keeping the dispatch here means callers only plumb horizons, not
-        queue-state knowledge.
-        """
-        if self.waiting:
-            return self.try_jump_saturated(time, horizon, max_steps, max_time, min_steps)
-        return self.try_jump(time, horizon, max_steps, max_time, min_steps)
-
-    def try_jump_saturated(
-        self,
-        time: float,
-        horizon: float | None = None,
-        max_steps: int | None = None,
-        max_time: float | None = None,
-        min_steps: int = 2,
-    ) -> JumpResult | None:
-        """Fuse decode iterations whose admission decisions provably admit nothing.
-
-        The saturated-phase counterpart of :meth:`try_jump`: while the
-        waiting queue is non-empty, every iteration consults the admission
-        scheduler — whose RNG stream is part of the reproduced semantics — so
-        iterations are only fusable when the *scheduler itself* proves that
-        its next decisions would all return the empty list
-        (:meth:`~repro.schedulers.base.Scheduler.saturated_no_admit_horizon`).
-        The engine first establishes the uniform-decode half of the proof
-        (nothing prefills, finishes, or can evict — exactly as for a silent
-        jump), hands the scheduler the scheduling context of the first
-        upcoming iteration, and fuses the smaller of the two horizons.  After
-        a successful macro-step the scheduler is told how many consultations
-        were fused
-        (:meth:`~repro.schedulers.base.Scheduler.on_saturated_steps_fused`)
-        so RNG-consuming policies advance their stream to exactly where K
-        sequential consultations would have left it.
-
-        Arguments and the ``None`` fallback contract are those of
-        :meth:`try_jump`; the macro-step additionally records the (constant)
-        waiting-queue depth in the memory timeline, as the reference
-        iterations would.
-        """
-        if not self.fast_path or not self.waiting:
-            return None
-        stats = self.jump_stats
-        stats.saturated_attempts += 1
+            source = "silent"
+            stats.silent_attempts += 1
         bound = self._uniform_decode_bound()
         if bound < min_steps:
-            stats.note_fallback("saturated:not-uniform")
+            stats.note_fallback("saturated:not-uniform" if queued else "silent:no-window")
             return None
         if max_steps is not None and max_steps < bound:
             bound = max_steps
         if bound < min_steps:
-            stats.note_fallback("saturated:step-budget")
+            stats.note_fallback(f"{source}:step-budget")
             return None
-        # The context the scheduler would see at the first fused iteration;
-        # ``step`` accounts for the pre-admission counter increment in
-        # :meth:`step`.  Built once per attempt (the reference loop builds
-        # one per iteration).
-        context = SchedulingContext(
-            time=time,
-            step=self._step_counter + 1,
-            running=list(self.batch),
-            waiting=list(self.waiting),
-            token_capacity=self.pool.token_capacity,
-            used_tokens=self.pool.used_tokens,
-        )
-        bound = min(bound, self.scheduler.saturated_no_admit_horizon(context, bound))
-        if bound < min_steps:
-            stats.note_fallback("saturated:scheduler-horizon")
-            return None
-        result = self._execute_jump(
-            time,
-            bound,
-            horizon,
-            max_time,
-            min_steps,
-            queued_requests=len(self.waiting),
-            source="saturated",
-        )
+        if queued:
+            # Built once per attempt (the reference loop builds one per
+            # iteration); ``step`` is the counter the first fused iteration's
+            # consultation would see after :meth:`step`'s increment.
+            context = self._scheduling_context(time, step=self._step_counter + 1)
+            bound = min(bound, self.scheduler.saturated_no_admit_horizon(context, bound))
+            if bound < min_steps:
+                stats.note_fallback("saturated:scheduler-horizon")
+                return None
+        result = self._execute_jump(time, bound, horizon, max_time, min_steps, queued, source)
         if result is None:
-            stats.note_fallback("saturated:horizon-clip")
-        else:
+            stats.note_fallback(f"{source}:horizon-clip")
+        elif queued:
             stats.saturated_jumps += 1
             stats.saturated_steps_fused += result.steps
             self.scheduler.on_saturated_steps_fused(result.steps)
+        else:
+            stats.silent_jumps += 1
+            stats.silent_steps_fused += result.steps
         return result
 
     def _execute_jump(
@@ -1036,13 +966,12 @@ class InferenceEngine:
         max_time: float | None,
         min_steps: int,
         queued_requests: int,
-        source: str = "silent",
+        source: str,
     ) -> JumpResult | None:
         """Advance up to ``bound`` proven-event-free iterations in one macro-step.
 
-        Shared tail of :meth:`try_jump` and :meth:`try_jump_saturated`; the
-        caller has already proven that the next ``bound`` iterations are pure
-        uniform decode with no admissions.
+        The tail of :meth:`try_jump_any`, which has already proven that the
+        next ``bound`` iterations are pure uniform decode with no admissions.
         """
         requests = self.batch.requests
         cache = self._silent_cache

@@ -81,7 +81,7 @@ class Scheduler(abc.ABC):
         This hook lets a scheduler *prove* that its next ``max_steps``
         admission decisions would all return the empty list, so the engine
         may fuse those iterations into one macro-step
-        (:meth:`repro.engine.engine.InferenceEngine.try_jump_saturated`).
+        (:meth:`repro.engine.engine.InferenceEngine.try_jump_any`).
 
         ``context`` describes the *first* upcoming iteration.  The engine
         guarantees the proof window is a **uniform decode phase**: batch

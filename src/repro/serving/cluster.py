@@ -62,7 +62,7 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.engine.cost_model import CostModel
@@ -92,15 +92,15 @@ from repro.serving.faults import (
     FaultPlan,
     SlowdownCostModel,
 )
-from repro.serving.results import ClusterResult, RunResult
+from repro.serving.results import ClusterResult
 from repro.serving.routing import ReplicaView, Router, create_router
 from repro.serving.server import (
+    EngineDriver,
     LoadGenerator,
     SimulationLimits,
-    _submit_attrs,
     emit_session_abandoned,
     emit_session_completion,
-    emit_session_submit,
+    throttle_arrival,
 )
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.interactions import Interaction, InteractionLoadGenerator
@@ -124,20 +124,16 @@ class ReplicaState(enum.Enum):
 
 
 @dataclass
-class _Replica:
-    """One engine plus the cluster-side bookkeeping around it."""
+class _Replica(EngineDriver):
+    """One engine driver plus the cluster-side bookkeeping around it."""
 
     index: int
-    engine: InferenceEngine
     platform: Platform
     speed_factor: float = 1.0
     state: ReplicaState = ReplicaState.ACTIVE
     launched_at: float = 0.0
     ready_at: float = 0.0
     retired_at: float | None = None
-    clock: float = 0.0
-    idle_streak: int = 0
-    requests: list[Request] = field(default_factory=list)
     #: fault-injection health state (see :mod:`repro.serving.faults`).
     health: str = HEALTH_HEALTHY
     #: original cost model while a straggler slowdown wrapper is installed.
@@ -199,6 +195,9 @@ class _DeferredArrival:
 class ClusterSimulator:
     """Drives an (optionally elastic, optionally heterogeneous) engine fleet.
 
+    Like :class:`~repro.serving.server.ServingSimulator`, a cluster serves
+    exactly one ``run_*`` call; a second call raises :class:`RuntimeError`.
+
     Args:
         platform: deployment target shared by every replica (homogeneous
             fleet); exactly one of ``platform`` / ``platforms`` is required.
@@ -240,9 +239,8 @@ class ClusterSimulator:
         limits: safety bounds over the whole fleet (``max_steps`` counts
             iterations summed across replicas).
         fast_path: let replicas fuse provably event-free decode iterations
-            into macro-steps (see :meth:`InferenceEngine.try_jump` and, for
-            non-empty waiting queues,
-            :meth:`InferenceEngine.try_jump_saturated`), bounded
+            into macro-steps (see :meth:`InferenceEngine.try_jump_any`,
+            which covers empty and non-empty waiting queues), bounded
             so every cross-replica observation point (arrival routing,
             autoscale decisions, warm-up completions, defer retries, and —
             for closed-loop clients — any other replica's steps) sees
@@ -709,16 +707,7 @@ class ClusterSimulator:
                 # retry_at == time: the RETRY event fires at this same
                 # instant, right after any arrival, so migrated work re-routes
                 # with zero added latency and no retry-attempt charge.
-                heapq.heappush(
-                    self._deferred_heap,
-                    _DeferredArrival(
-                        retry_at=time,
-                        sequence=self._defer_sequence,
-                        spec=request.spec,
-                        arrived_at=request.arrival_time,
-                    ),
-                )
-                self._defer_sequence += 1
+                self._park(request.spec, request.arrival_time, retry_at=time)
         self._record_fleet_sample(time)
         if self._tracing:
             self.tracer.emit(
@@ -819,18 +808,19 @@ class ClusterSimulator:
                     attrs={"attempt": attempt + 1, "retry_at": retry_at, "cause": cause},
                 )
             )
+        self._park(spec, arrived_at, retry_at)
+
+    # ---------------------------------------------------------------- routing
+    def _park(self, spec: RequestSpec, arrived_at: float, retry_at: float) -> None:
+        """Queue ``spec`` for another routing attempt at ``retry_at``.
+
+        Parked requests with equal ``retry_at`` re-route in parking order.
+        """
         heapq.heappush(
-            self._deferred_heap,
-            _DeferredArrival(
-                retry_at=retry_at,
-                sequence=self._defer_sequence,
-                spec=spec,
-                arrived_at=arrived_at,
-            ),
+            self._deferred_heap, _DeferredArrival(retry_at, self._defer_sequence, spec, arrived_at)
         )
         self._defer_sequence += 1
 
-    # ---------------------------------------------------------------- routing
     def _reject_spec(
         self,
         spec: RequestSpec,
@@ -878,43 +868,21 @@ class ClusterSimulator:
         """
         if arrived_at is None:
             arrived_at = spec.arrival_time if spec.arrival_time is not None else now
-        if self._tracing and first_attempt:
-            emit_session_submit(self.tracer, spec, now)
-            self.tracer.emit(
-                TraceEvent(
-                    obs.REQUEST_SUBMIT, now, request_id=spec.request_id, attrs=_submit_attrs(spec)
-                )
-            )
-        if first_attempt and self.throttle is not None:
-            # Rate limiting sits in front of routing: a throttled arrival
-            # consumes no routing decision and no autoscaler traffic signal.
-            # Defer retries skip the check — the request was admitted (and
-            # recorded in its tenant's window) on first attempt.
-            reason = self.throttle.check(spec, now)
-            if reason is not None:
-                self.rejected.append(Request(spec=spec, arrival_time=arrived_at))
-                self.reject_reasons[reason] += 1
-                if self._tracing:
-                    self.tracer.emit(
-                        TraceEvent(
-                            obs.REQUEST_THROTTLED,
-                            now,
-                            request_id=spec.request_id,
-                            attrs={
-                                "reason": reason,
-                                **self.throttle.window_usage(spec, now),
-                            },
-                        )
-                    )
-                    emit_session_abandoned(self.tracer, spec, now)
-                # Unlike saturation rejects, throttle rejects can release the
-                # client slot at this same instant without a zero-time
-                # cascade risk: the rate window only fills as requests are
-                # admitted, so a same-instant follow-up either fits the
-                # window or is itself throttled — and the workload is finite.
-                # Drained by the caller (the arrival loop owns the generator).
-                self._throttle_releases += 1
-                return
+        # Rate limiting sits in front of routing: a throttled arrival consumes
+        # no routing decision and no autoscaler traffic signal.  Defer retries
+        # skip it — the request was submitted (and recorded in its tenant's
+        # window) on first attempt.
+        if first_attempt and throttle_arrival(
+            spec, now, arrived_at, self.tracer, self.throttle, self.rejected, self.reject_reasons
+        ):
+            # Unlike saturation rejects, throttle rejects can release the
+            # client slot at this same instant without a zero-time cascade
+            # risk: the rate window only fills as requests are admitted, so a
+            # same-instant follow-up either fits the window or is itself
+            # throttled — and the workload is finite.  Drained by the caller
+            # (the arrival loop owns the generator).
+            self._throttle_releases += 1
+            return
         if self._fault_injector is not None:
             # Transient routing errors: a deterministic per-(request, attempt)
             # coin decides whether this routing attempt is dropped by the
@@ -941,16 +909,7 @@ class ClusterSimulator:
                 # Warm-up completions outrank arrivals/retries at equal
                 # times, so a warming replica seen here always has
                 # ready_at strictly in the future.
-                heapq.heappush(
-                    self._deferred_heap,
-                    _DeferredArrival(
-                        retry_at=min(r.ready_at for r in warming),
-                        sequence=self._defer_sequence,
-                        spec=spec,
-                        arrived_at=arrived_at,
-                    ),
-                )
-                self._defer_sequence += 1
+                self._park(spec, arrived_at, retry_at=min(r.ready_at for r in warming))
                 return
             self._reject_spec(spec, now, arrived_at, REASON_NO_REPLICAS)
             return
@@ -981,16 +940,7 @@ class ClusterSimulator:
                         attrs={"retry_at": decision.retry_at, "candidates": len(views)},
                     )
                 )
-            heapq.heappush(
-                self._deferred_heap,
-                _DeferredArrival(
-                    retry_at=decision.retry_at,
-                    sequence=self._defer_sequence,
-                    spec=spec,
-                    arrived_at=arrived_at,
-                ),
-            )
-            self._defer_sequence += 1
+            self._park(spec, arrived_at, decision.retry_at)
             return
         assert decision.replica_id is not None
         replica = routable.get(decision.replica_id)
@@ -1036,8 +986,6 @@ class ClusterSimulator:
         num_clients: int,
         arrivals_from_finishes: bool = False,
     ) -> ClusterResult:
-        # Engines accumulate state (stats, timelines, scheduler history), so a
-        # simulator drives exactly one run; build a fresh one per experiment.
         if self._consumed:
             raise RuntimeError("ClusterSimulator instances are single-use; build a new one per run")
         self._consumed = True
@@ -1117,17 +1065,19 @@ class ClusterSimulator:
                 continue
 
             assert step_replica is not None
-            if self.fast_path and not self._deferred_releases:
-                # Event-jump: this replica may fast-forward decode iterations
-                # that provably produce no event.  Silent iterations touch
-                # only the replica's own engine, so they commute with other
-                # replicas' silent iterations; the horizon is the earliest
-                # moment anything can *observe* this replica — a scheduled
-                # arrival (routing views), a defer retry, an autoscale
-                # decision, a warm-up completion, and, when completions
-                # generate new arrivals (closed-loop clients), any other busy
-                # replica's next iteration, which could finish a request whose
-                # follow-up request is routed using this replica's state.
+            # Event-jump: this replica may fast-forward decode iterations that
+            # provably produce no event.  Fused iterations touch only the
+            # replica's own engine (its batch and its queue), so they commute
+            # with other replicas' iterations; the horizon is the earliest
+            # moment anything can *observe* this replica — a scheduled arrival
+            # (routing views), a defer retry, an autoscale decision, a warm-up
+            # completion, a fault action, and, when completions generate new
+            # arrivals (closed-loop clients), any other busy replica's next
+            # iteration, which could finish a request whose follow-up request
+            # is routed using this replica's state.
+            jump = self.fast_path and not self._deferred_releases
+            horizon = None
+            if jump:
                 horizon = min(
                     (event_time for event_time, kind in events if kind != STEP),
                     default=None,
@@ -1138,44 +1088,21 @@ class ClusterSimulator:
                             horizon is None or other.clock < horizon
                         ):
                             horizon = other.clock
-                # The same horizon bounds the saturated-phase jump: a replica
-                # whose waiting queue is non-empty may still fast-forward when
-                # its scheduler proves the next admission decisions all admit
-                # nothing (the queue, like the batch, is replica-local state,
-                # so fused no-admit iterations commute the same way silent
-                # ones do).
-                jump = step_replica.engine.try_jump_any(
-                    step_replica.clock,
-                    horizon=horizon,
-                    max_steps=self.limits.max_steps - total_steps,
-                    max_time=self.limits.max_time,
-                )
-                if jump is not None:
-                    step_replica.clock = jump.end_time
-                    step_replica.idle_streak = 0
-                    total_steps += jump.steps
-                    if (
-                        total_steps >= self.limits.max_steps
-                        or step_replica.clock >= self.limits.max_time
-                    ):
-                        completed = False
-                        break
-                    continue
-            result = step_replica.engine.step(step_replica.clock)
-            if result.duration > 0:
-                step_replica.clock = result.end_time
-            for request in result.finished:
-                generator.on_request_finished(step_replica.clock)
+            advanced, finished, stop = step_replica.advance(self.limits, total_steps, horizon, jump)
+            total_steps += advanced
+            clock = step_replica.clock
+            for request in finished:
+                generator.on_request_finished(clock)
                 if notify is not None:
                     # Identity-aware completion hook: session generators
                     # spawn the follow-up turn here (never inside a jump,
                     # so the arrival horizon stays complete).
-                    notify(request, step_replica.clock)
+                    notify(request, clock)
                 if self._tracing:
-                    emit_session_completion(self.tracer, request, step_replica.clock)
-                self.router.on_request_finished(request, step_replica.clock)
+                    emit_session_completion(self.tracer, request, clock)
+                self.router.on_request_finished(request, clock)
                 if self.autoscaler is not None:
-                    self.autoscaler.on_request_finished(request, step_replica.clock)
+                    self.autoscaler.on_request_finished(request, clock)
             # Client slots freed by rejections are released only once some
             # replica can route again (rejection implies every replica was
             # busy, so steps keep coming until that happens) — immediate
@@ -1186,7 +1113,7 @@ class ClusterSimulator:
                 if open_views and not all(v.saturated for v in open_views):
                     while self._deferred_releases:
                         self._deferred_releases -= 1
-                        generator.on_request_finished(step_replica.clock)
+                        generator.on_request_finished(clock)
 
             if step_replica.state is ReplicaState.DRAINING and not step_replica.engine.has_work():
                 # Drain complete: every resident request ran to completion.
@@ -1194,18 +1121,7 @@ class ClusterSimulator:
                 # retirement itself is stamped with the step's end clock.
                 self._retire(step_replica, time)
 
-            # Stall guard, per replica: repeated idle iterations with waiting
-            # requests mean no admission is possible (see ServingSimulator).
-            if result.was_idle:
-                step_replica.idle_streak += 1
-                if step_replica.idle_streak >= 3:
-                    completed = False
-                    break
-            else:
-                step_replica.idle_streak = 0
-
-            total_steps += 1
-            if total_steps >= self.limits.max_steps or step_replica.clock >= self.limits.max_time:
+            if stop:
                 completed = False
                 break
 
@@ -1220,25 +1136,7 @@ class ClusterSimulator:
             self._reject_spec(leftover.spec, makespan, leftover.arrived_at, REASON_UNROUTED)
         self._record_fleet_sample(makespan)
         replica_results = [
-            RunResult(
-                scheduler=replica.engine.scheduler.describe(),
-                workload=workload_name,
-                platform=replica.platform.describe(),
-                num_clients=num_clients,
-                duration=replica.clock,
-                requests=replica.requests,
-                engine_stats=replica.engine.stats,
-                memory_timeline=replica.engine.memory_timeline,
-                token_capacity=replica.engine.token_capacity,
-                completed=completed,
-                jump_stats=replica.engine.jump_stats,
-                prefix_stats=(
-                    replica.engine.prefix_cache.stats
-                    if replica.engine.prefix_cache is not None
-                    else None
-                ),
-            )
-            for replica in self.replicas
+            replica.run_result(workload_name, num_clients, completed) for replica in self.replicas
         ]
         distinct_platforms = dict.fromkeys(p.describe() for p in self.platforms)
         return ClusterResult(

@@ -846,12 +846,6 @@ class SessionAffinityRouter(MemoryAwareRouter):
         self._homes[spec.session_id] = chosen
         return RoutingDecision.route(chosen)
 
-    def describe(self) -> str:
-        """One-line parameterised description used in result tables."""
-        suffix = self._policy_suffix()
-        extra = f", {suffix}" if suffix else ""
-        return f"{self.name} (window={self.history.window_size}{extra})"
-
 
 RouterFactory = Callable[..., Router]
 

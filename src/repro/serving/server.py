@@ -22,7 +22,7 @@ to absorb the displaced work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from repro.engine.cost_model import CostModel
@@ -77,20 +77,6 @@ def _submit_attrs(spec) -> dict:
     return attrs
 
 
-def emit_session_submit(tracer: Tracer, spec, time: float) -> None:
-    """Emit ``session.start`` when a session's opening turn is submitted."""
-    if spec.session_id is None or spec.session_stage != 0:
-        return
-    tracer.emit(
-        TraceEvent(
-            obs.SESSION_START,
-            time,
-            request_id=spec.request_id,
-            attrs={"session_id": spec.session_id, "stages": spec.session_stages},
-        )
-    )
-
-
 def emit_session_completion(tracer: Tracer, request: Request, time: float) -> None:
     """Emit ``session.stage`` / ``session.end`` for one finished session turn."""
     spec = request.spec
@@ -138,12 +124,152 @@ def emit_session_abandoned(tracer: Tracer, spec, time: float) -> None:
     )
 
 
+def throttle_arrival(
+    spec,
+    time: float,
+    arrived_at: float,
+    tracer: Tracer,
+    throttle: OverloadThrottle | None,
+    rejected: list[Request],
+    reject_reasons: dict[str, int],
+) -> bool:
+    """Trace a new arrival's submission and run it past the throttle.
+
+    Returns whether the throttle turned the request away.  A throttled
+    request is recorded in ``rejected`` / ``reject_reasons`` (and traced)
+    before it touches any engine; the caller releases its client slot on its
+    own schedule.
+    """
+    tracing = tracer.enabled
+    if tracing:
+        if spec.session_id is not None and spec.session_stage == 0:
+            tracer.emit(
+                TraceEvent(
+                    obs.SESSION_START,
+                    time,
+                    request_id=spec.request_id,
+                    attrs={"session_id": spec.session_id, "stages": spec.session_stages},
+                )
+            )
+        tracer.emit(
+            TraceEvent(obs.REQUEST_SUBMIT, time, request_id=spec.request_id, attrs=_submit_attrs(spec))
+        )
+    if throttle is None:
+        return False
+    reason = throttle.check(spec, time)
+    if reason is None:
+        return False
+    rejected.append(Request(spec=spec, arrival_time=arrived_at))
+    reject_reasons[reason] = reject_reasons.get(reason, 0) + 1
+    if tracing:
+        tracer.emit(
+            TraceEvent(
+                obs.REQUEST_THROTTLED,
+                time,
+                request_id=spec.request_id,
+                attrs={"reason": reason, **throttle.window_usage(spec, time)},
+            )
+        )
+        # A throttled turn never finishes, so its session cannot spawn a
+        # follow-up: the session ends here.
+        emit_session_abandoned(tracer, spec, time)
+    return True
+
+
 @dataclass
 class SimulationLimits:
     """Safety bounds so misconfigured runs terminate."""
 
     max_steps: int = 2_000_000
     max_time: float = 1_000_000.0
+
+
+@dataclass(kw_only=True)
+class EngineDriver:
+    """One engine plus the state that drives it: its clock and stall guard.
+
+    Both simulators advance their engines only through :meth:`advance` (a
+    fleet's replicas are drivers too), so the jump-or-step choice, the stall
+    guard and the safety limits exist once.
+    """
+
+    engine: InferenceEngine
+    #: the engine's simulation clock; each replica of a fleet has its own.
+    clock: float = 0.0
+    #: consecutive idle iterations (the stall guard).
+    idle_streak: int = 0
+    #: every request submitted to the engine, in submission order.
+    requests: list[Request] = field(default_factory=list)
+
+    def advance(
+        self,
+        limits: SimulationLimits,
+        steps: int,
+        horizon: float | None = None,
+        jump: bool = True,
+    ) -> tuple[int, Sequence[Request], bool]:
+        """Advance the engine by one event jump or, failing that, one iteration.
+
+        With ``jump`` the engine first tries to fuse decode iterations up to
+        ``horizon``, the earliest external event that could observe it
+        (:meth:`InferenceEngine.try_jump_any`).  No request finishes inside a
+        jump, so completions cannot schedule new arrivals mid-macro-step and
+        the horizon stays complete knowledge of future events.  Otherwise one
+        reference :meth:`InferenceEngine.step` runs.  ``steps`` is the run's
+        iteration count so far, summed over every engine the caller drives.
+
+        Returns ``(iterations advanced, finished requests, stop)``.  ``stop``
+        ends the run incomplete: it reached ``limits``, or three idle
+        iterations in a row while requests wait mean no admission is possible
+        (e.g. a prompt larger than the capacity).  A real server would reject
+        such requests; the simulation stops instead of spinning forever.  The
+        caller handles the finished requests before it stops.
+        """
+        if jump:
+            jumped = self.engine.try_jump_any(
+                self.clock,
+                horizon=horizon,
+                max_steps=limits.max_steps - steps,
+                max_time=limits.max_time,
+            )
+            if jumped is not None:
+                self.clock = jumped.end_time
+                self.idle_streak = 0
+                stop = steps + jumped.steps >= limits.max_steps or self.clock >= limits.max_time
+                return jumped.steps, (), stop
+        result = self.engine.step(self.clock)
+        if result.duration > 0:
+            self.clock = result.end_time
+        self.idle_streak = self.idle_streak + 1 if result.was_idle else 0
+        stop = self.idle_streak >= 3 or steps + 1 >= limits.max_steps or self.clock >= limits.max_time
+        return 1, result.finished, stop
+
+    def run_result(
+        self,
+        workload: str,
+        num_clients: int,
+        completed: bool,
+        rejected: list[Request] | None = None,
+        reject_reasons: dict[str, int] | None = None,
+    ) -> RunResult:
+        """The engine's :class:`RunResult` at the driver's clock."""
+        engine = self.engine
+        return RunResult(
+            scheduler=engine.scheduler.describe(),
+            workload=workload,
+            platform=engine.platform.describe(),
+            num_clients=num_clients,
+            duration=self.clock,
+            requests=self.requests,
+            engine_stats=engine.stats,
+            memory_timeline=engine.memory_timeline,
+            token_capacity=engine.token_capacity,
+            completed=completed,
+            rejected=rejected or [],
+            reject_reasons=reject_reasons or {},
+            jump_stats=engine.jump_stats,
+            prefix_stats=engine.prefix_cache.stats if engine.prefix_cache is not None else None,
+        )
 
 
 class ServingSimulator:
@@ -153,7 +279,7 @@ class ServingSimulator:
     provably event-free decode iterations into vectorized macro-steps,
     bounded by the next scheduled arrival — including saturated phases,
     where the admission scheduler itself proves its next decisions admit
-    nothing (:meth:`InferenceEngine.try_jump_saturated`);
+    nothing (:meth:`InferenceEngine.try_jump_any`);
     ``fast_path=False`` forces the reference one-iteration-at-a-time loop.
     Results are bit-identical, so the flag is purely a bisection escape
     hatch.
@@ -164,6 +290,10 @@ class ServingSimulator:
     and the ``engine.step`` / ``engine.jump`` spans.  The default
     :class:`~repro.obs.tracer.NullTracer` keeps every run byte-identical to
     an untraced one.
+
+    A simulator serves exactly one ``run_*`` call: its engine accumulates
+    stats, timelines and scheduler history, so a second call raises
+    :class:`RuntimeError`.  Build a fresh simulator per run.
     """
 
     def __init__(
@@ -199,64 +329,38 @@ class ServingSimulator:
             prefix_cache_tokens=prefix_cache_tokens,
         )
         self.limits = limits or SimulationLimits()
+        self._consumed = False
 
     # ---------------------------------------------------------------- running
     def _run(self, generator: LoadGenerator, workload_name: str, num_clients: int) -> RunResult:
+        if self._consumed:
+            raise RuntimeError("ServingSimulator instances are single-use; build a new one per run")
+        self._consumed = True
         engine = self.engine
-        time = 0.0
-        generator.start(time)
+        driver = EngineDriver(engine=engine)
+        generator.start(0.0)
         if self.throttle is not None:
             self.throttle.on_run_start()
-        all_requests: list[Request] = []
         rejected: list[Request] = []
         reject_reasons: dict[str, int] = {}
         completed = True
 
-        tracing = self.tracer.enabled
+        tracer = self.tracer
+        tracing = tracer.enabled
         notify = getattr(generator, "on_request_completed", None)
-        step = 0
-        idle_streak = 0
+        steps = 0
         while True:
+            time = driver.clock
             for spec in generator.pop_arrivals(time):
                 arrival = spec.arrival_time if spec.arrival_time is not None else time
-                if tracing:
-                    emit_session_submit(self.tracer, spec, time)
-                    self.tracer.emit(
-                        TraceEvent(
-                            obs.REQUEST_SUBMIT,
-                            time,
-                            request_id=spec.request_id,
-                            attrs=_submit_attrs(spec),
-                        )
-                    )
-                if self.throttle is not None:
-                    reason = self.throttle.check(spec, time)
-                    if reason is not None:
-                        # Turned away before touching the engine.  The client
-                        # slot is released immediately — a closed-loop client
-                        # whose request is throttled issues its next one after
-                        # its think time, exactly like a completion would.
-                        rejected.append(Request(spec=spec, arrival_time=arrival))
-                        reject_reasons[reason] = reject_reasons.get(reason, 0) + 1
-                        if tracing:
-                            self.tracer.emit(
-                                TraceEvent(
-                                    obs.REQUEST_THROTTLED,
-                                    time,
-                                    request_id=spec.request_id,
-                                    attrs={
-                                        "reason": reason,
-                                        **self.throttle.window_usage(spec, time),
-                                    },
-                                )
-                            )
-                            # A throttled turn never finishes, so its session
-                            # cannot spawn a follow-up: the session ends here.
-                            emit_session_abandoned(self.tracer, spec, time)
-                        generator.on_request_finished(time)
-                        continue
+                if throttle_arrival(spec, time, arrival, tracer, self.throttle, rejected, reject_reasons):
+                    # The client slot is released immediately — a closed-loop
+                    # client whose request is throttled issues its next one
+                    # after its think time, exactly like a completion would.
+                    generator.on_request_finished(time)
+                    continue
                 request = Request(spec=spec, arrival_time=arrival)
-                all_requests.append(request)
+                driver.requests.append(request)
                 engine.submit(request, time)
 
             if not engine.has_work():
@@ -265,36 +369,14 @@ class ServingSimulator:
                 next_arrival = generator.next_arrival_time()
                 if next_arrival is None:
                     break
-                time = max(time, next_arrival)
+                driver.clock = max(time, next_arrival)
                 continue
 
-            if self.fast_path:
-                # Event-jump: fuse decode iterations up to the next arrival.
-                # No request finishes inside a jump, so closed-loop clients
-                # cannot schedule new arrivals mid-macro-step and the horizon
-                # is complete knowledge of future events.  With an empty
-                # waiting queue the silent jump applies; with a non-empty one
-                # the saturated jump asks the scheduler to prove its next
-                # admission decisions are all "admit nothing" (consuming its
-                # RNG bookkeeping exactly as the reference loop would).
-                jump = engine.try_jump_any(
-                    time,
-                    horizon=generator.next_arrival_time(),
-                    max_steps=self.limits.max_steps - step,
-                    max_time=self.limits.max_time,
-                )
-                if jump is not None:
-                    time = jump.end_time
-                    step += jump.steps
-                    idle_streak = 0
-                    if step >= self.limits.max_steps or time >= self.limits.max_time:
-                        completed = False
-                        break
-                    continue
-
-            result = engine.step(time)
-            time = result.end_time if result.duration > 0 else time
-            for request in result.finished:
+            horizon = generator.next_arrival_time() if self.fast_path else None
+            advanced, finished, stop = driver.advance(self.limits, steps, horizon, self.fast_path)
+            steps += advanced
+            time = driver.clock
+            for request in finished:
                 generator.on_request_finished(time)
                 if notify is not None:
                     # Identity-aware completion hook: session generators
@@ -302,40 +384,13 @@ class ServingSimulator:
                     # so the arrival horizon stays complete).
                     notify(request, time)
                 if tracing:
-                    emit_session_completion(self.tracer, request, time)
-
-            # Stall guard: an idle iteration while requests are waiting means no
-            # admission is possible (e.g. a prompt larger than the capacity).
-            # A real server would reject such requests; the simulation stops
-            # instead of spinning forever.
-            if result.was_idle:
-                idle_streak += 1
-                if idle_streak >= 3:
-                    completed = False
-                    break
-            else:
-                idle_streak = 0
-
-            step += 1
-            if step >= self.limits.max_steps or time >= self.limits.max_time:
+                    emit_session_completion(tracer, request, time)
+            if stop:
                 completed = False
                 break
 
-        return RunResult(
-            scheduler=self.scheduler.describe(),
-            workload=workload_name,
-            platform=self.platform.describe(),
-            num_clients=num_clients,
-            duration=time,
-            requests=all_requests,
-            engine_stats=engine.stats,
-            memory_timeline=engine.memory_timeline,
-            token_capacity=engine.token_capacity,
-            completed=completed,
-            rejected=rejected,
-            reject_reasons=reject_reasons,
-            jump_stats=engine.jump_stats,
-            prefix_stats=engine.prefix_cache.stats if engine.prefix_cache is not None else None,
+        return driver.run_result(
+            workload_name, num_clients, completed, rejected=rejected, reject_reasons=reject_reasons
         )
 
     def run_closed_loop(

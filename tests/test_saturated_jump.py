@@ -1,8 +1,9 @@
 """Saturated-phase event jumps: RNG-stream identity and bit-identical results.
 
 The saturated-phase fast path
-(:meth:`repro.engine.engine.InferenceEngine.try_jump_saturated`) fuses
-iterations whose admission decisions provably admit nothing.  Its correctness
+(:meth:`repro.engine.engine.InferenceEngine.try_jump_any` with a non-empty
+waiting queue) fuses iterations whose admission decisions provably admit
+nothing.  Its correctness
 rests on three independently testable claims, covered here in order:
 
 1. **Predictor stream identity** — a single
@@ -29,6 +30,7 @@ from repro.analysis.perf import cluster_snapshot, run_snapshot
 from repro.core.history import OutputLengthHistory
 from repro.core.past_future import PastFutureScheduler
 from repro.core.predictor import OutputLengthPredictor
+from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import paper_platform
 from repro.schedulers.base import SchedulingContext
@@ -342,15 +344,15 @@ def test_saturated_jump_actually_fires_and_respects_bisect_flag():
         fast_path=True,
     )
     fused = []
-    original = simulator.engine.try_jump_saturated
+    original = simulator.engine.try_jump_any
 
     def spy(*args, **kwargs):
         result = original(*args, **kwargs)
-        if result is not None:
+        if result is not None and result.source == "saturated":
             fused.append(result.steps)
         return result
 
-    simulator.engine.try_jump_saturated = spy
+    simulator.engine.try_jump_any = spy
     simulator.run_closed_loop(workload, num_clients=48)
     assert fused, "no saturated macro-step was taken under deep saturation"
     assert max(fused) >= 2
@@ -362,7 +364,52 @@ def test_saturated_jump_actually_fires_and_respects_bisect_flag():
         fast_path=False,
     )
     bisect.engine.submit(_queued_request("q0", prompt=32))
-    assert bisect.engine.try_jump_saturated(0.0) is None
+    assert bisect.engine.try_jump_any(0.0) is None
+
+
+def test_one_entry_point_makes_both_jumps_and_pins_fallback_reasons():
+    """``try_jump_any`` picks the jump from the queue and names every fallback.
+
+    ``BENCH_core.json`` jump blocks and the bench's horizon-clip counter read
+    these reason keys, so renaming one is a visible change.
+    """
+    engine = InferenceEngine(
+        PLATFORM, create_scheduler("aggressive", watermark=0.95), token_capacity_override=CAPACITY
+    )
+    assert engine.try_jump_any(0.0) is None  # silent:no-window (nothing resident)
+    engine.submit(_queued_request("a", prompt=32, cap=100))
+    assert engine.try_jump_any(0.0) is None  # saturated:not-uniform (nothing decoding)
+    time = engine.step(0.0).end_time
+
+    # Empty queue: the silent jump.
+    assert engine.try_jump_any(time, max_steps=1) is None
+    assert engine.try_jump_any(time, horizon=time) is None
+    silent = engine.try_jump_any(time, max_steps=3)  # leaves a window for the saturated jump
+    assert silent is not None and silent.source == "silent" and silent.steps == 3
+    time = silent.end_time
+
+    # A head that never fits the watermark keeps the queue non-empty: saturated.
+    engine.submit(_queued_request("b", prompt=CAPACITY - 8), time)
+    assert engine.try_jump_any(time, max_steps=1) is None
+    assert engine.try_jump_any(time, horizon=time) is None
+    engine.scheduler.saturated_no_admit_horizon = lambda context, max_steps: 0
+    assert engine.try_jump_any(time) is None
+    del engine.scheduler.saturated_no_admit_horizon
+    saturated = engine.try_jump_any(time)
+    assert saturated is not None and saturated.source == "saturated" and saturated.steps >= 2
+
+    stats = engine.jump_stats
+    assert stats.fallback_reasons == {
+        "silent:no-window": 1,
+        "silent:step-budget": 1,
+        "silent:horizon-clip": 1,
+        "saturated:not-uniform": 1,
+        "saturated:step-budget": 1,
+        "saturated:horizon-clip": 1,
+        "saturated:scheduler-horizon": 1,
+    }
+    assert (stats.silent_attempts, stats.silent_jumps) == (4, 1)
+    assert (stats.saturated_attempts, stats.saturated_jumps) == (5, 1)
 
 
 @pytest.mark.parametrize("scheduler_name,kwargs", [

@@ -103,6 +103,16 @@ class TestSafetyLimits:
         assert not result.completed
         assert result.finished_requests == []
 
+    def test_simulator_is_single_use(self, platform_7b):
+        # A result holds its engine's stats object: a second run on the same
+        # simulator would rewrite the first result, so it must refuse.
+        sim = simulator(platform_7b, AggressiveScheduler(), capacity=4096)
+        first = sim.run_closed_loop(make_workload(12, output_length=4), num_clients=3)
+        assert first.engine_stats.total_finished == 12
+        with pytest.raises(RuntimeError, match="single-use"):
+            sim.run_open_loop(make_workload(12, output_length=4), request_rate=50.0)
+        assert first.engine_stats.total_finished == 12
+
 
 class TestRunResultMetrics:
     def test_goodput_equals_throughput_when_sla_met(self, platform_7b):

@@ -56,7 +56,6 @@ class AutoscaleExperimentConfig:
     sample_window: float = 5.0
     scheduler_name: str = "past-future"
     scheduler_kwargs: dict = field(default_factory=dict)
-    block_size: int = 1
     chunked_prefill_tokens: int | None = None
     token_capacity_override: int | None = None
     capacity_scale: float | None = None
@@ -105,7 +104,6 @@ class AutoscaleExperimentConfig:
             router=self.router,
             scheduler_name=self.scheduler_name,
             scheduler_kwargs=self.scheduler_kwargs,
-            block_size=self.block_size,
             chunked_prefill_tokens=self.chunked_prefill_tokens,
             token_capacity_override=self.token_capacity_override,
             capacity_scale=self.capacity_scale,

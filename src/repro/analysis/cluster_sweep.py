@@ -37,7 +37,6 @@ class ClusterExperimentConfig:
     num_replicas: int = 4
     scheduler_name: str = "past-future"
     scheduler_kwargs: dict = field(default_factory=dict)
-    block_size: int = 1
     chunked_prefill_tokens: int | None = None
     token_capacity_override: int | None = None
     capacity_scale: float | None = None
@@ -63,7 +62,6 @@ class ClusterExperimentConfig:
             router=router,
             scheduler_name=self.scheduler_name,
             scheduler_kwargs=self.scheduler_kwargs,
-            block_size=self.block_size,
             chunked_prefill_tokens=self.chunked_prefill_tokens,
             token_capacity_override=self.token_capacity_override,
             capacity_scale=self.capacity_scale,

@@ -32,7 +32,6 @@ class ExperimentConfig:
     scheduler_kwargs: dict = field(default_factory=dict)
     num_clients: int = 32
     think_time: float = 0.0
-    block_size: int = 1
     chunked_prefill_tokens: int | None = None
     token_capacity_override: int | None = None
     speed_factor: float = 1.0
@@ -75,7 +74,6 @@ def run_experiment(
         scheduler=scheduler,
         cost_model=config.build_cost_model(),
         eviction_policy=eviction_policy,
-        block_size=config.block_size,
         chunked_prefill_tokens=config.chunked_prefill_tokens,
         token_capacity_override=config.token_capacity_override,
         limits=config.limits,

@@ -217,7 +217,6 @@ class InferenceEngine:
         cost_model: latency model; built from ``platform`` if omitted.
         eviction_policy: what to do when the pool cannot grow (defaults to
             vLLM-style recompute of the newest request).
-        block_size: KV-cache block size in tokens.
         chunked_prefill_tokens: if set, at most this many prompt tokens are
             processed per iteration (DeepSpeed-MII "splitfuse" style); ``None``
             prefills each admitted request in a single iteration.
@@ -248,7 +247,6 @@ class InferenceEngine:
         scheduler: Scheduler,
         cost_model: CostModel | None = None,
         eviction_policy: EvictionPolicy | None = None,
-        block_size: int = 1,
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
         fast_path: bool = True,
@@ -266,7 +264,7 @@ class InferenceEngine:
         if capacity <= 0:
             raise ValueError("token capacity must be positive")
         self.token_capacity = capacity
-        self.pool = BlockKVCachePool(capacity, block_size=block_size)
+        self.pool = BlockKVCachePool(capacity)
         if prefix_cache_tokens is not None and prefix_cache_tokens <= 0:
             raise ValueError("prefix_cache_tokens must be positive when set")
         self.prefix_cache: PrefixCache | None = (
@@ -321,9 +319,20 @@ class InferenceEngine:
         ``time`` is the simulation clock at queue entry, used only for
         tracing (it defaults to the request's arrival time, which is exact
         whenever the caller injects arrivals at their timestamps).
+
+        Raises:
+            ValueError: if the request is not queued, or if its prompt plus
+                output exceeds the pool's token capacity (it could never
+                finish, and would block every request queued behind it).
         """
         if request.state is not RequestState.QUEUED:
             raise ValueError("only queued requests can be submitted")
+        needed = request.spec.total_tokens
+        if needed > self.token_capacity:
+            raise ValueError(
+                f"request {request.request_id} needs {needed} KV tokens, "
+                f"more than the pool's capacity of {self.token_capacity}"
+            )
         self.waiting.append(request)
         self.scheduler.on_request_submitted(request)
         if self._tracing:
@@ -406,7 +415,7 @@ class InferenceEngine:
             needed = request.current_context_tokens
             entry = cache.lookup(request.spec) if cache is not None else None
             if entry is not None:
-                # The shared blocks are already resident; only the new
+                # The shared prefix is already resident; only the new
                 # suffix needs room.  Live admissions outrank other cached
                 # prefixes, so LRU-evict them first (never the entry itself).
                 extra = needed - entry.tokens
@@ -574,7 +583,7 @@ class InferenceEngine:
             )
 
     def _make_room(self, protect: Request, time: float, evicted: list[Request]) -> bool:
-        """Evict requests until one block frees up.
+        """Evict requests until one token slot frees up.
 
         Cached session prefixes go first — dropping a cold prefix is strictly
         cheaper than evicting a running request's whole context.  Returns
@@ -582,8 +591,8 @@ class InferenceEngine:
         token cannot be produced this step).
         """
         if self.prefix_cache is not None and len(self.prefix_cache):
-            self._evict_prefixes(self.prefix_cache.evict_for_one_block(), time)
-            if self.pool.free_blocks > 0:
+            self._evict_prefixes(self.prefix_cache.evict_for_allocation(1), time)
+            if self.pool.free_tokens > 0:
                 return True
         while True:
             victim = self.eviction_policy.select_victim(self.batch, protect=protect)
@@ -593,7 +602,7 @@ class InferenceEngine:
             evicted.append(victim)
             if victim is protect:
                 return False
-            if self.pool.free_blocks > 0:
+            if self.pool.free_tokens > 0:
                 return True
 
     def _evict(self, request: Request, time: float) -> None:
@@ -655,7 +664,7 @@ class InferenceEngine:
                 and not spec.is_final_stage
             ):
                 # Park the accumulated context for the session's next turn
-                # instead of freeing it; the blocks stay charged to the pool.
+                # instead of freeing it; the tokens stay charged to the pool.
                 outcome = self.prefix_cache.retain(
                     request.request_id,
                     spec.session_id,
@@ -894,7 +903,7 @@ class InferenceEngine:
         durations come from :meth:`CostModel.decode_step_durations` (the same
         float64 operations the scalar path performs), token timestamps are the
         cumulative-sum chain of those durations, the pool grows via bulk
-        appends that acquire the same blocks sequential appends would, and the
+        appends that leave the same token counts sequential appends would, and the
         memory timeline receives one sample per fused iteration (with the
         constant waiting-queue depth, as the reference iterations record).
 

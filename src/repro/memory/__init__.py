@@ -1,9 +1,8 @@
-"""KV-cache memory substrate: paged pool, prefix cache, accounting."""
+"""KV-cache memory substrate: token-counting pool, prefix cache, accounting."""
 
 from repro.memory.block_manager import (
     AllocationError,
     BlockKVCachePool,
-    BlockTable,
     OutOfMemoryError,
 )
 from repro.memory.pool_stats import MemorySample, MemoryTimeline
@@ -12,7 +11,6 @@ from repro.memory.prefix_cache import PrefixCache, PrefixCacheStats, PrefixEntry
 __all__ = [
     "AllocationError",
     "BlockKVCachePool",
-    "BlockTable",
     "OutOfMemoryError",
     "PrefixCache",
     "PrefixCacheStats",

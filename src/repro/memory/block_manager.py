@@ -1,24 +1,21 @@
-"""Paged (block) KV-cache pool, in the spirit of vLLM's PagedAttention manager.
+"""KV-cache pool, counted in tokens.
 
-The pool owns a fixed number of fixed-size blocks.  Each running request holds
-an ordered block table; the last block may be partially filled.  The engine
-asks the pool to
+The pool has a fixed token capacity and records how many tokens each owner
+(a running request, or a cached session prefix) holds.  The engine asks it
+to
 
 * allocate the prompt KV of a request at prefill time (``allocate``),
 * grow a request by one token per decode step (``append_token``), and
 * release everything a request holds when it finishes or is evicted
   (``free``).
 
-The block abstraction matters for the reproduction because the *aggressive*
-scheduler reasons in terms of free blocks/watermarks (as vLLM does) while the
-Past-Future scheduler reasons in terms of token counts; both views are exposed.
+Token granularity is what every scheduler here reasons in: the Past-Future
+scheduler's Eq. 2–4 peak estimate and the aggressive scheduler's watermark
+(``token_capacity * watermark``) alike.  It is also how LightLLM, the
+paper's serving framework, manages KV ("TokenAttention").
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-import numpy as np
 
 
 class OutOfMemoryError(RuntimeError):
@@ -29,260 +26,142 @@ class AllocationError(ValueError):
     """Raised on invalid allocation requests (double alloc, unknown request...)."""
 
 
-@dataclass
-class BlockTable:
-    """Block table of one request: ordered block ids plus token occupancy."""
-
-    request_id: str
-    block_ids: list[int] = field(default_factory=list)
-    num_tokens: int = 0
-
-
 class BlockKVCachePool:
-    """Fixed-capacity paged KV-cache pool.
+    """Fixed-capacity KV-cache pool that counts tokens per owner.
 
     Args:
         token_capacity: total number of token slots the pool can hold.
-        block_size: tokens per block.  The effective capacity in blocks is
-            ``token_capacity // block_size``; a ``token_capacity`` that is not
-            a multiple of ``block_size`` is rounded down.
     """
 
-    def __init__(self, token_capacity: int, block_size: int = 1) -> None:
+    def __init__(self, token_capacity: int) -> None:
         if token_capacity <= 0:
             raise ValueError("token_capacity must be positive")
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        self._block_size = block_size
-        self._num_blocks = token_capacity // block_size
-        if self._num_blocks == 0:
-            raise ValueError("token_capacity smaller than one block")
-        self._free_blocks: list[int] = list(range(self._num_blocks - 1, -1, -1))
-        self._tables: dict[str, BlockTable] = {}
-        # Pinned allocations hold blocks but never grow: cached session
-        # prefixes (repro.memory.prefix_cache) park here between turns.  The
-        # bulk decode operations below skip them, so a pinned table exerts
-        # pool pressure without participating in uniform growth.
+        self._capacity = token_capacity
+        self._tokens: dict[str, int] = {}
+        # Pinned owners hold tokens but never grow: cached session prefixes
+        # (repro.memory.prefix_cache) park here between turns.  The bulk
+        # decode operations below skip them, so a pinned owner exerts pool
+        # pressure without participating in uniform growth.
         self._pinned: set[str] = set()
-        self._peak_tokens_used = 0
-        # Incremental occupancy counter: kept in sync by every allocate /
-        # append / free so `used_tokens` (queried once per decode token by the
-        # engine's accounting) is O(1) instead of a full sum over all tables.
+        # Kept in sync by every allocate / append / free so `used_tokens`
+        # (queried once per decode token by the engine) is O(1).
         self._used_tokens = 0
 
     # ------------------------------------------------------------------ sizes
     @property
-    def block_size(self) -> int:
-        """Tokens per block."""
-        return self._block_size
-
-    @property
-    def num_blocks(self) -> int:
-        """Total number of blocks in the pool."""
-        return self._num_blocks
-
-    @property
     def token_capacity(self) -> int:
-        """Total token slots (``num_blocks * block_size``)."""
-        return self._num_blocks * self._block_size
-
-    @property
-    def free_blocks(self) -> int:
-        """Number of currently unallocated blocks."""
-        return len(self._free_blocks)
-
-    @property
-    def used_blocks(self) -> int:
-        """Number of currently allocated blocks."""
-        return self._num_blocks - len(self._free_blocks)
+        """Total token slots."""
+        return self._capacity
 
     @property
     def used_tokens(self) -> int:
-        """Total tokens currently stored across all requests (O(1))."""
+        """Total tokens currently stored across all owners (O(1))."""
         return self._used_tokens
 
     @property
     def free_tokens(self) -> int:
-        """Token slots still available, counting partially filled blocks.
-
-        Equals ``free_blocks * block_size`` plus the slack of every partial
-        block, which algebraically reduces to ``token_capacity - used_tokens``.
-        """
-        return self.token_capacity - self._used_tokens
+        """Token slots still available."""
+        return self._capacity - self._used_tokens
 
     @property
     def utilization(self) -> float:
         """Fraction of token capacity currently in use (O(1))."""
-        return self._used_tokens / self.token_capacity
-
-    @property
-    def peak_tokens_used(self) -> int:
-        """High-water mark of :attr:`used_tokens` over the pool's lifetime."""
-        return self._peak_tokens_used
-
-    def _slack(self, table: BlockTable) -> int:
-        """Unused token slots in the request's last (partial) block."""
-        allocated = len(table.block_ids) * self._block_size
-        return allocated - table.num_tokens
+        return self._used_tokens / self._capacity
 
     # ------------------------------------------------------------- allocation
     def holds(self, request_id: str) -> bool:
-        """Whether the request currently owns any blocks."""
-        return request_id in self._tables
+        """Whether the request currently owns any tokens."""
+        return request_id in self._tokens
 
     def tokens_of(self, request_id: str) -> int:
         """Tokens stored for a request (0 if it holds nothing)."""
-        table = self._tables.get(request_id)
-        return table.num_tokens if table else 0
-
-    def blocks_needed(self, num_tokens: int) -> int:
-        """Blocks needed to store ``num_tokens`` fresh tokens."""
-        return -(-num_tokens // self._block_size)
+        return self._tokens.get(request_id, 0)
 
     def can_allocate(self, num_tokens: int) -> bool:
         """Whether a fresh allocation of ``num_tokens`` would succeed."""
-        return self.blocks_needed(num_tokens) <= len(self._free_blocks)
+        return num_tokens <= self._capacity - self._used_tokens
 
-    def allocate(self, request_id: str, num_tokens: int) -> BlockTable:
+    def allocate(self, request_id: str, num_tokens: int) -> None:
         """Allocate the initial (prompt) KV of a request.
 
         Raises:
-            AllocationError: if the request already holds blocks or
+            AllocationError: if the request already holds tokens or
                 ``num_tokens`` is not positive.
-            OutOfMemoryError: if the pool does not have enough free blocks.
+            OutOfMemoryError: if the pool does not have enough free tokens.
         """
         if num_tokens <= 0:
             raise AllocationError("num_tokens must be positive")
-        if request_id in self._tables:
+        if request_id in self._tokens:
             raise AllocationError(f"request {request_id!r} already allocated")
-        needed = self.blocks_needed(num_tokens)
-        if needed > len(self._free_blocks):
-            raise OutOfMemoryError(
-                f"need {needed} blocks for {num_tokens} tokens, "
-                f"only {len(self._free_blocks)} free"
-            )
-        block_ids = [self._free_blocks.pop() for _ in range(needed)]
-        table = BlockTable(request_id=request_id, block_ids=block_ids, num_tokens=num_tokens)
-        self._tables[request_id] = table
+        if not self.can_allocate(num_tokens):
+            raise OutOfMemoryError(f"need {num_tokens} tokens, only {self.free_tokens} free")
+        self._tokens[request_id] = num_tokens
         self._used_tokens += num_tokens
-        self._note_usage()
-        return table
-
-    def can_append_token(self, request_id: str) -> bool:
-        """Whether the request can grow by one token without a new block, or
-        a free block exists for it."""
-        table = self._tables.get(request_id)
-        if table is None:
-            return False
-        if self._slack(table) > 0:
-            return True
-        return len(self._free_blocks) > 0
 
     def append_token(self, request_id: str) -> None:
         """Grow a request by one generated token.
 
         Raises:
-            AllocationError: if the request holds no blocks.
-            OutOfMemoryError: if a new block is required but none is free.
+            AllocationError: if the request holds nothing.
+            OutOfMemoryError: if the pool is full.
         """
-        table = self._tables.get(request_id)
-        if table is None:
+        if request_id not in self._tokens:
             raise AllocationError(f"request {request_id!r} has no allocation")
-        if self._slack(table) == 0:
-            if not self._free_blocks:
-                raise OutOfMemoryError(
-                    f"no free block to extend request {request_id!r}"
-                )
-            table.block_ids.append(self._free_blocks.pop())
-        table.num_tokens += 1
+        if self._used_tokens >= self._capacity:
+            raise OutOfMemoryError(f"no free token to extend request {request_id!r}")
+        self._tokens[request_id] += 1
         self._used_tokens += 1
-        self._note_usage()
 
     def append_tokens(self, request_id: str, num_tokens: int) -> None:
         """Grow a request by ``num_tokens`` generated tokens in one call.
 
-        Equivalent to ``num_tokens`` successive :meth:`append_token` calls
-        (same block acquisition order from the free list), but O(blocks)
-        instead of O(tokens) — the bulk path used by the engine's event-jump
-        fast forward.
+        The bulk path used by the engine's event-jump fast forward; equivalent
+        to ``num_tokens`` successive :meth:`append_token` calls.
 
         Raises:
-            AllocationError: if the request holds no blocks or ``num_tokens``
+            AllocationError: if the request holds nothing or ``num_tokens``
                 is not positive.
-            OutOfMemoryError: if more free blocks are required than exist (no
+            OutOfMemoryError: if fewer than ``num_tokens`` tokens are free (no
                 partial growth is performed).
         """
         if num_tokens <= 0:
             raise AllocationError("num_tokens must be positive")
-        table = self._tables.get(request_id)
-        if table is None:
+        if request_id not in self._tokens:
             raise AllocationError(f"request {request_id!r} has no allocation")
-        needed = self.blocks_needed(table.num_tokens + num_tokens) - len(table.block_ids)
-        if needed > len(self._free_blocks):
+        if num_tokens > self._capacity - self._used_tokens:
             raise OutOfMemoryError(
-                f"need {needed} blocks to grow request {request_id!r} by "
-                f"{num_tokens} tokens, only {len(self._free_blocks)} free"
+                f"need {num_tokens} tokens to grow request {request_id!r}, "
+                f"only {self.free_tokens} free"
             )
-        if needed > 0:
-            # Identical block ids, in the same order, as sequential pop()s.
-            grabbed = self._free_blocks[-needed:]
-            grabbed.reverse()
-            del self._free_blocks[-needed:]
-            table.block_ids.extend(grabbed)
-        table.num_tokens += num_tokens
+        self._tokens[request_id] += num_tokens
         self._used_tokens += num_tokens
-        self._note_usage()
 
-    def _growing_tables(self) -> list[BlockTable]:
-        """Tables that participate in bulk decode growth (unpinned)."""
-        if not self._pinned:
-            return list(self._tables.values())
-        return [t for rid, t in self._tables.items() if rid not in self._pinned]
+    def can_extend(self, request_id: str, num_tokens: int) -> bool:
+        """Whether :meth:`append_tokens` of ``num_tokens`` would succeed."""
+        return request_id in self._tokens and 0 < num_tokens <= self._capacity - self._used_tokens
 
     def can_grow_each_by_one(self) -> bool:
         """Whether every resident (unpinned) request can grow by one token."""
-        if self._block_size == 1 and not self._pinned:
-            return len(self._free_blocks) >= len(self._tables)
-        bs = self._block_size
-        tables = self._growing_tables()
-        if bs == 1:
-            return len(self._free_blocks) >= len(tables)
-        full = sum(1 for t in tables if len(t.block_ids) * bs == t.num_tokens)
-        return full <= len(self._free_blocks)
+        return len(self._tokens) - len(self._pinned) <= self.free_tokens
 
     def append_token_to_all(self) -> None:
         """Grow every resident (unpinned) request by one token (bulk decode).
 
-        Equivalent to one :meth:`append_token` per growing request; callers
-        should establish :meth:`can_grow_each_by_one` first.  Pinned tables
-        (cached prefixes) are untouched.
+        Equivalent to one :meth:`append_token` per growing request.  Pinned
+        owners (cached prefixes) are untouched.
 
         Raises:
-            OutOfMemoryError: if some request needs a new block and none is
-                free (no partial growth is performed).
+            OutOfMemoryError: if fewer tokens are free than requests grow (no
+                partial growth is performed).
         """
-        bs = self._block_size
-        tables = self._tables.values() if not self._pinned else self._growing_tables()
-        num_growing = len(tables)
-        if bs == 1:
-            # Every table fills a block per token; all need one.
-            needing: list[BlockTable] | object = tables
-            num_needing = num_growing
-        else:
-            needing = [t for t in tables if len(t.block_ids) * bs == t.num_tokens]
-            num_needing = len(needing)
-        if num_needing > len(self._free_blocks):
-            raise OutOfMemoryError(
-                f"{num_needing} requests need a new block, "
-                f"only {len(self._free_blocks)} free"
-            )
-        free_pop = self._free_blocks.pop
-        for table in needing:
-            table.block_ids.append(free_pop())
-        for table in tables:
-            table.num_tokens += 1
-        self._used_tokens += num_growing
-        self._note_usage()
+        tokens = self._tokens
+        pinned = self._pinned
+        growing = [rid for rid in tokens if rid not in pinned] if pinned else tokens
+        if len(growing) > self.free_tokens:
+            raise OutOfMemoryError(f"{len(growing)} requests need a token, only {self.free_tokens} free")
+        for rid in growing:
+            tokens[rid] += 1
+        self._used_tokens += len(growing)
 
     def max_uniform_growth(self, cap: int | None = None) -> int:
         """Largest ``K`` such that *every* resident request can grow by ``K``
@@ -291,159 +170,70 @@ class BlockKVCachePool:
         Used by the event-jump planner to prove that ``K`` macro-advanced
         decode iterations cannot trigger an eviction.  Returns ``cap`` when
         no request is resident (unbounded growth), and ``0`` when even one
-        more token per request may not fit.  Pinned tables do not grow; they
-        only shrink the free list the growing requests draw from.
+        more token per request may not fit.  Pinned owners do not grow; they
+        only shrink the free space the growing requests draw from.
         """
-        tables = (
-            list(self._tables.values()) if not self._pinned else self._growing_tables()
-        )
-        n = len(tables)
-        if n == 0:
-            return cap if cap is not None else self.token_capacity
-        bs = self._block_size
-        free = len(self._free_blocks)
-        if bs == 1:
-            # No partial-block slack can exist: each request needs exactly one
-            # fresh block per token.
-            best = free // n
-            return best if cap is None else min(best, cap)
-        slacks = np.fromiter(
-            (len(t.block_ids) * bs - t.num_tokens for t in tables),
-            dtype=np.int64,
-            count=n,
-        )
-        min_slack = int(slacks.min())
-
-        def fits(k: int) -> bool:
-            needed = (np.maximum(k - slacks, 0) + bs - 1) // bs
-            return int(needed.sum()) <= free
-
-        # K <= min_slack needs no new block at all; beyond min_slack + free*bs
-        # the tightest request alone outgrows the free list.
-        hi = min_slack + free * bs
-        if cap is not None:
-            hi = min(hi, cap)
-        if hi <= min_slack:
-            return max(hi, 0)
-        if fits(hi):
-            return hi
-        lo = max(min_slack, 0)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def can_extend(self, request_id: str, num_tokens: int) -> bool:
-        """Whether :meth:`append_tokens` of ``num_tokens`` would succeed.
-
-        Accounts for the slack in the request's last partial block, so it is
-        the correct pre-check for growing an *existing* allocation (unlike
-        :meth:`can_allocate`, which prices a fresh one).
-        """
-        table = self._tables.get(request_id)
-        if table is None or num_tokens <= 0:
-            return False
-        needed = self.blocks_needed(table.num_tokens + num_tokens) - len(table.block_ids)
-        return needed <= len(self._free_blocks)
+        growing = len(self._tokens) - len(self._pinned)
+        if growing == 0:
+            return cap if cap is not None else self._capacity
+        best = self.free_tokens // growing
+        return best if cap is None else min(best, cap)
 
     # ---------------------------------------------------------------- pinning
     def pin(self, request_id: str) -> None:
-        """Exclude a table from bulk decode growth (cached-prefix parking).
+        """Exclude an owner from bulk decode growth (cached-prefix parking).
 
         Raises:
             AllocationError: if the request holds nothing.
         """
-        if request_id not in self._tables:
+        if request_id not in self._tokens:
             raise AllocationError(f"request {request_id!r} has no allocation")
         self._pinned.add(request_id)
 
     def unpin(self, request_id: str) -> None:
-        """Re-include a table in bulk decode growth (no-op if not pinned)."""
+        """Re-include an owner in bulk decode growth (no-op if not pinned)."""
         self._pinned.discard(request_id)
-
-    def is_pinned(self, request_id: str) -> bool:
-        """Whether the table is currently pinned."""
-        return request_id in self._pinned
 
     @property
     def pinned_tokens(self) -> int:
-        """Tokens held by pinned tables (cached prefixes)."""
-        if not self._pinned:
-            return 0
-        return sum(self._tables[rid].num_tokens for rid in self._pinned)
+        """Tokens held by pinned owners (cached prefixes)."""
+        return sum(self._tokens[rid] for rid in self._pinned)
 
-    def rename(self, old_id: str, new_id: str) -> BlockTable:
-        """Transfer an allocation to a new owner id, keeping its blocks.
+    def rename(self, old_id: str, new_id: str) -> None:
+        """Transfer an allocation to a new owner id, keeping its tokens.
 
-        The handoff primitive behind prefix reuse: a finished turn's blocks
-        move under a cache key without touching the free list, and back under
-        the follow-up request's id on a hit.  Pinned status travels with the
-        table.
+        The handoff primitive behind prefix reuse: a finished turn's tokens
+        move under a cache key, and back under the follow-up request's id on
+        a hit.  Pinned status travels with the allocation.
 
         Raises:
             AllocationError: if ``old_id`` holds nothing or ``new_id``
                 already holds an allocation.
         """
-        table = self._tables.get(old_id)
-        if table is None:
+        if old_id not in self._tokens:
             raise AllocationError(f"request {old_id!r} has no allocation")
-        if new_id in self._tables:
+        if new_id in self._tokens:
             raise AllocationError(f"request {new_id!r} already allocated")
-        del self._tables[old_id]
-        table.request_id = new_id
-        self._tables[new_id] = table
+        self._tokens[new_id] = self._tokens.pop(old_id)
         if old_id in self._pinned:
             self._pinned.discard(old_id)
             self._pinned.add(new_id)
-        return table
 
     def free(self, request_id: str) -> int:
-        """Release all blocks of a request, returning the number released.
+        """Release everything a request holds, returning the tokens released.
 
         Freeing a request that holds nothing is a no-op returning 0, so the
         engine can call it unconditionally on finish/evict paths.
         """
-        table = self._tables.pop(request_id, None)
-        if table is None:
-            return 0
+        released = self._tokens.pop(request_id, 0)
         self._pinned.discard(request_id)
-        self._free_blocks.extend(reversed(table.block_ids))
-        self._used_tokens -= table.num_tokens
-        return len(table.block_ids)
-
-    def reset(self) -> None:
-        """Release every allocation and clear the high-water mark."""
-        self._tables.clear()
-        self._pinned.clear()
-        self._free_blocks = list(range(self._num_blocks - 1, -1, -1))
-        self._peak_tokens_used = 0
-        self._used_tokens = 0
-
-    def _note_usage(self) -> None:
-        if self._used_tokens > self._peak_tokens_used:
-            self._peak_tokens_used = self._used_tokens
+        self._used_tokens -= released
+        return released
 
     # ------------------------------------------------------------- inspection
-    def block_table(self, request_id: str) -> BlockTable:
-        """Return the block table of a request.
-
-        Raises:
-            AllocationError: if the request holds nothing.
-        """
-        table = self._tables.get(request_id)
-        if table is None:
-            raise AllocationError(f"request {request_id!r} has no allocation")
-        return table
-
     def owners(self) -> list[str]:
-        """Request ids that currently hold blocks."""
-        return list(self._tables)
+        """Request ids that currently hold tokens."""
+        return list(self._tokens)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BlockKVCachePool(blocks={self.used_blocks}/{self._num_blocks}, "
-            f"tokens={self.used_tokens}/{self.token_capacity})"
-        )
+        return f"BlockKVCachePool(tokens={self._used_tokens}/{self._capacity})"

@@ -1,13 +1,13 @@
-"""Per-replica session prefix cache over the paged KV pool.
+"""Per-replica session prefix cache over the KV pool.
 
 When a multi-turn session's stage *n* finishes, its KV cache — the
 accumulated conversation context — is the hottest possible prefix for stage
-*n + 1*, whose prompt extends it verbatim.  Instead of freeing those blocks,
+*n + 1*, whose prompt extends it verbatim.  Instead of freeing those tokens,
 the engine parks them here: the allocation is renamed under a cache key and
 *pinned* in the :class:`~repro.memory.block_manager.BlockKVCachePool`, so it
 keeps exerting pool pressure (the simulated cost of caching) without
 participating in bulk decode growth.  A follow-up stage that lands on the
-same replica *claims* the entry — the blocks transfer to the new request and
+same replica *claims* the entry — the tokens transfer to the new request and
 only the new suffix is allocated and prefilled; a stage that lands elsewhere
 misses and pays the full prefill.
 
@@ -81,7 +81,7 @@ class PrefixEntry:
     stage: int
     #: tokens resident (the stage's full prompt + generated output).
     tokens: int
-    #: pool owner id the blocks are parked under.
+    #: pool owner id the tokens are parked under.
     cache_key: str
 
 
@@ -102,7 +102,7 @@ class PrefixCache:
     """LRU cache of session prefixes, charged to a shared KV pool.
 
     Args:
-        pool: the replica's block pool; cached entries hold real allocations
+        pool: the replica's KV pool; cached entries hold real allocations
             in it (pinned, so they never grow).
         capacity_tokens: optional budget on resident cached tokens; ``None``
             bounds the cache only by pool pressure.  A prefix larger than
@@ -156,7 +156,7 @@ class PrefixCache:
 
     # ------------------------------------------------------------------ claim
     def claim(self, entry: PrefixEntry, request_id: str) -> None:
-        """Transfer a resident prefix's blocks to an admitted request.
+        """Transfer a resident prefix's tokens to an admitted request.
 
         The entry leaves the cache; its allocation is unpinned and renamed
         under ``request_id``, ready for the engine to extend with the new
@@ -245,13 +245,6 @@ class PrefixCache:
             if victim is None:
                 break
             evicted.append(self._evict(victim))
-        return evicted
-
-    def evict_for_one_block(self) -> list[PrefixEntry]:
-        """LRU-evict until at least one pool block is free (decode pressure)."""
-        evicted: list[PrefixEntry] = []
-        while self._entries and self._pool.free_blocks == 0:
-            evicted.append(self.evict_lru())
         return evicted
 
     def clear(self) -> None:

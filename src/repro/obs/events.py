@@ -98,7 +98,7 @@ SESSION_STAGE = "session.stage"
 SESSION_END = "session.end"
 
 #: An admitted request extended a resident session prefix: the shared KV
-#: blocks were claimed instead of re-allocated and the shared prompt tokens
+#: tokens were claimed instead of re-allocated and the shared prompt tokens
 #: skipped recompute.  attrs: session_id, reused_tokens, new_tokens.
 PREFIX_HIT = "prefix.hit"
 

@@ -220,7 +220,6 @@ class ClusterSimulator:
             (engines must not share mutable policy state).
         cost_model: explicit latency model; homogeneous fleets only (each
             heterogeneous replica derives its own from its platform).
-        block_size: KV-cache block size in tokens.
         chunked_prefill_tokens: per-iteration prefill-token cap per replica.
         token_capacity_override: replaces each replica's KV token capacity
             with one absolute value (scaled homogeneous experiments).
@@ -280,7 +279,6 @@ class ClusterSimulator:
         scheduler_factory: Callable[[], Scheduler] | None = None,
         eviction_policy_factory: Callable[[], EvictionPolicy] | None = None,
         cost_model: CostModel | None = None,
-        block_size: int = 1,
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
         capacity_scale: float | None = None,
@@ -335,7 +333,6 @@ class ClusterSimulator:
         self._scheduler_factory = scheduler_factory
         self._eviction_policy_factory = eviction_policy_factory
         self._cost_model = cost_model
-        self._block_size = block_size
         self._chunked_prefill_tokens = chunked_prefill_tokens
         self._token_capacity_override = token_capacity_override
         self._capacity_scale = capacity_scale
@@ -444,7 +441,6 @@ class ClusterSimulator:
             eviction_policy=(
                 self._eviction_policy_factory() if self._eviction_policy_factory else None
             ),
-            block_size=self._block_size,
             chunked_prefill_tokens=self._chunked_prefill_tokens,
             token_capacity_override=self._effective_capacity(platform),
             fast_path=self.fast_path,

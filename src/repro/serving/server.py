@@ -221,9 +221,9 @@ class EngineDriver:
         Returns ``(iterations advanced, finished requests, stop)``.  ``stop``
         ends the run incomplete: it reached ``limits``, or three idle
         iterations in a row while requests wait mean no admission is possible
-        (e.g. a prompt larger than the capacity).  A real server would reject
-        such requests; the simulation stops instead of spinning forever.  The
-        caller handles the finished requests before it stops.
+        (a scheduler that never admits).  The simulation stops instead of
+        spinning forever.  The caller handles the finished requests before it
+        stops.
         """
         if jump:
             jumped = self.engine.try_jump_any(
@@ -302,7 +302,6 @@ class ServingSimulator:
         scheduler: Scheduler,
         cost_model: CostModel | None = None,
         eviction_policy: EvictionPolicy | None = None,
-        block_size: int = 1,
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
         limits: SimulationLimits | None = None,
@@ -321,7 +320,6 @@ class ServingSimulator:
             scheduler=scheduler,
             cost_model=cost_model,
             eviction_policy=eviction_policy,
-            block_size=block_size,
             chunked_prefill_tokens=chunked_prefill_tokens,
             token_capacity_override=token_capacity_override,
             fast_path=fast_path,

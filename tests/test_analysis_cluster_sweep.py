@@ -46,7 +46,6 @@ class TestClusterExperimentConfig:
             num_replicas=3,
             scheduler_name="aggressive",
             scheduler_kwargs={"watermark": 0.9},
-            block_size=4,
             chunked_prefill_tokens=256,
             token_capacity_override=1024,
         )
@@ -56,7 +55,7 @@ class TestClusterExperimentConfig:
         for replica in simulator.replicas:
             assert replica.engine.token_capacity == 1024
             assert replica.engine.chunked_prefill_tokens == 256
-            assert replica.engine.pool.block_size == 4
+            assert replica.engine.pool.token_capacity == 1024
             assert "aggressive" in replica.engine.scheduler.describe()
 
     def test_each_build_is_a_fresh_fleet(self, config):

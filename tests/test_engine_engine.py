@@ -66,6 +66,19 @@ class TestBasicOperation:
         with pytest.raises(ValueError):
             engine.submit(request)
 
+    def test_submit_refuses_a_request_the_pool_can_never_finish(self, platform_7b):
+        engine = make_engine(platform_7b, capacity=64)
+        too_big = Request(
+            spec=make_spec(request_id="big", input_length=60, output_length=5), arrival_time=0.0
+        )
+        with pytest.raises(ValueError, match="big needs 65 KV tokens, more than the pool's capacity of 64"):
+            engine.submit(too_big)
+        assert engine.num_waiting == 0
+        fits = Request(spec=make_spec(request_id="fits", input_length=59, output_length=5), arrival_time=0.0)
+        engine.submit(fits)
+        run_until_drained(engine)
+        assert fits.is_finished
+
     def test_single_request_completes(self, platform_7b):
         engine = make_engine(platform_7b)
         [request] = submit_requests(engine, 1, input_length=10, output_length=4)
@@ -157,6 +170,18 @@ class TestEvictionBehaviour:
         assert engine.stats.total_evictions >= 1
         assert all(r.is_finished for r in requests)
         assert sum(r.eviction_count for r in requests) == engine.stats.total_evictions
+
+    def test_decode_pressure_drops_a_cached_prefix_before_a_running_request(self, platform_7b):
+        engine = make_engine(platform_7b, capacity=64, prefix_cache_tokens=64)
+        engine.pool.allocate("done", 40)
+        engine.prefix_cache.retain("done", "s0", 0, 40)
+        (request,) = submit_requests(engine, 1, input_length=16, output_length=20, max_new_tokens=20)
+        run_until_drained(engine)
+        assert request.is_finished
+        assert engine.stats.total_evictions == 0
+        assert engine.prefix_cache.stats.evictions == 1
+        assert len(engine.prefix_cache) == 0
+        assert engine.pool.used_tokens == 0
 
     def test_evicted_request_requeued_at_front(self, platform_7b):
         engine = make_engine(platform_7b, scheduler=AggressiveScheduler(watermark=1.0), capacity=64)

@@ -1,4 +1,4 @@
-"""Tests for the paged KV-cache pool."""
+"""Tests for the token-counting KV-cache pool."""
 
 from __future__ import annotations
 
@@ -16,38 +16,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BlockKVCachePool(0)
 
-    def test_rejects_non_positive_block_size(self):
-        with pytest.raises(ValueError):
-            BlockKVCachePool(64, block_size=0)
-
-    def test_rejects_capacity_smaller_than_block(self):
-        with pytest.raises(ValueError):
-            BlockKVCachePool(4, block_size=8)
-
-    def test_capacity_rounds_down_to_block_multiple(self):
-        pool = BlockKVCachePool(100, block_size=16)
-        assert pool.num_blocks == 6
-        assert pool.token_capacity == 96
 
 
 class TestAllocation:
     def test_allocate_and_free(self):
-        pool = BlockKVCachePool(64, block_size=16)
-        table = pool.allocate("a", 20)
-        assert table.num_tokens == 20
-        assert len(table.block_ids) == 2
-        assert pool.used_blocks == 2
-        assert pool.free("a") == 2
-        assert pool.used_blocks == 0
+        pool = BlockKVCachePool(64)
+        pool.allocate("a", 20)
+        assert pool.tokens_of("a") == 20
+        assert pool.free_tokens == 44
+        assert pool.free("a") == 20
+        assert pool.used_tokens == 0
+        assert not pool.holds("a")
 
     def test_used_tokens_tracks_allocations(self):
-        pool = BlockKVCachePool(64, block_size=16)
+        pool = BlockKVCachePool(64)
         pool.allocate("a", 10)
         pool.allocate("b", 5)
         assert pool.used_tokens == 15
 
     def test_double_allocation_rejected(self):
-        pool = BlockKVCachePool(64, block_size=16)
+        pool = BlockKVCachePool(64)
         pool.allocate("a", 4)
         with pytest.raises(AllocationError):
             pool.allocate("a", 4)
@@ -58,16 +46,16 @@ class TestAllocation:
             pool.allocate("a", 0)
 
     def test_allocation_exceeding_capacity_raises(self):
-        pool = BlockKVCachePool(64, block_size=16)
+        pool = BlockKVCachePool(64)
         with pytest.raises(OutOfMemoryError):
             pool.allocate("a", 65)
 
     def test_can_allocate(self):
-        pool = BlockKVCachePool(64, block_size=16)
+        pool = BlockKVCachePool(64)
         assert pool.can_allocate(64)
         assert not pool.can_allocate(65)
         pool.allocate("a", 33)
-        assert pool.can_allocate(16)
+        assert pool.can_allocate(31)
         assert not pool.can_allocate(32)
 
     def test_free_unknown_request_is_noop(self):
@@ -84,88 +72,108 @@ class TestAllocation:
 
 
 class TestAppendToken:
-    def test_append_fills_partial_block_without_new_block(self):
-        pool = BlockKVCachePool(64, block_size=16)
-        pool.allocate("a", 10)
-        blocks_before = pool.used_blocks
-        pool.append_token("a")
-        assert pool.used_blocks == blocks_before
-        assert pool.tokens_of("a") == 11
-
-    def test_append_grabs_new_block_when_full(self):
-        pool = BlockKVCachePool(64, block_size=4)
-        pool.allocate("a", 4)
-        pool.append_token("a")
-        assert pool.used_blocks == 2
-
     def test_append_without_allocation_rejected(self):
         pool = BlockKVCachePool(64)
         with pytest.raises(AllocationError):
             pool.append_token("ghost")
 
     def test_append_raises_when_pool_exhausted(self):
-        pool = BlockKVCachePool(8, block_size=4)
+        pool = BlockKVCachePool(8)
         pool.allocate("a", 8)
         with pytest.raises(OutOfMemoryError):
             pool.append_token("a")
+        with pytest.raises(OutOfMemoryError):
+            pool.append_tokens("a", 1)
+        assert pool.tokens_of("a") == 8
 
     def test_can_append_token(self):
-        pool = BlockKVCachePool(8, block_size=4)
+        pool = BlockKVCachePool(8)
         pool.allocate("a", 7)
-        assert pool.can_append_token("a")   # slack in last block
+        assert pool.can_extend("a", 1)
         pool.append_token("a")
-        assert not pool.can_append_token("a")  # full and no free block
-        assert not pool.can_append_token("ghost")
+        assert not pool.can_extend("a", 1)  # pool full
+        assert not pool.can_extend("ghost", 1)
 
 
 class TestAccounting:
-    def test_free_tokens_counts_partial_slack(self):
-        pool = BlockKVCachePool(32, block_size=16)
-        pool.allocate("a", 10)
-        # One free block (16) plus 6 slack tokens in a's partial block.
-        assert pool.free_tokens == 22
-
     def test_utilization(self):
-        pool = BlockKVCachePool(100, block_size=1)
+        pool = BlockKVCachePool(100)
         pool.allocate("a", 25)
         assert pool.utilization == pytest.approx(0.25)
 
-    def test_peak_tokens_used_tracks_high_water_mark(self):
-        pool = BlockKVCachePool(100, block_size=1)
-        pool.allocate("a", 40)
-        pool.allocate("b", 20)
-        pool.free("a")
-        assert pool.peak_tokens_used == 60
-        assert pool.used_tokens == 20
-
-    def test_reset(self):
-        pool = BlockKVCachePool(100, block_size=1)
-        pool.allocate("a", 40)
-        pool.reset()
-        assert pool.used_tokens == 0
-        assert pool.free_blocks == pool.num_blocks
-        assert pool.peak_tokens_used == 0
-
-    def test_owners_and_block_table(self):
-        pool = BlockKVCachePool(64, block_size=16)
+    def test_owners(self):
+        pool = BlockKVCachePool(64)
         pool.allocate("a", 5)
-        assert pool.owners() == ["a"]
-        assert pool.block_table("a").num_tokens == 5
-        with pytest.raises(AllocationError):
-            pool.block_table("ghost")
+        pool.allocate("b", 3)
+        pool.free("a")
+        assert pool.owners() == ["b"]
 
     def test_block_reuse_after_free(self):
-        pool = BlockKVCachePool(32, block_size=16)
+        pool = BlockKVCachePool(32)
         pool.allocate("a", 32)
         pool.free("a")
         pool.allocate("b", 32)
-        assert pool.used_blocks == 2
+        assert pool.used_tokens == 32
+        assert pool.free_tokens == 0
 
 
 class TestTokenGranularity:
     def test_block_size_one_has_no_rounding_waste(self):
-        pool = BlockKVCachePool(100, block_size=1)
+        pool = BlockKVCachePool(100)
         pool.allocate("a", 33)
         pool.allocate("b", 67)
         assert pool.free_tokens == 0
         assert pool.used_tokens == 100
+
+
+class TestPinning:
+    def test_pinned_owner_does_not_grow_in_bulk(self):
+        pool = BlockKVCachePool(64)
+        pool.allocate("a", 10)
+        pool.allocate("b", 20)
+        pool.pin("b")
+        pool.append_token_to_all()
+        assert (pool.tokens_of("a"), pool.tokens_of("b")) == (11, 20)
+        assert pool.used_tokens == 31
+        assert pool.pinned_tokens == 20
+
+    def test_pinned_tokens_shrink_uniform_growth(self):
+        pool = BlockKVCachePool(100)
+        pool.allocate("a", 10)
+        pool.allocate("b", 30)
+        pool.pin("b")
+        assert pool.max_uniform_growth() == 60
+        assert pool.max_uniform_growth(cap=5) == 5
+        pool.unpin("b")
+        assert pool.max_uniform_growth() == 30
+
+    def test_rename_carries_tokens_and_pin(self):
+        pool = BlockKVCachePool(64)
+        pool.allocate("a", 7)
+        pool.allocate("c", 1)
+        pool.pin("a")
+        pool.rename("a", "k")
+        assert not pool.holds("a")
+        assert pool.tokens_of("k") == 7
+        assert pool.pinned_tokens == 7
+        with pytest.raises(AllocationError):
+            pool.rename("k", "c")
+        with pytest.raises(AllocationError):
+            pool.rename("a", "z")
+        pool.free("k")
+        assert pool.pinned_tokens == 0
+        assert pool.used_tokens == 1
+
+    def test_bulk_growth_is_all_or_nothing(self):
+        pool = BlockKVCachePool(10)
+        pool.allocate("a", 4)
+        pool.allocate("b", 2)
+        pool.allocate("c", 2)
+        with pytest.raises(OutOfMemoryError):
+            pool.append_tokens("a", 3)
+        pool.append_tokens("a", 1)
+        assert not pool.can_grow_each_by_one()
+        with pytest.raises(OutOfMemoryError):
+            pool.append_token_to_all()
+        assert [pool.tokens_of(r) for r in "abc"] == [5, 2, 2]
+        assert pool.max_uniform_growth() == 0

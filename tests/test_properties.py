@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.future_memory import (
@@ -14,7 +15,7 @@ from repro.core.future_memory import (
 )
 from repro.core.history import OutputLengthHistory
 from repro.core.predictor import build_predictor
-from repro.memory.block_manager import BlockKVCachePool
+from repro.memory.block_manager import AllocationError, BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.workloads.interactions import (
@@ -109,14 +110,46 @@ class TestHistoryProperties:
         assert len(history) == len(expected)
 
 
+#: distinct owner ids the pool model test draws from.
+POOL_OWNERS = 4
+
+
+def _apply(method, expected, *args):
+    """Call ``method``; it must raise exactly ``expected`` (or nothing)."""
+    if expected is None:
+        method(*args)
+    else:
+        with pytest.raises(expected):
+            method(*args)
+
+
+def _assert_uniform_growth_is_tight(pool, model, pinned):
+    """Replay the model on a fresh pool and grow it by ``max_uniform_growth``."""
+    growing = [o for o in model if o not in pinned]
+    k = pool.max_uniform_growth()
+    if not growing:
+        assert k == pool.token_capacity
+        assert pool.max_uniform_growth(cap=7) == 7
+        return
+    assert pool.max_uniform_growth(cap=k + 1) == k
+    replay = BlockKVCachePool(pool.token_capacity)
+    for o, tokens in model.items():
+        replay.allocate(o, tokens)
+    for o in pinned:
+        replay.pin(o)
+    if k:
+        for o in growing:
+            replay.append_tokens(o, k)
+    assert not replay.can_grow_each_by_one()
+    with pytest.raises(OutOfMemoryError):
+        replay.append_token_to_all()
+
+
 class TestBlockPoolProperties:
-    @given(
-        sizes=st.lists(st.integers(1, 64), min_size=1, max_size=20),
-        block_size=st.sampled_from([1, 4, 16]),
-    )
+    @given(sizes=st.lists(st.integers(1, 64), min_size=1, max_size=20))
     @settings(max_examples=50)
-    def test_allocate_free_round_trip_restores_pool(self, sizes, block_size):
-        pool = BlockKVCachePool(4096, block_size=block_size)
+    def test_allocate_free_round_trip_restores_pool(self, sizes):
+        pool = BlockKVCachePool(4096)
         allocated = []
         for index, size in enumerate(sizes):
             if pool.can_allocate(size):
@@ -128,7 +161,8 @@ class TestBlockPoolProperties:
         for name in allocated:
             pool.free(name)
         assert pool.used_tokens == 0
-        assert pool.free_blocks == pool.num_blocks
+        assert pool.free_tokens == pool.token_capacity
+        assert pool.owners() == []
 
     @given(
         sizes=st.lists(st.integers(1, 64), min_size=1, max_size=20),
@@ -136,7 +170,7 @@ class TestBlockPoolProperties:
     )
     @settings(max_examples=50)
     def test_used_tokens_never_exceed_capacity(self, sizes, appends):
-        pool = BlockKVCachePool(512, block_size=1)
+        pool = BlockKVCachePool(512)
         for index, size in enumerate(sizes):
             if pool.can_allocate(size):
                 pool.allocate(f"r{index}", size)
@@ -145,9 +179,108 @@ class TestBlockPoolProperties:
             if not owners:
                 break
             owner = owners[index % len(owners)]
-            if pool.can_append_token(owner):
+            if pool.can_extend(owner, 1):
                 pool.append_token(owner)
         assert pool.used_tokens <= pool.token_capacity
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "allocate",
+                        "append_token",
+                        "append_tokens",
+                        "append_token_to_all",
+                        "pin",
+                        "unpin",
+                        "rename",
+                        "free",
+                    ]
+                ),
+                st.integers(0, POOL_OWNERS - 1),
+                st.integers(1, 24),
+            ),
+            min_size=8,
+            max_size=60,
+        ),
+        capacity=st.integers(1, 160),
+    )
+    @settings(max_examples=200)
+    def test_pool_matches_a_dict_model(self, ops, capacity):
+        """Any operation sequence leaves the pool equal to a plain dict model.
+
+        After every operation the pool's counters match the model, pinned
+        owners have not grown, and ``max_uniform_growth`` is tight: every
+        growing owner fits ``K`` more tokens, but not all of them fit ``K+1``.
+        """
+        pool = BlockKVCachePool(capacity)
+        model: dict[str, int] = {}
+        pinned: set[str] = set()
+        for op, index, amount in ops:
+            owner = f"r{index}"
+            free = capacity - sum(model.values())
+            pinned_before = {o: model[o] for o in pinned}
+            if op == "allocate":
+                if owner in model:
+                    expected = AllocationError
+                elif amount > free:
+                    expected = OutOfMemoryError
+                else:
+                    expected = None
+                    model[owner] = amount
+                _apply(pool.allocate, expected, owner, amount)
+            elif op in ("append_token", "append_tokens"):
+                grow = 1 if op == "append_token" else amount
+                if owner not in model:
+                    expected = AllocationError
+                elif grow > free:
+                    expected = OutOfMemoryError
+                else:
+                    expected = None
+                    model[owner] += grow
+                if op == "append_token":
+                    _apply(pool.append_token, expected, owner)
+                else:
+                    _apply(pool.append_tokens, expected, owner, grow)
+            elif op == "append_token_to_all":
+                growing = [o for o in model if o not in pinned]
+                expected = OutOfMemoryError if len(growing) > free else None
+                if expected is None:
+                    for o in growing:
+                        model[o] += 1
+                _apply(pool.append_token_to_all, expected)
+                assert {o: pool.tokens_of(o) for o in pinned} == pinned_before
+            elif op == "pin":
+                expected = None if owner in model else AllocationError
+                if expected is None:
+                    pinned.add(owner)
+                _apply(pool.pin, expected, owner)
+            elif op == "unpin":
+                pinned.discard(owner)
+                pool.unpin(owner)
+            elif op == "rename":
+                target = f"r{amount % POOL_OWNERS}"
+                if owner not in model or target in model:
+                    expected = AllocationError
+                else:
+                    expected = None
+                    model[target] = model.pop(owner)
+                    if owner in pinned:
+                        pinned.discard(owner)
+                        pinned.add(target)
+                _apply(pool.rename, expected, owner, target)
+            else:
+                assert pool.free(owner) == model.pop(owner, 0)
+                pinned.discard(owner)
+
+            assert pool.used_tokens == sum(model.values())
+            assert pool.free_tokens == capacity - pool.used_tokens
+            assert pool.pinned_tokens == sum(model[o] for o in pinned)
+            assert sorted(pool.owners()) == sorted(model)
+            for i in range(POOL_OWNERS):
+                assert pool.tokens_of(f"r{i}") == model.get(f"r{i}", 0)
+            _assert_uniform_growth_is_tight(pool, model, pinned)
 
 
 class TestSimilarityProperties:
@@ -192,7 +325,7 @@ class TestPrefixCacheProperties:
         tokens respect the cache's own budget, match the sum over entries,
         equal the pool's pinned tokens, and the pool never overflows.
         """
-        pool = BlockKVCachePool(pool_tokens, block_size=1)
+        pool = BlockKVCachePool(pool_tokens)
         cache = PrefixCache(pool, capacity_tokens=capacity)
         stages: dict[str, int] = {}
         for index, (session, tokens) in enumerate(ops):
@@ -232,7 +365,7 @@ class TestPrefixCacheProperties:
             ),
         )
         context = prompt + output
-        pool = BlockKVCachePool(4 * (context + extra + 1), block_size=1)
+        pool = BlockKVCachePool(4 * (context + extra + 1))
         cache = PrefixCache(pool)
         pool.allocate("s0/t0", context)
         outcome = cache.retain("s0/t0", "s0", 0, context)

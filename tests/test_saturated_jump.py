@@ -363,7 +363,7 @@ def test_saturated_jump_actually_fires_and_respects_bisect_flag():
         token_capacity_override=CAPACITY,
         fast_path=False,
     )
-    bisect.engine.submit(_queued_request("q0", prompt=32))
+    bisect.engine.submit(_queued_request("q0", prompt=32, cap=64))
     assert bisect.engine.try_jump_any(0.0) is None
 
 
@@ -389,7 +389,7 @@ def test_one_entry_point_makes_both_jumps_and_pins_fallback_reasons():
     time = silent.end_time
 
     # A head that never fits the watermark keeps the queue non-empty: saturated.
-    engine.submit(_queued_request("b", prompt=CAPACITY - 8), time)
+    engine.submit(_queued_request("b", prompt=CAPACITY - 8, cap=8), time)
     assert engine.try_jump_any(time, max_steps=1) is None
     assert engine.try_jump_any(time, horizon=time) is None
     engine.scheduler.saturated_no_admit_horizon = lambda context, max_steps: 0

@@ -91,7 +91,21 @@ class TestSafetyLimits:
         assert not result.completed
 
     def test_stall_guard_stops_unschedulable_workload(self, platform_7b):
-        # A prompt larger than the whole KV pool can never be admitted.
+        # A scheduler that never admits leaves the engine idle with requests
+        # waiting; the stall guard ends the run instead of spinning forever.
+        class NeverAdmit(ConservativeScheduler):
+            def schedule(self, context):
+                return []
+
+        sim = simulator(platform_7b, NeverAdmit(), capacity=256)
+        result = sim.run_closed_loop(make_workload(3, output_length=4), num_clients=2)
+        assert not result.completed
+        assert result.finished_requests == []
+        assert result.engine_stats.total_finished == 0
+
+    def test_request_larger_than_the_pool_is_refused_at_submit(self, platform_7b):
+        # Prompt plus output must fit the pool, or the request could never
+        # finish and would block every request queued behind it.
         giant = Workload(
             name="giant",
             requests=[
@@ -99,9 +113,38 @@ class TestSafetyLimits:
             ],
         )
         sim = simulator(platform_7b, ConservativeScheduler(), capacity=256)
-        result = sim.run_closed_loop(giant, num_clients=1)
-        assert not result.completed
-        assert result.finished_requests == []
+        with pytest.raises(ValueError, match=r"g0 needs 5004 KV tokens.*capacity of 256"):
+            sim.run_closed_loop(giant, num_clients=1)
+
+    @pytest.mark.parametrize("scheduler_factory", [
+        AggressiveScheduler,
+        ConservativeScheduler,
+        lambda: PastFutureScheduler(seed=0),
+    ])
+    def test_pool_sized_request_is_accepted_and_finishes(self, platform_7b, scheduler_factory):
+        # The bound is exact: prompt + output == capacity still finishes.
+        exact = Workload(
+            name="exact",
+            requests=[
+                RequestSpec(request_id="e0", input_length=156, output_length=100, max_new_tokens=100),
+                RequestSpec(request_id="e1", input_length=10, output_length=4, max_new_tokens=4),
+            ],
+        )
+        result = simulator(platform_7b, scheduler_factory(), capacity=256).run_closed_loop(
+            exact, num_clients=1
+        )
+        assert result.completed
+        assert len(result.finished_requests) == 2
+        over = Workload(
+            name="over",
+            requests=[
+                RequestSpec(request_id="o0", input_length=157, output_length=100, max_new_tokens=100)
+            ],
+        )
+        with pytest.raises(ValueError, match="o0 needs 257 KV tokens"):
+            simulator(platform_7b, scheduler_factory(), capacity=256).run_closed_loop(
+                over, num_clients=1
+            )
 
     def test_simulator_is_single_use(self, platform_7b):
         # A result holds its engine's stats object: a second run on the same

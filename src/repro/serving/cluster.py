@@ -63,6 +63,7 @@ import enum
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from repro.engine.cost_model import CostModel
@@ -241,8 +242,8 @@ class ClusterSimulator:
             into macro-steps (see :meth:`InferenceEngine.try_jump_any`,
             which covers empty and non-empty waiting queues), bounded
             so every cross-replica observation point (arrival routing,
-            autoscale decisions, warm-up completions, defer retries, and —
-            for closed-loop clients — any other replica's steps) sees
+            autoscale decisions, warm-up completions, defer retries, and
+            arrivals spawned by other replicas' completions) sees
             bit-identical state; ``False`` forces the reference
             one-iteration loop for bisection.
         throttle: optional overload rate limiter applied before routing
@@ -980,7 +981,6 @@ class ClusterSimulator:
         generator: LoadGenerator,
         workload_name: str,
         num_clients: int,
-        arrivals_from_finishes: bool = False,
     ) -> ClusterResult:
         if self._consumed:
             raise RuntimeError("ClusterSimulator instances are single-use; build a new one per run")
@@ -994,6 +994,7 @@ class ClusterSimulator:
         completed = True
         total_steps = 0
         notify = getattr(generator, "on_request_completed", None)
+        follow_up_delay = generator.min_follow_up_delay
 
         # Event priorities at equal times: warm-ups complete first (a replica
         # ready at t may serve an arrival at t), fault actions land next (so
@@ -1067,23 +1068,22 @@ class ClusterSimulator:
             # with other replicas' iterations; the horizon is the earliest
             # moment anything can *observe* this replica — a scheduled arrival
             # (routing views), a defer retry, an autoscale decision, a warm-up
-            # completion, a fault action, and, when completions generate new
-            # arrivals (closed-loop clients), any other busy replica's next
-            # iteration, which could finish a request whose follow-up request
-            # is routed using this replica's state.
+            # completion, a fault action, and any arrival another busy
+            # replica's completion could spawn.  That replica's next finish
+            # ends a step starting at or after its clock, so the follow-up
+            # lands no sooner than its clock plus the generator's minimum
+            # follow-up delay (``inf`` for open-loop arrivals: no coupling).
+            # The proof is in docs/simulation-semantics.md.
             jump = self.fast_path and not self._deferred_releases
             horizon = None
             if jump:
                 horizon = min(
-                    (event_time for event_time, kind in events if kind != STEP),
+                    chain(
+                        (event_time for event_time, kind in events if kind != STEP),
+                        (other.clock + follow_up_delay for other in busy if other is not step_replica),
+                    ),
                     default=None,
                 )
-                if arrivals_from_finishes:
-                    for other in busy:
-                        if other is not step_replica and (
-                            horizon is None or other.clock < horizon
-                        ):
-                            horizon = other.clock
             advanced, finished, stop = step_replica.advance(self.limits, total_steps, horizon, jump)
             total_steps += advanced
             clock = step_replica.clock
@@ -1165,7 +1165,7 @@ class ClusterSimulator:
     ) -> ClusterResult:
         """Serve a workload with a fleet-wide closed-loop client pool."""
         pool = ClosedLoopClientPool(workload, num_clients=num_clients, think_time=think_time)
-        return self._run(pool, workload.name, num_clients, arrivals_from_finishes=True)
+        return self._run(pool, workload.name, num_clients)
 
     def run_open_loop(
         self,
@@ -1188,11 +1188,9 @@ class ClusterSimulator:
         later turn is spawned by its predecessor's completion, carrying the
         accumulated conversation prefix.  Spawned arrivals are routed like
         any other (the ``session-affinity`` router sends them back to the
-        replica holding their prefix), and — as with any closed-loop run —
-        every busy replica's clock bounds the event-jump horizon, since any
-        step may finish a turn whose follow-up observes fleet state.
+        replica holding their prefix).  Because a follow-up arrives one think
+        time after the finish that spawns it, each busy replica bounds the
+        others' event jumps at its clock plus the shortest think time.
         """
         generator = InteractionLoadGenerator(interactions)
-        return self._run(
-            generator, name, num_clients=len(interactions), arrivals_from_finishes=True
-        )
+        return self._run(generator, name, num_clients=len(interactions))

@@ -60,6 +60,11 @@ class LoadGenerator(Protocol):
         ...
 
     @property
+    def min_follow_up_delay(self) -> float:
+        """Least time from a completion to any arrival it spawns (``inf``: none)."""
+        ...
+
+    @property
     def drained(self) -> bool:
         """Whether no further arrivals can ever be produced."""
         ...

@@ -1,4 +1,7 @@
-"""Arrival-time assignment for open-loop (trace replay) workloads.
+"""Arrival scheduling: the load generators' arrival queue and open-loop stamping.
+
+:class:`ArrivalQueue` is the heap of scheduled arrivals behind every load
+generator (closed-loop clients, open-loop arrivals, multi-turn sessions).
 
 The single-engine experiments either let closed-loop clients pace themselves
 or draw plain Poisson arrivals inside
@@ -21,11 +24,69 @@ under comparison, so router effects are never confounded with arrival noise.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import heapq
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.workloads.spec import Workload
+from repro.workloads.spec import RequestSpec, Workload
+
+
+@dataclass(order=True)
+class Arrival:
+    """One scheduled request arrival (heap-ordered by time, then sequence)."""
+
+    time: float
+    sequence: int
+    spec: RequestSpec = field(compare=False)
+
+
+class ArrivalQueue:
+    """The arrival heap and in-flight count every load generator keeps.
+
+    Subclasses schedule arrivals with :meth:`_push`; the simulators consume
+    them through :meth:`pop_arrivals` and :meth:`next_arrival_time`.
+    """
+
+    def __init__(self) -> None:
+        self._pending: list[Arrival] = []
+        self._sequence = 0
+        self._in_flight = 0
+
+    @property
+    def in_flight(self) -> int:
+        """Requests currently submitted but not yet finished."""
+        return self._in_flight
+
+    def _push(self, time: float, spec: RequestSpec) -> None:
+        heapq.heappush(self._pending, Arrival(time=time, sequence=self._sequence, spec=spec))
+        self._sequence += 1
+
+    def on_request_finished(self, time: float) -> None:
+        """Release one in-flight slot (a completion, throttle or rejection)."""
+        self._in_flight = max(self._in_flight - 1, 0)
+
+    def pop_arrivals(self, now: float) -> list[RequestSpec]:
+        """Specs whose scheduled arrival time is at or before ``now``."""
+        ready: list[RequestSpec] = []
+        while self._pending and self._pending[0].time <= now:
+            arrival = heapq.heappop(self._pending)
+            ready.append(arrival.spec.with_arrival(arrival.time))
+            self._in_flight += 1
+        return ready
+
+    def next_arrival_time(self) -> float | None:
+        """Time of the earliest scheduled arrival, if any."""
+        return self._pending[0].time if self._pending else None
+
+    @property
+    def drained(self) -> bool:
+        """Whether no arrival is scheduled and nothing is in flight.
+
+        Terminal when arrivals are pre-scheduled or spawned only by in-flight
+        completions; a generator with another source overrides it.
+        """
+        return not self._pending and self._in_flight == 0
 
 
 def _stamp_exponential_gaps(

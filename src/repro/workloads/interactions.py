@@ -26,12 +26,13 @@ via ``next_arrival_time()`` before any iteration is fused past it.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.workloads.arrivals import ArrivalQueue
 from repro.workloads.spec import SLA_CLASS_INTERACTIVE, RequestSpec, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -88,10 +89,10 @@ class Interaction:
             raise ValueError("session_id must be a non-empty string")
         if not self.stages:
             raise ValueError("an interaction needs at least one stage")
-        if self.start_time < 0:
-            raise ValueError("start_time must be non-negative")
-        if self.think_time < 0:
-            raise ValueError("think_time must be non-negative")
+        if not 0 <= self.start_time < math.inf:
+            raise ValueError("start_time must be finite and non-negative")
+        if not 0 <= self.think_time < math.inf:
+            raise ValueError("think_time must be finite and non-negative")
 
     @property
     def num_stages(self) -> int:
@@ -202,16 +203,7 @@ def generate_interactions(
     return sessions
 
 
-@dataclass(order=True)
-class _TurnArrival:
-    """One scheduled turn arrival (heap-ordered by time, then sequence)."""
-
-    time: float
-    sequence: int
-    spec: RequestSpec = field(compare=False)
-
-
-class InteractionLoadGenerator:
+class InteractionLoadGenerator(ArrivalQueue):
     """Closed-loop load generator over a set of :class:`Interaction` sessions.
 
     Implements the :class:`~repro.serving.server.LoadGenerator` protocol plus
@@ -226,14 +218,13 @@ class InteractionLoadGenerator:
     def __init__(self, interactions: list[Interaction]) -> None:
         if not interactions:
             raise ValueError("need at least one interaction")
+        super().__init__()
         self._interactions: dict[str, Interaction] = {}
         for interaction in interactions:
             if interaction.session_id in self._interactions:
                 raise ValueError(f"duplicate session id {interaction.session_id!r}")
             self._interactions[interaction.session_id] = interaction
-        self._pending: list[_TurnArrival] = []
-        self._sequence = 0
-        self._in_flight = 0
+        self._min_think_time = min(it.think_time for it in interactions)
         #: session_id -> turns completed so far (exposed for tests/metrics).
         self.turns_completed: dict[str, int] = {
             sid: 0 for sid in self._interactions
@@ -244,23 +235,10 @@ class InteractionLoadGenerator:
         """Number of sessions this generator drives."""
         return len(self._interactions)
 
-    @property
-    def in_flight(self) -> int:
-        """Turns currently submitted but not yet finished."""
-        return self._in_flight
-
-    def _push(self, time: float, spec: RequestSpec) -> None:
-        self._sequence += 1
-        heapq.heappush(self._pending, _TurnArrival(time=time, sequence=self._sequence, spec=spec))
-
     def start(self, time: float = 0.0) -> None:
         """Schedule every session's first turn."""
         for interaction in self._interactions.values():
             self._push(max(time, interaction.start_time), interaction.spec(0))
-
-    def on_request_finished(self, time: float) -> None:
-        """Identity-free slot release (completions, throttles, rejections)."""
-        self._in_flight = max(self._in_flight - 1, 0)
 
     def on_request_completed(self, request: Request, time: float) -> None:
         """Record a finished turn and spawn the session's next stage.
@@ -281,24 +259,7 @@ class InteractionLoadGenerator:
         if done < interaction.num_stages:
             self._push(time + interaction.think_time, interaction.spec(done))
 
-    def pop_arrivals(self, now: float) -> list[RequestSpec]:
-        """Specs whose scheduled arrival time is at or before ``now``."""
-        ready: list[RequestSpec] = []
-        while self._pending and self._pending[0].time <= now:
-            arrival = heapq.heappop(self._pending)
-            ready.append(arrival.spec.with_arrival(arrival.time))
-            self._in_flight += 1
-        return ready
-
-    def next_arrival_time(self) -> float | None:
-        """Time of the earliest scheduled future turn, if any."""
-        return self._pending[0].time if self._pending else None
-
     @property
-    def drained(self) -> bool:
-        """Whether no further turns can ever arrive.
-
-        Follow-up turns spawn only from in-flight completions, so an empty
-        heap with nothing in flight is terminal.
-        """
-        return not self._pending and self._in_flight == 0
+    def min_follow_up_delay(self) -> float:
+        """A finished turn spawns its follow-up one session think time later."""
+        return self._min_think_time

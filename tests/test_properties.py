@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,15 +17,22 @@ from repro.core.future_memory import (
 )
 from repro.core.history import OutputLengthHistory
 from repro.core.predictor import build_predictor
+from repro.hardware.platform import paper_platform
 from repro.memory.block_manager import AllocationError, BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
+from repro.serving.cluster import ClusterSimulator
+from repro.serving.faults import FaultPlan, ReplicaCrash
+from repro.serving.routing import ROUTER_REGISTRY
+from repro.workloads.distributions import UniformLengthSpec, generate_uniform_workload
 from repro.workloads.interactions import (
     Interaction,
     InteractionLoadGenerator,
     InteractionStage,
     generate_interactions,
 )
+from tests.conftest import TINY_CAPACITY
+from tests.helpers import assert_conservation, assert_rng_stream_identity
 
 entry_strategy = st.builds(
     BatchEntry,
@@ -490,3 +499,86 @@ class TestSpawnedArrivalProperties:
             times = [time for _, time in turns]
             for earlier, later in zip(times, times[1:]):
                 assert later >= earlier + service_time + think_time - 1e-9
+
+
+#: Think times mixed per session: none, shorter than one decode iteration,
+#: a fraction of a run, and far longer than one.
+THINK_TIMES = (0.0, 1e-3, 0.5, 20.0)
+FLEET_PLATFORM = paper_platform("7b-a100")
+
+
+def run_generated_fleet(
+    fast_path: bool,
+    num_replicas: int,
+    router: str,
+    scheduler: str,
+    sessions: bool,
+    think_times: list[float],
+    crash: tuple[float, int] | None,
+    seed: int,
+):
+    """One tiny closed-loop fleet run; the inputs are rebuilt per call."""
+    faults = None
+    if crash is not None:
+        faults = FaultPlan(crashes=(ReplicaCrash(time=crash[0], replica=crash[1]),), seed=seed)
+    simulator = ClusterSimulator(
+        platform=FLEET_PLATFORM,
+        num_replicas=num_replicas,
+        router=router,
+        scheduler_name=scheduler,
+        token_capacity_override=TINY_CAPACITY,
+        prefix_cache_tokens=TINY_CAPACITY // 2 if sessions else None,
+        faults=faults,
+        fast_path=fast_path,
+    )
+    if sessions:
+        interactions = generate_interactions(
+            6 * len(think_times),
+            seed=seed,
+            mean_prompt_tokens=24.0,
+            mean_output_tokens=48.0,
+            max_turns=4,
+            start_spacing=0.02,
+        )
+        interactions = [
+            dataclasses.replace(it, think_time=think_times[i % len(think_times)])
+            for i, it in enumerate(interactions)
+        ]
+        return simulator.run_sessions(interactions)
+    spec = UniformLengthSpec("generated", 4, 64, 1, 192)
+    workload = generate_uniform_workload(spec, 8 * len(think_times) + 8, seed=seed)
+    return simulator.run_closed_loop(
+        workload, num_clients=2 * len(think_times) + 2, think_time=think_times[0]
+    )
+
+
+class TestGeneratedClosedLoopFleets:
+    """The fast path equals the reference loop on generated closed-loop fleets.
+
+    Closed-loop completions spawn arrivals, so each replica's event jumps are
+    bounded by the other replicas' clocks plus the generator's minimum
+    follow-up delay.  Mixed think times put that bound both below and far
+    above one decode iteration.
+    """
+
+    @given(
+        num_replicas=st.integers(2, 4),
+        router=st.sampled_from(sorted(ROUTER_REGISTRY)),
+        scheduler=st.sampled_from(["aggressive", "past-future"]),
+        sessions=st.booleans(),
+        think_times=st.lists(st.sampled_from(THINK_TIMES), min_size=2, max_size=4),
+        crash=st.none() | st.tuples(st.floats(0.01, 3.0), st.integers(0, 3)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fast_path_matches_reference(
+        self, num_replicas, router, scheduler, sessions, think_times, crash, seed
+    ):
+        if crash is not None:
+            crash = (crash[0], crash[1] % num_replicas)
+        args = (num_replicas, router, scheduler, sessions, think_times, crash, seed)
+        fast = run_generated_fleet(True, *args)
+        reference = run_generated_fleet(False, *args)
+        assert_rng_stream_identity(fast, reference)
+        assert_conservation(fast)
+        assert_conservation(reference)

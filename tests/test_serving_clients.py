@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.serving.clients import ClosedLoopClientPool, OpenLoopArrivals
@@ -15,6 +17,14 @@ class TestClosedLoopClientPool:
             ClosedLoopClientPool(workload, num_clients=0)
         with pytest.raises(ValueError):
             ClosedLoopClientPool(workload, num_clients=1, think_time=-1.0)
+        for think_time in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ClosedLoopClientPool(workload, num_clients=1, think_time=think_time)
+
+    @pytest.mark.parametrize("think_time", [0.0, 2.5])
+    def test_min_follow_up_delay_is_the_think_time(self, think_time):
+        pool = ClosedLoopClientPool(make_workload(5), num_clients=2, think_time=think_time)
+        assert pool.min_follow_up_delay == think_time
 
     def test_start_schedules_one_request_per_client(self):
         pool = ClosedLoopClientPool(make_workload(10), num_clients=4)
@@ -107,6 +117,10 @@ class TestOpenLoopArrivals:
     def test_missing_arrival_times_rejected(self):
         with pytest.raises(ValueError):
             OpenLoopArrivals(make_workload(3))
+
+    def test_completions_spawn_nothing(self):
+        arrivals = OpenLoopArrivals(make_workload(3), request_rate=1.0)
+        assert arrivals.min_follow_up_delay == math.inf
 
     def test_start_is_noop(self):
         arrivals = OpenLoopArrivals(make_workload(3), request_rate=1.0)

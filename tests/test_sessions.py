@@ -11,6 +11,9 @@ while sessions and the prefix cache are live.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.engine.request import Request
@@ -72,6 +75,10 @@ class TestInteractionModel:
             Interaction(session_id="s0", stages=(STAGE,), start_time=-1.0)
         with pytest.raises(ValueError):
             Interaction(session_id="s0", stages=(STAGE,), think_time=-1.0)
+        for field in ("start_time", "think_time"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    Interaction(session_id="s0", stages=(STAGE,), **{field: value})
 
     def test_specs_accumulate_the_conversation_prefix(self):
         interaction = make_interaction(num_stages=3)
@@ -127,6 +134,10 @@ class TestGenerateInteractions:
             generate_interactions(0)
         with pytest.raises(ValueError):
             generate_interactions(4, min_turns=3, max_turns=2)
+        for field in ("think_time", "start_spacing"):
+            for value in (math.nan, math.inf, -1.0):
+                with pytest.raises(ValueError, match="finite"):
+                    generate_interactions(2, seed=1, **{field: value})
 
 
 class _FinishedTurn:
@@ -141,6 +152,16 @@ class TestInteractionLoadGenerator:
             InteractionLoadGenerator([])
         with pytest.raises(ValueError):
             InteractionLoadGenerator([make_interaction("s0"), make_interaction("s0")])
+
+    def test_min_follow_up_delay_is_the_shortest_think_time(self):
+        mixed = [
+            make_interaction("s0", think_time=3.0),
+            make_interaction("s1", think_time=0.5),
+            make_interaction("s2", think_time=20.0),
+        ]
+        assert InteractionLoadGenerator(mixed).min_follow_up_delay == 0.5
+        mixed.append(make_interaction("s3", think_time=0.0))
+        assert InteractionLoadGenerator(mixed).min_follow_up_delay == 0.0
 
     def test_start_schedules_only_first_turns(self):
         generator = InteractionLoadGenerator(
@@ -389,6 +410,34 @@ class TestRunSessionsEndToEnd:
         stats = fast.jump_stats
         assert stats is not None
         assert stats.silent_jumps + stats.saturated_jumps > 0
+
+    def test_think_time_lookahead_is_exact_and_removes_clips(self, platform_7b):
+        # Each replica bounds the other's jumps at its clock plus the think
+        # time: exact at every think time, from none to far longer than a
+        # decode iteration, and long think times leave little to clip.
+        def run(fast_path: bool, think_time: float):
+            simulator = ClusterSimulator(
+                platform=platform_7b,
+                num_replicas=2,
+                router="session-affinity",
+                scheduler_name="conservative",
+                token_capacity_override=TINY_CAPACITY,
+                prefix_cache_tokens=TINY_CAPACITY // 2,
+                fast_path=fast_path,
+            )
+            sessions = [
+                dataclasses.replace(it, think_time=think_time) for it in small_sessions()
+            ]
+            return simulator.run_sessions(sessions)
+
+        clips = {}
+        for think_time in (0.0, 1e-3, 20.0):
+            fast = run(True, think_time)
+            assert_rng_stream_identity(fast, run(False, think_time))
+            assert_conservation(fast)
+            clips[think_time] = fast.jump_stats.fallback_reasons.get("silent:horizon-clip", 0)
+        assert clips[0.0] >= 8
+        assert clips[20.0] * 4 <= clips[0.0]
 
     def test_cluster_affinity_beats_blind_hit_rate(self, platform_7b):
         def run(router: str):

@@ -222,11 +222,6 @@ class InferenceEngine:
             prefills each admitted request in a single iteration.
         token_capacity_override: replaces the platform's KV token capacity,
             used by scaled-down experiments and unit tests.
-        fast_path: whether :meth:`try_jump_any` may fuse provably event-free
-            decode iterations into vectorized macro-steps.  Metrics are
-            bit-identical either way; the flag exists so any future
-            discrepancy can be bisected against the reference loop in one
-            flip.
         prefix_cache_tokens: if set, a per-engine
             :class:`~repro.memory.prefix_cache.PrefixCache` retains the KV
             context of finished non-final session turns (up to this many
@@ -249,7 +244,6 @@ class InferenceEngine:
         eviction_policy: EvictionPolicy | None = None,
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
-        fast_path: bool = True,
         tracer: Tracer | None = None,
         prefix_cache_tokens: int | None = None,
     ) -> None:
@@ -277,7 +271,6 @@ class InferenceEngine:
         self.stats = EngineStats()
         self.jump_stats = JumpStats()
         self.memory_timeline = MemoryTimeline(token_capacity=self.pool.token_capacity)
-        self.fast_path = fast_path
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # The enabled flag is immutable per tracer; caching it keeps the
         # per-token and per-step guards to one attribute read.
@@ -286,16 +279,14 @@ class InferenceEngine:
         #: standalone engines trace as replica 0).
         self.trace_replica = 0
         self._step_counter = 0
-        # Epoch-guarded profile of a *uniform* batch (every resident decoding).
-        # Bumped on any membership/state change (admission, eviction, finish);
-        # while it is unchanged, each iteration grows every resident by
-        # exactly one token, so the batch's context sum, oracle future-memory
-        # peak, and steps-until-first-finish all advance in closed form
-        # instead of being recomputed O(B) / O(B log B) per step.
-        # Layout: (epoch, batch_size, next_context_sum, future_required,
-        #          min_remaining).
-        self._batch_epoch = 0
-        self._silent_cache: tuple[int, int, int, int, int] | None = None
+        # Profile of a *uniform* batch (every resident decoding), rewritten by
+        # every step() and advanced in closed form by every jump, so it is
+        # always current; ``None`` when the batch is empty or some resident
+        # is not decoding.  A jump grows every resident by one token per
+        # fused iteration, so the context sum, oracle future-memory peak and
+        # steps-until-first-finish need no O(B) recomputation.
+        # Layout: (batch_size, context_sum, future_required, min_remaining).
+        self._silent_cache: tuple[int, int, int, int] | None = None
         self.scheduler.on_run_start()
 
     # ------------------------------------------------------------------ state
@@ -352,9 +343,8 @@ class InferenceEngine:
 
         Frees the KV pool, aborts each request (their partial token timelines
         stay recorded, so callers can account the work lost with them), and
-        invalidates the fast path's batch profile.  Returns the aborted
-        requests, running batch first in batch order, then the waiting queue
-        front to back.
+        clears the batch profile.  Returns the aborted requests, running
+        batch first in batch order, then the waiting queue front to back.
         """
         aborted: list[Request] = []
         if self.prefix_cache is not None:
@@ -370,17 +360,15 @@ class InferenceEngine:
             request.abort(time)
             aborted.append(request)
         self.waiting.clear()
-        if aborted:
-            self._batch_epoch += 1
-            self._silent_cache = None
+        self._silent_cache = None
         return aborted
 
     def drain_waiting(self) -> list[Request]:
         """Remove and return the waiting queue (queue migration off a drain).
 
         The requests stay ``QUEUED`` — they hold no KV and can be submitted
-        to another engine.  The running batch is untouched, so the silent
-        cache stays valid.  Note the scheduler is *not* told about the
+        to another engine.  The running batch is untouched, so the batch
+        profile stays current.  Note the scheduler is *not* told about the
         removal; migrating work off a replica whose scheduler keeps
         cross-request state (e.g. VTC counters) leaves that state behind,
         exactly as a real drain abandons a dying scheduler's bookkeeping.
@@ -504,8 +492,6 @@ class InferenceEngine:
                         request.note_prefill(credit)
             admitted.append(request)
             self.batch.add(request)
-        if admitted:
-            self._batch_epoch += 1
         self.stats.total_admissions += len(admitted)
         if self._tracing and admitted:
             signals = self.scheduler.trace_signals()
@@ -610,7 +596,6 @@ class InferenceEngine:
         self.batch.remove(request)
         request.evict()
         self.waiting.appendleft(request)
-        self._batch_epoch += 1
         self.stats.total_evictions += 1
         self.scheduler.on_request_evicted(request, time)
         if self._tracing:
@@ -676,7 +661,6 @@ class InferenceEngine:
             if not retained:
                 self.pool.free(request.request_id)
             self.batch.remove(request)
-            self._batch_epoch += 1
             finished.append(request)
             self.stats.total_finished += 1
             self.scheduler.on_request_finished(request, end_time)
@@ -700,23 +684,9 @@ class InferenceEngine:
         """Run one continuous-batching iteration starting at ``time``."""
         self._step_counter += 1
         admitted = self._admit(time)
-        # The incremental batch profile is part of the fast path: with
-        # ``fast_path=False`` every quantity below is recomputed from scratch,
-        # keeping the reference loop a faithful bisection baseline.
-        cache = self._silent_cache if self.fast_path else None
-        if cache is not None and cache[0] != self._batch_epoch:
-            cache = self._silent_cache = None
-        if cache is not None:
-            # Unchanged epoch: same membership as when the cache was written,
-            # every resident decoding, each grown by exactly one token per
-            # iteration since — the context sum advanced in closed form.
-            decode_targets = self.batch.requests
-            decode_count = len(decode_targets)
-            decode_context = cache[2]
-        else:
-            decode_targets = [r for r in self.batch if r.state is RequestState.DECODING]
-            decode_count = len(decode_targets)
-            decode_context = sum(r.current_context_tokens for r in decode_targets)
+        decode_targets = self.batch.decoding
+        decode_count = len(decode_targets)
+        decode_context = sum(r.current_context_tokens for r in decode_targets)
         prefill_tokens, completed_prefill = self._plan_prefill()
         images = sum(1 for r in admitted if r.spec.image_tokens > 0)
         work = StepWork(
@@ -730,38 +700,13 @@ class InferenceEngine:
 
         evicted: list[Request] = []
         finished: list[Request] = []
-        if cache is not None and cache[4] > 1 and self.pool.can_grow_each_by_one():
-            # Assured-silent iteration: no request can stop (min remaining
-            # length > 1) and the pool can grow every resident, so the
-            # per-token bookkeeping collapses to a bulk append.
-            self.pool.append_token_to_all()
-            for request in decode_targets:
-                request.generated_tokens += 1
-                request.token_times.append(end_time)
-            self.stats.total_decode_tokens += decode_count
-            future_required = cache[3]
-            self._silent_cache = (
-                self._batch_epoch,
-                decode_count,
-                decode_context + decode_count,
-                future_required,
-                cache[4] - 1,
-            )
-        else:
-            if decode_targets is self.batch.requests:
-                # Finishes/evictions mutate the batch mid-loop; iterate a copy
-                # exactly as the cold-path list comprehension does.
-                decode_targets = list(decode_targets)
-            for request in decode_targets:
-                if request.is_running:
-                    self._deliver_one_token(request, end_time, evicted, finished)
-            for request in completed_prefill:
-                if request.is_running:
-                    self._deliver_one_token(request, end_time, evicted, finished)
-            if self.fast_path:
-                future_required = self._refresh_silent_cache()
-            else:
-                future_required = self._true_future_required()
+        for request in decode_targets:
+            if request.is_running:
+                self._deliver_one_token(request, end_time, evicted, finished)
+        for request in completed_prefill:
+            if request.is_running:
+                self._deliver_one_token(request, end_time, evicted, finished)
+        future_required = self._refresh_silent_cache()
 
         self.stats.total_prefill_tokens += prefill_tokens
         self.jump_stats.loop_steps += 1
@@ -813,11 +758,15 @@ class InferenceEngine:
         )
 
     def _refresh_silent_cache(self) -> int:
-        """Recompute the batch profile after an event-bearing iteration.
+        """Oracle peak future memory of the batch, and the jump's batch profile.
 
-        Returns the oracle future-required memory of the post-step batch and
-        seeds :attr:`_silent_cache` when the batch is uniform (every resident
-        decoding), enabling closed-form accounting on subsequent iterations.
+        Uses the hidden true output lengths, so it measures how much memory
+        the admitted batch *will actually* need — the "Future Required Memory"
+        column of Table 1.  The schedulers never see this value.
+
+        Also rewrites :attr:`_silent_cache`: the batch profile when every
+        resident is decoding, ``None`` otherwise.  :meth:`step` calls this
+        after its last batch change, so the profile is always current.
         """
         requests = self.batch.requests
         if not requests:
@@ -831,7 +780,6 @@ class InferenceEngine:
         future_required = peak_future_memory_arrays(current, remaining)
         if all(r.state is RequestState.DECODING for r in requests):
             self._silent_cache = (
-                self._batch_epoch,
                 len(requests),
                 int(current.sum()),
                 future_required,
@@ -842,35 +790,6 @@ class InferenceEngine:
         return future_required
 
     # ------------------------------------------------------------- event jump
-    def _uniform_decode_bound(self) -> int:
-        """Iterations of provably uniform decode, ignoring the waiting queue.
-
-        The engine-side half of the event-jump proof: batch membership cannot
-        change for this many iterations because every resident is decoding,
-        nobody reaches its last token (finishes are events), and the pool
-        provably grows every resident each step (so no eviction is possible).
-        Whether the *scheduler* would also stay silent is
-        :meth:`try_jump_any`'s concern.
-        """
-        if not self.fast_path or not self.batch.requests:
-            return 0
-        cache = self._silent_cache
-        if cache is not None and cache[0] != self._batch_epoch:
-            cache = self._silent_cache = None
-        if cache is None:
-            self._refresh_silent_cache()
-            cache = self._silent_cache
-            if cache is None:
-                # Some resident is still prefilling; the next iteration is
-                # not a pure decode step.
-                return 0
-        # The iteration that delivers some request's last token finishes it
-        # (an event); everything strictly before is silent.
-        bound = cache[4] - 1
-        if bound <= 0:
-            return 0
-        return self.pool.max_uniform_growth(bound)
-
     def try_jump_any(
         self,
         time: float,
@@ -882,9 +801,8 @@ class InferenceEngine:
         """Fuse as many provably event-free decode iterations as possible.
 
         The engine's one event-jump entry point.  Fused iterations are always
-        pure uniform decode (:meth:`_uniform_decode_bound`): nothing
-        prefills, finishes, or can evict.  What keeps them admission free
-        depends on the waiting queue:
+        pure uniform decode: nothing prefills, finishes, or can evict.  What
+        keeps them admission free depends on the waiting queue:
 
         * **silent** — the queue is empty, so no iteration consults the
           scheduler at all;
@@ -922,13 +840,10 @@ class InferenceEngine:
                 not worth its planning cost and ``None`` is returned.
 
         Returns:
-            ``None`` when the fast path is disabled or the next iterations
-            are not provably event free — the caller must fall back to
-            :meth:`step`.  Each such attempt counts one
-            :attr:`JumpStats.fallback_reasons` entry.
+            ``None`` when the next iterations are not provably event free —
+            the caller must fall back to :meth:`step`.  Each such attempt
+            counts one :attr:`JumpStats.fallback_reasons` entry.
         """
-        if not self.fast_path:
-            return None
         stats = self.jump_stats
         queued = len(self.waiting)
         if queued:
@@ -937,7 +852,14 @@ class InferenceEngine:
         else:
             source = "silent"
             stats.silent_attempts += 1
-        bound = self._uniform_decode_bound()
+        # The engine-side half of the proof.  A profile exists only while
+        # every resident decodes; the iteration that delivers some request's
+        # last token finishes it (an event), so only those before it can
+        # fuse, and only as many as the pool can grow every resident by.
+        cache = self._silent_cache
+        bound = 0
+        if cache is not None and cache[3] > 1:
+            bound = self.pool.max_uniform_growth(cache[3] - 1)
         if bound < min_steps:
             stats.note_fallback("saturated:not-uniform" if queued else "silent:no-window")
             return None
@@ -985,8 +907,7 @@ class InferenceEngine:
         requests = self.batch.requests
         cache = self._silent_cache
         assert cache is not None  # established by the caller's bound proof
-        batch_size = cache[1]
-        context_tokens = cache[2]
+        batch_size, context_tokens, future_required, min_remaining = cache
         durations = self.cost_model.decode_step_durations(batch_size, context_tokens, bound)
         # cumsum chains the additions sequentially from ``time``, giving the
         # exact floats the reference loop's ``time += duration`` produces.
@@ -1003,7 +924,6 @@ class InferenceEngine:
 
         end_times: list[float] = ends[:steps].tolist()
         used_before = self.pool.used_tokens
-        future_required = cache[3]
         for request in requests:
             self.pool.append_tokens(request.request_id, steps)
             request.deliver_tokens(end_times)
@@ -1020,11 +940,10 @@ class InferenceEngine:
         self.stats.decoding_steps += steps
         self.stats.total_decode_tokens += steps * batch_size
         self._silent_cache = (
-            self._batch_epoch,
             batch_size,
             context_tokens + steps * batch_size,
             future_required,
-            cache[4] - steps,
+            min_remaining - steps,
         )
         if self._tracing:
             self.tracer.emit(
@@ -1048,19 +967,3 @@ class InferenceEngine:
             decode_tokens=steps * batch_size,
             source=source,
         )
-
-    def _true_future_required(self) -> int:
-        """Oracle peak future memory of the current batch (metric only).
-
-        Uses the hidden true output lengths, so it measures how much memory
-        the admitted batch *will actually* need — the "Future Required Memory"
-        column of Table 1.  The schedulers never see this value.
-        """
-        if self.batch.is_empty:
-            return 0
-        current = np.array([r.current_context_tokens for r in self.batch], dtype=np.int64)
-        remaining = np.array(
-            [min(r.remaining_true_tokens, r.remaining_cap_tokens) for r in self.batch],
-            dtype=np.int64,
-        )
-        return peak_future_memory_arrays(current, remaining)

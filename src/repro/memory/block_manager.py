@@ -39,8 +39,8 @@ class BlockKVCachePool:
         self._capacity = token_capacity
         self._tokens: dict[str, int] = {}
         # Pinned owners hold tokens but never grow: cached session prefixes
-        # (repro.memory.prefix_cache) park here between turns.  The bulk
-        # decode operations below skip them, so a pinned owner exerts pool
+        # (repro.memory.prefix_cache) park here between turns.
+        # max_uniform_growth skips them, so a pinned owner exerts pool
         # pressure without participating in uniform growth.
         self._pinned: set[str] = set()
         # Kept in sync by every allocate / append / free so `used_tokens`
@@ -140,29 +140,6 @@ class BlockKVCachePool:
         """Whether :meth:`append_tokens` of ``num_tokens`` would succeed."""
         return request_id in self._tokens and 0 < num_tokens <= self._capacity - self._used_tokens
 
-    def can_grow_each_by_one(self) -> bool:
-        """Whether every resident (unpinned) request can grow by one token."""
-        return len(self._tokens) - len(self._pinned) <= self.free_tokens
-
-    def append_token_to_all(self) -> None:
-        """Grow every resident (unpinned) request by one token (bulk decode).
-
-        Equivalent to one :meth:`append_token` per growing request.  Pinned
-        owners (cached prefixes) are untouched.
-
-        Raises:
-            OutOfMemoryError: if fewer tokens are free than requests grow (no
-                partial growth is performed).
-        """
-        tokens = self._tokens
-        pinned = self._pinned
-        growing = [rid for rid in tokens if rid not in pinned] if pinned else tokens
-        if len(growing) > self.free_tokens:
-            raise OutOfMemoryError(f"{len(growing)} requests need a token, only {self.free_tokens} free")
-        for rid in growing:
-            tokens[rid] += 1
-        self._used_tokens += len(growing)
-
     def max_uniform_growth(self, cap: int | None = None) -> int:
         """Largest ``K`` such that *every* resident request can grow by ``K``
         tokens without exhausting the pool, regardless of interleaving.
@@ -181,7 +158,7 @@ class BlockKVCachePool:
 
     # ---------------------------------------------------------------- pinning
     def pin(self, request_id: str) -> None:
-        """Exclude an owner from bulk decode growth (cached-prefix parking).
+        """Exclude an owner from uniform decode growth (cached-prefix parking).
 
         Raises:
             AllocationError: if the request holds nothing.
@@ -191,7 +168,7 @@ class BlockKVCachePool:
         self._pinned.add(request_id)
 
     def unpin(self, request_id: str) -> None:
-        """Re-include an owner in bulk decode growth (no-op if not pinned)."""
+        """Re-include an owner in uniform decode growth (no-op if not pinned)."""
         self._pinned.discard(request_id)
 
     @property

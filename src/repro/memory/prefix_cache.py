@@ -6,7 +6,7 @@ accumulated conversation context — is the hottest possible prefix for stage
 the engine parks them here: the allocation is renamed under a cache key and
 *pinned* in the :class:`~repro.memory.block_manager.BlockKVCachePool`, so it
 keeps exerting pool pressure (the simulated cost of caching) without
-participating in bulk decode growth.  A follow-up stage that lands on the
+participating in uniform decode growth.  A follow-up stage that lands on the
 same replica *claims* the entry — the tokens transfer to the new request and
 only the new suffix is allocated and prefilled; a stage that lands elsewhere
 misses and pays the full prefill.

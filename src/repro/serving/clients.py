@@ -11,10 +11,13 @@ completions (Poisson arrivals at a target rate, or recorded arrival times).
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.workloads.arrivals import ArrivalQueue, assign_poisson_arrivals
 from repro.workloads.spec import RequestSpec, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.engine.request import Request
 
 
 class ClosedLoopClientPool(ArrivalQueue):
@@ -54,9 +57,9 @@ class ClosedLoopClientPool(ArrivalQueue):
         for _ in range(self._num_clients):
             self._schedule(time)
 
-    def on_request_finished(self, time: float) -> None:
-        """Notify the pool that one in-flight request completed at ``time``."""
-        super().on_request_finished(time)
+    def on_request_finished(self, time: float, request: Request | None = None) -> None:
+        """Free one client (completed or turned away); it resubmits one think time later."""
+        super().on_request_finished(time, request)
         self._schedule(time + self._think_time)
 
     @property

@@ -444,7 +444,6 @@ class ClusterSimulator:
             ),
             chunked_prefill_tokens=self._chunked_prefill_tokens,
             token_capacity_override=self._effective_capacity(platform),
-            fast_path=self.fast_path,
             tracer=self.tracer,
             prefix_cache_tokens=self._prefix_cache_tokens,
         )
@@ -993,7 +992,6 @@ class ClusterSimulator:
             self.autoscaler.on_run_start()
         completed = True
         total_steps = 0
-        notify = getattr(generator, "on_request_completed", None)
         follow_up_delay = generator.min_follow_up_delay
 
         # Event priorities at equal times: warm-ups complete first (a replica
@@ -1088,12 +1086,9 @@ class ClusterSimulator:
             total_steps += advanced
             clock = step_replica.clock
             for request in finished:
-                generator.on_request_finished(clock)
-                if notify is not None:
-                    # Identity-aware completion hook: session generators
-                    # spawn the follow-up turn here (never inside a jump,
-                    # so the arrival horizon stays complete).
-                    notify(request, clock)
+                # Session generators spawn the follow-up turn here (never
+                # inside a jump, so the arrival horizon stays complete).
+                generator.on_request_finished(clock, request)
                 if self._tracing:
                     emit_session_completion(self.tracer, request, clock)
                 self.router.on_request_finished(request, clock)

@@ -47,8 +47,8 @@ class LoadGenerator(Protocol):
         """Begin generating arrivals at simulation time ``time``."""
         ...
 
-    def on_request_finished(self, time: float) -> None:
-        """Observe a completion (closed-loop clients schedule their next request)."""
+    def on_request_finished(self, time: float, request: Request | None = None) -> None:
+        """Release a client slot: a completion with ``request``, else a throttle or reject."""
         ...
 
     def pop_arrivals(self, now: float) -> list:
@@ -188,6 +188,12 @@ class SimulationLimits:
     max_steps: int = 2_000_000
     max_time: float = 1_000_000.0
 
+    def __post_init__(self) -> None:
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be at least 1")
+        if not self.max_time > 0:
+            raise ValueError("max_time must be positive (inf disables the time limit)")
+
 
 @dataclass(kw_only=True)
 class EngineDriver:
@@ -285,9 +291,10 @@ class ServingSimulator:
     bounded by the next scheduled arrival — including saturated phases,
     where the admission scheduler itself proves its next decisions admit
     nothing (:meth:`InferenceEngine.try_jump_any`);
-    ``fast_path=False`` forces the reference one-iteration-at-a-time loop.
-    Results are bit-identical, so the flag is purely a bisection escape
-    hatch.
+    ``fast_path=False`` never asks it to, so every iteration is the
+    engine's :meth:`~InferenceEngine.step`, which is the same code in both
+    modes.  Results are bit-identical, so the flag is purely a bisection
+    escape hatch.
 
     ``tracer`` attaches an observer (see :mod:`repro.obs`): the simulator
     emits ``request.submit`` / ``request.throttled`` events and shares the
@@ -327,7 +334,6 @@ class ServingSimulator:
             eviction_policy=eviction_policy,
             chunked_prefill_tokens=chunked_prefill_tokens,
             token_capacity_override=token_capacity_override,
-            fast_path=fast_path,
             tracer=self.tracer,
             prefix_cache_tokens=prefix_cache_tokens,
         )
@@ -350,7 +356,6 @@ class ServingSimulator:
 
         tracer = self.tracer
         tracing = tracer.enabled
-        notify = getattr(generator, "on_request_completed", None)
         steps = 0
         while True:
             time = driver.clock
@@ -380,12 +385,9 @@ class ServingSimulator:
             steps += advanced
             time = driver.clock
             for request in finished:
-                generator.on_request_finished(time)
-                if notify is not None:
-                    # Identity-aware completion hook: session generators
-                    # spawn the follow-up turn here (never inside a jump,
-                    # so the arrival horizon stays complete).
-                    notify(request, time)
+                # Session generators spawn the follow-up turn here (never
+                # inside a jump, so the arrival horizon stays complete).
+                generator.on_request_finished(time, request)
                 if tracing:
                     emit_session_completion(tracer, request, time)
             if stop:

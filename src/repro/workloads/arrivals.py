@@ -25,11 +25,16 @@ under comparison, so router effects are never confounded with arrival noise.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.workloads.spec import RequestSpec, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.engine.request import Request
 
 
 @dataclass(order=True)
@@ -62,8 +67,8 @@ class ArrivalQueue:
         heapq.heappush(self._pending, Arrival(time=time, sequence=self._sequence, spec=spec))
         self._sequence += 1
 
-    def on_request_finished(self, time: float) -> None:
-        """Release one in-flight slot (a completion, throttle or rejection)."""
+    def on_request_finished(self, time: float, request: Request | None = None) -> None:
+        """Release one in-flight slot (``request`` is ``None`` unless it completed)."""
         self._in_flight = max(self._in_flight - 1, 0)
 
     def pop_arrivals(self, now: float) -> list[RequestSpec]:
@@ -123,8 +128,8 @@ def assign_poisson_arrivals(
             generator through every stochastic stage for end-to-end
             reproducibility.
     """
-    if request_rate <= 0:
-        raise ValueError("request_rate must be positive")
+    if not 0 < request_rate < math.inf:
+        raise ValueError("request_rate must be positive and finite")
     rates = np.full(len(workload), request_rate)
     generator = rng if rng is not None else np.random.default_rng(seed)
     return _stamp_exponential_gaps(workload, rates, generator, f"poisson {request_rate:g} req/s")
@@ -143,8 +148,8 @@ def _bursty_nominal_rates(
     first ``burst_length`` of each cycle at ``burst_rate`` (the wave), the
     remainder at ``base_rate`` (the lull).
     """
-    if base_rate <= 0 or burst_rate <= 0:
-        raise ValueError("arrival rates must be positive")
+    if not (0 < base_rate < math.inf and 0 < burst_rate < math.inf):
+        raise ValueError("arrival rates must be positive and finite")
     if burst_rate <= base_rate:
         raise ValueError("burst_rate must exceed base_rate")
     if not 0 < burst_length <= cycle_length:
@@ -231,8 +236,8 @@ def assign_diurnal_arrivals(
         rng: an explicit :class:`numpy.random.Generator` to draw the
             exponential gaps from; takes precedence over ``seed``.
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not 0 < period < math.inf:
+        raise ValueError("period must be positive and finite")
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must be in [0, 1)")
     nominal_rates = _bursty_nominal_rates(

@@ -206,13 +206,11 @@ def generate_interactions(
 class InteractionLoadGenerator(ArrivalQueue):
     """Closed-loop load generator over a set of :class:`Interaction` sessions.
 
-    Implements the :class:`~repro.serving.server.LoadGenerator` protocol plus
-    the request-aware completion hook ``on_request_completed`` the simulators
-    duck-type: completing turn *n* of a session schedules turn *n + 1* at
-    completion time plus the session's think time.  A turn that is throttled
-    or rejected releases its slot through the identity-free
-    ``on_request_finished`` only, so the session spawns no further turns —
-    it is *abandoned*, which per-session metrics account.
+    Implements the :class:`~repro.serving.server.LoadGenerator` protocol:
+    completing turn *n* of a session schedules turn *n + 1* at completion
+    time plus the session's think time.  A turn that is throttled or
+    rejected releases its slot without a request, so the session spawns no
+    further turns — it is *abandoned*, which per-session metrics account.
     """
 
     def __init__(self, interactions: list[Interaction]) -> None:
@@ -240,16 +238,12 @@ class InteractionLoadGenerator(ArrivalQueue):
         for interaction in self._interactions.values():
             self._push(max(time, interaction.start_time), interaction.spec(0))
 
-    def on_request_completed(self, request: Request, time: float) -> None:
-        """Record a finished turn and spawn the session's next stage.
-
-        Called by the simulators alongside ``on_request_finished`` with the
-        finished :class:`~repro.engine.request.Request`, whose spec carries
-        the session identity the protocol-level hook lacks.
-        """
-        spec = request.spec
-        if spec.session_id is None or not request.is_finished:
+    def on_request_finished(self, time: float, request: Request | None = None) -> None:
+        """Release a slot; a completed ``request`` spawns its session's next stage."""
+        super().on_request_finished(time, request)
+        if request is None or request.spec.session_id is None or not request.is_finished:
             return
+        spec = request.spec
         interaction = self._interactions.get(spec.session_id)
         if interaction is None or spec.session_stage is None:
             return

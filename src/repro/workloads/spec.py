@@ -13,6 +13,7 @@ arrival dynamically, while open-loop (trace replay) runs use the recorded
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from statistics import mean
 from typing import Iterator, Mapping, Sequence
@@ -98,6 +99,8 @@ class RequestSpec:
                 f"output_length ({self.output_length}) exceeds "
                 f"max_new_tokens ({self.max_new_tokens})"
             )
+        if self.arrival_time is not None and not 0 <= self.arrival_time < math.inf:
+            raise ValueError("arrival_time must be finite and non-negative when set")
         if self.image_tokens < 0:
             raise ValueError("image_tokens must be non-negative")
         if not self.sla_class:

@@ -11,14 +11,19 @@ on/off, and closed-loop client counts, and compare everything.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.perf import cluster_snapshot, run_snapshot
+from repro.core.future_memory import peak_future_memory_arrays
 from repro.engine.cost_model import CostModel
+from repro.engine.engine import InferenceEngine
+from repro.engine.request import RequestState
 from repro.hardware.platform import paper_platform
-from repro.memory.block_manager import BlockKVCachePool
+from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.schedulers.registry import create_scheduler
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.faults import FaultPlan, ReplicaCrash
 from repro.serving.server import ServingSimulator
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.burstgpt import generate_api_trace, generate_conversation_trace
@@ -222,8 +227,11 @@ def test_pool_max_uniform_growth_is_exact(residents):
     assert k > 0
     for request_id in pool.owners():
         pool.append_tokens(request_id, k)
+    assert pool.max_uniform_growth() == 0
     # Growing every request by one more token must fail for at least one.
-    assert not pool.can_grow_each_by_one()
+    with pytest.raises(OutOfMemoryError):
+        for request_id in pool.owners():
+            pool.append_token(request_id)
 
 
 def test_pool_incremental_used_tokens_stays_consistent():
@@ -235,8 +243,98 @@ def test_pool_incremental_used_tokens_stays_consistent():
     pool.append_token("b")
     pool.free("a")
     pool.allocate("c", 21)
-    pool.append_token_to_all()
+    for request_id in pool.owners():
+        pool.append_token(request_id)
     expected = sum(pool.tokens_of(r) for r in pool.owners())
     assert pool.used_tokens == expected
     assert pool.free_tokens == pool.token_capacity - expected
     assert pool.utilization == expected / pool.token_capacity
+
+
+# ------------------------------------------------------- batch profile invariant
+def _profile_from_batch(engine):
+    """The jump's batch profile recomputed from scratch (``None``: not uniform)."""
+    requests = engine.batch.requests
+    if not requests or any(r.state is not RequestState.DECODING for r in requests):
+        return None
+    current = np.array([r.current_context_tokens for r in requests], dtype=np.int64)
+    remaining = np.array(
+        [min(r.remaining_true_tokens, r.remaining_cap_tokens) for r in requests], dtype=np.int64
+    )
+    return (
+        len(requests),
+        int(current.sum()),
+        peak_future_memory_arrays(current, remaining),
+        int(remaining.min()),
+    )
+
+
+@pytest.fixture
+def profile_checks(monkeypatch):
+    """Assert after every step, jump and abort that the profile is current.
+
+    Nothing may change the batch without refreshing the profile: the jump
+    trusts it without a staleness check.  Returns the list of checked calls.
+    """
+    checked = []
+
+    def checking(name):
+        original = getattr(InferenceEngine, name)
+
+        def wrapper(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            assert self._silent_cache == _profile_from_batch(self), name
+            checked.append(name)
+            return result
+
+        monkeypatch.setattr(InferenceEngine, name, wrapper)
+
+    for name in ("step", "try_jump_any", "abort_all"):
+        checking(name)
+    return checked
+
+
+@pytest.mark.parametrize("fast_path", [True, False])
+@pytest.mark.parametrize("workload_name", list(WORKLOADS))
+@pytest.mark.parametrize("scheduler_name,kwargs", [
+    ("past-future", {"reserved_fraction": 0.05, "seed": 11, "num_samples": 2}),
+    ("aggressive", {"watermark": 0.95}),
+])
+def test_profile_is_current_after_every_step_and_jump(
+    profile_checks, fast_path, workload_name, scheduler_name, kwargs
+):
+    simulator = ServingSimulator(
+        PLATFORM,
+        create_scheduler(scheduler_name, **kwargs),
+        token_capacity_override=CAPACITY,
+        chunked_prefill_tokens=256,
+        fast_path=fast_path,
+    )
+    simulator.run_closed_loop(WORKLOADS[workload_name](), num_clients=16)
+    assert "step" in profile_checks
+    assert ("try_jump_any" in profile_checks) == fast_path
+
+
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_profile_is_current_across_fleet_crashes(profile_checks, fast_path):
+    """Crashes abort whole batches mid-run; the profile must follow."""
+    workload = assign_bursty_arrivals(
+        scale_workload(generate_sharegpt_workload(80, seed=13), 0.25),
+        base_rate=2.0,
+        burst_rate=40.0,
+        burst_length=30,
+        cycle_length=40,
+        seed=3,
+    )
+    result = ClusterSimulator(
+        platform=PLATFORM,
+        num_replicas=3,
+        router="memory-aware",
+        scheduler_name="aggressive",
+        scheduler_kwargs={"watermark": 0.95},
+        token_capacity_override=CAPACITY,
+        faults=FaultPlan(crashes=[ReplicaCrash(time=2.0, replica=0), ReplicaCrash(time=4.0, replica=1)]),
+        fast_path=fast_path,
+    ).run_open_loop(workload)
+    assert result.completed
+    assert "abort_all" in profile_checks

@@ -127,16 +127,6 @@ class TestTokenGranularity:
 
 
 class TestPinning:
-    def test_pinned_owner_does_not_grow_in_bulk(self):
-        pool = BlockKVCachePool(64)
-        pool.allocate("a", 10)
-        pool.allocate("b", 20)
-        pool.pin("b")
-        pool.append_token_to_all()
-        assert (pool.tokens_of("a"), pool.tokens_of("b")) == (11, 20)
-        assert pool.used_tokens == 31
-        assert pool.pinned_tokens == 20
-
     def test_pinned_tokens_shrink_uniform_growth(self):
         pool = BlockKVCachePool(100)
         pool.allocate("a", 10)
@@ -172,8 +162,5 @@ class TestPinning:
         with pytest.raises(OutOfMemoryError):
             pool.append_tokens("a", 3)
         pool.append_tokens("a", 1)
-        assert not pool.can_grow_each_by_one()
-        with pytest.raises(OutOfMemoryError):
-            pool.append_token_to_all()
         assert [pool.tokens_of(r) for r in "abc"] == [5, 2, 2]
         assert pool.max_uniform_growth() == 0

@@ -149,9 +149,11 @@ def _assert_uniform_growth_is_tight(pool, model, pinned):
     if k:
         for o in growing:
             replay.append_tokens(o, k)
-    assert not replay.can_grow_each_by_one()
+    assert replay.max_uniform_growth() == 0
+    # One more token each does not fit: some owner's append runs out.
     with pytest.raises(OutOfMemoryError):
-        replay.append_token_to_all()
+        for o in growing:
+            replay.append_token(o)
 
 
 class TestBlockPoolProperties:
@@ -200,7 +202,6 @@ class TestBlockPoolProperties:
                         "allocate",
                         "append_token",
                         "append_tokens",
-                        "append_token_to_all",
                         "pin",
                         "unpin",
                         "rename",
@@ -220,8 +221,9 @@ class TestBlockPoolProperties:
         """Any operation sequence leaves the pool equal to a plain dict model.
 
         After every operation the pool's counters match the model, pinned
-        owners have not grown, and ``max_uniform_growth`` is tight: every
-        growing owner fits ``K`` more tokens, but not all of them fit ``K+1``.
+        tokens are the pinned owners' sum, and ``max_uniform_growth`` is
+        tight: every growing owner fits ``K`` more tokens, but not all of
+        them fit ``K+1``.
         """
         pool = BlockKVCachePool(capacity)
         model: dict[str, int] = {}
@@ -229,7 +231,6 @@ class TestBlockPoolProperties:
         for op, index, amount in ops:
             owner = f"r{index}"
             free = capacity - sum(model.values())
-            pinned_before = {o: model[o] for o in pinned}
             if op == "allocate":
                 if owner in model:
                     expected = AllocationError
@@ -252,14 +253,6 @@ class TestBlockPoolProperties:
                     _apply(pool.append_token, expected, owner)
                 else:
                     _apply(pool.append_tokens, expected, owner, grow)
-            elif op == "append_token_to_all":
-                growing = [o for o in model if o not in pinned]
-                expected = OutOfMemoryError if len(growing) > free else None
-                if expected is None:
-                    for o in growing:
-                        model[o] += 1
-                _apply(pool.append_token_to_all, expected)
-                assert {o: pool.tokens_of(o) for o in pinned} == pinned_before
             elif op == "pin":
                 expected = None if owner in model else AllocationError
                 if expected is None:
@@ -488,8 +481,7 @@ class TestSpawnedArrivalProperties:
                     (spec.session_stage, spec.arrival_time)
                 )
                 finish = now + service_time
-                generator.on_request_completed(_FinishedTurn(spec), finish)
-                generator.on_request_finished(finish)
+                generator.on_request_finished(finish, _FinishedTurn(spec))
         assert generator.in_flight == 0
         assert set(arrivals) == {s.session_id for s in sessions}
         for interaction in sessions:

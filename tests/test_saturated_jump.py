@@ -334,7 +334,7 @@ def test_saturated_past_future_bit_identical(workload_name, chunked):
     assert fast_sim.engine.scheduler._sample_counter == ref_sim.engine.scheduler._sample_counter
 
 
-def test_saturated_jump_actually_fires_and_respects_bisect_flag():
+def test_saturated_jump_actually_fires_and_respects_bisect_flag(monkeypatch):
     """The macro-step fires under saturation, and fast_path=False disables it."""
     workload = SATURATED_WORKLOADS["sharegpt"]()
     simulator = ServingSimulator(
@@ -357,14 +357,30 @@ def test_saturated_jump_actually_fires_and_respects_bisect_flag():
     assert fused, "no saturated macro-step was taken under deep saturation"
     assert max(fused) >= 2
 
-    bisect = ServingSimulator(
+    # The simulators' flag is the whole bisection switch: with it off,
+    # neither ever asks an engine to jump, so every iteration is step().
+    attempts = []
+
+    def never(self, *args, **kwargs):
+        attempts.append(self)
+        return None
+
+    monkeypatch.setattr(InferenceEngine, "try_jump_any", never)
+    ServingSimulator(
         PLATFORM,
         create_scheduler("past-future", seed=1, num_samples=2),
         token_capacity_override=CAPACITY,
         fast_path=False,
-    )
-    bisect.engine.submit(_queued_request("q0", prompt=32, cap=64))
-    assert bisect.engine.try_jump_any(0.0) is None
+    ).run_closed_loop(SATURATED_WORKLOADS["sharegpt"](), num_clients=48)
+    ClusterSimulator(
+        platform=PLATFORM,
+        num_replicas=2,
+        scheduler_name="past-future",
+        scheduler_kwargs={"seed": 1, "num_samples": 2},
+        token_capacity_override=CAPACITY,
+        fast_path=False,
+    ).run_closed_loop(SATURATED_WORKLOADS["sharegpt"](), num_clients=48)
+    assert attempts == []
 
 
 def test_one_entry_point_makes_both_jumps_and_pins_fallback_reasons():

@@ -90,6 +90,31 @@ class TestSafetyLimits:
         result = sim.run_closed_loop(make_workload(50, output_length=50, max_new_tokens=64), num_clients=10)
         assert not result.completed
 
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_steps": 0},
+            {"max_steps": -3},
+            {"max_time": 0.0},
+            {"max_time": -1.0},
+            {"max_time": float("nan")},
+        ],
+    )
+    def test_invalid_limits_fail_at_construction(self, limits):
+        # max_steps=0 used to end every run after one iteration, and a NaN
+        # max_time silently disabled the time limit.
+        with pytest.raises(ValueError):
+            SimulationLimits(**limits)
+
+    def test_infinite_max_time_disables_the_time_limit(self, platform_7b):
+        sim = simulator(platform_7b, AggressiveScheduler(), limits=SimulationLimits(max_time=float("inf")))
+        assert sim.run_closed_loop(make_workload(4, output_length=4), num_clients=2).completed
+
+    def test_nan_request_rate_fails_instead_of_hanging(self, platform_7b):
+        sim = simulator(platform_7b, AggressiveScheduler())
+        with pytest.raises(ValueError, match="request_rate"):
+            sim.run_open_loop(make_workload(4, output_length=4), request_rate=float("nan"))
+
     def test_stall_guard_stops_unschedulable_workload(self, platform_7b):
         # A scheduler that never admits leaves the engine idle with requests
         # waiting; the stall guard ends the run instead of spinning forever.

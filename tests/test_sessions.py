@@ -179,8 +179,7 @@ class TestInteractionLoadGenerator:
         generator = InteractionLoadGenerator([make_interaction("s0", 2, think_time=1.0)])
         generator.start(0.0)
         (spec,) = generator.pop_arrivals(0.0)
-        generator.on_request_completed(_FinishedTurn(spec), 4.0)
-        generator.on_request_finished(4.0)
+        generator.on_request_finished(4.0, _FinishedTurn(spec))
         assert generator.next_arrival_time() == 5.0
         (follow_up,) = generator.pop_arrivals(5.0)
         assert follow_up.request_id == "s0/t1"
@@ -192,14 +191,13 @@ class TestInteractionLoadGenerator:
         generator.start(0.0)
         (spec,) = generator.pop_arrivals(0.0)
         assert not generator.drained
-        generator.on_request_completed(_FinishedTurn(spec), 1.0)
-        generator.on_request_finished(1.0)
+        generator.on_request_finished(1.0, _FinishedTurn(spec))
         assert generator.drained
         assert generator.turns_completed["s0"] == 1
 
     def test_identity_free_finish_abandons_the_session(self):
-        # A throttled or rejected turn releases its slot without the
-        # completion hook — the session spawns no further turns.
+        # A throttled or rejected turn releases its slot without a request
+        # — the session spawns no further turns.
         generator = InteractionLoadGenerator([make_interaction("s0", 3)])
         generator.start(0.0)
         generator.pop_arrivals(0.0)

@@ -44,6 +44,13 @@ class TestPoissonArrivals:
         with pytest.raises(ValueError):
             assign_poisson_arrivals(make_workload(), request_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_is_rejected(self, rate):
+        # A NaN rate stamps NaN arrival times, which no simulator clock ever
+        # reaches: the run would spin forever instead of failing.
+        with pytest.raises(ValueError, match="request_rate"):
+            assign_poisson_arrivals(make_workload(), request_rate=rate)
+
 
 class TestBurstyArrivals:
     def test_arrival_times_increase(self):
@@ -78,6 +85,13 @@ class TestBurstyArrivals:
             assign_bursty_arrivals(
                 make_workload(), base_rate=1.0, burst_rate=10.0, burst_length=9, cycle_length=8
             )
+
+    @pytest.mark.parametrize("field", ["base_rate", "burst_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rates_are_rejected(self, field, value):
+        rates = {"base_rate": 1.0, "burst_rate": 10.0, field: value}
+        with pytest.raises(ValueError, match="rates"):
+            assign_bursty_arrivals(make_workload(), **rates)
 
     def test_description_notes_burstiness(self):
         workload = assign_bursty_arrivals(make_workload(), base_rate=1.0, burst_rate=10.0)
@@ -205,3 +219,10 @@ class TestDiurnalArrivals:
             self.stamp(burst_rate=0.5)
         with pytest.raises(ValueError, match="rates"):
             self.stamp(base_rate=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_period_and_rates_are_rejected(self, value):
+        with pytest.raises(ValueError, match="period"):
+            self.stamp(period=value)
+        with pytest.raises(ValueError, match="rates"):
+            self.stamp(base_rate=value)

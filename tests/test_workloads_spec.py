@@ -8,6 +8,7 @@ import pytest
 from repro.workloads.spec import (
     SLA_CLASS_BATCH,
     SLA_CLASS_INTERACTIVE,
+    RequestSpec,
     Workload,
     assign_sla_classes,
     concatenate,
@@ -43,6 +44,15 @@ class TestRequestSpec:
     def test_rejects_negative_image_tokens(self):
         with pytest.raises(ValueError):
             make_spec(image_tokens=-1)
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -0.5])
+    def test_rejects_negative_or_non_finite_arrival(self, arrival):
+        with pytest.raises(ValueError, match="arrival_time"):
+            RequestSpec(
+                request_id="r0", input_length=4, output_length=2, max_new_tokens=4, arrival_time=arrival
+            )
+        with pytest.raises(ValueError, match="arrival_time"):
+            make_spec().with_arrival(arrival)
 
     def test_with_arrival(self):
         spec = make_spec()

@@ -11,8 +11,8 @@ one *iteration* (decode step) at a time it
    scheduler so history-based policies can learn the workload.
 
 The wall-clock duration of each iteration comes from the roofline
-:class:`~repro.engine.cost_model.CostModel`; the caller (usually
-:class:`repro.serving.server.ServingSimulator`) owns the clock and injects
+:class:`~repro.engine.cost_model.CostModel`; the caller (the event loop of
+:class:`repro.serving.cluster.ClusterSimulator`) owns the clock and injects
 request arrivals between iterations.
 """
 

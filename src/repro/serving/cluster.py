@@ -1,22 +1,21 @@
-"""Multi-replica cluster serving: an elastic fleet of engines behind a router.
-
-The single-engine :class:`~repro.serving.server.ServingSimulator` answers the
-paper's question — does past-future admission control raise one engine's
-goodput?  A production deployment runs a *fleet* of such engines behind a
-router, and the same per-replica signal the scheduler uses (predicted future
-memory) becomes a placement signal: send each arriving request to the replica
-whose batch has the most predicted headroom.
+"""The serving simulator's one event loop: a fleet of engines behind a router.
 
 :class:`ClusterSimulator` owns a dynamic set of independent
 :class:`~repro.engine.engine.InferenceEngine` instances — each with its own
-admission scheduler and KV-cache pool — plus one
+admission scheduler, KV-cache pool and clock — plus one
 :class:`~repro.serving.routing.Router` and, optionally, one
 :class:`~repro.serving.autoscale.Autoscaler` that grows and shrinks the fleet
-during the run.  Fleets may be **heterogeneous**: pass
-``platforms=[a100, a100, rtx4090]`` and replicas cycle through the platform
-list as they launch, each with its own KV capacity, cost model, and relative
-decode speed — all visible to routers via the per-replica
-:class:`~repro.serving.routing.ReplicaView`.
+during the run.  The same per-replica signal the past-future scheduler uses
+(predicted future memory) becomes a placement signal: send each arriving
+request to the replica whose batch has the most predicted headroom.  Fleets
+may be **heterogeneous**: pass ``platforms=[a100, a100, rtx4090]`` and
+replicas cycle through the platform list as they launch, each with its own
+KV capacity, cost model, and relative decode speed — all visible to routers
+via the per-replica :class:`~repro.serving.routing.ReplicaView`.
+
+The single-engine :class:`~repro.serving.server.ServingSimulator` is a façade
+over this loop: one fixed replica with ``router=None``, where every arrival
+goes straight to the replica and no view is built.
 
 Routing is decision-based: the router returns a
 :class:`~repro.serving.routing.RoutingDecision` — ``route`` places the
@@ -40,9 +39,9 @@ The simulation is event-driven over six event types:
    decision interval; scale-up launches warming replicas, scale-down drains
    the least-loaded active replica (no new placements, resident work runs to
    completion, then it retires);
-4. **arrival** — the next request of the load generator arrives and the
-   router decides its fate over a :class:`~repro.serving.routing.ReplicaView`
-   per *routable* replica;
+4. **arrival** — the next request of the load generator arrives, passes the
+   throttle at its arrival time, and the router decides its fate over a
+   :class:`~repro.serving.routing.ReplicaView` per *routable* replica;
 5. **defer retry** — a previously deferred, retried, or migrated request
    reaches its ``retry_at`` instant and is routed again;
 6. **replica step** — the replica with the earliest local clock among those
@@ -62,9 +61,9 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.engine.cost_model import CostModel
 from repro.engine.engine import InferenceEngine
@@ -93,19 +92,62 @@ from repro.serving.faults import (
     FaultPlan,
     SlowdownCostModel,
 )
-from repro.serving.results import ClusterResult
+from repro.serving.results import ClusterResult, RunResult
 from repro.serving.routing import ReplicaView, Router, create_router
-from repro.serving.server import (
-    EngineDriver,
-    LoadGenerator,
-    SimulationLimits,
-    emit_session_abandoned,
-    emit_session_completion,
-    throttle_arrival,
-)
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.interactions import Interaction, InteractionLoadGenerator
 from repro.workloads.spec import RequestSpec, Workload
+
+
+class LoadGenerator(Protocol):
+    """The interface every client model implements."""
+
+    def start(self, time: float = 0.0) -> None:
+        """Begin generating arrivals at simulation time ``time``."""
+        ...
+
+    def on_request_finished(self, time: float, request: Request | None = None) -> None:
+        """Release a client slot: a completion with ``request``, else a throttle or reject."""
+        ...
+
+    def pop_arrivals(self, now: float) -> list:
+        """Return (and consume) every arrival with timestamp <= ``now``."""
+        ...
+
+    def next_arrival_time(self) -> float | None:
+        """Timestamp of the next scheduled arrival, or ``None`` if exhausted."""
+        ...
+
+    @property
+    def min_follow_up_delay(self) -> float:
+        """Least time from a completion to any arrival it spawns (``inf``: none)."""
+        ...
+
+
+@dataclass
+class SimulationLimits:
+    """Safety bounds so misconfigured runs terminate."""
+
+    max_steps: int = 2_000_000
+    max_time: float = 1_000_000.0
+
+    def __post_init__(self) -> None:
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be at least 1")
+        if not self.max_time > 0:
+            raise ValueError("max_time must be positive (inf disables the time limit)")
+
+
+def _submit_attrs(spec: RequestSpec) -> dict:
+    """``request.submit`` payload: prompt size plus any tenant identity."""
+    attrs: dict = {"prompt_tokens": spec.prompt_tokens}
+    if spec.user_id is not None:
+        attrs["user_id"] = spec.user_id
+    if spec.app_id is not None:
+        attrs["app_id"] = spec.app_id
+    if spec.sla_class:
+        attrs["sla_class"] = spec.sla_class
+    return attrs
 
 
 class ReplicaState(enum.Enum):
@@ -124,11 +166,12 @@ class ReplicaState(enum.Enum):
     DEAD = "dead"
 
 
-@dataclass
-class _Replica(EngineDriver):
-    """One engine driver plus the cluster-side bookkeeping around it."""
+@dataclass(kw_only=True)
+class _Replica:
+    """One engine, its clock and stall guard, and the fleet's bookkeeping around it."""
 
     index: int
+    engine: InferenceEngine
     platform: Platform
     speed_factor: float = 1.0
     state: ReplicaState = ReplicaState.ACTIVE
@@ -139,6 +182,73 @@ class _Replica(EngineDriver):
     health: str = HEALTH_HEALTHY
     #: original cost model while a straggler slowdown wrapper is installed.
     saved_cost_model: CostModel | None = None
+    #: the replica's simulation clock; replica clocks advance independently.
+    clock: float = 0.0
+    #: consecutive idle iterations (the stall guard).
+    idle_streak: int = 0
+    #: every request placed on the replica, in submission order.
+    requests: list[Request] = field(default_factory=list)
+
+    def advance(
+        self,
+        limits: SimulationLimits,
+        steps: int,
+        horizon: float | None = None,
+        jump: bool = True,
+    ) -> tuple[int, Sequence[Request], bool]:
+        """Advance the engine by one event jump or, failing that, one iteration.
+
+        With ``jump`` the engine first tries to fuse decode iterations up to
+        ``horizon``, the earliest external event that could observe it
+        (:meth:`InferenceEngine.try_jump_any`).  No request finishes inside a
+        jump, so completions cannot schedule new arrivals mid-macro-step and
+        the horizon stays complete knowledge of future events.  Otherwise one
+        reference :meth:`InferenceEngine.step` runs.  ``steps`` is the run's
+        iteration count so far, summed over every replica.
+
+        Returns ``(iterations advanced, finished requests, stop)``.  ``stop``
+        ends the run incomplete: it reached ``limits``, or three idle
+        iterations in a row while requests wait mean no admission is possible
+        (a scheduler that never admits).  The simulation stops instead of
+        spinning forever.  The caller handles the finished requests before it
+        stops.
+        """
+        if jump:
+            jumped = self.engine.try_jump_any(
+                self.clock,
+                horizon=horizon,
+                max_steps=limits.max_steps - steps,
+                max_time=limits.max_time,
+            )
+            if jumped is not None:
+                self.clock = jumped.end_time
+                self.idle_streak = 0
+                stop = steps + jumped.steps >= limits.max_steps or self.clock >= limits.max_time
+                return jumped.steps, (), stop
+        result = self.engine.step(self.clock)
+        if result.duration > 0:
+            self.clock = result.end_time
+        self.idle_streak = self.idle_streak + 1 if result.was_idle else 0
+        stop = self.idle_streak >= 3 or steps + 1 >= limits.max_steps or self.clock >= limits.max_time
+        return 1, result.finished, stop
+
+    def run_result(self, workload: str, num_clients: int, completed: bool) -> RunResult:
+        """The replica's :class:`RunResult` at its clock."""
+        engine = self.engine
+        return RunResult(
+            scheduler=engine.scheduler.describe(),
+            workload=workload,
+            platform=engine.platform.describe(),
+            num_clients=num_clients,
+            duration=self.clock,
+            requests=self.requests,
+            engine_stats=engine.stats,
+            memory_timeline=engine.memory_timeline,
+            token_capacity=engine.token_capacity,
+            completed=completed,
+            jump_stats=engine.jump_stats,
+            prefix_stats=engine.prefix_cache.stats if engine.prefix_cache is not None else None,
+        )
 
     @property
     def routable(self) -> bool:
@@ -196,8 +306,9 @@ class _DeferredArrival:
 class ClusterSimulator:
     """Drives an (optionally elastic, optionally heterogeneous) engine fleet.
 
-    Like :class:`~repro.serving.server.ServingSimulator`, a cluster serves
-    exactly one ``run_*`` call; a second call raises :class:`RuntimeError`.
+    A cluster serves exactly one ``run_*`` call: its engines accumulate
+    stats, timelines and scheduler history, so a second call raises
+    :class:`RuntimeError`.  Build a fresh simulator per run.
 
     Args:
         platform: deployment target shared by every replica (homogeneous
@@ -209,6 +320,9 @@ class ClusterSimulator:
             ``memory-aware``).  Saturation admission (reject, shed, defer)
             is the router's policy: pass e.g.
             ``create_router("memory-aware", reject_when_saturated=True)``.
+            ``None`` places every arrival on the one fixed replica without
+            building a view; it requires ``num_replicas=1``, no
+            ``autoscaler`` and no ``faults``.
         scheduler_name: per-replica admission scheduler registry name; each
             replica gets its *own* scheduler instance so history-based
             policies learn only from their replica's completions.
@@ -274,7 +388,7 @@ class ClusterSimulator:
         self,
         platform: Platform | None = None,
         num_replicas: int = 1,
-        router: Router | str = "round-robin",
+        router: Router | str | None = "round-robin",
         scheduler_name: str = "past-future",
         scheduler_kwargs: dict | None = None,
         scheduler_factory: Callable[[], Scheduler] | None = None,
@@ -305,6 +419,11 @@ class ClusterSimulator:
                 "num_replicas must start within the autoscaler's "
                 f"[{autoscaler.min_replicas}, {autoscaler.max_replicas}] bounds"
             )
+        if router is None and (num_replicas != 1 or autoscaler is not None or faults is not None):
+            raise ValueError(
+                "router=None serves one fixed replica: it needs num_replicas=1, "
+                "no autoscaler and no faults"
+            )
         if token_capacity_override is not None and capacity_scale is not None:
             raise ValueError("token_capacity_override and capacity_scale are mutually exclusive")
         if capacity_scale is not None and capacity_scale <= 0:
@@ -318,7 +437,7 @@ class ClusterSimulator:
             )
         #: first platform of the cycle; the homogeneous fleet's platform.
         self.platform = self.platforms[0]
-        self.router = create_router(router) if isinstance(router, str) else router
+        self.router: Router | None = create_router(router) if isinstance(router, str) else router
         self.throttle = throttle
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tracing = self.tracer.enabled
@@ -839,7 +958,7 @@ class ClusterSimulator:
             )
             # A rejected turn never finishes, so its session cannot spawn a
             # follow-up: the session ends here, abandoned.
-            emit_session_abandoned(self.tracer, spec, now)
+            self._emit_session_abandoned(spec, now)
         # The client's slot must be released or a closed-loop pool would
         # deadlock — but not at this same instant: views only change when
         # a replica steps, so an immediate release would re-inject (and
@@ -848,6 +967,83 @@ class ClusterSimulator:
         # has actually made progress.
         self._deferred_releases += 1
 
+    def _emit_session_completion(self, request: Request, time: float) -> None:
+        """Emit ``session.stage`` / ``session.end`` for one finished session turn."""
+        spec = request.spec
+        if spec.session_id is None or spec.session_stage is None:
+            return
+        if spec.is_final_stage:
+            attrs = {
+                "session_id": spec.session_id,
+                "turns_completed": spec.session_stage + 1,
+                "abandoned": False,
+            }
+            kind = obs.SESSION_END
+        else:
+            attrs = {"session_id": spec.session_id, "stage": spec.session_stage}
+            kind = obs.SESSION_STAGE
+        self.tracer.emit(TraceEvent(kind, time, request_id=spec.request_id, attrs=attrs))
+
+    def _emit_session_abandoned(self, spec: RequestSpec, time: float) -> None:
+        """Emit an abandoned ``session.end`` for a turned-away session turn."""
+        if spec.session_id is None or spec.session_stage is None:
+            return
+        self.tracer.emit(
+            TraceEvent(
+                obs.SESSION_END,
+                time,
+                request_id=spec.request_id,
+                attrs={
+                    "session_id": spec.session_id,
+                    "turns_completed": spec.session_stage,
+                    "abandoned": True,
+                },
+            )
+        )
+
+    def _throttle_arrival(self, spec: RequestSpec, now: float, arrived_at: float) -> bool:
+        """Trace a new arrival's submission and run it past the throttle.
+
+        Returns whether the throttle turned the request away.  A throttled
+        request is recorded in ``rejected`` / ``reject_reasons`` (and traced)
+        before it touches any replica; the caller releases its client slot.
+        """
+        tracer = self.tracer
+        if self._tracing:
+            if spec.session_id is not None and spec.session_stage == 0:
+                tracer.emit(
+                    TraceEvent(
+                        obs.SESSION_START,
+                        now,
+                        request_id=spec.request_id,
+                        attrs={"session_id": spec.session_id, "stages": spec.session_stages},
+                    )
+                )
+            tracer.emit(
+                TraceEvent(obs.REQUEST_SUBMIT, now, request_id=spec.request_id, attrs=_submit_attrs(spec))
+            )
+        throttle = self.throttle
+        if throttle is None:
+            return False
+        reason = throttle.check(spec, now)
+        if reason is None:
+            return False
+        self.rejected.append(Request(spec=spec, arrival_time=arrived_at))
+        self.reject_reasons[reason] += 1
+        if self._tracing:
+            tracer.emit(
+                TraceEvent(
+                    obs.REQUEST_THROTTLED,
+                    now,
+                    request_id=spec.request_id,
+                    attrs={"reason": reason, **throttle.window_usage(spec, now)},
+                )
+            )
+            # A throttled turn never finishes, so its session cannot spawn a
+            # follow-up: the session ends here.
+            self._emit_session_abandoned(spec, now)
+        return True
+
     def _route_arrival(
         self,
         spec: RequestSpec,
@@ -855,7 +1051,7 @@ class ClusterSimulator:
         arrived_at: float | None = None,
         first_attempt: bool = True,
     ) -> None:
-        """Run one routing decision for ``spec`` and execute its outcome.
+        """Place ``spec`` on a replica, or throttle, park or reject it.
 
         ``arrived_at`` pins the request's arrival timestamp across defer
         retries (latency accounting always starts at the original arrival);
@@ -868,9 +1064,7 @@ class ClusterSimulator:
         # no routing decision and no autoscaler traffic signal.  Defer retries
         # skip it — the request was submitted (and recorded in its tenant's
         # window) on first attempt.
-        if first_attempt and throttle_arrival(
-            spec, now, arrived_at, self.tracer, self.throttle, self.rejected, self.reject_reasons
-        ):
+        if first_attempt and self._throttle_arrival(spec, now, arrived_at):
             # Unlike saturation rejects, throttle rejects can release the
             # client slot at this same instant without a zero-time cascade
             # risk: the rate window only fills as requests are admitted, so a
@@ -879,6 +1073,25 @@ class ClusterSimulator:
             # (the arrival loop owns the generator).
             self._throttle_releases += 1
             return
+        if self.router is None:
+            replica = self.replicas[0]
+        else:
+            replica = self._decide(spec, now, arrived_at, first_attempt)
+            if replica is None:
+                return
+        request = Request(spec=spec, arrival_time=arrived_at)
+        if not replica.engine.has_work():
+            # An idle replica resumes at the arrival instant; a busy one keeps
+            # its clock and picks the request up at its next iteration.
+            replica.clock = max(replica.clock, now)
+        replica.requests.append(request)
+        replica.engine.submit(request, now)
+
+    def _decide(
+        self, spec: RequestSpec, now: float, arrived_at: float, first_attempt: bool
+    ) -> _Replica | None:
+        """Run one routing decision; the chosen replica, or ``None`` if parked or rejected."""
+        assert self.router is not None
         if self._fault_injector is not None:
             # Transient routing errors: a deterministic per-(request, attempt)
             # coin decides whether this routing attempt is dropped by the
@@ -892,7 +1105,7 @@ class ClusterSimulator:
                     cause="routing-error",
                     no_retry_reason=REASON_ROUTING_ERROR,
                 )
-                return
+                return None
         routable = {replica.index: replica for replica in self.active_replicas}
         views = [replica.snapshot() for replica in routable.values()]
         if not views:
@@ -906,18 +1119,28 @@ class ClusterSimulator:
                 # times, so a warming replica seen here always has
                 # ready_at strictly in the future.
                 self._park(spec, arrived_at, retry_at=min(r.ready_at for r in warming))
-                return
+                return None
             self._reject_spec(spec, now, arrived_at, REASON_NO_REPLICAS)
-            return
-        if first_attempt and self.autoscaler is not None and views:
+            return None
+        if first_attempt and self.autoscaler is not None:
             saturated = sum(1 for v in views if v.saturated) / len(views)
             self.autoscaler.note_arrival(now, saturated, spec.prompt_tokens)
+        # The router chooses among the replicas whose pool can ever hold the
+        # request; on a heterogeneous fleet a small replica may not.
+        needed = spec.total_tokens
+        views = [v for v in views if v.token_capacity >= needed]
+        if not views:
+            largest = max(r.engine.token_capacity for r in routable.values())
+            raise ValueError(
+                f"request {spec.request_id} needs {needed} KV tokens, more than the "
+                f"largest routable replica's capacity of {largest}"
+            )
         decision = self.router.decide(spec, views, now)
         if decision.is_reject:
             self._reject_spec(
                 spec, now, arrived_at, decision.reason or "unspecified", candidates=len(views)
             )
-            return
+            return None
         if decision.is_defer:
             assert decision.retry_at is not None
             if decision.retry_at <= now:
@@ -937,7 +1160,7 @@ class ClusterSimulator:
                     )
                 )
             self._park(spec, arrived_at, decision.retry_at)
-            return
+            return None
         assert decision.replica_id is not None
         replica = routable.get(decision.replica_id)
         if replica is None:
@@ -966,13 +1189,7 @@ class ClusterSimulator:
                     },
                 )
             )
-        request = Request(spec=spec, arrival_time=arrived_at)
-        if not replica.engine.has_work():
-            # An idle replica resumes at the arrival instant; a busy one keeps
-            # its clock and picks the request up at its next iteration.
-            replica.clock = max(replica.clock, now)
-        replica.requests.append(request)
-        replica.engine.submit(request, now)
+        return replica
 
     # ---------------------------------------------------------------- running
     def _run(
@@ -985,7 +1202,9 @@ class ClusterSimulator:
             raise RuntimeError("ClusterSimulator instances are single-use; build a new one per run")
         self._consumed = True
         generator.start(0.0)
-        self.router.on_run_start()
+        router = self.router
+        if router is not None:
+            router.on_run_start()
         if self.throttle is not None:
             self.throttle.on_run_start()
         if self.autoscaler is not None:
@@ -999,8 +1218,8 @@ class ClusterSimulator:
         # decisions, arrivals, and retries all see the post-fault fleet),
         # decisions see the pre-arrival fleet, arrivals join before retries
         # of older deferred requests, and all join before the step at the
-        # same instant (matching ServingSimulator's "arrivals <= now join
-        # this batch").
+        # same instant: an arrival at a replica's clock joins its next
+        # iteration.
         READY, FAULT, DECIDE, ARRIVAL, RETRY, STEP = 0, 1, 2, 3, 4, 5
 
         while True:
@@ -1090,8 +1309,9 @@ class ClusterSimulator:
                 # inside a jump, so the arrival horizon stays complete).
                 generator.on_request_finished(clock, request)
                 if self._tracing:
-                    emit_session_completion(self.tracer, request, clock)
-                self.router.on_request_finished(request, clock)
+                    self._emit_session_completion(request, clock)
+                if router is not None:
+                    router.on_request_finished(request, clock)
                 if self.autoscaler is not None:
                     self.autoscaler.on_request_finished(request, clock)
             # Client slots freed by rejections are released only once some
@@ -1131,7 +1351,7 @@ class ClusterSimulator:
         ]
         distinct_platforms = dict.fromkeys(p.describe() for p in self.platforms)
         return ClusterResult(
-            router=self.router.describe(),
+            router=router.describe() if router is not None else "direct",
             workload=workload_name,
             platform=" + ".join(distinct_platforms),
             num_replicas=self.num_replicas,

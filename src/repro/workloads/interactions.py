@@ -8,7 +8,7 @@ properties matter to a serving system:
 
 1. **Closed-loop spawning** — turn *n + 1* cannot arrive before turn *n*
    completes.  :class:`InteractionLoadGenerator` implements the
-   :class:`~repro.serving.server.LoadGenerator` protocol and schedules each
+   :class:`~repro.serving.cluster.LoadGenerator` protocol and schedules each
    follow-up turn at its predecessor's completion time (plus an optional
    think time), so session arrivals are *reactions* to the simulation, not a
    pre-recorded trace.
@@ -206,7 +206,7 @@ def generate_interactions(
 class InteractionLoadGenerator(ArrivalQueue):
     """Closed-loop load generator over a set of :class:`Interaction` sessions.
 
-    Implements the :class:`~repro.serving.server.LoadGenerator` protocol:
+    Implements the :class:`~repro.serving.cluster.LoadGenerator` protocol:
     completing turn *n* of a session schedules turn *n + 1* at completion
     time plus the session's think time.  A turn that is throttled or
     rejected releases its slot without a request, so the session spawns no

@@ -24,6 +24,7 @@ from repro.metrics.similarity import cosine_similarity, default_bin_edges, lengt
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash
 from repro.serving.routing import ROUTER_REGISTRY
+from repro.serving.throttle import OverloadThrottle
 from repro.workloads.distributions import UniformLengthSpec, generate_uniform_workload
 from repro.workloads.interactions import (
     Interaction,
@@ -31,6 +32,7 @@ from repro.workloads.interactions import (
     InteractionStage,
     generate_interactions,
 )
+from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY
 from tests.helpers import assert_conservation, assert_rng_stream_identity
 
@@ -507,12 +509,18 @@ def run_generated_fleet(
     sessions: bool,
     think_times: list[float],
     crash: tuple[float, int] | None,
+    throttle: tuple[int, float] | None,
     seed: int,
 ):
-    """One tiny closed-loop fleet run; the inputs are rebuilt per call."""
+    """One tiny closed-loop fleet run; the inputs are rebuilt per call.
+
+    ``throttle`` is ``(user_rpm, window_seconds)``; with it, requests carry
+    one of three users.
+    """
     faults = None
     if crash is not None:
         faults = FaultPlan(crashes=(ReplicaCrash(time=crash[0], replica=crash[1]),), seed=seed)
+    users = 3 if throttle is not None else 0
     simulator = ClusterSimulator(
         platform=FLEET_PLATFORM,
         num_replicas=num_replicas,
@@ -522,6 +530,7 @@ def run_generated_fleet(
         prefix_cache_tokens=TINY_CAPACITY // 2 if sessions else None,
         faults=faults,
         fast_path=fast_path,
+        throttle=None if throttle is None else OverloadThrottle(*throttle),
     )
     if sessions:
         interactions = generate_interactions(
@@ -531,6 +540,7 @@ def run_generated_fleet(
             mean_output_tokens=48.0,
             max_turns=4,
             start_spacing=0.02,
+            num_users=users,
         )
         interactions = [
             dataclasses.replace(it, think_time=think_times[i % len(think_times)])
@@ -539,6 +549,8 @@ def run_generated_fleet(
         return simulator.run_sessions(interactions)
     spec = UniformLengthSpec("generated", 4, 64, 1, 192)
     workload = generate_uniform_workload(spec, 8 * len(think_times) + 8, seed=seed)
+    if users:
+        workload = assign_tenants(workload, generate_tenant_population(users), seed=seed)
     return simulator.run_closed_loop(
         workload, num_clients=2 * len(think_times) + 2, think_time=think_times[0]
     )
@@ -550,7 +562,9 @@ class TestGeneratedClosedLoopFleets:
     Closed-loop completions spawn arrivals, so each replica's event jumps are
     bounded by the other replicas' clocks plus the generator's minimum
     follow-up delay.  Mixed think times put that bound both below and far
-    above one decode iteration.
+    above one decode iteration.  An optional per-user throttle releases
+    client slots at the instant it turns a request away; its window ranges
+    from shorter than a run to longer than any.
     """
 
     @given(
@@ -560,15 +574,16 @@ class TestGeneratedClosedLoopFleets:
         sessions=st.booleans(),
         think_times=st.lists(st.sampled_from(THINK_TIMES), min_size=2, max_size=4),
         crash=st.none() | st.tuples(st.floats(0.01, 3.0), st.integers(0, 3)),
+        throttle=st.none() | st.tuples(st.integers(1, 3), st.sampled_from([0.05, 1.0, 60.0])),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=25, deadline=None)
     def test_fast_path_matches_reference(
-        self, num_replicas, router, scheduler, sessions, think_times, crash, seed
+        self, num_replicas, router, scheduler, sessions, think_times, crash, throttle, seed
     ):
         if crash is not None:
             crash = (crash[0], crash[1] % num_replicas)
-        args = (num_replicas, router, scheduler, sessions, think_times, crash, seed)
+        args = (num_replicas, router, scheduler, sessions, think_times, crash, throttle, seed)
         fast = run_generated_fleet(True, *args)
         reference = run_generated_fleet(False, *args)
         assert_rng_stream_identity(fast, reference)

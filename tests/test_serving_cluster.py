@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.perf import run_fingerprint
 from repro.hardware.platform import paper_platforms
+from repro.schedulers.registry import create_scheduler
+from repro.serving.autoscale import Autoscaler, StaticPolicy
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.faults import FaultPlan, ReplicaCrash
 from repro.serving.routing import (
     REASON_SATURATED,
     ReplicaView,
@@ -13,9 +19,13 @@ from repro.serving.routing import (
     RoutingDecision,
     create_router,
 )
+from repro.serving.server import ServingSimulator
 from repro.serving.sla import SLASpec
-from repro.workloads.arrivals import assign_bursty_arrivals
+from repro.serving.throttle import OverloadThrottle
+from repro.workloads.arrivals import assign_bursty_arrivals, assign_poisson_arrivals
+from repro.workloads.interactions import generate_interactions
 from repro.workloads.spec import RequestSpec, Workload
+from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import make_workload
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
@@ -285,6 +295,49 @@ class TestHeterogeneousFleet:
             p.describe() for p in platforms
         }
 
+    @pytest.mark.parametrize(
+        "router", ["round-robin", "least-outstanding", "least-kv-load", "memory-aware"]
+    )
+    def test_request_too_large_for_one_replica_routes_to_another(self, router):
+        # 18,575 tokens overflow the 4090's 18,525-token pool but fit the A100.
+        specs = [
+            RequestSpec(
+                request_id=f"big-{i}",
+                input_length=18_525,
+                output_length=50,
+                max_new_tokens=50,
+                arrival_time=float(i),
+            )
+            for i in range(2)
+        ]
+        cluster = ClusterSimulator(
+            platforms=paper_platforms("7b-a100", "7b-4090"),
+            num_replicas=2,
+            router=router,
+            scheduler_name="aggressive",
+        )
+        result = cluster.run_open_loop(Workload(name="big", requests=specs))
+        assert result.completed
+        assert [len(r.requests) for r in result.replicas] == [2, 0]
+        assert len(result.finished_requests) == 2
+
+    def test_request_too_large_for_every_replica_raises(self):
+        spec = RequestSpec(
+            request_id="huge",
+            input_length=18_500,
+            output_length=50,
+            max_new_tokens=50,
+            arrival_time=0.0,
+        )
+        cluster = ClusterSimulator(
+            platforms=paper_platforms("7b-4090", "7b-4090"),
+            num_replicas=2,
+            router="round-robin",
+            scheduler_name="aggressive",
+        )
+        with pytest.raises(ValueError, match="huge needs 18550 .* largest routable .* 18525"):
+            cluster.run_open_loop(Workload(name="huge", requests=[spec]))
+
     def test_homogeneous_platform_string_unchanged(self, platform_7b):
         cluster = make_cluster(platform_7b, num_replicas=2)
         result = cluster.run_closed_loop(make_workload(num_requests=4), num_clients=2)
@@ -368,3 +421,77 @@ class TestValidation:
         assert [s.replica_id for s in snapshots] == [0, 1]
         assert all(isinstance(s, ReplicaView) for s in snapshots)
         assert all(s.used_tokens == 0 and s.outstanding == 0 for s in snapshots)
+
+
+def tenant_workload(num_requests: int = 40) -> Workload:
+    population = generate_tenant_population(3, abusive_users=1, abusive_share=0.8)
+    workload = assign_tenants(make_workload(num_requests=num_requests), population, seed=2)
+    return assign_poisson_arrivals(workload, request_rate=40.0, seed=4)
+
+
+#: Three single-engine runs: ``(run method, inputs factory, run kwargs,
+#: simulator options)``.  The throttle resets its windows at each run start.
+SINGLE_ENGINE_RUNS = {
+    "closed-loop": (
+        "run_closed_loop",
+        lambda: make_workload(num_requests=24),
+        {"num_clients": 4},
+        {},
+    ),
+    "throttled-open-loop": (
+        "run_open_loop",
+        tenant_workload,
+        {},
+        {"throttle": OverloadThrottle(user_rpm=8)},
+    ),
+    "sessions-prefix-cache": (
+        "run_sessions",
+        lambda: generate_interactions(
+            8, seed=3, mean_prompt_tokens=24.0, mean_output_tokens=32.0, max_turns=3
+        ),
+        {},
+        {"prefix_cache_tokens": 1024},
+    ),
+}
+
+
+class TestDirectRouting:
+    """``router=None``: the one fixed replica behind ``ServingSimulator``."""
+
+    @pytest.mark.parametrize("run", sorted(SINGLE_ENGINE_RUNS))
+    def test_single_engine_matches_one_replica_fleet(self, platform_7b, run):
+        method, inputs, kwargs, options = SINGLE_ENGINE_RUNS[run]
+        single = ServingSimulator(
+            platform_7b,
+            create_scheduler("aggressive", watermark=0.9),
+            token_capacity_override=2048,
+            **options,
+        )
+        expected = getattr(single, method)(inputs(), **kwargs)
+        fleet = make_cluster(
+            platform_7b,
+            num_replicas=1,
+            scheduler_name="aggressive",
+            scheduler_kwargs={"watermark": 0.9},
+            **options,
+        )
+        result = getattr(fleet, method)(inputs(), **kwargs)
+        replica = dataclasses.replace(
+            result.replicas[0], rejected=result.rejected, reject_reasons=result.reject_reasons
+        )
+        assert run_fingerprint(replica) == run_fingerprint(expected)
+        if run == "throttled-open-loop":
+            assert expected.rejected
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"num_replicas": 2},
+            {"autoscaler": Autoscaler(StaticPolicy(size=1), min_replicas=1, max_replicas=2)},
+            {"faults": FaultPlan(crashes=(ReplicaCrash(time=1.0, replica=0),))},
+        ],
+        ids=["two-replicas", "autoscaler", "faults"],
+    )
+    def test_direct_routing_needs_one_fixed_replica(self, platform_7b, options):
+        with pytest.raises(ValueError, match="router=None"):
+            ClusterSimulator(platform=platform_7b, router=None, **options)

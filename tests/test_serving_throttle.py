@@ -14,7 +14,7 @@ from repro.serving import (
     ServingSimulator,
 )
 from repro.workloads.arrivals import assign_poisson_arrivals
-from repro.workloads.spec import Workload
+from repro.workloads.spec import RequestSpec, Workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY, make_spec, make_workload
 
@@ -185,6 +185,56 @@ class TestServingSimulatorIntegration:
         result = simulator.run_open_loop(throttled_workload())
         summary = result.fairness_summary(SLASpec(ttft_limit=10.0, mtpot_limit=1.5))
         assert summary.per_tenant["user-0000"].rejected_requests == len(result.rejected)
+
+
+def rule_spec(request_id: str, user_id: str | None, prompt: int = 200, arrival: float | None = None):
+    return RequestSpec(
+        request_id=request_id,
+        input_length=prompt,
+        output_length=20,
+        max_new_tokens=20,
+        arrival_time=arrival,
+        user_id=user_id,
+    )
+
+
+class TestArrivalRules:
+    """The single event loop's two rules for throttled and in-step arrivals."""
+
+    def simulator(self, platform_7b) -> ServingSimulator:
+        return ServingSimulator(
+            platform_7b, create_scheduler("aggressive"), throttle=OverloadThrottle(user_rpm=1)
+        )
+
+    def test_released_slot_arrival_joins_the_current_iteration(self, platform_7b):
+        # r2 is throttled at t=0 and its client's slot is released at once;
+        # with no think time r3 arrives at t=0, before the first iteration,
+        # so it is admitted together with r1.
+        workload = Workload(
+            name="release",
+            requests=[rule_spec("r1", "u-a"), rule_spec("r2", "u-a"), rule_spec("r3", "u-b")],
+        )
+        result = self.simulator(platform_7b).run_closed_loop(workload, num_clients=2)
+        assert [r.request_id for r in result.rejected] == ["r2"]
+        served = {r.request_id: r for r in result.requests}
+        assert served["r1"].first_token_time == served["r3"].first_token_time
+
+    def test_throttle_window_is_checked_at_the_arrival_time(self, platform_7b):
+        # The 8,000-token prefill starting at 59.99 s runs past 60 s.  r2
+        # arrives during it, 59.999 s after r1, so r1 is still inside r2's
+        # 60 s window even though the step ends after the window closes.
+        workload = Workload(
+            name="window",
+            requests=[
+                rule_spec("r1", "u-a", arrival=0.0),
+                rule_spec("long", None, prompt=8_000, arrival=59.99),
+                rule_spec("r2", "u-a", arrival=59.999),
+            ],
+        )
+        result = self.simulator(platform_7b).run_open_loop(workload)
+        served = {r.request_id: r for r in result.requests}
+        assert served["long"].first_token_time > 60.0
+        assert [r.request_id for r in result.rejected] == ["r2"]
 
 
 class TestClusterSimulatorIntegration:

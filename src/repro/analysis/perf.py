@@ -98,6 +98,7 @@ def run_snapshot(result: RunResult) -> dict:
     place to extend when results grow new fields.
     """
     requests = sorted(result.requests, key=lambda r: r.request_id)
+    timeline = result.memory_timeline
     snapshot = {
         "duration": result.duration,
         "completed": result.completed,
@@ -107,17 +108,16 @@ def run_snapshot(result: RunResult) -> dict:
         "admission_times": [tuple(r.admission_times) for r in requests],
         "finish_times": [r.finish_time for r in requests],
         "evictions": [r.eviction_count for r in requests],
-        "memory": [
-            (
-                s.step,
-                s.time,
-                s.used_tokens,
-                s.future_required_tokens,
-                s.running_requests,
-                s.queued_requests,
+        "memory": list(
+            zip(
+                range(1, len(timeline) + 1),
+                timeline.times,
+                timeline.used_tokens,
+                timeline.future_required_tokens,
+                timeline.running_requests,
+                timeline.queued_requests,
             )
-            for s in result.memory_timeline.samples
-        ],
+        ),
     }
     # Throttle bookkeeping is appended only when present, so fingerprints of
     # runs without a throttle — including every committed baseline — are

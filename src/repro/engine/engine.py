@@ -39,14 +39,7 @@ from repro.schedulers.base import Scheduler, SchedulingContext
 
 @dataclass
 class StepResult:
-    """Outcome of one continuous-batching iteration.
-
-    ``source`` tags which execution path produced the result; reference
-    iterations always report ``"loop"`` (event-jump macro-steps produce
-    :class:`JumpResult` instead, tagged ``"silent"`` / ``"saturated"``), so
-    equivalence tests can assert jump coverage instead of inferring it from
-    timings.
-    """
+    """Outcome of one continuous-batching iteration."""
 
     step: int
     start_time: float
@@ -55,10 +48,6 @@ class StepResult:
     finished: list[Request] = field(default_factory=list)
     evicted: list[Request] = field(default_factory=list)
     work: StepWork = field(default_factory=StepWork)
-    used_tokens: int = 0
-    future_required_tokens: int = 0
-    #: execution path that produced this iteration (always ``"loop"``).
-    source: str = "loop"
 
     @property
     def end_time(self) -> float:
@@ -85,12 +74,9 @@ class JumpResult:
 
     #: number of decode iterations fused into this macro-step.
     steps: int
-    start_time: float
     #: wall-clock time after the last fused iteration; bit-identical to the
     #: sequentially accumulated end time of the reference loop.
     end_time: float
-    #: decode tokens delivered (``steps * batch_size``).
-    decode_tokens: int
     #: which jump produced the macro-step: ``"silent"`` (empty waiting
     #: queue) or ``"saturated"`` (non-empty queue, scheduler-proven).
     source: str = "silent"
@@ -736,11 +722,9 @@ class InferenceEngine:
                 )
             )
 
-        used = self.pool.used_tokens
         self.memory_timeline.record(
-            step=self._step_counter,
             time=end_time,
-            used_tokens=used,
+            used_tokens=self.pool.used_tokens,
             future_required_tokens=future_required,
             running_requests=len(self.batch),
             queued_requests=len(self.waiting),
@@ -753,8 +737,6 @@ class InferenceEngine:
             finished=finished,
             evicted=evicted,
             work=work,
-            used_tokens=used,
-            future_required_tokens=future_required,
         )
 
     def _refresh_silent_cache(self) -> int:
@@ -822,7 +804,7 @@ class InferenceEngine:
         float64 operations the scalar path performs), token timestamps are the
         cumulative-sum chain of those durations, the pool grows via bulk
         appends that leave the same token counts sequential appends would, and the
-        memory timeline receives one sample per fused iteration (with the
+        memory timeline receives one row per fused iteration (with the
         constant waiting-queue depth, as the reference iterations record).
 
         Args:
@@ -928,7 +910,6 @@ class InferenceEngine:
             self.pool.append_tokens(request.request_id, steps)
             request.deliver_tokens(end_times)
         self.memory_timeline.record_jump(
-            first_step=self._step_counter,
             times=end_times,
             first_used_tokens=used_before,
             used_tokens_per_step=batch_size,
@@ -960,10 +941,4 @@ class InferenceEngine:
                     },
                 )
             )
-        return JumpResult(
-            steps=steps,
-            start_time=time,
-            end_time=end_times[-1],
-            decode_tokens=steps * batch_size,
-            source=source,
-        )
+        return JumpResult(steps=steps, end_time=end_times[-1], source=source)

@@ -5,7 +5,7 @@ from repro.memory.block_manager import (
     BlockKVCachePool,
     OutOfMemoryError,
 )
-from repro.memory.pool_stats import MemorySample, MemoryTimeline
+from repro.memory.pool_stats import MemoryTimeline
 from repro.memory.prefix_cache import PrefixCache, PrefixCacheStats, PrefixEntry
 
 __all__ = [
@@ -15,6 +15,5 @@ __all__ = [
     "PrefixCache",
     "PrefixCacheStats",
     "PrefixEntry",
-    "MemorySample",
     "MemoryTimeline",
 ]

@@ -8,8 +8,9 @@ quantities sampled over the run:
 * **future required memory** — the peak memory the *currently admitted* batch
   will need before it finishes (this can exceed 100% for aggressive admission).
 
-:class:`MemoryTimeline` collects per-step samples of both and produces the
-averages reported in the table.
+:class:`MemoryTimeline` keeps one row per engine iteration, stored as five
+parallel columns (row ``i`` is iteration ``i + 1``), and produces the averages
+reported in the table.
 """
 
 from __future__ import annotations
@@ -19,48 +20,33 @@ from statistics import mean
 
 
 @dataclass
-class MemorySample:
-    """One decode-step observation of pool state."""
-
-    step: int
-    time: float
-    used_tokens: int
-    future_required_tokens: int
-    running_requests: int
-    queued_requests: int
-
-
-@dataclass
 class MemoryTimeline:
-    """Accumulates per-step memory samples and summarises them."""
+    """Per-iteration pool state as columns, and its summaries."""
 
     token_capacity: int
-    samples: list[MemorySample] = field(default_factory=list)
+    times: list[float] = field(default_factory=list)
+    used_tokens: list[int] = field(default_factory=list)
+    future_required_tokens: list[int] = field(default_factory=list)
+    running_requests: list[int] = field(default_factory=list)
+    queued_requests: list[int] = field(default_factory=list)
 
     def record(
         self,
-        step: int,
         time: float,
         used_tokens: int,
         future_required_tokens: int,
         running_requests: int,
         queued_requests: int,
     ) -> None:
-        """Append one observation."""
-        self.samples.append(
-            MemorySample(
-                step=step,
-                time=time,
-                used_tokens=used_tokens,
-                future_required_tokens=future_required_tokens,
-                running_requests=running_requests,
-                queued_requests=queued_requests,
-            )
-        )
+        """Append one iteration's row."""
+        self.times.append(time)
+        self.used_tokens.append(used_tokens)
+        self.future_required_tokens.append(future_required_tokens)
+        self.running_requests.append(running_requests)
+        self.queued_requests.append(queued_requests)
 
     def record_jump(
         self,
-        first_step: int,
         times: list[float],
         first_used_tokens: int,
         used_tokens_per_step: int,
@@ -68,69 +54,45 @@ class MemoryTimeline:
         running_requests: int,
         queued_requests: int,
     ) -> None:
-        """Append one sample per macro-advanced decode iteration.
+        """Append one row per macro-advanced decode iteration.
 
         During an event-jump no request finishes and none is admitted, so the
-        per-step samples follow in closed form: occupancy grows by
-        ``used_tokens_per_step`` (one token per resident request) each
-        iteration and the batch's future requirement is invariant (every
-        request's remaining length shrinks exactly as its context grows).
-        Produces records identical to ``len(times)`` single-step
-        :meth:`record` calls.
+        rows follow in closed form: occupancy grows by ``used_tokens_per_step``
+        (one token per resident request, so at least 1) each iteration and the
+        batch's future requirement is invariant (every request's remaining
+        length shrinks exactly as its context grows).  Produces columns
+        identical to ``len(times)`` :meth:`record` calls.
         """
-        self.samples.extend(
-            MemorySample(
-                step=first_step + offset,
-                time=time,
-                used_tokens=first_used_tokens + offset * used_tokens_per_step,
-                future_required_tokens=future_required_tokens,
-                running_requests=running_requests,
-                queued_requests=queued_requests,
-            )
-            for offset, time in enumerate(times, start=1)
-        )
+        n = len(times)
+        per = used_tokens_per_step
+        self.times.extend(times)
+        self.used_tokens.extend(range(first_used_tokens + per, first_used_tokens + per * (n + 1), per))
+        self.future_required_tokens.extend([future_required_tokens] * n)
+        self.running_requests.extend([running_requests] * n)
+        self.queued_requests.extend([queued_requests] * n)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.times)
+
+    def _active_mean(self, column: list[int]) -> float:
+        """Mean of ``column / capacity`` over rows with a non-empty batch."""
+        capacity = self.token_capacity
+        active = [value / capacity for value, running in zip(column, self.running_requests) if running > 0]
+        return mean(active) if active else 0.0
 
     @property
     def average_consumed_fraction(self) -> float:
         """Mean of used_tokens / capacity over steps with a non-empty batch."""
-        active = [s for s in self.samples if s.running_requests > 0]
-        if not active:
-            return 0.0
-        return mean(s.used_tokens / self.token_capacity for s in active)
+        return self._active_mean(self.used_tokens)
 
     @property
     def average_future_required_fraction(self) -> float:
         """Mean of future_required_tokens / capacity over active steps."""
-        active = [s for s in self.samples if s.running_requests > 0]
-        if not active:
-            return 0.0
-        return mean(s.future_required_tokens / self.token_capacity for s in active)
+        return self._active_mean(self.future_required_tokens)
 
     @property
     def peak_consumed_fraction(self) -> float:
         """Maximum observed used_tokens / capacity."""
-        if not self.samples:
+        if not self.used_tokens:
             return 0.0
-        return max(s.used_tokens for s in self.samples) / self.token_capacity
-
-    @property
-    def peak_future_required_fraction(self) -> float:
-        """Maximum observed future_required_tokens / capacity."""
-        if not self.samples:
-            return 0.0
-        return max(s.future_required_tokens for s in self.samples) / self.token_capacity
-
-    @property
-    def average_batch_size(self) -> float:
-        """Mean running-batch size over active steps."""
-        active = [s for s in self.samples if s.running_requests > 0]
-        if not active:
-            return 0.0
-        return mean(s.running_requests for s in active)
-
-    def oversubscribed_steps(self) -> int:
-        """Number of steps whose future requirement exceeded the capacity."""
-        return sum(1 for s in self.samples if s.future_required_tokens > self.token_capacity)
+        return max(self.used_tokens) / self.token_capacity

@@ -114,8 +114,9 @@ PREFIX_EVICT = "prefix.evict"
 # ---------------------------------------------------------------- engine spans
 #: One *eventful* continuous-batching iteration (admission, finish, eviction,
 #: or prefill work).  A span: ``time`` is the iteration start, ``duration``
-#: its modelled latency.  attrs: step, source (see ``StepResult.source``),
-#: admitted / finished / evicted counts, prefill_tokens, batch_size.
+#: its modelled latency.  attrs: step, source (always "loop"; names the
+#: Chrome span, see :mod:`repro.obs.export`), admitted / finished / evicted
+#: counts, prefill_tokens, batch_size.
 ENGINE_STEP = "engine.step"
 
 #: One event-jump macro-step fusing provably event-free iterations.  A span:

@@ -89,7 +89,7 @@ class RunResult:
         """Output tokens per second from SLA-compliant requests."""
         return self.throughput_summary(sla).goodput
 
-    def throughput(self, sla: SLASpec | None = None) -> float:
+    def throughput(self) -> float:
         """Output tokens per second regardless of SLA."""
         if self.duration <= 0:
             return 0.0

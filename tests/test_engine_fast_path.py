@@ -338,3 +338,9 @@ def test_profile_is_current_across_fleet_crashes(profile_checks, fast_path):
     ).run_open_loop(workload)
     assert result.completed
     assert "abort_all" in profile_checks
+    # One timeline row per iteration, by either path, on every replica: this
+    # is what lets row ``i`` stand for iteration ``i + 1`` without a step column.
+    for replica in result.replicas:
+        stats = replica.engine_stats
+        steps = replica.jump_stats.total_steps
+        assert len(replica.memory_timeline) == steps == stats.decoding_steps + stats.idle_steps

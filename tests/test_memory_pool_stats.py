@@ -8,10 +8,8 @@ from repro.memory.pool_stats import MemoryTimeline
 
 
 def record(timeline: MemoryTimeline, used: int, future: int, running: int = 1, queued: int = 0):
-    step = len(timeline) + 1
     timeline.record(
-        step=step,
-        time=float(step),
+        time=float(len(timeline) + 1),
         used_tokens=used,
         future_required_tokens=future,
         running_requests=running,
@@ -24,7 +22,6 @@ class TestAverages:
         timeline = MemoryTimeline(token_capacity=100)
         assert timeline.average_consumed_fraction == 0.0
         assert timeline.average_future_required_fraction == 0.0
-        assert timeline.average_batch_size == 0.0
 
     def test_average_consumed_fraction(self):
         timeline = MemoryTimeline(token_capacity=100)
@@ -39,12 +36,6 @@ class TestAverages:
         record(timeline, used=0, future=0, running=0)
         assert timeline.average_consumed_fraction == pytest.approx(0.8)
 
-    def test_average_batch_size(self):
-        timeline = MemoryTimeline(token_capacity=100)
-        record(timeline, used=10, future=10, running=2)
-        record(timeline, used=10, future=10, running=4)
-        assert timeline.average_batch_size == pytest.approx(3.0)
-
 
 class TestPeaks:
     def test_peak_fractions(self):
@@ -52,21 +43,53 @@ class TestPeaks:
         record(timeline, used=50, future=150)
         record(timeline, used=120, future=210)
         assert timeline.peak_consumed_fraction == pytest.approx(0.6)
-        assert timeline.peak_future_required_fraction == pytest.approx(1.05)
 
     def test_peaks_of_empty_timeline(self):
         timeline = MemoryTimeline(token_capacity=200)
         assert timeline.peak_consumed_fraction == 0.0
-        assert timeline.peak_future_required_fraction == 0.0
-
-    def test_oversubscribed_steps(self):
-        timeline = MemoryTimeline(token_capacity=100)
-        record(timeline, used=90, future=120)
-        record(timeline, used=80, future=90)
-        record(timeline, used=95, future=101)
-        assert timeline.oversubscribed_steps() == 2
 
     def test_len(self):
         timeline = MemoryTimeline(token_capacity=100)
         record(timeline, used=1, future=1)
         assert len(timeline) == 1
+
+
+def columns(timeline: MemoryTimeline) -> tuple[list, ...]:
+    return (
+        timeline.times,
+        timeline.used_tokens,
+        timeline.future_required_tokens,
+        timeline.running_requests,
+        timeline.queued_requests,
+    )
+
+
+class TestRecordJump:
+    """A jump's closed-form rows equal the rows of one ``record`` per iteration."""
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_jump_equals_sequential_records(self, steps):
+        jumped = MemoryTimeline(token_capacity=1000)
+        sequential = MemoryTimeline(token_capacity=1000)
+        for timeline in (jumped, sequential):
+            record(timeline, used=40, future=90, running=2, queued=1)
+            record(timeline, used=0, future=0, running=0, queued=3)
+        times = [2.5 + 0.125 * k for k in range(1, steps + 1)]
+        jumped.record_jump(
+            times=times,
+            first_used_tokens=37,
+            used_tokens_per_step=3,
+            future_required_tokens=120,
+            running_requests=3,
+            queued_requests=4,
+        )
+        for k, time in enumerate(times, start=1):
+            sequential.record(
+                time=time,
+                used_tokens=37 + 3 * k,
+                future_required_tokens=120,
+                running_requests=3,
+                queued_requests=4,
+            )
+        assert columns(jumped) == columns(sequential)
+        assert len(jumped) == 2 + steps

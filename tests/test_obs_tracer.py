@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.engine import InferenceEngine, JumpStats
+from repro.engine.engine import JumpStats
 from repro.obs import events as obs
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -187,12 +187,11 @@ class TestLifecycleEvents:
 
 class TestSourceTags:
     def test_step_result_source_is_loop(self, platform_7b):
-        engine = InferenceEngine(
-            platform=platform_7b,
-            scheduler=ConservativeScheduler(),
-            token_capacity_override=TINY_CAPACITY,
-        )
-        assert engine.step(0.0).source == "loop"
+        ring = RingTracer()
+        traced_run(platform_7b, ring)
+        steps = [event for event in ring.events if event.name == obs.ENGINE_STEP]
+        assert steps
+        assert all(event.attrs["source"] == "loop" for event in steps)
 
     def test_jump_result_source_tags(self, platform_7b):
         ring = RingTracer()

@@ -272,18 +272,15 @@ class _Replica:
     def snapshot(self) -> ReplicaView:
         """Scheduler-visible state handed to the router."""
         engine = self.engine
-        running = list(engine.batch)
-        waiting = list(engine.waiting)
+        requests = [*engine.batch, *engine.waiting]
         return ReplicaView(
             replica_id=self.index,
             token_capacity=engine.token_capacity,
             used_tokens=engine.pool.used_tokens,
-            running_current_tokens=tuple(r.current_context_tokens for r in running),
-            running_generated_tokens=tuple(r.generated_tokens for r in running),
-            waiting_prompt_tokens=tuple(r.current_context_tokens for r in waiting),
-            running_remaining_cap_tokens=tuple(r.remaining_cap_tokens for r in running),
-            waiting_generated_tokens=tuple(r.generated_tokens for r in waiting),
-            waiting_remaining_cap_tokens=tuple(r.remaining_cap_tokens for r in waiting),
+            current_tokens=tuple([r.current_context_tokens for r in requests]),
+            generated_tokens=tuple([r.generated_tokens for r in requests]),
+            remaining_cap_tokens=tuple([r.remaining_cap_tokens for r in requests]),
+            num_running=len(engine.batch),
             platform=self.platform,
             speed_factor=self.speed_factor,
             health=self.health,

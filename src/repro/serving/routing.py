@@ -3,9 +3,10 @@
 A :class:`Router` answers one question per arriving request: *what should the
 cluster do with it?*  The :class:`~repro.serving.cluster.ClusterSimulator`
 hands the router a :class:`ReplicaView` per routable replica — only
-scheduler-visible state (queue depths, KV occupancy, generated-so-far counts,
-the replica's platform and relative speed), never the hidden true output
-lengths — and expects back a :class:`RoutingDecision`:
+scheduler-visible state (KV occupancy; per resident request, running then
+queued, its context tokens, generated-so-far count and remaining
+``max_new_tokens`` budget; the replica's platform and relative speed), never
+the hidden true output lengths — and expects back a :class:`RoutingDecision`:
 
 * ``RoutingDecision.route(replica_id)`` — place the request on a replica;
 * ``RoutingDecision.reject(reason)`` — turn the request away (cluster-level
@@ -157,22 +158,24 @@ class RoutingDecision:
 class ReplicaView:
     """Scheduler-visible view of one replica at a routing decision.
 
+    Each resident request appears once, at the same index of the three
+    per-request columns: the running batch first, then the waiting queue.
+    The memory-aware router turns the columns into one ``(3, n)`` array per
+    prediction.
+
     Attributes:
         replica_id: index of the replica within the cluster.
         token_capacity: KV-cache token slots of the replica's platform.
         used_tokens: token slots currently occupied by the running batch.
-        running_current_tokens: per running request, KV tokens held now
-            (prompt + generated).
-        running_generated_tokens: per running request, output tokens
-            generated so far (aligned with ``running_current_tokens``).
-        waiting_prompt_tokens: per queued request, the KV tokens it needs at
-            admission (prompt, plus regenerated tokens for evictees).
-        running_remaining_cap_tokens: per running request, output tokens its
-            ``max_new_tokens`` still allows; empty means unbounded.
-        waiting_generated_tokens: per queued request, output tokens already
-            generated before eviction; empty means all zero.
-        waiting_remaining_cap_tokens: per queued request, output tokens its
-            ``max_new_tokens`` still allows; empty means unbounded.
+        current_tokens: per resident request, KV tokens it holds now (prompt +
+            generated) or needs at admission (prompt, plus regenerated
+            tokens for evictees); running requests first, then queued ones.
+        generated_tokens: per request, output tokens generated so far
+            (non-zero for queued evictees); aligned with ``current_tokens``.
+        remaining_cap_tokens: per request, output tokens its
+            ``max_new_tokens`` still allows; aligned with ``current_tokens``.
+        num_running: how many leading entries are running (resident in the
+            KV cache); the rest are queued for admission.
         platform: the replica's deployment target; heterogeneous fleets carry
             a different platform per replica.  ``None`` for hand-built views
             in tests and policy code that never inspects hardware.
@@ -192,12 +195,10 @@ class ReplicaView:
     replica_id: int
     token_capacity: int
     used_tokens: int
-    running_current_tokens: tuple[int, ...] = ()
-    running_generated_tokens: tuple[int, ...] = ()
-    waiting_prompt_tokens: tuple[int, ...] = ()
-    running_remaining_cap_tokens: tuple[int, ...] = ()
-    waiting_generated_tokens: tuple[int, ...] = ()
-    waiting_remaining_cap_tokens: tuple[int, ...] = ()
+    current_tokens: tuple[int, ...] = ()
+    generated_tokens: tuple[int, ...] = ()
+    remaining_cap_tokens: tuple[int, ...] = ()
+    num_running: int = 0
     platform: Platform | None = None
     speed_factor: float = 1.0
     health: str = HEALTH_HEALTHY
@@ -211,25 +212,15 @@ class ReplicaView:
             raise ValueError("used_tokens must be non-negative")
         if self.speed_factor <= 0:
             raise ValueError("speed_factor must be positive")
-        if len(self.running_current_tokens) != len(self.running_generated_tokens):
-            raise ValueError("running token arrays must be aligned")
-        for caps, reference in (
-            (self.running_remaining_cap_tokens, self.running_current_tokens),
-            (self.waiting_generated_tokens, self.waiting_prompt_tokens),
-            (self.waiting_remaining_cap_tokens, self.waiting_prompt_tokens),
-        ):
-            if caps and len(caps) != len(reference):
-                raise ValueError("optional per-request arrays must align with their queue")
-
-    @property
-    def num_running(self) -> int:
-        """Requests resident in the replica's KV cache."""
-        return len(self.running_current_tokens)
+        if not len(self.current_tokens) == len(self.generated_tokens) == len(self.remaining_cap_tokens):
+            raise ValueError("per-request token columns must be aligned")
+        if not 0 <= self.num_running <= len(self.current_tokens):
+            raise ValueError("num_running must lie between 0 and the number of requests")
 
     @property
     def num_waiting(self) -> int:
         """Requests queued for admission on the replica."""
-        return len(self.waiting_prompt_tokens)
+        return len(self.current_tokens) - self.num_running
 
     @property
     def outstanding(self) -> int:
@@ -244,7 +235,7 @@ class ReplicaView:
     @property
     def queued_demand_tokens(self) -> int:
         """Prompt tokens waiting to be admitted."""
-        return sum(self.waiting_prompt_tokens)
+        return sum(self.current_tokens[self.num_running :])
 
     @property
     def load_fraction(self) -> float:
@@ -268,9 +259,9 @@ class ReplicaView:
 
         The capacity-normalised form of :attr:`headroom_tokens`: 0.3 means
         the same relative slack on a 24 GB card as on an 80 GB one, which is
-        what makes replicas of different generations comparable.  See
-        :meth:`MemoryAwareRouter.predicted_headroom_fraction` for the
-        predicted-peak counterpart.
+        what makes replicas of different generations comparable.  Its
+        predicted-peak counterpart, normalised the same way, is what
+        :meth:`MemoryAwareRouter.placement_score` ranks on.
         """
         return self.headroom_tokens / self.token_capacity
 
@@ -604,6 +595,8 @@ class MemoryAwareRouter(Router):
             defer_when_saturated=defer_when_saturated,
         )
         self.history = OutputLengthHistory(window_size=window_size, default_length=default_length)
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._table_version = -1
 
     def on_run_start(self) -> None:
         """Drop the fleet-wide output-length history for a fresh run."""
@@ -615,22 +608,20 @@ class MemoryAwareRouter(Router):
 
     # ------------------------------------------------------------ prediction
     def _history_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted window and suffix sums, shared by one routing decision.
+        """Sorted window and its suffix sums, cached until the window changes.
 
-        Built once per :meth:`decide` call — the history cannot change
-        between the per-replica headroom evaluations of a single decision,
-        and re-sorting the window per replica would dominate the routing hot
-        path.
+        The sorted window is the history's own version-cached
+        :meth:`~repro.core.history.OutputLengthHistory.sorted_snapshot`, and
+        the suffix sums are keyed on the same ``history.version``, so neither
+        is rebuilt per replica or per decision while no request finishes.
         """
-        lengths = np.sort(self.history.snapshot())
-        suffix_sums = np.concatenate([np.cumsum(lengths[::-1])[::-1], [0]])
-        return lengths, suffix_sums
+        if self._table_version != self.history.version:
+            lengths = self.history.sorted_snapshot()
+            self._table = lengths, np.concatenate([np.cumsum(lengths[::-1])[::-1], [0]])
+            self._table_version = self.history.version
+        return self._table
 
-    def _expected_remaining(
-        self,
-        generated: np.ndarray,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
+    def _expected_remaining(self, generated: np.ndarray) -> np.ndarray:
         """Conditional-mean remaining output tokens given ``generated`` so far.
 
         For each request the prediction is ``E[l | l > generated] −
@@ -638,7 +629,7 @@ class MemoryAwareRouter(Router):
         every observed length fall back to one token (the most optimistic
         consistent estimate, matching the Past-Future scheduler).
         """
-        lengths, suffix_sums = table if table is not None else self._history_table()
+        lengths, suffix_sums = self._history_table()
         starts = np.searchsorted(lengths, generated, side="right")
         counts = lengths.size - starts
         safe_counts = np.maximum(counts, 1)
@@ -646,78 +637,31 @@ class MemoryAwareRouter(Router):
         expected_total = np.where(counts > 0, np.ceil(conditional_mean), generated + 1)
         return np.maximum(expected_total.astype(np.int64) - generated, 1)
 
-    def predicted_peak_tokens(
-        self,
-        view: ReplicaView,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> int:
-        """Predicted peak future memory of one replica's in-flight work."""
-        running_current = np.asarray(view.running_current_tokens, dtype=np.int64)
-        running_generated = np.asarray(view.running_generated_tokens, dtype=np.int64)
-        waiting_prompts = np.asarray(view.waiting_prompt_tokens, dtype=np.int64)
-        current = np.concatenate([running_current, waiting_prompts])
-        if current.size == 0:
-            return 0
-        waiting_generated = (
-            np.asarray(view.waiting_generated_tokens, dtype=np.int64)
-            if view.waiting_generated_tokens
-            else np.zeros(waiting_prompts.size, dtype=np.int64)
+    def predicted_peak_tokens(self, view: ReplicaView) -> int:
+        """Predicted peak future memory of one replica's in-flight work.
+
+        Each request's predicted growth is clamped to its ``max_new_tokens``
+        budget, like the Past-Future scheduler: a 2048-token cold-start
+        default must not predict growth a 128-cap request can never occupy.
+        """
+        if not view.current_tokens:
+            return 0  # idle replicas are common and need no numpy call
+        current, generated, caps = np.array(
+            (view.current_tokens, view.generated_tokens, view.remaining_cap_tokens), dtype=np.int64
         )
-        generated = np.concatenate([running_generated, waiting_generated])
-        remaining = self._expected_remaining(generated, table)
-        # Clamp to each request's max_new_tokens budget, like the Past-Future
-        # scheduler: a 2048-token cold-start default must not predict growth
-        # a 128-cap request can never physically occupy.
-        caps = np.concatenate([
-            np.asarray(view.running_remaining_cap_tokens, dtype=np.int64)
-            if view.running_remaining_cap_tokens
-            else np.full(running_current.size, np.iinfo(np.int64).max),
-            np.asarray(view.waiting_remaining_cap_tokens, dtype=np.int64)
-            if view.waiting_remaining_cap_tokens
-            else np.full(waiting_prompts.size, np.iinfo(np.int64).max),
-        ])
-        remaining = np.maximum(np.minimum(remaining, caps), 1)
-        return peak_future_memory_arrays(current, remaining)
+        remaining = self._expected_remaining(generated)
+        return peak_future_memory_arrays(current, np.maximum(np.minimum(remaining, caps), 1))
 
-    def predicted_peak_fraction(
-        self,
-        view: ReplicaView,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> float:
-        """Predicted peak as a fraction of *this replica's* token capacity."""
-        return self.predicted_peak_tokens(view, table) / view.token_capacity
-
-    def predicted_headroom_tokens(
-        self,
-        view: ReplicaView,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> int:
+    def predicted_headroom_tokens(self, view: ReplicaView) -> int:
         """Predicted future-memory headroom (can be negative when oversubscribed).
 
         Distinct from :attr:`ReplicaView.headroom_tokens`, which measures
         *present* occupancy plus queued prompts; this subtracts the Eq. 2–4
         predicted peak, so growth the batch has not realised yet counts.
         """
-        return view.token_capacity - self.predicted_peak_tokens(view, table)
+        return view.token_capacity - self.predicted_peak_tokens(view)
 
-    def predicted_headroom_fraction(
-        self,
-        view: ReplicaView,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> float:
-        """Predicted headroom as a fraction of *this replica's* capacity.
-
-        The predicted-peak counterpart of the present-state
-        :attr:`ReplicaView.headroom_fraction`.
-        """
-        return self.predicted_headroom_tokens(view, table) / view.token_capacity
-
-    def placement_score(
-        self,
-        spec: RequestSpec,
-        view: ReplicaView,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> float:
+    def placement_score(self, spec: RequestSpec, view: ReplicaView) -> float:
         """Speed-weighted normalised headroom left after placing ``spec``.
 
         Higher is better.  The arriving request's prompt footprint is charged
@@ -725,9 +669,7 @@ class MemoryAwareRouter(Router):
         request that simply does not fit a small replica scores deeply
         negative there rather than hiding behind a rosy fraction.
         """
-        placed = (
-            self.predicted_headroom_tokens(view, table) - spec.prompt_tokens
-        ) / view.token_capacity
+        placed = (self.predicted_headroom_tokens(view) - spec.prompt_tokens) / view.token_capacity
         if placed >= 0:
             return placed * view.speed_factor
         return placed / view.speed_factor
@@ -741,14 +683,11 @@ class MemoryAwareRouter(Router):
         """Route to the candidate with the best speed-weighted headroom score."""
         decision = self.admission_check(spec, views, now)
         if decision is not None:
-            # Reject/defer before sorting the window: a saturated burst is
-            # exactly when this hot path fires per arrival.
             return decision
-        table = self._history_table()
         # Largest score == smallest negated score, so tie-breaking still
         # favours the lowest replica id.
         return RoutingDecision.route(
-            self._pick_min(views, lambda view: -self.placement_score(spec, view, table))
+            self._pick_min(views, lambda view: -self.placement_score(spec, view))
         )
 
     def describe(self) -> str:
@@ -839,10 +778,7 @@ class SessionAffinityRouter(MemoryAwareRouter):
         ):
             chosen = home
         else:
-            table = self._history_table()
-            chosen = self._pick_min(
-                views, lambda view: -self.placement_score(spec, view, table)
-            )
+            chosen = self._pick_min(views, lambda view: -self.placement_score(spec, view))
         self._homes[spec.session_id] = chosen
         return RoutingDecision.route(chosen)
 

@@ -29,6 +29,9 @@ def platform_70b() -> Platform:
 #: Small token capacity used with ``token_capacity_override`` in engine tests.
 TINY_CAPACITY = 2048
 
+#: A hand-built view's ``remaining_cap_tokens`` entry that no prediction reaches.
+UNCAPPED = 10**9
+
 
 @pytest.fixture()
 def tiny_capacity() -> int:

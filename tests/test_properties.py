@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash
-from repro.serving.routing import ROUTER_REGISTRY
+from repro.serving.routing import ROUTER_REGISTRY, MemoryAwareRouter, ReplicaView
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.distributions import UniformLengthSpec, generate_uniform_workload
 from repro.workloads.interactions import (
@@ -119,6 +120,53 @@ class TestHistoryProperties:
         expected = values[-window:]
         assert list(history.snapshot()) == expected
         assert len(history) == len(expected)
+
+
+#: One resident request of a hand-built view: ``(prompt, generated, remaining cap)``.
+resident_strategy = st.tuples(st.integers(1, 500), st.integers(0, 300), st.integers(0, 3000))
+
+
+def reference_remaining(window: list[int], generated: int, cap: int) -> int:
+    """Plain-Python conditional-mean prediction, clamped to the request's cap."""
+    above = [length for length in window if length > generated]
+    expected_total = math.ceil(sum(above) / len(above)) if above else generated + 1
+    return max(min(max(expected_total - generated, 1), cap), 1)
+
+
+class TestRouterPredictionProperties:
+    @given(
+        earlier=st.lists(st.integers(1, 400), max_size=60),
+        later=st.lists(st.integers(1, 400), max_size=60),
+        window_size=st.integers(1, 50),
+        default_length=st.integers(1, 400),
+        running=st.lists(resident_strategy, max_size=8),
+        waiting=st.lists(resident_strategy, max_size=8),
+    )
+    @settings(max_examples=100)
+    def test_predicted_peak_matches_plain_python_reference(
+        self, earlier, later, window_size, default_length, running, waiting
+    ):
+        router = MemoryAwareRouter(window_size=window_size, default_length=default_length)
+        # Queued entries with ``generated > 0`` are evictees waiting to be readmitted.
+        residents = running + waiting
+        view = ReplicaView(
+            replica_id=0,
+            token_capacity=10**6,
+            used_tokens=sum(prompt + generated for prompt, generated, _ in running),
+            current_tokens=tuple(prompt + generated for prompt, generated, _ in residents),
+            generated_tokens=tuple(generated for _, generated, _ in residents),
+            remaining_cap_tokens=tuple(cap for _, _, cap in residents),
+            num_running=len(running),
+        )
+        router.history.extend(earlier)
+        router.predicted_peak_tokens(view)  # fill the table cache before the window moves
+        router.history.extend(later)
+        window = (earlier + later)[-window_size:] or [default_length]
+        expected = peak_future_memory([
+            BatchEntry(prompt + generated, reference_remaining(window, generated, cap))
+            for prompt, generated, cap in residents
+        ])
+        assert router.predicted_peak_tokens(view) == expected
 
 
 #: distinct owner ids the pool model test draws from.

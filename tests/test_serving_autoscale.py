@@ -20,7 +20,7 @@ from repro.serving.routing import ReplicaView, Router, RoutingDecision
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.spec import RequestSpec, Workload
-from tests.conftest import make_workload
+from tests.conftest import UNCAPPED, make_workload
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
@@ -34,8 +34,10 @@ def saturated_snapshot(replica_id: int, capacity: int = 1000) -> ReplicaView:
         replica_id=replica_id,
         token_capacity=capacity,
         used_tokens=capacity,
-        running_current_tokens=(capacity,),
-        running_generated_tokens=(4,),
+        current_tokens=(capacity,),
+        generated_tokens=(4,),
+        remaining_cap_tokens=(UNCAPPED,),
+        num_running=1,
     )
 
 
@@ -181,7 +183,9 @@ class TestReactivePolicy:
                     replica_id=0,
                     token_capacity=1000,
                     used_tokens=0,
-                    waiting_prompt_tokens=(10,),
+                    current_tokens=(10,),
+                    generated_tokens=(0,),
+                    remaining_cap_tokens=(UNCAPPED,),
                 ),
             ),
             saturation_rate=0.0,
@@ -216,9 +220,10 @@ class TestPredictivePolicy:
                     replica_id=0,
                     token_capacity=1000,
                     used_tokens=900,
-                    running_current_tokens=(900,),
-                    running_generated_tokens=(10,),
-                    waiting_prompt_tokens=(800, 800),
+                    current_tokens=(900, 800, 800),
+                    generated_tokens=(10, 0, 0),
+                    remaining_cap_tokens=(UNCAPPED,) * 3,
+                    num_running=1,
                 ),
             ),
         )
@@ -646,9 +651,10 @@ class TestCapacityNormalisedView:
                     replica_id=0,
                     token_capacity=1000,
                     used_tokens=400,
-                    running_current_tokens=(400,),
-                    running_generated_tokens=(399,),
-                    running_remaining_cap_tokens=(1,),
+                    current_tokens=(400,),
+                    generated_tokens=(399,),
+                    remaining_cap_tokens=(1,),
+                    num_running=1,
                 ),
                 idle_snapshot(1, 250),
             ),

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.perf import run_fingerprint
+from repro.engine.request import Request
 from repro.hardware.platform import paper_platforms
 from repro.schedulers.registry import create_scheduler
 from repro.serving.autoscale import Autoscaler, StaticPolicy
@@ -26,7 +27,7 @@ from repro.workloads.arrivals import assign_bursty_arrivals, assign_poisson_arri
 from repro.workloads.interactions import generate_interactions
 from repro.workloads.spec import RequestSpec, Workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
-from tests.conftest import make_workload
+from tests.conftest import make_spec, make_workload
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
@@ -421,6 +422,35 @@ class TestValidation:
         assert [s.replica_id for s in snapshots] == [0, 1]
         assert all(isinstance(s, ReplicaView) for s in snapshots)
         assert all(s.used_tokens == 0 and s.outstanding == 0 for s in snapshots)
+
+        # Mid-run: an overcommitting scheduler on a tiny pool leaves running
+        # requests, a fresh queued one, and an evictee back in the queue.
+        cluster = make_cluster(
+            platform_7b,
+            num_replicas=1,
+            capacity=64,
+            scheduler_name="aggressive",
+            scheduler_kwargs={"watermark": 1.0},
+        )
+        engine = cluster.replicas[0].engine
+        for index in range(3):
+            spec = make_spec(request_id=f"r{index}", input_length=24, output_length=30, max_new_tokens=30)
+            engine.submit(Request(spec=spec, arrival_time=0.0), time=0.0)
+        time = 0.0
+        for _ in range(100):
+            if engine.batch and any(r.generated_tokens > 0 for r in engine.waiting):
+                break
+            time = engine.step(time).end_time
+        requests = [*engine.batch, *engine.waiting]
+        assert engine.batch and len(engine.waiting) >= 2
+        assert any(r.generated_tokens > 0 for r in engine.waiting)
+        (view,) = cluster.snapshots()
+        assert view.current_tokens == tuple(r.current_context_tokens for r in requests)
+        assert view.generated_tokens == tuple(r.generated_tokens for r in requests)
+        assert view.remaining_cap_tokens == tuple(r.remaining_cap_tokens for r in requests)
+        assert view.num_running == engine.num_running
+        assert view.num_waiting == len(engine.waiting)
+        assert view.used_tokens == engine.pool.used_tokens
 
 
 def tenant_workload(num_requests: int = 40) -> Workload:

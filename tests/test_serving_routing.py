@@ -20,7 +20,7 @@ from repro.serving.routing import (
     router_overview,
     shed_reason,
 )
-from tests.conftest import make_spec
+from tests.conftest import UNCAPPED, make_spec
 
 
 def snap(
@@ -30,14 +30,15 @@ def snap(
     running: tuple[tuple[int, int], ...] = (),
     waiting: tuple[int, ...] = (),
 ) -> ReplicaView:
-    """View builder; ``running`` is (current_tokens, generated) pairs."""
+    """View builder; ``running`` is (current_tokens, generated) pairs, nothing is capped."""
     return ReplicaView(
         replica_id=replica_id,
         token_capacity=capacity,
         used_tokens=used,
-        running_current_tokens=tuple(c for c, _ in running),
-        running_generated_tokens=tuple(g for _, g in running),
-        waiting_prompt_tokens=waiting,
+        current_tokens=tuple(c for c, _ in running) + waiting,
+        generated_tokens=tuple(g for _, g in running) + (0,) * len(waiting),
+        remaining_cap_tokens=(UNCAPPED,) * (len(running) + len(waiting)),
+        num_running=len(running),
     )
 
 
@@ -70,8 +71,20 @@ class TestReplicaView:
                 replica_id=0,
                 token_capacity=10,
                 used_tokens=0,
-                running_current_tokens=(1,),
-                running_generated_tokens=(),
+                current_tokens=(1,),
+                generated_tokens=(),
+                remaining_cap_tokens=(1,),
+                num_running=1,
+            )
+        with pytest.raises(ValueError, match="num_running"):
+            ReplicaView(
+                replica_id=0,
+                token_capacity=10,
+                used_tokens=0,
+                current_tokens=(1,),
+                generated_tokens=(0,),
+                remaining_cap_tokens=(1,),
+                num_running=2,
             )
 
 
@@ -199,17 +212,29 @@ class TestMemoryAware:
         optimistic = router.predicted_peak_tokens(snapshot)
         assert optimistic < pessimistic
 
+    def test_cached_history_table_follows_the_window(self):
+        router = MemoryAwareRouter(default_length=1000)
+        snapshot = snap(0, used=100, running=((100, 10),), waiting=(50,))
+        cold = router.predicted_peak_tokens(snapshot)
+        request = Request(spec=make_spec(output_length=16), arrival_time=0.0)
+        request.generated_tokens = 16
+        router.on_request_finished(request, time=1.0)
+        assert router.predicted_peak_tokens(snapshot) != cold
+        router.on_run_start()
+        assert router.predicted_peak_tokens(snapshot) == cold
+
     def test_clamps_prediction_to_request_caps(self):
         router = MemoryAwareRouter(default_length=2048)
         base = dict(
             replica_id=0,
             token_capacity=1000,
             used_tokens=200,
-            running_current_tokens=(100, 100),
-            running_generated_tokens=(4, 4),
+            current_tokens=(100, 100),
+            generated_tokens=(4, 4),
+            num_running=2,
         )
-        uncapped = ReplicaView(**base)
-        capped = ReplicaView(**base, running_remaining_cap_tokens=(8, 8))
+        uncapped = ReplicaView(**base, remaining_cap_tokens=(UNCAPPED, UNCAPPED))
+        capped = ReplicaView(**base, remaining_cap_tokens=(8, 8))
         # Cold-start default of 2048 predicted tokens cannot exceed what the
         # requests' max_new_tokens budgets physically allow.
         assert router.predicted_peak_tokens(capped) == 216  # 200 + 2*8
@@ -369,14 +394,6 @@ class TestReplicaViewNormalised:
         ]
         assert router.decide(SPEC, views).replica_id == 0
 
-    def test_memory_aware_normalises_predicted_peak_by_capacity(self):
-        router = MemoryAwareRouter(default_length=64)
-        assert router.predicted_peak_fraction(snap(0, capacity=1000)) == 0.0
-        loaded = snap(0, capacity=1000, used=200, running=((200, 1),))
-        fraction = router.predicted_peak_fraction(loaded)
-        assert fraction == pytest.approx(router.predicted_peak_tokens(loaded) / 1000)
-        assert router.predicted_headroom_fraction(loaded) == pytest.approx(1.0 - fraction)
-
     def test_memory_aware_prefers_relative_headroom_on_mixed_fleet(self):
         router = MemoryAwareRouter(default_length=8)
         views = [
@@ -396,8 +413,10 @@ class TestReplicaViewNormalised:
                 replica_id=replica_id,
                 token_capacity=1000,
                 used_tokens=100,
-                running_current_tokens=(100,),
-                running_generated_tokens=(50,),
+                current_tokens=(100,),
+                generated_tokens=(50,),
+                remaining_cap_tokens=(UNCAPPED,),
+                num_running=1,
                 speed_factor=speed,
             )
 

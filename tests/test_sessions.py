@@ -37,7 +37,7 @@ from repro.workloads.interactions import (
     generate_interactions,
     interactions_workload,
 )
-from tests.conftest import TINY_CAPACITY, make_spec
+from tests.conftest import TINY_CAPACITY, UNCAPPED, make_spec
 from tests.helpers import assert_conservation, assert_rng_stream_identity
 
 STAGE = InteractionStage(prompt_tokens=8, output_tokens=4)
@@ -269,8 +269,10 @@ class TestSessionAffinityRouter:
         busy = view(
             0,
             used=50_000,
-            running_current_tokens=(50_000,),
-            running_generated_tokens=(100,),
+            current_tokens=(50_000,),
+            generated_tokens=(100,),
+            remaining_cap_tokens=(UNCAPPED,),
+            num_running=1,
         )
         decision = router.decide(make_spec(), [busy, view(1)])
         assert decision.replica_id == 1

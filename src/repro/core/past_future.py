@@ -19,18 +19,20 @@ For the engine's saturated-phase event jump
 (:meth:`repro.engine.engine.InferenceEngine.try_jump_any` with a non-empty
 waiting queue) the scheduler additionally implements
 :meth:`PastFutureScheduler.saturated_no_admit_horizon`: it pre-draws the
-predictor samples of many upcoming iterations — each from the exact
-per-iteration generator the sequential path would seed — evaluates all of
+predictor samples of many upcoming iterations — each iteration's stream
+rebuilt by :mod:`repro.core.rng_streams` from the seed the sequential path
+would give its generator, without building that generator — evaluates all of
 their head-admission tests in a few vectorized array operations, and reports
 how many leading iterations provably admit nothing.  The RNG-stream contract
 is spelled out in ``docs/simulation-semantics.md`` and enforced by
-``tests/test_saturated_jump.py``.
+``tests/test_saturated_jump.py`` and ``tests/test_rng_streams.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import rng_streams
 from repro.core.future_memory import FutureMemoryIndex, batched_peak_with_candidate
 from repro.core.history import OutputLengthHistory
 from repro.core.predictor import (
@@ -46,41 +48,14 @@ from repro.schedulers.base import Scheduler, SchedulingContext
 #: iteration that *does* admit (the common case outside deep saturation) is
 #: discovered after evaluating almost nothing; chunks then grow geometrically
 #: so deep no-admit phases still amortise to a few vectorized passes.  Growth
-#: is doubling rather than anything steeper because the per-iteration
-#: generator draws are the dominant cost: evaluating past the first admitting
-#: iteration is pure waste, and doubling caps that overshoot at 2x.
+#: is doubling rather than anything steeper because rebuilding each
+#: iteration's stream is a per-row Python step: evaluating past the first
+#: admitting iteration is pure waste, and doubling caps that overshoot at 2x.
 _HORIZON_FIRST_CHUNK = 2
 
 #: Geometric growth factor and ceiling for subsequent horizon chunks.
 _HORIZON_CHUNK_GROWTH = 2
 _HORIZON_CHUNK_MAX = 1024
-
-
-def _probe_choice_via_integers() -> bool:
-    """Whether ``Generator.choice`` (replace, no weights) equals index draws.
-
-    For a uniform with-replacement ``choice`` the documented fast path draws
-    ``integers(0, n, size)`` and indexes the population, which skips
-    ``choice``'s considerable per-call overhead — a win worth having on the
-    saturated-horizon path, where one tiny draw happens per proven iteration.
-    Stream identity with :meth:`OutputLengthPredictor.predict_new` is the
-    whole point, so the equivalence (values *and* post-call generator state)
-    is probed once at import; if a future numpy changes ``choice``'s
-    internals, the probe fails closed and the slow-but-identical ``choice``
-    call is used instead.
-    """
-    probe_a = np.random.default_rng(0xC0FFEE)
-    probe_b = np.random.default_rng(0xC0FFEE)
-    population = np.arange(3, 17, dtype=np.int64)
-    drawn = probe_a.choice(population, size=(3, 2), replace=True)
-    indexed = population[probe_b.integers(0, population.size, size=(3, 2))]
-    return bool(
-        np.array_equal(drawn, indexed)
-        and probe_a.bit_generator.state == probe_b.bit_generator.state
-    )
-
-
-_CHOICE_VIA_INTEGERS = _probe_choice_via_integers()
 
 
 class PastFutureScheduler(Scheduler):
@@ -95,7 +70,7 @@ class PastFutureScheduler(Scheduler):
         default_length: output length used to seed the distribution before
             any request finishes (the paper uses the preset maximum output
             length).
-        seed: RNG seed for prediction sampling.
+        seed: RNG seed for prediction sampling, an ``int`` in ``[0, 2**63)``.
         num_samples: repeated-sampling count used to stabilise predictions
             when the batch is small.
         aggregation: how repeated samples are combined.
@@ -116,6 +91,10 @@ class PastFutureScheduler(Scheduler):
     ) -> None:
         if not 0.0 <= reserved_fraction < 1.0:
             raise ValueError("reserved_fraction must be in [0, 1)")
+        # Consultation seeds are seed + counter; the saturated horizon rebuilds
+        # their generators for any seed below 2**64 (repro.core.rng_streams).
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**63:
+            raise ValueError(f"seed must be an int in [0, 2**63), got {seed!r}")
         self.reserved_fraction = reserved_fraction
         self.window_size = window_size
         self.default_length = default_length
@@ -229,9 +208,10 @@ class PastFutureScheduler(Scheduler):
         *same* randomness.  A no-admit iteration consumes the per-iteration
         predictor stream in a fixed pattern (one conditional draw for the
         running batch, then one draw for the queue head, then the FCFS loop
-        breaks), so the whole window can be pre-drawn: one small generator per
-        iteration, seeded exactly as :meth:`_make_predictor` would seed it,
-        with all downstream math — conditional sampling, cap clamping, and the
+        breaks), so the whole window can be pre-drawn: one stream per
+        iteration, the raw outputs of the generator :meth:`_make_predictor`
+        would seed (:func:`repro.core.rng_streams.raw_streams`), with all
+        downstream math — conditional sampling, cap clamping, and the
         Eq. 2–4 peak with the head as candidate — evaluated in a handful of
         vectorized operations over the window
         (:func:`repro.core.predictor.conditional_prediction_samples` /
@@ -239,8 +219,11 @@ class PastFutureScheduler(Scheduler):
 
         Evaluation is lazy: a tiny first chunk, growing geometrically, so an
         iteration that *does* admit is discovered almost immediately while
-        deep saturation amortises to a few vectorized passes.  The method
-        draws only from throwaway generators; persistent state
+        deep saturation amortises to a few vectorized passes.  A row whose
+        ``choice`` draw Lemire's method might reject, or every row when
+        :func:`repro.core.rng_streams.streams_match` is false, is redrawn from
+        ``default_rng`` exactly as :meth:`schedule` draws it.  The method
+        draws only from throwaway streams; persistent state
         (``_sample_counter``) advances in :meth:`on_saturated_steps_fused`,
         for exactly the iterations the engine actually fuses.
         """
@@ -260,29 +243,35 @@ class PastFutureScheduler(Scheduler):
         head_cap = head.spec.max_new_tokens
         batch = generated.size
         num_samples = self.num_samples
+        run_draws = num_samples * batch
+        if head_generated > 0:
+            head_draws = num_samples
+        else:
+            # choice() takes one 32-bit half per sample, none from a 1-entry window.
+            head_draws = (num_samples + 1) // 2 if window.size > 1 else 0
 
         horizon = 0
         chunk = _HORIZON_FIRST_CHUNK
         while horizon < max_steps:
             size = min(chunk, max_steps - horizon)
-            run_uniforms = np.empty((size, num_samples, batch), dtype=np.float64)
+            # Row j is the stream of the generator the (horizon + j + 1)-th
+            # upcoming _make_predictor call would seed, laid out as schedule()
+            # consumes it: the running-batch draw first, the head's second.
+            first_seed = self.seed + self._sample_counter + 1 + horizon
+            raw = rng_streams.raw_streams(first_seed, size, run_draws + head_draws)
+            run_uniforms = rng_streams.doubles(raw[:, :run_draws]).reshape(size, num_samples, batch)
+            redo = np.full(size, not rng_streams.streams_match())
             if head_generated > 0:
-                cand_uniforms = np.empty((size, num_samples, 1), dtype=np.float64)
+                cand_uniforms = rng_streams.doubles(raw[:, run_draws:]).reshape(size, num_samples, 1)
             else:
-                cand_choices = np.empty((size, num_samples, 1), dtype=np.int64)
-            for j in range(size):
-                # The exact generator `size` sequential _make_predictor calls
-                # would seed, consumed in the exact order schedule() consumes
-                # it: the running-batch conditional draw first, the head
-                # candidate's draw second.
-                rng = np.random.default_rng(
-                    self.seed + self._sample_counter + 1 + horizon + j
-                )
+                choices, rejected = rng_streams.lemire_indices(raw[:, run_draws:], num_samples, window.size)
+                cand_choices = window[choices].reshape(size, num_samples, 1)
+                redo |= rejected
+            for j in np.flatnonzero(redo).tolist():
+                rng = np.random.default_rng(first_seed + j)
                 run_uniforms[j] = rng.random((num_samples, batch))
                 if head_generated > 0:
                     cand_uniforms[j] = rng.random((num_samples, 1))
-                elif _CHOICE_VIA_INTEGERS:
-                    cand_choices[j] = window[rng.integers(0, window.size, size=(num_samples, 1))]
                 else:
                     cand_choices[j] = rng.choice(window, size=(num_samples, 1), replace=True)
             offsets = np.arange(horizon, horizon + size, dtype=np.int64)

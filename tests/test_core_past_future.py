@@ -49,6 +49,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PastFutureScheduler(reserved_fraction=-0.1)
 
+    @pytest.mark.parametrize("seed", [2.5, "7", None, True, -1, -2, 2**63])
+    def test_rejects_a_seed_that_is_not_an_int_in_range(self, seed):
+        # Caught at construction, not at the first consultation mid-run.
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*63\), got "):
+            PastFutureScheduler(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
+    def test_accepts_the_full_seed_range(self, seed):
+        assert PastFutureScheduler(seed=seed).seed == seed
+
     def test_describe_mentions_parameters(self):
         scheduler = PastFutureScheduler(reserved_fraction=0.05, window_size=500)
         description = scheduler.describe()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import rng_streams
 from repro.core.future_memory import (
     BatchEntry,
     future_memory_profile,
@@ -107,6 +108,30 @@ class TestPredictorProperties:
         predictor = build_predictor(np.array(lengths))
         total = sum(predictor.probability(int(v)) for v in predictor.support)
         assert abs(total - 1.0) < 1e-9
+
+
+class TestRebuiltStreamProperties:
+    """``rng_streams`` reproduces ``default_rng(seed)`` for any seed in ``[0, 2**63)``."""
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        rows=st.integers(1, 6),
+        num_samples=st.integers(1, 5),
+        batch=st.integers(1, 8),
+        window=st.integers(1, 5000),
+    )
+    @settings(max_examples=25)
+    def test_uniforms_and_choices_equal_default_rng(self, seed, rows, num_samples, batch, window):
+        run_draws = num_samples * batch
+        raw = rng_streams.raw_streams(seed, rows, run_draws + num_samples)
+        uniforms = rng_streams.doubles(raw[:, :run_draws])
+        indices, rejected = rng_streams.lemire_indices(raw[:, run_draws:], num_samples, window)
+        for row in range(rows):
+            rng = np.random.default_rng(seed + row)
+            np.testing.assert_array_equal(uniforms[row], rng.random(run_draws))
+            drawn = rng.choice(window, size=num_samples)
+            if not rejected[row]:
+                np.testing.assert_array_equal(indices[row], drawn)
 
 
 class TestHistoryProperties:

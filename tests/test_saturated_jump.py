@@ -144,29 +144,23 @@ def _grow_uniformly(requests, steps=1):
         request.generated_tokens += steps
 
 
-@pytest.mark.parametrize("head_generated", [0, 7])
-@pytest.mark.parametrize("num_samples", [1, 3])
-def test_saturated_horizon_replays_sequential_decisions(head_generated, num_samples):
-    """Horizon == index of the first admitting iteration, with identical RNG use.
+#: A shortish history makes sampled predictions small enough that the head
+#: eventually fits as residents' conditional tails shrink.
+SHORT_HISTORY = (40, 60, 90, 120, 200, 320, 500, 800)
 
-    The batched scheduler proves a horizon once; the sequential scheduler
-    replays the same uniform decode window one schedule() call at a time.
-    They must agree on every decision *and* end with the same sample counter,
-    so the first post-window consultation draws from the same generator seed.
-    (At this capacity the parametrizations cover horizon 0 — the head admits
-    immediately — as well as small positive horizons where sampling noise
-    lets the head in mid-window.)
-    """
+
+def _assert_horizon_replays_sequential_schedule(
+    head_generated: int, num_samples: int, seed: int = 13, history=SHORT_HISTORY
+) -> None:
+    """Prove a horizon once, replay it with schedule() calls and compare."""
     capacity = 4800
 
     def build():
         scheduler = PastFutureScheduler(
-            reserved_fraction=0.05, seed=13, num_samples=num_samples
+            reserved_fraction=0.05, seed=seed, num_samples=num_samples
         )
         scheduler.on_run_start()
-        # A shortish history makes sampled predictions small enough that the
-        # head eventually fits as residents' conditional tails shrink.
-        for length in (40, 60, 90, 120, 200, 320, 500, 800):
+        for length in history:
             scheduler.history.record(length)
         running = [
             _decoding_request("r0", prompt=900, generated=10),
@@ -211,6 +205,42 @@ def test_saturated_horizon_replays_sequential_decisions(head_generated, num_samp
             _context(running, waiting, capacity, step=horizon + 1)
         )
         assert admitted, "horizon ended on an iteration that does not admit"
+
+
+@pytest.mark.parametrize("head_generated", [0, 7])
+@pytest.mark.parametrize("num_samples", [1, 3])
+def test_saturated_horizon_replays_sequential_decisions(head_generated, num_samples):
+    """Horizon == index of the first admitting iteration, with identical RNG use.
+
+    The batched scheduler proves a horizon once; the sequential scheduler
+    replays the same uniform decode window one schedule() call at a time.
+    They must agree on every decision *and* end with the same sample counter,
+    so the first post-window consultation draws from the same generator seed.
+    (At this capacity the parametrizations cover horizon 0 — the head admits
+    immediately — as well as small positive horizons where sampling noise
+    lets the head in mid-window.)
+    """
+    _assert_horizon_replays_sequential_schedule(head_generated, num_samples)
+
+
+@pytest.mark.parametrize("head_generated", [0, 7])
+@pytest.mark.parametrize(
+    "seed,history",
+    [
+        (2**32 + 13, SHORT_HISTORY),  # two 32-bit entropy words per stream seed
+        (13, ()),  # window == [default_length]: the head's choice draws nothing
+        (2**63 - 1, SHORT_HISTORY),  # stream seeds past 2**63
+    ],
+    ids=["seed-2^32", "empty-history", "seed-2^63"],
+)
+def test_saturated_horizon_replays_sequential_decisions_at_stream_edges(
+    head_generated, seed, history
+):
+    """The rebuilt streams agree with schedule()'s generators at their edges.
+
+    ``num_samples=3`` leaves the head's ``choice`` half of one raw output.
+    """
+    _assert_horizon_replays_sequential_schedule(head_generated, 3, seed, history)
 
 
 def test_saturated_horizon_spans_full_window_when_head_cannot_fit():

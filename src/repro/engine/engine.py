@@ -29,7 +29,7 @@ from repro.engine.cost_model import CostModel, StepWork
 from repro.engine.eviction import EvictionPolicy, RecomputeNewestFirst
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import Platform
-from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
+from repro.memory.block_manager import BlockKVCachePool
 from repro.memory.pool_stats import MemoryTimeline
 from repro.memory.prefix_cache import PrefixCache, PrefixEntry
 from repro.obs import events as obs
@@ -211,8 +211,10 @@ class InferenceEngine:
         prefix_cache_tokens: if set, a per-engine
             :class:`~repro.memory.prefix_cache.PrefixCache` retains the KV
             context of finished non-final session turns (up to this many
-            tokens, clamped to the pool capacity) so follow-up turns that
-            land here skip recomputing and re-allocating the shared prefix.
+            tokens) so follow-up turns that land here skip recomputing and
+            re-allocating the shared prefix.  Cached tokens are part of the
+            pool's used tokens, so a budget at or above the pool capacity
+            means the cache is bounded only by pool pressure.
             ``None`` (the default) disables the cache entirely — no
             allocation is retained and no prefix event is ever emitted,
             keeping sessionless runs byte-identical to earlier versions.
@@ -248,7 +250,7 @@ class InferenceEngine:
         if prefix_cache_tokens is not None and prefix_cache_tokens <= 0:
             raise ValueError("prefix_cache_tokens must be positive when set")
         self.prefix_cache: PrefixCache | None = (
-            PrefixCache(self.pool, capacity_tokens=min(prefix_cache_tokens, capacity))
+            PrefixCache(self.pool, capacity_tokens=prefix_cache_tokens)
             if prefix_cache_tokens is not None
             else None
         )
@@ -338,7 +340,7 @@ class InferenceEngine:
             # the replica is gone, not under memory pressure).
             self.prefix_cache.clear()
         for request in list(self.batch):
-            self.pool.free(request.request_id)
+            self.pool.free(request.current_context_tokens)
             self.batch.remove(request)
             request.abort(time)
             aborted.append(request)
@@ -388,24 +390,15 @@ class InferenceEngine:
         for request in decisions:
             needed = request.current_context_tokens
             entry = cache.lookup(request.spec) if cache is not None else None
-            if entry is not None:
-                # The shared prefix is already resident; only the new
-                # suffix needs room.  Live admissions outrank other cached
-                # prefixes, so LRU-evict them first (never the entry itself).
-                extra = needed - entry.tokens
-                if extra > 0 and not self.pool.can_extend(entry.cache_key, extra):
-                    self._evict_prefixes(
-                        cache.evict_for_extension(
-                            entry.cache_key, extra, protect=entry.session_id
-                        ),
-                        time,
-                    )
-                    if not self.pool.can_extend(entry.cache_key, extra):
-                        break
-            elif not self.pool.can_allocate(needed):
-                if cache is not None and len(cache):
-                    self._evict_prefixes(cache.evict_for_allocation(needed), time)
-                if not self.pool.can_allocate(needed):
+            # On a hit the shared prefix is already resident; only the new
+            # suffix needs room.  Live admissions outrank cached prefixes, so
+            # LRU-evict them first (never the entry about to be claimed).
+            cost = needed if entry is None else needed - entry.tokens
+            if not self.pool.can_allocate(cost):
+                if cache is not None:
+                    protect = None if entry is None else entry.session_id
+                    self._evict_prefixes(cache.evict_for_allocation(cost, protect), time)
+                if not self.pool.can_allocate(cost):
                     break
             if self.waiting and self.waiting[0] is request:
                 # The common (FCFS prefix) case: exactly the operation the
@@ -427,10 +420,9 @@ class InferenceEngine:
                         f"scheduler {self.scheduler.name!r} admitted "
                         f"{request.request_id}, which is not in the waiting queue"
                     )
+            self.pool.allocate(cost)
             if entry is not None:
-                cache.claim(entry, request.request_id)
-                if needed > entry.tokens:
-                    self.pool.append_tokens(request.request_id, needed - entry.tokens)
+                cache.claim(entry)
                 request.admit(time)
                 # The reused prefix's KV is already computed; only the new
                 # suffix remains as prefill work (mirrors the eviction-credit
@@ -446,12 +438,11 @@ class InferenceEngine:
                             attrs={
                                 "session_id": entry.session_id,
                                 "reused_tokens": entry.tokens,
-                                "new_tokens": needed - entry.tokens,
+                                "new_tokens": cost,
                             },
                         )
                     )
             else:
-                self.pool.allocate(request.request_id, needed)
                 request.admit(time)
                 if cache is not None and request.spec.session_id is not None:
                     cache.note_miss()
@@ -578,7 +569,7 @@ class InferenceEngine:
                 return True
 
     def _evict(self, request: Request, time: float) -> None:
-        self.pool.free(request.request_id)
+        self.pool.free(request.current_context_tokens)
         self.batch.remove(request)
         request.evict()
         self.waiting.appendleft(request)
@@ -606,12 +597,9 @@ class InferenceEngine:
         finished: list[Request],
     ) -> bool:
         """Grow the request by one token and stream it to the client."""
-        try:
-            self.pool.append_token(request.request_id)
-        except OutOfMemoryError:
-            if not self._make_room(request, end_time, evicted):
-                return False
-            self.pool.append_token(request.request_id)
+        if not self.pool.free_tokens and not self._make_room(request, end_time, evicted):
+            return False
+        self.pool.allocate(1)
         request.deliver_token(end_time)
         self.stats.total_decode_tokens += 1
         if self._tracing and request.generated_tokens == 1:
@@ -626,6 +614,7 @@ class InferenceEngine:
             )
         if request.should_stop:
             request.finish(end_time)
+            tokens = request.current_context_tokens
             retained = False
             spec = request.spec
             if (
@@ -636,16 +625,11 @@ class InferenceEngine:
             ):
                 # Park the accumulated context for the session's next turn
                 # instead of freeing it; the tokens stay charged to the pool.
-                outcome = self.prefix_cache.retain(
-                    request.request_id,
-                    spec.session_id,
-                    spec.session_stage,
-                    request.current_context_tokens,
-                )
+                outcome = self.prefix_cache.retain(spec.session_id, spec.session_stage, tokens)
                 self._evict_prefixes(outcome.evicted, end_time)
                 retained = outcome.retained
             if not retained:
-                self.pool.free(request.request_id)
+                self.pool.free(tokens)
             self.batch.remove(request)
             finished.append(request)
             self.stats.total_finished += 1
@@ -802,10 +786,10 @@ class InferenceEngine:
         The macro-step reproduces the reference loop exactly: per-iteration
         durations come from :meth:`CostModel.decode_step_durations` (the same
         float64 operations the scalar path performs), token timestamps are the
-        cumulative-sum chain of those durations, the pool grows via bulk
-        appends that leave the same token counts sequential appends would, and the
-        memory timeline receives one row per fused iteration (with the
-        constant waiting-queue depth, as the reference iterations record).
+        cumulative-sum chain of those durations, the pool grows by the fused
+        iterations' tokens in one allocation, and the memory timeline
+        receives one row per fused iteration (with the constant waiting-queue
+        depth, as the reference iterations record).
 
         Args:
             time: simulation clock at the start of the macro-step.
@@ -841,7 +825,7 @@ class InferenceEngine:
         cache = self._silent_cache
         bound = 0
         if cache is not None and cache[3] > 1:
-            bound = self.pool.max_uniform_growth(cache[3] - 1)
+            bound = min(self.pool.free_tokens // cache[0], cache[3] - 1)
         if bound < min_steps:
             stats.note_fallback("saturated:not-uniform" if queued else "silent:no-window")
             return None
@@ -906,8 +890,8 @@ class InferenceEngine:
 
         end_times: list[float] = ends[:steps].tolist()
         used_before = self.pool.used_tokens
+        self.pool.allocate(steps * batch_size)
         for request in requests:
-            self.pool.append_tokens(request.request_id, steps)
             request.deliver_tokens(end_times)
         self.memory_timeline.record_jump(
             times=end_times,

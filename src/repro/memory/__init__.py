@@ -1,15 +1,10 @@
 """KV-cache memory substrate: token-counting pool, prefix cache, accounting."""
 
-from repro.memory.block_manager import (
-    AllocationError,
-    BlockKVCachePool,
-    OutOfMemoryError,
-)
+from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.pool_stats import MemoryTimeline
 from repro.memory.prefix_cache import PrefixCache, PrefixCacheStats, PrefixEntry
 
 __all__ = [
-    "AllocationError",
     "BlockKVCachePool",
     "OutOfMemoryError",
     "PrefixCache",

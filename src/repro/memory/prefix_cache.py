@@ -3,13 +3,15 @@
 When a multi-turn session's stage *n* finishes, its KV cache — the
 accumulated conversation context — is the hottest possible prefix for stage
 *n + 1*, whose prompt extends it verbatim.  Instead of freeing those tokens,
-the engine parks them here: the allocation is renamed under a cache key and
-*pinned* in the :class:`~repro.memory.block_manager.BlockKVCachePool`, so it
-keeps exerting pool pressure (the simulated cost of caching) without
-participating in uniform decode growth.  A follow-up stage that lands on the
-same replica *claims* the entry — the tokens transfer to the new request and
-only the new suffix is allocated and prefilled; a stage that lands elsewhere
-misses and pays the full prefill.
+the engine parks them here: the entry takes over the finished request's
+tokens, which stay in the
+:class:`~repro.memory.block_manager.BlockKVCachePool`'s ``used_tokens`` (the
+simulated cost of caching) but never grow, since only the running batch
+decodes.  A follow-up stage that lands on the same replica *claims* the
+entry — the tokens pass to the new request and only the new suffix is
+allocated and prefilled; a stage that lands elsewhere misses and pays the
+full prefill.  Neither handoff touches the pool: the pool's count is always
+the batch's context plus :attr:`PrefixCache.resident_tokens`.
 
 Eviction is LRU and is charged to pool pressure twice over: entries are
 dropped when the cache's own token budget overflows, and on demand when the
@@ -81,13 +83,6 @@ class PrefixEntry:
     stage: int
     #: tokens resident (the stage's full prompt + generated output).
     tokens: int
-    #: pool owner id the tokens are parked under.
-    cache_key: str
-
-
-def _cache_key(session_id: str) -> str:
-    # "~" keeps cache keys out of any plausible request-id namespace.
-    return f"~prefix/{session_id}"
 
 
 @dataclass
@@ -102,11 +97,12 @@ class PrefixCache:
     """LRU cache of session prefixes, charged to a shared KV pool.
 
     Args:
-        pool: the replica's KV pool; cached entries hold real allocations
-            in it (pinned, so they never grow).
+        pool: the replica's KV pool; resident entries' tokens count in its
+            ``used_tokens``, and the cache frees them when it drops an entry.
         capacity_tokens: optional budget on resident cached tokens; ``None``
-            bounds the cache only by pool pressure.  A prefix larger than
-            the budget is never retained.
+            bounds the cache only by pool pressure, as does any budget at or
+            above the pool's capacity.  A prefix larger than the budget is
+            never retained.
     """
 
     def __init__(self, pool: BlockKVCachePool, capacity_tokens: int | None = None) -> None:
@@ -155,17 +151,15 @@ class PrefixCache:
         return entry
 
     # ------------------------------------------------------------------ claim
-    def claim(self, entry: PrefixEntry, request_id: str) -> None:
-        """Transfer a resident prefix's tokens to an admitted request.
+    def claim(self, entry: PrefixEntry) -> None:
+        """Hand a resident prefix's tokens to an admitted request.
 
-        The entry leaves the cache; its allocation is unpinned and renamed
-        under ``request_id``, ready for the engine to extend with the new
-        suffix.  Counts one hit and the reused tokens.
+        The entry leaves the cache and its tokens become part of the
+        request's context; they stay allocated in the pool.  Counts one hit
+        and the reused tokens.
         """
         del self._entries[entry.session_id]
         self._resident_tokens -= entry.tokens
-        self._pool.unpin(entry.cache_key)
-        self._pool.rename(entry.cache_key, request_id)
         self.stats.hits += 1
         self.stats.reused_tokens += entry.tokens
 
@@ -174,16 +168,16 @@ class PrefixCache:
         self.stats.misses += 1
 
     # ----------------------------------------------------------------- retain
-    def retain(self, request_id: str, session_id: str, stage: int, tokens: int) -> _RetainOutcome:
-        """Park a finished turn's allocation for its session's next stage.
+    def retain(self, session_id: str, stage: int, tokens: int) -> _RetainOutcome:
+        """Park a finished turn's ``tokens`` for its session's next stage.
 
-        Takes ownership of ``request_id``'s pool allocation (rename + pin).
+        The entry takes over the tokens, which stay allocated in the pool.
         A previous entry for the same session is evicted first; entries are
         then LRU-evicted until the cache budget holds.  Returns whether the
         context was retained plus every entry evicted along the way — the
         engine emits ``prefix.evict`` events for those.  When ``tokens``
-        exceeds the budget outright the allocation is left untouched (the
-        caller frees it normally).
+        exceeds the budget outright nothing is retained (the caller frees
+        the tokens normally).
         """
         evicted: list[PrefixEntry] = []
         stale = self._entries.get(session_id)
@@ -191,12 +185,7 @@ class PrefixCache:
             evicted.append(self._evict(stale))
         if self._capacity is not None and tokens > self._capacity:
             return _RetainOutcome(retained=False, evicted=evicted)
-        key = _cache_key(session_id)
-        self._pool.rename(request_id, key)
-        self._pool.pin(key)
-        self._entries[session_id] = PrefixEntry(
-            session_id=session_id, stage=stage, tokens=tokens, cache_key=key
-        )
+        self._entries[session_id] = PrefixEntry(session_id=session_id, stage=stage, tokens=tokens)
         self._resident_tokens += tokens
         self.stats.retained += 1
         if self._capacity is not None:
@@ -208,7 +197,7 @@ class PrefixCache:
     def _evict(self, entry: PrefixEntry) -> PrefixEntry:
         del self._entries[entry.session_id]
         self._resident_tokens -= entry.tokens
-        self._pool.free(entry.cache_key)
+        self._pool.free(entry.tokens)
         self.stats.evictions += 1
         return entry
 
@@ -217,28 +206,17 @@ class PrefixCache:
         session_id = next(iter(self._entries))
         return self._evict(self._entries[session_id])
 
-    def evict_for_allocation(self, num_tokens: int) -> list[PrefixEntry]:
-        """LRU-evict until the pool can freshly allocate ``num_tokens``.
+    def evict_for_allocation(self, num_tokens: int, protect: str | None = None) -> list[PrefixEntry]:
+        """LRU-evict until the pool can allocate ``num_tokens``.
 
         Live traffic outranks cached prefixes: the engine calls this before
-        giving up on an admission.  May empty the cache without achieving
-        the allocation — the caller re-checks ``can_allocate``.
+        giving up on an admission or a decode token.  ``protect`` names a
+        session whose entry must survive — the prefix an admission is about
+        to claim.  May run out of entries without making room; the caller
+        re-checks ``can_allocate``.
         """
         evicted: list[PrefixEntry] = []
-        while self._entries and not self._pool.can_allocate(num_tokens):
-            evicted.append(self.evict_lru())
-        return evicted
-
-    def evict_for_extension(
-        self, request_id: str, num_tokens: int, protect: str | None = None
-    ) -> list[PrefixEntry]:
-        """LRU-evict until ``request_id``'s allocation can grow by ``num_tokens``.
-
-        ``protect`` names a session whose entry must survive — the entry
-        being extended itself, when the caller has not claimed it yet.
-        """
-        evicted: list[PrefixEntry] = []
-        while not self._pool.can_extend(request_id, num_tokens):
+        while not self._pool.can_allocate(num_tokens):
             victim = next(
                 (e for e in self._entries.values() if e.session_id != protect), None
             )
@@ -249,8 +227,7 @@ class PrefixCache:
 
     def clear(self) -> None:
         """Release every entry without counting evictions (crash teardown)."""
-        for entry in list(self._entries.values()):
-            self._pool.free(entry.cache_key)
+        self._pool.free(self._resident_tokens)
         self._entries.clear()
         self._resident_tokens = 0
 

@@ -377,8 +377,10 @@ class ClusterSimulator:
             tokens (see :class:`repro.memory.prefix_cache.PrefixCache`);
             each replica's engine retains finished session turns' KV context
             for reuse by follow-up turns that land on the same replica.
-            ``None`` (the default) disables retention and keeps every run
-            byte-identical to builds that predate sessions.
+            Cached tokens count in the replica's pool, so a budget at or
+            above its capacity means the cache is bounded only by pool
+            pressure.  ``None`` (the default) disables retention and keeps
+            every run byte-identical to builds that predate sessions.
     """
 
     def __init__(

@@ -54,6 +54,11 @@ class ServingSimulator:
     ``engine.jump`` spans.  The default :class:`~repro.obs.tracer.NullTracer`
     keeps every run byte-identical to an untraced one.
 
+    ``prefix_cache_tokens`` is the engine's session prefix-cache budget
+    (see :class:`InferenceEngine`).  Cached tokens count in the engine's
+    pool, so a budget at or above the pool capacity means the cache is
+    bounded only by pool pressure.
+
     A simulator serves exactly one ``run_*`` call: its engine accumulates
     stats, timelines and scheduler history, so a second call raises
     :class:`RuntimeError`.  Build a fresh simulator per run.

@@ -1,9 +1,10 @@
 """Shared invariant harness for the test suite.
 
-Three contracts recur across the serving tests — conservation (nothing
+Four contracts recur across the serving tests — conservation (nothing
 vanishes), fingerprint neutrality (a feature left off is byte-invisible),
-and fast-path/reference identity (the event-jump loop consumes the same RNG
-stream and produces bit-identical results).  Each used to be hand-rolled per
+fast-path/reference identity (the event-jump loop consumes the same RNG
+stream and produces bit-identical results), and the KV ledger (the pool's
+one number is what its owners hold).  Each used to be hand-rolled per
 test module; this module is the single implementation they all share.
 
 Every helper accepts results, zero-argument callables producing results, or
@@ -88,4 +89,20 @@ def assert_rng_stream_identity(fast: Fingerprintable, reference: Fingerprintable
     assert fast_digest == reference_digest, (
         f"fast path diverged from reference loop: {fast_digest[:16]}... != "
         f"{reference_digest[:16]}... (results or RNG stream differ)"
+    )
+
+
+def assert_pool_ledger(engine) -> None:
+    """The pool's used tokens are exactly what their owners hold.
+
+    The pool keeps one count; the owners keep theirs — every resident
+    request its ``current_context_tokens``, every cached prefix its
+    ``tokens``.  An engine without a prefix cache holds no cached tokens.
+    """
+    cache = engine.prefix_cache
+    cached = cache.resident_tokens if cache is not None else 0
+    expected = engine.batch.total_context_tokens + cached
+    assert engine.pool.used_tokens == expected, (
+        f"pool ledger broken: {engine.pool.used_tokens} used != "
+        f"{engine.batch.total_context_tokens} resident + {cached} cached"
     )

@@ -173,8 +173,8 @@ class TestEvictionBehaviour:
 
     def test_decode_pressure_drops_a_cached_prefix_before_a_running_request(self, platform_7b):
         engine = make_engine(platform_7b, capacity=64, prefix_cache_tokens=64)
-        engine.pool.allocate("done", 40)
-        engine.prefix_cache.retain("done", "s0", 0, 40)
+        engine.pool.allocate(40)
+        engine.prefix_cache.retain("s0", 0, 40)
         (request,) = submit_requests(engine, 1, input_length=16, output_length=20, max_new_tokens=20)
         run_until_drained(engine)
         assert request.is_finished

@@ -11,6 +11,8 @@ on/off, and closed-loop client counts, and compare everything.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,8 @@ from repro.analysis.perf import cluster_snapshot, run_snapshot
 from repro.core.future_memory import peak_future_memory_arrays
 from repro.engine.cost_model import CostModel
 from repro.engine.engine import InferenceEngine
-from repro.engine.request import RequestState
+from repro.engine.request import Request, RequestState
 from repro.hardware.platform import paper_platform
-from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.schedulers.registry import create_scheduler
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash
@@ -28,7 +29,8 @@ from repro.serving.server import ServingSimulator
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.burstgpt import generate_api_trace, generate_conversation_trace
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload, generate_sharegpt_workload
-from repro.workloads.spec import scale_workload
+from repro.workloads.spec import RequestSpec, scale_workload
+from tests.helpers import assert_pool_ledger
 
 
 PLATFORM = paper_platform("7b-a100")
@@ -200,55 +202,72 @@ def test_decode_step_durations_match_scalar_cost_model():
         assert durations[j] == model.step_seconds(work)
 
 
-@pytest.mark.parametrize("grow", [1, 4, 16])
-def test_pool_bulk_append_matches_sequential(grow):
-    """append_tokens(n) == n repeated append_token calls, up to a full pool."""
-    bulk = BlockKVCachePool(101 + grow)
-    seq = BlockKVCachePool(101 + grow)
-    for pool in (bulk, seq):
-        pool.allocate("a", 37)
-        pool.allocate("b", 64)
-    bulk.append_tokens("a", grow)
-    for _ in range(grow):
-        seq.append_token("a")
-    assert bulk.tokens_of("a") == seq.tokens_of("a") == 37 + grow
-    assert bulk.tokens_of("b") == seq.tokens_of("b") == 64
-    assert bulk.used_tokens == seq.used_tokens == bulk.token_capacity
-    assert bulk.free_tokens == seq.free_tokens == 0
+#: Tokens a parked prefix holds in the pool-bound engines below.
+PARKED_TOKENS = 220
+
+
+def _pool_bound_engine(residents):
+    """An all-decoding batch whose next jump the pool, not a finish, bounds.
+
+    A cached prefix of ``PARKED_TOKENS`` sits in the pool next to
+    ``residents`` requests that each hold 21 tokens and have 199 left to
+    generate; the pool leaves room for ``7 * residents + 3`` more tokens.
+    Returns the engine and the clock after its first (prefill) step.
+    """
+    engine = InferenceEngine(
+        PLATFORM,
+        create_scheduler("aggressive", watermark=1.0),
+        token_capacity_override=28 * residents + 3 + PARKED_TOKENS,
+        prefix_cache_tokens=PARKED_TOKENS,
+    )
+    engine.pool.allocate(PARKED_TOKENS)
+    engine.prefix_cache.retain("parked", 0, PARKED_TOKENS)
+    for index in range(residents):
+        spec = RequestSpec(
+            request_id=f"r{index}", input_length=20, output_length=200, max_new_tokens=200
+        )
+        engine.submit(Request(spec=spec, arrival_time=0.0))
+    time = engine.step(0.0).end_time
+    assert engine.num_running == residents and not engine.waiting
+    assert engine.pool.free_tokens == 7 * residents + 3
+    return engine, time
 
 
 @pytest.mark.parametrize("residents", [1, 4, 16])
 def test_pool_max_uniform_growth_is_exact(residents):
-    """The bound is tight: K fits for every resident, K+1 does not."""
-    pool = BlockKVCachePool(1000)
-    for index in range(residents):
-        pool.allocate(f"r{index}", 3 + 5 * index)
-    k = pool.max_uniform_growth()
-    assert k > 0
-    for request_id in pool.owners():
-        pool.append_tokens(request_id, k)
-    assert pool.max_uniform_growth() == 0
-    # Growing every request by one more token must fail for at least one.
-    with pytest.raises(OutOfMemoryError):
-        for request_id in pool.owners():
-            pool.append_token(request_id)
+    """A pool-bound jump fuses exactly ``free_tokens // batch_size`` iterations.
+
+    Every resident fits that many more tokens; afterwards fewer than one per
+    resident are free, so the next jump attempt falls back to ``step()``.
+    """
+    engine, time = _pool_bound_engine(residents)
+    expected = engine.pool.free_tokens // residents
+    jump = engine.try_jump_any(time)
+    assert jump is not None and jump.steps == expected
+    assert engine.pool.free_tokens < residents
+    assert engine.try_jump_any(jump.end_time) is None
+    assert len(engine.prefix_cache) == 1
+    assert_pool_ledger(engine)
 
 
-def test_pool_incremental_used_tokens_stays_consistent():
-    """The O(1) counters always agree with a from-scratch sum."""
-    pool = BlockKVCachePool(512)
-    pool.allocate("a", 10)
-    pool.allocate("b", 3)
-    pool.append_tokens("a", 7)
-    pool.append_token("b")
-    pool.free("a")
-    pool.allocate("c", 21)
-    for request_id in pool.owners():
-        pool.append_token(request_id)
-    expected = sum(pool.tokens_of(r) for r in pool.owners())
-    assert pool.used_tokens == expected
-    assert pool.free_tokens == pool.token_capacity - expected
-    assert pool.utilization == expected / pool.token_capacity
+@pytest.mark.parametrize("residents", [1, 4, 16])
+def test_pool_bulk_append_matches_sequential(residents):
+    """A jump's one bulk allocation leaves the reference loop's rows.
+
+    The fused iterations' memory-timeline rows and token timestamps equal
+    those of the same number of ``step()`` calls, each allocating one token
+    per resident.
+    """
+    fast, time = _pool_bound_engine(residents)
+    steps = fast.try_jump_any(time).steps
+    reference, time = _pool_bound_engine(residents)
+    for _ in range(steps):
+        time = reference.step(time).end_time
+    assert dataclasses.asdict(fast.memory_timeline) == dataclasses.asdict(reference.memory_timeline)
+    assert [r.token_times for r in fast.batch] == [r.token_times for r in reference.batch]
+    assert fast.pool.used_tokens == reference.pool.used_tokens
+    assert_pool_ledger(fast)
+    assert_pool_ledger(reference)
 
 
 # ------------------------------------------------------- batch profile invariant

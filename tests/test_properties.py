@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import rng_streams
@@ -19,8 +19,9 @@ from repro.core.future_memory import (
 )
 from repro.core.history import OutputLengthHistory
 from repro.core.predictor import build_predictor
+from repro.engine.engine import InferenceEngine
 from repro.hardware.platform import paper_platform
-from repro.memory.block_manager import AllocationError, BlockKVCachePool, OutOfMemoryError
+from repro.memory.block_manager import BlockKVCachePool
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.serving.cluster import ClusterSimulator
@@ -36,7 +37,7 @@ from repro.workloads.interactions import (
 )
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY
-from tests.helpers import assert_conservation, assert_rng_stream_identity
+from tests.helpers import assert_conservation, assert_pool_ledger, assert_rng_stream_identity
 
 entry_strategy = st.builds(
     BatchEntry,
@@ -194,61 +195,21 @@ class TestRouterPredictionProperties:
         assert router.predicted_peak_tokens(view) == expected
 
 
-#: distinct owner ids the pool model test draws from.
-POOL_OWNERS = 4
-
-
-def _apply(method, expected, *args):
-    """Call ``method``; it must raise exactly ``expected`` (or nothing)."""
-    if expected is None:
-        method(*args)
-    else:
-        with pytest.raises(expected):
-            method(*args)
-
-
-def _assert_uniform_growth_is_tight(pool, model, pinned):
-    """Replay the model on a fresh pool and grow it by ``max_uniform_growth``."""
-    growing = [o for o in model if o not in pinned]
-    k = pool.max_uniform_growth()
-    if not growing:
-        assert k == pool.token_capacity
-        assert pool.max_uniform_growth(cap=7) == 7
-        return
-    assert pool.max_uniform_growth(cap=k + 1) == k
-    replay = BlockKVCachePool(pool.token_capacity)
-    for o, tokens in model.items():
-        replay.allocate(o, tokens)
-    for o in pinned:
-        replay.pin(o)
-    if k:
-        for o in growing:
-            replay.append_tokens(o, k)
-    assert replay.max_uniform_growth() == 0
-    # One more token each does not fit: some owner's append runs out.
-    with pytest.raises(OutOfMemoryError):
-        for o in growing:
-            replay.append_token(o)
-
-
 class TestBlockPoolProperties:
     @given(sizes=st.lists(st.integers(1, 64), min_size=1, max_size=20))
     @settings(max_examples=50)
     def test_allocate_free_round_trip_restores_pool(self, sizes):
         pool = BlockKVCachePool(4096)
         allocated = []
-        for index, size in enumerate(sizes):
+        for size in sizes:
             if pool.can_allocate(size):
-                pool.allocate(f"r{index}", size)
-                allocated.append(f"r{index}")
-        assert pool.used_tokens == sum(
-            sizes[int(name[1:])] for name in allocated
-        )
-        for name in allocated:
-            pool.free(name)
+                pool.allocate(size)
+                allocated.append(size)
+        assert pool.used_tokens == sum(allocated)
+        for size in allocated:
+            pool.free(size)
         assert pool.used_tokens == 0
         assert pool.free_tokens == pool.token_capacity
-        assert pool.owners() == []
 
     @given(
         sizes=st.lists(st.integers(1, 64), min_size=1, max_size=20),
@@ -257,107 +218,13 @@ class TestBlockPoolProperties:
     @settings(max_examples=50)
     def test_used_tokens_never_exceed_capacity(self, sizes, appends):
         pool = BlockKVCachePool(512)
-        for index, size in enumerate(sizes):
+        for size in sizes:
             if pool.can_allocate(size):
-                pool.allocate(f"r{index}", size)
-        owners = pool.owners()
-        for index in range(appends):
-            if not owners:
-                break
-            owner = owners[index % len(owners)]
-            if pool.can_extend(owner, 1):
-                pool.append_token(owner)
+                pool.allocate(size)
+        for _ in range(appends):
+            if pool.can_allocate(1):
+                pool.allocate(1)
         assert pool.used_tokens <= pool.token_capacity
-
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(
-                    [
-                        "allocate",
-                        "append_token",
-                        "append_tokens",
-                        "pin",
-                        "unpin",
-                        "rename",
-                        "free",
-                    ]
-                ),
-                st.integers(0, POOL_OWNERS - 1),
-                st.integers(1, 24),
-            ),
-            min_size=8,
-            max_size=60,
-        ),
-        capacity=st.integers(1, 160),
-    )
-    @settings(max_examples=200)
-    def test_pool_matches_a_dict_model(self, ops, capacity):
-        """Any operation sequence leaves the pool equal to a plain dict model.
-
-        After every operation the pool's counters match the model, pinned
-        tokens are the pinned owners' sum, and ``max_uniform_growth`` is
-        tight: every growing owner fits ``K`` more tokens, but not all of
-        them fit ``K+1``.
-        """
-        pool = BlockKVCachePool(capacity)
-        model: dict[str, int] = {}
-        pinned: set[str] = set()
-        for op, index, amount in ops:
-            owner = f"r{index}"
-            free = capacity - sum(model.values())
-            if op == "allocate":
-                if owner in model:
-                    expected = AllocationError
-                elif amount > free:
-                    expected = OutOfMemoryError
-                else:
-                    expected = None
-                    model[owner] = amount
-                _apply(pool.allocate, expected, owner, amount)
-            elif op in ("append_token", "append_tokens"):
-                grow = 1 if op == "append_token" else amount
-                if owner not in model:
-                    expected = AllocationError
-                elif grow > free:
-                    expected = OutOfMemoryError
-                else:
-                    expected = None
-                    model[owner] += grow
-                if op == "append_token":
-                    _apply(pool.append_token, expected, owner)
-                else:
-                    _apply(pool.append_tokens, expected, owner, grow)
-            elif op == "pin":
-                expected = None if owner in model else AllocationError
-                if expected is None:
-                    pinned.add(owner)
-                _apply(pool.pin, expected, owner)
-            elif op == "unpin":
-                pinned.discard(owner)
-                pool.unpin(owner)
-            elif op == "rename":
-                target = f"r{amount % POOL_OWNERS}"
-                if owner not in model or target in model:
-                    expected = AllocationError
-                else:
-                    expected = None
-                    model[target] = model.pop(owner)
-                    if owner in pinned:
-                        pinned.discard(owner)
-                        pinned.add(target)
-                _apply(pool.rename, expected, owner, target)
-            else:
-                assert pool.free(owner) == model.pop(owner, 0)
-                pinned.discard(owner)
-
-            assert pool.used_tokens == sum(model.values())
-            assert pool.free_tokens == capacity - pool.used_tokens
-            assert pool.pinned_tokens == sum(model[o] for o in pinned)
-            assert sorted(pool.owners()) == sorted(model)
-            for i in range(POOL_OWNERS):
-                assert pool.tokens_of(f"r{i}") == model.get(f"r{i}", 0)
-            _assert_uniform_growth_is_tight(pool, model, pinned)
 
 
 class TestSimilarityProperties:
@@ -400,30 +267,30 @@ class TestPrefixCacheProperties:
         first when the pool is too full to even allocate it, as the engine
         does for live traffic).  After every single operation: resident
         tokens respect the cache's own budget, match the sum over entries,
-        equal the pool's pinned tokens, and the pool never overflows.
+        are all the pool holds (no request is resident), and the pool never
+        overflows.
         """
         pool = BlockKVCachePool(pool_tokens)
         cache = PrefixCache(pool, capacity_tokens=capacity)
         stages: dict[str, int] = {}
-        for index, (session, tokens) in enumerate(ops):
+        for session, tokens in ops:
             sid = f"s{session}"
-            rid = f"{sid}/t{stages.get(sid, 0)}-{index}"
             if not pool.can_allocate(tokens):
                 cache.evict_for_allocation(tokens)
             if not pool.can_allocate(tokens):
                 continue
-            pool.allocate(rid, tokens)
-            outcome = cache.retain(rid, sid, stages.get(sid, 0), tokens)
+            pool.allocate(tokens)
+            outcome = cache.retain(sid, stages.get(sid, 0), tokens)
             stages[sid] = stages.get(sid, 0) + 1
             if not outcome.retained:
-                pool.free(rid)
+                pool.free(tokens)
             assert cache.resident_tokens <= capacity
             assert cache.resident_tokens == sum(e.tokens for e in cache.entries())
-            assert cache.resident_tokens == pool.pinned_tokens
+            assert cache.resident_tokens == pool.used_tokens
             assert pool.used_tokens <= pool.token_capacity
         cache.clear()
         assert cache.resident_tokens == 0
-        assert pool.pinned_tokens == 0
+        assert pool.used_tokens == 0
 
     @given(
         prompt=st.integers(1, 64),
@@ -444,20 +311,20 @@ class TestPrefixCacheProperties:
         context = prompt + output
         pool = BlockKVCachePool(4 * (context + extra + 1))
         cache = PrefixCache(pool)
-        pool.allocate("s0/t0", context)
-        outcome = cache.retain("s0/t0", "s0", 0, context)
+        pool.allocate(context)
+        outcome = cache.retain("s0", 0, context)
         assert outcome.retained and not outcome.evicted
-        assert pool.pinned_tokens == context
+        assert cache.resident_tokens == pool.used_tokens == context
         # Only the immediately following stage may claim the entry; a replay
         # of the retained stage itself finds nothing.
         assert cache.lookup(interaction.spec(0)) is None
         next_spec = interaction.spec(1)
         entry = cache.lookup(next_spec)
         assert entry is not None and entry.tokens == context
-        cache.claim(entry, next_spec.request_id)
+        cache.claim(entry)
         assert len(cache) == 0 and cache.resident_tokens == 0
-        assert pool.pinned_tokens == 0
-        assert pool.tokens_of(next_spec.request_id) == context
+        # The claiming request now owns the tokens; the pool never saw the handoff.
+        assert pool.used_tokens == context
 
 
 class TestSessionStageProperties:
@@ -588,7 +455,7 @@ def run_generated_fleet(
     """One tiny closed-loop fleet run; the inputs are rebuilt per call.
 
     ``throttle`` is ``(user_rpm, window_seconds)``; with it, requests carry
-    one of three users.
+    one of three users.  Every replica's pool ledger is checked at drain.
     """
     faults = None
     if crash is not None:
@@ -619,14 +486,18 @@ def run_generated_fleet(
             dataclasses.replace(it, think_time=think_times[i % len(think_times)])
             for i, it in enumerate(interactions)
         ]
-        return simulator.run_sessions(interactions)
-    spec = UniformLengthSpec("generated", 4, 64, 1, 192)
-    workload = generate_uniform_workload(spec, 8 * len(think_times) + 8, seed=seed)
-    if users:
-        workload = assign_tenants(workload, generate_tenant_population(users), seed=seed)
-    return simulator.run_closed_loop(
-        workload, num_clients=2 * len(think_times) + 2, think_time=think_times[0]
-    )
+        result = simulator.run_sessions(interactions)
+    else:
+        spec = UniformLengthSpec("generated", 4, 64, 1, 192)
+        workload = generate_uniform_workload(spec, 8 * len(think_times) + 8, seed=seed)
+        if users:
+            workload = assign_tenants(workload, generate_tenant_population(users), seed=seed)
+        result = simulator.run_closed_loop(
+            workload, num_clients=2 * len(think_times) + 2, think_time=think_times[0]
+        )
+    for replica in simulator.replicas:
+        assert_pool_ledger(replica.engine)
+    return result
 
 
 class TestGeneratedClosedLoopFleets:
@@ -662,3 +533,76 @@ class TestGeneratedClosedLoopFleets:
         assert_rng_stream_identity(fast, reference)
         assert_conservation(fast)
         assert_conservation(reference)
+
+
+def _ledger_checked(method):
+    """``method`` with the pool ledger asserted after every call."""
+
+    def checked(engine, *args, **kwargs):
+        result = method(engine, *args, **kwargs)
+        assert_pool_ledger(engine)
+        return result
+
+    return checked
+
+
+class TestPoolLedgerProperties:
+    """The pool's one number is what the batch and the prefix cache hold.
+
+    The pool keeps no per-owner map, so nothing but the engine's own
+    bookkeeping ties ``used_tokens`` to its owners.  The ledger is checked
+    after every ``step()`` and every jump, on pools barely larger than the
+    largest request, so admissions evict cached prefixes and decode growth
+    evicts running requests.
+    """
+
+    @given(
+        scheduler=st.sampled_from(["aggressive", "past-future"]),
+        chunked=st.sampled_from([None, 16]),
+        sessions=st.booleans(),
+        headroom=st.integers(0, 256),
+        budget=st.sampled_from([0.25, 0.5, 1.0, 4.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_used_tokens_equal_resident_plus_cached(
+        self, scheduler, chunked, sessions, headroom, budget, seed
+    ):
+        if sessions:
+            interactions = generate_interactions(
+                12,
+                seed=seed,
+                mean_prompt_tokens=24.0,
+                mean_output_tokens=48.0,
+                max_turns=4,
+                start_spacing=0.01,
+            )
+            largest = max(
+                it.spec(stage).total_tokens
+                for it in interactions
+                for stage in range(it.num_stages)
+            )
+        else:
+            workload = generate_uniform_workload(
+                UniformLengthSpec("ledger", 4, 64, 1, 192), 40, seed=seed
+            )
+            largest = max(spec.total_tokens for spec in workload.requests)
+        capacity = largest + headroom
+        simulator = ClusterSimulator(
+            platform=FLEET_PLATFORM,
+            router=None,
+            scheduler_name=scheduler,
+            chunked_prefill_tokens=chunked,
+            token_capacity_override=capacity,
+            prefix_cache_tokens=max(1, int(capacity * budget)) if sessions else None,
+        )
+        with mock.patch.object(
+            InferenceEngine, "step", _ledger_checked(InferenceEngine.step)
+        ), mock.patch.object(
+            InferenceEngine, "try_jump_any", _ledger_checked(InferenceEngine.try_jump_any)
+        ):
+            if sessions:
+                simulator.run_sessions(interactions)
+            else:
+                simulator.run_closed_loop(workload, num_clients=12)
+        assert_pool_ledger(simulator.replicas[0].engine)

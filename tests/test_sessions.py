@@ -38,7 +38,11 @@ from repro.workloads.interactions import (
     interactions_workload,
 )
 from tests.conftest import TINY_CAPACITY, UNCAPPED, make_spec
-from tests.helpers import assert_conservation, assert_rng_stream_identity
+from tests.helpers import (
+    assert_conservation,
+    assert_fingerprint_neutral,
+    assert_rng_stream_identity,
+)
 
 STAGE = InteractionStage(prompt_tokens=8, output_tokens=4)
 
@@ -391,6 +395,26 @@ class TestRunSessionsEndToEnd:
         assert result.prefix_stats.reused_tokens > 0
         # A later stage re-arrives only after its predecessor finished.
         assert summary.total_turns == sum(s.num_stages for s in small_sessions())
+
+    def test_budget_at_or_above_the_pool_is_bounded_by_pool_pressure(self, platform_7b):
+        # Cached tokens count in the pool's used tokens, so residency never
+        # exceeds the pool: a budget of 10x the pool runs exactly like one
+        # equal to it.  The 512-token pool forces prefix evictions.
+        def run(budget: int):
+            simulator = ServingSimulator(
+                platform=platform_7b,
+                scheduler=ConservativeScheduler(),
+                token_capacity_override=512,
+                prefix_cache_tokens=budget,
+            )
+            return simulator.run_sessions(small_sessions(16))
+
+        at_pool = run(512)
+        assert at_pool.prefix_stats.evictions > 0
+        assert_fingerprint_neutral(run(10 * 512), at_pool, label="a budget above the pool")
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="prefix_cache_tokens"):
+                run(budget)
 
     def test_cluster_fast_path_matches_reference_with_sessions(self, platform_7b):
         def run(fast_path: bool):

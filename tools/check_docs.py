@@ -20,7 +20,8 @@ Run from anywhere inside the checkout::
 
 Exit status is non-zero when any link is broken or any snippet fails; this is
 the ``docs-check`` CI job's second half (the first half is ruff's
-missing-docstring rules over ``repro.serving`` and ``repro.core``).
+missing-docstring rules over ``repro.serving``, ``repro.core``,
+``repro.obs`` and ``repro.memory``).
 """
 
 from __future__ import annotations

@@ -183,6 +183,22 @@ class TestEvictionBehaviour:
         assert len(engine.prefix_cache) == 0
         assert engine.pool.used_tokens == 0
 
+    def test_eviction_frees_the_whole_context(self, platform_7b):
+        """An evicted request returns its prompt and its generated tokens."""
+        engine = make_engine(platform_7b, scheduler=AggressiveScheduler(watermark=1.0), capacity=64)
+        submit_requests(engine, 2, input_length=24, output_length=30, max_new_tokens=30)
+        time = 0.0
+        for _ in range(200):
+            result = engine.step(time)
+            time = result.end_time
+            assert engine.pool.used_tokens == engine.batch.total_context_tokens
+            if result.evicted:
+                break
+        (victim,) = result.evicted
+        # It had decoded, so freeing only its prompt would break the ledger.
+        assert victim.generated_tokens > 0
+        assert engine.num_running == 1
+
     def test_evicted_request_requeued_at_front(self, platform_7b):
         engine = make_engine(platform_7b, scheduler=AggressiveScheduler(watermark=1.0), capacity=64)
         submit_requests(engine, 2, input_length=24, output_length=30, max_new_tokens=30)
@@ -230,6 +246,20 @@ class TestEvictionBehaviour:
         swap_stats = build(SwapEviction(swap_fraction=0.1))
         assert swap_stats.total_evictions >= 1
         assert swap_stats.total_prefill_tokens < recompute_stats.total_prefill_tokens
+
+
+class TestAbortAll:
+    def test_abort_all_frees_residents_and_cached_prefixes(self, platform_7b):
+        engine = make_engine(platform_7b, capacity=64, prefix_cache_tokens=64)
+        engine.pool.allocate(10)
+        engine.prefix_cache.retain("s0", 0, 10)
+        requests = submit_requests(engine, 3, input_length=16, output_length=20, max_new_tokens=20)
+        engine.step(0.0)
+        assert engine.num_running == 3 and engine.pool.used_tokens == 61
+        aborted = engine.abort_all(1.0)
+        assert aborted == requests
+        assert engine.pool.used_tokens == 0
+        assert len(engine.prefix_cache) == 0
 
 
 class TestChunkedPrefill:

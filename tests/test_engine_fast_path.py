@@ -270,6 +270,31 @@ def test_pool_bulk_append_matches_sequential(residents):
     assert_pool_ledger(reference)
 
 
+def test_pool_incremental_used_tokens_stays_consistent():
+    """The O(1) counter always agrees with a from-scratch sum over its owners.
+
+    The owners are the residents (their ``current_context_tokens``) and the
+    parked prefix; the sum is checked after a prefill step, a jump, a
+    single step and a crash.
+    """
+    engine, time = _pool_bound_engine(4)
+
+    def check():
+        expected = sum(r.current_context_tokens for r in engine.batch)
+        expected += sum(e.tokens for e in engine.prefix_cache.entries())
+        assert engine.pool.used_tokens == expected
+        assert engine.pool.free_tokens == engine.pool.token_capacity - expected
+
+    check()
+    time = engine.try_jump_any(time).end_time
+    check()
+    time = engine.step(time).end_time
+    check()
+    engine.abort_all(time)
+    check()
+    assert engine.pool.used_tokens == 0
+
+
 # ------------------------------------------------------- batch profile invariant
 def _profile_from_batch(engine):
     """The jump's batch profile recomputed from scratch (``None``: not uniform)."""

@@ -7,6 +7,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import rng_streams
@@ -21,7 +22,7 @@ from repro.core.history import OutputLengthHistory
 from repro.core.predictor import build_predictor
 from repro.engine.engine import InferenceEngine
 from repro.hardware.platform import paper_platform
-from repro.memory.block_manager import BlockKVCachePool
+from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.serving.cluster import ClusterSimulator
@@ -225,6 +226,55 @@ class TestBlockPoolProperties:
             if pool.can_allocate(1):
                 pool.allocate(1)
         assert pool.used_tokens <= pool.token_capacity
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["allocate", "grow", "free"]),
+                st.integers(0, 5),
+                st.integers(0, 24),
+            ),
+            min_size=8,
+            max_size=60,
+        ),
+        capacity=st.integers(1, 160),
+    )
+    @settings(max_examples=200)
+    def test_pool_matches_a_dict_model(self, ops, capacity):
+        """Any operation sequence leaves the pool equal to a plain dict model.
+
+        The owners' counts live in the model, as they live in requests and
+        cached prefixes.  After every operation the pool's counters equal the
+        model's sum, an allocation fails exactly when it does not fit (and
+        then changes nothing), and the uniform growth bound
+        ``free_tokens // len(owners)`` is tight: every owner fits ``K`` more
+        tokens, but not all of them fit ``K + 1``.
+        """
+        pool = BlockKVCachePool(capacity)
+        model: dict[str, int] = {}
+        for op, index, amount in ops:
+            owner = f"r{index}"
+            free = capacity - sum(model.values())
+            if op == "free":
+                pool.free(model.pop(owner, 0))
+                continue
+            if op == "grow" and owner not in model:
+                continue
+            assert pool.can_allocate(amount) == (amount <= free)
+            if amount > free:
+                with pytest.raises(OutOfMemoryError):
+                    pool.allocate(amount)
+            else:
+                pool.allocate(amount)
+                model[owner] = model.get(owner, 0) + amount
+            assert pool.used_tokens == sum(model.values())
+            assert pool.free_tokens == capacity - pool.used_tokens
+        if model:
+            k = pool.free_tokens // len(model)
+            pool.allocate(k * len(model))
+            assert not pool.can_allocate(len(model))
+        with pytest.raises(ValueError):
+            pool.free(pool.used_tokens + 1)
 
 
 class TestSimilarityProperties:

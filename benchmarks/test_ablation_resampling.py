@@ -22,6 +22,7 @@ from repro.analysis.tables import render_table
 from repro.core.past_future import PastFutureScheduler
 from repro.core.predictor import OutputLengthPredictor
 from repro.engine.request import Request
+from repro.serving.results import RunResult
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
 
 NUM_REQUESTS = 200
@@ -67,26 +68,37 @@ class StaticPredictionScheduler(PastFutureScheduler):
         prediction = max(prediction, request.generated_tokens + 1)
         return request.current_context_tokens, prediction - request.generated_tokens
 
+    def saturated_no_admit_horizon(self, context, max_steps: int) -> int:
+        # The inherited proof replays conditional resampling, not these
+        # static predictions, so it does not hold for this admission rule.
+        return 0
+
     def describe(self) -> str:
         return f"static prediction (reserved={self.reserved_fraction:.0%})"
 
 
-def run_pair(platform) -> list[dict]:
+def run_ablation(platform, scheduler, fast_path: bool = True) -> RunResult:
+    """One closed-loop run of the ablation's workload under ``scheduler``."""
+    config = ExperimentConfig(
+        platform=platform,
+        num_clients=NUM_CLIENTS,
+        token_capacity_override=CAPACITY_7B_A100,
+        chunked_prefill_tokens=PREFILL_CAP_SCALED,
+        fast_path=fast_path,
+    )
     workload = scaled(generate_sharegpt_o1_workload(NUM_REQUESTS, seed=311))
+    result = run_experiment(config, workload, scheduler=scheduler)
+    assert result.completed
+    return result
+
+
+def run_pair(platform) -> list[dict]:
     rows = []
     for label, scheduler in (
         ("Conditional resampling (paper)", PastFutureScheduler(reserved_fraction=0.03, seed=32, num_samples=2)),
         ("Static one-shot prediction", StaticPredictionScheduler(reserved_fraction=0.03, seed=32, num_samples=2)),
     ):
-        config = ExperimentConfig(
-            platform=platform,
-            num_clients=NUM_CLIENTS,
-            token_capacity_override=CAPACITY_7B_A100,
-            chunked_prefill_tokens=PREFILL_CAP_SCALED,
-        )
-        result = run_experiment(config, workload, scheduler=scheduler)
-        assert result.completed
-        report = memory_report_from_run(result)
+        report = memory_report_from_run(run_ablation(platform, scheduler))
         rows.append(
             {
                 "prediction_rule": label,

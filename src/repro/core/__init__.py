@@ -9,7 +9,7 @@ from repro.core.future_memory import (
 )
 from repro.core.history import OutputLengthHistory
 from repro.core.past_future import PastFutureScheduler
-from repro.core.predictor import OutputLengthPredictor, build_predictor
+from repro.core.predictor import OutputLengthPredictor
 
 __all__ = [
     "BatchEntry",
@@ -20,5 +20,4 @@ __all__ = [
     "OutputLengthHistory",
     "PastFutureScheduler",
     "OutputLengthPredictor",
-    "build_predictor",
 ]

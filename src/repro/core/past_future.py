@@ -30,6 +30,8 @@ is spelled out in ``docs/simulation-semantics.md`` and enforced by
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core import rng_streams
@@ -169,35 +171,28 @@ class PastFutureScheduler(Scheduler):
         remaining = predicted - request.generated_tokens
         return current, remaining
 
-    def schedule(self, context: SchedulingContext) -> list[Request]:
-        """Admit the longest queue prefix whose predicted peak memory fits."""
-        if not context.waiting:
-            return []
+    def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
+        """Admit a candidate while the predicted Eq. 2–4 peak fits the budget.
+
+        One predictor, and one conditional draw for the whole running batch,
+        per consult; each candidate then draws its own prediction.
+        Incremental admission: the running batch is sorted once; each
+        candidate is a searchsorted query over cached prefix sums instead of
+        a from-scratch re-sort of the whole trial batch (O(B log B + Q·B)
+        instead of O(Q·B log B)); decisions are bit-identical.
+        """
         predictor = self._make_predictor()
         budget = self.admission_budget(context)
-        current, remaining = self._predicted_entries(predictor, context.running)
+        index = FutureMemoryIndex(*self._predicted_entries(predictor, context.running))
 
-        # Incremental admission: the running batch is sorted once; each
-        # candidate is a searchsorted query over cached prefix sums instead of
-        # a from-scratch re-sort of the whole trial batch (O(B log B + Q·B)
-        # instead of O(Q·B log B)); decisions are bit-identical.
-        index = FutureMemoryIndex(current, remaining)
-        admitted: list[Request] = []
-        for candidate in context.waiting:
-            cand_current, cand_remaining = self._candidate_entry(predictor, candidate)
-            if index.peak_with(cand_current, cand_remaining) <= budget:
-                admitted.append(candidate)
-                index.insert(cand_current, cand_remaining)
-            else:
-                break
-        # Progress guarantee: an empty system must always admit its head
-        # request, otherwise a single request larger than the reserved budget
-        # would starve forever.
-        if not admitted and not context.running and context.waiting:
-            head = context.waiting[0]
-            if head.current_context_tokens + 1 <= context.token_capacity:
-                admitted.append(head)
-        return self._respect_batch_cap(context, admitted)
+        def fits(candidate: Request) -> bool:
+            current, remaining = self._candidate_entry(predictor, candidate)
+            if index.peak_with(current, remaining) > budget:
+                return False
+            index.insert(current, remaining)
+            return True
+
+        return fits
 
     # -------------------------------------------------- saturated-phase jumps
     def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:

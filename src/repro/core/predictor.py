@@ -15,14 +15,10 @@ to stabilise the estimate; ``num_samples``/``aggregation`` expose that knob
 admission control wants).
 
 Because the RNG stream is part of the reproduced semantics (see
-``docs/simulation-semantics.md``), every batched entry point here documents —
-and the test suite proves — exactly how it consumes the generator relative to
-the scalar calls it replaces.  :meth:`OutputLengthPredictor.predict_running`
-is itself the one-iteration case of
-:meth:`OutputLengthPredictor.predict_running_batch`, whose single
-``(steps, num_samples, n)`` uniform draw fills C-contiguously and therefore
-consumes the stream in exactly the order of ``steps`` successive
-``(num_samples, n)`` draws.
+``docs/simulation-semantics.md``), each sampling call documents exactly what
+it draws from the generator: the Past-Future scheduler's saturated-phase
+proof rebuilds those draws from the raw stream
+(:mod:`repro.core.rng_streams`).
 """
 
 from __future__ import annotations
@@ -53,10 +49,10 @@ def conditional_prediction_samples(
 ) -> np.ndarray:
     """Map pre-drawn uniforms to conditional length samples ``P(l | l > generated)``.
 
-    The shared kernel behind :meth:`OutputLengthPredictor.predict_running`,
-    :meth:`OutputLengthPredictor.predict_running_batch`, and the Past-Future
-    scheduler's batched saturated-phase admission path (which stacks the
-    uniforms of several per-iteration predictors and maps them in one call).
+    The shared kernel behind :meth:`OutputLengthPredictor.predict_running`
+    and the Past-Future scheduler's batched saturated-phase admission path
+    (which stacks the uniforms of several per-iteration predictors and maps
+    them in one call).
 
     Args:
         sorted_lengths: the historical window, ascending.
@@ -168,65 +164,17 @@ class OutputLengthPredictor:
         next token), matching the scheduler's behaviour of trusting the
         history only while it remains informative.
 
-        This is exactly :meth:`predict_running_batch` with ``steps=1``: a
-        ``(1, num_samples, n)`` uniform draw consumes the generator stream
-        identically to an ``(num_samples, n)`` draw (C-contiguous fill), so
-        delegating keeps both values and stream bit-identical while leaving a
-        single sampling kernel to maintain.
-        """
-        return self.predict_running_batch(generated, 1)[0]
-
-    def predict_running_batch(
-        self,
-        generated: np.ndarray | list[int],
-        steps: int,
-    ) -> np.ndarray:
-        """Predictions for ``steps`` successive uniform-decode iterations.
-
-        Row ``k`` holds the predictions :meth:`predict_running` would return
-        for generated counts ``generated + k`` — the running batch after ``k``
-        silent decode iterations in which every resident grew by one token.
-
-        The entire batch is one ``(steps, num_samples, n)`` uniform draw.
-        Because :meth:`numpy.random.Generator.random` fills C-contiguously,
-        that single call consumes the generator stream in exactly the order of
-        ``steps`` sequential ``(num_samples, n)`` draws, so both the returned
-        predictions and the post-call generator state are bit-identical to the
-        sequential loop it replaces (``tests/test_saturated_jump.py`` compares
-        ``bit_generator.state`` directly).
-
-        Args:
-            generated: generated-token counts of the running batch, 1-D.
-            steps: number of successive iterations to pre-draw.
-
-        Returns:
-            ``(steps, len(generated))`` int64 predictions.
+        The whole batch is one ``(num_samples, n)`` uniform draw (none for an
+        empty batch): the draw the Past-Future scheduler's saturated-phase
+        proof rebuilds from the raw stream.
         """
         generated_arr = np.asarray(generated, dtype=np.int64)
         if generated_arr.ndim != 1:
             raise ValueError("generated must be 1-D")
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        if generated_arr.size == 0 or steps == 0:
-            return np.zeros((steps, generated_arr.size), dtype=np.int64)
+        if generated_arr.size == 0:
+            return np.zeros(0, dtype=np.int64)
         if np.any(generated_arr < 0):
             raise ValueError("generated token counts must be non-negative")
-        uniforms = self._rng.random((steps, self.num_samples, generated_arr.size))
-        gens = generated_arr[None, :] + np.arange(steps, dtype=np.int64)[:, None]
-        samples = conditional_prediction_samples(self._sorted, uniforms, gens)
+        uniforms = self._rng.random((self.num_samples, generated_arr.size))
+        samples = conditional_prediction_samples(self._sorted, uniforms, generated_arr)
         return aggregate_samples(samples, self.aggregation).astype(np.int64)
-
-
-def build_predictor(
-    lengths: np.ndarray,
-    seed: int = 0,
-    num_samples: int = 1,
-    aggregation: Aggregation = "max",
-) -> OutputLengthPredictor:
-    """Convenience constructor mirroring :class:`OutputLengthPredictor`."""
-    return OutputLengthPredictor(
-        lengths=np.asarray(lengths, dtype=np.int64),
-        seed=seed,
-        num_samples=num_samples,
-        aggregation=aggregation,
-    )

@@ -366,25 +366,22 @@ class InferenceEngine:
         return drained
 
     # ------------------------------------------------------------- admission
-    def _scheduling_context(self, time: float, step: int | None = None) -> SchedulingContext:
+    def _scheduling_context(self) -> SchedulingContext:
         # Only built when the scheduler is actually consulted (non-empty
         # waiting queue — see the guards in _admit and try_jump_any); the
         # running/waiting list copies here must never be constructed on pure
         # decode iterations.
         return SchedulingContext(
-            time=time,
-            step=self._step_counter if step is None else step,
             running=list(self.batch),
             waiting=list(self.waiting),
             token_capacity=self.pool.token_capacity,
-            used_tokens=self.pool.used_tokens,
         )
 
     def _admit(self, time: float) -> list[Request]:
         if not self.waiting:
             return []
         self.jump_stats.scheduler_consults += 1
-        decisions = self.scheduler.schedule(self._scheduling_context(time))
+        decisions = self.scheduler.schedule(self._scheduling_context())
         admitted: list[Request] = []
         cache = self.prefix_cache
         for request in decisions:
@@ -836,9 +833,8 @@ class InferenceEngine:
             return None
         if queued:
             # Built once per attempt (the reference loop builds one per
-            # iteration); ``step`` is the counter the first fused iteration's
-            # consultation would see after :meth:`step`'s increment.
-            context = self._scheduling_context(time, step=self._step_counter + 1)
+            # iteration).
+            context = self._scheduling_context()
             bound = min(bound, self.scheduler.saturated_no_admit_horizon(context, bound))
             if bound < min_steps:
                 stats.note_fallback("saturated:scheduler-horizon")

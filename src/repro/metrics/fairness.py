@@ -97,17 +97,6 @@ class TenantService:
     #: compliant tokens per second over the run duration.
     goodput: float
 
-    def as_row(self) -> dict[str, object]:
-        """Dictionary row for table rendering."""
-        return {
-            "tenant": self.tenant_id,
-            "submitted": self.submitted_requests,
-            "finished": self.finished_requests,
-            "rejected": self.rejected_requests,
-            "served_tok": self.served_tokens,
-            "goodput_tok_s": round(self.goodput, 1),
-        }
-
 
 @dataclass(frozen=True)
 class FairnessSummary:
@@ -130,11 +119,6 @@ class FairnessSummary:
         return sum(t.served_tokens for t in self.per_tenant.values())
 
     @property
-    def total_compliant_tokens(self) -> int:
-        """SLA-compliant output tokens across all tenants."""
-        return sum(t.compliant_tokens for t in self.per_tenant.values())
-
-    @property
     def jain_served_tokens(self) -> float:
         """Jain's index over per-tenant served (finished) output tokens."""
         return jains_index([t.served_tokens for t in self.per_tenant.values()])
@@ -154,10 +138,6 @@ class FairnessSummary:
     def service_ratio(self) -> float:
         """Max/min ratio of per-tenant served tokens (``inf`` = starvation)."""
         return max_min_service_ratio([t.served_tokens for t in self.per_tenant.values()])
-
-    def tenant_rows(self) -> list[dict[str, object]]:
-        """One table row per tenant, in sorted tenant order."""
-        return [self.per_tenant[name].as_row() for name in sorted(self.per_tenant)]
 
     def as_row(self) -> dict[str, object]:
         """Dictionary row for table rendering."""

@@ -76,35 +76,9 @@ class SessionSummary:
     sessions: tuple[SessionOutcome, ...]
 
     @property
-    def abandonment_rate(self) -> float:
-        """Fraction of sessions abandoned before their final stage."""
-        return self.abandoned_sessions / self.num_sessions if self.num_sessions else 0.0
-
-    @property
-    def mean_turns_completed(self) -> float:
-        """Mean finished turns per session."""
-        return self.total_turns / self.num_sessions if self.num_sessions else 0.0
-
-    @property
     def prefix_hit_rate(self) -> float:
         """Fleet prefix-cache hit rate (0.0 when no cache ran)."""
         return self.prefix_stats.hit_rate if self.prefix_stats is not None else 0.0
-
-    def mean_ttft_by_stage(self) -> dict[int, float]:
-        """Mean TTFT of finished turns per stage index, sorted by stage.
-
-        Later stages carry ever longer prompts, so without prefix reuse
-        this curve grows with the accumulated context; with an effective
-        cache it stays near-flat.
-        """
-        totals: dict[int, list[float]] = {}
-        for outcome in self.sessions:
-            for stage, ttft in outcome.ttft_by_stage.items():
-                totals.setdefault(stage, []).append(ttft)
-        return {
-            stage: sum(values) / len(values)
-            for stage, values in sorted(totals.items())
-        }
 
     def summary(self) -> dict:
         """Compact JSON-ready view (sorted keys for fingerprint stability)."""

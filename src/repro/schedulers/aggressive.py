@@ -13,6 +13,8 @@ scheduler is designed to avoid.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.engine.request import Request
 from repro.schedulers.base import Scheduler, SchedulingContext
 
@@ -35,43 +37,49 @@ class AggressiveScheduler(Scheduler):
         self.watermark = watermark
         self.max_running_requests = max_running_requests
 
-    def schedule(self, context: SchedulingContext) -> list[Request]:
-        if not context.waiting:
-            return []
-        budget = int(context.token_capacity * self.watermark)
-        occupied = context.running_context_tokens
-        admitted: list[Request] = []
-        for candidate in context.waiting:
-            candidate_cost = candidate.current_context_tokens
-            if occupied + candidate_cost <= budget:
-                admitted.append(candidate)
-                occupied += candidate_cost
-            else:
-                break
-        if not admitted and not context.running and context.waiting:
-            head = context.waiting[0]
-            if head.current_context_tokens + 1 <= context.token_capacity:
-                admitted.append(head)
-        return self._respect_batch_cap(context, admitted)
+    @staticmethod
+    def _cost(request: Request) -> int:
+        """Tokens a request is charged against the budget: its current context."""
+        return request.current_context_tokens
+
+    def _budget(self, context: SchedulingContext) -> int:
+        """Token budget the charged footprints must stay within."""
+        return int(context.token_capacity * self.watermark)
+
+    def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
+        budget = self._budget(context)
+        cost = self._cost
+        occupied = sum(map(cost, context.running))
+
+        def fits(candidate: Request) -> bool:
+            nonlocal occupied
+            charge = cost(candidate)
+            if occupied + charge > budget:
+                return False
+            occupied += charge
+            return True
+
+        return fits
 
     def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:
         """Prove no-admit for a whole uniform-decode window at once.
 
-        The watermark test compares *current* occupancy plus the head's
-        prompt against the budget.  During uniform decode the occupancy only
-        grows (by the batch size every iteration) while the head's footprint
-        is constant, so if the head does not fit now it cannot fit at any
-        later iteration of the window either — one comparison proves the
-        whole horizon.
+        The watermark family's one proof.  During uniform decode the batch's
+        charge never falls (current context grows by the batch size every
+        iteration; worst-case footprints stay fixed), the queue and the
+        candidate order are frozen, and a waiting candidate's charge is
+        constant.  :meth:`schedule` stops at the first candidate that does
+        not fit, so if the first candidate fails :meth:`_fit_test` now, it
+        fails at every iteration of the window: one test proves the whole
+        horizon.
         """
         if max_steps <= 0 or not context.waiting or not context.running:
             return 0
         if self._batch_cap_blocks_window(context):
             return max_steps
-        budget = int(context.token_capacity * self.watermark)
-        occupied = context.running_context_tokens
-        head_cost = context.waiting[0].current_context_tokens
-        return max_steps if occupied + head_cost > budget else 0
+        first = next(iter(self._candidates(context.waiting)))
+        return 0 if self._fit_test(context)(first) else max_steps
 
     def describe(self) -> str:
+        """One-line parameterised description used in result tables."""
         return f"aggressive (watermark={self.watermark:.0%})"

@@ -3,11 +3,14 @@
 Every scheduler answers one question per continuous-batching iteration: *which
 waiting requests should join the running batch right now?*  The engine hands
 it a :class:`SchedulingContext` snapshot and expects back an ordered list of
-requests to admit.  The paper's schedulers are FCFS over admission order (they
-admit a prefix of the queue, deciding only *when*, not *who first*); fair
-schedulers (:mod:`repro.schedulers.fair`) additionally reorder admission
-across tenants, which the engine supports — admitted requests may be any
-subset of the waiting queue, in any order.
+requests to admit.  :meth:`Scheduler.schedule` is the one admission loop: a
+policy supplies only what it charges a candidate (:meth:`Scheduler._fit_test`)
+and, optionally, the order candidates are considered in
+(:meth:`Scheduler._candidates`).  The paper's schedulers are FCFS over
+admission order (they admit a prefix of the queue, deciding only *when*, not
+*who first*); fair schedulers (:mod:`repro.schedulers.fair`) additionally
+reorder admission across tenants, which the engine supports — admitted
+requests may be any subset of the waiting queue, in any order.
 
 Schedulers also receive lifecycle callbacks so that history-based policies
 (the Past-Future scheduler) can observe finished output lengths and
@@ -16,8 +19,8 @@ service-accounting policies can observe arrivals and completions.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.engine.request import Request
 
@@ -26,10 +29,6 @@ from repro.engine.request import Request
 class SchedulingContext:
     """Snapshot of the serving system handed to a scheduler each iteration."""
 
-    #: current simulation time in seconds.
-    time: float
-    #: continuous-batching iteration counter.
-    step: int
     #: requests currently resident in the KV cache, admission order.
     running: list[Request]
     #: requests waiting for admission, in queue order (evicted requests are
@@ -37,21 +36,9 @@ class SchedulingContext:
     waiting: list[Request]
     #: total KV-cache token slots of the platform.
     token_capacity: int
-    #: token slots currently occupied.
-    used_tokens: int
-
-    @property
-    def free_tokens(self) -> int:
-        """Token slots not currently occupied."""
-        return self.token_capacity - self.used_tokens
-
-    @property
-    def running_context_tokens(self) -> int:
-        """KV tokens held by the running batch (prompt + generated)."""
-        return sum(r.current_context_tokens for r in self.running)
 
 
-class Scheduler(abc.ABC):
+class Scheduler:
     """Admission-control policy for continuous batching."""
 
     #: human-readable policy name used in tables and figures.
@@ -61,16 +48,50 @@ class Scheduler(abc.ABC):
     #: frameworks bound the batch size; the paper's experiments never hit it.
     max_running_requests: int | None = None
 
-    @abc.abstractmethod
     def schedule(self, context: SchedulingContext) -> list[Request]:
         """Return the waiting requests to admit this iteration, in order.
 
-        Implementations must return requests drawn from ``context.waiting``
-        (each at most once) and must not mutate the context.  FCFS policies
-        return a prefix of the queue; fair policies may return requests in a
-        policy-chosen order — the engine admits them exactly in the returned
-        order, stopping at the first one whose KV footprint does not fit.
+        The one admission loop (Algorithm 1's shape): walk
+        :meth:`_candidates` and stop at the first candidate the policy's
+        :meth:`_fit_test` rejects.  An empty system still admits that first
+        candidate when it fits the pool at all (the progress guarantee: a
+        request larger than the policy's budget must not starve forever),
+        and the batch cap trims the result.  The returned requests come from
+        ``context.waiting``, each at most once; the engine admits them in the
+        returned order.  The context is not mutated.
         """
+        if not context.waiting:
+            return []
+        fits = self._fit_test(context)
+        admitted: list[Request] = []
+        for candidate in self._candidates(context.waiting):
+            if fits(candidate):
+                admitted.append(candidate)
+                continue
+            if not admitted and not context.running:
+                if candidate.current_context_tokens + 1 <= context.token_capacity:
+                    admitted.append(candidate)
+            break
+        return self._respect_batch_cap(context, admitted)
+
+    def _candidates(self, waiting: list[Request]) -> Iterable[Request]:
+        """Waiting requests in the order admission considers them (queue order).
+
+        :meth:`schedule` asks for the next candidate only after admitting the
+        previous one, so a generator override may account for each admission
+        after its ``yield``.
+        """
+        return waiting
+
+    def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
+        """Build this consult's admission test.
+
+        The returned closure answers whether one candidate fits on top of the
+        running batch and every candidate it has already accepted; when it
+        answers yes it counts that candidate as admitted.  Policies that
+        override :meth:`schedule` need not implement it.
+        """
+        raise NotImplementedError(f"{type(self).__name__} must implement _fit_test")
 
     # -------------------------------------------------- saturated-phase jumps
     def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:
@@ -89,10 +110,11 @@ class Scheduler(abc.ABC):
         one token per iteration, nothing finishes or is evicted, and the
         waiting queue (in particular its head) is unchanged.  Implementations
         must model that drift themselves (e.g. occupancy grows by the batch
-        size each iteration); a policy that depends on anything else —
-        wall-clock time, the step counter, state this base class does not
-        know about — must return 0, which is always safe and simply falls
-        back to the reference loop.
+        size each iteration); a policy that depends on anything else — state
+        this base class does not know about — must return 0, which is always
+        safe and simply falls back to the reference loop.  A subclass that
+        changes its parent's admission rule must override the inherited proof
+        too (returning 0 if it has none).
 
         Returning ``k > 0`` is a *bit-identity contract*: for each of the
         next ``k`` iterations, :meth:`schedule` — with whatever randomness it

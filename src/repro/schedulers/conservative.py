@@ -11,15 +11,20 @@ SLA under load.
 The paper also evaluates an *overcommit* variant, where the scheduler pretends
 the capacity is ``overcommit`` times larger; this recovers some utilisation at
 the price of (often many) evictions.
+
+The admission loop and its no-admit proof are the aggressive baseline's
+(:class:`~repro.schedulers.aggressive.AggressiveScheduler`); only the charge
+and the budget differ.
 """
 
 from __future__ import annotations
 
 from repro.engine.request import Request
-from repro.schedulers.base import Scheduler, SchedulingContext
+from repro.schedulers.aggressive import AggressiveScheduler
+from repro.schedulers.base import SchedulingContext
 
 
-class ConservativeScheduler(Scheduler):
+class ConservativeScheduler(AggressiveScheduler):
     """Admit only if worst-case (prompt + max_new_tokens) footprints all fit.
 
     Args:
@@ -39,48 +44,16 @@ class ConservativeScheduler(Scheduler):
         self.max_running_requests = max_running_requests
 
     @staticmethod
-    def _worst_case_tokens(request: Request) -> int:
+    def _cost(request: Request) -> int:
         """Worst-case final footprint: prompt + the full generation cap."""
         return request.prompt_tokens + request.spec.max_new_tokens
 
-    def schedule(self, context: SchedulingContext) -> list[Request]:
-        if not context.waiting:
-            return []
-        budget = int(context.token_capacity * self.overcommit)
-        committed = sum(self._worst_case_tokens(r) for r in context.running)
-        admitted: list[Request] = []
-        for candidate in context.waiting:
-            candidate_cost = self._worst_case_tokens(candidate)
-            if committed + candidate_cost <= budget:
-                admitted.append(candidate)
-                committed += candidate_cost
-            else:
-                break
-        if not admitted and not context.running and context.waiting:
-            head = context.waiting[0]
-            if head.current_context_tokens + 1 <= context.token_capacity:
-                admitted.append(head)
-        return self._respect_batch_cap(context, admitted)
-
-    def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:
-        """Prove no-admit for a whole uniform-decode window at once.
-
-        Worst-case footprints (prompt + generation cap) do not change as a
-        request decodes, so the committed sum of a fixed-membership batch is
-        constant across the window: if the head does not fit now, it does not
-        fit at any iteration until membership changes (which ends the window
-        by definition).
-        """
-        if max_steps <= 0 or not context.waiting or not context.running:
-            return 0
-        if self._batch_cap_blocks_window(context):
-            return max_steps
-        budget = int(context.token_capacity * self.overcommit)
-        committed = sum(self._worst_case_tokens(r) for r in context.running)
-        head_cost = self._worst_case_tokens(context.waiting[0])
-        return max_steps if committed + head_cost > budget else 0
+    def _budget(self, context: SchedulingContext) -> int:
+        """The capacity, scaled by the overcommit factor."""
+        return int(context.token_capacity * self.overcommit)
 
     def describe(self) -> str:
+        """One-line parameterised description used in result tables."""
         if self.overcommit == 1.0:
             return "conservative (no overcommit)"
         return f"conservative (overcommit={self.overcommit:.0%})"

@@ -27,28 +27,29 @@ tenant, ordering degenerates to FIFO, and the policy is behaviourally
 identical to the aggressive watermark baseline — existing untenanted
 experiments are not perturbed.
 
-Both schedulers are deterministic (no RNG), so the saturated-phase event
-jump only needs the watermark argument: during a uniform-decode window the
-counters are frozen (no arrivals, no completions), the queue is frozen, and
-occupancy only grows — one comparison against the lowest-counter candidate
-proves a whole no-admit window (see
-:meth:`~repro.schedulers.base.Scheduler.saturated_no_admit_horizon`).
+Both schedulers run the aggressive baseline's watermark test and change only
+the order candidates are considered in.  They are deterministic (no RNG), so
+the saturated-phase event jump is the watermark family's proof
+(:meth:`~repro.schedulers.aggressive.AggressiveScheduler.saturated_no_admit_horizon`):
+during a uniform-decode window the counters are frozen (no arrivals, no
+completions), the queue is frozen, and occupancy only grows — one test of the
+lowest-counter candidate proves a whole no-admit window.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.engine.request import Request
-from repro.schedulers.base import Scheduler, SchedulingContext
+from repro.schedulers.aggressive import AggressiveScheduler
 
 #: Counter key shared by every request without a ``user_id``; with no tenants
 #: configured all traffic lands here and VTC degenerates to FIFO admission.
 ANONYMOUS_TENANT = "anonymous"
 
 
-class VirtualTokenCounterScheduler(Scheduler):
+class VirtualTokenCounterScheduler(AggressiveScheduler):
     """Admit the lowest-virtual-counter tenant first, under a watermark.
 
     Args:
@@ -70,16 +71,13 @@ class VirtualTokenCounterScheduler(Scheduler):
         decode_weight: float = 1.0,
         max_running_requests: int | None = None,
     ) -> None:
-        if not 0.0 < watermark <= 1.0:
-            raise ValueError("watermark must be in (0, 1]")
+        super().__init__(watermark, max_running_requests)
         if prefill_weight < 0 or decode_weight < 0:
             raise ValueError("service weights must be non-negative")
         if prefill_weight == 0 and decode_weight == 0:
             raise ValueError("at least one service weight must be positive")
-        self.watermark = watermark
         self.prefill_weight = prefill_weight
         self.decode_weight = decode_weight
-        self.max_running_requests = max_running_requests
         #: accumulated (weighted) service per tenant.
         self._counters: dict[str, float] = {}
         #: requests currently inside the engine (waiting or running) per
@@ -107,6 +105,7 @@ class VirtualTokenCounterScheduler(Scheduler):
         return self._counters.get(tenant, 0.0)
 
     def on_run_start(self) -> None:
+        """Forget every tenant's counter and activity (a fresh run)."""
         self._counters = {}
         self._active = {}
 
@@ -141,82 +140,34 @@ class VirtualTokenCounterScheduler(Scheduler):
             self._active.pop(tenant, None)
 
     # -------------------------------------------------------------- admission
-    def schedule(self, context: SchedulingContext) -> list[Request]:
-        if not context.waiting:
-            return []
-        waiting = context.waiting
-        budget = int(context.token_capacity * self.watermark)
-        occupied = context.running_context_tokens
-        # Lowest committed counter first, FIFO within a tenant.  While
-        # selecting, each pick *provisionally* charges its tenant (local to
-        # this consult — real counters only move on completion), so one
-        # zero-debt tenant with many queued requests cannot fill the whole
-        # batch in a single consult; admission rotates across tenants.
-        # Stale heap entries are lazily reinserted at the provisional value.
+    def _candidates(self, waiting: list[Request]) -> Iterator[Request]:
+        """Waiting requests, lowest committed counter first, FIFO within a tenant.
+
+        Each admitted pick *provisionally* charges its tenant (local to this
+        consult — real counters only move on completion), so one zero-debt
+        tenant with many queued requests cannot fill the whole batch in a
+        single consult; admission rotates across tenants.  The charge is
+        applied after ``yield``: the admission loop asks for the next
+        candidate only once it has admitted the previous one.  Stale heap
+        entries are lazily reinserted at the provisional value.
+        """
+        counters = self._counters
         provisional: dict[str, float] = {}
         heap = [
-            (self._counters.get(self._tenant(candidate), 0.0), index)
+            (counters.get(self._tenant(candidate), 0.0), index)
             for index, candidate in enumerate(waiting)
         ]
         heapq.heapify(heap)
-        admitted: list[Request] = []
-        first_choice: Request | None = None
         while heap:
             pushed_counter, index = heapq.heappop(heap)
             candidate = waiting[index]
             tenant = self._tenant(candidate)
-            current = provisional.get(tenant, self._counters.get(tenant, 0.0))
+            current = provisional.get(tenant, counters.get(tenant, 0.0))
             if pushed_counter < current:
                 heapq.heappush(heap, (current, index))
                 continue
-            if first_choice is None:
-                first_choice = candidate
-            cost = candidate.current_context_tokens
-            if occupied + cost > budget:
-                break
-            admitted.append(candidate)
-            occupied += cost
+            yield candidate
             provisional[tenant] = current + self._service_tokens(candidate) / self._weight(tenant)
-        if not admitted and not context.running and first_choice is not None:
-            # Bootstrap: an empty batch must make progress even when the
-            # fairest candidate alone exceeds the watermark (same clause as
-            # the aggressive baseline, applied to the VTC-ordered head).
-            if first_choice.current_context_tokens + 1 <= context.token_capacity:
-                admitted.append(first_choice)
-        return self._respect_batch_cap(context, admitted)
-
-    def _first_candidate(self, waiting: list[Request]) -> Request:
-        """The request :meth:`schedule` would consider first (lowest counter)."""
-        counters = self._counters
-        best = min(
-            range(len(waiting)),
-            key=lambda index: (
-                counters.get(self._tenant(waiting[index]), 0.0),
-                index,
-            ),
-        )
-        return waiting[best]
-
-    def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:
-        """Prove no-admit for a whole uniform-decode window at once.
-
-        Within the window no request arrives or finishes, so the virtual
-        counters — and therefore the selection order — are frozen, the queue
-        is unchanged, and occupancy only grows.  :meth:`schedule` stops at
-        the first candidate that fails the watermark test, so if the
-        lowest-counter candidate does not fit now, no iteration of the
-        window admits anything: one comparison proves the whole horizon.
-        Deterministic policy (no RNG), so nothing needs advancing in
-        :meth:`on_saturated_steps_fused`.
-        """
-        if max_steps <= 0 or not context.waiting or not context.running:
-            return 0
-        if self._batch_cap_blocks_window(context):
-            return max_steps
-        budget = int(context.token_capacity * self.watermark)
-        occupied = context.running_context_tokens
-        head_cost = self._first_candidate(context.waiting).current_context_tokens
-        return max_steps if occupied + head_cost > budget else 0
 
     def trace_signals(self) -> dict:
         """Virtual counters of the currently active tenants (rounded)."""
@@ -229,6 +180,7 @@ class VirtualTokenCounterScheduler(Scheduler):
         }
 
     def describe(self) -> str:
+        """One-line parameterised description used in result tables."""
         return f"vtc (watermark={self.watermark:.0%})"
 
 
@@ -276,6 +228,7 @@ class WeightedServiceCounterScheduler(VirtualTokenCounterScheduler):
         return self.weights.get(tenant, self.default_weight)
 
     def describe(self) -> str:
+        """One-line parameterised description used in result tables."""
         return (
             f"weighted-vtc (watermark={self.watermark:.0%}, "
             f"{len(self.weights)} weighted tenants, default={self.default_weight:g})"

@@ -14,6 +14,8 @@ ablation benches compare against.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core.future_memory import FutureMemoryIndex, batched_peak_with_candidate
@@ -34,29 +36,21 @@ class OracleScheduler(Scheduler):
         """(current_tokens, true_remaining) for one request."""
         return request.current_context_tokens, max(request.remaining_true_tokens, 0)
 
-    def schedule(self, context: SchedulingContext) -> list[Request]:
-        if not context.waiting:
-            return []
-        entries = [self._entry(r) for r in context.running]
+    def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
         # Incremental per-candidate admission (see PastFutureScheduler): sort
         # the running batch once, then each candidate is a searchsorted query.
-        index = FutureMemoryIndex(
-            [c for c, _ in entries],
-            [r for _, r in entries],
-        )
-        admitted: list[Request] = []
-        for candidate in context.waiting:
-            cand_current, cand_remaining = self._entry(candidate)
-            if index.peak_with(cand_current, cand_remaining) <= context.token_capacity:
-                admitted.append(candidate)
-                index.insert(cand_current, cand_remaining)
-            else:
-                break
-        if not admitted and not context.running and context.waiting:
-            head = context.waiting[0]
-            if head.current_context_tokens + 1 <= context.token_capacity:
-                admitted.append(head)
-        return self._respect_batch_cap(context, admitted)
+        capacity = context.token_capacity
+        entries = [self._entry(r) for r in context.running]
+        index = FutureMemoryIndex([c for c, _ in entries], [r for _, r in entries])
+
+        def fits(candidate: Request) -> bool:
+            current, remaining = self._entry(candidate)
+            if index.peak_with(current, remaining) > capacity:
+                return False
+            index.insert(current, remaining)
+            return True
+
+        return fits
 
     def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:
         """Count upcoming iterations whose head-admission test provably fails.
@@ -100,4 +94,5 @@ class OracleScheduler(Scheduler):
         return int(np.argmax(admit)) if admit.any() else max_steps
 
     def describe(self) -> str:
+        """One-line description used in result tables."""
         return "theoretical optimum (oracle lengths)"

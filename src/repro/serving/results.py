@@ -18,11 +18,7 @@ from repro.metrics.fleet import (
     total_replica_seconds,
 )
 from repro.metrics.fairness import FairnessSummary, summarize_tenant_fairness
-from repro.metrics.goodput import (
-    ThroughputSummary,
-    summarize_throughput,
-    summarize_throughput_by_class,
-)
+from repro.metrics.goodput import ThroughputSummary, summarize_throughput
 from repro.metrics.latency import LatencySummary, summarize_latency
 from repro.serving.sla import SLASpec
 
@@ -334,22 +330,6 @@ class ClusterResult:
         )
 
     # ---------------------------------------------------------- per-class
-    def per_class_throughput(self, sla: SLASpec) -> dict[str, ThroughputSummary]:
-        """Per-SLA-class token-rate summaries over the fleet makespan."""
-        return summarize_throughput_by_class(self.requests, self.duration, sla)
-
-    def per_class_goodput(self, sla: SLASpec) -> dict[str, float]:
-        """SLA-compliant tokens per second, per service class.
-
-        Class deadlines come from the spec's per-class limits (see
-        :meth:`repro.serving.sla.SLASpec.limits_for`); classes sum to the
-        fleet :meth:`goodput`.
-        """
-        return {
-            name: summary.goodput
-            for name, summary in self.per_class_throughput(sla).items()
-        }
-
     def per_class_goodput_per_replica_second(self, sla: SLASpec) -> dict[str, float]:
         """Per-class goodput divided by the fleet's provisioned replica-seconds.
 

@@ -29,17 +29,8 @@ def make_request(request_id: str, input_length: int, output_length: int,
     return request
 
 
-def make_context(running, waiting, capacity=1000, used=None) -> SchedulingContext:
-    if used is None:
-        used = sum(r.current_context_tokens for r in running)
-    return SchedulingContext(
-        time=0.0,
-        step=1,
-        running=list(running),
-        waiting=list(waiting),
-        token_capacity=capacity,
-        used_tokens=used,
-    )
+def make_context(running, waiting, capacity=1000) -> SchedulingContext:
+    return SchedulingContext(running=list(running), waiting=list(waiting), token_capacity=capacity)
 
 
 class TestConstruction:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.predictor import OutputLengthPredictor, build_predictor
+from repro.core.predictor import OutputLengthPredictor
 
 
 def make_predictor(lengths, **kwargs) -> OutputLengthPredictor:
-    return build_predictor(np.array(lengths, dtype=np.int64), **kwargs)
+    return OutputLengthPredictor(np.array(lengths, dtype=np.int64), **kwargs)
 
 
 class TestConstruction:

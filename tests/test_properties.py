@@ -19,7 +19,7 @@ from repro.core.future_memory import (
     peak_future_memory_arrays,
 )
 from repro.core.history import OutputLengthHistory
-from repro.core.predictor import build_predictor
+from repro.core.predictor import OutputLengthPredictor
 from repro.engine.engine import InferenceEngine
 from repro.hardware.platform import paper_platform
 from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
@@ -90,7 +90,7 @@ class TestPredictorProperties:
     @given(lengths=lengths_strategy, seed=st.integers(0, 1000), count=st.integers(1, 50))
     @settings(max_examples=50)
     def test_new_samples_are_drawn_from_history(self, lengths, seed, count):
-        predictor = build_predictor(np.array(lengths), seed=seed)
+        predictor = OutputLengthPredictor(np.array(lengths), seed=seed)
         samples = predictor.predict_new(count)
         assert set(samples.tolist()) <= set(lengths)
 
@@ -101,13 +101,13 @@ class TestPredictorProperties:
     )
     @settings(max_examples=50)
     def test_running_predictions_strictly_exceed_generated(self, lengths, generated, seed):
-        predictor = build_predictor(np.array(lengths), seed=seed)
+        predictor = OutputLengthPredictor(np.array(lengths), seed=seed)
         predictions = predictor.predict_running(generated)
         assert np.all(predictions > np.array(generated))
 
     @given(lengths=lengths_strategy)
     def test_probabilities_sum_to_one_over_support(self, lengths):
-        predictor = build_predictor(np.array(lengths))
+        predictor = OutputLengthPredictor(np.array(lengths))
         total = sum(predictor.probability(int(v)) for v in predictor.support)
         assert abs(total - 1.0) < 1e-9
 

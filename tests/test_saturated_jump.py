@@ -6,15 +6,18 @@ waiting queue) fuses iterations whose admission decisions provably admit
 nothing.  Its correctness
 rests on three independently testable claims, covered here in order:
 
-1. **Predictor stream identity** — a single
-   :meth:`~repro.core.predictor.OutputLengthPredictor.predict_running_batch`
-   draw returns the same predictions *and* leaves the generator in the same
-   state as the sequential per-iteration calls it replaces (compared via
-   ``bit_generator.state``, not just values).
+1. **Stream identity** — the saturated horizon reads each upcoming
+   iteration's draws from :mod:`repro.core.rng_streams`, which rebuilds the
+   raw stream of the generator :meth:`schedule` would seed without building
+   it (``tests/test_rng_streams.py`` proves the rebuilt draws equal
+   ``default_rng``'s); here, the history's cached sorted window that both
+   paths sample from is checked.
 2. **Scheduler decision equality** — the batched
    :meth:`~repro.core.past_future.PastFutureScheduler.saturated_no_admit_horizon`
    replays exactly the decisions (and the RNG bookkeeping) that sequential
-   :meth:`schedule` calls would have produced across a uniform decode window.
+   :meth:`schedule` calls would have produced across a uniform decode window,
+   and so do the oracle's and the watermark family's (aggressive,
+   conservative, VTC) proofs.
 3. **End-to-end bit-identity** — whole simulations with the saturated jump
    enabled produce byte-identical metrics to the reference loop
    (``fast_path=False``), across workload families, chunked prefill on/off,
@@ -29,12 +32,13 @@ import pytest
 from repro.analysis.perf import cluster_snapshot, run_snapshot
 from repro.core.history import OutputLengthHistory
 from repro.core.past_future import PastFutureScheduler
-from repro.core.predictor import OutputLengthPredictor
 from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import paper_platform
+from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.conservative import ConservativeScheduler
+from repro.schedulers.fair import VirtualTokenCounterScheduler
 from repro.schedulers.oracle import OracleScheduler
 from repro.schedulers.registry import create_scheduler
 from repro.serving.cluster import ClusterSimulator
@@ -42,44 +46,12 @@ from repro.serving.server import ServingSimulator
 from repro.workloads.burstgpt import generate_conversation_trace
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload, generate_sharegpt_workload
 from repro.workloads.spec import RequestSpec, scale_workload
+from repro.workloads.tenants import assign_tenants, generate_tenant_population
 
 PLATFORM = paper_platform("7b-a100")
 
 
-# ----------------------------------------------------- predictor stream identity
-@pytest.mark.parametrize("aggregation", ["max", "mean", "median"])
-@pytest.mark.parametrize("num_samples", [1, 4])
-def test_predict_running_batch_matches_sequential_calls(aggregation, num_samples):
-    """One (steps, S, n) draw == `steps` sequential draws: values and state."""
-    lengths = np.array([5, 9, 9, 14, 30, 120, 450], dtype=np.int64)
-    generated = np.array([0, 3, 9, 29, 500], dtype=np.int64)
-    batched = OutputLengthPredictor(
-        lengths, seed=42, num_samples=num_samples, aggregation=aggregation
-    )
-    sequential = OutputLengthPredictor(
-        lengths, seed=42, num_samples=num_samples, aggregation=aggregation
-    )
-    steps = 17
-    rows = batched.predict_running_batch(generated, steps)
-    assert rows.shape == (steps, generated.size)
-    for k in range(steps):
-        np.testing.assert_array_equal(rows[k], sequential.predict_running(generated + k))
-    # The decisive check: the two generators consumed identical streams, so
-    # any *future* draw also agrees.
-    assert (
-        batched._rng.bit_generator.state == sequential._rng.bit_generator.state
-    )
-    np.testing.assert_array_equal(batched.predict_new(3), sequential.predict_new(3))
-
-
-def test_predict_running_batch_zero_steps_consumes_nothing():
-    predictor = OutputLengthPredictor(np.array([4, 8, 15]), seed=1)
-    untouched = OutputLengthPredictor(np.array([4, 8, 15]), seed=1)
-    rows = predictor.predict_running_batch([1, 2], 0)
-    assert rows.shape == (0, 2)
-    assert predictor._rng.bit_generator.state == untouched._rng.bit_generator.state
-
-
+# ------------------------------------------------------------- stream identity
 def test_history_sorted_snapshot_is_cached_until_mutation():
     history = OutputLengthHistory(window_size=8, default_length=64)
     seeded = history.sorted_snapshot()
@@ -113,7 +85,12 @@ def _decoding_request(
 
 
 def _queued_request(
-    request_id: str, prompt: int, cap: int = 4096, generated: int = 0, true_length: int | None = None
+    request_id: str,
+    prompt: int,
+    cap: int = 4096,
+    generated: int = 0,
+    true_length: int | None = None,
+    user_id: str | None = None,
 ) -> Request:
     request = Request(
         spec=RequestSpec(
@@ -121,6 +98,7 @@ def _queued_request(
             input_length=prompt,
             output_length=true_length if true_length is not None else cap,
             max_new_tokens=cap,
+            user_id=user_id,
         ),
         arrival_time=0.0,
     )
@@ -128,15 +106,8 @@ def _queued_request(
     return request
 
 
-def _context(running, waiting, capacity, step=1):
-    return SchedulingContext(
-        time=0.0,
-        step=step,
-        running=list(running),
-        waiting=list(waiting),
-        token_capacity=capacity,
-        used_tokens=sum(r.current_context_tokens for r in running),
-    )
+def _context(running, waiting, capacity):
+    return SchedulingContext(running=list(running), waiting=list(waiting), token_capacity=capacity)
 
 
 def _grow_uniformly(requests, steps=1):
@@ -185,7 +156,7 @@ def _assert_horizon_replays_sequential_schedule(
     sequential, running, waiting = build()
     replayed = 0
     while replayed < max_steps:
-        admitted = sequential.schedule(_context(running, waiting, capacity, step=replayed + 1))
+        admitted = sequential.schedule(_context(running, waiting, capacity))
         if admitted:
             break
         replayed += 1
@@ -202,7 +173,7 @@ def _assert_horizon_replays_sequential_schedule(
         # Consulting the batched scheduler for real at the post-window state
         # re-draws the admitting iteration's exact samples and admits.
         admitted = batched.schedule(
-            _context(running, waiting, capacity, step=horizon + 1)
+            _context(running, waiting, capacity)
         )
         assert admitted, "horizon ended on an iteration that does not admit"
 
@@ -265,7 +236,7 @@ def test_saturated_horizon_spans_full_window_when_head_cannot_fit():
     replayed = 0
     while replayed < max_steps:
         assert not scheduler.schedule(
-            _context(running, waiting, capacity, step=replayed + 1)
+            _context(running, waiting, capacity)
         )
         replayed += 1
         _grow_uniformly(running)
@@ -292,15 +263,8 @@ def test_conservative_horizon_is_all_or_nothing():
     assert scheduler.saturated_no_admit_horizon(_context(running, tiny, 4096), 75) == 0
 
 
-def test_oracle_horizon_matches_sequential_schedule():
-    scheduler = OracleScheduler()
-    running = [
-        _decoding_request("r0", prompt=500, generated=100, cap=700, true_length=650),
-        _decoding_request("r1", prompt=800, generated=20, cap=700, true_length=580),
-    ]
-    waiting = [_queued_request("q0", prompt=400, cap=500, true_length=450)]
-    capacity = 3000
-    max_steps = 120
+def _assert_horizon_matches_sequential_schedule(scheduler, running, waiting, capacity, max_steps):
+    """The proven horizon == the count of leading no-admit schedule() calls."""
     horizon = scheduler.saturated_no_admit_horizon(
         _context(running, waiting, capacity), max_steps
     )
@@ -311,6 +275,54 @@ def test_oracle_horizon_matches_sequential_schedule():
         replayed += 1
         _grow_uniformly(running)
     assert horizon == replayed
+
+
+def _watermark_case(name):
+    """A blocked first candidate followed by one that would fit on its own.
+
+    Admission must stop at the first misfit, so nothing is admitted for the
+    whole window, although the second candidate fits.  For ``vtc`` the first
+    candidate is *not* the queue front: the front's tenant was already charged,
+    so the lowest-counter pick is the large request queued behind it.
+    """
+    running = [
+        _decoding_request("r0", prompt=500, generated=10, cap=700),
+        _decoding_request("r1", prompt=800, generated=20, cap=700),
+    ]
+    blocked = _queued_request("q-big", prompt=700, cap=500, user_id="light")
+    small = _queued_request("q-small", prompt=10, cap=100, user_id="heavy")
+    if name == "conservative":
+        # Worst cases: 1200 + 1500 committed; 2700 + 1200 > 3000, 2700 + 110 fits.
+        return ConservativeScheduler(), running, [blocked, small], 3000
+    if name == "aggressive":
+        # 1330 current tokens; 1330 + 700 > 1900 (95% of 2000), + 10 fits.
+        return AggressiveScheduler(watermark=0.95), running, [blocked, small], 2000
+    scheduler = VirtualTokenCounterScheduler(watermark=0.95)
+    scheduler.on_run_start()
+    served = _queued_request("served", prompt=300, user_id="heavy")
+    scheduler.on_request_submitted(served)
+    scheduler.on_request_finished(served, 0.0)
+    for request in (blocked, small):
+        scheduler.on_request_submitted(request)
+    assert scheduler.counter("heavy") > scheduler.counter("light")
+    return scheduler, running, [small, blocked], 2000
+
+
+@pytest.mark.parametrize("name", ["aggressive", "conservative", "vtc"])
+def test_watermark_horizon_matches_sequential_schedule(name):
+    scheduler, running, waiting, capacity = _watermark_case(name)
+    _assert_horizon_matches_sequential_schedule(scheduler, running, waiting, capacity, max_steps=60)
+
+
+def test_oracle_horizon_matches_sequential_schedule():
+    running = [
+        _decoding_request("r0", prompt=500, generated=100, cap=700, true_length=650),
+        _decoding_request("r1", prompt=800, generated=20, cap=700, true_length=580),
+    ]
+    waiting = [_queued_request("q0", prompt=400, cap=500, true_length=450)]
+    _assert_horizon_matches_sequential_schedule(
+        OracleScheduler(), running, waiting, capacity=3000, max_steps=120
+    )
 
 
 # ------------------------------------------------------- end-to-end identity
@@ -462,16 +474,21 @@ def test_one_entry_point_makes_both_jumps_and_pins_fallback_reasons():
     ("aggressive", {"watermark": 0.95}),
     ("conservative", {}),
     ("oracle", {}),
+    ("vtc", {"watermark": 0.95}),
+    ("weighted-vtc", {"weights": {"user-0000": 2.0}, "watermark": 0.95}),
 ])
 def test_saturated_baseline_schedulers_bit_identical(scheduler_name, kwargs):
-    workload = SATURATED_WORKLOADS["sharegpt"]()
-    _, fast = _run_single(
+    # Tenants only matter to the VTC policies; the FCFS baselines ignore them.
+    population = generate_tenant_population(8, num_apps=2, abusive_users=1, abusive_share=0.5)
+    workload = assign_tenants(SATURATED_WORKLOADS["sharegpt"](), population, seed=1)
+    fast_sim, fast = _run_single(
         scheduler_name, kwargs, workload, chunked=None, fast_path=True, clients=48
     )
     _, reference = _run_single(
         scheduler_name, kwargs, workload, chunked=None, fast_path=False, clients=48
     )
     assert run_snapshot(fast) == run_snapshot(reference)
+    assert fast_sim.engine.jump_stats.saturated_jumps > 0
 
 
 def test_saturated_cluster_bit_identical():

@@ -26,14 +26,7 @@ def make_request(request_id: str, input_length: int, output_length: int,
 
 
 def make_context(running, waiting, capacity) -> SchedulingContext:
-    return SchedulingContext(
-        time=0.0,
-        step=0,
-        running=list(running),
-        waiting=list(waiting),
-        token_capacity=capacity,
-        used_tokens=sum(r.current_context_tokens for r in running),
-    )
+    return SchedulingContext(running=list(running), waiting=list(waiting), token_capacity=capacity)
 
 
 class TestConservativeScheduler:

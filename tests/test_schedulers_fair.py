@@ -37,16 +37,7 @@ def make_context(
     running: list[Request] | None = None,
     token_capacity: int = 1000,
 ) -> SchedulingContext:
-    running = running or []
-    used = sum(r.current_context_tokens for r in running)
-    return SchedulingContext(
-        time=0.0,
-        step=0,
-        running=running,
-        waiting=waiting,
-        token_capacity=token_capacity,
-        used_tokens=used,
-    )
+    return SchedulingContext(running=running or [], waiting=waiting, token_capacity=token_capacity)
 
 
 def finish(scheduler, request: Request, generated: int = 0) -> None:

@@ -55,21 +55,6 @@ class TestRegistry:
             schedulers.NoSuchScheduler  # noqa: B018
 
 
-class TestSchedulingContext:
-    def test_free_tokens(self):
-        context = SchedulingContext(
-            time=0.0, step=0, running=[], waiting=[], token_capacity=100, used_tokens=30
-        )
-        assert context.free_tokens == 70
-
-    def test_running_context_tokens(self):
-        request = Request(spec=make_spec(input_length=12, output_length=4), arrival_time=0.0)
-        context = SchedulingContext(
-            time=0.0, step=0, running=[request], waiting=[], token_capacity=100, used_tokens=12
-        )
-        assert context.running_context_tokens == 12
-
-
 class TestBatchCapUtility:
     class _DummyScheduler(Scheduler):
         name = "dummy"
@@ -86,10 +71,7 @@ class TestBatchCapUtility:
             Request(spec=make_spec(request_id=f"w{i}"), arrival_time=0.0)
             for i in range(num_waiting)
         ]
-        return SchedulingContext(
-            time=0.0, step=0, running=running, waiting=waiting,
-            token_capacity=10_000, used_tokens=0,
-        )
+        return SchedulingContext(running=running, waiting=waiting, token_capacity=10_000)
 
     def test_unlimited_by_default(self):
         scheduler = self._DummyScheduler()

@@ -21,7 +21,7 @@ Run from anywhere inside the checkout::
 Exit status is non-zero when any link is broken or any snippet fails; this is
 the ``docs-check`` CI job's second half (the first half is ruff's
 missing-docstring rules over ``repro.serving``, ``repro.core``,
-``repro.obs`` and ``repro.memory``).
+``repro.obs``, ``repro.memory`` and ``repro.schedulers``).
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ import pytest
 
 from benchmarks.conftest import write_report
 from repro.analysis.tables import render_table
-from repro.core.future_memory import BatchEntry, memory_timeline, peak_future_memory
+from repro.core.future_memory import memory_timeline, peak_future_memory_arrays
 
 #: The Figure 6 running batch at time t: (current KV tokens, remaining outputs).
-RUNNING_BATCH = [BatchEntry(7, 1), BatchEntry(5, 2), BatchEntry(4, 3)]
+RUNNING_BATCH = [(7, 1), (5, 2), (4, 3)]
 #: The queued request: 2 prompt tokens, 2 output tokens.
 NEW_REQUEST_PROMPT = 2
 NEW_REQUEST_OUTPUT = 2
@@ -26,29 +26,27 @@ NEW_REQUEST_OUTPUT = 2
 CAPACITY = 21
 
 
-def _batch_after(steps: int) -> list[BatchEntry]:
+def _batch_after(steps: int) -> list[tuple[int, int]]:
     """The running batch as it will look ``steps`` decode iterations later."""
-    entries = []
-    for entry in RUNNING_BATCH:
-        if entry.remaining_tokens > steps:
-            entries.append(
-                BatchEntry(entry.current_tokens + steps, entry.remaining_tokens - steps)
-            )
-    return entries
+    return [
+        (current + steps, remaining - steps)
+        for current, remaining in RUNNING_BATCH
+        if remaining > steps
+    ]
 
 
 def admission_peaks(max_delay: int = 3) -> list[dict]:
     """Projected peak memory if the queued request is admitted after each delay."""
     rows = []
     for delay in range(max_delay + 1):
-        batch = _batch_after(delay) + [BatchEntry(NEW_REQUEST_PROMPT, NEW_REQUEST_OUTPUT)]
-        peak = peak_future_memory(batch)
+        current, remaining = zip(*_batch_after(delay), (NEW_REQUEST_PROMPT, NEW_REQUEST_OUTPUT))
+        peak = peak_future_memory_arrays(current, remaining)
         rows.append(
             {
                 "admit_at": f"t+{delay}" if delay else "t",
                 "projected_peak": peak,
                 "fits_capacity": peak <= CAPACITY,
-                "timeline": " ".join(str(v) for v in memory_timeline(batch)),
+                "timeline": " ".join(str(v) for v in memory_timeline(current, remaining)),
             }
         )
     return rows

@@ -13,41 +13,37 @@ Run with:  python examples/admission_walkthrough.py
 from __future__ import annotations
 
 from repro.analysis.tables import render_table
-from repro.core.future_memory import BatchEntry, memory_timeline, peak_future_memory
+from repro.core.future_memory import memory_timeline, peak_future_memory_arrays
 
 CAPACITY = 21
 #: Running batch at time t: (current KV tokens, remaining output tokens).
-RUNNING = [BatchEntry(7, 1), BatchEntry(5, 2), BatchEntry(4, 3)]
+RUNNING = [(7, 1), (5, 2), (4, 3)]
 #: Queued request: 2 prompt tokens, 2 output tokens.
-QUEUED = BatchEntry(2, 2)
+QUEUED = (2, 2)
 
 
-def batch_after(steps: int) -> list[BatchEntry]:
+def batch_after(steps: int) -> list[tuple[int, int]]:
     """The running batch as it will look ``steps`` decode iterations later."""
-    later = []
-    for entry in RUNNING:
-        if entry.remaining_tokens > steps:
-            later.append(BatchEntry(entry.current_tokens + steps, entry.remaining_tokens - steps))
-    return later
+    return [(current + steps, remaining - steps) for current, remaining in RUNNING if remaining > steps]
 
 
 def main() -> None:
     print(f"System token capacity: {CAPACITY}")
     print("Running batch at time t (current tokens, remaining outputs):")
-    for index, entry in enumerate(RUNNING, start=1):
-        print(f"  S{index}: current={entry.current_tokens}, remaining={entry.remaining_tokens}")
-    print(f"Queued request: prompt={QUEUED.current_tokens}, output={QUEUED.remaining_tokens}\n")
+    for index, (current, remaining) in enumerate(RUNNING, start=1):
+        print(f"  S{index}: current={current}, remaining={remaining}")
+    print(f"Queued request: prompt={QUEUED[0]}, output={QUEUED[1]}\n")
 
     rows = []
     for delay in range(4):
-        batch = batch_after(delay) + [QUEUED]
-        peak = peak_future_memory(batch)
+        current, remaining = zip(*batch_after(delay), QUEUED)
+        peak = peak_future_memory_arrays(current, remaining)
         rows.append(
             {
                 "admit_at": f"t+{delay}" if delay else "t",
                 "projected_peak": peak,
                 "fits": "yes" if peak <= CAPACITY else "NO (eviction later)",
-                "memory_timeline": " -> ".join(str(v) for v in memory_timeline(batch)),
+                "memory_timeline": " -> ".join(str(v) for v in memory_timeline(current, remaining)),
             }
         )
     print(render_table(rows, title="Projected memory if the queued request is admitted at each step"))

@@ -1,21 +1,12 @@
 """The paper's core contribution: the Past-Future scheduler and its parts."""
 
-from repro.core.future_memory import (
-    BatchEntry,
-    future_memory_profile,
-    memory_timeline,
-    peak_future_memory,
-    peak_future_memory_arrays,
-)
+from repro.core.future_memory import memory_timeline, peak_future_memory_arrays
 from repro.core.history import OutputLengthHistory
 from repro.core.past_future import PastFutureScheduler
 from repro.core.predictor import OutputLengthPredictor
 
 __all__ = [
-    "BatchEntry",
-    "future_memory_profile",
     "memory_timeline",
-    "peak_future_memory",
     "peak_future_memory_arrays",
     "OutputLengthHistory",
     "PastFutureScheduler",

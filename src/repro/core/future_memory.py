@@ -19,106 +19,88 @@ no eviction, assuming the remaining-length estimates hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BatchEntry:
-    """One request's contribution to the future-memory calculation."""
-
-    current_tokens: int
-    remaining_tokens: int
-
-    def __post_init__(self) -> None:
-        if self.current_tokens < 0:
-            raise ValueError("current_tokens must be non-negative")
-        if self.remaining_tokens < 0:
-            raise ValueError("remaining_tokens must be non-negative")
-
-
-def peak_future_memory(entries: Sequence[BatchEntry] | Iterable[BatchEntry]) -> int:
-    """Peak future memory (tokens) required to finish the batch (Eq. 2–4)."""
-    entries = list(entries)
-    if not entries:
-        return 0
-    current = np.array([e.current_tokens for e in entries], dtype=np.int64)
-    remaining = np.array([e.remaining_tokens for e in entries], dtype=np.int64)
-    return int(_peak_from_arrays(current, remaining))
-
-
-def future_memory_profile(entries: Sequence[BatchEntry]) -> list[int]:
-    """The per-completion occupancies ``[M_1, ..., M_k]`` of Eq. 3.
-
-    ``M_i`` is the memory occupied at the moment the request with the *i*-th
-    longest remaining generation finishes.  Useful for plotting the memory
-    timeline of Figure 5/6.
-    """
-    if not entries:
-        return []
-    current = np.array([e.current_tokens for e in entries], dtype=np.int64)
-    remaining = np.array([e.remaining_tokens for e in entries], dtype=np.int64)
-    return [int(m) for m in _profile_from_arrays(current, remaining)]
-
-
-def _order_by_remaining(current: np.ndarray, remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(-remaining, kind="stable")
-    return current[order], remaining[order]
-
-
-def _profile_from_arrays(current: np.ndarray, remaining: np.ndarray) -> np.ndarray:
-    current_sorted, remaining_sorted = _order_by_remaining(current, remaining)
-    prefix = np.cumsum(current_sorted)
-    counts = np.arange(1, current_sorted.size + 1, dtype=np.int64)
-    return prefix + remaining_sorted * counts
-
-
-def _peak_from_arrays(current: np.ndarray, remaining: np.ndarray) -> int:
-    if current.size == 0:
-        return 0
-    return int(_profile_from_arrays(current, remaining).max())
-
-
-def peak_future_memory_arrays(current: np.ndarray | Sequence[int],
-                              remaining: np.ndarray | Sequence[int]) -> int:
-    """Array-based variant of :func:`peak_future_memory` (no dataclass boxing).
-
-    Used on the scheduler hot path, where entries are already numpy arrays.
-    """
+def _token_arrays(current, remaining, ndims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Validated int64 ``(current, remaining)`` arrays of one allowed rank."""
     current_arr = np.asarray(current, dtype=np.int64)
     remaining_arr = np.asarray(remaining, dtype=np.int64)
     if current_arr.shape != remaining_arr.shape:
         raise ValueError("current and remaining must have the same shape")
-    if current_arr.ndim != 1:
-        raise ValueError("current and remaining must be 1-D")
+    if current_arr.ndim not in ndims:
+        raise ValueError(f"current and remaining must have {' or '.join(map(str, ndims))} dimensions")
     if np.any(current_arr < 0) or np.any(remaining_arr < 0):
         raise ValueError("token counts must be non-negative")
-    if current_arr.size == 0:
-        return 0
-    return _peak_from_arrays(current_arr, remaining_arr)
+    return current_arr, remaining_arr
 
 
-def memory_timeline(entries: Sequence[BatchEntry]) -> list[int]:
+def peak_future_memory_arrays(
+    current: np.ndarray | Sequence[int],
+    remaining: np.ndarray | Sequence[int],
+) -> int | np.ndarray:
+    """Peak future memory (tokens) required to finish a batch (Eq. 2–4).
+
+    The one Eq. 2–4 kernel: a stable sort by descending remaining length,
+    a prefix sum of current tokens, and the maximum of the Eq. 3 profile,
+    all along the last axis.  A 1-D batch returns an ``int``; a 2-D input
+    is many batches at once and returns one ``int64`` peak per row.
+
+    Rows of unequal length are padded with ``(current 0, remaining 0)``
+    entries.  A pad sorts after every request with a positive remaining
+    length and adds nothing to any prefix sum, so no real entry's Eq. 3
+    value moves.  The pad's own value is a prefix sum of current tokens, at
+    most the row's total, which the last entry's value already reaches, so
+    padding never raises a peak.
+
+    Args:
+        current: ``(batch,)`` or ``(rows, batch)`` current context tokens.
+        remaining: remaining tokens per request, same shape as ``current``.
+
+    Returns:
+        The peak as an ``int`` (0 for an empty batch) for 1-D input, or a
+        ``(rows,)`` int64 array for 2-D input.
+    """
+    current_arr, remaining_arr = _token_arrays(current, remaining, (1, 2))
+    order = np.argsort(-remaining_arr, axis=-1, kind="stable")
+    if current_arr.ndim == 1:
+        # Direct indexing: take_along_axis costs a few µs more per 1-D call,
+        # and the engine and router make one such call per event.
+        current_sorted, remaining_sorted = current_arr[order], remaining_arr[order]
+    else:
+        current_sorted = np.take_along_axis(current_arr, order, axis=1)
+        remaining_sorted = np.take_along_axis(remaining_arr, order, axis=1)
+    counts = np.arange(1, current_arr.shape[-1] + 1, dtype=np.int64)
+    # Every Eq. 3 value is non-negative, so ``initial=0`` only covers empty batches.
+    peaks = (np.cumsum(current_sorted, axis=-1) + remaining_sorted * counts).max(axis=-1, initial=0)
+    return int(peaks) if current_arr.ndim == 1 else peaks
+
+
+def memory_timeline(
+    current: np.ndarray | Sequence[int],
+    remaining: np.ndarray | Sequence[int],
+) -> list[int]:
     """Occupied tokens at every future decode step until the batch drains.
 
     Step 0 is "now".  At each subsequent step every unfinished request grows by
     one token; requests whose remaining generation is exhausted release all
     their tokens.  The maximum of this timeline equals
-    :func:`peak_future_memory`; the full series is used by the admission
-    walk-through example and the Figure 5/6 bench.
+    :func:`peak_future_memory_arrays`; the full series is used by the
+    admission walk-through example and the Figure 5/6 bench.
 
     Computed in one cumulative pass over the horizon: with requests sorted by
     remaining length, the survivors at step *s* are a suffix, so the occupied
     tokens are ``suffix_current_sum(s) + survivors(s) * s`` — no per-step
     Python loop.
+
+    Args:
+        current: ``(batch,)`` current context tokens per request.
+        remaining: ``(batch,)`` remaining tokens per request.
     """
-    if not entries:
-        return [0]
-    current = np.array([e.current_tokens for e in entries], dtype=np.int64)
-    remaining = np.array([e.remaining_tokens for e in entries], dtype=np.int64)
-    horizon = int(remaining.max())
+    current, remaining = _token_arrays(current, remaining, (1,))
+    horizon = int(remaining.max(initial=0))
     order = np.argsort(remaining, kind="stable")
     remaining_sorted = remaining[order]
     prefix_current = np.concatenate(([0], np.cumsum(current[order])))
@@ -146,11 +128,12 @@ def batched_peak_with_candidate(
     one row per upcoming iteration, so the whole proof window is a handful of
     vectorized array operations instead of per-iteration Python.
 
-    The candidate is appended as the *last* column before the stable
-    descending sort, which places it after every incumbent with an equal
-    remaining length — the same tie order :class:`FutureMemoryIndex` commits
-    to, so row ``k`` is bit-identical (exact integer arithmetic) to the
-    incremental evaluation the reference admission loop performs.
+    The candidate is appended as the *last* column and the rows go to
+    :func:`peak_future_memory_arrays`, whose stable descending sort places it
+    after every incumbent with an equal remaining length — the same tie
+    order :class:`FutureMemoryIndex` commits to, so row ``k`` is
+    bit-identical (exact integer arithmetic) to the incremental evaluation
+    the reference admission loop performs.
 
     Args:
         current: ``(rows, batch)`` current context tokens per request.
@@ -163,32 +146,14 @@ def batched_peak_with_candidate(
     Returns:
         ``(rows,)`` int64 peak future memory with the candidate included.
     """
-    current = np.asarray(current, dtype=np.int64)
-    remaining = np.asarray(remaining, dtype=np.int64)
+    current, remaining = _token_arrays(current, remaining, (2,))
     candidate_remaining = np.asarray(candidate_remaining, dtype=np.int64)
-    if current.ndim != 2 or current.shape != remaining.shape:
-        raise ValueError("current and remaining must be 2-D arrays of equal shape")
-    rows = current.shape[0]
-    if candidate_remaining.shape != (rows,):
+    if candidate_remaining.shape != (len(current),):
         raise ValueError("candidate_remaining must have one entry per row")
-    if (
-        candidate_current < 0
-        or np.any(current < 0)
-        or np.any(remaining < 0)
-        or np.any(candidate_remaining < 0)
-    ):
-        raise ValueError("token counts must be non-negative")
-    current_all = np.concatenate(
-        (current, np.full((rows, 1), candidate_current, dtype=np.int64)), axis=1
+    return peak_future_memory_arrays(
+        np.column_stack((current, np.full(len(current), candidate_current, dtype=np.int64))),
+        np.column_stack((remaining, candidate_remaining)),
     )
-    remaining_all = np.concatenate((remaining, candidate_remaining[:, None]), axis=1)
-    order = np.argsort(-remaining_all, axis=1, kind="stable")
-    current_sorted = np.take_along_axis(current_all, order, axis=1)
-    remaining_sorted = np.take_along_axis(remaining_all, order, axis=1)
-    prefix = np.cumsum(current_sorted, axis=1)
-    counts = np.arange(1, current_all.shape[1] + 1, dtype=np.int64)
-    profile = prefix + remaining_sorted * counts[None, :]
-    return profile.max(axis=1)
 
 
 class FutureMemoryIndex:
@@ -217,12 +182,7 @@ class FutureMemoryIndex:
         current: np.ndarray | Sequence[int],
         remaining: np.ndarray | Sequence[int],
     ) -> None:
-        current_arr = np.asarray(current, dtype=np.int64)
-        remaining_arr = np.asarray(remaining, dtype=np.int64)
-        if current_arr.shape != remaining_arr.shape or current_arr.ndim != 1:
-            raise ValueError("current and remaining must be 1-D arrays of equal length")
-        if np.any(current_arr < 0) or np.any(remaining_arr < 0):
-            raise ValueError("token counts must be non-negative")
+        current_arr, remaining_arr = _token_arrays(current, remaining, (1,))
         order = np.argsort(-remaining_arr, kind="stable")
         self._current = current_arr[order]
         self._remaining = remaining_arr[order]
@@ -232,16 +192,11 @@ class FutureMemoryIndex:
         remaining = self._remaining
         self._prefix = np.cumsum(self._current)
         self._neg_remaining = -remaining
-        if remaining.size:
-            counts = np.arange(1, remaining.size + 1, dtype=np.int64)
-            profile = self._prefix + remaining * counts
-            self._left_max = np.maximum.accumulate(profile)
-            # Insertion at position p shifts every later entry's completion
-            # rank by one: M'_i = M_i + remaining_i + cand_current.
-            self._tail_max = np.maximum.accumulate((profile + remaining)[::-1])[::-1]
-        else:
-            self._left_max = profile = np.zeros(0, dtype=np.int64)
-            self._tail_max = profile
+        profile = self._prefix + remaining * np.arange(1, remaining.size + 1, dtype=np.int64)
+        self._left_max = np.maximum.accumulate(profile)
+        # Insertion at position p shifts every later entry's completion
+        # rank by one: M'_i = M_i + remaining_i + cand_current.
+        self._tail_max = np.maximum.accumulate((profile + remaining)[::-1])[::-1]
 
     def __len__(self) -> int:
         return int(self._current.size)

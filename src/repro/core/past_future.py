@@ -60,6 +60,11 @@ _HORIZON_CHUNK_GROWTH = 2
 _HORIZON_CHUNK_MAX = 1024
 
 
+def _predicted_remaining(predicted, generated, caps):
+    """Remaining tokens of predicted total lengths clamped to ``[generated + 1, cap]``."""
+    return np.maximum(np.minimum(predicted, caps), generated + 1) - generated
+
+
 class PastFutureScheduler(Scheduler):
     """Admission control using past output-length history and future memory.
 
@@ -142,16 +147,10 @@ class PastFutureScheduler(Scheduler):
         requests: list[Request],
     ) -> tuple[np.ndarray, np.ndarray]:
         """Current-token and predicted-remaining arrays for resident requests."""
-        if not requests:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         generated = np.array([r.generated_tokens for r in requests], dtype=np.int64)
         caps = np.array([r.spec.max_new_tokens for r in requests], dtype=np.int64)
-        predicted = predictor.predict_running(generated)
-        predicted = np.minimum(predicted, caps)
-        predicted = np.maximum(predicted, generated + 1)
         current = np.array([r.current_context_tokens for r in requests], dtype=np.int64)
-        remaining = predicted - generated
-        return current, remaining
+        return current, _predicted_remaining(predictor.predict_running(generated), generated, caps)
 
     def _candidate_entry(
         self,
@@ -159,17 +158,12 @@ class PastFutureScheduler(Scheduler):
         request: Request,
     ) -> tuple[int, int]:
         """(current_tokens, predicted_remaining) for a waiting candidate."""
-        if request.generated_tokens > 0:
-            # Re-queued after eviction: predict conditionally on what it has
-            # already produced, exactly like a running request.
-            predicted = int(predictor.predict_running([request.generated_tokens])[0])
-        else:
-            predicted = int(predictor.predict_new(1)[0])
-        predicted = min(predicted, request.spec.max_new_tokens)
-        predicted = max(predicted, request.generated_tokens + 1)
-        current = request.current_context_tokens
-        remaining = predicted - request.generated_tokens
-        return current, remaining
+        generated = request.generated_tokens
+        # Re-queued after eviction: predict conditionally on what it has
+        # already produced, exactly like a running request.
+        predicted = predictor.predict_running([generated]) if generated > 0 else predictor.predict_new(1)
+        remaining = _predicted_remaining(predicted, generated, request.spec.max_new_tokens)
+        return request.current_context_tokens, int(remaining[0])
 
     def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
         """Admit a candidate while the predicted Eq. 2–4 peak fits the budget.
@@ -273,9 +267,7 @@ class PastFutureScheduler(Scheduler):
             gens = generated[None, :] + offsets[:, None]
             samples = conditional_prediction_samples(window, run_uniforms, gens)
             predicted = aggregate_samples(samples, self.aggregation).astype(np.int64)
-            predicted = np.minimum(predicted, caps[None, :])
-            predicted = np.maximum(predicted, gens + 1)
-            remaining = predicted - gens
+            remaining = _predicted_remaining(predicted, gens, caps[None, :])
             current_rows = current[None, :] + offsets[:, None]
             if head_generated > 0:
                 cand_gen = np.full((size, 1), head_generated, dtype=np.int64)
@@ -284,12 +276,8 @@ class PastFutureScheduler(Scheduler):
             else:
                 cand_predicted = aggregate_samples(cand_choices, self.aggregation)
             cand_predicted = cand_predicted.astype(np.int64)[:, 0]
-            cand_predicted = np.minimum(cand_predicted, head_cap)
-            cand_predicted = np.maximum(cand_predicted, head_generated + 1)
-            cand_remaining = cand_predicted - head_generated
-            peaks = batched_peak_with_candidate(
-                current_rows, remaining, head_current, cand_remaining
-            )
+            cand_remaining = _predicted_remaining(cand_predicted, head_generated, head_cap)
+            peaks = batched_peak_with_candidate(current_rows, remaining, head_current, cand_remaining)
             admit = peaks <= budget
             if admit.any():
                 return horizon + int(np.argmax(admit))

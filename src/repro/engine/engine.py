@@ -736,10 +736,7 @@ class InferenceEngine:
             self._silent_cache = None
             return 0
         current = np.array([r.current_context_tokens for r in requests], dtype=np.int64)
-        remaining = np.array(
-            [min(r.remaining_true_tokens, r.remaining_cap_tokens) for r in requests],
-            dtype=np.int64,
-        )
+        remaining = np.array([r.remaining_true_tokens for r in requests], dtype=np.int64)
         future_required = peak_future_memory_arrays(current, remaining)
         if all(r.state is RequestState.DECODING for r in requests):
             self._silent_cache = (

@@ -52,6 +52,7 @@ class RecomputeNewestFirst(EvictionPolicy):
     name: str = "recompute-newest-first"
 
     def select_victim(self, batch: RunningBatch, protect: Request | None = None) -> Request | None:
+        """The newest resident other than ``protect`` (``protect`` if it is alone)."""
         candidates = batch.by_recency()
         for request in candidates:
             if request is not protect:
@@ -72,6 +73,7 @@ class RecomputeOldestFirst(EvictionPolicy):
     name: str = "recompute-oldest-first"
 
     def select_victim(self, batch: RunningBatch, protect: Request | None = None) -> Request | None:
+        """The oldest resident other than ``protect`` (``protect`` if it is alone)."""
         candidates = list(reversed(batch.by_recency()))
         for request in candidates:
             if request is not protect:
@@ -91,4 +93,5 @@ class SwapEviction(RecomputeNewestFirst):
     swap_fraction: float = 0.25
 
     def recompute_cost_tokens(self, request: Request) -> int:
+        """``swap_fraction`` of the recompute tokens, at least one."""
         return max(1, int(request.recompute_tokens * self.swap_fraction))

@@ -34,7 +34,7 @@ class OracleScheduler(Scheduler):
     @staticmethod
     def _entry(request: Request) -> tuple[int, int]:
         """(current_tokens, true_remaining) for one request."""
-        return request.current_context_tokens, max(request.remaining_true_tokens, 0)
+        return request.current_context_tokens, request.remaining_true_tokens
 
     def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
         # Incremental per-candidate admission (see PastFutureScheduler): sort
@@ -70,12 +70,8 @@ class OracleScheduler(Scheduler):
         if self._batch_cap_blocks_window(context):
             return max_steps
         head_current, head_remaining = self._entry(context.waiting[0])
-        current = np.array(
-            [r.current_context_tokens for r in context.running], dtype=np.int64
-        )
-        remaining = np.array(
-            [max(r.remaining_true_tokens, 0) for r in context.running], dtype=np.int64
-        )
+        current = np.array([r.current_context_tokens for r in context.running], dtype=np.int64)
+        remaining = np.array([r.remaining_true_tokens for r in context.running], dtype=np.int64)
         # The engine only asks about windows in which nobody finishes; clamp
         # anyway so a wider direct query cannot feed negative remainings into
         # the peak evaluation (iteration `min(remaining)` would deliver some

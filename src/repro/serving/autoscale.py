@@ -123,7 +123,7 @@ class FleetView:
 
     @property
     def replica_capacity(self) -> int:
-        """KV token capacity of one replica (homogeneous fleets)."""
+        """KV token capacity of the first routable replica (0 when none is)."""
         if not self.snapshots:
             return 0
         return self.snapshots[0].token_capacity
@@ -137,22 +137,6 @@ class FleetView:
     def provisioned_capacity(self) -> int:
         """Capacity currently paid for: active plus warming token slots."""
         return self.active_capacity + self.warming_capacity
-
-    @property
-    def is_homogeneous(self) -> bool:
-        """Whether every replica (and the next launch) has one capacity.
-
-        Policies use this to keep the simple replica-count arithmetic on
-        homogeneous fleets (bit-identical to the pre-heterogeneity
-        behaviour) and switch to capacity-unit arithmetic otherwise.
-        """
-        capacities = {s.token_capacity for s in self.snapshots}
-        if len(capacities) > 1:
-            return False
-        capacity = next(iter(capacities), self.launch_capacity)
-        if self.launch_capacity and self.launch_capacity != capacity:
-            return False
-        return self.warming_capacity == self.num_warming * capacity
 
 
 class AutoscalerPolicy(abc.ABC):
@@ -372,18 +356,12 @@ class PredictivePolicy(AutoscalerPolicy):
         if capacity <= 0:
             return current
         demand = self.predicted_fleet_demand_tokens(view)
-        if view.is_homogeneous or view.launch_capacity <= 0:
-            # Replica-count arithmetic: every replica contributes the same
-            # capacity, so the target is simply demand over one replica's
-            # budget (identical to the pre-heterogeneity behaviour).
-            needed = max(1, math.ceil(demand / (self.target_utilization * capacity)))
-        else:
-            # Capacity-unit arithmetic ("A100-equivalents"): replicas differ
-            # in KV capacity, so compare predicted demand against the
-            # *capacity* already provisioned and buy the deficit in units of
-            # the next launch's capacity.
-            deficit = demand / self.target_utilization - view.provisioned_capacity
-            needed = max(1, current + math.ceil(deficit / view.launch_capacity))
+        # Capacity-unit arithmetic ("A100-equivalents"): replicas may differ
+        # in KV capacity, so compare predicted demand against the *capacity*
+        # already provisioned and buy the deficit in units of the next
+        # launch's capacity.
+        deficit = demand / self.target_utilization - view.provisioned_capacity
+        needed = max(1, current + math.ceil(deficit / (view.launch_capacity or capacity)))
         if needed >= current:
             return needed
         # Shrink at most one replica per cooldown; forecasts dip faster than
@@ -392,15 +370,13 @@ class PredictivePolicy(AutoscalerPolicy):
             return current
         if view.queued_requests > 0:
             return current
-        if not view.is_homogeneous and view.snapshots:
-            # Scale-down retires a whole replica of the cluster's choosing,
-            # which on a mixed fleet may be the *largest* one.  Only shrink
-            # when the capacity surplus covers that worst case, or a dip
-            # worth one small replica would retire a big one and the next
-            # decision would immediately re-buy it (warm-up flapping).
-            surplus = view.provisioned_capacity - demand / self.target_utilization
-            if surplus < max(s.token_capacity for s in view.snapshots):
-                return current
+        # Scale-down retires a whole replica of the cluster's choosing, which
+        # on a mixed fleet may be the *largest* one.  Only shrink when the
+        # capacity surplus (-deficit) covers that worst case, or a dip worth
+        # one small replica would retire a big one and the next decision
+        # would immediately re-buy it (warm-up flapping).
+        if -deficit < max(s.token_capacity for s in view.snapshots):
+            return current
         self._last_shrink = view.time
         return current - 1
 

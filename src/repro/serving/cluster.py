@@ -78,9 +78,7 @@ from repro.schedulers.registry import create_scheduler
 from repro.serving.autoscale import Autoscaler
 from repro.serving.clients import ClosedLoopClientPool, OpenLoopArrivals
 from repro.serving.faults import (
-    HEALTH_DEAD,
     HEALTH_DEGRADED,
-    HEALTH_DRAINING,
     HEALTH_HEALTHY,
     REASON_NO_REPLICAS,
     REASON_REPLICA_CRASH,
@@ -178,9 +176,8 @@ class _Replica:
     launched_at: float = 0.0
     ready_at: float = 0.0
     retired_at: float | None = None
-    #: fault-injection health state (see :mod:`repro.serving.faults`).
-    health: str = HEALTH_HEALTHY
-    #: original cost model while a straggler slowdown wrapper is installed.
+    #: original cost model while a straggler slowdown wrapper is installed;
+    #: the replica reports ``degraded`` health while it is set.
     saved_cost_model: CostModel | None = None
     #: the replica's simulation clock; replica clocks advance independently.
     clock: float = 0.0
@@ -283,7 +280,7 @@ class _Replica:
             num_running=len(engine.batch),
             platform=self.platform,
             speed_factor=self.speed_factor,
-            health=self.health,
+            health=HEALTH_HEALTHY if self.saved_cost_model is None else HEALTH_DEGRADED,
         )
 
 
@@ -756,7 +753,6 @@ class ClusterSimulator:
         self.lost_tokens += lost
         self.failed.extend(aborted)
         replica.state = ReplicaState.DEAD
-        replica.health = HEALTH_DEAD
         replica.retired_at = max(replica.clock, time)
         self._record_fleet_sample(time)
         if self._tracing:
@@ -798,7 +794,6 @@ class ClusterSimulator:
         """Spot-style preemption notice: stop placements, drain, migrate queue."""
         assert self.fault_plan is not None
         replica.state = ReplicaState.DRAINING
-        replica.health = HEALTH_DRAINING
         migrated = replica.engine.drain_waiting() if self.fault_plan.migrate_on_drain else []
         if migrated:
             migrated_ids = {id(request) for request in migrated}
@@ -854,8 +849,6 @@ class ClusterSimulator:
             return  # overlapping windows: the first slowdown stays in force
         replica.saved_cost_model = replica.engine.cost_model
         replica.engine.cost_model = SlowdownCostModel(replica.engine.cost_model, fault.slowdown)
-        if replica.health == HEALTH_HEALTHY:
-            replica.health = HEALTH_DEGRADED
         if self._tracing:
             self.tracer.emit(
                 TraceEvent(
@@ -880,8 +873,6 @@ class ClusterSimulator:
             return  # never started (e.g. the replica crashed mid-window)
         replica.engine.cost_model = replica.saved_cost_model
         replica.saved_cost_model = None
-        if replica.health == HEALTH_DEGRADED:
-            replica.health = HEALTH_HEALTHY
         if self._tracing:
             self.tracer.emit(TraceEvent(obs.REPLICA_RECOVER, time, replica=replica.index))
         self.fault_log.append(

@@ -44,15 +44,12 @@ from repro.engine.cost_model import CostModel, StepWork
 # --------------------------------------------------------------------- health
 #: Replica serving normally.
 HEALTH_HEALTHY = "healthy"
-#: Replica serving but impaired (e.g. inside a straggler window).
+#: Replica serving but impaired (inside a straggler window).
 HEALTH_DEGRADED = "degraded"
-#: Replica finishing resident work before retiring; not routable.
-HEALTH_DRAINING = "draining"
-#: Replica crashed (or preemption deadline expired); never returns.
-HEALTH_DEAD = "dead"
 
-#: All health states, in decreasing order of routability.
-HEALTH_STATES = (HEALTH_HEALTHY, HEALTH_DEGRADED, HEALTH_DRAINING, HEALTH_DEAD)
+#: The health a routable replica can report, healthy first.  Draining and
+#: dead replicas are not routable, so they have no health state.
+HEALTH_STATES = (HEALTH_HEALTHY, HEALTH_DEGRADED)
 
 # -------------------------------------------------------------- typed reasons
 #: Reject reason for work lost to a replica crash with no retry policy.

@@ -185,10 +185,9 @@ class ReplicaView:
             Homogeneous fleets carry 1.0 everywhere.
         health: the replica's health state as fault injection sees it (see
             :mod:`repro.serving.faults`): ``healthy`` by default,
-            ``degraded`` inside a straggler window.  Routable views are never
-            ``draining`` or ``dead`` (those states leave the routable set),
-            but the field accepts all four so hand-built views can model
-            them.  Routers must respect it — the shared :meth:`Router.candidates`
+            ``degraded`` inside a straggler window.  Draining and dead
+            replicas leave the routable set, so no view reports them.
+            Routers must respect it — the shared :meth:`Router.candidates`
             filter prefers healthy replicas whenever any is available.
     """
 

@@ -5,51 +5,37 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.future_memory import (
-    BatchEntry,
-    future_memory_profile,
-    memory_timeline,
-    peak_future_memory,
-    peak_future_memory_arrays,
-)
+from repro.core.future_memory import memory_timeline, peak_future_memory_arrays
 
 
-class TestBatchEntry:
-    def test_rejects_negative_current_tokens(self):
-        with pytest.raises(ValueError):
-            BatchEntry(current_tokens=-1, remaining_tokens=2)
-
-    def test_rejects_negative_remaining_tokens(self):
-        with pytest.raises(ValueError):
-            BatchEntry(current_tokens=1, remaining_tokens=-2)
-
-    def test_allows_zero_remaining(self):
-        entry = BatchEntry(current_tokens=5, remaining_tokens=0)
-        assert entry.remaining_tokens == 0
+def reference_peak(current, remaining) -> int:
+    """Eq. 2-4 written out in plain Python: sort, then the max of Eq. 3."""
+    ordered = sorted(zip(current, remaining), key=lambda entry: -entry[1])
+    peak, prefix = 0, 0
+    for rank, (tokens, left) in enumerate(ordered, start=1):
+        prefix += tokens
+        peak = max(peak, prefix + left * rank)
+    return peak
 
 
 class TestPeakFutureMemory:
     def test_empty_batch_requires_no_memory(self):
-        assert peak_future_memory([]) == 0
+        assert peak_future_memory_arrays([], []) == 0
 
     def test_single_request_peak_is_final_footprint(self):
         # A lone request peaks exactly when it finishes: current + remaining.
-        assert peak_future_memory([BatchEntry(10, 5)]) == 15
+        assert peak_future_memory_arrays([10], [5]) == 15
 
     def test_paper_figure5_example_schedule_at_t(self):
         # Figure 5(a): three running requests plus a queued one admitted at t.
         # Entries are (current tokens, remaining outputs); the figure reports a
         # max memory usage of 19 when the new request is added at time t...
-        entries = [BatchEntry(6, 1), BatchEntry(5, 2), BatchEntry(4, 3), BatchEntry(2, 2)]
-        at_t = peak_future_memory(entries)
+        at_t = peak_future_memory_arrays([6, 5, 4, 2], [1, 2, 3, 2])
         # ... and 18 when it is added one step later, after the shortest
         # request has released its memory (Figure 5(b)).
-        later_entries = [BatchEntry(6, 1), BatchEntry(5, 2), BatchEntry(4, 3)]
         at_t_plus_1 = max(
-            peak_future_memory(later_entries),
-            peak_future_memory(
-                [BatchEntry(7, 1), BatchEntry(5, 2), BatchEntry(2, 2)]
-            ),
+            peak_future_memory_arrays([6, 5, 4], [1, 2, 3]),
+            peak_future_memory_arrays([7, 5, 2], [1, 2, 2]),
         )
         assert at_t > at_t_plus_1
 
@@ -59,43 +45,49 @@ class TestPeakFutureMemory:
         # M_1 (B alone counted): 2 + 3*1 = 5
         # M_2 (A finishes first): 2 + 4 + 1*2 = 8
         # Peak = 8.
-        assert peak_future_memory([BatchEntry(4, 1), BatchEntry(2, 3)]) == 8
+        assert peak_future_memory_arrays([4, 2], [1, 3]) == 8
 
     def test_peak_never_below_current_total(self):
-        entries = [BatchEntry(10, 0), BatchEntry(20, 0)]
-        assert peak_future_memory(entries) == 30
+        assert peak_future_memory_arrays([10, 20], [0, 0]) == 30
 
     def test_peak_never_exceeds_sum_of_final_footprints(self):
-        entries = [BatchEntry(3, 7), BatchEntry(5, 2), BatchEntry(1, 9)]
-        upper = sum(e.current_tokens + e.remaining_tokens for e in entries)
-        assert peak_future_memory(entries) <= upper
+        current, remaining = [3, 5, 1], [7, 2, 9]
+        upper = sum(current) + sum(remaining)
+        assert peak_future_memory_arrays(current, remaining) <= upper
 
     def test_order_independence(self):
-        entries = [BatchEntry(3, 7), BatchEntry(5, 2), BatchEntry(1, 9), BatchEntry(8, 8)]
-        reordered = list(reversed(entries))
-        assert peak_future_memory(entries) == peak_future_memory(reordered)
-
-
-class TestFutureMemoryProfile:
-    def test_profile_length_matches_batch_size(self):
-        entries = [BatchEntry(2, 5), BatchEntry(4, 1), BatchEntry(3, 3)]
-        assert len(future_memory_profile(entries)) == 3
-
-    def test_profile_max_equals_peak(self):
-        entries = [BatchEntry(2, 5), BatchEntry(4, 1), BatchEntry(3, 3), BatchEntry(6, 6)]
-        assert max(future_memory_profile(entries)) == peak_future_memory(entries)
-
-    def test_empty_profile(self):
-        assert future_memory_profile([]) == []
+        current, remaining = [3, 5, 1, 8], [7, 2, 9, 8]
+        assert peak_future_memory_arrays(current, remaining) == peak_future_memory_arrays(
+            current[::-1], remaining[::-1]
+        )
 
 
 class TestPeakFutureMemoryArrays:
-    def test_matches_dataclass_version(self):
+    def test_matches_plain_python_reference(self):
         rng = np.random.default_rng(3)
         current = rng.integers(0, 100, size=50)
         remaining = rng.integers(0, 100, size=50)
-        entries = [BatchEntry(int(c), int(r)) for c, r in zip(current, remaining)]
-        assert peak_future_memory_arrays(current, remaining) == peak_future_memory(entries)
+        assert peak_future_memory_arrays(current, remaining) == reference_peak(current, remaining)
+
+    def test_one_dimensional_input_returns_int(self):
+        assert type(peak_future_memory_arrays(np.array([3, 1]), np.array([2, 4]))) is int
+
+    def test_rows_are_independent_batches(self):
+        current = np.array([[4, 2], [10, 0]])
+        remaining = np.array([[1, 3], [5, 0]])
+        peaks = peak_future_memory_arrays(current, remaining)
+        assert peaks.dtype == np.int64
+        assert peaks.tolist() == [8, 15]
+
+    def test_zero_padding_leaves_a_row_peak_unchanged(self):
+        padded = peak_future_memory_arrays([[4, 2, 0, 0], [10, 0, 0, 0]], [[1, 3, 0, 0], [5, 0, 0, 0]])
+        assert padded.tolist() == [8, 15]
+
+    def test_empty_rows(self):
+        assert peak_future_memory_arrays(np.zeros((3, 0)), np.zeros((3, 0))).tolist() == [0, 0, 0]
+
+    def test_allows_zero_remaining(self):
+        assert peak_future_memory_arrays([5], [0]) == 5
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -105,9 +97,13 @@ class TestPeakFutureMemoryArrays:
         with pytest.raises(ValueError):
             peak_future_memory_arrays([1, -2], [1, 1])
 
-    def test_rejects_two_dimensional_input(self):
+    def test_rejects_negative_remaining_tokens(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            peak_future_memory_arrays([1], [-2])
+
+    def test_rejects_three_dimensional_input(self):
         with pytest.raises(ValueError):
-            peak_future_memory_arrays([[1, 2]], [[1, 2]])
+            peak_future_memory_arrays([[[1, 2]]], [[[1, 2]]])
 
     def test_empty_arrays(self):
         assert peak_future_memory_arrays([], []) == 0
@@ -115,25 +111,36 @@ class TestPeakFutureMemoryArrays:
 
 class TestMemoryTimeline:
     def test_timeline_starts_at_current_sum(self):
-        entries = [BatchEntry(5, 3), BatchEntry(7, 1)]
-        timeline = memory_timeline(entries)
+        timeline = memory_timeline([5, 7], [3, 1])
         assert timeline[0] == 12
 
     def test_timeline_max_equals_peak(self):
-        entries = [BatchEntry(5, 3), BatchEntry(7, 1), BatchEntry(2, 6)]
-        assert max(memory_timeline(entries)) == peak_future_memory(entries)
+        current, remaining = [5, 7, 2], [3, 1, 6]
+        assert max(memory_timeline(current, remaining)) == peak_future_memory_arrays(current, remaining)
 
     def test_timeline_horizon_is_longest_remaining(self):
-        entries = [BatchEntry(5, 3), BatchEntry(7, 1)]
-        assert len(memory_timeline(entries)) == 4  # steps 0..3
+        assert len(memory_timeline([5, 7], [3, 1])) == 4  # steps 0..3
 
     def test_requests_release_memory_when_done(self):
         # One short and one long request: after the short one finishes the
         # occupancy drops below the peak.
-        entries = [BatchEntry(10, 1), BatchEntry(2, 10)]
-        timeline = memory_timeline(entries)
+        timeline = memory_timeline([10, 2], [1, 10])
         peak_step = timeline.index(max(timeline))
         assert timeline[-1] < timeline[peak_step]
 
     def test_empty_timeline(self):
-        assert memory_timeline([]) == [0]
+        assert memory_timeline([], []) == [0]
+
+    def test_rejects_negative_current_tokens(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            memory_timeline([-1], [2])
+
+    def test_rejects_negative_remaining_tokens(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            memory_timeline([1], [-2])
+
+    def test_rejects_mismatched_or_two_dimensional_input(self):
+        with pytest.raises(ValueError):
+            memory_timeline([1, 2], [1])
+        with pytest.raises(ValueError):
+            memory_timeline([[1, 2]], [[1, 2]])

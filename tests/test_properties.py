@@ -12,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import rng_streams
 from repro.core.future_memory import (
-    BatchEntry,
-    future_memory_profile,
+    FutureMemoryIndex,
+    batched_peak_with_candidate,
     memory_timeline,
-    peak_future_memory,
     peak_future_memory_arrays,
 )
 from repro.core.history import OutputLengthHistory
@@ -40,50 +39,91 @@ from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY
 from tests.helpers import assert_conservation, assert_pool_ledger, assert_rng_stream_identity
 
-entry_strategy = st.builds(
-    BatchEntry,
-    current_tokens=st.integers(min_value=0, max_value=500),
-    remaining_tokens=st.integers(min_value=0, max_value=500),
-)
+#: One request of a batch: ``(current tokens, remaining tokens)``.
+entry_strategy = st.tuples(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))
 entries_strategy = st.lists(entry_strategy, min_size=0, max_size=30)
+#: Entries with remaining lengths from a narrow range, so ties are common.
+tied_entry_strategy = st.tuples(st.integers(0, 300), st.integers(0, 4))
 lengths_strategy = st.lists(st.integers(min_value=1, max_value=4096), min_size=1, max_size=200)
+
+
+def columns(entries):
+    """``(current, remaining)`` columns of a list of entries."""
+    return [c for c, _ in entries], [r for _, r in entries]
+
+
+def peak_of(entries) -> int:
+    return peak_future_memory_arrays(*columns(entries))
+
+
+def padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, width)`` current and remaining arrays, short rows padded with ``(0, 0)``."""
+    width = max((len(row) for row in rows), default=0)
+    current = np.zeros((len(rows), width), dtype=np.int64)
+    remaining = np.zeros((len(rows), width), dtype=np.int64)
+    for k, row in enumerate(rows):
+        current[k, : len(row)], remaining[k, : len(row)] = columns(row)
+    return current, remaining
 
 
 class TestFutureMemoryProperties:
     @given(entries=entries_strategy)
     def test_peak_bounded_between_current_sum_and_final_sum(self, entries):
-        peak = peak_future_memory(entries)
-        current_sum = sum(e.current_tokens for e in entries)
-        final_sum = sum(e.current_tokens + e.remaining_tokens for e in entries)
+        peak = peak_of(entries)
+        current_sum = sum(c for c, _ in entries)
+        final_sum = sum(c + r for c, r in entries)
         assert current_sum <= peak <= final_sum or not entries
 
     @given(entries=entries_strategy)
     def test_peak_equals_timeline_maximum(self, entries):
-        assert peak_future_memory(entries) == max(memory_timeline(entries))
-
-    @given(entries=st.lists(entry_strategy, min_size=1, max_size=30))
-    def test_profile_max_is_peak(self, entries):
-        assert max(future_memory_profile(entries)) == peak_future_memory(entries)
+        assert peak_of(entries) == max(memory_timeline(*columns(entries)))
 
     @given(entries=st.lists(entry_strategy, min_size=1, max_size=20), seed=st.integers(0, 100))
     def test_permutation_invariance(self, entries, seed):
         rng = np.random.default_rng(seed)
         shuffled = [entries[i] for i in rng.permutation(len(entries))]
-        assert peak_future_memory(entries) == peak_future_memory(shuffled)
+        assert peak_of(entries) == peak_of(shuffled)
 
     @given(entries=entries_strategy, extra=entry_strategy)
     def test_adding_a_request_never_lowers_the_peak(self, entries, extra):
-        assert peak_future_memory(entries + [extra]) >= peak_future_memory(entries)
+        assert peak_of(entries + [extra]) >= peak_of(entries)
+
+    @given(rows=st.lists(st.lists(entry_strategy, max_size=12), min_size=1, max_size=6))
+    def test_rows_equal_one_dimensional_peaks(self, rows):
+        peaks = peak_future_memory_arrays(*padded_rows(rows))
+        assert peaks.tolist() == [peak_of(row) for row in rows]
 
     @given(
-        current=st.lists(st.integers(0, 300), min_size=1, max_size=25),
-        remaining=st.lists(st.integers(0, 300), min_size=1, max_size=25),
+        batch=st.lists(tied_entry_strategy, max_size=10),
+        candidates=st.lists(tied_entry_strategy, min_size=1, max_size=8),
     )
-    def test_array_and_dataclass_versions_agree(self, current, remaining):
-        size = min(len(current), len(remaining))
-        current, remaining = current[:size], remaining[:size]
-        entries = [BatchEntry(c, r) for c, r in zip(current, remaining)]
-        assert peak_future_memory_arrays(current, remaining) == peak_future_memory(entries)
+    def test_index_peak_with_equals_kernel_over_inserts(self, batch, candidates):
+        index = FutureMemoryIndex(*columns(batch))
+        for candidate in candidates:
+            assert index.peak == peak_of(batch)
+            assert index.peak_with(*candidate) == peak_of(batch + [candidate])
+            index.insert(*candidate)
+            batch = batch + [candidate]
+            assert len(index) == len(batch)
+        assert index.peak == peak_of(batch)
+
+    @given(
+        width=st.integers(0, 8),
+        row_count=st.integers(1, 6),
+        candidate_current=st.integers(0, 300),
+        data=st.data(),
+    )
+    def test_batched_rows_equal_peak_with(self, width, row_count, candidate_current, data):
+        row = st.lists(tied_entry_strategy, min_size=width, max_size=width)
+        rows = data.draw(st.lists(row, min_size=row_count, max_size=row_count))
+        candidate_remaining = data.draw(st.lists(st.integers(0, 4), min_size=row_count, max_size=row_count))
+        current, remaining = padded_rows(rows)
+        peaks = batched_peak_with_candidate(current, remaining, candidate_current, candidate_remaining)
+        expected = [
+            FutureMemoryIndex(*columns(entries)).peak_with(candidate_current, cand)
+            for entries, cand in zip(rows, candidate_remaining)
+        ]
+        assert peaks.tolist() == expected
 
 
 class TestPredictorProperties:
@@ -189,8 +229,8 @@ class TestRouterPredictionProperties:
         router.predicted_peak_tokens(view)  # fill the table cache before the window moves
         router.history.extend(later)
         window = (earlier + later)[-window_size:] or [default_length]
-        expected = peak_future_memory([
-            BatchEntry(prompt + generated, reference_remaining(window, generated, cap))
+        expected = peak_of([
+            (prompt + generated, reference_remaining(window, generated, cap))
             for prompt, generated, cap in residents
         ])
         assert router.predicted_peak_tokens(view) == expected

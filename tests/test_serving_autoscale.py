@@ -534,23 +534,6 @@ class TestCapacityNormalisedView:
         )
         assert v.active_capacity == 1250
         assert v.provisioned_capacity == 2250
-        assert not v.is_homogeneous
-
-    def test_is_homogeneous_requires_uniform_capacities(self):
-        uniform = FleetView(
-            time=0.0,
-            snapshots=(idle_snapshot(0), idle_snapshot(1)),
-            num_warming=1,
-            warming_capacity=1000,
-            launch_capacity=1000,
-        )
-        assert uniform.is_homogeneous
-        mixed_launch = FleetView(
-            time=0.0,
-            snapshots=(idle_snapshot(0), idle_snapshot(1)),
-            launch_capacity=250,
-        )
-        assert not mixed_launch.is_homogeneous
 
     def test_predictive_sizes_in_capacity_units_on_mixed_fleet(self):
         # Forecast demand: 10 req/s * 1 s * (50 + 100) = 1500 tokens.  The
@@ -580,9 +563,8 @@ class TestCapacityNormalisedView:
         assert policy.target_size(bigger_launch) == 3  # ceil(250 / 2000) = 1 launch
 
     def test_predictive_homogeneous_arithmetic_unchanged(self):
-        # On a homogeneous fleet the capacity-unit branch must not engage:
-        # the replica-count formula of PR 2 decides (here: 1500 tokens over
-        # 1000-token replicas -> 2).
+        # On a homogeneous fleet capacity units are replica counts: 1500
+        # tokens over 1000-token replicas -> 2.
         policy = PredictivePolicy(target_utilization=1.0, horizon=1.0, default_length=100)
         policy.on_run_start()
         v = FleetView(
@@ -592,7 +574,6 @@ class TestCapacityNormalisedView:
             mean_arrival_tokens=50.0,
             launch_capacity=1000,
         )
-        assert v.is_homogeneous
         assert policy.target_size(v) == 2
 
     def test_cluster_reports_launch_and_warming_capacity(self, platform_7b):

@@ -261,13 +261,22 @@ class TestStragglers:
         assert kinds == ["straggler-start", "straggler-end"]
         # Model restored after the window.
         assert not isinstance(cluster.replicas[0].engine.cost_model, SlowdownCostModel)
-        assert cluster.replicas[0].health == HEALTH_HEALTHY
+        assert cluster.replicas[0].snapshot().health == HEALTH_HEALTHY
         # The slowdown costs real simulated time against a fault-free run:
         # per-token step cost is scaled while the window is open, so mean
         # time-per-output-token must rise (end-to-end duration is arrival-
         # dominated here and would be an unreliable signal).
         baseline = make_cluster(platform_7b, None, num_replicas=1).run_open_loop(workload)
         assert result.latency_summary().mean_tpot > baseline.latency_summary().mean_tpot
+
+    def test_straggling_replica_reports_degraded(self, platform_7b):
+        straggler = Straggler(start=0.0, duration=1.0, replica=0, slowdown=4.0)
+        cluster = make_cluster(platform_7b, FaultPlan(stragglers=[straggler]), num_replicas=1)
+        replica = cluster.replicas[0]
+        cluster._begin_straggler(replica, 0.0, straggler)
+        assert replica.snapshot().health == HEALTH_DEGRADED
+        cluster._end_straggler(replica, 1.0)
+        assert replica.snapshot().health == HEALTH_HEALTHY
 
     def test_straggler_run_is_deterministic(self, platform_7b):
         plan = FaultPlan(

@@ -21,7 +21,7 @@ Run from anywhere inside the checkout::
 Exit status is non-zero when any link is broken or any snippet fails; this is
 the ``docs-check`` CI job's second half (the first half is ruff's
 missing-docstring rules over ``repro.serving``, ``repro.core``,
-``repro.obs``, ``repro.memory`` and ``repro.schedulers``).
+``repro.obs``, ``repro.memory``, ``repro.schedulers`` and ``repro.engine``).
 """
 
 from __future__ import annotations

@@ -64,18 +64,27 @@ def peak_future_memory_arrays(
         ``(rows,)`` int64 array for 2-D input.
     """
     current_arr, remaining_arr = _token_arrays(current, remaining, (1, 2))
-    order = np.argsort(-remaining_arr, axis=-1, kind="stable")
-    if current_arr.ndim == 1:
+    peaks = _peaks(current_arr, remaining_arr)
+    return int(peaks) if current_arr.ndim == 1 else peaks
+
+
+def _peaks(current: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """Eq. 2–4 along the last axis of validated int64 ``(batch,)`` or ``(rows, batch)`` arrays."""
+    order = np.argsort(-remaining, axis=-1, kind="stable")
+    if current.ndim == 1:
         # Direct indexing: take_along_axis costs a few µs more per 1-D call,
         # and the engine and router make one such call per event.
-        current_sorted, remaining_sorted = current_arr[order], remaining_arr[order]
+        current_sorted, remaining_sorted = current[order], remaining[order]
     else:
-        current_sorted = np.take_along_axis(current_arr, order, axis=1)
-        remaining_sorted = np.take_along_axis(remaining_arr, order, axis=1)
-    counts = np.arange(1, current_arr.shape[-1] + 1, dtype=np.int64)
+        # One flat gather per operand: offsetting each row's sort order into
+        # the raveled rows is about twice as fast as take_along_axis at 2 and
+        # at 32 rows of a few dozen entries.
+        rows, batch = current.shape
+        order += batch * np.arange(rows, dtype=np.int64)[:, None]
+        current_sorted, remaining_sorted = current.ravel()[order], remaining.ravel()[order]
+    counts = np.arange(1, current.shape[-1] + 1, dtype=np.int64)
     # Every Eq. 3 value is non-negative, so ``initial=0`` only covers empty batches.
-    peaks = (np.cumsum(current_sorted, axis=-1) + remaining_sorted * counts).max(axis=-1, initial=0)
-    return int(peaks) if current_arr.ndim == 1 else peaks
+    return (np.cumsum(current_sorted, axis=-1) + remaining_sorted * counts).max(axis=-1, initial=0)
 
 
 def memory_timeline(
@@ -128,12 +137,13 @@ def batched_peak_with_candidate(
     one row per upcoming iteration, so the whole proof window is a handful of
     vectorized array operations instead of per-iteration Python.
 
-    The candidate is appended as the *last* column and the rows go to
-    :func:`peak_future_memory_arrays`, whose stable descending sort places it
-    after every incumbent with an equal remaining length — the same tie
-    order :class:`FutureMemoryIndex` commits to, so row ``k`` is
+    The candidate is appended as the *last* column and the rows go to the
+    core of :func:`peak_future_memory_arrays`, whose stable descending sort
+    places it after every incumbent with an equal remaining length — the
+    same tie order :class:`FutureMemoryIndex` commits to, so row ``k`` is
     bit-identical (exact integer arithmetic) to the incremental evaluation
-    the reference admission loop performs.
+    the reference admission loop performs.  The inputs are validated once,
+    before the candidate column is appended.
 
     Args:
         current: ``(rows, batch)`` current context tokens per request.
@@ -147,13 +157,19 @@ def batched_peak_with_candidate(
         ``(rows,)`` int64 peak future memory with the candidate included.
     """
     current, remaining = _token_arrays(current, remaining, (2,))
+    rows, batch = current.shape
     candidate_remaining = np.asarray(candidate_remaining, dtype=np.int64)
-    if candidate_remaining.shape != (len(current),):
+    if candidate_remaining.shape != (rows,):
         raise ValueError("candidate_remaining must have one entry per row")
-    return peak_future_memory_arrays(
-        np.column_stack((current, np.full(len(current), candidate_current, dtype=np.int64))),
-        np.column_stack((remaining, candidate_remaining)),
-    )
+    if candidate_current < 0 or np.any(candidate_remaining < 0):
+        raise ValueError("token counts must be non-negative")
+    trial_current = np.empty((rows, batch + 1), dtype=np.int64)
+    trial_remaining = np.empty((rows, batch + 1), dtype=np.int64)
+    trial_current[:, :batch] = current
+    trial_current[:, batch] = candidate_current
+    trial_remaining[:, :batch] = remaining
+    trial_remaining[:, batch] = candidate_remaining
+    return _peaks(trial_current, trial_remaining)
 
 
 class FutureMemoryIndex:

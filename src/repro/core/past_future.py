@@ -30,7 +30,7 @@ is spelled out in ``docs/simulation-semantics.md`` and enforced by
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, get_args
 
 import numpy as np
 
@@ -44,16 +44,16 @@ from repro.core.predictor import (
     conditional_prediction_samples,
 )
 from repro.engine.request import Request
-from repro.schedulers.base import Scheduler, SchedulingContext
+from repro.schedulers.base import Scheduler, SchedulingContext, checked_batch_cap
 
-#: First chunk size of the lazy saturated-horizon evaluation.  Kept tiny so an
-#: iteration that *does* admit (the common case outside deep saturation) is
-#: discovered after evaluating almost nothing; chunks then grow geometrically
-#: so deep no-admit phases still amortise to a few vectorized passes.  Growth
-#: is doubling rather than anything steeper because rebuilding each
-#: iteration's stream is a per-row Python step: evaluating past the first
-#: admitting iteration is pure waste, and doubling caps that overshoot at 2x.
-_HORIZON_FIRST_CHUNK = 2
+#: First chunk size of the lazy saturated-horizon evaluation.  A chunk costs a
+#: fixed few dozen numpy calls plus a small per-row term (one rebuilt stream
+#: and one Eq. 2–4 row), so the fixed cost dominates: a first chunk of 32
+#: proves a typical full window (about 50 steps) in two chunks, while a row
+#: past the first admitting iteration only wastes its per-row term.  Growth
+#: stays doubling so a long window still takes few chunks without drawing
+#: far past an admitting iteration.
+_HORIZON_FIRST_CHUNK = 32
 
 #: Geometric growth factor and ceiling for subsequent horizon chunks.
 _HORIZON_CHUNK_GROWTH = 2
@@ -102,13 +102,18 @@ class PastFutureScheduler(Scheduler):
         # their generators for any seed below 2**64 (repro.core.rng_streams).
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**63:
             raise ValueError(f"seed must be an int in [0, 2**63), got {seed!r}")
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be at least 1, got {num_samples!r}")
+        if aggregation not in get_args(Aggregation):
+            choices = ", ".join(get_args(Aggregation))
+            raise ValueError(f"aggregation must be one of {choices}, got {aggregation!r}")
         self.reserved_fraction = reserved_fraction
         self.window_size = window_size
         self.default_length = default_length
         self.seed = seed
         self.num_samples = num_samples
         self.aggregation: Aggregation = aggregation
-        self.max_running_requests = max_running_requests
+        self.max_running_requests = checked_batch_cap(max_running_requests)
         self.history = OutputLengthHistory(window_size=window_size, default_length=default_length)
         self._sample_counter = 0
 
@@ -206,9 +211,12 @@ class PastFutureScheduler(Scheduler):
         (:func:`repro.core.predictor.conditional_prediction_samples` /
         :func:`repro.core.future_memory.batched_peak_with_candidate`).
 
-        Evaluation is lazy: a tiny first chunk, growing geometrically, so an
-        iteration that *does* admit is discovered almost immediately while
-        deep saturation amortises to a few vectorized passes.  A row whose
+        Evaluation is lazy, in chunks of rows: a first chunk of
+        ``_HORIZON_FIRST_CHUNK`` rows, then doubling, so an iteration that
+        *does* admit ends the proof after one or two chunks while deep
+        saturation amortises to a few vectorized passes.  The answer does not
+        depend on the chunking: rows past the first admitting one are drawn
+        from throwaway streams and discarded.  A row whose
         ``choice`` draw Lemire's method might reject, or every row when
         :func:`repro.core.rng_streams.streams_match` is false, is redrawn from
         ``default_rng`` exactly as :meth:`schedule` draws it.  The method
@@ -225,19 +233,24 @@ class PastFutureScheduler(Scheduler):
         window = self.history.sorted_snapshot()
         running = context.running
         generated = np.array([r.generated_tokens for r in running], dtype=np.int64)
-        caps = np.array([r.spec.max_new_tokens for r in running], dtype=np.int64)
+        caps = np.array([r.spec.max_new_tokens for r in running], dtype=np.int64)[None, :]
         current = np.array([r.current_context_tokens for r in running], dtype=np.int64)
         head_generated = head.generated_tokens
         head_current = head.current_context_tokens
         head_cap = head.spec.max_new_tokens
         batch = generated.size
         num_samples = self.num_samples
+        aggregation = self.aggregation
         run_draws = num_samples * batch
         if head_generated > 0:
             head_draws = num_samples
+            # The head does not grow while it waits: one (1, 1) generated
+            # count broadcasts over every row of every chunk.
+            head_generated_rows = np.full((1, 1), head_generated, dtype=np.int64)
         else:
             # choice() takes one 32-bit half per sample, none from a 1-entry window.
             head_draws = (num_samples + 1) // 2 if window.size > 1 else 0
+        redo_all = not rng_streams.streams_match()
 
         horizon = 0
         chunk = _HORIZON_FIRST_CHUNK
@@ -249,7 +262,7 @@ class PastFutureScheduler(Scheduler):
             first_seed = self.seed + self._sample_counter + 1 + horizon
             raw = rng_streams.raw_streams(first_seed, size, run_draws + head_draws)
             run_uniforms = rng_streams.doubles(raw[:, :run_draws]).reshape(size, num_samples, batch)
-            redo = np.full(size, not rng_streams.streams_match())
+            redo = np.full(size, redo_all)
             if head_generated > 0:
                 cand_uniforms = rng_streams.doubles(raw[:, run_draws:]).reshape(size, num_samples, 1)
             else:
@@ -263,21 +276,18 @@ class PastFutureScheduler(Scheduler):
                     cand_uniforms[j] = rng.random((num_samples, 1))
                 else:
                     cand_choices[j] = rng.choice(window, size=(num_samples, 1), replace=True)
-            offsets = np.arange(horizon, horizon + size, dtype=np.int64)
-            gens = generated[None, :] + offsets[:, None]
+            offsets = np.arange(horizon, horizon + size, dtype=np.int64)[:, None]
+            gens = generated + offsets
             samples = conditional_prediction_samples(window, run_uniforms, gens)
-            predicted = aggregate_samples(samples, self.aggregation).astype(np.int64)
-            remaining = _predicted_remaining(predicted, gens, caps[None, :])
-            current_rows = current[None, :] + offsets[:, None]
+            predicted = aggregate_samples(samples, aggregation).astype(np.int64, copy=False)
+            remaining = _predicted_remaining(predicted, gens, caps)
             if head_generated > 0:
-                cand_gen = np.full((size, 1), head_generated, dtype=np.int64)
-                cand_samples = conditional_prediction_samples(window, cand_uniforms, cand_gen)
-                cand_predicted = aggregate_samples(cand_samples, self.aggregation)
+                cand_samples = conditional_prediction_samples(window, cand_uniforms, head_generated_rows)
             else:
-                cand_predicted = aggregate_samples(cand_choices, self.aggregation)
-            cand_predicted = cand_predicted.astype(np.int64)[:, 0]
+                cand_samples = cand_choices
+            cand_predicted = aggregate_samples(cand_samples, aggregation).astype(np.int64, copy=False)[:, 0]
             cand_remaining = _predicted_remaining(cand_predicted, head_generated, head_cap)
-            peaks = batched_peak_with_candidate(current_rows, remaining, head_current, cand_remaining)
+            peaks = batched_peak_with_candidate(current + offsets, remaining, head_current, cand_remaining)
             admit = peaks <= budget
             if admit.any():
                 return horizon + int(np.argmax(admit))

@@ -57,8 +57,9 @@ def conditional_prediction_samples(
     Args:
         sorted_lengths: the historical window, ascending.
         uniforms: samples in ``[0, 1)`` of shape ``(..., num_samples, n)``.
-        generated: generated-token counts of shape ``(..., n)`` — the same
-            shape as ``uniforms`` minus the sample axis.
+        generated: generated-token counts of shape ``(..., n)`` — the shape
+            of ``uniforms`` minus the sample axis, or any shape that
+            broadcasts to it.
 
     Returns:
         Length samples with the shape of ``uniforms``.  Entries whose
@@ -69,7 +70,7 @@ def conditional_prediction_samples(
     # Index of the first historical length strictly greater than each
     # generated count; everything at or beyond it is a valid sample.
     starts = np.searchsorted(sorted_lengths, generated, side="right")
-    starts_b = np.expand_dims(starts, -2)
+    starts_b = starts[..., None, :]
     # Draw a uniform index in [start, n); exhausted tails handled below.
     spans = np.maximum(n - starts_b, 1)
     indices = starts_b + np.floor(uniforms * spans).astype(np.int64)
@@ -77,7 +78,7 @@ def conditional_prediction_samples(
     predictions = sorted_lengths[indices]
     exhausted = starts_b >= n
     if exhausted.any():
-        predictions = np.where(exhausted, np.expand_dims(generated, -2) + 1, predictions)
+        predictions = np.where(exhausted, generated[..., None, :] + 1, predictions)
     return predictions
 
 

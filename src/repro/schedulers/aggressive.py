@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.engine.request import Request
-from repro.schedulers.base import Scheduler, SchedulingContext
+from repro.schedulers.base import Scheduler, SchedulingContext, checked_batch_cap
 
 
 class AggressiveScheduler(Scheduler):
@@ -35,7 +35,7 @@ class AggressiveScheduler(Scheduler):
         if not 0.0 < watermark <= 1.0:
             raise ValueError("watermark must be in (0, 1]")
         self.watermark = watermark
-        self.max_running_requests = max_running_requests
+        self.max_running_requests = checked_batch_cap(max_running_requests)
 
     @staticmethod
     def _cost(request: Request) -> int:

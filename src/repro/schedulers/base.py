@@ -38,6 +38,17 @@ class SchedulingContext:
     token_capacity: int
 
 
+def checked_batch_cap(max_running_requests: int | None) -> int | None:
+    """``max_running_requests`` if it is ``None`` (no cap) or at least 1.
+
+    A cap of 0 would trim every admission to nothing and stall the run, so it
+    is rejected when the scheduler is built.
+    """
+    if max_running_requests is not None and max_running_requests < 1:
+        raise ValueError(f"max_running_requests must be at least 1 or None, got {max_running_requests!r}")
+    return max_running_requests
+
+
 class Scheduler:
     """Admission-control policy for continuous batching."""
 

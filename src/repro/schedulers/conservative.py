@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.engine.request import Request
 from repro.schedulers.aggressive import AggressiveScheduler
-from repro.schedulers.base import SchedulingContext
+from repro.schedulers.base import SchedulingContext, checked_batch_cap
 
 
 class ConservativeScheduler(AggressiveScheduler):
@@ -41,7 +41,7 @@ class ConservativeScheduler(AggressiveScheduler):
         if overcommit <= 0:
             raise ValueError("overcommit must be positive")
         self.overcommit = overcommit
-        self.max_running_requests = max_running_requests
+        self.max_running_requests = checked_batch_cap(max_running_requests)
 
     @staticmethod
     def _cost(request: Request) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.future_memory import FutureMemoryIndex, batched_peak_with_candidate
 from repro.engine.request import Request
-from repro.schedulers.base import Scheduler, SchedulingContext
+from repro.schedulers.base import Scheduler, SchedulingContext, checked_batch_cap
 
 
 class OracleScheduler(Scheduler):
@@ -29,7 +29,7 @@ class OracleScheduler(Scheduler):
     name = "oracle"
 
     def __init__(self, max_running_requests: int | None = None) -> None:
-        self.max_running_requests = max_running_requests
+        self.max_running_requests = checked_batch_cap(max_running_requests)
 
     @staticmethod
     def _entry(request: Request) -> tuple[int, int]:

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.future_memory import memory_timeline, peak_future_memory_arrays
+from repro.core.future_memory import (
+    batched_peak_with_candidate,
+    memory_timeline,
+    peak_future_memory_arrays,
+)
 
 
 def reference_peak(current, remaining) -> int:
@@ -107,6 +111,38 @@ class TestPeakFutureMemoryArrays:
 
     def test_empty_arrays(self):
         assert peak_future_memory_arrays([], []) == 0
+
+
+class TestBatchedPeakWithCandidate:
+    """Every input is validated; row values are covered in ``tests/test_properties.py``."""
+
+    CURRENT = np.array([[4, 2], [10, 0]])
+    REMAINING = np.array([[1, 3], [5, 0]])
+
+    def test_rejects_negative_candidate_current(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            batched_peak_with_candidate(self.CURRENT, self.REMAINING, -1, np.array([2, 6]))
+
+    def test_rejects_negative_candidate_remaining(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            batched_peak_with_candidate(self.CURRENT, self.REMAINING, 3, np.array([2, -6]))
+
+    def test_rejects_candidate_remaining_of_wrong_length(self):
+        with pytest.raises(ValueError, match="one entry per row"):
+            batched_peak_with_candidate(self.CURRENT, self.REMAINING, 3, np.array([2, 6, 1]))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2, 2)], ids=["1-D", "3-D"])
+    def test_rejects_rows_that_are_not_two_dimensional(self, shape):
+        rows = np.ones(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match="2 dimensions"):
+            batched_peak_with_candidate(rows, rows, 3, np.array([2] * shape[0]))
+
+    @pytest.mark.parametrize("operand", ["current", "remaining"])
+    def test_rejects_negative_incumbent_counts(self, operand):
+        current, remaining = self.CURRENT.copy(), self.REMAINING.copy()
+        (current if operand == "current" else remaining)[1, 0] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            batched_peak_with_candidate(current, remaining, 3, np.array([2, 6]))
 
 
 class TestMemoryTimeline:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import rng_streams
+from repro.core import past_future, rng_streams
 from repro.core.future_memory import (
     FutureMemoryIndex,
     batched_peak_with_candidate,
@@ -20,10 +20,12 @@ from repro.core.future_memory import (
 from repro.core.history import OutputLengthHistory
 from repro.core.predictor import OutputLengthPredictor
 from repro.engine.engine import InferenceEngine
+from repro.engine.request import Request, RequestState
 from repro.hardware.platform import paper_platform
 from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
+from repro.schedulers.base import SchedulingContext
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash
 from repro.serving.routing import ROUTER_REGISTRY, MemoryAwareRouter, ReplicaView
@@ -35,6 +37,7 @@ from repro.workloads.interactions import (
     InteractionStage,
     generate_interactions,
 )
+from repro.workloads.spec import RequestSpec
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY
 from tests.helpers import assert_conservation, assert_pool_ledger, assert_rng_stream_identity
@@ -174,6 +177,76 @@ class TestRebuiltStreamProperties:
             drawn = rng.choice(window, size=num_samples)
             if not rejected[row]:
                 np.testing.assert_array_equal(indices[row], drawn)
+
+
+#: One request of a saturated horizon: ``(prompt, generated, cap headroom past generated)``.
+horizon_request_strategy = st.tuples(st.integers(1, 800), st.integers(0, 300), st.integers(1, 800))
+
+
+def horizon_request(request_id: str, prompt: int, generated: int, headroom: int, decoding: bool) -> Request:
+    """A request that has generated ``generated`` tokens of a ``generated + headroom`` cap."""
+    cap = generated + headroom
+    request = Request(
+        spec=RequestSpec(request_id=request_id, input_length=prompt, output_length=cap, max_new_tokens=cap),
+        arrival_time=0.0,
+    )
+    if decoding:
+        request.state = RequestState.DECODING
+    request.generated_tokens = generated
+    return request
+
+
+class TestSaturatedHorizonProperties:
+    """The saturated horizon's answer does not depend on how its rows are chunked."""
+
+    @given(
+        history=st.lists(st.integers(1, 600), max_size=40),
+        running=st.lists(horizon_request_strategy, min_size=1, max_size=6),
+        head=horizon_request_strategy,
+        head_evicted=st.booleans(),
+        num_samples=st.integers(1, 4),
+        aggregation=st.sampled_from(["max", "mean", "median"]),
+        seed=st.integers(0, 2**63 - 1),
+        slack=st.integers(0, 3000),
+        max_steps=st.integers(1, 64),
+        first_chunk=st.integers(1, 64),
+        growth=st.sampled_from([2, 3, 4]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_horizon_equals_row_by_row_and_any_geometric_schedule(
+        self,
+        history,
+        running,
+        head,
+        head_evicted,
+        num_samples,
+        aggregation,
+        seed,
+        slack,
+        max_steps,
+        first_chunk,
+        growth,
+    ):
+        prompt, generated, headroom = head
+        head_generated = generated + 1 if head_evicted else 0
+        queued = horizon_request("head", prompt, head_generated, headroom, decoding=False)
+        residents = [horizon_request(f"r{i}", *entry, decoding=True) for i, entry in enumerate(running)]
+        # The slack over today's tokens decides how soon, if ever, the head fits.
+        capacity = sum(r.current_context_tokens for r in residents) + queued.current_context_tokens + slack
+
+        def horizon() -> int:
+            scheduler = past_future.PastFutureScheduler(
+                seed=seed, num_samples=num_samples, aggregation=aggregation, default_length=300
+            )
+            scheduler.on_run_start()
+            scheduler.history.extend(history)
+            context = SchedulingContext(running=residents, waiting=[queued], token_capacity=capacity)
+            return scheduler.saturated_no_admit_horizon(context, max_steps)
+
+        default = horizon()
+        for first, factor in ((1, 1), (first_chunk, growth)):
+            with mock.patch.multiple(past_future, _HORIZON_FIRST_CHUNK=first, _HORIZON_CHUNK_GROWTH=factor):
+                assert horizon() == default, (first, factor)
 
 
 class TestHistoryProperties:

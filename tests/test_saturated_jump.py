@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.perf import cluster_snapshot, run_snapshot
+from repro.core import past_future
 from repro.core.history import OutputLengthHistory
 from repro.core.past_future import PastFutureScheduler
 from repro.engine.engine import InferenceEngine
@@ -123,7 +124,12 @@ SHORT_HISTORY = (40, 60, 90, 120, 200, 320, 500, 800)
 def _assert_horizon_replays_sequential_schedule(
     head_generated: int, num_samples: int, seed: int = 13, history=SHORT_HISTORY
 ) -> None:
-    """Prove a horizon once, replay it with schedule() calls and compare."""
+    """Prove a horizon once, replay it with schedule() calls and compare.
+
+    With the default chunk schedule most of these horizons end inside the
+    first chunk; callers that patch ``_HORIZON_FIRST_CHUNK`` to 1 also cover
+    the arithmetic that carries the seed and the offsets across chunks.
+    """
     capacity = 4800
 
     def build():
@@ -194,8 +200,7 @@ def test_saturated_horizon_replays_sequential_decisions(head_generated, num_samp
     _assert_horizon_replays_sequential_schedule(head_generated, num_samples)
 
 
-@pytest.mark.parametrize("head_generated", [0, 7])
-@pytest.mark.parametrize(
+STREAM_EDGES = pytest.mark.parametrize(
     "seed,history",
     [
         (2**32 + 13, SHORT_HISTORY),  # two 32-bit entropy words per stream seed
@@ -204,6 +209,10 @@ def test_saturated_horizon_replays_sequential_decisions(head_generated, num_samp
     ],
     ids=["seed-2^32", "empty-history", "seed-2^63"],
 )
+
+
+@pytest.mark.parametrize("head_generated", [0, 7])
+@STREAM_EDGES
 def test_saturated_horizon_replays_sequential_decisions_at_stream_edges(
     head_generated, seed, history
 ):
@@ -214,8 +223,26 @@ def test_saturated_horizon_replays_sequential_decisions_at_stream_edges(
     _assert_horizon_replays_sequential_schedule(head_generated, 3, seed, history)
 
 
-def test_saturated_horizon_spans_full_window_when_head_cannot_fit():
+@pytest.mark.parametrize("head_generated", [0, 7])
+@STREAM_EDGES
+def test_saturated_horizon_replays_sequential_decisions_at_stream_edges_from_one_row_chunks(
+    head_generated, seed, history, monkeypatch
+):
+    """The same stream edges with a first chunk of one row, so every horizon crosses chunks."""
+    monkeypatch.setattr(past_future, "_HORIZON_FIRST_CHUNK", 1)
+    _assert_horizon_replays_sequential_schedule(head_generated, 3, seed, history)
+
+
+def test_saturated_horizon_spans_full_window_when_head_cannot_fit(monkeypatch):
     """A head larger than the leftover budget blocks across every chunk."""
+    chunk_rows = []
+    real_peaks = past_future.batched_peak_with_candidate
+
+    def counting_peaks(current, remaining, candidate_current, candidate_remaining):
+        chunk_rows.append(len(current))
+        return real_peaks(current, remaining, candidate_current, candidate_remaining)
+
+    monkeypatch.setattr(past_future, "batched_peak_with_candidate", counting_peaks)
     scheduler = PastFutureScheduler(reserved_fraction=0.05, seed=13, num_samples=2)
     scheduler.on_run_start()
     for length in (40, 60, 90, 120, 200, 320, 500, 800):
@@ -228,11 +255,13 @@ def test_saturated_horizon_spans_full_window_when_head_cannot_fit():
     # current tokens alone, so no sampled remaining can let the head in.
     waiting = [_queued_request("q0", prompt=3200)]
     capacity = 4800
-    max_steps = 150  # crosses several geometric chunks (2+4+8+...)
+    max_steps = 150  # a first chunk of 32 rows, then doubling: 32 + 64 + 54
     horizon = scheduler.saturated_no_admit_horizon(
         _context(running, waiting, capacity), max_steps
     )
     assert horizon == max_steps
+    # One Eq. 2-4 call per chunk: the proof costs three chunks, not one per row.
+    assert chunk_rows == [32, 64, 54]
     replayed = 0
     while replayed < max_steps:
         assert not scheduler.schedule(

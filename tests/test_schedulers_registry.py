@@ -87,6 +87,15 @@ class TestBatchCapUtility:
         scheduler.max_running_requests = 2
         assert scheduler.schedule(self._context(3, 7)) == []
 
+    @pytest.mark.parametrize(
+        "name", ["aggressive", "conservative", "oracle", "past-future", "vtc", "weighted-vtc"]
+    )
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_fails_at_construction(self, name, cap):
+        # A cap of 0 would trim every admission to nothing and stall the run.
+        with pytest.raises(ValueError, match=rf"max_running_requests must be at least 1 or None, got {cap}"):
+            create_scheduler(name, max_running_requests=cap)
+
 
 class TestRegistryKwargValidation:
     """The shared registry helper rejects unknown kwargs with a helpful error."""

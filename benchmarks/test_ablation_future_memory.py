@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import CAPACITY_7B_A100, PREFILL_CAP_SCALED, scaled, write_report
-from repro.analysis.experiments import ExperimentConfig, memory_report_from_run, run_experiment
+from repro.analysis.experiments import FleetConfig, memory_report_from_run, run_experiment
 from repro.analysis.tables import render_table
 from repro.core.past_future import PastFutureScheduler
 from repro.engine.request import Request
@@ -63,7 +63,7 @@ class NaiveSumScheduler(PastFutureScheduler):
 
 def run_ablation(platform, scheduler, fast_path: bool = True) -> RunResult:
     """One closed-loop run of the ablation's workload under ``scheduler``."""
-    config = ExperimentConfig(
+    config = FleetConfig(
         platform=platform,
         num_clients=NUM_CLIENTS,
         token_capacity_override=CAPACITY_7B_A100,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import CAPACITY_7B_A100, PREFILL_CAP_SCALED, scaled, write_report
-from repro.analysis.experiments import ExperimentConfig, memory_report_from_run, run_experiment
+from repro.analysis.experiments import FleetConfig, memory_report_from_run, run_experiment
 from repro.analysis.tables import render_table
 from repro.workloads.distributions import distribution_workload
 
@@ -30,7 +30,7 @@ def _profile(platform, workload_name: str) -> list[dict]:
     workload = scaled(distribution_workload(workload_name, NUM_REQUESTS, seed=101))
     rows = []
     for label, (scheduler_name, kwargs) in SCHEDULERS.items():
-        config = ExperimentConfig(
+        config = FleetConfig(
             platform=platform,
             scheduler_name=scheduler_name,
             scheduler_kwargs=kwargs,

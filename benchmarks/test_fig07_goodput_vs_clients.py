@@ -20,6 +20,7 @@ from benchmarks.conftest import (
     scaled,
     write_report,
 )
+from repro.analysis.experiments import FleetConfig
 from repro.analysis.sweep import best_goodput, scheduler_comparison_sweep
 from repro.analysis.tables import render_curves
 from repro.workloads.distributions import distribution_workload
@@ -47,14 +48,17 @@ DATASETS = {
 
 def run_dataset(platform, dataset_name: str):
     workload = scaled(DATASETS[dataset_name]())
+    config = FleetConfig(
+        platform=platform,
+        token_capacity_override=CAPACITY_7B_A100,
+        chunked_prefill_tokens=PREFILL_CAP_SCALED,
+    )
     return scheduler_comparison_sweep(
-        platform,
+        config,
         workload,
         client_counts=CLIENT_COUNTS,
         scheduler_configs=SCHEDULER_CONFIGS,
         sla=SLA_SCALED_SMALL,
-        token_capacity_override=CAPACITY_7B_A100,
-        chunked_prefill_tokens=PREFILL_CAP_SCALED,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import CAPACITY_7B_A100, PREFILL_CAP_SCALED, scaled, write_report
+from repro.analysis.experiments import FleetConfig
 from repro.analysis.sweep import parameter_sweep
 from repro.analysis.tables import render_table
 from repro.workloads.mixed import generate_varying_load
@@ -43,14 +44,13 @@ def test_fig08_parameter_tradeoff(benchmark, platform_7b, results_dir):
     workload = scaled(generate_varying_load(REQUESTS_PER_PHASE, seed=88))
 
     def run():
-        return parameter_sweep(
-            platform_7b,
-            workload,
-            configurations=CONFIGURATIONS,
+        config = FleetConfig(
+            platform=platform_7b,
             num_clients=NUM_CLIENTS,
             token_capacity_override=CAPACITY_7B_A100,
             chunked_prefill_tokens=PREFILL_CAP_SCALED,
         )
+        return parameter_sweep(config, workload, configurations=CONFIGURATIONS)
 
     points = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [p.as_row() for p in points]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import write_report
+from repro.analysis.experiments import FleetConfig
 from repro.analysis.sweep import best_goodput, best_throughput, framework_sweep
 from repro.analysis.tables import render_table
 from repro.frameworks.profiles import FIGURE9_FRAMEWORKS, get_framework
@@ -39,7 +40,7 @@ def run_panel(platform) -> list[dict]:
     profiles = [get_framework(name) for name in FIGURE9_FRAMEWORKS]
     curves = framework_sweep(
         profiles,
-        platform,
+        FleetConfig(platform=platform),
         workload,
         client_counts=CLIENT_COUNTS,
         sla=SLA_SMALL_MODEL,

@@ -25,12 +25,9 @@ from benchmarks.conftest import (
     scaled,
     write_report,
 )
-from repro.analysis.cluster_sweep import (
-    ClusterExperimentConfig,
-    fleet_table,
-    router_comparison_sweep,
-)
-from repro.analysis.tables import render_table
+from repro.analysis.experiments import FleetConfig, sweep
+from repro.analysis.tables import fleet_table, render_table
+from repro.serving.routing import available_routers
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
@@ -57,6 +54,9 @@ BURSTY_CONFIGS = {
 #: half the aggregate pool, so burst waves create genuine memory pressure.
 REPLICA_CAPACITY = CAPACITY_7B_A100 // 8
 
+#: One run per registered router over the identical stamped trace.
+ROUTER_VARIANTS = {name: {"router": name} for name in available_routers()}
+
 
 def bursty_workload(workload_seed: int, arrival_seed: int):
     workload = scaled(generate_sharegpt_o1_workload(NUM_REQUESTS, seed=workload_seed))
@@ -72,15 +72,16 @@ def bursty_workload(workload_seed: int, arrival_seed: int):
 
 def run_config(platform, workload_seed: int, arrival_seed: int):
     workload = bursty_workload(workload_seed, arrival_seed)
-    config = ClusterExperimentConfig(
+    config = FleetConfig(
         platform=platform,
         num_replicas=NUM_REPLICAS,
+        router="round-robin",
         scheduler_name="aggressive",
         scheduler_kwargs={"watermark": 0.95},
         token_capacity_override=REPLICA_CAPACITY,
         chunked_prefill_tokens=PREFILL_CAP_SCALED,
     )
-    return router_comparison_sweep(config, workload)
+    return sweep(config, workload, ROUTER_VARIANTS)
 
 
 @pytest.mark.benchmark(group="fig10")
@@ -133,15 +134,16 @@ def test_fig10_light_load_routers_tie(benchmark, platform_7b, results_dir):
             burst_rate=20.0,
             seed=13,
         )
-        config = ClusterExperimentConfig(
+        config = FleetConfig(
             platform=platform_7b,
             num_replicas=NUM_REPLICAS,
+            router="round-robin",
             scheduler_name="aggressive",
             scheduler_kwargs={"watermark": 0.95},
             token_capacity_override=CAPACITY_7B_A100,
             chunked_prefill_tokens=PREFILL_CAP_SCALED,
         )
-        return router_comparison_sweep(config, workload)
+        return sweep(config, workload, ROUTER_VARIANTS)
 
     results = benchmark.pedantic(run_light, rounds=1, iterations=1)
     goodput = {name: r.goodput(SLA_SCALED_CLUSTER) for name, r in results.items()}

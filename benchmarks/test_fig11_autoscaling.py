@@ -35,12 +35,9 @@ from benchmarks.conftest import (
     scaled,
     write_report,
 )
-from repro.analysis.autoscale_sweep import (
-    AutoscaleExperimentConfig,
-    autoscale_comparison_sweep,
-    autoscale_table,
-)
-from repro.analysis.tables import render_table
+from repro.analysis.experiments import FleetConfig, sweep
+from repro.analysis.tables import autoscale_table, render_table
+from repro.serving.autoscale import available_autoscale_policies
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
@@ -94,10 +91,10 @@ def bursty_workload(workload_seed: int, arrival_seed: int):
 
 def run_config(platform, workload_seed: int, arrival_seed: int):
     workload = bursty_workload(workload_seed, arrival_seed)
-    config = AutoscaleExperimentConfig(
+    config = FleetConfig(
         platform=platform,
         router="least-outstanding",
-        initial_replicas=2,
+        num_replicas=2,
         min_replicas=1,
         max_replicas=MAX_REPLICAS,
         decision_interval=0.5,
@@ -107,8 +104,10 @@ def run_config(platform, workload_seed: int, arrival_seed: int):
         scheduler_kwargs={"watermark": 0.95},
         token_capacity_override=REPLICA_CAPACITY,
         chunked_prefill_tokens=PREFILL_CAP_SCALED,
+        policy_kwargs=POLICY_KWARGS,
     )
-    return autoscale_comparison_sweep(config, workload, policy_kwargs=POLICY_KWARGS)
+    policies = available_autoscale_policies()
+    return sweep(config, workload, {name: {"autoscale": name} for name in policies})
 
 
 @pytest.mark.benchmark(group="fig11")

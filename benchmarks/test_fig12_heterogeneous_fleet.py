@@ -28,14 +28,10 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import SCALE, write_report
-from repro.analysis.cluster_sweep import (
-    ClusterExperimentConfig,
-    fleet_class_table,
-    fleet_table,
-    router_comparison_sweep,
-)
-from repro.analysis.tables import render_table
+from repro.analysis.experiments import FleetConfig, sweep
+from repro.analysis.tables import fleet_class_table, fleet_table, render_table
 from repro.hardware.platform import paper_platforms
+from repro.serving.routing import available_routers
 from repro.serving.sla import two_class_sla
 from repro.workloads.arrivals import assign_diurnal_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
@@ -95,15 +91,16 @@ def diurnal_workload(workload_seed: int, class_seed: int, arrival_seed: int):
 
 def run_config(workload_seed: int, class_seed: int, arrival_seed: int):
     workload = diurnal_workload(workload_seed, class_seed, arrival_seed)
-    config = ClusterExperimentConfig(
+    config = FleetConfig(
         platforms=mixed_fleet(),
         num_replicas=3,
+        router="round-robin",
         scheduler_name="aggressive",
         scheduler_kwargs={"watermark": 0.95},
         capacity_scale=CAPACITY_SCALE,
         chunked_prefill_tokens=int(8192 * SCALE),
     )
-    return router_comparison_sweep(config, workload)
+    return sweep(config, workload, {name: {"router": name} for name in available_routers()})
 
 
 @pytest.mark.benchmark(group="fig12")

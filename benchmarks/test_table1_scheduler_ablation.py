@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import CAPACITY_7B_A100, PREFILL_CAP_SCALED, scaled, write_report
-from repro.analysis.experiments import ExperimentConfig, memory_report_from_run, run_experiment
+from repro.analysis.experiments import FleetConfig, memory_report_from_run, run_experiment
 from repro.analysis.tables import render_table
 from repro.workloads.distributions import distribution_workload
 
@@ -38,7 +38,7 @@ def run_dataset(platform, dataset: str) -> list[dict]:
     workload = scaled(distribution_workload(dataset, NUM_REQUESTS, seed=111))
     rows = []
     for label, scheduler_name, kwargs in CONFIGURATIONS:
-        config = ExperimentConfig(
+        config = FleetConfig(
             platform=platform,
             scheduler_name=scheduler_name,
             scheduler_kwargs=kwargs,

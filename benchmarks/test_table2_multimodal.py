@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import SCALE, write_report
-from repro.analysis.experiments import run_framework
+from repro.analysis.experiments import FleetConfig, run_framework
 from repro.analysis.tables import render_table
 from repro.frameworks.profiles import LIGHTLLM, MULTIMODAL_ORIGIN
 from repro.hardware.gpus import A100_80G
@@ -33,14 +33,11 @@ def run_comparison() -> list[dict]:
         # simulated device keeps the paper's capacity-to-request ratio.
         capacity = int(platform.token_capacity * SCALE)
         workload = generate_textvqa_workload(model, NUM_REQUESTS, seed=201)
-        origin = run_framework(
-            MULTIMODAL_ORIGIN, platform, workload, num_clients=NUM_CLIENTS,
-            token_capacity_override=capacity,
+        config = FleetConfig(
+            platform=platform, num_clients=NUM_CLIENTS, token_capacity_override=capacity
         )
-        lightllm = run_framework(
-            LIGHTLLM, platform, workload, num_clients=NUM_CLIENTS,
-            token_capacity_override=capacity,
-        )
+        origin = run_framework(MULTIMODAL_ORIGIN, config, workload)
+        lightllm = run_framework(LIGHTLLM, config, workload)
         rows.append(
             {
                 "model": model.name,

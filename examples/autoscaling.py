@@ -19,13 +19,10 @@ Run with:  python examples/autoscaling.py
 
 from __future__ import annotations
 
-from repro.analysis.autoscale_sweep import (
-    AutoscaleExperimentConfig,
-    autoscale_comparison_sweep,
-    autoscale_table,
-)
-from repro.analysis.tables import render_table
+from repro.analysis.experiments import FleetConfig, sweep
+from repro.analysis.tables import autoscale_table, render_table
 from repro.hardware.platform import paper_platform
+from repro.serving.autoscale import available_autoscale_policies
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
@@ -54,10 +51,10 @@ def main() -> None:
     print(f"Workload: {workload.name}, {len(workload)} requests — {workload.description}")
     print()
 
-    config = AutoscaleExperimentConfig(
+    config = FleetConfig(
         platform=platform,
         router="least-outstanding",
-        initial_replicas=2,
+        num_replicas=2,
         min_replicas=1,
         max_replicas=MAX_REPLICAS,
         decision_interval=0.5,
@@ -67,11 +64,6 @@ def main() -> None:
         scheduler_kwargs={"watermark": 0.95},
         capacity_scale=CAPACITY_SCALE,
         chunked_prefill_tokens=int(8192 * SCALE),
-    )
-    sla = SLASpec(ttft_limit=2.5, mtpot_limit=0.5)
-    results = autoscale_comparison_sweep(
-        config,
-        workload,
         policy_kwargs={
             "reactive": {
                 "scale_up_threshold": 0.25,
@@ -85,6 +77,9 @@ def main() -> None:
             },
         },
     )
+    sla = SLASpec(ttft_limit=2.5, mtpot_limit=0.5)
+    policies = available_autoscale_policies()
+    results = sweep(config, workload, {name: {"autoscale": name} for name in policies})
 
     print(render_table(autoscale_table(results, sla), title=f"Fleet efficiency under {sla.describe()}"))
     print()

@@ -19,14 +19,10 @@ Run with:  python examples/cluster_serving.py
 
 from __future__ import annotations
 
-from repro.analysis.cluster_sweep import (
-    ClusterExperimentConfig,
-    fleet_class_table,
-    fleet_table,
-    router_comparison_sweep,
-)
-from repro.analysis.tables import render_table
+from repro.analysis.experiments import FleetConfig, sweep
+from repro.analysis.tables import fleet_class_table, fleet_table, render_table
 from repro.hardware.platform import paper_platform, paper_platforms
+from repro.serving.routing import available_routers
 from repro.serving.sla import SLASpec, two_class_sla
 from repro.workloads.arrivals import assign_bursty_arrivals, assign_diurnal_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
@@ -49,16 +45,17 @@ def homogeneous_fleet() -> None:
     print(f"Workload: {workload.name}, {len(workload)} requests — {workload.description}")
     print()
 
-    config = ClusterExperimentConfig(
+    config = FleetConfig(
         platform=platform,
         num_replicas=NUM_REPLICAS,
+        router="round-robin",
         scheduler_name="aggressive",
         scheduler_kwargs={"watermark": 0.95},
         token_capacity_override=replica_capacity,
         chunked_prefill_tokens=int(8192 * SCALE),
     )
     sla = SLASpec(ttft_limit=2.5, mtpot_limit=0.5)
-    results = router_comparison_sweep(config, workload)
+    results = sweep(config, workload, {name: {"router": name} for name in available_routers()})
 
     print(render_table(fleet_table(results, sla), title=f"Fleet results under {sla.describe()}"))
     print()
@@ -93,9 +90,10 @@ def heterogeneous_fleet() -> None:
     print(f"Workload: {workload.name}, {len(workload)} requests — {workload.description}")
     print()
 
-    config = ClusterExperimentConfig(
+    config = FleetConfig(
         platforms=platforms,
         num_replicas=len(platforms),
+        router="least-outstanding",
         scheduler_name="aggressive",
         scheduler_kwargs={"watermark": 0.95},
         capacity_scale=capacity_scale,
@@ -104,9 +102,8 @@ def heterogeneous_fleet() -> None:
     # Per-class deadlines: interactive signs the tight contract, batch a
     # loose one; compliance (and therefore goodput) is judged per class.
     sla = two_class_sla(interactive=(2.5, 0.5), batch=(10.0, 1.5))
-    results = router_comparison_sweep(
-        config, workload, routers=["least-outstanding", "memory-aware"]
-    )
+    routers = ["least-outstanding", "memory-aware"]
+    results = sweep(config, workload, {name: {"router": name} for name in routers})
 
     print(render_table(
         fleet_class_table(results, sla),

@@ -10,7 +10,7 @@ Run with:  python examples/multimodal_serving.py
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_framework
+from repro.analysis.experiments import FleetConfig, run_framework
 from repro.analysis.tables import render_table
 from repro.frameworks.profiles import LIGHTLLM, MULTIMODAL_ORIGIN
 from repro.hardware.gpus import A100_80G
@@ -35,14 +35,11 @@ def main() -> None:
             f"{model.name}: {model.vision_prefix_tokens} image tokens per request, "
             f"mean answer {workload.mean_output_length:.1f} tokens"
         )
-        origin = run_framework(
-            MULTIMODAL_ORIGIN, platform, workload,
-            num_clients=NUM_CLIENTS, token_capacity_override=capacity,
+        config = FleetConfig(
+            platform=platform, num_clients=NUM_CLIENTS, token_capacity_override=capacity
         )
-        lightllm = run_framework(
-            LIGHTLLM, platform, workload,
-            num_clients=NUM_CLIENTS, token_capacity_override=capacity,
-        )
+        origin = run_framework(MULTIMODAL_ORIGIN, config, workload)
+        lightllm = run_framework(LIGHTLLM, config, workload)
         rows.append(
             {
                 "model": model.name,

@@ -9,7 +9,7 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.analysis.experiments import ExperimentConfig, run_experiment
+from repro.analysis.experiments import FleetConfig, run_experiment
 from repro.hardware.platform import paper_platform
 from repro.serving.sla import SLA_SMALL_MODEL
 from repro.workloads.sharegpt import generate_sharegpt_workload
@@ -26,7 +26,7 @@ def main() -> None:
         f"mean output {workload.mean_output_length:.0f} tokens"
     )
 
-    config = ExperimentConfig(
+    config = FleetConfig(
         platform=platform,
         scheduler_name="past-future",
         scheduler_kwargs={"reserved_fraction": 0.03, "seed": 0},

@@ -11,11 +11,9 @@ Run with:  python examples/scheduler_comparison.py
 
 from __future__ import annotations
 
-from repro.analysis.experiments import (
-    ExperimentConfig,
-    memory_report_from_run,
-    run_experiment,
-)
+from dataclasses import replace
+
+from repro.analysis.experiments import FleetConfig, memory_report_from_run, run_experiment
 from repro.analysis.sweep import scheduler_comparison_sweep
 from repro.analysis.tables import render_curves, render_table
 from repro.hardware.platform import paper_platform
@@ -46,14 +44,15 @@ def main() -> None:
     print(f"Platform: {platform.describe()} (scaled capacity {capacity} tokens)")
     print(f"Workload: {workload.name} — decode-heavy chain-of-thought outputs\n")
 
+    config = FleetConfig(
+        platform=platform, token_capacity_override=capacity, chunked_prefill_tokens=512
+    )
     curves = scheduler_comparison_sweep(
-        platform,
+        config,
         workload,
         client_counts=(8, 32, 64, 128),
         scheduler_configs=SCHEDULERS,
         sla=SLA,
-        token_capacity_override=capacity,
-        chunked_prefill_tokens=512,
     )
     print(
         render_curves(
@@ -67,16 +66,8 @@ def main() -> None:
 
     print("\nMemory behaviour at the heaviest load (128 clients):")
     rows = []
-    for label, spec in SCHEDULERS.items():
-        config = ExperimentConfig(
-            platform=platform,
-            scheduler_name=spec["scheduler_name"],
-            scheduler_kwargs=spec.get("scheduler_kwargs", {}),
-            num_clients=128,
-            token_capacity_override=capacity,
-            chunked_prefill_tokens=512,
-        )
-        result = run_experiment(config, workload)
+    for label, overrides in SCHEDULERS.items():
+        result = run_experiment(replace(config, num_clients=128, **overrides), workload)
         report = memory_report_from_run(result)
         rows.append(
             {

@@ -15,7 +15,7 @@ The most common entry points are re-exported here.
 """
 
 from repro.core.past_future import PastFutureScheduler
-from repro.analysis.experiments import ExperimentConfig, run_experiment
+from repro.analysis.experiments import FleetConfig, run_experiment
 from repro.hardware.platform import Platform, make_platform, paper_platform
 from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.serving.server import ServingSimulator
@@ -26,7 +26,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PastFutureScheduler",
-    "ExperimentConfig",
+    "FleetConfig",
     "run_experiment",
     "Platform",
     "make_platform",

@@ -1,23 +1,11 @@
 """Experiment drivers, sweeps, and text-table rendering."""
 
-from repro.analysis.autoscale_sweep import (
-    AutoscaleExperimentConfig,
-    autoscale_comparison_sweep,
-    autoscale_table,
-    run_autoscale_experiment,
-)
-from repro.analysis.cluster_sweep import (
-    ClusterExperimentConfig,
-    fleet_table,
-    router_comparison_sweep,
-    run_cluster_experiment,
-)
 from repro.analysis.experiments import (
-    ExperimentConfig,
+    FleetConfig,
     memory_report_from_run,
-    quick_platform,
     run_experiment,
     run_framework,
+    sweep,
 )
 from repro.analysis.sweep import (
     FrameworkPoint,
@@ -30,22 +18,20 @@ from repro.analysis.sweep import (
     parameter_sweep,
     scheduler_comparison_sweep,
 )
-from repro.analysis.tables import render_curves, render_table
+from repro.analysis.tables import (
+    autoscale_table,
+    fleet_class_table,
+    fleet_table,
+    render_curves,
+    render_table,
+)
 
 __all__ = [
-    "AutoscaleExperimentConfig",
-    "autoscale_comparison_sweep",
-    "autoscale_table",
-    "run_autoscale_experiment",
-    "ClusterExperimentConfig",
-    "fleet_table",
-    "router_comparison_sweep",
-    "run_cluster_experiment",
-    "ExperimentConfig",
+    "FleetConfig",
     "memory_report_from_run",
-    "quick_platform",
     "run_experiment",
     "run_framework",
+    "sweep",
     "FrameworkPoint",
     "ParameterPoint",
     "SweepPoint",
@@ -55,6 +41,9 @@ __all__ = [
     "framework_sweep",
     "parameter_sweep",
     "scheduler_comparison_sweep",
+    "autoscale_table",
+    "fleet_class_table",
+    "fleet_table",
     "render_curves",
     "render_table",
 ]

@@ -1,107 +1,241 @@
-"""Single-run experiment driver: workload x platform x scheduler -> RunResult.
+"""One experiment description: :class:`FleetConfig`, :func:`run_experiment`, :func:`sweep`.
 
-This is the common entry point the benchmarks and examples share.  An
-:class:`ExperimentConfig` pins every knob of one run (so results are
-reproducible from the config alone); :func:`run_experiment` builds the
-simulator and executes it.
+Every result the benchmarks and examples report is a :class:`FleetConfig`
+run over a workload.  The config pins every knob of one run, so a result is
+reproducible from the config alone:
+
+* a single engine is ``num_replicas=1, router=None`` (the defaults) and runs
+  through the :class:`~repro.serving.server.ServingSimulator` façade, giving
+  a :class:`RunResult`;
+* naming a ``router`` makes it a fleet, giving a :class:`ClusterResult`;
+  naming an ``autoscale`` policy makes the fleet elastic within
+  ``[min_replicas, max_replicas]``, starting at ``num_replicas``.  The
+  ``static`` policy is the peak-provisioned baseline: a fixed fleet of
+  ``max_replicas``.
+
+``num_clients=None`` replays the workload's recorded arrival times open loop
+(e.g. from :func:`repro.workloads.arrivals.assign_bursty_arrivals`); an
+integer serves it with that many closed-loop clients.  :func:`sweep` replays
+the *same* workload under several field overrides — routers, autoscaling
+policies, schedulers — so the only varying factor is the one they name.
+
+An invalid config raises at construction, with the simulator's own message
+(:func:`repro.serving.cluster.check_fleet_args`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Hashable, Mapping, Sequence
 
 from repro.engine.cost_model import CostModel
-from repro.engine.eviction import EvictionPolicy
 from repro.frameworks.profiles import FrameworkProfile
-from repro.hardware.platform import Platform, paper_platform
+from repro.hardware.platform import Platform
 from repro.metrics.memory_stats import MemoryReport, build_memory_report
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import create_scheduler
-from repro.serving.results import RunResult
-from repro.serving.server import ServingSimulator, SimulationLimits
+from repro.serving.autoscale import Autoscaler, create_autoscale_policy
+from repro.serving.cluster import ClusterSimulator, SimulationLimits, check_fleet_args
+from repro.serving.results import ClusterResult, RunResult
+from repro.serving.routing import Router
+from repro.serving.server import ServingSimulator
 from repro.serving.sla import SLASpec, sla_for_model
 from repro.workloads.spec import Workload
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything needed to reproduce one serving run."""
+@dataclass(frozen=True)
+class FleetConfig:
+    """Everything needed to reproduce one serving run, engine or fleet.
 
-    platform: Platform
+    Exactly one of ``platform`` (homogeneous) / ``platforms``
+    (heterogeneous; replicas cycle through the list in launch order,
+    autoscaler launches included) must be set.  ``capacity_scale``
+    multiplies each replica's *own* platform capacity, preserving the
+    capacity ratios an absolute ``token_capacity_override`` would erase.
+    ``speed_factor`` scales the cost model's latency (homogeneous only).
+    ``policy_kwargs`` maps autoscaling policy names to constructor
+    overrides; the entry for ``autoscale`` is applied.
+    """
+
+    platform: Platform | None = None
+    platforms: Sequence[Platform] | None = None
+    num_replicas: int = 1
+    router: Router | str | None = None
     scheduler_name: str = "past-future"
-    scheduler_kwargs: dict = field(default_factory=dict)
-    num_clients: int = 32
+    scheduler_kwargs: Mapping[str, object] = field(default_factory=dict)
+    num_clients: int | None = None
     think_time: float = 0.0
     chunked_prefill_tokens: int | None = None
     token_capacity_override: int | None = None
+    capacity_scale: float | None = None
     speed_factor: float = 1.0
+    autoscale: str | None = None
+    policy_kwargs: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
+    min_replicas: int = 1
+    max_replicas: int = 6
+    decision_interval: float = 1.0
+    warmup_delay: float = 2.0
+    sample_window: float = 5.0
     limits: SimulationLimits = field(default_factory=SimulationLimits)
     #: event-jump fast path; ``False`` bisects against the reference loop.
     fast_path: bool = True
+
+    def __post_init__(self) -> None:
+        for name, kwargs in self.policy_kwargs.items():
+            # An unknown policy name or keyword raises here, with a
+            # did-you-mean suggestion, instead of being silently dropped.
+            create_autoscale_policy(name, **kwargs)
+        check_fleet_args(
+            self.platform,
+            self.platforms,
+            self.launch_size,
+            self.router,
+            autoscaler=self.build_autoscaler(),
+            token_capacity_override=self.token_capacity_override,
+            capacity_scale=self.capacity_scale,
+            explicit_cost_model=self.speed_factor != 1.0,
+        )
+
+    @property
+    def primary_platform(self) -> Platform:
+        """The homogeneous platform, or the first of the heterogeneous cycle."""
+        return self.platform if self.platform is not None else self.platforms[0]
+
+    @property
+    def launch_size(self) -> int:
+        """Replicas at time zero: ``max_replicas`` under the static policy."""
+        return self.max_replicas if self.autoscale == "static" else self.num_replicas
+
+    def default_sla(self) -> SLASpec:
+        """The paper's SLA preset for the configured model."""
+        return sla_for_model(self.primary_platform.model.name)
 
     def build_scheduler(self) -> Scheduler:
         """Instantiate the configured scheduler."""
         return create_scheduler(self.scheduler_name, **self.scheduler_kwargs)
 
-    def build_cost_model(self) -> CostModel:
-        """Instantiate the cost model with the configured speed factor."""
-        return CostModel(self.platform, speed_factor=self.speed_factor)
+    def build_cost_model(self) -> CostModel | None:
+        """A cost model at ``speed_factor``, or ``None`` for the platform default."""
+        if self.speed_factor == 1.0:
+            return None
+        return CostModel(self.primary_platform, speed_factor=self.speed_factor)
 
-    def default_sla(self) -> SLASpec:
-        """The paper's SLA preset for the configured model."""
-        return sla_for_model(self.platform.model.name)
+    def build_autoscaler(self) -> Autoscaler | None:
+        """A fresh autoscaler around the configured policy, or ``None``."""
+        if self.autoscale is None:
+            return None
+        return Autoscaler(
+            policy=create_autoscale_policy(
+                self.autoscale, **self.policy_kwargs.get(self.autoscale, {})
+            ),
+            interval=self.decision_interval,
+            min_replicas=self.min_replicas,
+            max_replicas=self.max_replicas,
+            warmup_delay=self.warmup_delay,
+            sample_window=self.sample_window,
+        )
+
+    def build_simulator(
+        self, scheduler: Scheduler | None = None
+    ) -> ServingSimulator | ClusterSimulator:
+        """A fresh simulator: the single-engine façade, or a fleet behind ``router``.
+
+        Args:
+            scheduler: pre-built scheduler instance for a single engine
+                (e.g. a framework profile's); built from the config if
+                omitted.  A fleet builds one per replica from
+                ``scheduler_name``.
+        """
+        if self.router is None:
+            return ServingSimulator(
+                platform=self.primary_platform,
+                scheduler=scheduler or self.build_scheduler(),
+                cost_model=self.build_cost_model(),
+                chunked_prefill_tokens=self.chunked_prefill_tokens,
+                token_capacity_override=self.token_capacity_override,
+                capacity_scale=self.capacity_scale,
+                limits=self.limits,
+                fast_path=self.fast_path,
+            )
+        if scheduler is not None:
+            raise ValueError("a scheduler instance serves one engine; fleets build theirs by name")
+        return ClusterSimulator(
+            platform=self.platform,
+            platforms=self.platforms,
+            num_replicas=self.launch_size,
+            router=self.router,
+            scheduler_name=self.scheduler_name,
+            scheduler_kwargs=self.scheduler_kwargs,
+            cost_model=self.build_cost_model(),
+            chunked_prefill_tokens=self.chunked_prefill_tokens,
+            token_capacity_override=self.token_capacity_override,
+            capacity_scale=self.capacity_scale,
+            autoscaler=self.build_autoscaler(),
+            limits=self.limits,
+            fast_path=self.fast_path,
+        )
 
 
 def run_experiment(
-    config: ExperimentConfig,
+    config: FleetConfig,
     workload: Workload,
     scheduler: Scheduler | None = None,
-    eviction_policy: EvictionPolicy | None = None,
-) -> RunResult:
-    """Execute one closed-loop serving run.
+) -> RunResult | ClusterResult:
+    """Execute one run: a :class:`RunResult` for one engine, else a :class:`ClusterResult`.
 
     Args:
         config: the experiment configuration.
         workload: the requests to serve.
-        scheduler: pre-built scheduler instance; built from the config if
-            omitted (passing one lets callers reuse a configured object, e.g.
-            a framework profile's scheduler).
-        eviction_policy: override for the engine's eviction policy.
+        scheduler: pre-built single-engine scheduler (see
+            :meth:`FleetConfig.build_simulator`).
     """
-    scheduler = scheduler or config.build_scheduler()
-    simulator = ServingSimulator(
-        platform=config.platform,
-        scheduler=scheduler,
-        cost_model=config.build_cost_model(),
-        eviction_policy=eviction_policy,
-        chunked_prefill_tokens=config.chunked_prefill_tokens,
-        token_capacity_override=config.token_capacity_override,
-        limits=config.limits,
-        fast_path=config.fast_path,
-    )
+    simulator = config.build_simulator(scheduler)
+    if config.num_clients is None:
+        return simulator.run_open_loop(workload)
     return simulator.run_closed_loop(
-        workload,
-        num_clients=config.num_clients,
-        think_time=config.think_time,
+        workload, num_clients=config.num_clients, think_time=config.think_time
     )
+
+
+def sweep(
+    config: FleetConfig,
+    workload: Workload,
+    variants: Mapping[Hashable, Mapping[str, object]],
+) -> dict[Hashable, RunResult | ClusterResult]:
+    """Run the same workload under each variant of a base config.
+
+    Args:
+        config: the configuration every run shares.
+        workload: the requests to serve; identical (arrival times included)
+            for every variant, so results are directly comparable.
+        variants: mapping of result label to :class:`FleetConfig` field
+            overrides, e.g. ``{name: {"router": name} for name in routers}``.
+
+    Every variant config is built before the first run, so an unknown
+    field, an invalid variant, or a ``policy_kwargs`` entry for a policy no
+    variant sweeps raises without running anything.
+    """
+    configs = {label: replace(config, **overrides) for label, overrides in variants.items()}
+    swept = {variant.autoscale for variant in configs.values()}
+    for variant in configs.values():
+        unswept = sorted(set(variant.policy_kwargs) - swept)
+        if unswept:
+            raise ValueError(f"policy_kwargs name policies no variant sweeps: {unswept}")
+    return {label: run_experiment(variant, workload) for label, variant in configs.items()}
 
 
 def run_framework(
-    profile: FrameworkProfile,
-    platform: Platform,
-    workload: Workload,
-    num_clients: int,
-    token_capacity_override: int | None = None,
-    limits: SimulationLimits | None = None,
+    profile: FrameworkProfile, config: FleetConfig, workload: Workload
 ) -> RunResult:
-    """Run one framework profile end to end (Figure 9 / Table 2 helper)."""
-    config = ExperimentConfig(
-        platform=platform,
-        num_clients=num_clients,
+    """Run one framework profile on a single engine (Figure 9 / Table 2 helper).
+
+    The profile supplies the scheduler, the prefill chunk and the backend
+    speed; ``config`` supplies the rest.
+    """
+    config = replace(
+        config,
         chunked_prefill_tokens=profile.chunked_prefill_tokens,
-        token_capacity_override=token_capacity_override,
         speed_factor=profile.speed_factor,
-        limits=limits or SimulationLimits(),
     )
     result = run_experiment(config, workload, scheduler=profile.build_scheduler())
     result.scheduler = profile.name
@@ -119,8 +253,3 @@ def memory_report_from_run(result: RunResult) -> MemoryReport:
         timeline=result.memory_timeline,
         requests=result.requests,
     )
-
-
-def quick_platform(key: str = "7b-a100") -> Platform:
-    """Shortcut to one of the paper's named platforms (defaults to 7B on A100)."""
-    return paper_platform(key)

@@ -667,6 +667,7 @@ def trace_scenario(name: str, trace_path: Path) -> dict:
 
 
 def main() -> None:  # pragma: no cover - thin CLI
+    """Command-line entry point: measure the scenarios and write ``BENCH_core.json``."""
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

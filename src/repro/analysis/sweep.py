@@ -11,11 +11,15 @@ These drive the paper's sweep-style figures:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from repro.analysis.experiments import ExperimentConfig, run_experiment, run_framework
+from repro.analysis.experiments import (
+    FleetConfig,
+    memory_report_from_run,
+    run_experiment,
+    run_framework,
+)
 from repro.frameworks.profiles import FrameworkProfile
-from repro.hardware.platform import Platform
 from repro.serving.sla import SLASpec
 from repro.workloads.spec import Workload
 
@@ -44,7 +48,7 @@ class SweepPoint:
 
 
 def client_sweep(
-    config: ExperimentConfig,
+    config: FleetConfig,
     workload: Workload,
     client_counts: Sequence[int],
     sla: SLASpec | None = None,
@@ -70,31 +74,24 @@ def client_sweep(
 
 
 def scheduler_comparison_sweep(
-    platform: Platform,
+    config: FleetConfig,
     workload: Workload,
     client_counts: Sequence[int],
-    scheduler_configs: dict[str, dict],
+    scheduler_configs: Mapping[str, Mapping[str, object]],
     sla: SLASpec | None = None,
-    token_capacity_override: int | None = None,
-    chunked_prefill_tokens: int | None = None,
 ) -> dict[str, list[SweepPoint]]:
     """Figure-7 style comparison: one goodput curve per scheduler config.
 
     Args:
-        scheduler_configs: mapping of curve label to
+        config: the single-engine configuration every curve shares.
+        scheduler_configs: mapping of curve label to :class:`FleetConfig`
+            field overrides, e.g.
             ``{"scheduler_name": ..., "scheduler_kwargs": {...}}``.
     """
-    curves: dict[str, list[SweepPoint]] = {}
-    for label, spec in scheduler_configs.items():
-        config = ExperimentConfig(
-            platform=platform,
-            scheduler_name=spec["scheduler_name"],
-            scheduler_kwargs=spec.get("scheduler_kwargs", {}),
-            token_capacity_override=token_capacity_override,
-            chunked_prefill_tokens=chunked_prefill_tokens,
-        )
-        curves[label] = client_sweep(config, workload, client_counts, sla=sla)
-    return curves
+    return {
+        label: client_sweep(replace(config, **overrides), workload, client_counts, sla=sla)
+        for label, overrides in scheduler_configs.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -119,35 +116,25 @@ class ParameterPoint:
 
 
 def parameter_sweep(
-    platform: Platform,
+    config: FleetConfig,
     workload: Workload,
     configurations: Sequence[tuple[str, str, dict]],
-    num_clients: int = 64,
-    token_capacity_override: int | None = None,
-    chunked_prefill_tokens: int | None = None,
 ) -> list[ParameterPoint]:
     """Sweep scheduler parameters on a fixed workload (Figure 8 / Table 1).
 
     Args:
+        config: the single-engine configuration every point shares.
         configurations: tuples of (label, scheduler_name, scheduler_kwargs).
     """
-    from repro.analysis.experiments import memory_report_from_run
-
     points: list[ParameterPoint] = []
     for label, scheduler_name, scheduler_kwargs in configurations:
-        config = ExperimentConfig(
-            platform=platform,
-            scheduler_name=scheduler_name,
-            scheduler_kwargs=scheduler_kwargs,
-            num_clients=num_clients,
-            token_capacity_override=token_capacity_override,
-            chunked_prefill_tokens=chunked_prefill_tokens,
+        run_config = replace(
+            config, scheduler_name=scheduler_name, scheduler_kwargs=scheduler_kwargs
         )
-        result = run_experiment(config, workload)
-        report = memory_report_from_run(result)
+        report = memory_report_from_run(run_experiment(run_config, workload))
         points.append(
             ParameterPoint(
-                scheduler=result.scheduler,
+                scheduler=report.scheduler,
                 parameter=label,
                 decoding_steps=report.decoding_steps,
                 evicted_fraction=report.evicted_request_fraction,
@@ -178,24 +165,17 @@ class FrameworkPoint:
 
 def framework_sweep(
     profiles: Sequence[FrameworkProfile],
-    platform: Platform,
+    config: FleetConfig,
     workload: Workload,
     client_counts: Sequence[int],
     sla: SLASpec,
-    token_capacity_override: int | None = None,
 ) -> dict[str, list[FrameworkPoint]]:
     """Figure-9 style framework comparison across concurrency levels."""
     curves: dict[str, list[FrameworkPoint]] = {}
     for profile in profiles:
         points: list[FrameworkPoint] = []
         for num_clients in client_counts:
-            result = run_framework(
-                profile,
-                platform,
-                workload,
-                num_clients=num_clients,
-                token_capacity_override=token_capacity_override,
-            )
+            result = run_framework(profile, replace(config, num_clients=num_clients), workload)
             summary = result.throughput_summary(sla)
             points.append(
                 FrameworkPoint(

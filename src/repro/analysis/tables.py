@@ -3,12 +3,18 @@
 No plotting dependency is available offline, so every figure of the paper is
 re-emitted as a table of the series it plots.  :func:`render_table` produces a
 fixed-width text table from dictionaries; :func:`render_curves` lays out one
-column per sweep curve.
+column per sweep curve; :func:`fleet_table`, :func:`fleet_class_table` and
+:func:`autoscale_table` turn fleet :func:`~repro.analysis.experiments.sweep`
+results into rows.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from repro.serving.results import ClusterResult
+    from repro.serving.sla import SLASpec
 
 
 def render_table(rows: Sequence[Mapping[str, object]], title: str | None = None) -> str:
@@ -71,3 +77,62 @@ def render_curves(
             row[label] = round(y_getter(match), 1) if match is not None else "-"
         rows.append(row)
     return render_table(rows, title=title)
+
+
+def fleet_table(results: Mapping[str, ClusterResult], sla: SLASpec) -> list[dict[str, object]]:
+    """Rows for :func:`render_table`, one per router."""
+    rows: list[dict[str, object]] = []
+    for name, result in results.items():
+        row: dict[str, object] = {"router": name}
+        row.update(result.fleet_summary(sla).as_row())
+        rows.append(row)
+    return rows
+
+
+def fleet_class_table(
+    results: Mapping[str, ClusterResult], sla: SLASpec
+) -> list[dict[str, object]]:
+    """Per-router, per-SLA-class rows (the fig12 breakdown).
+
+    Each row carries one class slice of one router's run: goodput, goodput
+    per (fleet-wide) replica-second, attainment under the class's own
+    deadlines, and rejects attributed to the class.
+    """
+    rows: list[dict[str, object]] = []
+    for name, result in results.items():
+        for class_row in result.fleet_summary(sla).class_rows():
+            row: dict[str, object] = {"router": name}
+            row.update(class_row)
+            rows.append(row)
+    return rows
+
+
+def autoscale_table(
+    results: Mapping[str, ClusterResult], sla: SLASpec
+) -> list[dict[str, object]]:
+    """Rows for :func:`render_table`, one per autoscaling policy.
+
+    The headline column is goodput per replica-second: raw goodput divides
+    by wall-clock, which forgives a peak-provisioned static fleet for idling
+    through every lull.
+    """
+    rows: list[dict[str, object]] = []
+    for name, result in results.items():
+        summary = result.fleet_summary(sla)
+        rows.append(
+            {
+                "policy": name,
+                "goodput_per_rs": round(summary.goodput_per_replica_second, 2),
+                "goodput_tok_s": round(summary.goodput, 1),
+                "replica_s": round(summary.replica_seconds, 1),
+                "avg_fleet": round(summary.avg_fleet_size, 2),
+                "peak_fleet": max(
+                    (sample.provisioned for sample in result.fleet_timeline), default=0
+                ),
+                "launched": result.num_replicas,
+                "sla_attainment": f"{summary.sla_attainment:.1%}",
+                "p99_ttft_s": round(summary.p99_ttft, 3),
+                "rejected": summary.rejected_requests,
+            }
+        )
+    return rows

@@ -33,6 +33,7 @@ class LatencySummary:
 
     @classmethod
     def empty(cls) -> "LatencySummary":
+        """The all-zero summary of a run that finished no request."""
         return cls(count=0, mean_ttft=0.0, p99_ttft=0.0, mean_tpot=0.0, p99_mtpot=0.0, max_mtpot=0.0)
 
 

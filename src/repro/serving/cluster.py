@@ -297,6 +297,60 @@ class _DeferredArrival:
         return (self.retry_at, self.sequence) < (other.retry_at, other.sequence)
 
 
+def check_fleet_args(
+    platform: Platform | None,
+    platforms: Sequence[Platform] | None,
+    num_replicas: int,
+    router: Router | str | None,
+    autoscaler: Autoscaler | None = None,
+    faults: FaultPlan | None = None,
+    token_capacity_override: int | None = None,
+    capacity_scale: float | None = None,
+    explicit_cost_model: bool = False,
+) -> list[Platform]:
+    """Validate a fleet's constructor arguments and return its platform cycle.
+
+    :class:`ClusterSimulator` runs this on its keywords, and
+    :class:`repro.analysis.experiments.FleetConfig` on the same arguments at
+    construction, so an invalid experiment fails before it runs, with the
+    simulator's own message.
+
+    Raises:
+        ValueError: naming the first inconsistent argument.
+        PlatformError: if the platforms serve more than one model.
+    """
+    if (platform is None) == (platforms is None):
+        raise ValueError("exactly one of platform / platforms is required")
+    if platforms is not None and not platforms:
+        raise ValueError("platforms must not be empty")
+    if num_replicas <= 0:
+        raise ValueError("num_replicas must be positive")
+    if autoscaler is not None and not (
+        autoscaler.min_replicas <= num_replicas <= autoscaler.max_replicas
+    ):
+        raise ValueError(
+            "num_replicas must start within the autoscaler's "
+            f"[{autoscaler.min_replicas}, {autoscaler.max_replicas}] bounds"
+        )
+    if router is None and (num_replicas != 1 or autoscaler is not None or faults is not None):
+        raise ValueError(
+            "router=None serves one fixed replica: it needs num_replicas=1, "
+            "no autoscaler and no faults"
+        )
+    if token_capacity_override is not None and capacity_scale is not None:
+        raise ValueError("token_capacity_override and capacity_scale are mutually exclusive")
+    if capacity_scale is not None and capacity_scale <= 0:
+        raise ValueError("capacity_scale must be positive")
+    fleet = list(platforms) if platforms is not None else [platform]
+    ensure_single_model(fleet)
+    if explicit_cost_model and len(fleet) > 1:
+        raise ValueError(
+            "an explicit cost_model only applies to homogeneous fleets; "
+            "heterogeneous replicas derive per-platform cost models"
+        )
+    return fleet
+
+
 class ClusterSimulator:
     """Drives an (optionally elastic, optionally heterogeneous) engine fleet.
 
@@ -402,35 +456,17 @@ class ClusterSimulator:
         faults: FaultPlan | None = None,
         prefix_cache_tokens: int | None = None,
     ) -> None:
-        if (platform is None) == (platforms is None):
-            raise ValueError("exactly one of platform / platforms is required")
-        if platforms is not None and not platforms:
-            raise ValueError("platforms must not be empty")
-        if num_replicas <= 0:
-            raise ValueError("num_replicas must be positive")
-        if autoscaler is not None and not (
-            autoscaler.min_replicas <= num_replicas <= autoscaler.max_replicas
-        ):
-            raise ValueError(
-                "num_replicas must start within the autoscaler's "
-                f"[{autoscaler.min_replicas}, {autoscaler.max_replicas}] bounds"
-            )
-        if router is None and (num_replicas != 1 or autoscaler is not None or faults is not None):
-            raise ValueError(
-                "router=None serves one fixed replica: it needs num_replicas=1, "
-                "no autoscaler and no faults"
-            )
-        if token_capacity_override is not None and capacity_scale is not None:
-            raise ValueError("token_capacity_override and capacity_scale are mutually exclusive")
-        if capacity_scale is not None and capacity_scale <= 0:
-            raise ValueError("capacity_scale must be positive")
-        self.platforms: list[Platform] = list(platforms) if platforms is not None else [platform]
-        ensure_single_model(self.platforms)
-        if cost_model is not None and len(self.platforms) > 1:
-            raise ValueError(
-                "an explicit cost_model only applies to homogeneous fleets; "
-                "heterogeneous replicas derive per-platform cost models"
-            )
+        self.platforms: list[Platform] = check_fleet_args(
+            platform,
+            platforms,
+            num_replicas,
+            router,
+            autoscaler=autoscaler,
+            faults=faults,
+            token_capacity_override=token_capacity_override,
+            capacity_scale=capacity_scale,
+            explicit_cost_model=cost_model is not None,
+        )
         #: first platform of the cycle; the homogeneous fleet's platform.
         self.platform = self.platforms[0]
         self.router: Router | None = create_router(router) if isinstance(router, str) else router

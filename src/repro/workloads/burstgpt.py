@@ -47,11 +47,13 @@ class TaskArchetype:
     sla_class: str = SLA_CLASS_INTERACTIVE
 
     def sample_output(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` output lengths: lognormal around ``mean_output``, clipped to [1, 8192]."""
         mu = np.log(self.mean_output) - self.sigma ** 2 / 2.0
         samples = rng.lognormal(mean=mu, sigma=self.sigma, size=size)
         return np.clip(np.round(samples), 1, 8192).astype(int)
 
     def sample_input(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` prompt lengths: lognormal around ``mean_input``, clipped to [4, 8192]."""
         mu = np.log(self.mean_input) - 0.64 / 2.0
         samples = rng.lognormal(mean=mu, sigma=0.8, size=size)
         return np.clip(np.round(samples), 4, 8192).astype(int)

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import (
-    ExperimentConfig,
+    FleetConfig,
     memory_report_from_run,
-    quick_platform,
     run_experiment,
     run_framework,
 )
@@ -75,7 +74,7 @@ class TestFrameworkProfiles:
 
 class TestExperimentDriver:
     def test_run_experiment_completes(self, platform_7b, tiny_workload):
-        config = ExperimentConfig(
+        config = FleetConfig(
             platform=platform_7b,
             scheduler_name="past-future",
             num_clients=6,
@@ -86,7 +85,7 @@ class TestExperimentDriver:
         assert len(result.finished_requests) == len(tiny_workload)
 
     def test_memory_report_from_run(self, platform_7b, tiny_workload):
-        config = ExperimentConfig(
+        config = FleetConfig(
             platform=platform_7b,
             scheduler_name="aggressive",
             num_clients=6,
@@ -102,24 +101,20 @@ class TestExperimentDriver:
         }
 
     def test_default_sla_tracks_model(self, platform_7b, platform_70b):
-        small = ExperimentConfig(platform=platform_7b)
-        large = ExperimentConfig(platform=platform_70b)
+        small = FleetConfig(platform=platform_7b)
+        large = FleetConfig(platform=platform_70b)
         assert small.default_sla().ttft_limit == 10.0
         assert large.default_sla().ttft_limit == 15.0
 
-    def test_quick_platform(self):
-        assert quick_platform().model.name == "Llama-2-7B-Chat"
-
     def test_run_framework_uses_profile_name(self, platform_7b, tiny_workload):
-        result = run_framework(
-            VLLM, platform_7b, tiny_workload, num_clients=4, token_capacity_override=1024
-        )
+        config = FleetConfig(platform=platform_7b, num_clients=4, token_capacity_override=1024)
+        result = run_framework(VLLM, config, tiny_workload)
         assert result.scheduler == "vLLM"
 
 
 class TestSweeps:
     def test_client_sweep_produces_point_per_count(self, platform_7b, tiny_workload):
-        config = ExperimentConfig(
+        config = FleetConfig(
             platform=platform_7b,
             scheduler_name="past-future",
             token_capacity_override=1024,
@@ -131,28 +126,25 @@ class TestSweeps:
 
     def test_scheduler_comparison_sweep(self, platform_7b, tiny_workload):
         curves = scheduler_comparison_sweep(
-            platform_7b,
+            FleetConfig(platform=platform_7b, token_capacity_override=1024),
             tiny_workload,
             client_counts=[4],
             scheduler_configs={
                 "Past-Future": {"scheduler_name": "past-future"},
                 "Aggressive": {"scheduler_name": "aggressive"},
             },
-            token_capacity_override=1024,
         )
         assert set(curves) == {"Past-Future", "Aggressive"}
         assert all(len(points) == 1 for points in curves.values())
 
     def test_parameter_sweep(self, platform_7b, tiny_workload):
         points = parameter_sweep(
-            platform_7b,
+            FleetConfig(platform=platform_7b, num_clients=6, token_capacity_override=1024),
             tiny_workload,
             configurations=[
                 ("reserved=5%", "past-future", {"reserved_fraction": 0.05}),
                 ("watermark=95%", "aggressive", {"watermark": 0.95}),
             ],
-            num_clients=6,
-            token_capacity_override=1024,
         )
         assert len(points) == 2
         assert all(p.decoding_steps > 0 for p in points)
@@ -160,11 +152,10 @@ class TestSweeps:
     def test_framework_sweep_and_maxima(self, platform_7b, tiny_workload):
         curves = framework_sweep(
             [LIGHTLLM, VLLM],
-            platform_7b,
+            FleetConfig(platform=platform_7b, token_capacity_override=1024),
             tiny_workload,
             client_counts=[4],
             sla=SLA_SMALL_MODEL,
-            token_capacity_override=1024,
         )
         assert set(curves) == {"LightLLM", "vLLM"}
         assert best_goodput(curves["LightLLM"]) >= 0

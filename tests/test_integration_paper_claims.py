@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import ExperimentConfig, memory_report_from_run, run_experiment
+from repro.analysis.experiments import FleetConfig, memory_report_from_run, run_experiment
 from repro.serving.sla import SLASpec
 from repro.workloads.distributions import UniformLengthSpec, generate_uniform_workload
 
@@ -37,7 +37,7 @@ SLA = SLASpec(ttft_limit=20.0, mtpot_limit=0.5)
 
 
 def run(scheduler_name: str, workload, seed_kwargs=None, num_clients=NUM_CLIENTS):
-    config = ExperimentConfig(
+    config = FleetConfig(
         platform=run.platform,
         scheduler_name=scheduler_name,
         scheduler_kwargs=seed_kwargs or {},

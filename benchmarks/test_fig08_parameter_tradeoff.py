@@ -22,21 +22,26 @@ from repro.workloads.mixed import generate_varying_load
 REQUESTS_PER_PHASE = 45
 NUM_CLIENTS = 48
 
-CONFIGURATIONS = [
-    ("Optimum", "oracle", {}),
-    ("Past-Future reserved=3%", "past-future", {"reserved_fraction": 0.03, "seed": 81, "num_samples": 4}),
-    ("Past-Future reserved=5%", "past-future", {"reserved_fraction": 0.05, "seed": 81, "num_samples": 4}),
-    ("Past-Future reserved=10%", "past-future", {"reserved_fraction": 0.10, "seed": 81, "num_samples": 4}),
-    ("Past-Future reserved=20%", "past-future", {"reserved_fraction": 0.20, "seed": 81, "num_samples": 4}),
-    ("Aggressive watermark=99%", "aggressive", {"watermark": 0.99}),
-    ("Aggressive watermark=90%", "aggressive", {"watermark": 0.90}),
-    ("Aggressive watermark=80%", "aggressive", {"watermark": 0.80}),
-    ("Aggressive watermark=70%", "aggressive", {"watermark": 0.70}),
-    ("Conservative overcommit=100%", "conservative", {"overcommit": 1.00}),
-    ("Conservative overcommit=110%", "conservative", {"overcommit": 1.10}),
-    ("Conservative overcommit=120%", "conservative", {"overcommit": 1.20}),
-    ("Conservative overcommit=135%", "conservative", {"overcommit": 1.35}),
-]
+
+def _variant(scheduler_name: str, **scheduler_kwargs: object) -> dict[str, object]:
+    return {"scheduler_name": scheduler_name, "scheduler_kwargs": scheduler_kwargs}
+
+
+VARIANTS = {
+    "Optimum": _variant("oracle"),
+    "Past-Future reserved=3%": _variant("past-future", reserved_fraction=0.03, seed=81, num_samples=4),
+    "Past-Future reserved=5%": _variant("past-future", reserved_fraction=0.05, seed=81, num_samples=4),
+    "Past-Future reserved=10%": _variant("past-future", reserved_fraction=0.10, seed=81, num_samples=4),
+    "Past-Future reserved=20%": _variant("past-future", reserved_fraction=0.20, seed=81, num_samples=4),
+    "Aggressive watermark=99%": _variant("aggressive", watermark=0.99),
+    "Aggressive watermark=90%": _variant("aggressive", watermark=0.90),
+    "Aggressive watermark=80%": _variant("aggressive", watermark=0.80),
+    "Aggressive watermark=70%": _variant("aggressive", watermark=0.70),
+    "Conservative overcommit=100%": _variant("conservative", overcommit=1.00),
+    "Conservative overcommit=110%": _variant("conservative", overcommit=1.10),
+    "Conservative overcommit=120%": _variant("conservative", overcommit=1.20),
+    "Conservative overcommit=135%": _variant("conservative", overcommit=1.35),
+}
 
 
 @pytest.mark.benchmark(group="fig08")
@@ -50,7 +55,7 @@ def test_fig08_parameter_tradeoff(benchmark, platform_7b, results_dir):
             token_capacity_override=CAPACITY_7B_A100,
             chunked_prefill_tokens=PREFILL_CAP_SCALED,
         )
-        return parameter_sweep(config, workload, configurations=CONFIGURATIONS)
+        return parameter_sweep(config, workload, VARIANTS)
 
     points = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [p.as_row() for p in points]

@@ -50,8 +50,9 @@ class FleetConfig:
     Exactly one of ``platform`` (homogeneous) / ``platforms``
     (heterogeneous; replicas cycle through the list in launch order,
     autoscaler launches included) must be set.  ``capacity_scale``
-    multiplies each replica's *own* platform capacity, preserving the
-    capacity ratios an absolute ``token_capacity_override`` would erase.
+    multiplies each fleet replica's *own* platform capacity, preserving the
+    capacity ratios an absolute ``token_capacity_override`` would erase; a
+    single engine sizes its pool with ``token_capacity_override``.
     ``speed_factor`` scales the cost model's latency (homogeneous only).
     ``policy_kwargs`` maps autoscaling policy names to constructor
     overrides; the entry for ``autoscale`` is applied.
@@ -95,6 +96,11 @@ class FleetConfig:
             capacity_scale=self.capacity_scale,
             explicit_cost_model=self.speed_factor != 1.0,
         )
+        if self.router is None and self.capacity_scale is not None:
+            raise ValueError(
+                "capacity_scale sizes fleet replicas; a single engine takes "
+                "token_capacity_override"
+            )
 
     @property
     def primary_platform(self) -> Platform:
@@ -153,7 +159,6 @@ class FleetConfig:
                 cost_model=self.build_cost_model(),
                 chunked_prefill_tokens=self.chunked_prefill_tokens,
                 token_capacity_override=self.token_capacity_override,
-                capacity_scale=self.capacity_scale,
                 limits=self.limits,
                 fast_path=self.fast_path,
             )

@@ -18,6 +18,7 @@ from repro.analysis.experiments import (
     memory_report_from_run,
     run_experiment,
     run_framework,
+    sweep,
 )
 from repro.frameworks.profiles import FrameworkProfile
 from repro.serving.sla import SLASpec
@@ -87,10 +88,15 @@ def scheduler_comparison_sweep(
         scheduler_configs: mapping of curve label to :class:`FleetConfig`
             field overrides, e.g.
             ``{"scheduler_name": ..., "scheduler_kwargs": {...}}``.
+
+    Every curve's config is built before the first run, as in :func:`sweep`.
     """
+    configs = {
+        label: replace(config, **overrides) for label, overrides in scheduler_configs.items()
+    }
     return {
-        label: client_sweep(replace(config, **overrides), workload, client_counts, sla=sla)
-        for label, overrides in scheduler_configs.items()
+        label: client_sweep(curve_config, workload, client_counts, sla=sla)
+        for label, curve_config in configs.items()
     }
 
 
@@ -118,20 +124,18 @@ class ParameterPoint:
 def parameter_sweep(
     config: FleetConfig,
     workload: Workload,
-    configurations: Sequence[tuple[str, str, dict]],
+    variants: Mapping[str, Mapping[str, object]],
 ) -> list[ParameterPoint]:
     """Sweep scheduler parameters on a fixed workload (Figure 8 / Table 1).
 
     Args:
         config: the single-engine configuration every point shares.
-        configurations: tuples of (label, scheduler_name, scheduler_kwargs).
+        variants: mapping of point label to :class:`FleetConfig` field
+            overrides, as in :func:`sweep`.
     """
     points: list[ParameterPoint] = []
-    for label, scheduler_name, scheduler_kwargs in configurations:
-        run_config = replace(
-            config, scheduler_name=scheduler_name, scheduler_kwargs=scheduler_kwargs
-        )
-        report = memory_report_from_run(run_experiment(run_config, workload))
+    for label, result in sweep(config, workload, variants).items():
+        report = memory_report_from_run(result)
         points.append(
             ParameterPoint(
                 scheduler=report.scheduler,

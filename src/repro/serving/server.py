@@ -72,7 +72,6 @@ class ServingSimulator:
         eviction_policy: EvictionPolicy | None = None,
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
-        capacity_scale: float | None = None,
         limits: SimulationLimits | None = None,
         fast_path: bool = True,
         throttle: OverloadThrottle | None = None,
@@ -91,7 +90,6 @@ class ServingSimulator:
             cost_model=cost_model,
             chunked_prefill_tokens=chunked_prefill_tokens,
             token_capacity_override=token_capacity_override,
-            capacity_scale=capacity_scale,
             limits=limits,
             fast_path=fast_path,
             throttle=throttle,

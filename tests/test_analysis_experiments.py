@@ -77,6 +77,7 @@ class TestConstruction:
                 r"within the autoscaler's \[1, 6\] bounds",
             ),
             ({"token_capacity_override": 2048, "capacity_scale": 0.5}, "mutually exclusive"),
+            ({"capacity_scale": 0.5}, "a single engine takes token_capacity_override"),
             (
                 {"platform": None, "platforms": MIXED_FLEET, "router": "round-robin", "speed_factor": 1.2},
                 "explicit cost_model only applies to homogeneous fleets",
@@ -129,9 +130,9 @@ class TestConstruction:
         assert first.replicas[0].engine is not second.replicas[0].engine
 
     def test_single_engine_builds_the_facade(self, platform_7b):
-        simulator = FleetConfig(platform=platform_7b, capacity_scale=0.25).build_simulator()
+        simulator = FleetConfig(platform=platform_7b, token_capacity_override=1024).build_simulator()
         assert isinstance(simulator, ServingSimulator)
-        assert simulator.engine.token_capacity == int(platform_7b.token_capacity * 0.25)
+        assert simulator.engine.token_capacity == 1024
 
     def test_scheduler_instance_needs_a_single_engine(self, config):
         with pytest.raises(ValueError, match="serves one engine"):

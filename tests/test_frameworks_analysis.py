@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import experiments
+from repro.analysis import sweep as sweep_module
 from repro.analysis.experiments import (
     FleetConfig,
     memory_report_from_run,
@@ -141,13 +143,42 @@ class TestSweeps:
         points = parameter_sweep(
             FleetConfig(platform=platform_7b, num_clients=6, token_capacity_override=1024),
             tiny_workload,
-            configurations=[
-                ("reserved=5%", "past-future", {"reserved_fraction": 0.05}),
-                ("watermark=95%", "aggressive", {"watermark": 0.95}),
-            ],
+            variants={
+                "reserved=5%": {
+                    "scheduler_name": "past-future",
+                    "scheduler_kwargs": {"reserved_fraction": 0.05},
+                },
+                "watermark=95%": {
+                    "scheduler_name": "aggressive",
+                    "scheduler_kwargs": {"watermark": 0.95},
+                },
+            },
         )
         assert len(points) == 2
         assert all(p.decoding_steps > 0 for p in points)
+
+    @pytest.mark.parametrize(
+        "run_sweep",
+        [
+            lambda config, workload, variants: scheduler_comparison_sweep(
+                config, workload, [4], variants
+            ),
+            parameter_sweep,
+        ],
+        ids=["scheduler_comparison_sweep", "parameter_sweep"],
+    )
+    def test_mistyped_override_raises_before_any_run(
+        self, platform_7b, tiny_workload, monkeypatch, run_sweep
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before every variant was built")
+
+        monkeypatch.setattr(sweep_module, "run_experiment", no_run)
+        monkeypatch.setattr(experiments, "run_experiment", no_run)
+        config = FleetConfig(platform=platform_7b, num_clients=4, token_capacity_override=1024)
+        variants = {"ok": {"scheduler_name": "aggressive"}, "typo": {"scheduler_kwrags": {}}}
+        with pytest.raises(TypeError, match="scheduler_kwrags"):
+            run_sweep(config, tiny_workload, variants)
 
     def test_framework_sweep_and_maxima(self, platform_7b, tiny_workload):
         curves = framework_sweep(

@@ -104,10 +104,12 @@ def run_config(platform, workload_seed: int, arrival_seed: int):
         scheduler_kwargs={"watermark": 0.95},
         token_capacity_override=REPLICA_CAPACITY,
         chunked_prefill_tokens=PREFILL_CAP_SCALED,
-        policy_kwargs=POLICY_KWARGS,
     )
-    policies = available_autoscale_policies()
-    return sweep(config, workload, {name: {"autoscale": name} for name in policies})
+    variants = {
+        name: {"autoscale": name, "autoscale_kwargs": POLICY_KWARGS.get(name, {})}
+        for name in available_autoscale_policies()
+    }
+    return sweep(config, workload, variants)
 
 
 @pytest.mark.benchmark(group="fig11")

@@ -64,22 +64,25 @@ def main() -> None:
         scheduler_kwargs={"watermark": 0.95},
         capacity_scale=CAPACITY_SCALE,
         chunked_prefill_tokens=int(8192 * SCALE),
-        policy_kwargs={
-            "reactive": {
-                "scale_up_threshold": 0.25,
-                "scale_down_threshold": 0.02,
-                "cooldown": 2.0,
-            },
-            "predictive": {
-                "target_utilization": 0.8,
-                "scale_down_cooldown": 6.0,
-                "default_length": int(2048 * SCALE),
-            },
-        },
     )
+    policy_kwargs = {
+        "reactive": {
+            "scale_up_threshold": 0.25,
+            "scale_down_threshold": 0.02,
+            "cooldown": 2.0,
+        },
+        "predictive": {
+            "target_utilization": 0.8,
+            "scale_down_cooldown": 6.0,
+            "default_length": int(2048 * SCALE),
+        },
+    }
     sla = SLASpec(ttft_limit=2.5, mtpot_limit=0.5)
-    policies = available_autoscale_policies()
-    results = sweep(config, workload, {name: {"autoscale": name} for name in policies})
+    variants = {
+        name: {"autoscale": name, "autoscale_kwargs": policy_kwargs.get(name, {})}
+        for name in available_autoscale_policies()
+    }
+    results = sweep(config, workload, variants)
 
     print(render_table(autoscale_table(results, sla), title=f"Fleet efficiency under {sla.describe()}"))
     print()

@@ -54,8 +54,8 @@ class FleetConfig:
     capacity ratios an absolute ``token_capacity_override`` would erase; a
     single engine sizes its pool with ``token_capacity_override``.
     ``speed_factor`` scales the cost model's latency (homogeneous only).
-    ``policy_kwargs`` maps autoscaling policy names to constructor
-    overrides; the entry for ``autoscale`` is applied.
+    ``autoscale_kwargs`` are the ``autoscale`` policy's constructor
+    overrides, so a sweep variant sets the two together.
     """
 
     platform: Platform | None = None
@@ -71,7 +71,7 @@ class FleetConfig:
     capacity_scale: float | None = None
     speed_factor: float = 1.0
     autoscale: str | None = None
-    policy_kwargs: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
+    autoscale_kwargs: Mapping[str, object] = field(default_factory=dict)
     min_replicas: int = 1
     max_replicas: int = 6
     decision_interval: float = 1.0
@@ -82,10 +82,10 @@ class FleetConfig:
     fast_path: bool = True
 
     def __post_init__(self) -> None:
-        for name, kwargs in self.policy_kwargs.items():
-            # An unknown policy name or keyword raises here, with a
-            # did-you-mean suggestion, instead of being silently dropped.
-            create_autoscale_policy(name, **kwargs)
+        if self.autoscale_kwargs and self.autoscale is None:
+            raise ValueError("autoscale_kwargs configure the autoscale policy; none is set")
+        # ``build_autoscaler`` builds the policy, so an unknown policy name
+        # or keyword raises here.
         check_fleet_args(
             self.platform,
             self.platforms,
@@ -131,9 +131,7 @@ class FleetConfig:
         if self.autoscale is None:
             return None
         return Autoscaler(
-            policy=create_autoscale_policy(
-                self.autoscale, **self.policy_kwargs.get(self.autoscale, {})
-            ),
+            policy=create_autoscale_policy(self.autoscale, **self.autoscale_kwargs),
             interval=self.decision_interval,
             min_replicas=self.min_replicas,
             max_replicas=self.max_replicas,
@@ -217,15 +215,9 @@ def sweep(
             overrides, e.g. ``{name: {"router": name} for name in routers}``.
 
     Every variant config is built before the first run, so an unknown
-    field, an invalid variant, or a ``policy_kwargs`` entry for a policy no
-    variant sweeps raises without running anything.
+    field or an invalid variant raises without running anything.
     """
     configs = {label: replace(config, **overrides) for label, overrides in variants.items()}
-    swept = {variant.autoscale for variant in configs.values()}
-    for variant in configs.values():
-        unswept = sorted(set(variant.policy_kwargs) - swept)
-        if unswept:
-            raise ValueError(f"policy_kwargs name policies no variant sweeps: {unswept}")
     return {label: run_experiment(variant, workload) for label, variant in configs.items()}
 
 

@@ -1,14 +1,8 @@
-"""Inference-engine substrate: requests, batching, cost model, eviction, engine."""
+"""Inference-engine substrate: requests, batching, cost model, engine."""
 
 from repro.engine.batch import RunningBatch
 from repro.engine.cost_model import CostModel, StepWork
 from repro.engine.engine import EngineStats, InferenceEngine, StepResult
-from repro.engine.eviction import (
-    EvictionPolicy,
-    RecomputeNewestFirst,
-    RecomputeOldestFirst,
-    SwapEviction,
-)
 from repro.engine.request import Request, RequestState
 
 __all__ = [
@@ -18,10 +12,6 @@ __all__ = [
     "EngineStats",
     "InferenceEngine",
     "StepResult",
-    "EvictionPolicy",
-    "RecomputeNewestFirst",
-    "RecomputeOldestFirst",
-    "SwapEviction",
     "Request",
     "RequestState",
 ]

@@ -12,8 +12,8 @@ from repro.engine.request import Request, RequestState
 class RunningBatch:
     """Requests currently resident in the KV cache.
 
-    Admission order is preserved because eviction policies pick victims by
-    recency (the most recently admitted request is the cheapest to throw away).
+    Admission order is preserved: the engine's eviction rule breaks ties
+    between requests admitted at the same instant by it.
     """
 
     requests: list[Request] = field(default_factory=list)
@@ -54,11 +54,3 @@ class RunningBatch:
     def total_context_tokens(self) -> int:
         """KV tokens held by all resident requests."""
         return sum(r.current_context_tokens for r in self.requests)
-
-    def by_recency(self) -> list[Request]:
-        """Resident requests ordered most-recently-admitted first."""
-        return sorted(
-            self.requests,
-            key=lambda r: r.admission_times[-1] if r.admission_times else 0.0,
-            reverse=True,
-        )

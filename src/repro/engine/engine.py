@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.future_memory import peak_future_memory_arrays
 from repro.engine.batch import RunningBatch
 from repro.engine.cost_model import CostModel, StepWork
-from repro.engine.eviction import EvictionPolicy, RecomputeNewestFirst
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import Platform
 from repro.memory.block_manager import BlockKVCachePool
@@ -35,6 +34,11 @@ from repro.memory.prefix_cache import PrefixCache, PrefixEntry
 from repro.obs import events as obs
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 from repro.schedulers.base import Scheduler, SchedulingContext
+
+#: Fewest fusable iterations :meth:`InferenceEngine.try_jump_any` fuses:
+#: below this the macro-step is not worth its planning cost, and the caller
+#: takes one :meth:`~InferenceEngine.step` instead.
+_MIN_JUMP_STEPS = 2
 
 
 @dataclass
@@ -201,8 +205,6 @@ class InferenceEngine:
             default cost model.
         scheduler: admission-control policy.
         cost_model: latency model; built from ``platform`` if omitted.
-        eviction_policy: what to do when the pool cannot grow (defaults to
-            vLLM-style recompute of the newest request).
         chunked_prefill_tokens: if set, at most this many prompt tokens are
             processed per iteration (DeepSpeed-MII "splitfuse" style); ``None``
             prefills each admitted request in a single iteration.
@@ -229,7 +231,6 @@ class InferenceEngine:
         platform: Platform,
         scheduler: Scheduler,
         cost_model: CostModel | None = None,
-        eviction_policy: EvictionPolicy | None = None,
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
         tracer: Tracer | None = None,
@@ -238,7 +239,6 @@ class InferenceEngine:
         self.platform = platform
         self.scheduler = scheduler
         self.cost_model = cost_model or CostModel(platform)
-        self.eviction_policy = eviction_policy or RecomputeNewestFirst()
         if chunked_prefill_tokens is not None and chunked_prefill_tokens <= 0:
             raise ValueError("chunked_prefill_tokens must be positive when set")
         self.chunked_prefill_tokens = chunked_prefill_tokens
@@ -422,8 +422,7 @@ class InferenceEngine:
                 cache.claim(entry)
                 request.admit(time)
                 # The reused prefix's KV is already computed; only the new
-                # suffix remains as prefill work (mirrors the eviction-credit
-                # mechanism below).
+                # suffix remains as prefill work.
                 request.note_prefill(entry.tokens)
                 if self._tracing:
                     self.tracer.emit(
@@ -456,14 +455,6 @@ class InferenceEngine:
                                 },
                             )
                         )
-                if request.eviction_count > 0:
-                    # Swap-style eviction policies make re-admission cheaper
-                    # than a full recompute; credit the difference so the
-                    # remaining prefill work equals the policy's re-admission
-                    # cost.
-                    credit = request.recompute_tokens - self._prefill_cost_tokens(request)
-                    if credit > 0:
-                        request.note_prefill(credit)
             admitted.append(request)
             self.batch.add(request)
         self.stats.total_admissions += len(admitted)
@@ -487,12 +478,6 @@ class InferenceEngine:
         return admitted
 
     # ---------------------------------------------------------------- prefill
-    def _prefill_cost_tokens(self, request: Request) -> int:
-        """Prompt-equivalent tokens to process for this residency."""
-        if request.eviction_count > 0:
-            return self.eviction_policy.recompute_cost_tokens(request)
-        return request.recompute_tokens
-
     def _plan_prefill(self) -> tuple[int, list[Request]]:
         """Assign prefill work for this iteration.
 
@@ -543,21 +528,29 @@ class InferenceEngine:
             )
 
     def _make_room(self, protect: Request, time: float, evicted: list[Request]) -> bool:
-        """Evict requests until one token slot frees up.
+        """Evict until one token slot frees up; the engine's one eviction rule.
 
         Cached session prefixes go first — dropping a cold prefix is strictly
-        cheaper than evicting a running request's whole context.  Returns
-        ``False`` if the protected request itself had to be evicted (its
-        token cannot be produced this step).
+        cheaper than evicting a running request's whole context.  Then the
+        resident other than ``protect`` with the latest admission goes: it has
+        the least KV investment and has delivered the fewest tokens (vLLM's
+        default preemption).  Of residents admitted at the same instant, the
+        earliest in batch order goes first.  ``protect`` (the request whose
+        token needs the slot) goes only when it is the last resident; then
+        ``False`` is returned, as its token cannot be produced this step.
+        The victim is re-queued and recomputed (:meth:`_evict`).
         """
         if self.prefix_cache is not None and len(self.prefix_cache):
             self._evict_prefixes(self.prefix_cache.evict_for_allocation(1), time)
             if self.pool.free_tokens > 0:
                 return True
         while True:
-            victim = self.eviction_policy.select_victim(self.batch, protect=protect)
-            if victim is None:
-                return False
+            # ``max`` keeps the first of equal keys: the tie-break above.
+            victim = max(
+                (r for r in self.batch.requests if r is not protect),
+                key=lambda r: r.admission_times[-1],
+                default=protect,
+            )
             self._evict(victim, time)
             evicted.append(victim)
             if victim is protect:
@@ -756,7 +749,6 @@ class InferenceEngine:
         horizon: float | None = None,
         max_steps: int | None = None,
         max_time: float | None = None,
-        min_steps: int = 2,
     ) -> JumpResult | None:
         """Fuse as many provably event-free decode iterations as possible.
 
@@ -796,13 +788,12 @@ class InferenceEngine:
             max_time: the caller's simulation-time limit; the jump stops with
                 the first iteration that crosses it (the caller then
                 terminates, as the reference loop does).
-            min_steps: below this many fusable iterations the macro-step is
-                not worth its planning cost and ``None`` is returned.
 
         Returns:
-            ``None`` when the next iterations are not provably event free —
-            the caller must fall back to :meth:`step`.  Each such attempt
-            counts one :attr:`JumpStats.fallback_reasons` entry.
+            ``None`` when fewer than ``_MIN_JUMP_STEPS`` next iterations are
+            provably event free — the caller must fall back to
+            :meth:`step`.  Each such attempt counts one
+            :attr:`JumpStats.fallback_reasons` entry.
         """
         stats = self.jump_stats
         queued = len(self.waiting)
@@ -820,12 +811,12 @@ class InferenceEngine:
         bound = 0
         if cache is not None and cache[3] > 1:
             bound = min(self.pool.free_tokens // cache[0], cache[3] - 1)
-        if bound < min_steps:
+        if bound < _MIN_JUMP_STEPS:
             stats.note_fallback("saturated:not-uniform" if queued else "silent:no-window")
             return None
         if max_steps is not None and max_steps < bound:
             bound = max_steps
-        if bound < min_steps:
+        if bound < _MIN_JUMP_STEPS:
             stats.note_fallback(f"{source}:step-budget")
             return None
         if queued:
@@ -833,10 +824,10 @@ class InferenceEngine:
             # iteration).
             context = self._scheduling_context()
             bound = min(bound, self.scheduler.saturated_no_admit_horizon(context, bound))
-            if bound < min_steps:
+            if bound < _MIN_JUMP_STEPS:
                 stats.note_fallback("saturated:scheduler-horizon")
                 return None
-        result = self._execute_jump(time, bound, horizon, max_time, min_steps, queued, source)
+        result = self._execute_jump(time, bound, horizon, max_time, queued, source)
         if result is None:
             stats.note_fallback(f"{source}:horizon-clip")
         elif queued:
@@ -854,7 +845,6 @@ class InferenceEngine:
         bound: int,
         horizon: float | None,
         max_time: float | None,
-        min_steps: int,
         queued_requests: int,
         source: str,
     ) -> JumpResult | None:
@@ -878,7 +868,7 @@ class InferenceEngine:
             steps = min(steps, int(np.searchsorted(ends, horizon, side="left")) + 1)
         if max_time is not None:
             steps = min(steps, int(np.searchsorted(ends, max_time, side="left")) + 1)
-        if steps < min_steps:
+        if steps < _MIN_JUMP_STEPS:
             return None
 
         end_times: list[float] = ends[:steps].tolist()

@@ -67,7 +67,6 @@ from typing import Callable, Protocol, Sequence
 
 from repro.engine.cost_model import CostModel
 from repro.engine.engine import InferenceEngine
-from repro.engine.eviction import EvictionPolicy
 from repro.engine.request import Request
 from repro.hardware.platform import Platform, ensure_single_model
 from repro.metrics.fleet import FleetSizeSample, ReplicaLifetime
@@ -379,8 +378,6 @@ class ClusterSimulator:
             with an arbitrary per-replica scheduler builder (also used for
             replicas launched mid-run by the autoscaler, which come up cold:
             fresh engine, empty scheduler history).
-        eviction_policy_factory: per-replica eviction policy builder
-            (engines must not share mutable policy state).
         cost_model: explicit latency model; homogeneous fleets only (each
             heterogeneous replica derives its own from its platform).
         chunked_prefill_tokens: per-iteration prefill-token cap per replica.
@@ -442,7 +439,6 @@ class ClusterSimulator:
         scheduler_name: str = "past-future",
         scheduler_kwargs: dict | None = None,
         scheduler_factory: Callable[[], Scheduler] | None = None,
-        eviction_policy_factory: Callable[[], EvictionPolicy] | None = None,
         cost_model: CostModel | None = None,
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
@@ -483,7 +479,6 @@ class ClusterSimulator:
                 return create_scheduler(scheduler_name, **kwargs)
 
         self._scheduler_factory = scheduler_factory
-        self._eviction_policy_factory = eviction_policy_factory
         self._cost_model = cost_model
         self._chunked_prefill_tokens = chunked_prefill_tokens
         self._token_capacity_override = token_capacity_override
@@ -590,9 +585,6 @@ class ClusterSimulator:
             platform=platform,
             scheduler=self._scheduler_factory(),
             cost_model=self._cost_model,
-            eviction_policy=(
-                self._eviction_policy_factory() if self._eviction_policy_factory else None
-            ),
             chunked_prefill_tokens=self._chunked_prefill_tokens,
             token_capacity_override=self._effective_capacity(platform),
             tracer=self.tracer,

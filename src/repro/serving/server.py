@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.engine.cost_model import CostModel
-from repro.engine.eviction import EvictionPolicy
 from repro.hardware.platform import Platform
 from repro.obs.tracer import Tracer
 from repro.schedulers.base import Scheduler
@@ -69,7 +68,6 @@ class ServingSimulator:
         platform: Platform,
         scheduler: Scheduler,
         cost_model: CostModel | None = None,
-        eviction_policy: EvictionPolicy | None = None,
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
         limits: SimulationLimits | None = None,
@@ -86,7 +84,6 @@ class ServingSimulator:
             platform,
             router=None,
             scheduler_factory=lambda: scheduler,
-            eviction_policy_factory=(lambda: eviction_policy) if eviction_policy is not None else None,
             cost_model=cost_model,
             chunked_prefill_tokens=chunked_prefill_tokens,
             token_capacity_override=token_capacity_override,

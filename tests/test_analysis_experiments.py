@@ -88,15 +88,33 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             FleetConfig(**{"platform": platform_7b, **overrides})
 
-    def test_misspelled_policy_kwargs_key_raises(self, platform_7b):
-        # Regression: a per-policy kwargs key naming no policy used to be
-        # dropped silently, so the sweep ran the policy's defaults.
+    def test_misspelled_autoscale_policy_raises(self, platform_7b):
         with pytest.raises(KeyError, match="did you mean 'reactive'"):
-            FleetConfig(platform=platform_7b, policy_kwargs={"reactve": {"cooldown": 2.0}})
+            FleetConfig(platform=platform_7b, router="round-robin", autoscale="reactve")
 
     def test_unknown_policy_keyword_raises(self, platform_7b):
         with pytest.raises(TypeError, match="cooldwn"):
-            FleetConfig(platform=platform_7b, policy_kwargs={"reactive": {"cooldwn": 2.0}})
+            FleetConfig(
+                platform=platform_7b,
+                router="round-robin",
+                autoscale="reactive",
+                autoscale_kwargs={"cooldwn": 2.0},
+            )
+
+    def test_another_policys_keyword_raises(self, platform_7b):
+        # Regression: kwargs were keyed by policy name, so a "predictive"
+        # entry on a reactive run was dropped without a word.
+        with pytest.raises(TypeError, match="target_utilization"):
+            FleetConfig(
+                platform=platform_7b,
+                router="round-robin",
+                autoscale="reactive",
+                autoscale_kwargs={"target_utilization": 0.8},
+            )
+
+    def test_autoscale_kwargs_without_autoscale_raise(self, platform_7b):
+        with pytest.raises(ValueError, match="autoscale_kwargs configure the autoscale policy"):
+            FleetConfig(platform=platform_7b, router="round-robin", autoscale_kwargs={"cooldown": 2.0})
 
     def test_default_sla_matches_model_preset(self, platform_7b, platform_70b):
         assert FleetConfig(platform=platform_7b).default_sla() == sla_for_model(
@@ -138,12 +156,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="serves one engine"):
             config.build_simulator(create_scheduler("conservative"))
 
-    def test_policy_kwargs_reach_the_policy(self, platform_7b):
+    def test_autoscale_kwargs_reach_the_policy(self, platform_7b):
         config = FleetConfig(
             platform=platform_7b,
             router="round-robin",
             autoscale="reactive",
-            policy_kwargs={"reactive": {"cooldown": 42.0}},
+            autoscale_kwargs={"cooldown": 42.0},
         )
         assert config.build_autoscaler().policy.cooldown == 42.0
         assert config.build_simulator().autoscaler.policy.cooldown == 42.0
@@ -207,7 +225,7 @@ class TestEquivalence:
             platform=platform_7b,
             router="least-outstanding",
             autoscale="reactive",
-            policy_kwargs={"reactive": {"cooldown": 0.5}},
+            autoscale_kwargs={"cooldown": 0.5},
             max_replicas=3,
             decision_interval=0.25,
             warmup_delay=0.1,
@@ -286,15 +304,12 @@ class TestSweep:
             sweep(config, stamped, variants)
         assert runs == []
 
-    def test_unswept_policy_kwargs_raise_before_any_run(self, config, stamped, runs):
-        config = FleetConfig(
-            platform=config.platform,
-            router="round-robin",
-            token_capacity_override=2048,
-            policy_kwargs={"predictive": {"target_utilization": 0.8}},
-        )
-        variants = {name: {"autoscale": name} for name in ("static", "reactive")}
-        with pytest.raises(ValueError, match=r"no variant sweeps: \['predictive'\]"):
+    def test_mismatched_autoscale_kwargs_raise_before_any_run(self, config, stamped, runs):
+        variants = {
+            "static": {"autoscale": "static"},
+            "reactive": {"autoscale": "reactive", "autoscale_kwargs": {"target_utilization": 0.8}},
+        }
+        with pytest.raises(TypeError, match="target_utilization"):
             sweep(config, stamped, variants)
         assert runs == []
 

@@ -1,14 +1,11 @@
-"""Tests for the running-batch container and the eviction policies."""
+"""Tests for the running-batch container and the engine's eviction rule."""
 
 from __future__ import annotations
 
 from repro.engine.batch import RunningBatch
-from repro.engine.eviction import (
-    RecomputeNewestFirst,
-    RecomputeOldestFirst,
-    SwapEviction,
-)
-from repro.engine.request import Request
+from repro.engine.engine import InferenceEngine
+from repro.engine.request import Request, RequestState
+from repro.schedulers.aggressive import AggressiveScheduler
 from tests.conftest import make_spec
 
 
@@ -50,60 +47,73 @@ class TestRunningBatch:
         batch.add(running_request("b", 2.0, generated=2))
         assert batch.total_context_tokens == (10 + 5) + (10 + 2)
 
-    def test_by_recency_orders_newest_first(self):
-        batch = RunningBatch()
-        old = running_request("old", 1.0)
-        new = running_request("new", 5.0)
-        batch.add(old)
-        batch.add(new)
-        assert batch.by_recency() == [new, old]
+
+def full_engine(platform_7b, residents: list[Request]) -> InferenceEngine:
+    """An engine whose pool is exactly filled by ``residents``, in batch order."""
+    engine = InferenceEngine(
+        platform=platform_7b,
+        scheduler=AggressiveScheduler(watermark=1.0),
+        token_capacity_override=sum(r.current_context_tokens for r in residents),
+    )
+    for request in residents:
+        engine.batch.add(request)
+        engine.pool.allocate(request.current_context_tokens)
+    assert engine.pool.free_tokens == 0
+    return engine
 
 
-class TestEvictionPolicies:
-    def _batch(self):
-        batch = RunningBatch()
+class TestEvictionRule:
+    """``InferenceEngine._make_room``: newest admission first, recompute on return."""
+
+    def _residents(self):
         old = running_request("old", 1.0, generated=8)
         mid = running_request("mid", 2.0, generated=4)
         new = running_request("new", 3.0, generated=1)
-        for request in (old, mid, new):
-            batch.add(request)
-        return batch, old, mid, new
+        return old, mid, new
 
-    def test_newest_first_selects_most_recent(self):
-        batch, old, mid, new = self._batch()
-        assert RecomputeNewestFirst().select_victim(batch) is new
+    def test_newest_admission_is_evicted(self, platform_7b):
+        old, mid, new = self._residents()
+        engine = full_engine(platform_7b, [old, mid, new])
+        evicted: list[Request] = []
+        assert engine._make_room(old, 4.0, evicted)
+        assert evicted == [new]
+        assert engine.batch.requests == [old, mid]
 
-    def test_newest_first_respects_protect(self):
-        batch, old, mid, new = self._batch()
-        assert RecomputeNewestFirst().select_victim(batch, protect=new) is mid
+    def test_protected_request_is_skipped(self, platform_7b):
+        old, mid, new = self._residents()
+        engine = full_engine(platform_7b, [old, mid, new])
+        evicted: list[Request] = []
+        assert engine._make_room(new, 4.0, evicted)
+        assert evicted == [mid]
 
-    def test_protect_is_last_resort(self):
-        batch = RunningBatch()
-        only = running_request("only", 1.0)
-        batch.add(only)
-        assert RecomputeNewestFirst().select_victim(batch, protect=only) is only
+    def test_same_instant_tie_evicts_the_earliest_in_batch_order(self, platform_7b):
+        # Two admissions in one iteration share a timestamp; of that newest
+        # group the one admitted first (earlier in batch order) goes first.
+        old = running_request("old", 1.0, generated=8)
+        first = running_request("first", 2.0, generated=4)
+        second = running_request("second", 2.0, generated=4)
+        engine = full_engine(platform_7b, [old, first, second])
+        evicted: list[Request] = []
+        assert engine._make_room(old, 3.0, evicted)
+        assert evicted == [first]
+        assert engine.batch.requests == [old, second]
 
-    def test_empty_batch_has_no_victim(self):
-        assert RecomputeNewestFirst().select_victim(RunningBatch()) is None
+    def test_protect_is_the_last_resort(self, platform_7b):
+        only = running_request("only", 1.0, generated=3)
+        engine = full_engine(platform_7b, [only])
+        evicted: list[Request] = []
+        assert not engine._make_room(only, 2.0, evicted)
+        assert evicted == [only]
+        assert engine.batch.is_empty
+        assert engine.pool.used_tokens == 0
 
-    def test_oldest_first_selects_least_recent(self):
-        batch, old, mid, new = self._batch()
-        assert RecomputeOldestFirst().select_victim(batch) is old
-
-    def test_oldest_first_respects_protect(self):
-        batch, old, mid, new = self._batch()
-        assert RecomputeOldestFirst().select_victim(batch, protect=old) is mid
-
-    def test_recompute_cost_is_full_context(self):
-        batch, old, mid, new = self._batch()
-        assert RecomputeNewestFirst().recompute_cost_tokens(old) == 10 + 8
-
-    def test_swap_cost_is_cheaper_than_recompute(self):
-        batch, old, mid, new = self._batch()
-        swap = SwapEviction(swap_fraction=0.25)
-        assert swap.recompute_cost_tokens(old) < RecomputeNewestFirst().recompute_cost_tokens(old)
-        assert swap.recompute_cost_tokens(old) >= 1
-
-    def test_swap_selects_same_victims_as_recompute(self):
-        batch, old, mid, new = self._batch()
-        assert SwapEviction().select_victim(batch) is new
+    def test_victim_is_requeued_at_the_head_and_recomputes_its_context(self, platform_7b):
+        old, mid, new = self._residents()
+        engine = full_engine(platform_7b, [old, mid, new])
+        engine.waiting.append(Request(spec=make_spec(request_id="queued"), arrival_time=0.0))
+        engine._make_room(old, 4.0, [])
+        assert engine.waiting[0] is new
+        assert new.state is RequestState.QUEUED
+        assert new.eviction_count == 1
+        # Re-admission recomputes the prompt plus every generated token.
+        assert new.prefill_remaining == 10 + 1

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.engine import InferenceEngine
-from repro.engine.eviction import SwapEviction
 from repro.engine.request import Request, RequestState
 from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.conservative import ConservativeScheduler
@@ -230,23 +229,22 @@ class TestEvictionBehaviour:
         assert engine.stats.total_evictions == 0
         assert all(r.is_finished for r in requests)
 
-    def test_swap_eviction_reduces_recompute_work(self, platform_7b):
-        def build(policy):
-            engine = InferenceEngine(
-                platform=platform_7b,
-                scheduler=AggressiveScheduler(watermark=1.0),
-                token_capacity_override=64,
-                eviction_policy=policy,
-            )
-            submit_requests(engine, 2, input_length=24, output_length=30, max_new_tokens=30)
-            run_until_drained(engine)
-            return engine.stats
-
-        recompute_stats = build(None)
-        swap_stats = build(SwapEviction(swap_fraction=0.1))
-        assert swap_stats.total_evictions >= 1
-        assert swap_stats.total_prefill_tokens < recompute_stats.total_prefill_tokens
-
+    def test_same_step_admissions_tie_to_the_earliest_in_batch_order(self, platform_7b):
+        # All three are admitted at t=0 and each prefill step delivers one
+        # token: 3 x 17 = 51 of 60 tokens, then 3 a step, so the pool is
+        # exactly full when the first request grows.  The three tie on
+        # admission time; the earliest other than the grower goes.
+        engine = make_engine(platform_7b, scheduler=AggressiveScheduler(watermark=1.0), capacity=60)
+        first, second, third = submit_requests(engine, 3, input_length=16, output_length=30, max_new_tokens=30)
+        time = 0.0
+        for _ in range(10):
+            result = engine.step(time)
+            time = result.end_time
+            if result.evicted:
+                break
+        assert first.admission_times == second.admission_times == third.admission_times == [0.0]
+        assert result.evicted == [second]
+        assert engine.batch.requests == [first, third]
 
 class TestAbortAll:
     def test_abort_all_frees_residents_and_cached_prefixes(self, platform_7b):

@@ -117,3 +117,50 @@ class TestEvictionRule:
         assert new.eviction_count == 1
         # Re-admission recomputes the prompt plus every generated token.
         assert new.prefill_remaining == 10 + 1
+
+    def test_a_readmitted_request_counts_from_its_latest_admission(self, platform_7b):
+        # Recency is the last entry of ``admission_times``: a request first
+        # admitted before everyone else but re-admitted after an eviction is
+        # the newest resident.
+        returned = running_request("returned", 0.5, generated=2)
+        returned.evict()
+        returned.admit(3.5)
+        returned.note_prefill(returned.recompute_tokens)
+        old = running_request("old", 1.0, generated=8)
+        mid = running_request("mid", 2.0, generated=4)
+        engine = full_engine(platform_7b, [returned, old, mid])
+        evicted: list[Request] = []
+        assert engine._make_room(old, 4.0, evicted)
+        assert evicted == [returned]
+
+    def test_repeated_pressure_evicts_newest_to_oldest_then_protect(self, platform_7b):
+        old, mid, new = self._residents()
+        engine = full_engine(platform_7b, [old, mid, new])
+        evicted: list[Request] = []
+        for _ in range(2):
+            engine.pool.allocate(engine.pool.free_tokens)
+            assert engine._make_room(old, 4.0, evicted)
+        engine.pool.allocate(engine.pool.free_tokens)
+        assert not engine._make_room(old, 4.0, evicted)
+        assert evicted == [new, mid, old]
+        assert list(engine.waiting) == [old, mid, new]
+
+    def test_a_cached_prefix_goes_before_any_resident(self, platform_7b):
+        old, mid, new = self._residents()
+        residents = sum(r.current_context_tokens for r in (old, mid, new))
+        engine = InferenceEngine(
+            platform=platform_7b,
+            scheduler=AggressiveScheduler(watermark=1.0),
+            token_capacity_override=residents + 5,
+            prefix_cache_tokens=5,
+        )
+        for request in (old, mid, new):
+            engine.batch.add(request)
+        engine.pool.allocate(residents + 5)
+        engine.prefix_cache.retain("s0", 0, 5)
+        evicted: list[Request] = []
+        assert engine._make_room(old, 4.0, evicted)
+        assert evicted == []
+        assert engine.batch.requests == [old, mid, new]
+        assert len(engine.prefix_cache) == 0
+        assert engine.pool.free_tokens == 5

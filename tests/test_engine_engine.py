@@ -229,6 +229,23 @@ class TestEvictionBehaviour:
         assert engine.stats.total_evictions == 0
         assert all(r.is_finished for r in requests)
 
+    def test_eviction_recomputes_the_whole_context(self, platform_7b):
+        # Every re-admission prefills the prompt again plus every token the
+        # request had generated when it was evicted: nothing is swapped out.
+        engine = make_engine(platform_7b, scheduler=AggressiveScheduler(watermark=1.0), capacity=64)
+        requests = submit_requests(engine, 2, input_length=24, output_length=30, max_new_tokens=30)
+        recomputed = 0
+        time = 0.0
+        for _ in range(10_000):
+            if not engine.has_work():
+                break
+            result = engine.step(time)
+            time = result.end_time
+            recomputed += sum(24 + r.generated_tokens for r in result.evicted)
+        assert engine.stats.total_evictions >= 1
+        assert all(r.is_finished for r in requests)
+        assert engine.stats.total_prefill_tokens == 2 * 24 + recomputed
+
     def test_same_step_admissions_tie_to_the_earliest_in_batch_order(self, platform_7b):
         # All three are admitted at t=0 and each prefill step delivers one
         # token: 3 x 17 = 51 of 60 tokens, then 3 a step, so the pool is

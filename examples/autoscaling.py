@@ -7,12 +7,11 @@ with the paper's future-memory equations — then compares them on goodput
 per replica-second and prints the predictive run's fleet-size timeline and
 scaling decisions.
 
-Written against the decision-based placement API: replica capacities come
-from the per-replica ``capacity_scale`` knob (which preserves capacity
-*ratios*, so the same config works on heterogeneous fleets — pass
-``platforms=[...]`` to mix GPU generations and the predictive policy sizes
-the fleet in capacity units), and routing flows through
-``Router.decide -> RoutingDecision``.
+Replica capacities come from the per-replica ``capacity_scale`` knob (which
+preserves capacity *ratios*, so the same config works on heterogeneous
+fleets — pass ``platforms=[...]`` to mix GPU generations and the predictive
+policy sizes the fleet in capacity units), and each arrival is placed by
+``Router.decide``, which returns the id of one routable replica.
 
 Run with:  python examples/autoscaling.py
 """

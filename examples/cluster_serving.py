@@ -9,10 +9,10 @@ that reuses the paper's future-memory prediction as a placement signal.
 Part 2 goes heterogeneous: two A100 replicas plus one RTX-4090 replica (a
 ~6.6x smaller KV pool at half the decode bandwidth) serve a diurnal trace
 carrying two SLA classes — tight-deadline ``interactive`` and loose-deadline
-``batch`` requests.  Routers now return first-class
-:class:`~repro.serving.routing.RoutingDecision` values (route / reject /
-defer), and the memory-aware router compares replicas on capacity-normalised,
-speed-weighted headroom, so the small card only receives what fits it.
+``batch`` requests.  Routers only place — each returns the id of one
+routable replica — and the memory-aware router compares replicas on
+capacity-normalised, speed-weighted headroom, so the small card only
+receives what fits it.
 
 Run with:  python examples/cluster_serving.py
 """

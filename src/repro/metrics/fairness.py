@@ -174,7 +174,7 @@ def summarize_tenant_fairness(
         sla: decides which finished requests earn goodput credit (per-class
             deadlines apply when the spec carries them).
         rejected: requests turned away before execution (throttled or
-            shed); they count as submitted and rejected for their tenant.
+            lost to a fault); they count as submitted and rejected for their tenant.
         group_by: ``"user"`` or ``"app"`` — which identity to group by.
             Requests without that identity are excluded entirely.
     """

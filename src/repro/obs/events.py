@@ -46,12 +46,13 @@ REQUEST_THROTTLED = "request.throttled"
 #: (load_fraction, headroom_fraction, saturated).
 REQUEST_ROUTED = "request.routed"
 
-#: A router (or the cluster saturation knob) rejected the request.
-#: attrs: reason, candidates.
+#: The fleet turned the request away: a fault left it no retry, no replica
+#: remained to route it to, or the run ended with it still parked.
+#: attrs: reason.
 REQUEST_REJECTED = "request.rejected"
 
-#: A router parked the request for a later routing attempt.
-#: attrs: retry_at, candidates.
+#: The request arrived while every replica was still warming, and was parked
+#: until the first one is ready.  attrs: retry_at.
 REQUEST_DEFERRED = "request.deferred"
 
 #: The request entered an engine's waiting queue.  attrs: queue_depth.
@@ -158,8 +159,8 @@ EVENT_TAXONOMY: dict[str, str] = {
     REQUEST_SUBMIT: "load generator produced an arrival",
     REQUEST_THROTTLED: "overload throttle rejected the arrival pre-queue",
     REQUEST_ROUTED: "router placed the request on a replica",
-    REQUEST_REJECTED: "router/cluster rejected the request",
-    REQUEST_DEFERRED: "router parked the request for a retry",
+    REQUEST_REJECTED: "fleet turned the request away unserved",
+    REQUEST_DEFERRED: "request parked until a warming replica is ready",
     REQUEST_QUEUED: "request entered an engine waiting queue",
     REQUEST_ADMITTED: "scheduler admitted the request into the batch",
     REQUEST_FIRST_TOKEN: "prefill completed; first token delivered",

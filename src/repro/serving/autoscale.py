@@ -488,7 +488,7 @@ class Autoscaler:
         return self._next_decision
 
     def note_arrival(self, time: float, saturated_fraction: float, prompt_tokens: int) -> None:
-        """Record the fleet state one newly arrived (not re-deferred) request observed."""
+        """Record the fleet state one newly arrived (not re-routed) request observed."""
         self._samples.append(_ArrivalSample(time, saturated_fraction, prompt_tokens))
         self._trim(time)
 

@@ -17,13 +17,13 @@ The single-engine :class:`~repro.serving.server.ServingSimulator` is a façade
 over this loop: one fixed replica with ``router=None``, where every arrival
 goes straight to the replica and no view is built.
 
-Routing is decision-based: the router returns a
-:class:`~repro.serving.routing.RoutingDecision` — ``route`` places the
-request, ``reject`` turns it away (reported in
+The router only places: it returns the id of one routable replica, and
+that replica's scheduler decides when the request is admitted.  A request
+leaves the fleet unserved only through the throttle or a fault (reported in
 :attr:`~repro.serving.results.ClusterResult.rejected` with per-reason
-counts), and ``defer`` parks it for a later routing attempt (the simulator
-re-runs the decision at ``retry_at``; the request's arrival timestamp — and
-therefore its TTFT — still counts from the original arrival).
+counts).  Retries, migrations and arrivals that find every replica still
+warming are parked and routed again later; the request's arrival timestamp
+— and therefore its TTFT — still counts from the original arrival.
 
 The simulation is event-driven over six event types:
 
@@ -40,10 +40,10 @@ The simulation is event-driven over six event types:
    the least-loaded active replica (no new placements, resident work runs to
    completion, then it retires);
 4. **arrival** — the next request of the load generator arrives, passes the
-   throttle at its arrival time, and the router decides its fate over a
+   throttle at its arrival time, and the router places it over a
    :class:`~repro.serving.routing.ReplicaView` per *routable* replica;
-5. **defer retry** — a previously deferred, retried, or migrated request
-   reaches its ``retry_at`` instant and is routed again;
+5. **retry** — a parked request (retried, migrated, or waiting for a warming
+   replica) reaches its ``retry_at`` instant and is routed again;
 6. **replica step** — the replica with the earliest local clock among those
    with work (active or draining) runs one continuous-batching iteration,
    advancing its clock by the iteration's modelled latency.
@@ -285,7 +285,7 @@ class _Replica:
 
 @dataclass(frozen=True)
 class _DeferredArrival:
-    """One request parked by a ``defer`` decision, keyed for the retry heap."""
+    """One parked request (retry, migration or warming wait), keyed for the retry heap."""
 
     retry_at: float
     sequence: int
@@ -364,12 +364,9 @@ class ClusterSimulator:
             ``autoscaler`` this is only the starting size.
         router: placement policy, as a :class:`Router` instance or a registry
             name (``round-robin``, ``least-outstanding``, ``least-kv-load``,
-            ``memory-aware``).  Saturation admission (reject, shed, defer)
-            is the router's policy: pass e.g.
-            ``create_router("memory-aware", reject_when_saturated=True)``.
-            ``None`` places every arrival on the one fixed replica without
-            building a view; it requires ``num_replicas=1``, no
-            ``autoscaler`` and no ``faults``.
+            ``memory-aware``, ``session-affinity``).  ``None`` places every
+            arrival on the one fixed replica without building a view; it
+            requires ``num_replicas=1``, no ``autoscaler`` and no ``faults``.
         scheduler_name: per-replica admission scheduler registry name; each
             replica gets its *own* scheduler instance so history-based
             policies learn only from their replica's completions.
@@ -401,7 +398,7 @@ class ClusterSimulator:
             into macro-steps (see :meth:`InferenceEngine.try_jump_any`,
             which covers empty and non-empty waiting queues), bounded
             so every cross-replica observation point (arrival routing,
-            autoscale decisions, warm-up completions, defer retries, and
+            autoscale decisions, warm-up completions, retries, and
             arrivals spawned by other replicas' completions) sees
             bit-identical state; ``False`` forces the reference
             one-iteration loop for bisection.
@@ -768,7 +765,7 @@ class ClusterSimulator:
         Aborted requests leave the replica's per-replica accounting and move
         to the cluster-level ``failed`` list (their partial tokens count as
         lost work); under a retry policy each one is re-dispatched through
-        the defer heap, otherwise it is rejected with a typed reason.  A
+        the retry heap, otherwise it is rejected with a typed reason.  A
         cold replacement launches immediately when the plan asks for one.
         """
         assert self.fault_plan is not None
@@ -960,7 +957,6 @@ class ClusterSimulator:
         now: float,
         arrived_at: float,
         reason: str,
-        candidates: int = 0,
     ) -> None:
         """Record one rejected request under ``reason`` and release its slot."""
         self.rejected.append(Request(spec=spec, arrival_time=arrived_at))
@@ -971,7 +967,7 @@ class ClusterSimulator:
                     obs.REQUEST_REJECTED,
                     now,
                     request_id=spec.request_id,
-                    attrs={"reason": reason, "candidates": candidates},
+                    attrs={"reason": reason},
                 )
             )
             # A rejected turn never finishes, so its session cannot spawn a
@@ -982,8 +978,14 @@ class ClusterSimulator:
         # a replica steps, so an immediate release would re-inject (and
         # re-reject) the client's next request in a zero-time cascade.
         # Release it after the next completed iteration, when the fleet
-        # has actually made progress.
+        # has actually made progress, or when the run would otherwise end.
         self._deferred_releases += 1
+
+    def _release_rejected(self, generator: LoadGenerator, time: float) -> None:
+        """Give rejected requests' client slots back to the load generator."""
+        while self._deferred_releases:
+            self._deferred_releases -= 1
+            generator.on_request_finished(time)
 
     def _emit_session_completion(self, request: Request, time: float) -> None:
         """Emit ``session.stage`` / ``session.end`` for one finished session turn."""
@@ -1071,19 +1073,19 @@ class ClusterSimulator:
     ) -> None:
         """Place ``spec`` on a replica, or throttle, park or reject it.
 
-        ``arrived_at`` pins the request's arrival timestamp across defer
-        retries (latency accounting always starts at the original arrival);
-        retries also skip the autoscaler's traffic window so a deferred
-        request is not double-counted as new demand.
+        ``arrived_at`` pins the request's arrival timestamp across retries
+        (latency accounting always starts at the original arrival); retries
+        also skip the autoscaler's traffic window so a parked request is not
+        double-counted as new demand.
         """
         if arrived_at is None:
             arrived_at = spec.arrival_time if spec.arrival_time is not None else now
         # Rate limiting sits in front of routing: a throttled arrival consumes
-        # no routing decision and no autoscaler traffic signal.  Defer retries
+        # no routing decision and no autoscaler traffic signal.  Retries
         # skip it — the request was submitted (and recorded in its tenant's
         # window) on first attempt.
         if first_attempt and self._throttle_arrival(spec, now, arrived_at):
-            # Unlike saturation rejects, throttle rejects can release the
+            # Unlike fault rejects, throttle rejects can release the
             # client slot at this same instant without a zero-time cascade
             # risk: the rate window only fills as requests are admitted, so a
             # same-instant follow-up either fits the window or is itself
@@ -1136,7 +1138,18 @@ class ClusterSimulator:
                 # Warm-up completions outrank arrivals/retries at equal
                 # times, so a warming replica seen here always has
                 # ready_at strictly in the future.
-                self._park(spec, arrived_at, retry_at=min(r.ready_at for r in warming))
+                retry_at = min(r.ready_at for r in warming)
+                self.deferrals += 1
+                if self._tracing:
+                    self.tracer.emit(
+                        TraceEvent(
+                            obs.REQUEST_DEFERRED,
+                            now,
+                            request_id=spec.request_id,
+                            attrs={"retry_at": retry_at},
+                        )
+                    )
+                self._park(spec, arrived_at, retry_at)
                 return None
             self._reject_spec(spec, now, arrived_at, REASON_NO_REPLICAS)
             return None
@@ -1153,55 +1166,29 @@ class ClusterSimulator:
                 f"request {spec.request_id} needs {needed} KV tokens, more than the "
                 f"largest routable replica's capacity of {largest}"
             )
-        decision = self.router.decide(spec, views, now)
-        if decision.is_reject:
-            self._reject_spec(
-                spec, now, arrived_at, decision.reason or "unspecified", candidates=len(views)
-            )
-            return None
-        if decision.is_defer:
-            assert decision.retry_at is not None
-            if decision.retry_at <= now:
-                raise RuntimeError(
-                    f"router {self.router.name!r} deferred to {decision.retry_at}, which "
-                    f"does not advance past the decision instant {now}; defer targets "
-                    "must be strictly later"
-                )
-            self.deferrals += 1
-            if self._tracing:
-                self.tracer.emit(
-                    TraceEvent(
-                        obs.REQUEST_DEFERRED,
-                        now,
-                        request_id=spec.request_id,
-                        attrs={"retry_at": decision.retry_at, "candidates": len(views)},
-                    )
-                )
-            self._park(spec, arrived_at, decision.retry_at)
-            return None
-        assert decision.replica_id is not None
-        replica = routable.get(decision.replica_id)
+        replica_id = self.router.decide(spec, views)
+        replica = routable.get(replica_id)
         if replica is None:
-            known = next((r for r in self.replicas if r.index == decision.replica_id), None)
+            known = next((r for r in self.replicas if r.index == replica_id), None)
             if known is not None:
                 raise RuntimeError(
-                    f"router {self.router.name!r} routed to replica {decision.replica_id}, "
+                    f"router {self.router.name!r} routed to replica {replica_id}, "
                     f"which is {known.state.value} and must not receive new work; "
                     f"routable ids: {sorted(routable)}"
                 )
             raise RuntimeError(
                 f"router {self.router.name!r} routed to invalid replica "
-                f"{decision.replica_id}; routable ids: {sorted(routable)}"
+                f"{replica_id}; routable ids: {sorted(routable)}"
             )
         if self._tracing:
-            chosen = next(v for v in views if v.replica_id == decision.replica_id)
+            chosen = next(v for v in views if v.replica_id == replica_id)
             self.tracer.emit(
                 TraceEvent(
                     obs.REQUEST_ROUTED,
                     now,
                     request_id=spec.request_id,
                     attrs={
-                        "replica": decision.replica_id,
+                        "replica": replica_id,
                         "candidates": len(views),
                         **chosen.trace_signals(),
                     },
@@ -1229,13 +1216,14 @@ class ClusterSimulator:
             self.autoscaler.on_run_start()
         completed = True
         total_steps = 0
+        time = 0.0
         follow_up_delay = generator.min_follow_up_delay
 
         # Event priorities at equal times: warm-ups complete first (a replica
         # ready at t may serve an arrival at t), fault actions land next (so
         # decisions, arrivals, and retries all see the post-fault fleet),
         # decisions see the pre-arrival fleet, arrivals join before retries
-        # of older deferred requests, and all join before the step at the
+        # of older parked requests, and all join before the step at the
         # same instant: an arrival at a replica's clock joins its next
         # iteration.
         READY, FAULT, DECIDE, ARRIVAL, RETRY, STEP = 0, 1, 2, 3, 4, 5
@@ -1246,10 +1234,16 @@ class ClusterSimulator:
             step_replica = min(busy, key=lambda r: (r.clock, r.index)) if busy else None
 
             if step_replica is None and next_arrival is None and not self._deferred_heap:
-                # No resident work, no future arrivals, nothing deferred: the
-                # run is drained (or a closed-loop pool's remaining clients
-                # were rejected).
-                break
+                # No resident work, no future arrivals, nothing parked: the
+                # run is drained, unless rejected clients still wait for their
+                # slots.  No replica has work, so none steps again to release
+                # them (e.g. every replica was lost): release them at the last
+                # event time, so a closed-loop pool submits the rest of its
+                # work and every request is routed or rejected.
+                if not self._deferred_releases:
+                    break
+                self._release_rejected(generator, time)
+                continue
 
             events: list[tuple[float, int]] = []
             warming = [r for r in self.replicas if r.state is ReplicaState.WARMING]
@@ -1302,7 +1296,7 @@ class ClusterSimulator:
             # replica's own engine (its batch and its queue), so they commute
             # with other replicas' iterations; the horizon is the earliest
             # moment anything can *observe* this replica — a scheduled arrival
-            # (routing views), a defer retry, an autoscale decision, a warm-up
+            # (routing views), a retry, an autoscale decision, a warm-up
             # completion, a fault action, and any arrival another busy
             # replica's completion could spawn.  That replica's next finish
             # ends a step starting at or after its clock, so the follow-up
@@ -1332,17 +1326,15 @@ class ClusterSimulator:
                     router.on_request_finished(request, clock)
                 if self.autoscaler is not None:
                     self.autoscaler.on_request_finished(request, clock)
-            # Client slots freed by rejections are released only once some
-            # replica can route again (rejection implies every replica was
-            # busy, so steps keep coming until that happens) — immediate
-            # release would just feed the next request into the same
-            # saturated fleet.
+            # Client slots freed by fault rejections are released only once
+            # some routable replica is unsaturated again — an immediate
+            # release would just feed the next request into the same fleet at
+            # the same instant.  If no replica ever steps again, the drain
+            # check at the top of the loop releases them instead.
             if self._deferred_releases:
                 open_views = self.snapshots()
                 if open_views and not all(v.saturated for v in open_views):
-                    while self._deferred_releases:
-                        self._deferred_releases -= 1
-                        generator.on_request_finished(clock)
+                    self._release_rejected(generator, clock)
 
             if step_replica.state is ReplicaState.DRAINING and not step_replica.engine.has_work():
                 # Drain complete: every resident request ran to completion.
@@ -1355,7 +1347,7 @@ class ClusterSimulator:
                 break
 
         makespan = max((r.clock for r in self.replicas), default=0.0)
-        # Deferred requests still parked after the loop ends can only exist
+        # Requests still parked after the loop ends can only exist
         # on abnormal termination (step/time limits, stall guard) — a normal
         # drain requires an empty heap.  They must not vanish from
         # accounting: stamp each one into the rejected set with a typed

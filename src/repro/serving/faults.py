@@ -10,8 +10,8 @@ reproducible as a run without:
 
 * :class:`ReplicaCrash` — a replica dies at an instant; every in-flight and
   queued request on it is aborted (partial tokens are accounted as lost
-  work) and, under a :class:`RetryPolicy`, re-dispatched through the
-  router's defer path.
+  work) and, under a :class:`RetryPolicy`, parked and routed again after
+  its backoff.
 * :class:`Preemption` — a spot-style advance notice: the replica stops
   accepting placements and drains; queued work migrates off immediately,
   and whatever is still resident when the notice window expires is killed
@@ -59,7 +59,7 @@ REASON_REPLICA_CRASH = "replica-crash"
 REASON_ROUTING_ERROR = "routing-error"
 #: Reject reason when a request's retry attempt budget is exhausted.
 REASON_RETRIES_EXHAUSTED = "retries-exhausted"
-#: Reject reason for deferred requests still parked when the run terminates
+#: Reject reason for requests still parked when the run terminates
 #: abnormally (step/time limits, stall guard) — they must land in
 #: ``reject_reasons`` rather than vanish from accounting.
 REASON_UNROUTED = "unrouted-at-end"

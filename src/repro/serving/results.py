@@ -149,12 +149,11 @@ class ClusterResult:
     :meth:`goodput_per_replica_second` — derive.  ``num_replicas`` counts
     every replica ever launched, including retired ones.
 
-    Decision-based routing (see
-    :class:`~repro.serving.routing.RoutingDecision`) adds reject/defer
-    bookkeeping: ``rejected`` holds the turned-away requests,
-    ``reject_reasons`` counts them per router-supplied reason, and
-    ``deferrals`` counts defer decisions (one request deferred twice counts
-    twice).  On heterogeneous fleets ``platform`` joins the distinct platform
+    ``rejected`` holds the requests the fleet turned away (throttled, or
+    lost to a fault with no retry left), ``reject_reasons`` counts them per
+    typed reason, and ``deferrals`` counts arrivals parked because every
+    replica was still warming (one request parked twice counts twice).  On
+    heterogeneous fleets ``platform`` joins the distinct platform
     descriptions; each replica's own :attr:`RunResult.platform` names its
     actual hardware.
 

@@ -1,18 +1,15 @@
 """Request routers for multi-replica cluster serving.
 
-A :class:`Router` answers one question per arriving request: *what should the
-cluster do with it?*  The :class:`~repro.serving.cluster.ClusterSimulator`
+A :class:`Router` answers one question per arriving request: *which replica
+should serve it?*  The :class:`~repro.serving.cluster.ClusterSimulator`
 hands the router a :class:`ReplicaView` per routable replica — only
 scheduler-visible state (KV occupancy; per resident request, running then
 queued, its context tokens, generated-so-far count and remaining
 ``max_new_tokens`` budget; the replica's platform and relative speed), never
-the hidden true output lengths — and expects back a :class:`RoutingDecision`:
-
-* ``RoutingDecision.route(replica_id)`` — place the request on a replica;
-* ``RoutingDecision.reject(reason)`` — turn the request away (cluster-level
-  admission control is a *router policy*, not an emergent special case);
-* ``RoutingDecision.defer(until)`` — hold the request and re-route it at a
-  later instant (the hook request-migration policies build on).
+the hidden true output lengths — and expects back the ``replica_id`` of one
+of those views.  Routers only place: admission control belongs to each
+replica's scheduler, which keeps a request queued until it fits (the paper's
+Algorithm 1), so a router never turns a request away.
 
 Because a fleet may mix accelerator generations
 (``ClusterSimulator(platforms=[a100, a100, rtx4090])``), replicas can differ
@@ -47,17 +44,14 @@ Five policies are provided, in increasing order of awareness:
   dead.
 
 All routers break ties deterministically in favour of the lowest replica
-index, and skip saturated replicas unless every replica is saturated.  Every
-router also understands two admission-policy knobs (see :class:`Router`):
-``reject_when_saturated`` and per-SLA-class shedding via ``shed_classes``.
+index, and skip saturated replicas unless every replica is saturated.
 """
 
 from __future__ import annotations
 
 import abc
-import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,90 +62,6 @@ from repro.hardware.platform import Platform
 from repro.registry import instantiate
 from repro.serving.faults import HEALTH_HEALTHY, HEALTH_STATES
 from repro.workloads.spec import RequestSpec
-
-
-class RoutingAction(enum.Enum):
-    """What the cluster should do with one arriving request."""
-
-    ROUTE = "route"
-    REJECT = "reject"
-    DEFER = "defer"
-
-
-#: Reject reason used when every routable replica is saturated.
-REASON_SATURATED = "saturated"
-
-
-def shed_reason(sla_class: str) -> str:
-    """Reject reason used when a request's SLA class is shed under pressure."""
-    return f"shed:{sla_class}"
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    """First-class outcome of one routing decision.
-
-    Build instances through the :meth:`route`, :meth:`reject`, and
-    :meth:`defer` constructors rather than directly; each action carries
-    exactly the payload it needs.
-
-    Attributes:
-        action: what the cluster should do with the request.
-        replica_id: target replica (``ROUTE`` only).
-        reason: human-readable rejection reason (``REJECT`` only), used for
-            per-reason bookkeeping in
-            :attr:`repro.serving.results.ClusterResult.reject_reasons`.
-        retry_at: absolute fleet-clock instant at which to re-route the
-            request (``DEFER`` only); must lie strictly after the decision
-            instant or the cluster raises.
-    """
-
-    action: RoutingAction
-    replica_id: int | None = None
-    reason: str | None = None
-    retry_at: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.action is RoutingAction.ROUTE and self.replica_id is None:
-            raise ValueError("route decisions must name a replica_id")
-        if self.action is not RoutingAction.ROUTE and self.replica_id is not None:
-            raise ValueError("only route decisions may name a replica_id")
-        if self.action is RoutingAction.DEFER and self.retry_at is None:
-            raise ValueError("defer decisions must carry retry_at")
-        if self.action is not RoutingAction.DEFER and self.retry_at is not None:
-            raise ValueError("only defer decisions may carry retry_at")
-
-    # ----------------------------------------------------------- constructors
-    @classmethod
-    def route(cls, replica_id: int) -> "RoutingDecision":
-        """Place the request on ``replica_id``'s waiting queue."""
-        return cls(action=RoutingAction.ROUTE, replica_id=replica_id)
-
-    @classmethod
-    def reject(cls, reason: str = REASON_SATURATED) -> "RoutingDecision":
-        """Turn the request away; it never executes but is reported."""
-        return cls(action=RoutingAction.REJECT, reason=reason)
-
-    @classmethod
-    def defer(cls, until: float) -> "RoutingDecision":
-        """Hold the request and route it again at fleet-clock ``until``."""
-        return cls(action=RoutingAction.DEFER, retry_at=until)
-
-    # ------------------------------------------------------------- predicates
-    @property
-    def is_route(self) -> bool:
-        """Whether the request was placed on a replica."""
-        return self.action is RoutingAction.ROUTE
-
-    @property
-    def is_reject(self) -> bool:
-        """Whether the request was turned away."""
-        return self.action is RoutingAction.REJECT
-
-    @property
-    def is_defer(self) -> bool:
-        """Whether the request is held for a later routing attempt."""
-        return self.action is RoutingAction.DEFER
 
 
 @dataclass(frozen=True)
@@ -292,79 +202,33 @@ class ReplicaView:
 
 
 class Router(abc.ABC):
-    """Placement policy mapping an arriving request to a routing decision.
+    """Placement policy mapping an arriving request to a replica id.
 
     Subclasses implement :meth:`decide`.
-
-    Every router carries two admission-policy knobs, consulted before any
-    placement logic whenever *all* routable replicas are saturated:
-
-    Args:
-        reject_when_saturated: reject any request arriving while every
-            routable replica is saturated (cluster-level admission control);
-            off by default, in which case requests queue on the least-bad
-            replica exactly as before.
-        shed_classes: SLA classes (see
-            :attr:`repro.workloads.spec.RequestSpec.sla_class`) to reject
-            while the fleet is saturated even when ``reject_when_saturated``
-            is off — e.g. shed ``batch`` traffic under pressure so
-            ``interactive`` latency survives the burst.
-        defer_when_saturated: seconds to *defer* (hold and re-route) a
-            request arriving into a fully saturated fleet instead of queueing
-            or rejecting it; ``None`` disables deferral.  Rejection policies
-            take precedence when both apply.
     """
 
     #: human-readable policy name used in tables and figures.
     name: str = "abstract"
 
-    # Class-level defaults so subclasses that never call ``super().__init__``
-    # still present the neutral admission policy.
-    reject_when_saturated: bool = False
-    shed_classes: frozenset[str] = frozenset()
-    defer_when_saturated: float | None = None
-
-    def __init__(
-        self,
-        *,
-        reject_when_saturated: bool = False,
-        shed_classes: Iterable[str] = (),
-        defer_when_saturated: float | None = None,
-    ) -> None:
-        if defer_when_saturated is not None and defer_when_saturated <= 0:
-            raise ValueError("defer_when_saturated must be positive when set")
-        self.reject_when_saturated = reject_when_saturated
-        self.shed_classes = frozenset(shed_classes)
-        self.defer_when_saturated = defer_when_saturated
-
     # ------------------------------------------------------------------ API
     @abc.abstractmethod
-    def decide(
-        self,
-        spec: RequestSpec,
-        views: Sequence[ReplicaView],
-        now: float = 0.0,
-    ) -> RoutingDecision:
-        """Decide what the cluster should do with ``spec``.
+    def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
+        """The ``replica_id`` of the view that should serve ``spec``.
 
         Implementations must be deterministic given the same views and
-        internal state; ``route`` decisions must name the ``replica_id`` of
-        one of the *given* views.  With an elastic fleet (see
+        internal state, and must return the ``replica_id`` of one of the
+        *given* views.  With an elastic fleet (see
         :mod:`repro.serving.autoscale`) the view set changes between calls
         and ids are not contiguous — replicas launch, warm up, drain, and
         retire, and retired ids are never reused — so ids must be treated as
         opaque keys, never as list indices.  The
         :class:`~repro.serving.cluster.ClusterSimulator` raises
-        ``RuntimeError`` if a router routes to an id that is absent from the
-        views (e.g. a warming, draining, or retired replica).  Start from
-        :meth:`admission_check` so the admission knobs apply before any
-        placement state is touched.
+        ``RuntimeError`` if a router returns an id that is absent from the
+        views (e.g. a warming, draining, or retired replica).
 
         Args:
             spec: the arriving request (including its ``sla_class``).
             views: one :class:`ReplicaView` per routable replica.
-            now: fleet-clock instant of the decision, the base for
-                ``RoutingDecision.defer`` targets.
         """
 
     # ------------------------------------------------------------- lifecycle
@@ -375,31 +239,6 @@ class Router(abc.ABC):
         """Called when any replica finishes a request (for learning policies)."""
 
     # -------------------------------------------------------------- utilities
-    def admission_check(
-        self,
-        spec: RequestSpec,
-        views: Sequence[ReplicaView],
-        now: float,
-    ) -> RoutingDecision | None:
-        """Shared saturation policy, evaluated before placement.
-
-        Returns a reject/defer decision when the admission knobs apply (all
-        routable replicas saturated), or ``None`` when the request should be
-        placed.  Runs *before* any placement state is touched, so e.g. the
-        round-robin cursor does not advance on a rejected request.
-        """
-        if not views:
-            raise ValueError("cannot route with zero replicas")
-        if not all(view.saturated for view in views):
-            return None
-        if spec.sla_class in self.shed_classes:
-            return RoutingDecision.reject(shed_reason(spec.sla_class))
-        if self.reject_when_saturated:
-            return RoutingDecision.reject(REASON_SATURATED)
-        if self.defer_when_saturated is not None:
-            return RoutingDecision.defer(now + self.defer_when_saturated)
-        return None
-
     @staticmethod
     def candidates(views: Sequence[ReplicaView]) -> list[ReplicaView]:
         """Routable replicas, best health tier first, saturation filtered.
@@ -425,34 +264,9 @@ class Router(abc.ABC):
         best = min(self.candidates(views), key=lambda view: (key(view), view.replica_id))
         return best.replica_id
 
-    def _decide_min(
-        self,
-        spec: RequestSpec,
-        views: Sequence[ReplicaView],
-        now: float,
-        key: Callable[[ReplicaView], float],
-    ) -> RoutingDecision:
-        """Admission check, then route to the lowest-key candidate."""
-        decision = self.admission_check(spec, views, now)
-        if decision is not None:
-            return decision
-        return RoutingDecision.route(self._pick_min(views, key))
-
-    def _policy_suffix(self) -> str:
-        """Describe-fragment for non-default admission knobs (or '')."""
-        parts: list[str] = []
-        if self.reject_when_saturated:
-            parts.append("reject-saturated")
-        if self.shed_classes:
-            parts.append(f"shed={'/'.join(sorted(self.shed_classes))}")
-        if self.defer_when_saturated is not None:
-            parts.append(f"defer={self.defer_when_saturated:g}s")
-        return ", ".join(parts)
-
     def describe(self) -> str:
         """One-line parameterised description used in result tables."""
-        suffix = self._policy_suffix()
-        return f"{self.name} ({suffix})" if suffix else self.name
+        return self.name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.describe()})"
@@ -469,41 +283,22 @@ class RoundRobinRouter(Router):
 
     name = "round-robin"
 
-    def __init__(
-        self,
-        *,
-        reject_when_saturated: bool = False,
-        shed_classes: Iterable[str] = (),
-        defer_when_saturated: float | None = None,
-    ) -> None:
-        super().__init__(
-            reject_when_saturated=reject_when_saturated,
-            shed_classes=shed_classes,
-            defer_when_saturated=defer_when_saturated,
-        )
+    def __init__(self) -> None:
         self._last: int | None = None
 
     def on_run_start(self) -> None:
         """Forget the cursor so replays of a run are deterministic."""
         self._last = None
 
-    def decide(
-        self,
-        spec: RequestSpec,
-        views: Sequence[ReplicaView],
-        now: float = 0.0,
-    ) -> RoutingDecision:
-        """Route to the next routable replica id after the cursor."""
-        decision = self.admission_check(spec, views, now)
-        if decision is not None:
-            return decision
+    def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
+        """The next routable replica id after the cursor."""
         eligible = sorted(view.replica_id for view in self.candidates(views))
         chosen = next(
             (replica_id for replica_id in eligible if self._last is None or replica_id > self._last),
             eligible[0],
         )
         self._last = chosen
-        return RoutingDecision.route(chosen)
+        return chosen
 
 
 class LeastOutstandingRouter(Router):
@@ -517,14 +312,9 @@ class LeastOutstandingRouter(Router):
 
     name = "least-outstanding"
 
-    def decide(
-        self,
-        spec: RequestSpec,
-        views: Sequence[ReplicaView],
-        now: float = 0.0,
-    ) -> RoutingDecision:
-        """Route to the candidate replica with the fewest in-flight requests."""
-        return self._decide_min(spec, views, now, lambda view: view.outstanding)
+    def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
+        """The candidate replica with the fewest in-flight requests."""
+        return self._pick_min(views, lambda view: view.outstanding)
 
 
 class LeastKVLoadRouter(Router):
@@ -538,14 +328,9 @@ class LeastKVLoadRouter(Router):
 
     name = "least-kv-load"
 
-    def decide(
-        self,
-        spec: RequestSpec,
-        views: Sequence[ReplicaView],
-        now: float = 0.0,
-    ) -> RoutingDecision:
-        """Route to the candidate replica with the lowest fractional KV load."""
-        return self._decide_min(spec, views, now, lambda view: view.load_fraction)
+    def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
+        """The candidate replica with the lowest fractional KV load."""
+        return self._pick_min(views, lambda view: view.load_fraction)
 
 
 class MemoryAwareRouter(Router):
@@ -572,27 +357,11 @@ class MemoryAwareRouter(Router):
     Args:
         window_size: sliding-window length (the paper uses 1000).
         default_length: output length assumed before any request finishes.
-        reject_when_saturated: admission knob forwarded to :class:`Router`.
-        shed_classes: admission knob forwarded to :class:`Router`.
-        defer_when_saturated: admission knob forwarded to :class:`Router`.
     """
 
     name = "memory-aware"
 
-    def __init__(
-        self,
-        window_size: int = 1000,
-        default_length: int = 2048,
-        *,
-        reject_when_saturated: bool = False,
-        shed_classes: Iterable[str] = (),
-        defer_when_saturated: float | None = None,
-    ) -> None:
-        super().__init__(
-            reject_when_saturated=reject_when_saturated,
-            shed_classes=shed_classes,
-            defer_when_saturated=defer_when_saturated,
-        )
+    def __init__(self, window_size: int = 1000, default_length: int = 2048) -> None:
         self.history = OutputLengthHistory(window_size=window_size, default_length=default_length)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._table_version = -1
@@ -673,27 +442,15 @@ class MemoryAwareRouter(Router):
             return placed * view.speed_factor
         return placed / view.speed_factor
 
-    def decide(
-        self,
-        spec: RequestSpec,
-        views: Sequence[ReplicaView],
-        now: float = 0.0,
-    ) -> RoutingDecision:
-        """Route to the candidate with the best speed-weighted headroom score."""
-        decision = self.admission_check(spec, views, now)
-        if decision is not None:
-            return decision
+    def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
+        """The candidate with the best speed-weighted headroom score."""
         # Largest score == smallest negated score, so tie-breaking still
         # favours the lowest replica id.
-        return RoutingDecision.route(
-            self._pick_min(views, lambda view: -self.placement_score(spec, view))
-        )
+        return self._pick_min(views, lambda view: -self.placement_score(spec, view))
 
     def describe(self) -> str:
         """One-line parameterised description used in result tables."""
-        suffix = self._policy_suffix()
-        extra = f", {suffix}" if suffix else ""
-        return f"{self.name} (window={self.history.window_size}{extra})"
+        return f"{self.name} (window={self.history.window_size})"
 
 
 class SessionAffinityRouter(MemoryAwareRouter):
@@ -725,29 +482,12 @@ class SessionAffinityRouter(MemoryAwareRouter):
     Args:
         window_size: sliding-window length for the memory-aware fallback.
         default_length: output length assumed before any request finishes.
-        reject_when_saturated: admission knob forwarded to :class:`Router`.
-        shed_classes: admission knob forwarded to :class:`Router`.
-        defer_when_saturated: admission knob forwarded to :class:`Router`.
     """
 
     name = "session-affinity"
 
-    def __init__(
-        self,
-        window_size: int = 1000,
-        default_length: int = 2048,
-        *,
-        reject_when_saturated: bool = False,
-        shed_classes: Iterable[str] = (),
-        defer_when_saturated: float | None = None,
-    ) -> None:
-        super().__init__(
-            window_size=window_size,
-            default_length=default_length,
-            reject_when_saturated=reject_when_saturated,
-            shed_classes=shed_classes,
-            defer_when_saturated=defer_when_saturated,
-        )
+    def __init__(self, window_size: int = 1000, default_length: int = 2048) -> None:
+        super().__init__(window_size=window_size, default_length=default_length)
         self._homes: dict[str, int] = {}
 
     def on_run_start(self) -> None:
@@ -759,18 +499,10 @@ class SessionAffinityRouter(MemoryAwareRouter):
         """The replica id this router last placed ``session_id`` on, if any."""
         return self._homes.get(session_id)
 
-    def decide(
-        self,
-        spec: RequestSpec,
-        views: Sequence[ReplicaView],
-        now: float = 0.0,
-    ) -> RoutingDecision:
-        """Route to the session's home replica when viable, else fall back."""
+    def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
+        """The session's home replica when viable, else the memory-aware pick."""
         if spec.session_id is None:
-            return super().decide(spec, views, now)
-        decision = self.admission_check(spec, views, now)
-        if decision is not None:
-            return decision
+            return super().decide(spec, views)
         home = self._homes.get(spec.session_id)
         if home is not None and any(
             view.replica_id == home for view in self.candidates(views)
@@ -779,7 +511,7 @@ class SessionAffinityRouter(MemoryAwareRouter):
         else:
             chosen = self._pick_min(views, lambda view: -self.placement_score(spec, view))
         self._homes[spec.session_id] = chosen
-        return RoutingDecision.route(chosen)
+        return chosen
 
 
 RouterFactory = Callable[..., Router]
@@ -799,10 +531,8 @@ def create_router(name: str, **kwargs) -> Router:
     Args:
         name: one of ``round-robin``, ``least-outstanding``,
             ``least-kv-load``, ``memory-aware``, ``session-affinity``.
-        **kwargs: forwarded to the router constructor — policy knobs shared
-            by every router (``reject_when_saturated``, ``shed_classes``,
-            ``defer_when_saturated``) plus router-specific parameters such as
-            ``window_size``.
+        **kwargs: forwarded to the router constructor, e.g. the
+            memory-aware routers' ``window_size``.
 
     Raises:
         KeyError: if the name is unknown.
@@ -816,16 +546,3 @@ def available_routers() -> list[str]:
     """Names of all registered routers, sorted for deterministic listings."""
     return sorted(ROUTER_REGISTRY)
 
-
-def router_overview() -> dict[str, str]:
-    """One-line summary per registered router, in ``available_routers`` order.
-
-    Mirrors the scheduler registry's ergonomics: the summary is the first
-    line of each router class's docstring, so ``--help`` style listings stay
-    in sync with the documentation.
-    """
-    overview: dict[str, str] = {}
-    for name in available_routers():
-        doc = ROUTER_REGISTRY[name].__doc__ or ""
-        overview[name] = doc.strip().splitlines()[0] if doc.strip() else name
-    return overview

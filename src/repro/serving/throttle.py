@@ -29,7 +29,7 @@ fault subsystem's reasons (:mod:`repro.serving.faults`), so conservation
 (``routed + rejected == submitted``) holds with both a throttle and a
 :class:`~repro.serving.faults.FaultPlan` mounted.  The throttle only gates
 *fresh arrivals*: work re-dispatched after a replica crash was already
-admitted once and retries through the router's defer path, never back
+admitted once and is parked and routed again after its backoff, never back
 through the rate limiter.
 """
 

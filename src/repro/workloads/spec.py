@@ -24,8 +24,7 @@ import numpy as np
 SLA_CLASS_INTERACTIVE = "interactive"
 
 #: Throughput-oriented service class: background / batch traffic that
-#: tolerates looser latency bounds (and is the first to be shed or deferred
-#: by class-aware routers under pressure).
+#: tolerates looser latency bounds.
 SLA_CLASS_BATCH = "batch"
 
 
@@ -46,9 +45,8 @@ class RequestSpec:
             workloads); 0 for text-only requests.
         sla_class: service class the request belongs to (e.g.
             :data:`SLA_CLASS_INTERACTIVE` vs :data:`SLA_CLASS_BATCH`).
-            Routers may place, shed, or defer by class, and
             :class:`~repro.serving.sla.SLASpec` may bind per-class latency
-            bounds; fleet metrics report goodput per class.
+            bounds, and fleet metrics report goodput per class.
         user_id: the end user the request belongs to, or ``None`` for
             tenant-less traffic.  Fair schedulers
             (:mod:`repro.schedulers.fair`) account service per user, the

@@ -16,7 +16,7 @@ from repro.serving.autoscale import (
     create_autoscale_policy,
 )
 from repro.serving.cluster import ClusterSimulator, ReplicaState
-from repro.serving.routing import ReplicaView, Router, RoutingDecision
+from repro.serving.routing import ReplicaView, Router
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.spec import RequestSpec, Workload
@@ -84,8 +84,8 @@ class FixedRouter(Router):
     def __init__(self, replica_id: int) -> None:
         self.replica_id = replica_id
 
-    def decide(self, spec, views, now=0.0):
-        return RoutingDecision.route(self.replica_id)
+    def decide(self, spec, views):
+        return self.replica_id
 
 
 def instant_workload(num_requests: int, prompt: int = 48, output: int = 64) -> Workload:

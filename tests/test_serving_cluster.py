@@ -6,25 +6,22 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.perf import run_fingerprint
+from repro.analysis.perf import cluster_snapshot, run_fingerprint
 from repro.engine.request import Request
 from repro.hardware.platform import paper_platforms
+from repro.obs import events as obs
+from repro.obs.tracer import RingTracer
 from repro.schedulers.registry import create_scheduler
 from repro.serving.autoscale import Autoscaler, StaticPolicy
 from repro.serving.cluster import ClusterSimulator
-from repro.serving.faults import FaultPlan, ReplicaCrash
-from repro.serving.routing import (
-    REASON_SATURATED,
-    ReplicaView,
-    Router,
-    RoutingDecision,
-    create_router,
-)
+from repro.serving.faults import REASON_NO_REPLICAS, REASON_REPLICA_CRASH, FaultPlan, ReplicaCrash
+from repro.serving.routing import ReplicaView, Router
 from repro.serving.server import ServingSimulator
 from repro.serving.sla import SLASpec
-from repro.serving.throttle import OverloadThrottle
+from repro.serving.throttle import REASON_THROTTLED, OverloadThrottle
 from repro.workloads.arrivals import assign_bursty_arrivals, assign_poisson_arrivals
 from repro.workloads.interactions import generate_interactions
+from repro.workloads.sharegpt import generate_sharegpt_workload
 from repro.workloads.spec import RequestSpec, Workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import make_spec, make_workload
@@ -49,12 +46,9 @@ def make_cluster(
     )
 
 
-def rejecting_router(name: str = "round-robin") -> Router:
-    """A router armed to reject arrivals into a fully saturated fleet."""
-    return create_router(name, reject_when_saturated=True)
-
-
-def stamped_workload(num_requests: int = 24, prompt: int = 48, output: int = 4) -> Workload:
+def stamped_workload(
+    num_requests: int = 24, prompt: int = 48, output: int = 4, user_id: str | None = None
+) -> Workload:
     """Workload whose requests all arrive at t=0 (maximum routing pressure)."""
     specs = [
         RequestSpec(
@@ -63,10 +57,40 @@ def stamped_workload(num_requests: int = 24, prompt: int = 48, output: int = 4) 
             output_length=output,
             max_new_tokens=output,
             arrival_time=0.0,
+            user_id=user_id,
         )
         for i in range(num_requests)
     ]
     return Workload(name="cluster-test", requests=specs)
+
+
+def throttled_cluster(platform_7b) -> ClusterSimulator:
+    """A fleet whose throttle admits eight of one user's requests per minute."""
+    return make_cluster(platform_7b, capacity=64, throttle=OverloadThrottle(user_rpm=8))
+
+
+def crashing_cluster(platform_7b, retry: bool = False, **kwargs) -> ClusterSimulator:
+    """A fleet that loses replicas 0 and 1 mid-run, with no replacements.
+
+    Without ``retry`` the crashed replicas' requests are rejected, and their
+    closed-loop clients get their slots back once a survivor can route again.
+    """
+    plan = FaultPlan(
+        crashes=(ReplicaCrash(time=0.05, replica=0), ReplicaCrash(time=0.05, replica=1)),
+        replace_crashed=False,
+        **({} if retry else {"retry_policy": None}),
+    )
+    return make_cluster(platform_7b, capacity=64, faults=plan, **kwargs)
+
+
+def closed_loop_burst() -> Workload:
+    return make_workload(num_requests=32, input_length=48, output_length=4, max_new_tokens=8)
+
+
+def warming_cluster(platform_7b, **kwargs) -> ClusterSimulator:
+    """One replica that crashes at t=0; its replacement is ready at t=1."""
+    plan = FaultPlan(crashes=(ReplicaCrash(time=0.0, replica=0),), replacement_warmup=1.0)
+    return make_cluster(platform_7b, num_replicas=1, capacity=256, faults=plan, **kwargs)
 
 
 class TestClusterRuns:
@@ -136,11 +160,10 @@ class TestConservation:
         assert result.routed_requests + len(result.rejected) == result.submitted_requests == 24
 
     def test_requests_conserved_with_rejection(self, platform_7b):
-        # Capacity 64 and 48-token prompts: one admitted plus one queued
-        # request saturates a replica, so most of a 24-request instant burst
-        # must be rejected — and every request is still accounted for.
-        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
-        result = cluster.run_open_loop(stamped_workload())
+        # One user sends a 24-request instant burst against an 8-per-minute
+        # limit, so most of it is throttled — and every request is still
+        # accounted for.
+        result = throttled_cluster(platform_7b).run_open_loop(stamped_workload(user_id="u0"))
         assert result.rejected
         assert result.routed_requests + len(result.rejected) == result.submitted_requests == 24
         assert len(result.finished_requests) == result.routed_requests
@@ -149,25 +172,58 @@ class TestConservation:
         assert summary.rejected_requests == len(result.rejected)
 
     def test_closed_loop_rejection_does_not_deadlock(self, platform_7b):
-        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
-        result = cluster.run_closed_loop(
-            make_workload(num_requests=32, input_length=48, output_length=4, max_new_tokens=8),
-            num_clients=16,
-        )
+        result = crashing_cluster(platform_7b).run_closed_loop(closed_loop_burst(), num_clients=16)
+        assert result.completed
         assert result.submitted_requests == 32
-        # Load shedding must not cascade: rejected clients retry only once the
-        # fleet can route again, so a solid share of the workload is served
-        # even though 16 concurrent clients genuinely oversubscribe the pools.
+        assert result.reject_reasons == {REASON_REPLICA_CRASH: len(result.rejected)}
+        assert result.routed_requests + len(result.rejected) == 32
+        # Crash rejections must not cascade: rejected clients submit again
+        # only once a survivor can route, so a solid share of the workload
+        # is served even though 16 clients oversubscribe the two survivors.
         assert len(result.finished_requests) >= 16
 
-    def test_closed_loop_rejection_off_at_feasible_load(self, platform_7b):
-        # The same fleet serves everything once concurrency fits capacity.
-        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
-        result = cluster.run_closed_loop(
-            make_workload(num_requests=32, input_length=48, output_length=4, max_new_tokens=8),
-            num_clients=4,
-        )
+    def test_closed_loop_rejection_off_with_retries(self, platform_7b):
+        # The same fleet serves everything once crashed work is retried.
+        cluster = crashing_cluster(platform_7b, retry=True)
+        result = cluster.run_closed_loop(closed_loop_burst(), num_clients=16)
+        assert result.retries > 0
         assert len(result.finished_requests) == 32
+        assert not result.rejected
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_closed_loop_outage_accounts_for_every_request(self, platform_7b, fast_path):
+        # The only replica crashes and is not replaced.  Rejected clients
+        # must still get their slots back although no replica ever steps
+        # again, or the pool silently stops submitting its workload.
+        cluster = ClusterSimulator(
+            platform=platform_7b,
+            router="round-robin",
+            scheduler_name="aggressive",
+            faults=FaultPlan(crashes=(ReplicaCrash(time=5.0, replica=0),), replace_crashed=False),
+            fast_path=fast_path,
+        )
+        result = cluster.run_closed_loop(generate_sharegpt_workload(40, seed=1), num_clients=4)
+        assert result.completed
+        assert result.submitted_requests == 40
+        assert result.routed_requests == len(result.finished_requests) == 9
+        assert result.reject_reasons == {REASON_NO_REPLICAS: 31}
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_closed_loop_outage_with_replacement_serves_every_request(self, platform_7b, fast_path):
+        # The same outage with a replacement warming: crashed work retries,
+        # is parked until the replacement is ready, and nothing is lost.
+        plan = FaultPlan(crashes=(ReplicaCrash(time=5.0, replica=0),), replacement_warmup=2.0)
+        cluster = ClusterSimulator(
+            platform=platform_7b,
+            router="round-robin",
+            scheduler_name="aggressive",
+            faults=plan,
+            fast_path=fast_path,
+        )
+        result = cluster.run_closed_loop(generate_sharegpt_workload(40, seed=1), num_clients=4)
+        assert result.completed
+        assert result.deferrals > 0
+        assert len(result.finished_requests) == 40
         assert not result.rejected
 
 
@@ -205,60 +261,40 @@ class TestFleetAggregates:
 
 class TestRejectDeferBookkeeping:
     def test_reject_reasons_counted(self, platform_7b):
-        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
-        result = cluster.run_open_loop(stamped_workload())
+        result = throttled_cluster(platform_7b).run_open_loop(stamped_workload(user_id="u0"))
         assert result.rejected
         assert sum(result.reject_reasons.values()) == len(result.rejected)
-        assert result.reject_reasons == {REASON_SATURATED: len(result.rejected)}
+        assert result.reject_reasons == {REASON_THROTTLED: len(result.rejected)}
         assert result.deferrals == 0
 
-    def test_defer_parks_and_retries_requests(self, platform_7b):
-        # A saturated fleet defers instead of queueing; once capacity frees
-        # the parked requests are routed and everything finishes.
-        cluster = make_cluster(
-            platform_7b,
-            router="least-kv-load",
-            capacity=64,
-            num_replicas=2,
+    def test_warming_park_counts_and_retries_requests(self, platform_7b):
+        # Every arrival finds the only replica dead and its replacement
+        # warming: each is parked until the replacement is ready, counted,
+        # traced, and then served.
+        tracer = RingTracer()
+        result = warming_cluster(platform_7b, tracer=tracer).run_open_loop(
+            stamped_workload(num_requests=8)
         )
-        cluster.router.defer_when_saturated = 0.5
-        result = cluster.run_open_loop(stamped_workload(num_requests=8))
         assert result.completed
         assert len(result.finished_requests) == 8
-        assert result.deferrals > 0
         assert not result.rejected
-        assert "deferred" in result.describe()
+        assert result.deferrals == 8
+        assert "8 deferred" in result.describe()
+        parked = [e for e in tracer.events if e.name == obs.REQUEST_DEFERRED]
+        assert [e.request_id for e in parked] == [f"c-{i}" for i in range(8)]
+        assert all(e.time == 0.0 and e.attrs == {"retry_at": 1.0} for e in parked)
+        reference = warming_cluster(platform_7b, fast_path=False).run_open_loop(
+            stamped_workload(num_requests=8)
+        )
+        assert cluster_snapshot(reference) == cluster_snapshot(result)
+        assert reference.deferrals == 8
 
-    def test_deferred_requests_keep_original_arrival_time(self, platform_7b):
-        cluster = make_cluster(platform_7b, router="least-kv-load", capacity=64, num_replicas=2)
-        cluster.router.defer_when_saturated = 0.5
-        result = cluster.run_open_loop(stamped_workload(num_requests=8))
+    def test_warming_park_keeps_original_arrival_time(self, platform_7b):
+        result = warming_cluster(platform_7b).run_open_loop(stamped_workload(num_requests=8))
         assert result.deferrals > 0
-        # All requests arrived at t=0; deferral must not launder TTFT.
+        # All requests arrived at t=0; parking must not launder TTFT.
         assert all(r.arrival_time == 0.0 for r in result.requests)
-
-    def test_non_advancing_defer_raises(self, platform_7b):
-        class BadDeferRouter(Router):
-            name = "bad-defer"
-
-            def decide(self, spec, views, now=0.0):
-                return RoutingDecision.defer(until=now)
-
-        cluster = make_cluster(platform_7b, router=BadDeferRouter())
-        with pytest.raises(RuntimeError, match="strictly later"):
-            cluster.run_open_loop(stamped_workload(num_requests=1))
-
-    def test_router_level_rejection_without_cluster_knob(self, platform_7b):
-        # Rejection is a router policy: arming the simulator's router after
-        # construction takes effect, and an unarmed fleet queues instead.
-        assert not make_cluster(
-            platform_7b, router="least-kv-load", capacity=64
-        ).run_open_loop(stamped_workload()).rejected
-        cluster = make_cluster(platform_7b, router="least-kv-load", capacity=64)
-        cluster.router.reject_when_saturated = True
-        result = cluster.run_open_loop(stamped_workload())
-        assert result.rejected
-        assert result.routed_requests + len(result.rejected) == 24
+        assert all(r.first_token_time >= 1.0 for r in result.requests)
 
 
 class TestHeterogeneousFleet:
@@ -398,8 +434,8 @@ class TestValidation:
         class BrokenRouter(Router):
             name = "broken"
 
-            def decide(self, spec, views, now=0.0):
-                return RoutingDecision.route(99)
+            def decide(self, spec, views):
+                return 99
 
         cluster = make_cluster(platform_7b, router=BrokenRouter())
         with pytest.raises(RuntimeError, match="invalid replica"):

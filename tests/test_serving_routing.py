@@ -6,19 +6,14 @@ import pytest
 
 from repro.engine.request import Request
 from repro.serving.routing import (
-    REASON_SATURATED,
     LeastKVLoadRouter,
     LeastOutstandingRouter,
     MemoryAwareRouter,
     ReplicaView,
     RoundRobinRouter,
     Router,
-    RoutingAction,
-    RoutingDecision,
     available_routers,
     create_router,
-    router_overview,
-    shed_reason,
 )
 from tests.conftest import UNCAPPED, make_spec
 
@@ -92,46 +87,46 @@ class TestRoundRobin:
     def test_cycles_in_index_order(self):
         router = RoundRobinRouter()
         snapshots = [snap(i) for i in range(4)]
-        picks = [router.decide(SPEC, snapshots).replica_id for _ in range(8)]
+        picks = [router.decide(SPEC, snapshots) for _ in range(8)]
         assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_skips_saturated_replica(self):
         router = RoundRobinRouter()
         snapshots = [snap(0), snap(1, capacity=10, used=10), snap(2), snap(3)]
-        picks = [router.decide(SPEC, snapshots).replica_id for _ in range(6)]
+        picks = [router.decide(SPEC, snapshots) for _ in range(6)]
         assert picks == [0, 2, 3, 0, 2, 3]
 
     def test_all_saturated_falls_back_to_cycle(self):
         router = RoundRobinRouter()
         snapshots = [snap(i, capacity=10, used=10) for i in range(3)]
-        picks = [router.decide(SPEC, snapshots).replica_id for _ in range(4)]
+        picks = [router.decide(SPEC, snapshots) for _ in range(4)]
         assert picks == [0, 1, 2, 0]
 
     def test_reset_on_run_start(self):
         router = RoundRobinRouter()
         snapshots = [snap(i) for i in range(3)]
-        assert router.decide(SPEC, snapshots).replica_id == 0
+        assert router.decide(SPEC, snapshots) == 0
         router.on_run_start()
-        assert router.decide(SPEC, snapshots).replica_id == 0
+        assert router.decide(SPEC, snapshots) == 0
 
     def test_cycles_over_non_contiguous_ids(self):
         # Elastic fleets leave gaps in the id space (retired ids are never
         # reused); the rotation must treat ids as opaque keys.
         router = RoundRobinRouter()
         snapshots = [snap(0), snap(2), snap(5)]
-        picks = [router.decide(SPEC, snapshots).replica_id for _ in range(5)]
+        picks = [router.decide(SPEC, snapshots) for _ in range(5)]
         assert picks == [0, 2, 5, 0, 2]
 
     def test_survives_replica_set_churn(self):
         # The replica last served may vanish between calls (drained or
         # retired); the cursor then wraps within whatever set remains.
         router = RoundRobinRouter()
-        assert router.decide(SPEC, [snap(0), snap(1), snap(2)]).replica_id == 0
-        assert router.decide(SPEC, [snap(0), snap(1), snap(2)]).replica_id == 1
+        assert router.decide(SPEC, [snap(0), snap(1), snap(2)]) == 0
+        assert router.decide(SPEC, [snap(0), snap(1), snap(2)]) == 1
         # Replica 1 retires; a new replica 3 joins.
-        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]).replica_id == 2
-        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]).replica_id == 3
-        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]).replica_id == 0
+        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]) == 2
+        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]) == 3
+        assert router.decide(SPEC, [snap(0), snap(2), snap(3)]) == 0
 
 
 class TestLeastOutstanding:
@@ -142,40 +137,40 @@ class TestLeastOutstanding:
             snap(1, running=((10, 1),), waiting=(5, 5)),
             snap(2, running=((10, 1),)),
         ]
-        assert router.decide(SPEC, snapshots).replica_id == 2
+        assert router.decide(SPEC, snapshots) == 2
 
     def test_tie_breaks_to_lowest_id(self):
         router = LeastOutstandingRouter()
         snapshots = [snap(2), snap(0), snap(1)]
-        assert router.decide(SPEC, snapshots).replica_id == 0
+        assert router.decide(SPEC, snapshots) == 0
 
     def test_excludes_saturated(self):
         router = LeastOutstandingRouter()
         snapshots = [snap(0, capacity=10, used=10), snap(1, running=((10, 1),))]
-        assert router.decide(SPEC, snapshots).replica_id == 1
+        assert router.decide(SPEC, snapshots) == 1
 
 
 class TestLeastKVLoad:
     def test_picks_lowest_load_fraction(self):
         router = LeastKVLoadRouter()
         snapshots = [snap(0, used=500), snap(1, used=200), snap(2, used=300)]
-        assert router.decide(SPEC, snapshots).replica_id == 1
+        assert router.decide(SPEC, snapshots) == 1
 
     def test_counts_queued_demand(self):
         router = LeastKVLoadRouter()
         # Replica 1 looks emptier by resident tokens but has a deep queue.
         snapshots = [snap(0, used=300), snap(1, used=100, waiting=(300,))]
-        assert router.decide(SPEC, snapshots).replica_id == 0
+        assert router.decide(SPEC, snapshots) == 0
 
     def test_tie_breaks_to_lowest_id(self):
         router = LeastKVLoadRouter()
         snapshots = [snap(1, used=100), snap(0, used=100)]
-        assert router.decide(SPEC, snapshots).replica_id == 0
+        assert router.decide(SPEC, snapshots) == 0
 
     def test_excludes_saturated(self):
         router = LeastKVLoadRouter()
         snapshots = [snap(0, capacity=100, used=100), snap(1, used=900)]
-        assert router.decide(SPEC, snapshots).replica_id == 1
+        assert router.decide(SPEC, snapshots) == 1
 
 
 class TestMemoryAware:
@@ -187,18 +182,18 @@ class TestMemoryAware:
             snap(0, used=400, running=((200, 2), (200, 2))),
             snap(1, used=400, running=((200, 99), (200, 99))),
         ]
-        assert router.decide(SPEC, snapshots).replica_id == 1
+        assert router.decide(SPEC, snapshots) == 1
 
     def test_counts_waiting_queue_demand(self):
         router = MemoryAwareRouter(default_length=100)
         snapshots = [snap(0, waiting=(50, 50, 50)), snap(1, waiting=(50,))]
-        assert router.decide(SPEC, snapshots).replica_id == 1
+        assert router.decide(SPEC, snapshots) == 1
 
     def test_empty_replica_has_full_headroom(self):
         router = MemoryAwareRouter()
         snapshots = [snap(0, used=10, running=((10, 1),)), snap(1)]
         assert router.predicted_headroom_tokens(snapshots[1]) == snapshots[1].token_capacity
-        assert router.decide(SPEC, snapshots).replica_id == 1
+        assert router.decide(SPEC, snapshots) == 1
 
     def test_learns_from_finished_requests(self):
         router = MemoryAwareRouter(default_length=1000)
@@ -252,107 +247,62 @@ class TestMemoryAware:
     def test_tie_breaks_to_lowest_id(self):
         router = MemoryAwareRouter()
         snapshots = [snap(1), snap(0)]
-        assert router.decide(SPEC, snapshots).replica_id == 0
+        assert router.decide(SPEC, snapshots) == 0
 
     def test_excludes_saturated(self):
         router = MemoryAwareRouter()
         snapshots = [snap(0, capacity=100, used=100), snap(1, capacity=100, used=90)]
-        assert router.decide(SPEC, snapshots).replica_id == 1
-
-
-class TestRoutingDecision:
-    def test_route_constructor(self):
-        decision = RoutingDecision.route(3)
-        assert decision.is_route and not decision.is_reject and not decision.is_defer
-        assert decision.action is RoutingAction.ROUTE
-        assert decision.replica_id == 3
-
-    def test_reject_constructor(self):
-        decision = RoutingDecision.reject("overload")
-        assert decision.is_reject
-        assert decision.reason == "overload"
-        assert RoutingDecision.reject().reason == REASON_SATURATED
-
-    def test_defer_constructor(self):
-        decision = RoutingDecision.defer(until=4.5)
-        assert decision.is_defer
-        assert decision.retry_at == 4.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="must name a replica_id"):
-            RoutingDecision(action=RoutingAction.ROUTE)
-        with pytest.raises(ValueError, match="only route decisions"):
-            RoutingDecision(action=RoutingAction.REJECT, replica_id=1)
-        with pytest.raises(ValueError, match="must carry retry_at"):
-            RoutingDecision(action=RoutingAction.DEFER)
-        with pytest.raises(ValueError, match="only defer decisions"):
-            RoutingDecision(action=RoutingAction.ROUTE, replica_id=0, retry_at=1.0)
+        assert router.decide(SPEC, snapshots) == 1
 
 
 class TestDecideAPI:
-    @pytest.mark.parametrize("name", ["round-robin", "least-outstanding", "least-kv-load", "memory-aware"])
-    def test_builtins_return_route_decisions(self, name):
+    @pytest.mark.parametrize("name", available_routers())
+    def test_builtins_return_an_id_among_non_contiguous_views(self, name):
         router = create_router(name)
-        decision = router.decide(SPEC, [snap(0), snap(1)])
-        assert isinstance(decision, RoutingDecision)
-        assert decision.is_route
-        assert decision.replica_id in (0, 1)
+        # Ids 3/7/12 are opaque keys, not list indices; a session turn
+        # exercises session-affinity's own path as well as the fallback.
+        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        views = [snap(3), snap(7, used=500), snap(12, used=100)]
+        for spec in (SPEC, turn):
+            chosen = router.decide(spec, views)
+            assert isinstance(chosen, int)
+            assert chosen in (3, 7, 12)
 
     @pytest.mark.parametrize("name", available_routers())
-    def test_reject_when_saturated_knob(self, name):
-        router = create_router(name, reject_when_saturated=True)
-        saturated = [snap(i, capacity=10, used=10) for i in range(2)]
-        decision = router.decide(SPEC, saturated)
-        assert decision.is_reject
-        assert decision.reason == REASON_SATURATED
-        # One free replica and the request routes again.
-        assert router.decide(SPEC, [snap(0, capacity=10, used=10), snap(1)]).is_route
+    def test_routes_into_a_fully_saturated_fleet(self, name):
+        # Routers only place: a full fleet still gets a placement, and the
+        # replica's scheduler keeps the request queued until it fits.
+        router = create_router(name)
+        saturated = [snap(i, capacity=10, used=10) for i in (2, 5)]
+        assert router.decide(SPEC, saturated) in (2, 5)
+        # One open replica wins over the saturated one.
+        assert router.decide(SPEC, [snap(2, capacity=10, used=10), snap(5)]) == 5
 
-    def test_shed_classes_reject_by_class(self):
-        router = LeastKVLoadRouter(shed_classes={"batch"})
-        saturated = [snap(0, capacity=10, used=10)]
-        batch_spec = make_spec(request_id="b0").with_sla_class("batch")
-        decision = router.decide(batch_spec, saturated)
-        assert decision.is_reject
-        assert decision.reason == shed_reason("batch")
-        # Interactive traffic still queues on the saturated fleet.
-        assert router.decide(SPEC, saturated).is_route
-
-    def test_defer_when_saturated(self):
-        router = LeastOutstandingRouter(defer_when_saturated=0.5)
-        saturated = [snap(0, capacity=10, used=10)]
-        decision = router.decide(SPEC, saturated, now=2.0)
-        assert decision.is_defer
-        assert decision.retry_at == pytest.approx(2.5)
-        assert router.decide(SPEC, [snap(0)], now=2.0).is_route
-
-    def test_rejection_beats_deferral(self):
-        router = LeastOutstandingRouter(reject_when_saturated=True, defer_when_saturated=0.5)
-        assert router.decide(SPEC, [snap(0, capacity=10, used=10)]).is_reject
-
-    def test_round_robin_cursor_survives_rejection(self):
-        router = RoundRobinRouter(reject_when_saturated=True)
-        open_views = [snap(0), snap(1)]
-        assert router.decide(SPEC, open_views).replica_id == 0
-        # A rejected request must not advance the rotation.
-        assert router.decide(SPEC, [snap(0, capacity=10, used=10), snap(1, capacity=10, used=10)]).is_reject
-        assert router.decide(SPEC, open_views).replica_id == 1
-
-    def test_describe_mentions_policy_knobs(self):
-        assert LeastKVLoadRouter().describe() == "least-kv-load"
-        described = LeastKVLoadRouter(
-            reject_when_saturated=True, shed_classes={"batch"}, defer_when_saturated=1.0
-        ).describe()
-        assert "reject-saturated" in described
-        assert "shed=batch" in described
-        assert "defer=1s" in described
-        assert MemoryAwareRouter().describe() == "memory-aware (window=1000)"
-
-    def test_rejection_leaves_session_home_unset(self):
-        router = create_router("session-affinity", reject_when_saturated=True)
+    @pytest.mark.parametrize("name", available_routers())
+    def test_zero_views_raise(self, name):
         turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
-        assert router.decide(turn, [snap(0, capacity=10, used=10)]).is_reject
-        assert router.home_of("s0") is None
+        for spec in (SPEC, turn):
+            with pytest.raises(ValueError, match="zero replicas"):
+                create_router(name).decide(spec, [])
+
+    @pytest.mark.parametrize(
+        ("name", "described"),
+        [
+            ("round-robin", "round-robin"),
+            ("least-outstanding", "least-outstanding"),
+            ("least-kv-load", "least-kv-load"),
+            ("memory-aware", "memory-aware (window=1000)"),
+            ("session-affinity", "session-affinity (window=1000)"),
+        ],
+    )
+    def test_describe_names_the_policy(self, name, described):
+        assert create_router(name).describe() == described
+
+    def test_saturated_fleet_still_homes_the_session(self):
+        router = create_router("session-affinity")
+        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        assert router.decide(turn, [snap(4, capacity=10, used=10)]) == 4
+        assert router.home_of("s0") == 4
 
     def test_router_without_decide_cannot_be_instantiated(self):
         class EmptyRouter(Router):
@@ -392,7 +342,7 @@ class TestReplicaViewNormalised:
             snap(0, capacity=8000, used=3000),   # 37.5% load
             snap(1, capacity=800, used=400),     # 50% load
         ]
-        assert router.decide(SPEC, views).replica_id == 0
+        assert router.decide(SPEC, views) == 0
 
     def test_memory_aware_prefers_relative_headroom_on_mixed_fleet(self):
         router = MemoryAwareRouter(default_length=8)
@@ -403,7 +353,7 @@ class TestReplicaViewNormalised:
             snap(1, capacity=2000, used=200, running=((200, 100),)),
         ]
         assert router.predicted_headroom_tokens(views[0]) > router.predicted_headroom_tokens(views[1]) - 4000
-        assert router.decide(SPEC, views).replica_id == 1
+        assert router.decide(SPEC, views) == 1
 
     def test_memory_aware_speed_weighting_breaks_fraction_ties(self):
         router = MemoryAwareRouter(default_length=8)
@@ -421,9 +371,9 @@ class TestReplicaViewNormalised:
             )
 
         # Identical normalised headroom; the faster replica wins.
-        assert router.decide(SPEC, [view(0, 0.5), view(1, 1.0)]).replica_id == 1
+        assert router.decide(SPEC, [view(0, 0.5), view(1, 1.0)]) == 1
         # Equal speeds fall back to the lowest-id tie-break.
-        assert router.decide(SPEC, [view(0, 1.0), view(1, 1.0)]).replica_id == 0
+        assert router.decide(SPEC, [view(0, 1.0), view(1, 1.0)]) == 0
 
     def test_memory_aware_charges_placement_footprint(self):
         router = MemoryAwareRouter(default_length=8)
@@ -434,7 +384,7 @@ class TestReplicaViewNormalised:
             # Relatively emptier, but a 600-token prompt oversubscribes it.
             snap(1, capacity=700, used=100, running=((100, 100),)),
         ]
-        assert router.decide(big_spec, views).replica_id == 0
+        assert router.decide(big_spec, views) == 0
 
 
 class TestRegistry:
@@ -462,24 +412,9 @@ class TestRegistry:
         router = create_router("memory-aware", window_size=10)
         assert router.history.window_size == 10
 
-    def test_policy_kwargs_forwarded_to_every_router(self):
-        for name in available_routers():
-            router = create_router(name, reject_when_saturated=True, shed_classes=("batch",))
-            assert router.reject_when_saturated
-            assert router.shed_classes == frozenset({"batch"})
-
     def test_unknown_kwargs_rejected_with_accepted_list(self):
         with pytest.raises(TypeError, match="accepted") as excinfo:
-            create_router("round-robin", window_size=10)
-        assert "window_size" in str(excinfo.value)
-        assert "reject_when_saturated" in str(excinfo.value)
-
-    def test_overview_is_deterministic_and_documented(self):
-        overview = router_overview()
-        assert list(overview) == available_routers()
-        assert all(text for text in overview.values())
-        assert "round-robin" in overview
-
-    def test_zero_replicas_rejected(self):
-        with pytest.raises(ValueError, match="zero replicas"):
-            LeastOutstandingRouter().decide(SPEC, [])
+            create_router("memory-aware", window=10)
+        assert "'window'" in str(excinfo.value)
+        assert "default_length" in str(excinfo.value)
+        assert "did you mean 'window_size'" in str(excinfo.value)

@@ -24,7 +24,6 @@ from repro.serving.cluster import ClusterSimulator
 from repro.serving.routing import (
     MemoryAwareRouter,
     ReplicaView,
-    RoutingAction,
     SessionAffinityRouter,
     create_router,
 )
@@ -230,42 +229,39 @@ class TestSessionAffinityRouter:
         router = SessionAffinityRouter()
         fallback = MemoryAwareRouter()
         views = [view(0, used=50_000), view(1, used=1_000), view(2, used=60_000)]
-        decision = router.decide(turn_spec(0), views)
-        assert decision.action is RoutingAction.ROUTE
-        assert decision.replica_id == fallback.decide(turn_spec(0), views).replica_id
-        assert router.home_of("s0") == decision.replica_id
+        chosen = router.decide(turn_spec(0), views)
+        assert chosen == fallback.decide(turn_spec(0), views)
+        assert router.home_of("s0") == chosen
 
     def test_follow_up_turns_stick_to_the_home_replica(self):
         router = SessionAffinityRouter()
         views = [view(0, used=1_000), view(1, used=50_000)]
-        assert router.decide(turn_spec(0), views).replica_id == 0
+        assert router.decide(turn_spec(0), views) == 0
         # The home is now the *worse* load-balancing choice — affinity wins.
         loaded = [view(0, used=90_000), view(1, used=0)]
-        assert router.decide(turn_spec(1), loaded).replica_id == 0
+        assert router.decide(turn_spec(1), loaded) == 0
         assert router.home_of("s0") == 0
 
     def test_saturated_home_falls_back_and_rehomes(self):
         router = SessionAffinityRouter()
         views = [view(0), view(1, used=50_000)]
-        assert router.decide(turn_spec(0), views).replica_id == 0
+        assert router.decide(turn_spec(0), views) == 0
         saturated_home = [view(0, capacity=100, used=100), view(1)]
-        decision = router.decide(turn_spec(1), saturated_home)
-        assert decision.replica_id == 1
+        assert router.decide(turn_spec(1), saturated_home) == 1
         assert router.home_of("s0") == 1
 
     def test_unhealthy_home_falls_back_to_healthy_replicas(self):
         router = SessionAffinityRouter()
         views = [view(0), view(1, used=50_000)]
-        assert router.decide(turn_spec(0), views).replica_id == 0
+        assert router.decide(turn_spec(0), views) == 0
         degraded_home = [view(0, health="degraded"), view(1)]
-        assert router.decide(turn_spec(1), degraded_home).replica_id == 1
+        assert router.decide(turn_spec(1), degraded_home) == 1
 
     def test_departed_home_falls_back(self):
         router = SessionAffinityRouter()
-        assert router.decide(turn_spec(0), [view(0), view(1, used=50_000)]).replica_id == 0
+        assert router.decide(turn_spec(0), [view(0), view(1, used=50_000)]) == 0
         # Replica 0 crashed out of the routable set entirely.
-        decision = router.decide(turn_spec(1), [view(1), view(2, used=50_000)])
-        assert decision.replica_id == 1
+        assert router.decide(turn_spec(1), [view(1), view(2, used=50_000)]) == 1
         assert router.home_of("s0") == 1
 
     def test_sessionless_traffic_is_routed_memory_aware_without_homes(self):
@@ -278,8 +274,7 @@ class TestSessionAffinityRouter:
             remaining_cap_tokens=(UNCAPPED,),
             num_running=1,
         )
-        decision = router.decide(make_spec(), [busy, view(1)])
-        assert decision.replica_id == 1
+        assert router.decide(make_spec(), [busy, view(1)]) == 1
         assert router.home_of("s0") is None
 
     def test_on_run_start_forgets_homes(self):

@@ -18,7 +18,9 @@ attached, and the seven session-free ones pin that the session/prefix
 machinery is invisible unless a run actually serves interactions.
 
 Speedup (a ratio of two runs on the same machine) is compared rather than
-absolute seconds, so the check is robust to slow CI hosts.
+absolute seconds, so the check is robust to slow CI hosts.  Both loops share
+``InferenceEngine.step()``, so a change that speeds up ``step()`` lowers the
+ratio and must re-record the committed timings.
 """
 
 from __future__ import annotations

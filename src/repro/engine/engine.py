@@ -403,20 +403,16 @@ class InferenceEngine:
                 # policies replay bit-identically.
                 self.waiting.popleft()
             else:
-                # Fair schedulers admit across the queue in counter order;
-                # remove by identity (Request equality is structural and two
-                # distinct requests can compare equal).
-                for position, queued in enumerate(self.waiting):
-                    if queued is request:
-                        del self.waiting[position]
-                        break
-                else:
+                # Fair schedulers admit across the queue in counter order.
+                try:
+                    self.waiting.remove(request)
+                except ValueError:
                     # A request the queue does not hold (or admitted twice) is
                     # a policy bug we surface immediately.
                     raise RuntimeError(
                         f"scheduler {self.scheduler.name!r} admitted "
                         f"{request.request_id}, which is not in the waiting queue"
-                    )
+                    ) from None
             self.pool.allocate(cost)
             if entry is not None:
                 cache.claim(entry)
@@ -585,13 +581,17 @@ class InferenceEngine:
         end_time: float,
         evicted: list[Request],
         finished: list[Request],
-    ) -> bool:
-        """Grow the request by one token and stream it to the client."""
+    ) -> None:
+        """Grow the request by one token, making room first if the pool is full."""
         if not self.pool.free_tokens and not self._make_room(request, end_time, evicted):
-            return False
+            return
         self.pool.allocate(1)
-        request.deliver_token(end_time)
         self.stats.total_decode_tokens += 1
+        self._stream_token(request, end_time, finished)
+
+    def _stream_token(self, request: Request, end_time: float, finished: list[Request]) -> None:
+        """Stream one token whose slot is already allocated; finish if done."""
+        request.deliver_token(end_time)
         if self._tracing and request.generated_tokens == 1:
             self.tracer.emit(
                 TraceEvent(
@@ -637,7 +637,6 @@ class InferenceEngine:
                         },
                     )
                 )
-        return True
 
     # ------------------------------------------------------------------- step
     def step(self, time: float) -> StepResult:
@@ -660,10 +659,16 @@ class InferenceEngine:
 
         evicted: list[Request] = []
         finished: list[Request] = []
-        for request in decode_targets:
-            if request.is_running:
-                self._deliver_one_token(request, end_time, evicted, finished)
-        for request in completed_prefill:
+        # The first ``roomy`` tokens take one allocation: none of them can
+        # find the pool full, and finishes among them free exactly what the
+        # per-token path would have seen.  Only the rest may need evictions.
+        targets = decode_targets + completed_prefill
+        roomy = min(self.pool.free_tokens, len(targets))
+        self.pool.allocate(roomy)
+        self.stats.total_decode_tokens += roomy
+        for request in targets[:roomy]:
+            self._stream_token(request, end_time, finished)
+        for request in targets[roomy:]:
             if request.is_running:
                 self._deliver_one_token(request, end_time, evicted, finished)
         future_required = self._refresh_silent_cache()

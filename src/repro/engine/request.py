@@ -38,9 +38,17 @@ class RequestState(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+#: States in which a request occupies the running batch.  A module constant:
+#: building the tuple from enum class attributes on every check is slow.
+_RUNNING = (RequestState.PREFILLING, RequestState.DECODING)
+
+
+@dataclass(eq=False)
 class Request:
-    """Mutable serving-time state of one request."""
+    """Mutable serving-time state of one request.
+
+    Compared by identity: two requests built from one spec are distinct.
+    """
 
     spec: RequestSpec
     arrival_time: float
@@ -107,7 +115,7 @@ class Request:
     @property
     def is_running(self) -> bool:
         """Whether the request currently occupies the running batch."""
-        return self.state in (RequestState.PREFILLING, RequestState.DECODING)
+        return self.state in _RUNNING
 
     @property
     def prefill_remaining(self) -> int:

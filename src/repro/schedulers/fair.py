@@ -148,26 +148,26 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
         tenant with many queued requests cannot fill the whole batch in a
         single consult; admission rotates across tenants.  The charge is
         applied after ``yield``: the admission loop asks for the next
-        candidate only once it has admitted the previous one.  Stale heap
-        entries are lazily reinserted at the provisional value.
+        candidate only once it has admitted the previous one.  The heap holds
+        only each tenant's FIFO head, keyed ``(counter, queue index)``; after
+        a pick the tenant's next queued request enters at the charged counter.
         """
         counters = self._counters
-        provisional: dict[str, float] = {}
-        heap = [
-            (counters.get(self._tenant(candidate), 0.0), index)
-            for index, candidate in enumerate(waiting)
-        ]
+        tenants = [self._tenant(candidate) for candidate in waiting]
+        # Reversed, so each tenant keeps the index of its first request.
+        heads = dict(zip(reversed(tenants), range(len(tenants) - 1, -1, -1)))
+        heap = [(counters.get(tenant, 0.0), index, tenant) for tenant, index in heads.items()]
         heapq.heapify(heap)
         while heap:
-            pushed_counter, index = heapq.heappop(heap)
+            counter, index, tenant = heapq.heappop(heap)
             candidate = waiting[index]
-            tenant = self._tenant(candidate)
-            current = provisional.get(tenant, counters.get(tenant, 0.0))
-            if pushed_counter < current:
-                heapq.heappush(heap, (current, index))
-                continue
             yield candidate
-            provisional[tenant] = current + self._service_tokens(candidate) / self._weight(tenant)
+            try:
+                following = tenants.index(tenant, index + 1)
+            except ValueError:
+                continue
+            charged = counter + self._service_tokens(candidate) / self._weight(tenant)
+            heapq.heappush(heap, (charged, following, tenant))
 
     def trace_signals(self) -> dict:
         """Virtual counters of the currently active tenants (rounded)."""

@@ -48,17 +48,17 @@ class TestRunningBatch:
         assert batch.total_context_tokens == (10 + 5) + (10 + 2)
 
 
-def full_engine(platform_7b, residents: list[Request]) -> InferenceEngine:
-    """An engine whose pool is exactly filled by ``residents``, in batch order."""
+def full_engine(platform_7b, residents: list[Request], free: int = 0) -> InferenceEngine:
+    """An engine holding ``residents`` in batch order with ``free`` slots to spare."""
     engine = InferenceEngine(
         platform=platform_7b,
         scheduler=AggressiveScheduler(watermark=1.0),
-        token_capacity_override=sum(r.current_context_tokens for r in residents),
+        token_capacity_override=sum(r.current_context_tokens for r in residents) + free,
     )
     for request in residents:
         engine.batch.add(request)
         engine.pool.allocate(request.current_context_tokens)
-    assert engine.pool.free_tokens == 0
+    assert engine.pool.free_tokens == free
     return engine
 
 
@@ -164,3 +164,56 @@ class TestEvictionRule:
         assert engine.batch.requests == [old, mid, new]
         assert len(engine.prefix_cache) == 0
         assert engine.pool.free_tokens == 5
+
+
+class TestDeliveryAtThePoolBoundary:
+    """``step`` allocates the first ``min(free, n)`` tokens at once, the rest per token.
+
+    Every resident decodes, so the step's delivery targets are the batch in
+    order; the outcomes are the ones the per-token path produces.
+    """
+
+    def _context(self, engine: InferenceEngine) -> int:
+        return sum(r.current_context_tokens for r in engine.batch)
+
+    def test_a_slot_per_target_evicts_nothing(self, platform_7b):
+        residents = [running_request(name, float(t), generated=2) for t, name in enumerate("abc", 1)]
+        engine = full_engine(platform_7b, residents, free=3)
+        result = engine.step(4.0)
+        assert result.evicted == [] and result.finished == []
+        assert [r.generated_tokens for r in residents] == [3, 3, 3]
+        assert engine.pool.free_tokens == 0
+        assert engine.pool.used_tokens == self._context(engine)
+
+    def test_a_finish_among_the_roomy_tokens_makes_room_for_the_last(self, platform_7b):
+        # ``a`` delivers its last token first and frees its context, so ``c``
+        # finds room without evicting anyone.
+        a = running_request("a", 1.0, generated=19)
+        b = running_request("b", 2.0, generated=2)
+        c = running_request("c", 3.0, generated=2)
+        engine = full_engine(platform_7b, [a, b, c], free=2)
+        result = engine.step(4.0)
+        assert result.evicted == []
+        assert result.finished == [a]
+        assert a.is_finished
+        assert (b.generated_tokens, c.generated_tokens) == (3, 3)
+        assert engine.batch.requests == [b, c]
+        assert engine.pool.used_tokens == self._context(engine)
+        assert engine.stats.total_decode_tokens == 3
+
+    def test_one_slot_short_evicts_the_newest_admission(self, platform_7b):
+        # ``mid`` delivers last and finds the pool full: the newest other
+        # resident, ``new``, is evicted after it already got its token.
+        old = running_request("old", 1.0, generated=2)
+        new = running_request("new", 3.0, generated=2)
+        mid = running_request("mid", 2.0, generated=2)
+        engine = full_engine(platform_7b, [old, new, mid], free=2)
+        result = engine.step(4.0)
+        assert result.evicted == [new]
+        assert result.finished == []
+        assert new.state is RequestState.QUEUED
+        assert list(engine.waiting) == [new]
+        assert engine.batch.requests == [old, mid]
+        assert (old.generated_tokens, new.generated_tokens, mid.generated_tokens) == (3, 3, 3)
+        assert engine.pool.used_tokens == self._context(engine)
+        assert engine.stats.total_decode_tokens == 3

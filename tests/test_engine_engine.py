@@ -8,6 +8,7 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
 from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.conservative import ConservativeScheduler
+from repro.schedulers.fair import VirtualTokenCounterScheduler
 from repro.schedulers.oracle import OracleScheduler
 from tests.conftest import make_spec
 
@@ -262,6 +263,40 @@ class TestEvictionBehaviour:
         assert first.admission_times == second.admission_times == third.admission_times == [0.0]
         assert result.evicted == [second]
         assert engine.batch.requests == [first, third]
+
+
+class BackToFrontScheduler(VirtualTokenCounterScheduler):
+    """A fair scheduler that considers the queue newest first."""
+
+    def _candidates(self, waiting):
+        return reversed(waiting)
+
+
+class TestAdmissionByIdentity:
+    def test_admitting_the_second_of_two_equal_requests_removes_the_second(self, platform_7b):
+        engine = make_engine(platform_7b, scheduler=BackToFrontScheduler(max_running_requests=1))
+        spec = make_spec()
+        first = Request(spec=spec, arrival_time=0.0)
+        second = Request(spec=spec, arrival_time=0.0)
+        engine.submit(first)
+        engine.submit(second)
+        admitted = engine._admit(0.0)
+        assert len(admitted) == 1 and admitted[0] is second
+        assert len(engine.waiting) == 1 and engine.waiting[0] is first
+        assert engine.batch.requests[0] is second
+
+    def test_admitting_a_request_the_queue_does_not_hold_raises(self, platform_7b):
+        stranger = Request(spec=make_spec(request_id="stranger"), arrival_time=0.0)
+
+        class StrangerScheduler(VirtualTokenCounterScheduler):
+            def _candidates(self, waiting):
+                return [stranger]
+
+        engine = make_engine(platform_7b, scheduler=StrangerScheduler())
+        submit_requests(engine, 2)
+        with pytest.raises(RuntimeError, match="stranger, which is not in the waiting queue"):
+            engine._admit(0.0)
+
 
 class TestAbortAll:
     def test_abort_all_frees_residents_and_cached_prefixes(self, platform_7b):

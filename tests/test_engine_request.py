@@ -12,6 +12,16 @@ def make_request(**kwargs) -> Request:
     return Request(spec=make_spec(**kwargs), arrival_time=1.0)
 
 
+class TestIdentity:
+    def test_requests_built_from_one_spec_are_distinct(self):
+        spec = make_spec()
+        first = Request(spec=spec, arrival_time=1.0)
+        second = Request(spec=spec, arrival_time=1.0)
+        assert first != second
+        assert first == first
+        assert len({first, second}) == 2
+
+
 class TestLifecycle:
     def test_initial_state(self):
         request = make_request()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.schedulers.base import SchedulingContext
+from repro.schedulers.fair import VirtualTokenCounterScheduler, WeightedServiceCounterScheduler
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash
 from repro.serving.routing import ROUTER_REGISTRY, MemoryAwareRouter, ReplicaView
@@ -769,3 +772,78 @@ class TestPoolLedgerProperties:
             else:
                 simulator.run_closed_loop(workload, num_clients=12)
         assert_pool_ledger(simulator.replicas[0].engine)
+
+
+def whole_queue_vtc_order(scheduler, waiting):
+    """VTC's candidate order as a heap over every queued request: the spec.
+
+    Every request enters keyed ``(tenant counter, queue index)``; a popped
+    entry whose tenant was provisionally charged since it was pushed goes
+    back in at the charged counter.
+    """
+    counters = scheduler._counters
+    provisional: dict[str, float] = {}
+    heap = [(counters.get(scheduler._tenant(r), 0.0), index) for index, r in enumerate(waiting)]
+    heapq.heapify(heap)
+    while heap:
+        pushed, index = heapq.heappop(heap)
+        candidate = waiting[index]
+        tenant = scheduler._tenant(candidate)
+        current = provisional.get(tenant, counters.get(tenant, 0.0))
+        if pushed < current:
+            heapq.heappush(heap, (current, index))
+            continue
+        yield candidate
+        provisional[tenant] = current + scheduler._service_tokens(candidate) / scheduler._weight(tenant)
+
+
+#: Tenants a queued request may belong to; ``None`` is the anonymous tenant.
+vtc_tenant_strategy = st.sampled_from([None, "t0", "t1", "t2", "t3", "t4"])
+#: A virtual counter: small shared values make ties common.
+vtc_counter_strategy = st.one_of(
+    st.sampled_from([0.0, 1.0, 8.0]), st.floats(0.0, 200.0, allow_nan=False)
+)
+
+
+class TestVirtualTokenCounterOrderProperties:
+    """The per-tenant-head heap yields exactly the whole-queue heap's order."""
+
+    @given(
+        queue=st.lists(
+            st.tuples(vtc_tenant_strategy, st.integers(1, 64), st.integers(0, 8)), min_size=1, max_size=30
+        ),
+        counters=st.dictionaries(
+            st.sampled_from(["anonymous", "t0", "t1", "t2", "t3", "t4"]), vtc_counter_strategy
+        ),
+        weights=st.dictionaries(st.sampled_from(["t0", "t1", "t2", "t3"]), st.floats(0.25, 4.0)),
+        service_weights=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 2.0), (0.5, 1.5)]),
+        admitted=st.integers(0, 32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_k_candidates_match_the_whole_queue_heap(
+        self, queue, counters, weights, service_weights, admitted
+    ):
+        waiting = []
+        for index, (tenant, prompt, generated) in enumerate(queue):
+            spec = RequestSpec(
+                request_id=f"q{index}",
+                input_length=prompt,
+                output_length=64,
+                max_new_tokens=64,
+                user_id=tenant,
+            )
+            request = Request(spec=spec, arrival_time=0.0)
+            # An evicted request is queued again with its generated tokens.
+            request.generated_tokens = generated
+            waiting.append(request)
+        prefill_weight, decode_weight = service_weights
+        for scheduler in (
+            VirtualTokenCounterScheduler(prefill_weight=prefill_weight, decode_weight=decode_weight),
+            WeightedServiceCounterScheduler(
+                weights=weights, prefill_weight=prefill_weight, decode_weight=decode_weight
+            ),
+        ):
+            scheduler._counters = dict(counters)
+            got = list(islice(scheduler._candidates(waiting), admitted))
+            want = list(islice(whole_queue_vtc_order(scheduler, waiting), admitted))
+            assert [r.request_id for r in got] == [r.request_id for r in want], scheduler.name

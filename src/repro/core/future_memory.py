@@ -32,7 +32,7 @@ def _token_arrays(current, remaining, ndims: tuple[int, ...]) -> tuple[np.ndarra
         raise ValueError("current and remaining must have the same shape")
     if current_arr.ndim not in ndims:
         raise ValueError(f"current and remaining must have {' or '.join(map(str, ndims))} dimensions")
-    if np.any(current_arr < 0) or np.any(remaining_arr < 0):
+    if (current_arr < 0).any() or (remaining_arr < 0).any():
         raise ValueError("token counts must be non-negative")
     return current_arr, remaining_arr
 

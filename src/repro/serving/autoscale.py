@@ -21,7 +21,7 @@ Three policies are provided, in increasing order of foresight:
   keeps the same sliding output-length history the Past-Future scheduler and
   :class:`~repro.serving.routing.MemoryAwareRouter` use, forecasts each
   replica's *peak* future KV demand (Eq. 2–4 via
-  :meth:`MemoryAwareRouter.predicted_peak_tokens`) plus the demand of
+  :meth:`MemoryAwareRouter.predicted_peaks`, one call per fleet) plus the demand of
   requests forecast to arrive within one warm-up horizon, and sizes the
   fleet so predicted demand fits under a target utilisation.  Because queued
   prompts and predicted output growth are visible *before* replicas saturate,
@@ -342,9 +342,7 @@ class PredictivePolicy(AutoscalerPolicy):
     # ------------------------------------------------------------ forecasting
     def predicted_fleet_demand_tokens(self, view: FleetView) -> float:
         """Forecast peak KV tokens the fleet must hold within the horizon."""
-        resident = sum(
-            self._forecaster.predicted_peak_tokens(snapshot) for snapshot in view.snapshots
-        )
+        resident = sum(self._forecaster.predicted_peaks(view.snapshots))
         expected_request = view.mean_arrival_tokens + self._forecaster.history.mean()
         incoming = view.arrival_rate * self._effective_horizon * expected_request
         return resident + incoming

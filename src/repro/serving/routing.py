@@ -32,7 +32,8 @@ Five policies are provided, in increasing order of awareness:
 * :class:`MemoryAwareRouter` — largest predicted future-memory headroom as a
   fraction of the replica's own capacity, weighted by replica speed.  It
   maintains the same sliding output-length history the Past-Future scheduler
-  uses and evaluates each replica's peak future memory (Eq. 2–4 via
+  uses and evaluates every candidate's peak future memory in one pass (one
+  prediction over all candidates' requests, one padded 2-D Eq. 2–4 call via
   :func:`repro.core.future_memory.peak_future_memory_arrays`), so a replica
   whose batch *will* balloon is avoided even while its present occupancy
   still looks low;
@@ -70,8 +71,9 @@ class ReplicaView:
 
     Each resident request appears once, at the same index of the three
     per-request columns: the running batch first, then the waiting queue.
-    The memory-aware router turns the columns into one ``(3, n)`` array per
-    prediction.
+    Columns stay tuples: the memory-aware router concatenates every
+    candidate's columns into one array per decision, and the other routers
+    never read them.
 
     Attributes:
         replica_id: index of the replica within the cluster.
@@ -170,7 +172,7 @@ class ReplicaView:
         the same relative slack on a 24 GB card as on an 80 GB one, which is
         what makes replicas of different generations comparable.  Its
         predicted-peak counterpart, normalised the same way, is what
-        :meth:`MemoryAwareRouter.placement_score` ranks on.
+        :meth:`MemoryAwareRouter.placement_scores` ranks on.
         """
         return self.headroom_tokens / self.token_capacity
 
@@ -405,20 +407,34 @@ class MemoryAwareRouter(Router):
         expected_total = np.where(counts > 0, np.ceil(conditional_mean), generated + 1)
         return np.maximum(expected_total.astype(np.int64) - generated, 1)
 
-    def predicted_peak_tokens(self, view: ReplicaView) -> int:
-        """Predicted peak future memory of one replica's in-flight work.
+    def predicted_peaks(self, views: Sequence[ReplicaView]) -> list[int]:
+        """Predicted peak future memory of each view's in-flight work, in order.
 
+        All views' requests share one :meth:`_expected_remaining` call, and
+        each busy view is one row of one padded 2-D Eq. 2–4 kernel call.
         Each request's predicted growth is clamped to its ``max_new_tokens``
         budget, like the Past-Future scheduler: a 2048-token cold-start
         default must not predict growth a 128-cap request can never occupy.
+        Pads are ``(current 0, remaining 0)`` *after* that clamp, so they
+        never raise a row's peak.
         """
-        if not view.current_tokens:
-            return 0  # idle replicas are common and need no numpy call
-        current, generated, caps = np.array(
-            (view.current_tokens, view.generated_tokens, view.remaining_cap_tokens), dtype=np.int64
-        )
-        remaining = self._expected_remaining(generated)
-        return peak_future_memory_arrays(current, np.maximum(np.minimum(remaining, caps), 1))
+        busy = [view for view in views if view.current_tokens]
+        if not busy:
+            return [0] * len(views)  # idle replicas are common and need no numpy call
+        columns = [(view.current_tokens, view.generated_tokens, view.remaining_cap_tokens) for view in busy]
+        current, generated, caps = np.array([sum(column, ()) for column in zip(*columns)], dtype=np.int64)
+        lengths = [len(view.current_tokens) for view in busy]
+        real = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        padded_current = np.zeros(real.shape, dtype=np.int64)
+        padded_remaining = np.zeros(real.shape, dtype=np.int64)
+        padded_current[real] = current
+        padded_remaining[real] = np.maximum(np.minimum(self._expected_remaining(generated), caps), 1)
+        peaks = iter(peak_future_memory_arrays(padded_current, padded_remaining).tolist())
+        return [next(peaks) if view.current_tokens else 0 for view in views]
+
+    def predicted_peak_tokens(self, view: ReplicaView) -> int:
+        """Predicted peak future memory of one replica's in-flight work."""
+        return self.predicted_peaks([view])[0]
 
     def predicted_headroom_tokens(self, view: ReplicaView) -> int:
         """Predicted future-memory headroom (can be negative when oversubscribed).
@@ -429,24 +445,30 @@ class MemoryAwareRouter(Router):
         """
         return view.token_capacity - self.predicted_peak_tokens(view)
 
-    def placement_score(self, spec: RequestSpec, view: ReplicaView) -> float:
-        """Speed-weighted normalised headroom left after placing ``spec``.
+    def placement_scores(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> list[float]:
+        """Speed-weighted normalised headroom left after placing ``spec``, per view.
 
         Higher is better.  The arriving request's prompt footprint is charged
-        against the replica's predicted headroom before normalising, so a
+        against each replica's predicted headroom before normalising, so a
         request that simply does not fit a small replica scores deeply
         negative there rather than hiding behind a rosy fraction.
         """
-        placed = (self.predicted_headroom_tokens(view) - spec.prompt_tokens) / view.token_capacity
-        if placed >= 0:
-            return placed * view.speed_factor
-        return placed / view.speed_factor
+        scores = []
+        for view, peak in zip(views, self.predicted_peaks(views)):
+            placed = (view.token_capacity - peak - spec.prompt_tokens) / view.token_capacity
+            scores.append(placed * view.speed_factor if placed >= 0 else placed / view.speed_factor)
+        return scores
+
+    def _pick_best(self, spec: RequestSpec, candidates: list[ReplicaView]) -> int:
+        """Best-scoring candidate, ties broken by lowest replica id."""
+        scores = self.placement_scores(spec, candidates)
+        # Largest score == smallest negated score, so ties favour the lowest replica id.
+        best = min(zip(scores, candidates), key=lambda pair: (-pair[0], pair[1].replica_id))
+        return best[1].replica_id
 
     def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
         """The candidate with the best speed-weighted headroom score."""
-        # Largest score == smallest negated score, so tie-breaking still
-        # favours the lowest replica id.
-        return self._pick_min(views, lambda view: -self.placement_score(spec, view))
+        return self._pick_best(spec, self.candidates(views))
 
     def describe(self) -> str:
         """One-line parameterised description used in result tables."""
@@ -501,15 +523,14 @@ class SessionAffinityRouter(MemoryAwareRouter):
 
     def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
         """The session's home replica when viable, else the memory-aware pick."""
+        candidates = self.candidates(views)
         if spec.session_id is None:
-            return super().decide(spec, views)
+            return self._pick_best(spec, candidates)
         home = self._homes.get(spec.session_id)
-        if home is not None and any(
-            view.replica_id == home for view in self.candidates(views)
-        ):
+        if home is not None and any(view.replica_id == home for view in candidates):
             chosen = home
         else:
-            chosen = self._pick_min(views, lambda view: -self.placement_score(spec, view))
+            chosen = self._pick_best(spec, candidates)
         self._homes[spec.session_id] = chosen
         return chosen
 

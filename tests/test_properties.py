@@ -276,6 +276,21 @@ def reference_remaining(window: list[int], generated: int, cap: int) -> int:
     return max(min(max(expected_total - generated, 1), cap), 1)
 
 
+def resident_view(replica_id: int, running, waiting) -> ReplicaView:
+    """A view of ``running`` then ``waiting`` residents, each ``(prompt, generated, cap)``."""
+    # Queued entries with ``generated > 0`` are evictees waiting to be readmitted.
+    residents = running + waiting
+    return ReplicaView(
+        replica_id=replica_id,
+        token_capacity=10**6,
+        used_tokens=sum(prompt + generated for prompt, generated, _ in running),
+        current_tokens=tuple(prompt + generated for prompt, generated, _ in residents),
+        generated_tokens=tuple(generated for _, generated, _ in residents),
+        remaining_cap_tokens=tuple(cap for _, _, cap in residents),
+        num_running=len(running),
+    )
+
+
 class TestRouterPredictionProperties:
     @given(
         earlier=st.lists(st.integers(1, 400), max_size=60),
@@ -290,26 +305,65 @@ class TestRouterPredictionProperties:
         self, earlier, later, window_size, default_length, running, waiting
     ):
         router = MemoryAwareRouter(window_size=window_size, default_length=default_length)
-        # Queued entries with ``generated > 0`` are evictees waiting to be readmitted.
-        residents = running + waiting
-        view = ReplicaView(
-            replica_id=0,
-            token_capacity=10**6,
-            used_tokens=sum(prompt + generated for prompt, generated, _ in running),
-            current_tokens=tuple(prompt + generated for prompt, generated, _ in residents),
-            generated_tokens=tuple(generated for _, generated, _ in residents),
-            remaining_cap_tokens=tuple(cap for _, _, cap in residents),
-            num_running=len(running),
-        )
+        view = resident_view(0, running, waiting)
         router.history.extend(earlier)
         router.predicted_peak_tokens(view)  # fill the table cache before the window moves
         router.history.extend(later)
         window = (earlier + later)[-window_size:] or [default_length]
         expected = peak_of([
             (prompt + generated, reference_remaining(window, generated, cap))
-            for prompt, generated, cap in residents
+            for prompt, generated, cap in running + waiting
         ])
         assert router.predicted_peak_tokens(view) == expected
+
+    @given(
+        earlier=st.lists(st.integers(1, 400), max_size=60),
+        later=st.lists(st.integers(1, 400), max_size=60),
+        window_size=st.integers(1, 50),
+        # Caps of 0 and 1 and long generations make remaining-1 entries, the
+        # ones a pad with remaining 1 would outgrow.
+        replicas=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(1, 500), st.integers(0, 500), st.integers(0, 3)), max_size=6),
+                st.lists(resident_strategy, max_size=6),
+            ),
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=25)
+    def test_batched_peaks_match_per_view_and_reference(self, earlier, later, window_size, replicas):
+        router = MemoryAwareRouter(window_size=window_size, default_length=200)
+        views = [resident_view(index, running, waiting) for index, (running, waiting) in enumerate(replicas)]
+        router.history.extend(earlier)
+        router.predicted_peaks(views)  # fill the table cache before the window moves
+        router.history.extend(later)
+        window = (earlier + later)[-window_size:] or [200]
+        expected = [
+            peak_of([
+                (prompt + generated, reference_remaining(window, generated, cap))
+                for prompt, generated, cap in running + waiting
+            ])
+            for running, waiting in replicas
+        ]
+        assert router.predicted_peaks(views) == expected
+        assert [router.predicted_peak_tokens(view) for view in views] == expected
+
+    @given(
+        running=st.lists(resident_strategy, min_size=1, max_size=6),
+        ids=st.lists(st.integers(0, 50), min_size=2, max_size=4, unique=True),
+        history=st.lists(st.integers(1, 400), max_size=30),
+    )
+    @settings(max_examples=25)
+    def test_equal_scores_pick_the_lowest_replica_id(self, running, ids, history):
+        # Identical busy views score identically, so the lowest id must win
+        # whatever order the views arrive in.
+        spec = RequestSpec(request_id="r", input_length=1, output_length=1, max_new_tokens=1)
+        views = [resident_view(replica_id, running, []) for replica_id in ids]
+        for name in ("memory-aware", "session-affinity"):
+            router = ROUTER_REGISTRY[name]()
+            router.history.extend(history)
+            assert router.decide(spec, views) == min(ids)
+            assert router.decide(spec.with_session("s", 0, 2), views) == min(ids)
 
 
 class TestBlockPoolProperties:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.engine.request import Request
+from repro.serving import routing
+from repro.serving.autoscale import FleetView, PredictivePolicy
 from repro.serving.routing import (
     LeastKVLoadRouter,
     LeastOutstandingRouter,
@@ -253,6 +257,68 @@ class TestMemoryAware:
         router = MemoryAwareRouter()
         snapshots = [snap(0, capacity=100, used=100), snap(1, capacity=100, used=90)]
         assert router.decide(SPEC, snapshots) == 1
+
+
+class TestOneRoutingPass:
+    """One decision is one prediction and one Eq. 2–4 call, however many replicas are busy."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch) -> Counter:
+        calls: Counter = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        # The kernel is looked up in the routing module, where the layer profile patches it too.
+        monkeypatch.setattr(
+            routing, "peak_future_memory_arrays", counted("kernel", routing.peak_future_memory_arrays)
+        )
+        monkeypatch.setattr(
+            MemoryAwareRouter, "_expected_remaining", counted("prediction", MemoryAwareRouter._expected_remaining)
+        )
+        return calls
+
+    BUSY = (
+        snap(0, used=400, running=((200, 2), (200, 2)), waiting=(30,)),
+        snap(1),
+        snap(2, used=150, running=((150, 40),)),
+        snap(3, used=600, running=((300, 9), (200, 1), (100, 0))),
+    )
+
+    def test_memory_aware_decision(self, calls):
+        assert MemoryAwareRouter(default_length=100).decide(SPEC, self.BUSY) == 1
+        assert calls == {"kernel": 1, "prediction": 1}
+
+    def test_session_fallback(self, calls):
+        router = create_router("session-affinity", default_length=100)
+        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        busy = [view for view in self.BUSY if view.current_tokens]
+        assert router.decide(turn, busy) == 2
+        assert calls == {"kernel": 1, "prediction": 1}
+        # The home is viable on the next turn: no scoring at all.
+        assert router.decide(turn, busy) == 2
+        assert calls == {"kernel": 1, "prediction": 1}
+
+    def test_fleet_demand_forecast(self, calls):
+        policy = PredictivePolicy(default_length=100)
+        demand = policy.predicted_fleet_demand_tokens(FleetView(time=0.0, snapshots=self.BUSY))
+        assert calls == {"kernel": 1, "prediction": 1}
+        forecaster = MemoryAwareRouter(default_length=100)
+        assert demand == sum(forecaster.predicted_peak_tokens(view) for view in self.BUSY)
+
+    @pytest.mark.parametrize("name", ["memory-aware", "session-affinity"])
+    def test_idle_fleet_makes_no_numpy_call(self, calls, name):
+        router = create_router(name)
+        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        for spec in (SPEC, turn):
+            assert router.decide(spec, [snap(4), snap(2), snap(9)]) == 2
+        assert router.predicted_peaks([snap(4), snap(2)]) == [0, 0]
+        assert router.predicted_peaks([]) == []
+        assert not calls
 
 
 class TestDecideAPI:

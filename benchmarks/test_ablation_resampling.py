@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import CAPACITY_7B_A100, PREFILL_CAP_SCALED, scaled, write_report
-from repro.analysis.experiments import FleetConfig, memory_report_from_run, run_experiment
+from repro.analysis.experiments import memory_report_from_run
 from repro.analysis.tables import render_table
 from repro.core.past_future import PastFutureScheduler
 from repro.core.predictor import OutputLengthPredictor
 from repro.engine.request import Request
 from repro.serving.results import RunResult
+from repro.serving.server import ServingSimulator
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
 
 NUM_REQUESTS = 200
@@ -79,15 +80,17 @@ class StaticPredictionScheduler(PastFutureScheduler):
 
 def run_ablation(platform, scheduler, fast_path: bool = True) -> RunResult:
     """One closed-loop run of the ablation's workload under ``scheduler``."""
-    config = FleetConfig(
-        platform=platform,
-        num_clients=NUM_CLIENTS,
+    # The scheduler is not registered, so the run is built around the
+    # instance rather than from a FleetConfig.
+    simulator = ServingSimulator(
+        platform,
+        scheduler,
         token_capacity_override=CAPACITY_7B_A100,
         chunked_prefill_tokens=PREFILL_CAP_SCALED,
         fast_path=fast_path,
     )
     workload = scaled(generate_sharegpt_o1_workload(NUM_REQUESTS, seed=311))
-    result = run_experiment(config, workload, scheduler=scheduler)
+    result = simulator.run_closed_loop(workload, num_clients=NUM_CLIENTS)
     assert result.completed
     return result
 

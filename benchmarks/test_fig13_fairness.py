@@ -34,9 +34,9 @@ from benchmarks.conftest import (
     scaled,
     write_report,
 )
+from repro.analysis.experiments import FleetConfig, sweep
 from repro.analysis.tables import render_table
-from repro.schedulers import create_scheduler
-from repro.serving import OverloadThrottle, REASON_THROTTLED, ServingSimulator
+from repro.serving import OverloadThrottle, REASON_THROTTLED
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_poisson_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_workload
@@ -71,28 +71,28 @@ def fairness_workload():
     return assign_poisson_arrivals(workload, request_rate=REQUEST_RATE, seed=9)
 
 
-def run_stack(platform, scheduler_name: str, throttle=None, **scheduler_kwargs):
-    simulator = ServingSimulator(
-        platform,
-        create_scheduler(scheduler_name, watermark=0.95, **scheduler_kwargs),
+def run_all(platform):
+    # Every stack shares the VTC base's watermark; each differs from it in
+    # one field.
+    base = FleetConfig(
+        platform=platform,
+        scheduler_name="vtc",
+        scheduler_kwargs={"watermark": 0.95},
         token_capacity_override=ENGINE_CAPACITY,
         chunked_prefill_tokens=PREFILL_CAP_SCALED,
-        throttle=throttle,
     )
-    return simulator.run_open_loop(fairness_workload())
-
-
-def run_all(platform):
-    return {
-        "fcfs": run_stack(platform, "aggressive"),
-        "vtc": run_stack(platform, "vtc"),
-        "weighted-vtc": run_stack(platform, "weighted-vtc", weights={"user-0002": 2.0}),
+    stacks = {
+        "fcfs": {"scheduler_name": "aggressive"},
+        "vtc": {},
+        "weighted-vtc": {
+            "scheduler_name": "weighted-vtc",
+            "scheduler_kwargs": {"watermark": 0.95, "weights": {"user-0002": 2.0}},
+        },
         # 300 admitted requests per user per minute: only the two abusive
         # users (~480 requests each inside the burst window) ever hit it.
-        "vtc+throttle": run_stack(
-            platform, "vtc", throttle=OverloadThrottle(user_rpm=300)
-        ),
+        "vtc+throttle": {"throttle": OverloadThrottle(user_rpm=300)},
     }
+    return sweep(base, fairness_workload(), stacks)
 
 
 @pytest.mark.benchmark(group="fig13")

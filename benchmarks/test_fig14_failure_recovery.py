@@ -31,10 +31,10 @@ from benchmarks.conftest import (
     scaled,
     write_report,
 )
+from repro.analysis.experiments import FleetConfig, run_experiment
 from repro.analysis.perf import cluster_fingerprint
 from repro.analysis.tables import render_table
 from repro.metrics import summarize_availability
-from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import (
     REASON_REPLICA_CRASH,
     FaultPlan,
@@ -85,7 +85,7 @@ def fault_plan(recover: bool) -> FaultPlan:
 
 
 def run_fleet(platform, faults: FaultPlan | None):
-    simulator = ClusterSimulator(
+    config = FleetConfig(
         platform=platform,
         num_replicas=NUM_REPLICAS,
         router="memory-aware",
@@ -95,7 +95,7 @@ def run_fleet(platform, faults: FaultPlan | None):
         chunked_prefill_tokens=PREFILL_CAP_SCALED,
         faults=faults,
     )
-    return simulator.run_open_loop(fig14_workload())
+    return run_experiment(config, fig14_workload())
 
 
 @pytest.mark.benchmark(group="fig14")

@@ -35,9 +35,9 @@ from benchmarks.conftest import (
     SCALE,
     write_report,
 )
+from repro.analysis.experiments import FleetConfig, run_experiment
 from repro.analysis.perf import cluster_fingerprint
 from repro.analysis.tables import render_table
-from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash, RetryPolicy
 from repro.serving.sla import SLASpec
 from repro.workloads.interactions import generate_interactions
@@ -86,7 +86,7 @@ def crash_plan() -> FaultPlan:
 
 
 def run_fleet(platform, router: str, faults: FaultPlan | None = None):
-    simulator = ClusterSimulator(
+    config = FleetConfig(
         platform=platform,
         num_replicas=NUM_REPLICAS,
         router=router,
@@ -97,7 +97,7 @@ def run_fleet(platform, router: str, faults: FaultPlan | None = None):
         prefix_cache_tokens=PREFIX_TOKENS,
         faults=faults,
     )
-    return simulator.run_sessions(fig15_interactions())
+    return run_experiment(config, fig15_interactions())
 
 
 @pytest.mark.benchmark(group="fig15")

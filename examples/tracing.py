@@ -14,10 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
+from repro.analysis.experiments import FleetConfig, run_experiment
 from repro.hardware.platform import paper_platform
 from repro.obs.export import derive_request_phases, export_chrome_trace
 from repro.obs.tracer import JsonlTracer, read_jsonl_trace
-from repro.serving.cluster import ClusterSimulator
 from repro.workloads.sharegpt import generate_sharegpt_workload
 from repro.workloads.spec import scale_workload
 
@@ -27,18 +27,18 @@ CHROME_PATH = Path("results/tracing_example.trace.json")
 
 def main() -> None:
     workload = scale_workload(generate_sharegpt_workload(60, seed=11), 0.25)
+    config = FleetConfig(
+        platform=paper_platform("7b-a100"),
+        num_replicas=3,
+        router="least-outstanding",
+        scheduler_name="past-future",
+        scheduler_kwargs={"reserved_fraction": 0.05, "seed": 7},
+        num_clients=12,
+        token_capacity_override=2048,
+    )
 
     with JsonlTracer(TRACE_PATH) as tracer:
-        cluster = ClusterSimulator(
-            platform=paper_platform("7b-a100"),
-            num_replicas=3,
-            router="least-outstanding",
-            scheduler_name="past-future",
-            scheduler_kwargs={"reserved_fraction": 0.05, "seed": 7},
-            token_capacity_override=2048,
-            tracer=tracer,
-        )
-        result = cluster.run_closed_loop(workload, num_clients=12)
+        result = run_experiment(config, workload, tracer=tracer)
 
     events = read_jsonl_trace(TRACE_PATH)
     print(f"Run completed={result.completed}: {len(events)} events in {TRACE_PATH}")

@@ -13,13 +13,23 @@ reproducible from the config alone:
   ``static`` policy is the peak-provisioned baseline: a fixed fleet of
   ``max_replicas``.
 
-``num_clients=None`` replays the workload's recorded arrival times open loop
-(e.g. from :func:`repro.workloads.arrivals.assign_bursty_arrivals`); an
-integer serves it with that many closed-loop clients.  :func:`sweep` replays
-the *same* workload under several field overrides — routers, autoscaling
-policies, schedulers — so the only varying factor is the one they name.
+``faults``, ``throttle`` and ``prefix_cache_tokens`` mount a
+:class:`~repro.serving.faults.FaultPlan`, an
+:class:`~repro.serving.throttle.OverloadThrottle` and a per-replica session
+prefix cache.
 
-An invalid config raises at construction, with the simulator's own message
+A load is a :class:`Workload` or a sequence of
+:class:`~repro.workloads.interactions.Interaction` sessions.
+``num_clients=None`` replays a workload's recorded arrival times open loop
+(e.g. from :func:`repro.workloads.arrivals.assign_bursty_arrivals`); an
+integer serves it with that many closed-loop clients.  Sessions carry their
+own start and think times.  :func:`sweep` replays the *same* load under
+several field overrides — routers, autoscaling policies, schedulers — so the
+only varying factor is the one they name.
+
+An invalid config raises at construction: the scheduler, router and
+autoscale policy are built once, so an unknown name or keyword raises, and
+the rest is checked with the simulator's own message
 (:func:`repro.serving.cluster.check_fleet_args`).
 """
 
@@ -32,15 +42,22 @@ from repro.engine.cost_model import CostModel
 from repro.frameworks.profiles import FrameworkProfile
 from repro.hardware.platform import Platform
 from repro.metrics.memory_stats import MemoryReport, build_memory_report
+from repro.obs.tracer import Tracer
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import create_scheduler
 from repro.serving.autoscale import Autoscaler, create_autoscale_policy
 from repro.serving.cluster import ClusterSimulator, SimulationLimits, check_fleet_args
+from repro.serving.faults import FaultPlan
 from repro.serving.results import ClusterResult, RunResult
-from repro.serving.routing import Router
+from repro.serving.routing import Router, create_router
 from repro.serving.server import ServingSimulator
 from repro.serving.sla import SLASpec, sla_for_model
+from repro.serving.throttle import OverloadThrottle
+from repro.workloads.interactions import Interaction
 from repro.workloads.spec import Workload
+
+#: What a run serves: a workload, or multi-turn sessions.
+Load = Workload | Sequence[Interaction]
 
 
 @dataclass(frozen=True)
@@ -55,7 +72,9 @@ class FleetConfig:
     single engine sizes its pool with ``token_capacity_override``.
     ``speed_factor`` scales the cost model's latency (homogeneous only).
     ``autoscale_kwargs`` are the ``autoscale`` policy's constructor
-    overrides, so a sweep variant sets the two together.
+    overrides, so a sweep variant sets the two together.  ``faults`` needs
+    a fleet.  A ``router`` or ``throttle`` instance may be shared by configs
+    that run one after another: each run starts with its ``on_run_start``.
     """
 
     platform: Platform | None = None
@@ -80,21 +99,31 @@ class FleetConfig:
     limits: SimulationLimits = field(default_factory=SimulationLimits)
     #: event-jump fast path; ``False`` bisects against the reference loop.
     fast_path: bool = True
+    faults: FaultPlan | None = None
+    throttle: OverloadThrottle | None = None
+    prefix_cache_tokens: int | None = None
 
     def __post_init__(self) -> None:
         if self.autoscale_kwargs and self.autoscale is None:
             raise ValueError("autoscale_kwargs configure the autoscale policy; none is set")
-        # ``build_autoscaler`` builds the policy, so an unknown policy name
-        # or keyword raises here.
+        if self.think_time > 0 and self.num_clients is None:
+            raise ValueError("think_time paces closed-loop clients; num_clients=None is open loop")
+        # Building the scheduler, router and autoscale policy once makes an
+        # unknown name or keyword raise here, not when a run starts.
+        self.build_scheduler()
+        if isinstance(self.router, str):
+            create_router(self.router)
         check_fleet_args(
             self.platform,
             self.platforms,
             self.launch_size,
             self.router,
             autoscaler=self.build_autoscaler(),
+            faults=self.faults,
             token_capacity_override=self.token_capacity_override,
             capacity_scale=self.capacity_scale,
             explicit_cost_model=self.speed_factor != 1.0,
+            prefix_cache_tokens=self.prefix_cache_tokens,
         )
         if self.router is None and self.capacity_scale is not None:
             raise ValueError(
@@ -139,29 +168,20 @@ class FleetConfig:
             sample_window=self.sample_window,
         )
 
-    def build_simulator(
-        self, scheduler: Scheduler | None = None
-    ) -> ServingSimulator | ClusterSimulator:
-        """A fresh simulator: the single-engine façade, or a fleet behind ``router``.
-
-        Args:
-            scheduler: pre-built scheduler instance for a single engine
-                (e.g. a framework profile's); built from the config if
-                omitted.  A fleet builds one per replica from
-                ``scheduler_name``.
-        """
+    def build_simulator(self, tracer: Tracer | None = None) -> ServingSimulator | ClusterSimulator:
+        """A fresh simulator: the single-engine façade, or a fleet behind ``router``."""
+        options = {
+            "cost_model": self.build_cost_model(),
+            "chunked_prefill_tokens": self.chunked_prefill_tokens,
+            "token_capacity_override": self.token_capacity_override,
+            "limits": self.limits,
+            "fast_path": self.fast_path,
+            "throttle": self.throttle,
+            "tracer": tracer,
+            "prefix_cache_tokens": self.prefix_cache_tokens,
+        }
         if self.router is None:
-            return ServingSimulator(
-                platform=self.primary_platform,
-                scheduler=scheduler or self.build_scheduler(),
-                cost_model=self.build_cost_model(),
-                chunked_prefill_tokens=self.chunked_prefill_tokens,
-                token_capacity_override=self.token_capacity_override,
-                limits=self.limits,
-                fast_path=self.fast_path,
-            )
-        if scheduler is not None:
-            raise ValueError("a scheduler instance serves one engine; fleets build theirs by name")
+            return ServingSimulator(self.primary_platform, self.build_scheduler(), **options)
         return ClusterSimulator(
             platform=self.platform,
             platforms=self.platforms,
@@ -169,48 +189,53 @@ class FleetConfig:
             router=self.router,
             scheduler_name=self.scheduler_name,
             scheduler_kwargs=self.scheduler_kwargs,
-            cost_model=self.build_cost_model(),
-            chunked_prefill_tokens=self.chunked_prefill_tokens,
-            token_capacity_override=self.token_capacity_override,
             capacity_scale=self.capacity_scale,
             autoscaler=self.build_autoscaler(),
-            limits=self.limits,
-            fast_path=self.fast_path,
+            faults=self.faults,
+            **options,
         )
 
 
 def run_experiment(
-    config: FleetConfig,
-    workload: Workload,
-    scheduler: Scheduler | None = None,
+    config: FleetConfig, load: Load, tracer: Tracer | None = None
 ) -> RunResult | ClusterResult:
     """Execute one run: a :class:`RunResult` for one engine, else a :class:`ClusterResult`.
 
     Args:
         config: the experiment configuration.
-        workload: the requests to serve.
-        scheduler: pre-built single-engine scheduler (see
-            :meth:`FleetConfig.build_simulator`).
+        load: a :class:`Workload`, served open or closed loop by
+            ``num_clients``, or a sequence of interactions, served as
+            closed-loop sessions.
+        tracer: optional observer shared with every engine (see
+            :mod:`repro.obs`); results are tracer-independent.
+
+    Raises:
+        ValueError: for sessions under a config that sets ``num_clients``:
+            sessions carry their own think times.
     """
-    simulator = config.build_simulator(scheduler)
+    if not isinstance(load, Workload) and config.num_clients is not None:
+        raise ValueError("sessions carry their own think times; unset num_clients and think_time")
+    simulator = config.build_simulator(tracer)
+    if not isinstance(load, Workload):
+        return simulator.run_sessions(load)
     if config.num_clients is None:
-        return simulator.run_open_loop(workload)
+        return simulator.run_open_loop(load)
     return simulator.run_closed_loop(
-        workload, num_clients=config.num_clients, think_time=config.think_time
+        load, num_clients=config.num_clients, think_time=config.think_time
     )
 
 
 def sweep(
     config: FleetConfig,
-    workload: Workload,
+    load: Load,
     variants: Mapping[Hashable, Mapping[str, object]],
 ) -> dict[Hashable, RunResult | ClusterResult]:
-    """Run the same workload under each variant of a base config.
+    """Run the same load under each variant of a base config.
 
     Args:
         config: the configuration every run shares.
-        workload: the requests to serve; identical (arrival times included)
-            for every variant, so results are directly comparable.
+        load: the workload or sessions to serve; identical (arrival times
+            included) for every variant, so results are directly comparable.
         variants: mapping of result label to :class:`FleetConfig` field
             overrides, e.g. ``{name: {"router": name} for name in routers}``.
 
@@ -218,7 +243,7 @@ def sweep(
     field or an invalid variant raises without running anything.
     """
     configs = {label: replace(config, **overrides) for label, overrides in variants.items()}
-    return {label: run_experiment(variant, workload) for label, variant in configs.items()}
+    return {label: run_experiment(variant, load) for label, variant in configs.items()}
 
 
 def run_framework(
@@ -226,15 +251,10 @@ def run_framework(
 ) -> RunResult:
     """Run one framework profile on a single engine (Figure 9 / Table 2 helper).
 
-    The profile supplies the scheduler, the prefill chunk and the backend
-    speed; ``config`` supplies the rest.
+    The profile's overrides supply the scheduler, the prefill chunk and the
+    backend speed; ``config`` supplies the rest.
     """
-    config = replace(
-        config,
-        chunked_prefill_tokens=profile.chunked_prefill_tokens,
-        speed_factor=profile.speed_factor,
-    )
-    result = run_experiment(config, workload, scheduler=profile.build_scheduler())
+    result = run_experiment(replace(config, **profile.overrides), workload)
     result.scheduler = profile.name
     return result
 

@@ -9,9 +9,10 @@ This module pins that claim under regression tracking:
 * :data:`SCENARIOS` is a declarative table of eight full-scale workloads —
   single engines (fig07, fig13), fixed, elastic and heterogeneous fleets
   (fig10–fig12), a chaos fleet (fig14) and a session-affinity fleet (fig15).
-  Each entry lists the simulator calls it times; one timing path
-  (:meth:`Scenario.run`) runs them all, once with the fast path and once with
-  the reference one-iteration loop (``fast_path=False``);
+  Each entry lists the runs it times, each one
+  :class:`~repro.analysis.experiments.FleetConfig` plus a load; one timing
+  path (:meth:`Scenario.run`) runs them all, once with the fast path and once
+  with the reference one-iteration loop (``fast_path=False``);
 * the two runs' result snapshots are hashed and compared — any divergence
   fails the harness before any timing is reported;
 * wall-clock times and speedups are written to ``BENCH_core.json`` at the
@@ -33,20 +34,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
+from repro.analysis.experiments import FleetConfig, Load, run_experiment
 from repro.engine.engine import JumpStats
 from repro.hardware.platform import paper_platform, paper_platforms
 from repro.obs.tracer import Tracer
-from repro.schedulers.base import Scheduler
-from repro.schedulers.registry import create_scheduler
-from repro.serving.autoscale import Autoscaler, create_autoscale_policy
-from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash, RetryPolicy, Straggler
 from repro.serving.results import ClusterResult, RunResult
-from repro.serving.server import ServingSimulator
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.arrivals import (
     assign_bursty_arrivals,
@@ -186,39 +183,38 @@ def cluster_fingerprint(result: ClusterResult) -> str:
 
 
 # ------------------------------------------------------------------ scenarios
-SimulatorFactory = Callable[[bool, Tracer | None], ServingSimulator | ClusterSimulator]
-
-
 @dataclass(frozen=True)
 class Call:
-    """One timed simulator call inside a :class:`Scenario`.
+    """One timed run inside a :class:`Scenario`: a config and its load.
 
-    ``simulator(fast_path, tracer)`` builds a fresh simulator — stateful
-    collaborators (scheduler, throttle, autoscaler) are built inside it, so
-    repeats share nothing.  ``method`` names its run entry point
-    (``run_closed_loop``, ``run_open_loop`` or ``run_sessions``), called with
-    ``inputs()`` as the first argument plus ``kwargs``.  ``label`` prefixes
-    this call's fingerprint in a multi-call scenario's digest.
+    ``inputs()`` builds the load (a workload or sessions) that
+    :func:`~repro.analysis.experiments.run_experiment` serves under
+    ``config``.  Every run builds a fresh simulator, scheduler and
+    autoscaler from the config; a stateful instance the config holds (a
+    router or a throttle) is reset by its ``on_run_start``, so repeats share
+    nothing.  ``label`` prefixes this call's fingerprint in a multi-call
+    scenario's digest.
     """
 
-    simulator: SimulatorFactory
-    method: str
-    inputs: Callable[[], object]
-    kwargs: dict = field(default_factory=dict)
+    config: FleetConfig
+    inputs: Callable[[], Load]
     label: str | None = None
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One timed workload: a name, a description and its simulator calls.
+    """One timed workload: a name, a description and its runs.
 
     :meth:`run` returns ``(simulation_seconds, fingerprint, jump_summary)``.
-    Only the run methods are timed; input generation, simulator
-    construction and fingerprint hashing are excluded.  A single unlabelled
-    call's digest is its bare result fingerprint; otherwise the digest hashes
-    the calls' ``label:fingerprint`` parts in call order.  ``jump_summary`` is
-    the merged :meth:`~repro.engine.engine.JumpStats.summary` across the calls
-    (the engine's own profile of how much work the event jumps fused).  An
+    Only :func:`~repro.analysis.experiments.run_experiment` is timed; input
+    generation, config validation and fingerprint hashing are excluded.
+    The timed part includes building the simulator, which is at most about
+    half a millisecond per scenario: under 1% of the fastest fast run.  A
+    single unlabelled call's digest is its bare result fingerprint;
+    otherwise the digest hashes the calls' ``label:fingerprint`` parts in
+    call order.  ``jump_summary`` is the merged
+    :meth:`~repro.engine.engine.JumpStats.summary` across the calls (the
+    engine's own profile of how much work the event jumps fused).  An
     optional ``tracer`` is attached to every simulator built; fingerprints
     are tracer-independent, so traced runs remain valid measurements of
     *results* — only the timings become untrustworthy.
@@ -235,9 +231,9 @@ class Scenario:
         parts: list[str] = []
         for call in self.calls:
             inputs = call.inputs()
-            simulator = call.simulator(fast_path, tracer)
+            config = replace(call.config, fast_path=fast_path)
             start = time.perf_counter()
-            result = getattr(simulator, call.method)(inputs, **call.kwargs)
+            result = run_experiment(config, inputs, tracer)
             elapsed += time.perf_counter() - start
             jump.merge(result.jump_stats)
             if isinstance(result, ClusterResult):
@@ -253,52 +249,24 @@ class Scenario:
 #: Llama-2-7B on one A100, the platform every scenario but fig12 serves on.
 A100 = paper_platform("7b-a100")
 
+#: One 7B/A100 engine under past-future with 8192-token chunked prefill.
+ENGINE = FleetConfig(
+    platform=A100,
+    scheduler_kwargs={"reserved_fraction": 0.03, "seed": 7, "num_samples": 4},
+    chunked_prefill_tokens=8192,
+)
 
-def _engine(
-    fast_path: bool,
-    tracer: Tracer | None,
-    scheduler: Scheduler,
-    token_capacity: int,
-    throttle: OverloadThrottle | None = None,
-) -> ServingSimulator:
-    """One 7B/A100 engine with 8192-token chunked prefill."""
-    return ServingSimulator(
-        A100,
-        scheduler,
-        token_capacity_override=token_capacity,
-        chunked_prefill_tokens=8192,
-        fast_path=fast_path,
-        throttle=throttle,
-        tracer=tracer,
-    )
-
-
-def _fleet(fast_path: bool, tracer: Tracer | None, router: str, **options) -> ClusterSimulator:
-    """A fleet of aggressive (watermark 0.95) replicas behind ``router``.
-
-    Defaults to four 7B/A100 replicas with an eighth of the pool each and
-    8192-token chunked prefill; ``options`` override any of those or add
-    other :class:`ClusterSimulator` keywords.
-    """
-    settings = {
-        "platform": A100,
-        "num_replicas": 4,
-        "token_capacity_override": A100.token_capacity // 8,
-        "chunked_prefill_tokens": 8192,
-        **options,
-    }
-    return ClusterSimulator(
-        router=router,
-        scheduler_name="aggressive",
-        scheduler_kwargs={"watermark": 0.95},
-        fast_path=fast_path,
-        tracer=tracer,
-        **settings,
-    )
-
-
-def _past_future() -> Scheduler:
-    return create_scheduler("past-future", reserved_fraction=0.03, seed=7, num_samples=4)
+#: Four aggressive (watermark 0.95) 7B/A100 replicas behind the memory-aware
+#: router, each with an eighth of the pool and 8192-token chunked prefill.
+FLEET = FleetConfig(
+    platform=A100,
+    num_replicas=4,
+    router="memory-aware",
+    scheduler_name="aggressive",
+    scheduler_kwargs={"watermark": 0.95},
+    token_capacity_override=A100.token_capacity // 8,
+    chunked_prefill_tokens=8192,
+)
 
 
 def _fig10_workload():
@@ -320,19 +288,6 @@ def _fig11_workload():
         burst_length=80,
         cycle_length=100,
         seed=11,
-    )
-
-
-def _fig11_autoscaler() -> Autoscaler:
-    return Autoscaler(
-        policy=create_autoscale_policy(
-            "predictive", target_utilization=0.8, scale_down_cooldown=60.0, default_length=2048
-        ),
-        interval=5.0,
-        min_replicas=1,
-        max_replicas=6,
-        warmup_delay=30.0,
-        sample_window=40.0,
     )
 
 
@@ -400,12 +355,8 @@ SCENARIOS: tuple[Scenario, ...] = (
         description="single engine, ShareGPT-o1 full length, past-future, clients 8-128",
         calls=tuple(
             Call(
-                lambda fast_path, tracer: _engine(
-                    fast_path, tracer, _past_future(), A100.token_capacity
-                ),
-                "run_closed_loop",
+                replace(ENGINE, token_capacity_override=A100.token_capacity, num_clients=clients),
                 lambda: generate_sharegpt_o1_workload(250, seed=71),
-                {"num_clients": clients},
                 label=f"clients={clients}",
             )
             for clients in (8, 32, 64, 128)
@@ -418,25 +369,15 @@ SCENARIOS: tuple[Scenario, ...] = (
         description="single engine at half pool, 256 clients, ~90% saturated iterations",
         calls=(
             Call(
-                lambda fast_path, tracer: _engine(
-                    fast_path, tracer, _past_future(), A100.token_capacity // 2
-                ),
-                "run_closed_loop",
+                replace(ENGINE, token_capacity_override=A100.token_capacity // 2, num_clients=256),
                 lambda: generate_sharegpt_o1_workload(400, seed=71),
-                {"num_clients": 256},
             ),
         ),
     ),
     Scenario(
         name="fig10_cluster_routing",
         description="4-replica fleet, memory-aware router, bursty full-length trace",
-        calls=(
-            Call(
-                lambda fast_path, tracer: _fleet(fast_path, tracer, "memory-aware"),
-                "run_open_loop",
-                _fig10_workload,
-            ),
-        ),
+        calls=(Call(FLEET, _fig10_workload),),
     ),
     # Warm-up completions and autoscale decisions bound the jump horizon.
     Scenario(
@@ -444,14 +385,20 @@ SCENARIOS: tuple[Scenario, ...] = (
         description="elastic 1-6 replica fleet, predictive policy, bursty full-length trace",
         calls=(
             Call(
-                lambda fast_path, tracer: _fleet(
-                    fast_path,
-                    tracer,
-                    "least-outstanding",
+                replace(
+                    FLEET,
+                    router="least-outstanding",
                     num_replicas=2,
-                    autoscaler=_fig11_autoscaler(),
+                    autoscale="predictive",
+                    autoscale_kwargs={
+                        "target_utilization": 0.8,
+                        "scale_down_cooldown": 60.0,
+                        "default_length": 2048,
+                    },
+                    decision_interval=5.0,
+                    warmup_delay=30.0,
+                    sample_window=40.0,
                 ),
-                "run_open_loop",
                 _fig11_workload,
             ),
         ),
@@ -462,10 +409,8 @@ SCENARIOS: tuple[Scenario, ...] = (
         description="mixed 2x A100 + 1x RTX-4090 fleet, memory-aware router, diurnal two-class trace",
         calls=(
             Call(
-                lambda fast_path, tracer: _fleet(
-                    fast_path,
-                    tracer,
-                    "memory-aware",
+                replace(
+                    FLEET,
                     platform=None,
                     platforms=paper_platforms("7b-a100", "7b-a100", "7b-4090"),
                     num_replicas=3,
@@ -473,7 +418,6 @@ SCENARIOS: tuple[Scenario, ...] = (
                     capacity_scale=1.0 / 8.0,
                     chunked_prefill_tokens=4096,
                 ),
-                "run_open_loop",
                 _fig12_workload,
             ),
         ),
@@ -485,28 +429,24 @@ SCENARIOS: tuple[Scenario, ...] = (
         description="heavy-tail tenants: saturated VTC engine + throttled weighted-VTC open loop",
         calls=(
             Call(
-                lambda fast_path, tracer: _engine(
-                    fast_path,
-                    tracer,
-                    create_scheduler("vtc", watermark=0.95),
-                    A100.token_capacity // 2,
+                replace(
+                    ENGINE,
+                    scheduler_name="vtc",
+                    scheduler_kwargs={"watermark": 0.95},
+                    token_capacity_override=A100.token_capacity // 2,
+                    num_clients=128,
                 ),
-                "run_closed_loop",
                 _fig13_closed_workload,
-                {"num_clients": 128},
                 label="vtc-saturated",
             ),
             Call(
-                lambda fast_path, tracer: _engine(
-                    fast_path,
-                    tracer,
-                    create_scheduler(
-                        "weighted-vtc", weights={"user-0000": 2.0}, watermark=0.95
-                    ),
-                    A100.token_capacity // 4,
+                replace(
+                    ENGINE,
+                    scheduler_name="weighted-vtc",
+                    scheduler_kwargs={"weights": {"user-0000": 2.0}, "watermark": 0.95},
+                    token_capacity_override=A100.token_capacity // 4,
                     throttle=OverloadThrottle(user_rpm=12),
                 ),
-                "run_open_loop",
                 _fig13_open_workload,
                 label="weighted-throttled",
             ),
@@ -517,15 +457,7 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         name="fig14_failure_recovery",
         description="4-replica fleet under chaos: 2 crashes + 45s straggler, retries and replacements",
-        calls=(
-            Call(
-                lambda fast_path, tracer: _fleet(
-                    fast_path, tracer, "memory-aware", faults=_fig14_fault_plan()
-                ),
-                "run_open_loop",
-                _fig10_workload,
-            ),
-        ),
+        calls=(Call(replace(FLEET, faults=_fig14_fault_plan()), _fig10_workload),),
     ),
     # Every follow-up turn is spawned by its predecessor's completion, so
     # spawned arrivals bound the jump horizon; the prefix cache holds half
@@ -535,13 +467,11 @@ SCENARIOS: tuple[Scenario, ...] = (
         description="4-replica fleet, session-affinity router + prefix cache, 120 multi-turn sessions",
         calls=(
             Call(
-                lambda fast_path, tracer: _fleet(
-                    fast_path,
-                    tracer,
-                    "session-affinity",
+                replace(
+                    FLEET,
+                    router="session-affinity",
                     prefix_cache_tokens=A100.token_capacity // 16,
                 ),
-                "run_sessions",
                 _fig15_interactions,
             ),
         ),

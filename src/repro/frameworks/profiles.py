@@ -11,24 +11,28 @@ frameworks that bundle a *scheduler policy* with an *inference backend*:
 
 The paper's own caveat is that the backend speeds are a December-2023
 snapshot and that the comparison is meant to isolate the *scheduler* effect.
-A profile therefore pairs a scheduler factory with a relative per-step speed
-factor (LightLLM = 1.0; a smaller factor means faster kernels) and optional
-chunked-prefill behaviour.  Multimodal "original implementation" baselines
-(Table 2) are modelled as static-batching style conservative serving with a
-slower backend, reflecting the HuggingFace reference implementations.
+A profile is therefore a name plus :class:`~repro.analysis.experiments.FleetConfig`
+field overrides, the same label-to-overrides mapping a sweep takes:
+
+* ``scheduler_name`` and ``scheduler_kwargs`` — the registry scheduler;
+* ``speed_factor`` — per-step latency relative to the LightLLM backend
+  (1.0); below 1.0 is a faster backend, above 1.0 a slower one;
+* ``chunked_prefill_tokens`` — the maximum prompt tokens of one engine
+  iteration.  Every framework bounds the tokens of one forward pass (vLLM's
+  ``max_num_batched_tokens``, TGI's ``max_batch_prefill_tokens``);
+  DeepSpeed-MII's SplitFuse uses a much finer chunk to interleave prefill
+  with decode.  ``None`` prefills the whole admission burst in one
+  iteration.
+
+Multimodal "original implementation" baselines (Table 2) are modelled as
+static-batching style conservative serving with a slower backend, reflecting
+the HuggingFace reference implementations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-from repro.core.past_future import PastFutureScheduler
-from repro.schedulers.aggressive import AggressiveScheduler
-from repro.schedulers.base import Scheduler
-from repro.schedulers.conservative import ConservativeScheduler
-
-SchedulerFactory = Callable[[], Scheduler]
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -36,70 +40,50 @@ class FrameworkProfile:
     """A named serving framework: scheduler policy + backend characteristics."""
 
     name: str
-    scheduler_factory: SchedulerFactory
-    #: per-step latency multiplier relative to the LightLLM backend (1.0);
-    #: < 1.0 means a faster backend, > 1.0 a slower one.
-    speed_factor: float = 1.0
-    #: maximum prompt tokens processed per engine iteration.  Every framework
-    #: bounds the tokens of one forward pass (vLLM's ``max_num_batched_tokens``,
-    #: TGI's ``max_batch_prefill_tokens``); DeepSpeed-MII's SplitFuse uses a
-    #: much finer chunk to interleave prefill with decode.  ``None`` means the
-    #: whole admission burst is prefilled in a single iteration.
-    chunked_prefill_tokens: int | None = None
-    #: hard cap on concurrently running requests, if the framework has one.
-    max_running_requests: int | None = None
+    #: :class:`~repro.analysis.experiments.FleetConfig` field overrides.
+    overrides: Mapping[str, object]
 
-    def build_scheduler(self) -> Scheduler:
-        """Instantiate a fresh scheduler for one run."""
-        scheduler = self.scheduler_factory()
-        if self.max_running_requests is not None:
-            scheduler.max_running_requests = self.max_running_requests
-        return scheduler
+
+def _conservative(speed_factor: float, chunked_prefill_tokens: int | None, **kwargs) -> dict:
+    return {
+        "scheduler_name": "conservative",
+        "scheduler_kwargs": {"overcommit": 1.0, **kwargs},
+        "speed_factor": speed_factor,
+        "chunked_prefill_tokens": chunked_prefill_tokens,
+    }
 
 
 LIGHTLLM = FrameworkProfile(
     name="LightLLM",
-    scheduler_factory=lambda: PastFutureScheduler(reserved_fraction=0.03),
-    speed_factor=1.0,
-    chunked_prefill_tokens=8192,
+    overrides={
+        "scheduler_name": "past-future",
+        "scheduler_kwargs": {"reserved_fraction": 0.03},
+        "speed_factor": 1.0,
+        "chunked_prefill_tokens": 8192,
+    },
 )
 
 VLLM = FrameworkProfile(
     name="vLLM",
-    scheduler_factory=lambda: AggressiveScheduler(watermark=0.99),
-    speed_factor=1.0,
-    chunked_prefill_tokens=8192,
+    overrides={
+        "scheduler_name": "aggressive",
+        "scheduler_kwargs": {"watermark": 0.99},
+        "speed_factor": 1.0,
+        "chunked_prefill_tokens": 8192,
+    },
 )
 
-TGI = FrameworkProfile(
-    name="TGI",
-    scheduler_factory=lambda: ConservativeScheduler(overcommit=1.0),
-    speed_factor=1.1,
-    chunked_prefill_tokens=8192,
-)
+TGI = FrameworkProfile(name="TGI", overrides=_conservative(1.1, 8192))
 
-DEEPSPEED_MII = FrameworkProfile(
-    name="DeepSpeed-MII",
-    scheduler_factory=lambda: ConservativeScheduler(overcommit=1.0),
-    speed_factor=1.05,
-    chunked_prefill_tokens=512,
-)
+DEEPSPEED_MII = FrameworkProfile(name="DeepSpeed-MII", overrides=_conservative(1.05, 512))
 
-TENSORRT_LLM = FrameworkProfile(
-    name="TensorRT-LLM",
-    scheduler_factory=lambda: ConservativeScheduler(overcommit=1.0),
-    speed_factor=0.9,
-    chunked_prefill_tokens=8192,
-)
+TENSORRT_LLM = FrameworkProfile(name="TensorRT-LLM", overrides=_conservative(0.9, 8192))
 
 #: "Original implementation" baseline used for the multimodal comparison in
 #: Table 2: HuggingFace-style serving with conservative admission, a small
 #: static batch, and a slower backend.
 MULTIMODAL_ORIGIN = FrameworkProfile(
-    name="Origin",
-    scheduler_factory=lambda: ConservativeScheduler(overcommit=1.0),
-    speed_factor=1.6,
-    max_running_requests=8,
+    name="Origin", overrides=_conservative(1.6, None, max_running_requests=8)
 )
 
 FRAMEWORK_REGISTRY: dict[str, FrameworkProfile] = {

@@ -81,7 +81,9 @@ def instantiate(
         raise KeyError(
             f"unknown {kind} {name!r}; known: {known}{_suggestion(name, registry)}"
         ) from None
-    accepted = accepted_kwargs(factory)
+    # Introspection is skipped without kwargs: there is nothing to check,
+    # and a signature costs more than building most components.
+    accepted = accepted_kwargs(factory) if kwargs else None
     if accepted is not None:
         unknown = sorted(set(kwargs) - set(accepted))
         if unknown:

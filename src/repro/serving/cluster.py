@@ -306,6 +306,7 @@ def check_fleet_args(
     token_capacity_override: int | None = None,
     capacity_scale: float | None = None,
     explicit_cost_model: bool = False,
+    prefix_cache_tokens: int | None = None,
 ) -> list[Platform]:
     """Validate a fleet's constructor arguments and return its platform cycle.
 
@@ -340,6 +341,8 @@ def check_fleet_args(
         raise ValueError("token_capacity_override and capacity_scale are mutually exclusive")
     if capacity_scale is not None and capacity_scale <= 0:
         raise ValueError("capacity_scale must be positive")
+    if prefix_cache_tokens is not None and prefix_cache_tokens <= 0:
+        raise ValueError("prefix_cache_tokens must be positive when set")
     fleet = list(platforms) if platforms is not None else [platform]
     ensure_single_model(fleet)
     if explicit_cost_model and len(fleet) > 1:
@@ -459,6 +462,7 @@ class ClusterSimulator:
             token_capacity_override=token_capacity_override,
             capacity_scale=capacity_scale,
             explicit_cost_model=cost_model is not None,
+            prefix_cache_tokens=prefix_cache_tokens,
         )
         #: first platform of the cycle; the homogeneous fleet's platform.
         self.platform = self.platforms[0]

@@ -12,9 +12,10 @@ arrival — are therefore the fleet's, documented in
 
 The single engine is perfectly reliable: fault injection (crashes,
 preemptions, stragglers — :mod:`repro.serving.faults`) is a fleet-level
-concern, attached to :class:`~repro.serving.cluster.ClusterSimulator` via its
-``faults=`` keyword, because recovery is meaningless without other replicas
-to absorb the displaced work.
+concern, attached to a fleet with
+``FleetConfig(faults=…)`` (:class:`~repro.analysis.experiments.FleetConfig`),
+because recovery is meaningless without other replicas to absorb the
+displaced work.
 """
 
 from __future__ import annotations

@@ -10,14 +10,19 @@ from repro.analysis.perf import cluster_fingerprint, run_fingerprint
 from repro.analysis.tables import autoscale_table, fleet_table, render_table
 from repro.engine.cost_model import CostModel
 from repro.hardware.platform import paper_platforms
+from repro.obs.tracer import RingTracer
 from repro.schedulers.registry import create_scheduler
 from repro.serving.autoscale import Autoscaler, create_autoscale_policy
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.faults import FaultPlan, ReplicaCrash, RetryPolicy
 from repro.serving.results import ClusterResult, RunResult
 from repro.serving.routing import available_routers
 from repro.serving.server import ServingSimulator
 from repro.serving.sla import SLASpec, sla_for_model
+from repro.serving.throttle import REASON_THROTTLED, OverloadThrottle
 from repro.workloads.arrivals import assign_poisson_arrivals
+from repro.workloads.interactions import generate_interactions
+from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import make_workload
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
@@ -48,9 +53,9 @@ def runs(monkeypatch):
     started: list[str] = []
     real = experiments.run_experiment
 
-    def recording(config, workload, scheduler=None):
+    def recording(config, load, tracer=None):
         started.append(config.autoscale or str(config.router))
-        return real(config, workload, scheduler)
+        return real(config, load, tracer)
 
     monkeypatch.setattr(experiments, "run_experiment", recording)
     return started
@@ -82,24 +87,46 @@ class TestConstruction:
                 {"platform": None, "platforms": MIXED_FLEET, "router": "round-robin", "speed_factor": 1.2},
                 "explicit cost_model only applies to homogeneous fleets",
             ),
+            ({"prefix_cache_tokens": 0}, "prefix_cache_tokens must be positive when set"),
+            ({"think_time": 1.0}, "num_clients=None is open loop"),
+            (
+                {"faults": FaultPlan(crashes=[ReplicaCrash(time=1.0, replica=0)])},
+                "router=None serves one fixed replica",
+            ),
         ],
     )
     def test_invalid_config_raises_at_construction(self, platform_7b, overrides, message):
         with pytest.raises(ValueError, match=message):
             FleetConfig(**{"platform": platform_7b, **overrides})
 
-    def test_misspelled_autoscale_policy_raises(self, platform_7b):
-        with pytest.raises(KeyError, match="did you mean 'reactive'"):
-            FleetConfig(platform=platform_7b, router="round-robin", autoscale="reactve")
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({"router": "round-robin", "autoscale": "reactve"}, "did you mean 'reactive'"),
+            ({"scheduler_name": "agressive"}, "did you mean 'aggressive'"),
+            ({"router": "round-robn"}, "did you mean 'round-robin'"),
+        ],
+        ids=["autoscale", "scheduler", "router"],
+    )
+    def test_misspelled_autoscale_policy_raises(self, platform_7b, overrides, message):
+        with pytest.raises(KeyError, match=message):
+            FleetConfig(platform=platform_7b, **overrides)
 
-    def test_unknown_policy_keyword_raises(self, platform_7b):
-        with pytest.raises(TypeError, match="cooldwn"):
-            FleetConfig(
-                platform=platform_7b,
-                router="round-robin",
-                autoscale="reactive",
-                autoscale_kwargs={"cooldwn": 2.0},
-            )
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            (
+                {"router": "round-robin", "autoscale": "reactive", "autoscale_kwargs": {"cooldwn": 2.0}},
+                "cooldwn",
+            ),
+            ({"scheduler_name": "aggressive", "scheduler_kwargs": {"watermrk": 0.9}}, "watermrk"),
+            ({"scheduler_kwargs": {"reserved_fractoin": 0.1}}, "reserved_fractoin"),
+        ],
+        ids=["autoscale", "scheduler", "past-future"],
+    )
+    def test_unknown_policy_keyword_raises(self, platform_7b, overrides, message):
+        with pytest.raises(TypeError, match=message):
+            FleetConfig(platform=platform_7b, **overrides)
 
     def test_another_policys_keyword_raises(self, platform_7b):
         # Regression: kwargs were keyed by policy name, so a "predictive"
@@ -151,10 +178,6 @@ class TestConstruction:
         simulator = FleetConfig(platform=platform_7b, token_capacity_override=1024).build_simulator()
         assert isinstance(simulator, ServingSimulator)
         assert simulator.engine.token_capacity == 1024
-
-    def test_scheduler_instance_needs_a_single_engine(self, config):
-        with pytest.raises(ValueError, match="serves one engine"):
-            config.build_simulator(create_scheduler("conservative"))
 
     def test_autoscale_kwargs_reach_the_policy(self, platform_7b):
         config = FleetConfig(
@@ -247,6 +270,89 @@ class TestEquivalence:
             autoscaler=autoscaler,
         ).run_open_loop(stamped)
         assert cluster_fingerprint(result) == cluster_fingerprint(hand_built)
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_faulted_throttled_session_fleet_matches_hand_built_simulator(
+        self, platform_7b, fast_path
+    ):
+        interactions = generate_interactions(
+            12,
+            seed=5,
+            mean_prompt_tokens=64.0,
+            mean_output_tokens=16.0,
+            min_turns=2,
+            max_turns=6,
+            think_time=0.5,
+            start_spacing=0.2,
+            num_users=3,
+        )
+        faults = FaultPlan(
+            crashes=[ReplicaCrash(time=1.0, replica=1)],
+            seed=3,
+            retry_policy=RetryPolicy(base_delay=0.05, max_attempts=4, seed=3),
+            replace_crashed=True,
+            replacement_warmup=0.5,
+        )
+        config = FleetConfig(
+            platform=platform_7b,
+            num_replicas=2,
+            router="session-affinity",
+            scheduler_name="aggressive",
+            token_capacity_override=2048,
+            fast_path=fast_path,
+            faults=faults,
+            throttle=OverloadThrottle(user_rpm=10),
+            prefix_cache_tokens=1024,
+        )
+        result = run_experiment(config, interactions)
+        hand_built = ClusterSimulator(
+            platform_7b,
+            num_replicas=2,
+            router="session-affinity",
+            scheduler_name="aggressive",
+            token_capacity_override=2048,
+            fast_path=fast_path,
+            faults=faults,
+            throttle=OverloadThrottle(user_rpm=10),
+            prefix_cache_tokens=1024,
+        ).run_sessions(interactions)
+        assert cluster_fingerprint(result) == cluster_fingerprint(hand_built)
+        # Every field reached the fleet: a crash was retried, the throttle
+        # rejected turns and follow-up turns hit the prefix cache.
+        assert result.retries > 0
+        assert result.reject_reasons[REASON_THROTTLED] > 0
+        assert sum(r.prefix_stats.hits for r in result.replicas) > 0
+
+    def test_sessions_reject_a_client_pool(self, platform_7b):
+        config = FleetConfig(platform=platform_7b, num_clients=4)
+        interactions = generate_interactions(2, seed=1)
+        with pytest.raises(ValueError, match="sessions carry their own think times"):
+            run_experiment(config, interactions)
+
+    def test_traced_throttled_engine_matches_untraced_hand_built_simulator(self, platform_7b):
+        population = generate_tenant_population(4, abusive_users=1, abusive_share=0.6)
+        workload = assign_poisson_arrivals(
+            assign_tenants(make_workload(num_requests=24), population, seed=2),
+            request_rate=20.0,
+            seed=5,
+        )
+        config = FleetConfig(
+            platform=platform_7b,
+            scheduler_name="vtc",
+            token_capacity_override=1024,
+            throttle=OverloadThrottle(user_rpm=6),
+        )
+        tracer = RingTracer()
+        result = run_experiment(config, workload, tracer=tracer)
+        hand_built = ServingSimulator(
+            platform_7b,
+            create_scheduler("vtc"),
+            token_capacity_override=1024,
+            throttle=OverloadThrottle(user_rpm=6),
+        ).run_open_loop(workload)
+        assert run_fingerprint(result) == run_fingerprint(hand_built)
+        assert result.reject_reasons[REASON_THROTTLED] > 0
+        assert any(event.name == "request.throttled" for event in tracer.events)
 
 
 class TestSweep:

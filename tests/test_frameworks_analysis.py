@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import experiments
@@ -34,8 +36,16 @@ from repro.frameworks.profiles import (
 )
 from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.conservative import ConservativeScheduler
+from repro.schedulers.registry import create_scheduler
 from repro.serving.sla import SLA_SMALL_MODEL
 from repro.workloads.distributions import UniformLengthSpec, generate_uniform_workload
+
+
+def profile_scheduler(profile):
+    """The scheduler a profile's overrides name."""
+    return create_scheduler(
+        profile.overrides["scheduler_name"], **profile.overrides["scheduler_kwargs"]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -50,28 +60,30 @@ class TestFrameworkProfiles:
             assert name in FRAMEWORK_REGISTRY
 
     def test_scheduler_types_match_paper(self):
-        assert isinstance(LIGHTLLM.build_scheduler(), PastFutureScheduler)
-        assert isinstance(VLLM.build_scheduler(), AggressiveScheduler)
-        assert isinstance(TGI.build_scheduler(), ConservativeScheduler)
-        assert isinstance(DEEPSPEED_MII.build_scheduler(), ConservativeScheduler)
+        assert isinstance(profile_scheduler(LIGHTLLM), PastFutureScheduler)
+        assert isinstance(profile_scheduler(VLLM), AggressiveScheduler)
+        assert isinstance(profile_scheduler(TGI), ConservativeScheduler)
+        assert isinstance(profile_scheduler(DEEPSPEED_MII), ConservativeScheduler)
 
     def test_deepspeed_splitfuse_uses_finest_prefill_chunk(self):
-        assert DEEPSPEED_MII.chunked_prefill_tokens is not None
-        assert VLLM.chunked_prefill_tokens is not None
-        assert DEEPSPEED_MII.chunked_prefill_tokens < VLLM.chunked_prefill_tokens
-        assert DEEPSPEED_MII.chunked_prefill_tokens < LIGHTLLM.chunked_prefill_tokens
+        chunk = {p.name: p.overrides["chunked_prefill_tokens"] for p in (DEEPSPEED_MII, VLLM, LIGHTLLM)}
+        assert chunk["DeepSpeed-MII"] == 512
+        assert chunk["vLLM"] is not None
+        assert chunk["DeepSpeed-MII"] < chunk["vLLM"]
+        assert chunk["DeepSpeed-MII"] < chunk["LightLLM"]
 
     def test_origin_profile_is_limited(self):
-        scheduler = MULTIMODAL_ORIGIN.build_scheduler()
+        scheduler = profile_scheduler(MULTIMODAL_ORIGIN)
         assert scheduler.max_running_requests == 8
-        assert MULTIMODAL_ORIGIN.speed_factor > 1.0
+        assert MULTIMODAL_ORIGIN.overrides["speed_factor"] > 1.0
 
     def test_unknown_framework(self):
         with pytest.raises(KeyError):
             get_framework("SGLang")
 
-    def test_build_scheduler_returns_fresh_instances(self):
-        assert LIGHTLLM.build_scheduler() is not LIGHTLLM.build_scheduler()
+    def test_build_scheduler_returns_fresh_instances(self, platform_7b):
+        config = replace(FleetConfig(platform=platform_7b), **LIGHTLLM.overrides)
+        assert config.build_simulator().engine.scheduler is not config.build_simulator().engine.scheduler
 
 
 class TestExperimentDriver:
@@ -164,11 +176,21 @@ class TestSweeps:
                 config, workload, [4], variants
             ),
             parameter_sweep,
+            experiments.sweep,
         ],
-        ids=["scheduler_comparison_sweep", "parameter_sweep"],
+        ids=["scheduler_comparison_sweep", "parameter_sweep", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        ("typo", "error", "message"),
+        [
+            ({"scheduler_kwrags": {}}, TypeError, "scheduler_kwrags"),
+            ({"scheduler_kwargs": {"watermrk": 0.9}}, TypeError, "watermrk"),
+            ({"scheduler_name": "agressive"}, KeyError, "agressive"),
+        ],
+        ids=["field", "scheduler_kwargs", "scheduler_name"],
     )
     def test_mistyped_override_raises_before_any_run(
-        self, platform_7b, tiny_workload, monkeypatch, run_sweep
+        self, platform_7b, tiny_workload, monkeypatch, run_sweep, typo, error, message
     ):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before every variant was built")
@@ -176,8 +198,8 @@ class TestSweeps:
         monkeypatch.setattr(sweep_module, "run_experiment", no_run)
         monkeypatch.setattr(experiments, "run_experiment", no_run)
         config = FleetConfig(platform=platform_7b, num_clients=4, token_capacity_override=1024)
-        variants = {"ok": {"scheduler_name": "aggressive"}, "typo": {"scheduler_kwrags": {}}}
-        with pytest.raises(TypeError, match="scheduler_kwrags"):
+        variants = {"ok": {"scheduler_name": "aggressive"}, "typo": typo}
+        with pytest.raises(error, match=message):
             run_sweep(config, tiny_workload, variants)
 
     def test_framework_sweep_and_maxima(self, platform_7b, tiny_workload):

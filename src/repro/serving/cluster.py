@@ -63,7 +63,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from repro.engine.cost_model import CostModel
 from repro.engine.engine import InferenceEngine
@@ -92,33 +92,9 @@ from repro.serving.faults import (
 from repro.serving.results import ClusterResult, RunResult
 from repro.serving.routing import ReplicaView, Router, create_router
 from repro.serving.throttle import OverloadThrottle
+from repro.workloads.arrivals import ArrivalQueue
 from repro.workloads.interactions import Interaction, InteractionLoadGenerator
 from repro.workloads.spec import RequestSpec, Workload
-
-
-class LoadGenerator(Protocol):
-    """The interface every client model implements."""
-
-    def start(self, time: float = 0.0) -> None:
-        """Begin generating arrivals at simulation time ``time``."""
-        ...
-
-    def on_request_finished(self, time: float, request: Request | None = None) -> None:
-        """Release a client slot: a completion with ``request``, else a throttle or reject."""
-        ...
-
-    def pop_arrivals(self, now: float) -> list:
-        """Return (and consume) every arrival with timestamp <= ``now``."""
-        ...
-
-    def next_arrival_time(self) -> float | None:
-        """Timestamp of the next scheduled arrival, or ``None`` if exhausted."""
-        ...
-
-    @property
-    def min_follow_up_delay(self) -> float:
-        """Least time from a completion to any arrival it spawns (``inf``: none)."""
-        ...
 
 
 @dataclass
@@ -528,11 +504,6 @@ class ClusterSimulator:
         """Replicas the router may currently place work on."""
         return [replica for replica in self.replicas if replica.routable]
 
-    @property
-    def num_active(self) -> int:
-        """Routable replicas right now."""
-        return len(self.active_replicas)
-
     def _count(self, state: ReplicaState) -> int:
         return sum(1 for replica in self.replicas if replica.state is state)
 
@@ -596,55 +567,47 @@ class ClusterSimulator:
         """Bring up one cold replica; routable after ``warmup_delay``."""
         ready_at = time + warmup_delay
         platform, speed_factor = self._platform_slot(len(self.replicas))
+        state = ReplicaState.ACTIVE if warmup_delay <= 0 else ReplicaState.WARMING
         replica = _Replica(
             index=len(self.replicas),
             engine=self._build_engine(platform),
             platform=platform,
             speed_factor=speed_factor,
-            state=ReplicaState.ACTIVE if warmup_delay <= 0 else ReplicaState.WARMING,
             launched_at=time,
             ready_at=ready_at,
             clock=ready_at if warmup_delay <= 0 else time,
         )
         replica.engine.trace_replica = replica.index
         self.replicas.append(replica)
+        attrs = {"platform": platform.describe(), "warmup_delay": warmup_delay, "state": state.value}
+        self._transition(replica, state, time, obs.REPLICA_LAUNCH, attrs)
+        return replica
+
+    def _transition(
+        self,
+        replica: _Replica,
+        state: ReplicaState,
+        time: float,
+        event: str,
+        attrs: dict | None = None,
+    ) -> None:
+        """Move ``replica`` to ``state``: one fleet sample and one ``event`` per change."""
+        replica.state = state
+        if state is ReplicaState.RETIRED or state is ReplicaState.DEAD:
+            replica.retired_at = max(replica.clock, time)
         self._record_fleet_sample(time)
         if self._tracing:
-            self.tracer.emit(
-                TraceEvent(
-                    obs.REPLICA_LAUNCH,
-                    time,
-                    replica=replica.index,
-                    attrs={
-                        "platform": platform.describe(),
-                        "warmup_delay": warmup_delay,
-                        "state": replica.state.value,
-                    },
-                )
-            )
-        return replica
+            self.tracer.emit(TraceEvent(event, time, replica=replica.index, attrs=attrs or {}))
 
     def _activate_ready(self, time: float) -> None:
         """Promote warming replicas whose warm-up delay has elapsed."""
-        changed = False
         for replica in self.replicas:
             if replica.state is ReplicaState.WARMING and replica.ready_at <= time:
-                replica.state = ReplicaState.ACTIVE
                 replica.clock = max(replica.clock, replica.ready_at)
-                changed = True
-                if self._tracing:
-                    self.tracer.emit(
-                        TraceEvent(obs.REPLICA_ACTIVATE, time, replica=replica.index)
-                    )
-        if changed:
-            self._record_fleet_sample(time)
+                self._transition(replica, ReplicaState.ACTIVE, time, obs.REPLICA_ACTIVATE)
 
     def _retire(self, replica: _Replica, time: float) -> None:
-        replica.state = ReplicaState.RETIRED
-        replica.retired_at = max(replica.clock, time)
-        self._record_fleet_sample(time)
-        if self._tracing:
-            self.tracer.emit(TraceEvent(obs.REPLICA_RETIRE, time, replica=replica.index))
+        self._transition(replica, ReplicaState.RETIRED, time, obs.REPLICA_RETIRE)
 
     def _drain_replicas(self, count: int, time: float) -> None:
         """Take ``count`` provisioned replicas out of the routable set.
@@ -668,20 +631,9 @@ class ClusterSimulator:
         )[: max(0, min(count, len(active) - 1))]
         for replica in victims:
             if replica.engine.has_work():
-                replica.state = ReplicaState.DRAINING
-                self._record_fleet_sample(time)
-                if self._tracing:
-                    self.tracer.emit(
-                        TraceEvent(
-                            obs.REPLICA_DRAIN,
-                            time,
-                            replica=replica.index,
-                            attrs={
-                                "running": replica.engine.num_running,
-                                "waiting": replica.engine.num_waiting,
-                            },
-                        )
-                    )
+                engine = replica.engine
+                attrs = {"running": engine.num_running, "waiting": engine.num_waiting}
+                self._transition(replica, ReplicaState.DRAINING, time, obs.REPLICA_DRAIN, attrs)
             else:
                 self._retire(replica, time)
 
@@ -736,14 +688,7 @@ class ClusterSimulator:
         assert injector is not None
         for action in injector.pop_due(time):
             if not 0 <= action.replica < len(self.replicas):
-                self.fault_log.append(
-                    FaultEvent(
-                        time=time,
-                        kind=f"skipped:{action.kind}",
-                        replica=action.replica,
-                        detail={"reason": "no-such-replica"},
-                    )
-                )
+                self._log_fault(time, f"skipped:{action.kind}", action.replica, reason="no-such-replica")
                 continue
             replica = self.replicas[action.replica]
             if action.kind == "crash":
@@ -781,34 +726,20 @@ class ClusterSimulator:
         lost = sum(request.generated_tokens for request in aborted)
         self.lost_tokens += lost
         self.failed.extend(aborted)
-        replica.state = ReplicaState.DEAD
-        replica.retired_at = max(replica.clock, time)
-        self._record_fleet_sample(time)
-        if self._tracing:
-            self.tracer.emit(
-                TraceEvent(
-                    obs.REPLICA_FAIL,
-                    time,
-                    replica=replica.index,
-                    attrs={"cause": cause, "killed": len(aborted), "lost_tokens": lost},
-                )
-            )
+        attrs = {"cause": cause, "killed": len(aborted), "lost_tokens": lost}
+        self._transition(replica, ReplicaState.DEAD, time, obs.REPLICA_FAIL, attrs)
         replacement = None
         if self.fault_plan.replace_crashed and not was_warming:
             replacement = self._launch_replica(
                 time, warmup_delay=self.fault_plan.replacement_warmup
             )
-        self.fault_log.append(
-            FaultEvent(
-                time=time,
-                kind=cause,
-                replica=replica.index,
-                detail={
-                    "killed": len(aborted),
-                    "lost_tokens": lost,
-                    "replacement": replacement.index if replacement is not None else None,
-                },
-            )
+        self._log_fault(
+            time,
+            cause,
+            replica.index,
+            killed=len(aborted),
+            lost_tokens=lost,
+            replacement=replacement.index if replacement is not None else None,
         )
         for request in aborted:
             self._redispatch(
@@ -822,7 +753,6 @@ class ClusterSimulator:
     def _preempt_replica(self, replica: _Replica, time: float, fault) -> None:
         """Spot-style preemption notice: stop placements, drain, migrate queue."""
         assert self.fault_plan is not None
-        replica.state = ReplicaState.DRAINING
         migrated = replica.engine.drain_waiting() if self.fault_plan.migrate_on_drain else []
         if migrated:
             migrated_ids = {id(request) for request in migrated}
@@ -846,29 +776,16 @@ class ClusterSimulator:
                 # instant, right after any arrival, so migrated work re-routes
                 # with zero added latency and no retry-attempt charge.
                 self._park(request.spec, request.arrival_time, retry_at=time)
-        self._record_fleet_sample(time)
-        if self._tracing:
-            self.tracer.emit(
-                TraceEvent(
-                    obs.REPLICA_DRAIN,
-                    time,
-                    replica=replica.index,
-                    attrs={
-                        "cause": "preemption",
-                        "notice": fault.notice,
-                        "running": replica.engine.num_running,
-                        "migrated": len(migrated),
-                    },
-                )
-            )
-        self.fault_log.append(
-            FaultEvent(
-                time=time,
-                kind="preemption",
-                replica=replica.index,
-                detail={"notice": fault.notice, "migrated": len(migrated)},
-            )
-        )
+        # The drain is recorded after the migration, so every request.migrate
+        # event precedes replica.drain and the migrated count is known.
+        attrs = {
+            "cause": "preemption",
+            "notice": fault.notice,
+            "running": replica.engine.num_running,
+            "migrated": len(migrated),
+        }
+        self._transition(replica, ReplicaState.DRAINING, time, obs.REPLICA_DRAIN, attrs)
+        self._log_fault(time, "preemption", replica.index, notice=fault.notice, migrated=len(migrated))
         if not replica.engine.has_work():
             self._retire(replica, time)
 
@@ -887,13 +804,8 @@ class ClusterSimulator:
                     attrs={"cause": "straggler", "slowdown": fault.slowdown},
                 )
             )
-        self.fault_log.append(
-            FaultEvent(
-                time=time,
-                kind="straggler-start",
-                replica=replica.index,
-                detail={"slowdown": fault.slowdown, "duration": fault.duration},
-            )
+        self._log_fault(
+            time, "straggler-start", replica.index, slowdown=fault.slowdown, duration=fault.duration
         )
 
     def _end_straggler(self, replica: _Replica, time: float) -> None:
@@ -904,9 +816,11 @@ class ClusterSimulator:
         replica.saved_cost_model = None
         if self._tracing:
             self.tracer.emit(TraceEvent(obs.REPLICA_RECOVER, time, replica=replica.index))
-        self.fault_log.append(
-            FaultEvent(time=time, kind="straggler-end", replica=replica.index)
-        )
+        self._log_fault(time, "straggler-end", replica.index)
+
+    def _log_fault(self, time: float, kind: str, replica: int, **detail) -> None:
+        """Append one entry to the run's fault log."""
+        self.fault_log.append(FaultEvent(time=time, kind=kind, replica=replica, detail=detail))
 
     def _redispatch(
         self,
@@ -961,76 +875,65 @@ class ClusterSimulator:
         now: float,
         arrived_at: float,
         reason: str,
+        throttled: bool = False,
     ) -> None:
-        """Record one rejected request under ``reason`` and release its slot."""
+        """Record one turned-away request under ``reason`` and count its client slot."""
         self.rejected.append(Request(spec=spec, arrival_time=arrived_at))
         self.reject_reasons[reason] += 1
         if self._tracing:
-            self.tracer.emit(
-                TraceEvent(
-                    obs.REQUEST_REJECTED,
-                    now,
-                    request_id=spec.request_id,
-                    attrs={"reason": reason},
-                )
-            )
-            # A rejected turn never finishes, so its session cannot spawn a
-            # follow-up: the session ends here, abandoned.
-            self._emit_session_abandoned(spec, now)
+            attrs = {"reason": reason}
+            if throttled:
+                attrs.update(self.throttle.window_usage(spec, now))
+            event = obs.REQUEST_THROTTLED if throttled else obs.REQUEST_REJECTED
+            self.tracer.emit(TraceEvent(event, now, request_id=spec.request_id, attrs=attrs))
+            # A turned-away turn never finishes, so its session cannot spawn
+            # a follow-up: the session ends here, abandoned.
+            self._emit_session_turn(spec, now, finished=False)
         # The client's slot must be released or a closed-loop pool would
-        # deadlock — but not at this same instant: views only change when
-        # a replica steps, so an immediate release would re-inject (and
-        # re-reject) the client's next request in a zero-time cascade.
-        # Release it after the next completed iteration, when the fleet
-        # has actually made progress, or when the run would otherwise end.
-        self._deferred_releases += 1
+        # deadlock.  A throttle reject releases it at this same instant
+        # without a zero-time cascade risk: the rate window only fills as
+        # requests are admitted, so a same-instant follow-up either fits the
+        # window or is itself throttled, and the workload is finite.  The
+        # arrival loop, which owns the generator, drains these releases.
+        # Any other reject must not release at this instant: views only
+        # change when a replica steps, so an immediate release would
+        # re-inject (and re-reject) the client's next request in a zero-time
+        # cascade.  Release it after the next completed iteration, when the
+        # fleet has actually made progress, or when the run would otherwise
+        # end.
+        if throttled:
+            self._throttle_releases += 1
+        else:
+            self._deferred_releases += 1
 
-    def _release_rejected(self, generator: LoadGenerator, time: float) -> None:
+    def _release_rejected(self, generator: ArrivalQueue, time: float) -> None:
         """Give rejected requests' client slots back to the load generator."""
         while self._deferred_releases:
             self._deferred_releases -= 1
             generator.on_request_finished(time)
 
-    def _emit_session_completion(self, request: Request, time: float) -> None:
-        """Emit ``session.stage`` / ``session.end`` for one finished session turn."""
-        spec = request.spec
-        if spec.session_id is None or spec.session_stage is None:
+    def _emit_session_turn(self, spec: RequestSpec, time: float, finished: bool) -> None:
+        """Emit ``session.stage`` or ``session.end`` for a finished or turned-away turn."""
+        stage = spec.session_stage
+        if spec.session_id is None or stage is None:
             return
-        if spec.is_final_stage:
+        if finished and not spec.is_final_stage:
+            kind, attrs = obs.SESSION_STAGE, {"session_id": spec.session_id, "stage": stage}
+        else:
+            kind = obs.SESSION_END
             attrs = {
                 "session_id": spec.session_id,
-                "turns_completed": spec.session_stage + 1,
-                "abandoned": False,
+                "turns_completed": stage + 1 if finished else stage,
+                "abandoned": not finished,
             }
-            kind = obs.SESSION_END
-        else:
-            attrs = {"session_id": spec.session_id, "stage": spec.session_stage}
-            kind = obs.SESSION_STAGE
         self.tracer.emit(TraceEvent(kind, time, request_id=spec.request_id, attrs=attrs))
-
-    def _emit_session_abandoned(self, spec: RequestSpec, time: float) -> None:
-        """Emit an abandoned ``session.end`` for a turned-away session turn."""
-        if spec.session_id is None or spec.session_stage is None:
-            return
-        self.tracer.emit(
-            TraceEvent(
-                obs.SESSION_END,
-                time,
-                request_id=spec.request_id,
-                attrs={
-                    "session_id": spec.session_id,
-                    "turns_completed": spec.session_stage,
-                    "abandoned": True,
-                },
-            )
-        )
 
     def _throttle_arrival(self, spec: RequestSpec, now: float, arrived_at: float) -> bool:
         """Trace a new arrival's submission and run it past the throttle.
 
         Returns whether the throttle turned the request away.  A throttled
-        request is recorded in ``rejected`` / ``reject_reasons`` (and traced)
-        before it touches any replica; the caller releases its client slot.
+        request is rejected (:meth:`_reject_spec`) before it touches any
+        replica.
         """
         tracer = self.tracer
         if self._tracing:
@@ -1052,20 +955,7 @@ class ClusterSimulator:
         reason = throttle.check(spec, now)
         if reason is None:
             return False
-        self.rejected.append(Request(spec=spec, arrival_time=arrived_at))
-        self.reject_reasons[reason] += 1
-        if self._tracing:
-            tracer.emit(
-                TraceEvent(
-                    obs.REQUEST_THROTTLED,
-                    now,
-                    request_id=spec.request_id,
-                    attrs={"reason": reason, **throttle.window_usage(spec, now)},
-                )
-            )
-            # A throttled turn never finishes, so its session cannot spawn a
-            # follow-up: the session ends here.
-            self._emit_session_abandoned(spec, now)
+        self._reject_spec(spec, now, arrived_at, reason, throttled=True)
         return True
 
     def _route_arrival(
@@ -1089,13 +979,6 @@ class ClusterSimulator:
         # skip it — the request was submitted (and recorded in its tenant's
         # window) on first attempt.
         if first_attempt and self._throttle_arrival(spec, now, arrived_at):
-            # Unlike fault rejects, throttle rejects can release the
-            # client slot at this same instant without a zero-time cascade
-            # risk: the rate window only fills as requests are admitted, so a
-            # same-instant follow-up either fits the window or is itself
-            # throttled — and the workload is finite.  Drained by the caller
-            # (the arrival loop owns the generator).
-            self._throttle_releases += 1
             return
         if self.router is None:
             replica = self.replicas[0]
@@ -1203,7 +1086,7 @@ class ClusterSimulator:
     # ---------------------------------------------------------------- running
     def _run(
         self,
-        generator: LoadGenerator,
+        generator: ArrivalQueue,
         workload_name: str,
         num_clients: int,
     ) -> ClusterResult:
@@ -1325,7 +1208,7 @@ class ClusterSimulator:
                 # inside a jump, so the arrival horizon stays complete).
                 generator.on_request_finished(clock, request)
                 if self._tracing:
-                    self._emit_session_completion(request, clock)
+                    self._emit_session_turn(request.spec, clock, finished=True)
                 if router is not None:
                     router.on_request_finished(request, clock)
                 if self.autoscaler is not None:

@@ -90,6 +90,8 @@ class ReplicaCrash:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("crash time must be non-negative")
+        if self.replica < 0:
+            raise ValueError("crash replica id must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,8 @@ class Preemption:
             raise ValueError("preemption time must be non-negative")
         if self.notice <= 0:
             raise ValueError("preemption notice must be positive")
+        if self.replica < 0:
+            raise ValueError("preemption replica id must be non-negative")
 
     @property
     def deadline(self) -> float:
@@ -133,6 +137,8 @@ class Straggler:
             raise ValueError("straggler duration must be positive")
         if self.slowdown <= 1.0:
             raise ValueError("slowdown must exceed 1.0 (1.0 is a healthy replica)")
+        if self.replica < 0:
+            raise ValueError("straggler replica id must be non-negative")
 
     @property
     def end(self) -> float:

@@ -27,8 +27,64 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.metrics.sessions import SessionSummary
 
 
+class _RequestAggregates:
+    """Request aggregates read only from ``requests``, ``duration`` and ``rejected``.
+
+    Shared by :class:`RunResult` (one engine over its clock) and
+    :class:`ClusterResult` (every replica's requests over the fleet makespan).
+    """
+
+    requests: list[Request]
+    duration: float
+    rejected: list[Request]
+
+    @property
+    def finished_requests(self) -> list[Request]:
+        """Requests that completed generation."""
+        return [r for r in self.requests if r.is_finished]
+
+    @property
+    def total_output_tokens(self) -> int:
+        """Output tokens generated by finished requests."""
+        return sum(r.generated_tokens for r in self.finished_requests)
+
+    def throughput_summary(self, sla: SLASpec) -> ThroughputSummary:
+        """Token-rate summary under an SLA over ``duration``."""
+        return summarize_throughput(self.requests, self.duration, sla)
+
+    def latency_summary(self) -> LatencySummary:
+        """TTFT/TPOT/MTPOT summary across every request served."""
+        return summarize_latency(self.requests)
+
+    def goodput(self, sla: SLASpec) -> float:
+        """Output tokens per second from SLA-compliant requests."""
+        return self.throughput_summary(sla).goodput
+
+    def throughput(self) -> float:
+        """Output tokens per second regardless of SLA."""
+        if self.duration <= 0:
+            return 0.0
+        return self.total_output_tokens / self.duration
+
+    def fairness_summary(self, sla: SLASpec, group_by: str = "user") -> FairnessSummary:
+        """Per-tenant service summary (Jain's index, per-tenant goodput).
+
+        Covers every request the run saw — served and rejected alike — so a
+        tenant whose traffic was mostly rejected shows the low service that
+        earned.  Empty (``num_tenants == 0``) when no request carried the
+        grouping identity.
+        """
+        return summarize_tenant_fairness(
+            self.requests,
+            self.duration,
+            sla,
+            rejected=self.rejected,
+            group_by=group_by,
+        )
+
+
 @dataclass
-class RunResult:
+class RunResult(_RequestAggregates):
     """Outcome of one serving simulation run.
 
     ``rejected`` holds arrivals turned away before entering the engine (for a
@@ -59,53 +115,9 @@ class RunResult:
     prefix_stats: PrefixCacheStats | None = None
 
     @property
-    def finished_requests(self) -> list[Request]:
-        """Requests that completed generation."""
-        return [r for r in self.requests if r.is_finished]
-
-    @property
-    def total_output_tokens(self) -> int:
-        """Output tokens generated by finished requests."""
-        return sum(r.generated_tokens for r in self.finished_requests)
-
-    @property
     def total_evictions(self) -> int:
         """Total request evictions over the run."""
         return self.engine_stats.total_evictions
-
-    def throughput_summary(self, sla: SLASpec) -> ThroughputSummary:
-        """Token-rate summary under an SLA."""
-        return summarize_throughput(self.requests, self.duration, sla)
-
-    def latency_summary(self) -> LatencySummary:
-        """TTFT/TPOT/MTPOT summary of the run."""
-        return summarize_latency(self.requests)
-
-    def goodput(self, sla: SLASpec) -> float:
-        """Output tokens per second from SLA-compliant requests."""
-        return self.throughput_summary(sla).goodput
-
-    def throughput(self) -> float:
-        """Output tokens per second regardless of SLA."""
-        if self.duration <= 0:
-            return 0.0
-        return self.total_output_tokens / self.duration
-
-    def fairness_summary(self, sla: SLASpec, group_by: str = "user") -> FairnessSummary:
-        """Per-tenant service summary (Jain's index, per-tenant goodput).
-
-        Covers every request the run saw — served and throttled alike — so a
-        tenant whose traffic was mostly rejected shows the low service that
-        earned.  Empty (``num_tenants == 0``) when no request carried the
-        grouping identity.
-        """
-        return summarize_tenant_fairness(
-            self.requests,
-            self.duration,
-            sla,
-            rejected=self.rejected,
-            group_by=group_by,
-        )
 
     def session_summary(self, sla: SLASpec | None = None) -> "SessionSummary":
         """Per-session outcomes of multi-turn traffic.
@@ -135,7 +147,7 @@ class RunResult:
 
 
 @dataclass
-class ClusterResult:
+class ClusterResult(_RequestAggregates):
     """Outcome of one multi-replica cluster serving run.
 
     Wraps the per-replica :class:`RunResult` list produced by
@@ -201,16 +213,6 @@ class ClusterResult:
     def submitted_requests(self) -> int:
         """Requests the load generator produced: routed plus rejected."""
         return self.routed_requests + len(self.rejected)
-
-    @property
-    def finished_requests(self) -> list[Request]:
-        """Requests that completed generation, fleet-wide."""
-        return [r for r in self.requests if r.is_finished]
-
-    @property
-    def total_output_tokens(self) -> int:
-        """Output tokens generated by finished requests, fleet-wide."""
-        return sum(r.generated_tokens for r in self.finished_requests)
 
     @property
     def total_evictions(self) -> int:
@@ -291,42 +293,9 @@ class ClusterResult:
             replica_seconds=self.replica_seconds,
         )
 
-    def throughput_summary(self, sla: SLASpec) -> ThroughputSummary:
-        """Token-rate summary over the fleet makespan."""
-        return summarize_throughput(self.requests, self.duration, sla)
-
-    def latency_summary(self) -> LatencySummary:
-        """TTFT/TPOT/MTPOT summary across every request the fleet served."""
-        return summarize_latency(self.requests)
-
-    def goodput(self, sla: SLASpec) -> float:
-        """Fleet output tokens per second from SLA-compliant requests."""
-        return self.throughput_summary(sla).goodput
-
-    def throughput(self) -> float:
-        """Fleet output tokens per second regardless of SLA."""
-        if self.duration <= 0:
-            return 0.0
-        return self.total_output_tokens / self.duration
-
     def per_replica_goodput(self, sla: SLASpec) -> list[float]:
         """Each replica's goodput over its own local duration."""
         return [replica.goodput(sla) for replica in self.replicas]
-
-    def fairness_summary(self, sla: SLASpec, group_by: str = "user") -> FairnessSummary:
-        """Fleet-wide per-tenant service summary (Jain's index, goodput).
-
-        Aggregates every request any replica served plus the router- and
-        throttle-rejected ones, over the fleet makespan.  Empty
-        (``num_tenants == 0``) when no request carried the grouping identity.
-        """
-        return summarize_tenant_fairness(
-            self.requests,
-            self.duration,
-            sla,
-            rejected=self.rejected,
-            group_by=group_by,
-        )
 
     # ---------------------------------------------------------- per-class
     def per_class_goodput_per_replica_second(self, sla: SLASpec) -> dict[str, float]:

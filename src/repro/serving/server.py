@@ -27,9 +27,10 @@ from repro.hardware.platform import Platform
 from repro.obs.tracer import Tracer
 from repro.schedulers.base import Scheduler
 from repro.serving.clients import ClosedLoopClientPool, OpenLoopArrivals
-from repro.serving.cluster import ClusterSimulator, LoadGenerator, SimulationLimits
+from repro.serving.cluster import ClusterSimulator, SimulationLimits
 from repro.serving.results import RunResult
 from repro.serving.throttle import OverloadThrottle
+from repro.workloads.arrivals import ArrivalQueue
 from repro.workloads.interactions import Interaction, InteractionLoadGenerator
 from repro.workloads.spec import Workload
 
@@ -99,7 +100,7 @@ class ServingSimulator:
         self.engine = self._fleet.replicas[0].engine
 
     # ---------------------------------------------------------------- running
-    def _run(self, generator: LoadGenerator, workload_name: str, num_clients: int) -> RunResult:
+    def _run(self, generator: ArrivalQueue, workload_name: str, num_clients: int) -> RunResult:
         # The fleet is handed over, so the finished run's request lists are
         # not kept alive by the simulator.
         fleet, self._fleet = self._fleet, None

@@ -49,8 +49,10 @@ class Arrival:
 class ArrivalQueue:
     """The arrival heap and in-flight count every load generator keeps.
 
-    Subclasses schedule arrivals with :meth:`_push`; the simulators consume
-    them through :meth:`pop_arrivals` and :meth:`next_arrival_time`.
+    Every client model subclasses it.  Subclasses schedule arrivals with
+    :meth:`_push` and implement :meth:`start` and
+    :attr:`min_follow_up_delay`; the simulators consume arrivals through
+    :meth:`pop_arrivals` and :meth:`next_arrival_time`.
     """
 
     def __init__(self) -> None:
@@ -62,6 +64,19 @@ class ArrivalQueue:
     def in_flight(self) -> int:
         """Requests currently submitted but not yet finished."""
         return self._in_flight
+
+    def start(self, time: float = 0.0) -> None:
+        """Begin generating arrivals at simulation time ``time``."""
+        raise NotImplementedError
+
+    @property
+    def min_follow_up_delay(self) -> float:
+        """Least time from a completion to any arrival it spawns (``inf``: none).
+
+        The fleet bounds every event jump with it, so there is no default: a
+        generator that spawns arrivals from completions must state its own.
+        """
+        raise NotImplementedError
 
     def _push(self, time: float, spec: RequestSpec) -> None:
         heapq.heappush(self._pending, Arrival(time=time, sequence=self._sequence, spec=spec))

@@ -7,8 +7,8 @@ fairserve ``Interaction`` model (USER_PROMPT → AGENT_n → FINAL).  Two
 properties matter to a serving system:
 
 1. **Closed-loop spawning** — turn *n + 1* cannot arrive before turn *n*
-   completes.  :class:`InteractionLoadGenerator` implements the
-   :class:`~repro.serving.cluster.LoadGenerator` protocol and schedules each
+   completes.  :class:`InteractionLoadGenerator` is an
+   :class:`~repro.workloads.arrivals.ArrivalQueue` that schedules each
    follow-up turn at its predecessor's completion time (plus an optional
    think time), so session arrivals are *reactions* to the simulation, not a
    pre-recorded trace.
@@ -206,11 +206,11 @@ def generate_interactions(
 class InteractionLoadGenerator(ArrivalQueue):
     """Closed-loop load generator over a set of :class:`Interaction` sessions.
 
-    Implements the :class:`~repro.serving.cluster.LoadGenerator` protocol:
-    completing turn *n* of a session schedules turn *n + 1* at completion
-    time plus the session's think time.  A turn that is throttled or
-    rejected releases its slot without a request, so the session spawns no
-    further turns — it is *abandoned*, which per-session metrics account.
+    An :class:`~repro.workloads.arrivals.ArrivalQueue`: completing turn *n*
+    of a session schedules turn *n + 1* at completion time plus the
+    session's think time.  A turn that is throttled or rejected releases its
+    slot without a request, so the session spawns no further turns — it is
+    *abandoned*, which per-session metrics account.
     """
 
     def __init__(self, interactions: list[Interaction]) -> None:

@@ -40,7 +40,6 @@ from repro.serving.faults import (
 from repro.serving.routing import ReplicaView, Router
 from repro.serving.server import SimulationLimits
 from repro.workloads.spec import RequestSpec, Workload
-from tests.conftest import make_workload
 from tests.helpers import assert_conservation, assert_rng_stream_identity
 
 
@@ -93,8 +92,15 @@ class TestPlanAndPolicy:
         assert policy.delay("a", 0) != policy.delay("b", 0)
 
     def test_plan_validation_and_describe(self):
-        with pytest.raises(ValueError):
-            Straggler(start=0.0, duration=1.0, replica=0, slowdown=1.0)
+        invalid = [
+            lambda: Straggler(start=0.0, duration=1.0, replica=0, slowdown=1.0),
+            lambda: ReplicaCrash(time=5.0, replica=-1),
+            lambda: Preemption(time=5.0, replica=-1),
+            lambda: Straggler(start=5.0, duration=1.0, replica=-1),
+        ]
+        for build in invalid:
+            with pytest.raises(ValueError):
+                build()
         plan = FaultPlan(crashes=[ReplicaCrash(time=1.0, replica=0)])
         assert not plan.empty
         assert "1 crash" in plan.describe()
@@ -332,6 +338,36 @@ class TestEndOfRunFlush:
         assert not result.completed
         assert result.reject_reasons.get(REASON_UNROUTED, 0) >= 1
         assert_conservation(result, 8)
+
+
+class TestSkippedActions:
+    @pytest.mark.parametrize(
+        "plan, kinds",
+        [
+            (FaultPlan(crashes=[ReplicaCrash(time=0.2, replica=7)]), ["skipped:crash"]),
+            (
+                FaultPlan(stragglers=[Straggler(start=0.1, duration=0.3, replica=9)]),
+                ["skipped:straggler-start", "skipped:straggler-end"],
+            ),
+        ],
+        ids=["crash", "straggler"],
+    )
+    def test_action_on_a_replica_that_never_exists_is_logged_and_skipped(
+        self, platform_7b, plan, kinds
+    ):
+        fingerprints = []
+        for fast_path in (True, False):
+            ring = RingTracer()
+            cluster = make_cluster(
+                platform_7b, plan, num_replicas=2, fast_path=fast_path, tracer=ring
+            )
+            result = cluster.run_open_loop(spread_workload())
+            assert [event.kind for event in result.fault_events] == kinds
+            assert all(e.detail == {"reason": "no-such-replica"} for e in result.fault_events)
+            assert obs.REPLICA_FAIL not in {event.name for event in ring.events}
+            assert result.routed_requests + len(result.rejected) == 24
+            fingerprints.append(cluster_fingerprint(result))
+        assert fingerprints[0] == fingerprints[1]
 
 
 class TestNeutrality:

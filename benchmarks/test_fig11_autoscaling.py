@@ -37,7 +37,11 @@ from benchmarks.conftest import (
 )
 from repro.analysis.experiments import FleetConfig, sweep
 from repro.analysis.tables import autoscale_table, render_table
-from repro.serving.autoscale import available_autoscale_policies
+from repro.serving.autoscale import (
+    Autoscaler,
+    available_autoscale_policies,
+    create_autoscale_policy,
+)
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
@@ -95,18 +99,21 @@ def run_config(platform, workload_seed: int, arrival_seed: int):
         platform=platform,
         router="least-outstanding",
         num_replicas=2,
-        min_replicas=1,
-        max_replicas=MAX_REPLICAS,
-        decision_interval=0.5,
-        warmup_delay=WARMUP_DELAY,
-        sample_window=4.0,
         scheduler_name="aggressive",
         scheduler_kwargs={"watermark": 0.95},
         token_capacity_override=REPLICA_CAPACITY,
         chunked_prefill_tokens=PREFILL_CAP_SCALED,
     )
+    shared = {
+        "interval": 0.5,
+        "max_replicas": MAX_REPLICAS,
+        "warmup_delay": WARMUP_DELAY,
+        "sample_window": 4.0,
+    }
     variants = {
-        name: {"autoscale": name, "autoscale_kwargs": POLICY_KWARGS.get(name, {})}
+        name: {
+            "autoscaler": Autoscaler(create_autoscale_policy(name, **POLICY_KWARGS.get(name, {})), **shared)
+        }
         for name in available_autoscale_policies()
     }
     return sweep(config, workload, variants)

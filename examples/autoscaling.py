@@ -4,8 +4,8 @@ Serves the same bursty ShareGPT-o1 trace under three autoscaling policies —
 a peak-provisioned static fleet, reactive threshold scaling on the windowed
 saturation rate, and the predictive policy that forecasts fleet KV demand
 with the paper's future-memory equations — then compares them on goodput
-per replica-second and prints the predictive run's fleet-size timeline and
-scaling decisions.
+per replica-second and prints the predictive run's fleet-size timeline
+(active, warming and draining replicas at each change).
 
 Replica capacities come from the per-replica ``capacity_scale`` knob (which
 preserves capacity *ratios*, so the same config works on heterogeneous
@@ -21,7 +21,11 @@ from __future__ import annotations
 from repro.analysis.experiments import FleetConfig, sweep
 from repro.analysis.tables import autoscale_table, render_table
 from repro.hardware.platform import paper_platform
-from repro.serving.autoscale import available_autoscale_policies
+from repro.serving.autoscale import (
+    Autoscaler,
+    available_autoscale_policies,
+    create_autoscale_policy,
+)
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload
@@ -54,11 +58,6 @@ def main() -> None:
         platform=platform,
         router="least-outstanding",
         num_replicas=2,
-        min_replicas=1,
-        max_replicas=MAX_REPLICAS,
-        decision_interval=0.5,
-        warmup_delay=3.0,
-        sample_window=4.0,
         scheduler_name="aggressive",
         scheduler_kwargs={"watermark": 0.95},
         capacity_scale=CAPACITY_SCALE,
@@ -77,8 +76,11 @@ def main() -> None:
         },
     }
     sla = SLASpec(ttft_limit=2.5, mtpot_limit=0.5)
+    shared = {"interval": 0.5, "max_replicas": MAX_REPLICAS, "warmup_delay": 3.0, "sample_window": 4.0}
     variants = {
-        name: {"autoscale": name, "autoscale_kwargs": policy_kwargs.get(name, {})}
+        name: {
+            "autoscaler": Autoscaler(create_autoscale_policy(name, **policy_kwargs.get(name, {})), **shared)
+        }
         for name in available_autoscale_policies()
     }
     results = sweep(config, workload, variants)

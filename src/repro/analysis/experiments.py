@@ -8,10 +8,11 @@ reproducible from the config alone:
   through the :class:`~repro.serving.server.ServingSimulator` façade, giving
   a :class:`RunResult`;
 * naming a ``router`` makes it a fleet, giving a :class:`ClusterResult`;
-  naming an ``autoscale`` policy makes the fleet elastic within
-  ``[min_replicas, max_replicas]``, starting at ``num_replicas``.  The
-  ``static`` policy is the peak-provisioned baseline: a fixed fleet of
-  ``max_replicas``.
+  an ``autoscaler`` (:class:`~repro.serving.autoscale.Autoscaler`) makes
+  the fleet elastic within its ``[min_replicas, max_replicas]``, starting
+  at ``num_replicas``.  Under a
+  :class:`~repro.serving.autoscale.StaticPolicy` the fleet is the
+  peak-provisioned baseline: a fixed fleet of ``max_replicas``.
 
 ``faults``, ``throttle`` and ``prefix_cache_tokens`` mount a
 :class:`~repro.serving.faults.FaultPlan`, an
@@ -27,10 +28,12 @@ own start and think times.  :func:`sweep` replays the *same* load under
 several field overrides — routers, autoscaling policies, schedulers — so the
 only varying factor is the one they name.
 
-An invalid config raises at construction: the scheduler, router and
-autoscale policy are built once, so an unknown name or keyword raises, and
-the rest is checked with the simulator's own message
-(:func:`repro.serving.cluster.check_fleet_args`).
+An invalid config raises at construction: the scheduler and a named
+router are built once, so an unknown name or keyword raises, and the rest
+is checked with the simulator's own message
+(:func:`repro.serving.cluster.check_fleet_args`).  An ``autoscaler`` is an
+instance, so a misspelled policy name or keyword raises where the caller
+builds it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.metrics.memory_stats import MemoryReport, build_memory_report
 from repro.obs.tracer import Tracer
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import create_scheduler
-from repro.serving.autoscale import Autoscaler, create_autoscale_policy
+from repro.serving.autoscale import Autoscaler, StaticPolicy
 from repro.serving.cluster import ClusterSimulator, SimulationLimits, check_fleet_args
 from repro.serving.faults import FaultPlan
 from repro.serving.results import ClusterResult, RunResult
@@ -71,10 +74,9 @@ class FleetConfig:
     capacity ratios an absolute ``token_capacity_override`` would erase; a
     single engine sizes its pool with ``token_capacity_override``.
     ``speed_factor`` scales the cost model's latency (homogeneous only).
-    ``autoscale_kwargs`` are the ``autoscale`` policy's constructor
-    overrides, so a sweep variant sets the two together.  ``faults`` needs
-    a fleet.  A ``router`` or ``throttle`` instance may be shared by configs
-    that run one after another: each run starts with its ``on_run_start``.
+    ``autoscaler`` and ``faults`` need a fleet.  A ``router``, ``throttle``
+    or ``autoscaler`` instance may be shared by configs that run one after
+    another: each run starts with its ``on_run_start``.
     """
 
     platform: Platform | None = None
@@ -89,13 +91,7 @@ class FleetConfig:
     token_capacity_override: int | None = None
     capacity_scale: float | None = None
     speed_factor: float = 1.0
-    autoscale: str | None = None
-    autoscale_kwargs: Mapping[str, object] = field(default_factory=dict)
-    min_replicas: int = 1
-    max_replicas: int = 6
-    decision_interval: float = 1.0
-    warmup_delay: float = 2.0
-    sample_window: float = 5.0
+    autoscaler: Autoscaler | None = None
     limits: SimulationLimits = field(default_factory=SimulationLimits)
     #: event-jump fast path; ``False`` bisects against the reference loop.
     fast_path: bool = True
@@ -104,12 +100,10 @@ class FleetConfig:
     prefix_cache_tokens: int | None = None
 
     def __post_init__(self) -> None:
-        if self.autoscale_kwargs and self.autoscale is None:
-            raise ValueError("autoscale_kwargs configure the autoscale policy; none is set")
         if self.think_time > 0 and self.num_clients is None:
             raise ValueError("think_time paces closed-loop clients; num_clients=None is open loop")
-        # Building the scheduler, router and autoscale policy once makes an
-        # unknown name or keyword raise here, not when a run starts.
+        # Building the scheduler and a named router once makes an unknown
+        # name or keyword raise here, not when a run starts.
         self.build_scheduler()
         if isinstance(self.router, str):
             create_router(self.router)
@@ -118,7 +112,7 @@ class FleetConfig:
             self.platforms,
             self.launch_size,
             self.router,
-            autoscaler=self.build_autoscaler(),
+            autoscaler=self.autoscaler,
             faults=self.faults,
             token_capacity_override=self.token_capacity_override,
             capacity_scale=self.capacity_scale,
@@ -138,8 +132,10 @@ class FleetConfig:
 
     @property
     def launch_size(self) -> int:
-        """Replicas at time zero: ``max_replicas`` under the static policy."""
-        return self.max_replicas if self.autoscale == "static" else self.num_replicas
+        """Replicas at time zero: the autoscaler's ``max_replicas`` under a static policy."""
+        if self.autoscaler is not None and isinstance(self.autoscaler.policy, StaticPolicy):
+            return self.autoscaler.max_replicas
+        return self.num_replicas
 
     def default_sla(self) -> SLASpec:
         """The paper's SLA preset for the configured model."""
@@ -154,19 +150,6 @@ class FleetConfig:
         if self.speed_factor == 1.0:
             return None
         return CostModel(self.primary_platform, speed_factor=self.speed_factor)
-
-    def build_autoscaler(self) -> Autoscaler | None:
-        """A fresh autoscaler around the configured policy, or ``None``."""
-        if self.autoscale is None:
-            return None
-        return Autoscaler(
-            policy=create_autoscale_policy(self.autoscale, **self.autoscale_kwargs),
-            interval=self.decision_interval,
-            min_replicas=self.min_replicas,
-            max_replicas=self.max_replicas,
-            warmup_delay=self.warmup_delay,
-            sample_window=self.sample_window,
-        )
 
     def build_simulator(self, tracer: Tracer | None = None) -> ServingSimulator | ClusterSimulator:
         """A fresh simulator: the single-engine façade, or a fleet behind ``router``."""
@@ -190,7 +173,7 @@ class FleetConfig:
             scheduler_name=self.scheduler_name,
             scheduler_kwargs=self.scheduler_kwargs,
             capacity_scale=self.capacity_scale,
-            autoscaler=self.build_autoscaler(),
+            autoscaler=self.autoscaler,
             faults=self.faults,
             **options,
         )

@@ -42,6 +42,7 @@ from repro.analysis.experiments import FleetConfig, Load, run_experiment
 from repro.engine.engine import JumpStats
 from repro.hardware.platform import paper_platform, paper_platforms
 from repro.obs.tracer import Tracer
+from repro.serving.autoscale import Autoscaler, PredictivePolicy
 from repro.serving.faults import FaultPlan, ReplicaCrash, RetryPolicy, Straggler
 from repro.serving.results import ClusterResult, RunResult
 from repro.serving.throttle import OverloadThrottle
@@ -189,10 +190,9 @@ class Call:
 
     ``inputs()`` builds the load (a workload or sessions) that
     :func:`~repro.analysis.experiments.run_experiment` serves under
-    ``config``.  Every run builds a fresh simulator, scheduler and
-    autoscaler from the config; a stateful instance the config holds (a
-    router or a throttle) is reset by its ``on_run_start``, so repeats share
-    nothing.  ``label`` prefixes this call's fingerprint in a multi-call
+    ``config``.  Every run builds a fresh simulator and scheduler from the
+    config; a stateful instance the config holds (a router, a throttle or an
+    autoscaler) is reset by its ``on_run_start``, so repeats share nothing.  ``label`` prefixes this call's fingerprint in a multi-call
     scenario's digest.
     """
 
@@ -389,15 +389,15 @@ SCENARIOS: tuple[Scenario, ...] = (
                     FLEET,
                     router="least-outstanding",
                     num_replicas=2,
-                    autoscale="predictive",
-                    autoscale_kwargs={
-                        "target_utilization": 0.8,
-                        "scale_down_cooldown": 60.0,
-                        "default_length": 2048,
-                    },
-                    decision_interval=5.0,
-                    warmup_delay=30.0,
-                    sample_window=40.0,
+                    autoscaler=Autoscaler(
+                        PredictivePolicy(
+                            target_utilization=0.8, scale_down_cooldown=60.0, default_length=2048
+                        ),
+                        interval=5.0,
+                        max_replicas=6,
+                        warmup_delay=30.0,
+                        sample_window=40.0,
+                    ),
                 ),
                 _fig11_workload,
             ),

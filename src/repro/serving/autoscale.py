@@ -29,8 +29,12 @@ Three policies are provided, in increasing order of foresight:
 
 The :class:`Autoscaler` driver owns the decision cadence (a fixed interval on
 the fleet clock), the windowed traffic statistics handed to policies as a
-:class:`FleetView`, and the min/max fleet clamp.  The
-:class:`~repro.serving.cluster.ClusterSimulator` executes its decisions:
+:class:`FleetView`, the min/max fleet clamp and the warm-up delay.  It is the
+one description of an elastic fleet: ``ClusterSimulator(autoscaler=...)``
+and ``FleetConfig(autoscaler=...)`` both take an instance, and every run
+resets it with :meth:`Autoscaler.on_run_start`.  The
+:class:`~repro.serving.cluster.ClusterSimulator` executes its decisions (and,
+under a tracer, records each as an ``autoscale.decision`` event):
 scale-up launches replicas that spend ``warmup_delay`` seconds warming (cold
 engine, empty scheduler history, not routable) before activating, and
 scale-down *drains* a replica — no new placements, resident work runs to
@@ -51,7 +55,7 @@ import abc
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.engine.request import Request
 from repro.registry import instantiate
@@ -65,6 +69,8 @@ class FleetView:
     Like :class:`~repro.serving.routing.ReplicaView` for routers, the view
     contains only operator-visible state — queue depths, KV occupancy,
     windowed traffic statistics — never the hidden true output lengths.
+    It holds only what the policies read; :meth:`Autoscaler.make_view` is
+    its one builder.
 
     Heterogeneous fleets (see ``ClusterSimulator(platforms=...)``) mix
     replicas of very different KV capacities, so the view carries the
@@ -77,9 +83,9 @@ class FleetView:
     Attributes:
         time: fleet clock at the decision instant.
         snapshots: one :class:`ReplicaView` per *routable* (active)
-            replica; warming and draining replicas are summarised by count.
+            replica.  Draining replicas are not shown: they left the
+            provisioned count when they started draining.
         num_warming: replicas launched but still inside their warm-up delay.
-        num_draining: replicas finishing resident work before retiring.
         saturation_rate: mean saturated-replica fraction observed by arrivals
             inside the sampling window (0.0 when the window is empty).
         arrival_rate: arrivals per second over the sampling window.
@@ -92,7 +98,6 @@ class FleetView:
     time: float
     snapshots: tuple[ReplicaView, ...]
     num_warming: int = 0
-    num_draining: int = 0
     saturation_rate: float = 0.0
     arrival_rate: float = 0.0
     mean_arrival_tokens: float = 0.0
@@ -115,13 +120,6 @@ class FleetView:
         return sum(s.num_waiting for s in self.snapshots)
 
     @property
-    def saturated_fraction(self) -> float:
-        """Instantaneous fraction of active replicas that are saturated."""
-        if not self.snapshots:
-            return 0.0
-        return sum(1 for s in self.snapshots if s.saturated) / len(self.snapshots)
-
-    @property
     def replica_capacity(self) -> int:
         """KV token capacity of the first routable replica (0 when none is)."""
         if not self.snapshots:
@@ -129,14 +127,9 @@ class FleetView:
         return self.snapshots[0].token_capacity
 
     @property
-    def active_capacity(self) -> int:
-        """Summed KV token capacity of the routable fleet."""
-        return sum(s.token_capacity for s in self.snapshots)
-
-    @property
     def provisioned_capacity(self) -> int:
         """Capacity currently paid for: active plus warming token slots."""
-        return self.active_capacity + self.warming_capacity
+        return sum(s.token_capacity for s in self.snapshots) + self.warming_capacity
 
 
 class AutoscalerPolicy(abc.ABC):
@@ -169,27 +162,13 @@ class AutoscalerPolicy(abc.ABC):
 
 
 class StaticPolicy(AutoscalerPolicy):
-    """Fixed fleet size: the non-elastic baseline.
-
-    Args:
-        size: fleet size to hold; ``None`` freezes whatever size the fleet
-            had when the run started.
-    """
+    """Fixed fleet size: the non-elastic baseline holds the size it has."""
 
     name = "static"
 
-    def __init__(self, size: int | None = None) -> None:
-        if size is not None and size <= 0:
-            raise ValueError("size must be positive when set")
-        self.size = size
-
     def target_size(self, view: FleetView) -> int:
-        """Return the fixed size (or the initial fleet size when unset)."""
-        return self.size if self.size is not None else view.provisioned
-
-    def describe(self) -> str:
-        """One-line parameterised description used in result tables."""
-        return f"{self.name} (size={self.size if self.size is not None else 'initial'})"
+        """Return the provisioned size unchanged."""
+        return view.provisioned
 
 
 class ReactivePolicy(AutoscalerPolicy):
@@ -222,8 +201,8 @@ class ReactivePolicy(AutoscalerPolicy):
             raise ValueError("thresholds must satisfy 0 <= down < up <= 1")
         if step <= 0:
             raise ValueError("step must be positive")
-        if cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
+        if not 0 <= cooldown < math.inf:
+            raise ValueError("cooldown must be non-negative and finite")
         self.scale_up_threshold = scale_up_threshold
         self.scale_down_threshold = scale_down_threshold
         self.step = step
@@ -310,10 +289,10 @@ class PredictivePolicy(AutoscalerPolicy):
     ) -> None:
         if not 0.0 < target_utilization <= 1.0:
             raise ValueError("target_utilization must be in (0, 1]")
-        if horizon is not None and horizon < 0:
-            raise ValueError("horizon must be non-negative when set")
-        if scale_down_cooldown < 0:
-            raise ValueError("scale_down_cooldown must be non-negative")
+        if horizon is not None and not 0 <= horizon < math.inf:
+            raise ValueError("horizon must be non-negative and finite when set")
+        if not 0 <= scale_down_cooldown < math.inf:
+            raise ValueError("scale_down_cooldown must be non-negative and finite")
         self.target_utilization = target_utilization
         self.horizon = horizon
         self.scale_down_cooldown = scale_down_cooldown
@@ -387,42 +366,18 @@ class PredictivePolicy(AutoscalerPolicy):
         )
 
 
-@dataclass(frozen=True)
-class AutoscaleDecision:
-    """One evaluated decision of the autoscaler (for timelines and debugging)."""
-
-    time: float
-    target: int
-    provisioned: int
-    num_active: int
-    saturation_rate: float
-    arrival_rate: float = 0.0
-
-    @property
-    def delta(self) -> int:
-        """Replicas the decision adds (positive) or drains (negative)."""
-        return self.target - self.provisioned
-
-
-@dataclass
-class _ArrivalSample:
-    """Traffic observed by the fleet when one request was routed."""
-
-    time: float
-    saturated_fraction: float
-    prompt_tokens: int
-
-
 class Autoscaler:
     """Drives an :class:`AutoscalerPolicy` on a fixed decision cadence.
 
     The :class:`~repro.serving.cluster.ClusterSimulator` asks
     :attr:`next_decision_time` when scheduling events, reports every routed
     arrival via :meth:`note_arrival` (building the windowed saturation and
-    arrival-rate statistics policies consume), and calls :meth:`evaluate` at
-    each decision instant; the returned target — clamped to
+    arrival-rate statistics policies consume), and at each decision instant
+    builds a :class:`FleetView` with :meth:`make_view` and passes it to
+    :meth:`evaluate`; the returned target — clamped to
     ``[min_replicas, max_replicas]`` — is then executed by the cluster
-    (launch warming replicas or drain active ones).
+    (launch warming replicas or drain active ones).  One instance may serve
+    runs one after another: each run starts with :meth:`on_run_start`.
 
     Args:
         policy: sizing policy instance, or a registry name (``static``,
@@ -445,16 +400,16 @@ class Autoscaler:
         warmup_delay: float = 0.0,
         sample_window: float = 5.0,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if not 0 < interval < math.inf:
+            raise ValueError("interval must be positive and finite")
         if min_replicas <= 0:
             raise ValueError("min_replicas must be positive")
         if max_replicas < min_replicas:
             raise ValueError("max_replicas must be at least min_replicas")
-        if warmup_delay < 0:
-            raise ValueError("warmup_delay must be non-negative")
-        if sample_window <= 0:
-            raise ValueError("sample_window must be positive")
+        if not 0 <= warmup_delay < math.inf:
+            raise ValueError("warmup_delay must be non-negative and finite")
+        if not 0 < sample_window < math.inf:
+            raise ValueError("sample_window must be positive and finite")
         self.policy = create_autoscale_policy(policy) if isinstance(policy, str) else policy
         self.interval = interval
         self.min_replicas = min_replicas
@@ -463,14 +418,13 @@ class Autoscaler:
         self.sample_window = sample_window
         if isinstance(self.policy, PredictivePolicy):
             self.policy.bind_warmup(warmup_delay)
-        self.decisions: list[AutoscaleDecision] = []
-        self._samples: deque[_ArrivalSample] = deque()
+        #: ``(time, saturated_fraction, prompt_tokens)`` per routed arrival.
+        self._samples: deque[tuple[float, float, int]] = deque()
         self._next_decision = interval
 
     # ------------------------------------------------------------- lifecycle
     def on_run_start(self) -> None:
         """Reset decision cadence, traffic window, and policy state."""
-        self.decisions = []
         self._samples.clear()
         self._next_decision = self.interval
         self.policy.on_run_start()
@@ -487,12 +441,12 @@ class Autoscaler:
 
     def note_arrival(self, time: float, saturated_fraction: float, prompt_tokens: int) -> None:
         """Record the fleet state one newly arrived (not re-routed) request observed."""
-        self._samples.append(_ArrivalSample(time, saturated_fraction, prompt_tokens))
+        self._samples.append((time, saturated_fraction, prompt_tokens))
         self._trim(time)
 
     def _trim(self, now: float) -> None:
         horizon = now - self.sample_window
-        while self._samples and self._samples[0].time < horizon:
+        while self._samples and self._samples[0][0] < horizon:
             self._samples.popleft()
 
     def make_view(
@@ -500,29 +454,27 @@ class Autoscaler:
         time: float,
         snapshots: Sequence[ReplicaView],
         num_warming: int = 0,
-        num_draining: int = 0,
         warming_capacity: int = 0,
         launch_capacity: int = 0,
     ) -> FleetView:
         """Assemble the policy-facing view for one decision instant."""
         self._trim(time)
-        samples = list(self._samples)
+        samples = self._samples
         if samples:
-            saturation_rate = sum(s.saturated_fraction for s in samples) / len(samples)
+            saturation_rate = sum(s[1] for s in samples) / len(samples)
             # Early in a run less than one full window has elapsed; dividing
             # by the elapsed span instead of the nominal window keeps the
             # rate honest exactly when scaling ahead of the opening burst
             # matters most.
             span = min(self.sample_window, time) if time > 0 else self.sample_window
             arrival_rate = len(samples) / span
-            mean_tokens = sum(s.prompt_tokens for s in samples) / len(samples)
+            mean_tokens = sum(s[2] for s in samples) / len(samples)
         else:
             saturation_rate = arrival_rate = mean_tokens = 0.0
         return FleetView(
             time=time,
             snapshots=tuple(snapshots),
             num_warming=num_warming,
-            num_draining=num_draining,
             saturation_rate=saturation_rate,
             arrival_rate=arrival_rate,
             mean_arrival_tokens=mean_tokens,
@@ -531,31 +483,10 @@ class Autoscaler:
         )
 
     # -------------------------------------------------------------- deciding
-    def evaluate(
-        self,
-        time: float,
-        snapshots: Sequence[ReplicaView],
-        num_warming: int = 0,
-        num_draining: int = 0,
-        warming_capacity: int = 0,
-        launch_capacity: int = 0,
-    ) -> int:
-        """Run one decision: build the view, ask the policy, clamp, record."""
-        view = self.make_view(
-            time, snapshots, num_warming, num_draining, warming_capacity, launch_capacity
-        )
+    def evaluate(self, view: FleetView) -> int:
+        """Clamp the policy's target for ``view`` and advance the decision cadence."""
         target = max(self.min_replicas, min(self.max_replicas, self.policy.target_size(view)))
-        self.decisions.append(
-            AutoscaleDecision(
-                time=time,
-                target=target,
-                provisioned=view.provisioned,
-                num_active=view.num_active,
-                saturation_rate=view.saturation_rate,
-                arrival_rate=view.arrival_rate,
-            )
-        )
-        while self._next_decision <= time:
+        while self._next_decision <= view.time:
             self._next_decision += self.interval
         return target
 
@@ -570,9 +501,7 @@ class Autoscaler:
         return f"Autoscaler({self.describe()})"
 
 
-AutoscalePolicyFactory = Callable[..., AutoscalerPolicy]
-
-AUTOSCALE_POLICY_REGISTRY: dict[str, AutoscalePolicyFactory] = {
+AUTOSCALE_POLICY_REGISTRY: dict[str, type[AutoscalerPolicy]] = {
     "static": StaticPolicy,
     "reactive": ReactivePolicy,
     "predictive": PredictivePolicy,

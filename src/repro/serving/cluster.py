@@ -637,49 +637,39 @@ class ClusterSimulator:
             else:
                 self._retire(replica, time)
 
-    def _apply_autoscale_target(self, target: int, time: float) -> None:
-        provisioned = self._count(ReplicaState.ACTIVE) + self._count(ReplicaState.WARMING)
-        delta = target - provisioned
-        if delta > 0:
-            assert self.autoscaler is not None
-            for _ in range(delta):
-                self._launch_replica(time, warmup_delay=self.autoscaler.warmup_delay)
-        elif delta < 0:
-            self._drain_replicas(-delta, time)
-
     def _run_autoscale_decision(self, time: float) -> None:
-        assert self.autoscaler is not None
-        warming_capacity = sum(
-            replica.engine.token_capacity
-            for replica in self.replicas
-            if replica.state is ReplicaState.WARMING
-        )
-        target = self.autoscaler.evaluate(
+        autoscaler = self.autoscaler
+        assert autoscaler is not None
+        warming = [replica for replica in self.replicas if replica.state is ReplicaState.WARMING]
+        view = autoscaler.make_view(
             time,
             self.snapshots(),
-            num_warming=self._count(ReplicaState.WARMING),
-            num_draining=self._count(ReplicaState.DRAINING),
-            warming_capacity=warming_capacity,
+            num_warming=len(warming),
+            warming_capacity=sum(replica.engine.token_capacity for replica in warming),
             launch_capacity=self.next_launch_capacity(),
         )
+        target = autoscaler.evaluate(view)
         if self._tracing:
-            decision = self.autoscaler.decisions[-1]
             self.tracer.emit(
                 TraceEvent(
                     obs.AUTOSCALE_DECISION,
                     time,
                     attrs={
-                        "target": decision.target,
-                        "provisioned": decision.provisioned,
-                        "active": decision.num_active,
-                        "warming": self._count(ReplicaState.WARMING),
+                        "target": target,
+                        "provisioned": view.provisioned,
+                        "active": view.num_active,
+                        "warming": view.num_warming,
                         "draining": self._count(ReplicaState.DRAINING),
-                        "saturation_rate": round(decision.saturation_rate, 4),
-                        "arrival_rate": round(decision.arrival_rate, 4),
+                        "saturation_rate": round(view.saturation_rate, 4),
+                        "arrival_rate": round(view.arrival_rate, 4),
                     },
                 )
             )
-        self._apply_autoscale_target(target, time)
+        delta = target - view.provisioned
+        for _ in range(delta):
+            self._launch_replica(time, warmup_delay=autoscaler.warmup_delay)
+        if delta < 0:
+            self._drain_replicas(-delta, time)
 
     # ----------------------------------------------------------------- faults
     def _apply_faults(self, time: float) -> None:

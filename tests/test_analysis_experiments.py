@@ -54,7 +54,7 @@ def runs(monkeypatch):
     real = experiments.run_experiment
 
     def recording(config, load, tracer=None):
-        started.append(config.autoscale or str(config.router))
+        started.append(config.autoscaler.policy.name if config.autoscaler else str(config.router))
         return real(config, load, tracer)
 
     monkeypatch.setattr(experiments, "run_experiment", recording)
@@ -72,13 +72,20 @@ class TestConstruction:
             ({"platforms": MIXED_FLEET}, "exactly one of platform / platforms"),
             ({"platform": None}, "exactly one of platform / platforms"),
             ({"num_replicas": 2}, "router=None serves one fixed replica"),
-            ({"autoscale": "reactive"}, "router=None serves one fixed replica"),
+            ({"autoscaler": Autoscaler("reactive")}, "router=None serves one fixed replica"),
             (
-                {"router": "round-robin", "autoscale": "reactive", "min_replicas": 2},
+                {
+                    "router": "round-robin",
+                    "autoscaler": Autoscaler("reactive", min_replicas=2, max_replicas=6),
+                },
                 r"within the autoscaler's \[2, 6\] bounds",
             ),
             (
-                {"router": "round-robin", "autoscale": "reactive", "num_replicas": 7},
+                {
+                    "router": "round-robin",
+                    "autoscaler": Autoscaler("reactive", max_replicas=6),
+                    "num_replicas": 7,
+                },
                 r"within the autoscaler's \[1, 6\] bounds",
             ),
             ({"token_capacity_override": 2048, "capacity_scale": 0.5}, "mutually exclusive"),
@@ -99,49 +106,53 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             FleetConfig(**{"platform": platform_7b, **overrides})
 
+    # Each case builds a config the way a caller does: an autoscaler is an
+    # instance, so its policy name and keywords raise where it is built.
     @pytest.mark.parametrize(
-        ("overrides", "message"),
+        ("build", "message"),
         [
-            ({"router": "round-robin", "autoscale": "reactve"}, "did you mean 'reactive'"),
-            ({"scheduler_name": "agressive"}, "did you mean 'aggressive'"),
-            ({"router": "round-robn"}, "did you mean 'round-robin'"),
+            (lambda platform: Autoscaler("reactve"), "did you mean 'reactive'"),
+            (
+                lambda platform: FleetConfig(platform=platform, scheduler_name="agressive"),
+                "did you mean 'aggressive'",
+            ),
+            (
+                lambda platform: FleetConfig(platform=platform, router="round-robn"),
+                "did you mean 'round-robin'",
+            ),
         ],
         ids=["autoscale", "scheduler", "router"],
     )
-    def test_misspelled_autoscale_policy_raises(self, platform_7b, overrides, message):
+    def test_misspelled_autoscale_policy_raises(self, platform_7b, build, message):
         with pytest.raises(KeyError, match=message):
-            FleetConfig(platform=platform_7b, **overrides)
+            build(platform_7b)
 
     @pytest.mark.parametrize(
-        ("overrides", "message"),
+        ("build", "message"),
         [
+            (lambda platform: Autoscaler(create_autoscale_policy("reactive", cooldwn=2.0)), "cooldwn"),
             (
-                {"router": "round-robin", "autoscale": "reactive", "autoscale_kwargs": {"cooldwn": 2.0}},
-                "cooldwn",
+                lambda platform: FleetConfig(
+                    platform=platform, scheduler_name="aggressive", scheduler_kwargs={"watermrk": 0.9}
+                ),
+                "watermrk",
             ),
-            ({"scheduler_name": "aggressive", "scheduler_kwargs": {"watermrk": 0.9}}, "watermrk"),
-            ({"scheduler_kwargs": {"reserved_fractoin": 0.1}}, "reserved_fractoin"),
+            (
+                lambda platform: FleetConfig(platform=platform, scheduler_kwargs={"reserved_fractoin": 0.1}),
+                "reserved_fractoin",
+            ),
         ],
         ids=["autoscale", "scheduler", "past-future"],
     )
-    def test_unknown_policy_keyword_raises(self, platform_7b, overrides, message):
+    def test_unknown_policy_keyword_raises(self, platform_7b, build, message):
         with pytest.raises(TypeError, match=message):
-            FleetConfig(platform=platform_7b, **overrides)
+            build(platform_7b)
 
-    def test_another_policys_keyword_raises(self, platform_7b):
+    def test_another_policys_keyword_raises(self):
         # Regression: kwargs were keyed by policy name, so a "predictive"
         # entry on a reactive run was dropped without a word.
         with pytest.raises(TypeError, match="target_utilization"):
-            FleetConfig(
-                platform=platform_7b,
-                router="round-robin",
-                autoscale="reactive",
-                autoscale_kwargs={"target_utilization": 0.8},
-            )
-
-    def test_autoscale_kwargs_without_autoscale_raise(self, platform_7b):
-        with pytest.raises(ValueError, match="autoscale_kwargs configure the autoscale policy"):
-            FleetConfig(platform=platform_7b, router="round-robin", autoscale_kwargs={"cooldown": 2.0})
+            create_autoscale_policy("reactive", target_utilization=0.8)
 
     def test_default_sla_matches_model_preset(self, platform_7b, platform_70b):
         assert FleetConfig(platform=platform_7b).default_sla() == sla_for_model(
@@ -179,22 +190,40 @@ class TestConstruction:
         assert isinstance(simulator, ServingSimulator)
         assert simulator.engine.token_capacity == 1024
 
-    def test_autoscale_kwargs_reach_the_policy(self, platform_7b):
-        config = FleetConfig(
-            platform=platform_7b,
-            router="round-robin",
-            autoscale="reactive",
-            autoscale_kwargs={"cooldown": 42.0},
-        )
-        assert config.build_autoscaler().policy.cooldown == 42.0
-        assert config.build_simulator().autoscaler.policy.cooldown == 42.0
+    def test_autoscaler_reaches_the_simulator(self, platform_7b):
+        autoscaler = Autoscaler(create_autoscale_policy("reactive", cooldown=42.0))
+        config = FleetConfig(platform=platform_7b, router="round-robin", autoscaler=autoscaler)
+        assert config.build_simulator().autoscaler is autoscaler
 
     def test_static_policy_is_peak_provisioned(self, platform_7b):
         config = FleetConfig(
-            platform=platform_7b, router="round-robin", autoscale="static", max_replicas=3
+            platform=platform_7b, router="round-robin", autoscaler=Autoscaler("static", max_replicas=3)
         )
         assert config.launch_size == 3
         assert config.build_simulator().num_replicas == 3
+
+    def test_static_config_holds_peak_size_through_a_run(self, platform_7b, stamped):
+        config = FleetConfig(
+            platform=platform_7b,
+            router="round-robin",
+            scheduler_name="conservative",
+            token_capacity_override=2048,
+            autoscaler=Autoscaler("static", interval=0.25, max_replicas=3),
+        )
+        result = run_experiment(config, stamped)
+        assert result.completed
+        assert result.num_replicas == 3
+        assert {sample.provisioned for sample in result.fleet_timeline} == {3}
+
+    def test_elastic_policy_launches_num_replicas(self, platform_7b):
+        config = FleetConfig(
+            platform=platform_7b,
+            num_replicas=2,
+            router="round-robin",
+            autoscaler=Autoscaler("reactive", max_replicas=4),
+        )
+        assert config.launch_size == 2
+        assert config.build_simulator().num_replicas == 2
 
 
 class TestEquivalence:
@@ -243,33 +272,38 @@ class TestEquivalence:
         ).run_open_loop(stamped)
         assert cluster_fingerprint(result) == cluster_fingerprint(hand_built)
 
-    def test_autoscaled_fleet_matches_hand_built_simulator(self, platform_7b, stamped):
+    def test_autoscaled_fleet_matches_hand_built_simulator(self, platform_7b):
+        # Small pools under a 40 req/s burst: the reactive fleet grows 1 -> 3.
+        workload = assign_poisson_arrivals(make_workload(num_requests=32), request_rate=40.0, seed=5)
+
+        def reactive():
+            return Autoscaler(
+                create_autoscale_policy("reactive", scale_up_threshold=0.25, cooldown=0.5),
+                interval=0.25,
+                max_replicas=3,
+                warmup_delay=0.1,
+            )
+
         config = FleetConfig(
             platform=platform_7b,
             router="least-outstanding",
-            autoscale="reactive",
-            autoscale_kwargs={"cooldown": 0.5},
-            max_replicas=3,
-            decision_interval=0.25,
-            warmup_delay=0.1,
+            autoscaler=reactive(),
             scheduler_name="conservative",
-            token_capacity_override=2048,
-        )
-        result = run_experiment(config, stamped)
-        autoscaler = Autoscaler(
-            create_autoscale_policy("reactive", cooldown=0.5),
-            interval=0.25,
-            max_replicas=3,
-            warmup_delay=0.1,
+            token_capacity_override=512,
         )
         hand_built = ClusterSimulator(
             platform_7b,
             router="least-outstanding",
             scheduler_name="conservative",
-            token_capacity_override=2048,
-            autoscaler=autoscaler,
-        ).run_open_loop(stamped)
-        assert cluster_fingerprint(result) == cluster_fingerprint(hand_built)
+            token_capacity_override=512,
+            autoscaler=reactive(),
+        ).run_open_loop(workload)
+        assert max(s.provisioned for s in hand_built.fleet_timeline) == 3
+        # The config's one instance serves every run: twice on its own, then
+        # both variants of a sweep.  Each run starts with its on_run_start.
+        results = [run_experiment(config, workload), run_experiment(config, workload)]
+        results += sweep(config, workload, {"first": {}, "second": {}}).values()
+        assert [cluster_fingerprint(r) for r in results] == [cluster_fingerprint(hand_built)] * 4
 
     @pytest.mark.parametrize("fast_path", [True, False])
     def test_faulted_throttled_session_fleet_matches_hand_built_simulator(
@@ -386,13 +420,13 @@ class TestSweep:
         config = FleetConfig(
             platform=platform_7b,
             router="least-outstanding",
-            max_replicas=3,
-            decision_interval=0.25,
-            warmup_delay=0.1,
             scheduler_name="conservative",
             token_capacity_override=2048,
         )
-        variants = {name: {"autoscale": name} for name in ("static", "reactive")}
+        variants = {
+            name: {"autoscaler": Autoscaler(name, interval=0.25, max_replicas=3, warmup_delay=0.1)}
+            for name in ("static", "reactive")
+        }
         results = sweep(config, stamped, variants)
         assert sorted(results) == ["reactive", "static"]
         for result in results.values():
@@ -410,12 +444,12 @@ class TestSweep:
             sweep(config, stamped, variants)
         assert runs == []
 
-    def test_mismatched_autoscale_kwargs_raise_before_any_run(self, config, stamped, runs):
-        variants = {
-            "static": {"autoscale": "static"},
-            "reactive": {"autoscale": "reactive", "autoscale_kwargs": {"target_utilization": 0.8}},
-        }
+    def test_mismatched_policy_keyword_raises_before_any_run(self, config, stamped, runs):
         with pytest.raises(TypeError, match="target_utilization"):
+            variants = {
+                name: {"autoscaler": Autoscaler(create_autoscale_policy(name, target_utilization=0.8))}
+                for name in ("predictive", "reactive")
+            }
             sweep(config, stamped, variants)
         assert runs == []
 
@@ -426,10 +460,11 @@ class TestSweep:
             platform=config.platform,
             num_replicas=4,
             router="round-robin",
-            max_replicas=3,
             token_capacity_override=2048,
         )
-        variants = {name: {"autoscale": name} for name in ("static", "reactive")}
+        variants = {
+            name: {"autoscaler": Autoscaler(name, max_replicas=3)} for name in ("static", "reactive")
+        }
         with pytest.raises(ValueError, match=r"\[1, 3\] bounds"):
             sweep(config, stamped, variants)
         assert runs == []

@@ -29,6 +29,7 @@ from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.fair import VirtualTokenCounterScheduler, WeightedServiceCounterScheduler
+from repro.serving.autoscale import Autoscaler, create_autoscale_policy
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash
 from repro.serving.routing import ROUTER_REGISTRY, MemoryAwareRouter, ReplicaView
@@ -670,16 +671,30 @@ def run_generated_fleet(
     think_times: list[float],
     crash: tuple[float, int] | None,
     throttle: tuple[int, float] | None,
+    autoscale: tuple[str, float, float] | None,
     seed: int,
 ):
     """One tiny closed-loop fleet run; the inputs are rebuilt per call.
 
     ``throttle`` is ``(user_rpm, window_seconds)``; with it, requests carry
-    one of three users.  Every replica's pool ledger is checked at drain.
+    one of three users.  ``autoscale`` is ``(policy, interval, warmup)``;
+    the fleet may then range from one replica to two above its start.
+    Every replica's pool ledger is checked at drain.
     """
     faults = None
     if crash is not None:
         faults = FaultPlan(crashes=(ReplicaCrash(time=crash[0], replica=crash[1]),), seed=seed)
+    autoscaler = None
+    if autoscale is not None:
+        policy, interval, warmup = autoscale
+        autoscaler = Autoscaler(
+            create_autoscale_policy(policy, **({"default_length": 64} if policy == "predictive" else {})),
+            interval=interval,
+            min_replicas=1,
+            max_replicas=num_replicas + 2,
+            warmup_delay=warmup,
+            sample_window=1.0,
+        )
     users = 3 if throttle is not None else 0
     simulator = ClusterSimulator(
         platform=FLEET_PLATFORM,
@@ -691,6 +706,7 @@ def run_generated_fleet(
         faults=faults,
         fast_path=fast_path,
         throttle=None if throttle is None else OverloadThrottle(*throttle),
+        autoscaler=autoscaler,
     )
     if sessions:
         interactions = generate_interactions(
@@ -728,7 +744,9 @@ class TestGeneratedClosedLoopFleets:
     follow-up delay.  Mixed think times put that bound both below and far
     above one decode iteration.  An optional per-user throttle releases
     client slots at the instant it turns a request away; its window ranges
-    from shorter than a run to longer than any.
+    from shorter than a run to longer than any.  An optional autoscaler
+    adds decision instants and warm-up completions to the jump horizon,
+    and launches and drains replicas mid-run.
     """
 
     @given(
@@ -739,17 +757,24 @@ class TestGeneratedClosedLoopFleets:
         think_times=st.lists(st.sampled_from(THINK_TIMES), min_size=2, max_size=4),
         crash=st.none() | st.tuples(st.floats(0.01, 3.0), st.integers(0, 3)),
         throttle=st.none() | st.tuples(st.integers(1, 3), st.sampled_from([0.05, 1.0, 60.0])),
+        autoscale=st.none()
+        | st.tuples(
+            st.sampled_from(["static", "reactive", "predictive"]),
+            st.sampled_from([0.05, 0.25, 1.0]),
+            st.sampled_from([0.0, 0.05, 0.5]),
+        ),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=25, deadline=None)
     def test_fast_path_matches_reference(
-        self, num_replicas, router, scheduler, sessions, think_times, crash, throttle, seed
+        self, num_replicas, router, scheduler, sessions, think_times, crash, throttle, autoscale, seed
     ):
         if crash is not None:
             crash = (crash[0], crash[1] % num_replicas)
-        args = (num_replicas, router, scheduler, sessions, think_times, crash, throttle, seed)
+        args = (num_replicas, router, scheduler, sessions, think_times, crash, throttle, autoscale, seed)
         fast = run_generated_fleet(True, *args)
         reference = run_generated_fleet(False, *args)
+        assert fast.completed and reference.completed
         assert_rng_stream_identity(fast, reference)
         assert_conservation(fast)
         assert_conservation(reference)

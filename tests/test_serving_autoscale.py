@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.obs.tracer import RingTracer
 from repro.serving.autoscale import (
     AUTOSCALE_POLICY_REGISTRY,
     Autoscaler,
@@ -27,18 +30,6 @@ SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
 def idle_snapshot(replica_id: int, capacity: int = 1000) -> ReplicaView:
     return ReplicaView(replica_id=replica_id, token_capacity=capacity, used_tokens=0)
-
-
-def saturated_snapshot(replica_id: int, capacity: int = 1000) -> ReplicaView:
-    return ReplicaView(
-        replica_id=replica_id,
-        token_capacity=capacity,
-        used_tokens=capacity,
-        current_tokens=(capacity,),
-        generated_tokens=(4,),
-        remaining_cap_tokens=(UNCAPPED,),
-        num_running=1,
-    )
 
 
 def view(
@@ -123,30 +114,27 @@ class TestFleetView:
         assert v.queued_requests == 0
         assert v.replica_capacity == 1000
 
-    def test_saturated_fraction(self):
-        v = FleetView(
-            time=0.0, snapshots=(idle_snapshot(0), saturated_snapshot(1))
-        )
-        assert v.saturated_fraction == pytest.approx(0.5)
-
     def test_empty_fleet_is_safe(self):
         v = FleetView(time=0.0, snapshots=())
-        assert v.saturated_fraction == 0.0
         assert v.replica_capacity == 0
 
 
 class TestStaticPolicy:
-    def test_holds_configured_size(self):
-        policy = StaticPolicy(size=4)
-        assert policy.target_size(view(num_active=2)) == 4
-
     def test_defaults_to_current_size(self):
         policy = StaticPolicy()
         assert policy.target_size(view(num_active=3, num_warming=1)) == 4
 
-    def test_rejects_non_positive_size(self):
-        with pytest.raises(ValueError):
-            StaticPolicy(size=0)
+    def test_autoscaled_static_fleet_holds_its_size(self, platform_7b):
+        # A saturating burst: every decision targets the size the fleet has.
+        autoscaler = Autoscaler(StaticPolicy(), interval=0.25, max_replicas=4)
+        tracer = RingTracer()
+        cluster = make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=2, tracer=tracer)
+        result = cluster.run_open_loop(instant_workload(18, output=256))
+        decisions = [event.attrs for event in tracer.events if event.name == "autoscale.decision"]
+        assert decisions
+        assert all((d["target"], d["provisioned"]) == (2, 2) for d in decisions)
+        assert result.num_replicas == 2
+        assert {sample.provisioned for sample in result.fleet_timeline} == {2}
 
 
 class TestReactivePolicy:
@@ -197,6 +185,10 @@ class TestReactivePolicy:
             ReactivePolicy(scale_up_threshold=0.2, scale_down_threshold=0.5)
         with pytest.raises(ValueError, match="step"):
             ReactivePolicy(step=0)
+        # A NaN cooldown never elapses, which freezes the fleet after one action.
+        for cooldown in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="cooldown"):
+                ReactivePolicy(cooldown=cooldown)
 
 
 class TestPredictivePolicy:
@@ -262,6 +254,11 @@ class TestPredictivePolicy:
             PredictivePolicy(target_utilization=0.0)
         with pytest.raises(ValueError, match="horizon"):
             PredictivePolicy(horizon=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon"):
+                PredictivePolicy(horizon=bad)
+            with pytest.raises(ValueError, match="scale_down_cooldown"):
+                PredictivePolicy(scale_down_cooldown=bad)
 
 
 class TestRegistry:
@@ -284,25 +281,25 @@ class TestRegistry:
 
 class TestAutoscalerDriver:
     def test_clamps_to_bounds(self):
-        autoscaler = Autoscaler(StaticPolicy(size=99), min_replicas=2, max_replicas=4)
+        autoscaler = Autoscaler(SchedulePolicy([(0.0, 99)]), min_replicas=2, max_replicas=4)
         autoscaler.on_run_start()
-        assert autoscaler.evaluate(1.0, [idle_snapshot(0)]) == 4
-        low = Autoscaler(StaticPolicy(size=1), min_replicas=2, max_replicas=4)
+        assert autoscaler.evaluate(view(time=1.0, num_active=1)) == 4
+        low = Autoscaler(SchedulePolicy([(0.0, 1)]), min_replicas=2, max_replicas=4)
         low.on_run_start()
-        assert low.evaluate(1.0, [idle_snapshot(0)]) == 2
+        assert low.evaluate(view(time=1.0, num_active=1)) == 2
 
     def test_decision_cadence_advances(self):
-        autoscaler = Autoscaler(StaticPolicy(size=1), interval=2.0)
+        autoscaler = Autoscaler(SchedulePolicy([(0.0, 1)]), interval=2.0)
         autoscaler.on_run_start()
         assert autoscaler.next_decision_time == 2.0
-        autoscaler.evaluate(2.0, [idle_snapshot(0)])
+        autoscaler.evaluate(view(time=2.0, num_active=1))
         assert autoscaler.next_decision_time == 4.0
         # A late evaluation skips past every missed slot.
-        autoscaler.evaluate(9.0, [idle_snapshot(0)])
+        autoscaler.evaluate(view(time=9.0, num_active=1))
         assert autoscaler.next_decision_time == 10.0
 
     def test_arrival_window_statistics(self):
-        autoscaler = Autoscaler(StaticPolicy(size=1), sample_window=2.0)
+        autoscaler = Autoscaler(SchedulePolicy([(0.0, 1)]), sample_window=2.0)
         autoscaler.on_run_start()
         autoscaler.note_arrival(0.5, 1.0, 100)
         autoscaler.note_arrival(1.0, 0.0, 200)
@@ -321,14 +318,58 @@ class TestAutoscalerDriver:
         assert stale.saturation_rate == 0.0
         assert stale.arrival_rate == 0.0
 
-    def test_decisions_recorded(self):
-        autoscaler = Autoscaler(StaticPolicy(size=3), min_replicas=1, max_replicas=8)
+    def test_decisions_recorded(self, platform_7b):
+        autoscaler = Autoscaler(SchedulePolicy([(0.0, 3)]), interval=0.5, max_replicas=8)
+        tracer = RingTracer()
+        make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=2, tracer=tracer).run_open_loop(
+            instant_workload(6)
+        )
+        decision = next(event for event in tracer.events if event.name == "autoscale.decision")
+        assert decision.time == 0.5
+        attrs = decision.attrs
+        assert (attrs["target"], attrs["provisioned"], attrs["active"]) == (3, 2, 2)
+
+    def test_decision_event_counts_draining_replicas(self, platform_7b):
+        # The view shows only routable and warming replicas; the event's
+        # draining count comes from the cluster, in a fixed key order.
+        autoscaler = Autoscaler(
+            SchedulePolicy([(0.5, 1)]), interval=0.5, min_replicas=1, max_replicas=3
+        )
+        tracer = RingTracer()
+        make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=3, tracer=tracer).run_open_loop(
+            instant_workload(18, output=512)
+        )
+        first, second = [e.attrs for e in tracer.events if e.name == "autoscale.decision"][:2]
+        assert list(first) == [
+            "target",
+            "provisioned",
+            "active",
+            "warming",
+            "draining",
+            "saturation_rate",
+            "arrival_rate",
+        ]
+        assert (first["target"], first["provisioned"], first["draining"]) == (1, 3, 0)
+        assert (second["provisioned"], second["active"], second["draining"]) == (1, 1, 2)
+
+    def test_run_start_resets_cadence_window_and_policy(self):
+        # One instance serves runs one after another: nothing of the first
+        # run's cadence, traffic window or policy cooldown may leak.
+        autoscaler = Autoscaler(ReactivePolicy(cooldown=100.0), interval=2.0, sample_window=10.0)
         autoscaler.on_run_start()
-        autoscaler.evaluate(1.0, [idle_snapshot(0), idle_snapshot(1)])
-        (decision,) = autoscaler.decisions
-        assert decision.target == 3
-        assert decision.provisioned == 2
-        assert decision.delta == 1
+        autoscaler.note_arrival(3.0, 1.0, 100)
+        saturated = autoscaler.make_view(4.0, [idle_snapshot(0)])
+        assert autoscaler.evaluate(saturated) == 2
+        assert autoscaler.next_decision_time == 6.0
+
+        autoscaler.on_run_start()
+        assert autoscaler.next_decision_time == 2.0
+        fresh = autoscaler.make_view(5.0, [idle_snapshot(0)])
+        assert (fresh.saturation_rate, fresh.arrival_rate) == (0.0, 0.0)
+        # The cooldown started at t=4 in the first run; after the reset the
+        # policy acts at once.
+        autoscaler.note_arrival(5.0, 1.0, 100)
+        assert autoscaler.evaluate(autoscaler.make_view(5.0, [idle_snapshot(0)])) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="interval"):
@@ -337,6 +378,12 @@ class TestAutoscalerDriver:
             Autoscaler(StaticPolicy(), min_replicas=4, max_replicas=2)
         with pytest.raises(ValueError, match="warmup_delay"):
             Autoscaler(StaticPolicy(), warmup_delay=-1.0)
+        # A NaN interval never advances the decision cadence, and non-finite
+        # warm-up or window lengths overflow a predictive run partway through.
+        for setting in ("interval", "warmup_delay", "sample_window"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=setting):
+                    Autoscaler(StaticPolicy(), **{setting: bad})
 
     def test_policy_by_registry_name(self):
         autoscaler = Autoscaler("reactive")
@@ -532,7 +579,6 @@ class TestCapacityNormalisedView:
             warming_capacity=1000,
             launch_capacity=250,
         )
-        assert v.active_capacity == 1250
         assert v.provisioned_capacity == 2250
 
     def test_predictive_sizes_in_capacity_units_on_mixed_fleet(self):

@@ -553,7 +553,7 @@ class TestDirectRouting:
         "options",
         [
             {"num_replicas": 2},
-            {"autoscaler": Autoscaler(StaticPolicy(size=1), min_replicas=1, max_replicas=2)},
+            {"autoscaler": Autoscaler(StaticPolicy(), min_replicas=1, max_replicas=2)},
             {"faults": FaultPlan(crashes=(ReplicaCrash(time=1.0, replica=0),))},
         ],
         ids=["two-replicas", "autoscaler", "faults"],

@@ -60,9 +60,9 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Sequence
 
 from repro.engine.cost_model import CostModel
@@ -1103,11 +1103,35 @@ class ClusterSimulator:
         # of older parked requests, and all join before the step at the
         # same instant: an arrival at a replica's clock joins its next
         # iteration.
-        READY, FAULT, DECIDE, ARRIVAL, RETRY, STEP = 0, 1, 2, 3, 4, 5
+        READY, FAULT, DECIDE, ARRIVAL, RETRY = 0, 1, 2, 3, 4
 
+        # Kept across turns: ``busy`` (steppable replicas with work) and the
+        # earliest external event with (``frontier``) and without (``others``)
+        # the generator.  A step can move only the generator's next arrival,
+        # re-read when it ``moved``; any other turn leaves them ``stale`` (the
+        # proof is in docs/simulation-semantics.md, "One event loop").
+        stale = True
         while True:
-            next_arrival = generator.next_arrival_time()
-            busy = [r for r in self.replicas if r.steppable and r.engine.has_work()]
+            if stale:
+                busy = [r for r in self.replicas if r.steppable and r.engine.has_work()]
+                sources = [(r.ready_at, READY) for r in self.replicas if r.state is ReplicaState.WARMING]
+                if self._fault_injector is not None:
+                    fault_time = self._fault_injector.next_event_time()
+                    if fault_time is not None:
+                        # Fault actions are loop events, so they bound every
+                        # replica's event-jump horizon: a macro-step can never
+                        # fuse past a crash/preemption/straggler edge.
+                        sources.append((fault_time, FAULT))
+                if self.autoscaler is not None:
+                    sources.append((self.autoscaler.next_decision_time, DECIDE))
+                if self._deferred_heap:
+                    sources.append((self._deferred_heap[0].retry_at, RETRY))
+                others = min(sources, default=(math.inf, RETRY))
+                stale, moved = False, True
+            if moved:
+                next_arrival = generator.next_arrival_time()
+                frontier = others if next_arrival is None else min(others, (next_arrival, ARRIVAL))
+                moved = False
             step_replica = min(busy, key=lambda r: (r.clock, r.index)) if busy else None
 
             if step_replica is None and next_arrival is None and not self._deferred_heap:
@@ -1120,54 +1144,33 @@ class ClusterSimulator:
                 if not self._deferred_releases:
                     break
                 self._release_rejected(generator, time)
+                stale = True
                 continue
 
-            events: list[tuple[float, int]] = []
-            warming = [r for r in self.replicas if r.state is ReplicaState.WARMING]
-            if warming:
-                events.append((min(r.ready_at for r in warming), READY))
-            if self._fault_injector is not None:
-                fault_time = self._fault_injector.next_event_time()
-                if fault_time is not None:
-                    # Fault actions are loop events, so they automatically
-                    # bound every replica's event-jump horizon: a macro-step
-                    # can never fuse past a crash/preemption/straggler edge.
-                    events.append((fault_time, FAULT))
-            if self.autoscaler is not None:
-                events.append((self.autoscaler.next_decision_time, DECIDE))
-            if next_arrival is not None:
-                events.append((next_arrival, ARRIVAL))
-            if self._deferred_heap:
-                events.append((self._deferred_heap[0].retry_at, RETRY))
-            if step_replica is not None:
-                events.append((step_replica.clock, STEP))
-            time, kind = min(events)
-
-            if kind == READY:
-                self._activate_ready(time)
-                continue
-            if kind == FAULT:
-                self._apply_faults(time)
-                continue
-            if kind == DECIDE:
-                self._run_autoscale_decision(time)
-                continue
-            if kind == ARRIVAL:
-                for spec in generator.pop_arrivals(time):
-                    self._route_arrival(spec, time)
-                while self._throttle_releases:
-                    self._throttle_releases -= 1
-                    generator.on_request_finished(time)
-                continue
-            if kind == RETRY:
-                while self._deferred_heap and self._deferred_heap[0].retry_at <= time:
-                    deferred = heapq.heappop(self._deferred_heap)
-                    self._route_arrival(
-                        deferred.spec, time, arrived_at=deferred.arrived_at, first_attempt=False
-                    )
+            if step_replica is None or frontier[0] <= step_replica.clock:
+                time, kind = frontier
+                stale = True
+                if kind == READY:
+                    self._activate_ready(time)
+                elif kind == FAULT:
+                    self._apply_faults(time)
+                elif kind == DECIDE:
+                    self._run_autoscale_decision(time)
+                elif kind == ARRIVAL:
+                    for spec in generator.pop_arrivals(time):
+                        self._route_arrival(spec, time)
+                    while self._throttle_releases:
+                        self._throttle_releases -= 1
+                        generator.on_request_finished(time)
+                else:
+                    while self._deferred_heap and self._deferred_heap[0].retry_at <= time:
+                        deferred = heapq.heappop(self._deferred_heap)
+                        self._route_arrival(
+                            deferred.spec, time, arrived_at=deferred.arrived_at, first_attempt=False
+                        )
                 continue
 
-            assert step_replica is not None
+            time = step_replica.clock
             # Event-jump: this replica may fast-forward decode iterations that
             # provably produce no event.  Fused iterations touch only the
             # replica's own engine (its batch and its queue), so they commute
@@ -1181,15 +1184,7 @@ class ClusterSimulator:
             # follow-up delay (``inf`` for open-loop arrivals: no coupling).
             # The proof is in docs/simulation-semantics.md.
             jump = self.fast_path and not self._deferred_releases
-            horizon = None
-            if jump:
-                horizon = min(
-                    chain(
-                        (event_time for event_time, kind in events if kind != STEP),
-                        (other.clock + follow_up_delay for other in busy if other is not step_replica),
-                    ),
-                    default=None,
-                )
+            horizon = min([frontier[0], *[r.clock + follow_up_delay for r in busy if r is not step_replica]])
             advanced, finished, stop = step_replica.advance(self.limits, total_steps, horizon, jump)
             total_steps += advanced
             clock = step_replica.clock
@@ -1203,6 +1198,7 @@ class ClusterSimulator:
                     router.on_request_finished(request, clock)
                 if self.autoscaler is not None:
                     self.autoscaler.on_request_finished(request, clock)
+            moved = bool(finished)
             # Client slots freed by fault rejections are released only once
             # some routable replica is unsaturated again — an immediate
             # release would just feed the next request into the same fleet at
@@ -1212,12 +1208,16 @@ class ClusterSimulator:
                 open_views = self.snapshots()
                 if open_views and not all(v.saturated for v in open_views):
                     self._release_rejected(generator, clock)
+                    moved = True
 
-            if step_replica.state is ReplicaState.DRAINING and not step_replica.engine.has_work():
-                # Drain complete: every resident request ran to completion.
-                # The timeline sample lands at the event time (step start);
-                # retirement itself is stamped with the step's end clock.
-                self._retire(step_replica, time)
+            if moved and not step_replica.engine.has_work():
+                busy.remove(step_replica)
+                if step_replica.state is ReplicaState.DRAINING:
+                    # Drain complete: every resident request ran to completion.
+                    # The timeline sample lands at the event time (step start);
+                    # retirement itself is stamped with the step's end clock.
+                    self._retire(step_replica, time)
+                    stale = True
 
             if stop:
                 completed = False

@@ -1,10 +1,11 @@
 """Shared invariant harness for the test suite.
 
-Four contracts recur across the serving tests — conservation (nothing
+Five contracts recur across the serving tests — conservation (nothing
 vanishes), fingerprint neutrality (a feature left off is byte-invisible),
 fast-path/reference identity (the event-jump loop consumes the same RNG
-stream and produces bit-identical results), and the KV ledger (the pool's
-one number is what its owners hold).  Each used to be hand-rolled per
+stream and produces bit-identical results), the KV ledger (the pool's
+one number is what its owners hold), and punctuality (every arrival is
+handled at its scheduled time).  Each used to be hand-rolled per
 test module; this module is the single implementation they all share.
 
 Every helper accepts results, zero-argument callables producing results, or
@@ -17,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, Union
 
 from repro.analysis.perf import cluster_fingerprint, run_fingerprint
+from repro.obs import events as obs
 from repro.serving.results import ClusterResult, RunResult
 
 #: Anything the helpers can reduce to a fingerprint digest.
@@ -105,4 +107,30 @@ def assert_pool_ledger(engine) -> None:
     assert engine.pool.used_tokens == expected, (
         f"pool ledger broken: {engine.pool.used_tokens} used != "
         f"{engine.batch.total_context_tokens} resident + {cached} cached"
+    )
+
+
+def assert_no_late_arrivals(events, result) -> None:
+    """Every traced ``request.submit`` happens at its request's arrival time.
+
+    The loop traces a submit when it handles an arrival; the request keeps
+    the time its load generator scheduled (served, rejected or failed alike).
+    A loop that missed a follow-up spawned by a completion would handle it at
+    some later event instead: late by the same amount on the fast path and
+    the reference loop, so fast-path identity alone cannot see it.
+    """
+    scheduled = {
+        r.request_id: r.arrival_time
+        for r in (*result.requests, *result.rejected, *getattr(result, "failed", ()))
+    }
+    submits = [e for e in events if e.name == obs.REQUEST_SUBMIT]
+    assert submits, "no request.submit events were traced"
+    late = [
+        (e.request_id, e.time, scheduled[e.request_id])
+        for e in submits
+        if e.time != scheduled[e.request_id]
+    ]
+    assert not late, (
+        f"{len(late)} of {len(submits)} arrivals handled late; first: "
+        f"{late[0][0]} submitted at {late[0][1]!r}, scheduled at {late[0][2]!r}"
     )

@@ -27,6 +27,7 @@ from repro.hardware.platform import paper_platform
 from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
+from repro.obs.tracer import RingTracer
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.fair import VirtualTokenCounterScheduler, WeightedServiceCounterScheduler
 from repro.serving.autoscale import Autoscaler, create_autoscale_policy
@@ -44,7 +45,12 @@ from repro.workloads.interactions import (
 from repro.workloads.spec import RequestSpec
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY
-from tests.helpers import assert_conservation, assert_pool_ledger, assert_rng_stream_identity
+from tests.helpers import (
+    assert_conservation,
+    assert_no_late_arrivals,
+    assert_pool_ledger,
+    assert_rng_stream_identity,
+)
 
 #: One request of a batch: ``(current tokens, remaining tokens)``.
 entry_strategy = st.tuples(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))
@@ -679,7 +685,8 @@ def run_generated_fleet(
     ``throttle`` is ``(user_rpm, window_seconds)``; with it, requests carry
     one of three users.  ``autoscale`` is ``(policy, interval, warmup)``;
     the fleet may then range from one replica to two above its start.
-    Every replica's pool ledger is checked at drain.
+    Every replica's pool ledger is checked at drain, and every arrival must
+    have been handled at its scheduled time.
     """
     faults = None
     if crash is not None:
@@ -696,6 +703,7 @@ def run_generated_fleet(
             sample_window=1.0,
         )
     users = 3 if throttle is not None else 0
+    tracer = RingTracer()
     simulator = ClusterSimulator(
         platform=FLEET_PLATFORM,
         num_replicas=num_replicas,
@@ -707,6 +715,7 @@ def run_generated_fleet(
         fast_path=fast_path,
         throttle=None if throttle is None else OverloadThrottle(*throttle),
         autoscaler=autoscaler,
+        tracer=tracer,
     )
     if sessions:
         interactions = generate_interactions(
@@ -733,6 +742,8 @@ def run_generated_fleet(
         )
     for replica in simulator.replicas:
         assert_pool_ledger(replica.engine)
+    assert tracer.dropped == 0
+    assert_no_late_arrivals(tracer.events, result)
     return result
 
 
@@ -746,7 +757,8 @@ class TestGeneratedClosedLoopFleets:
     client slots at the instant it turns a request away; its window ranges
     from shorter than a run to longer than any.  An optional autoscaler
     adds decision instants and warm-up completions to the jump horizon,
-    and launches and drains replicas mid-run.
+    and launches and drains replicas mid-run.  On both loops every arrival,
+    spawned or scheduled, is handled at its own time, never at a later event.
     """
 
     @given(

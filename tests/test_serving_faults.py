@@ -13,13 +13,16 @@ Three invariants anchor every test here:
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro.analysis.perf import cluster_fingerprint, cluster_snapshot
 from repro.engine.cost_model import CostModel, StepWork
 from repro.obs import events as obs
 from repro.obs.tracer import RingTracer
-from repro.serving.cluster import ClusterSimulator
+from repro.serving.cluster import ClusterSimulator, _Replica
 from repro.serving.faults import (
     HEALTH_DEGRADED,
     HEALTH_HEALTHY,
@@ -39,6 +42,7 @@ from repro.serving.faults import (
 )
 from repro.serving.routing import ReplicaView, Router
 from repro.serving.server import SimulationLimits
+from repro.workloads.arrivals import ArrivalQueue
 from repro.workloads.spec import RequestSpec, Workload
 from tests.helpers import assert_conservation, assert_rng_stream_identity
 
@@ -405,6 +409,41 @@ class TestNeutrality:
             spread_workload()
         )
         assert_rng_stream_identity(fast, reference)
+
+
+def _counting(cls, name):
+    """Patch ``cls.name`` with a call-counting wrapper around the original."""
+    return mock.patch.object(cls, name, autospec=True, side_effect=getattr(cls, name))
+
+
+class TestEventLoopPolling:
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_fault_schedule_is_read_per_event_not_per_turn(self, platform_7b, fast_path):
+        # A replica step can move only the load generator's next arrival, so
+        # the loop reads the fault schedule once at the start and once after
+        # each event it handles: here arrivals and fault actions only (no
+        # retries, no replacement, no autoscaler).  Step turns outnumber them.
+        plan = FaultPlan(
+            crashes=[ReplicaCrash(time=0.3, replica=1)],
+            stragglers=[Straggler(start=0.1, duration=0.5, replica=0, slowdown=3.0)],
+            seed=11,
+            retry_policy=None,
+            replace_crashed=False,
+        )
+        cluster = make_cluster(platform_7b, plan, fast_path=fast_path)
+        targets = (
+            (FaultInjector, "next_event_time"),
+            (ClusterSimulator, "_apply_faults"),
+            (ArrivalQueue, "pop_arrivals"),
+            (_Replica, "advance"),
+        )
+        with contextlib.ExitStack() as stack:
+            polls, faults, arrivals, steps = [stack.enter_context(_counting(*t)) for t in targets]
+            result = cluster.run_open_loop(spread_workload())
+        assert result.completed
+        assert faults.call_count == 3  # crash, straggler start, straggler end
+        assert polls.call_count <= faults.call_count + arrivals.call_count + 1
+        assert steps.call_count > polls.call_count
 
 
 class TestAvailabilityMetrics:

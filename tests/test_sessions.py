@@ -19,6 +19,7 @@ import pytest
 from repro.engine.request import Request
 from repro.memory.prefix_cache import PrefixCacheStats
 from repro.metrics.sessions import summarize_sessions
+from repro.obs.tracer import RingTracer
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.routing import (
@@ -40,6 +41,7 @@ from tests.conftest import TINY_CAPACITY, UNCAPPED, make_spec
 from tests.helpers import (
     assert_conservation,
     assert_fingerprint_neutral,
+    assert_no_late_arrivals,
     assert_rng_stream_identity,
 )
 
@@ -457,6 +459,36 @@ class TestRunSessionsEndToEnd:
             clips[think_time] = fast.jump_stats.fallback_reasons.get("silent:horizon-clip", 0)
         assert clips[0.0] >= 8
         assert clips[20.0] * 4 <= clips[0.0]
+
+    def test_spawned_follow_ups_are_handled_at_their_arrival_time(self, platform_7b):
+        # A completion can spawn a follow-up due before every event the loop
+        # already knows of.  Think times below, near and far above the
+        # other replicas' iterations mix the cases; a follow-up the loop
+        # noticed late would be late on both loops alike.
+        think_times = (0.05, 3.0, 0.4)
+        sessions = [
+            dataclasses.replace(it, think_time=think_times[i % len(think_times)])
+            for i, it in enumerate(small_sessions(12))
+        ]
+
+        def run(fast_path: bool):
+            tracer = RingTracer()
+            simulator = ClusterSimulator(
+                platform=platform_7b,
+                num_replicas=3,
+                router="session-affinity",
+                scheduler_name="conservative",
+                token_capacity_override=TINY_CAPACITY,
+                prefix_cache_tokens=TINY_CAPACITY // 2,
+                fast_path=fast_path,
+                tracer=tracer,
+            )
+            result = simulator.run_sessions(sessions)
+            assert tracer.dropped == 0
+            assert_no_late_arrivals(tracer.events, result)
+            return result
+
+        assert_rng_stream_identity(run(True), run(False))
 
     def test_cluster_affinity_beats_blind_hit_rate(self, platform_7b):
         def run(router: str):

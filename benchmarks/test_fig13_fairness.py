@@ -36,8 +36,8 @@ from benchmarks.conftest import (
 )
 from repro.analysis.experiments import FleetConfig, sweep
 from repro.analysis.tables import render_table
-from repro.serving import OverloadThrottle, REASON_THROTTLED
 from repro.serving.sla import SLASpec
+from repro.serving.throttle import REASON_THROTTLED, OverloadThrottle
 from repro.workloads.arrivals import assign_poisson_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population

@@ -34,7 +34,7 @@ from benchmarks.conftest import (
 from repro.analysis.experiments import FleetConfig, run_experiment
 from repro.analysis.perf import cluster_fingerprint
 from repro.analysis.tables import render_table
-from repro.metrics import summarize_availability
+from repro.metrics.availability import summarize_availability
 from repro.serving.faults import (
     REASON_REPLICA_CRASH,
     FaultPlan,

@@ -71,12 +71,6 @@ SPEEDUP_FLOORS = {
 #: speedup before the job fails.
 MAX_REGRESSION = 2.0
 
-#: Maximum absolute drift of the fused-iteration fraction against the
-#: committed baseline.  The simulations are deterministic, so the jump
-#: counters are machine-independent — any drift means the fast path's
-#: fusion behaviour actually changed, not that the host was slow.
-MAX_FUSION_DRIFT = 0.01
-
 
 @pytest.fixture(scope="module")
 def committed_baseline() -> dict:
@@ -127,23 +121,19 @@ def test_perf_core_scenario(benchmark, fresh_report, committed_baseline, scenari
 
 @pytest.mark.parametrize("scenario_name", [s.name for s in SCENARIOS])
 def test_jump_fusion_matches_baseline(fresh_report, committed_baseline, scenario_name):
-    """The engine's self-profiled fusion ratio must match the committed one.
+    """The engine's self-profiled ``jump`` block must equal the committed one.
 
     Wall-clock hides small fast-path regressions on noisy hosts; the
-    deterministic ``jump`` block does not.  A macro-step that silently
-    starts falling back to the loop moves ``fused_fraction`` immediately.
+    ``jump`` block does not.  The simulations are deterministic, so every
+    counter in it is machine-independent: any difference means the fast
+    path's fusion behaviour changed, not that the host was slow.
     """
     entry = fresh_report["scenarios"][scenario_name]
     jump = entry["jump"]
     assert jump["loop_steps"] + jump["steps_fused"] > 0
     committed = committed_baseline.get(scenario_name, {}).get("jump")
     if committed:
-        drift = abs(jump["fused_fraction"] - committed["fused_fraction"])
-        assert drift <= MAX_FUSION_DRIFT, (
-            f"{scenario_name}: fused_fraction {jump['fused_fraction']} drifted "
-            f"{drift:.4f} from committed {committed['fused_fraction']} "
-            f"(limit {MAX_FUSION_DRIFT})"
-        )
+        assert jump == committed, f"{scenario_name}: jump block differs from the committed one"
 
 
 @pytest.mark.parametrize("scenario_name", [s.name for s in SCENARIOS])

@@ -126,11 +126,6 @@ class OutputLengthPredictor:
 
     # ------------------------------------------------------------ distribution
     @property
-    def support(self) -> np.ndarray:
-        """Distinct lengths present in the window, ascending."""
-        return np.unique(self._sorted)
-
-    @property
     def max_length(self) -> int:
         """Largest length observed in the window."""
         return int(self._sorted[-1])
@@ -140,11 +135,6 @@ class OutputLengthPredictor:
         left = np.searchsorted(self._sorted, length, side="left")
         right = np.searchsorted(self._sorted, length, side="right")
         return float(right - left) / self._sorted.size
-
-    def exceedance(self, length: int) -> float:
-        """Empirical probability ``P(l > length)``."""
-        right = np.searchsorted(self._sorted, length, side="right")
-        return float(self._sorted.size - right) / self._sorted.size
 
     # ---------------------------------------------------------------- sampling
     def predict_new(self, count: int) -> np.ndarray:

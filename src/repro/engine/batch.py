@@ -49,8 +49,3 @@ class RunningBatch:
     def prefilling(self) -> list[Request]:
         """Requests still processing their prompt (chunked prefill)."""
         return [r for r in self.requests if r.state is RequestState.PREFILLING]
-
-    @property
-    def total_context_tokens(self) -> int:
-        """KV tokens held by all resident requests."""
-        return sum(r.current_context_tokens for r in self.requests)

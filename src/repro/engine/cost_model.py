@@ -174,14 +174,3 @@ class CostModel:
         compute_time = flops / (self.platform.aggregate_flops * self.compute_efficiency)
         decode = np.maximum(memory_time, compute_time)
         return (decode + self.step_overhead_seconds) * self.speed_factor
-
-    def tokens_per_second_upper_bound(self, context_tokens_per_request: int, batch_size: int) -> float:
-        """Rough decode-throughput ceiling, used for sanity checks in tests."""
-        if batch_size <= 0:
-            return 0.0
-        work = StepWork(
-            decode_requests=batch_size,
-            decode_context_tokens=context_tokens_per_request * batch_size,
-        )
-        seconds = self.step_seconds(work)
-        return batch_size / seconds if seconds > 0 else 0.0

@@ -1,27 +1,1 @@
 """Comparator framework profiles (Figure 9 / Table 2)."""
-
-from repro.frameworks.profiles import (
-    DEEPSPEED_MII,
-    FIGURE9_FRAMEWORKS,
-    FRAMEWORK_REGISTRY,
-    FrameworkProfile,
-    LIGHTLLM,
-    MULTIMODAL_ORIGIN,
-    TENSORRT_LLM,
-    TGI,
-    VLLM,
-    get_framework,
-)
-
-__all__ = [
-    "DEEPSPEED_MII",
-    "FIGURE9_FRAMEWORKS",
-    "FRAMEWORK_REGISTRY",
-    "FrameworkProfile",
-    "LIGHTLLM",
-    "MULTIMODAL_ORIGIN",
-    "TENSORRT_LLM",
-    "TGI",
-    "VLLM",
-    "get_framework",
-]

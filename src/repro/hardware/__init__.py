@@ -1,53 +1,1 @@
 """Hardware substrate: model and GPU descriptors and deployment platforms."""
-
-from repro.hardware.gpus import (
-    A30,
-    A100_80G,
-    GPU_REGISTRY,
-    GPUConfig,
-    H800,
-    RTX_4090,
-    get_gpu,
-)
-from repro.hardware.models import (
-    LLAMA2_7B,
-    LLAMA2_13B,
-    LLAMA2_70B,
-    LLAVA_15_7B,
-    LLAVA_15_13B,
-    MODEL_REGISTRY,
-    ModelConfig,
-    QWEN_VL_CHAT,
-    get_model,
-)
-from repro.hardware.platform import (
-    PAPER_PLATFORMS,
-    Platform,
-    PlatformError,
-    make_platform,
-    paper_platform,
-)
-
-__all__ = [
-    "A30",
-    "A100_80G",
-    "GPU_REGISTRY",
-    "GPUConfig",
-    "H800",
-    "RTX_4090",
-    "get_gpu",
-    "LLAMA2_7B",
-    "LLAMA2_13B",
-    "LLAMA2_70B",
-    "LLAVA_15_7B",
-    "LLAVA_15_13B",
-    "MODEL_REGISTRY",
-    "ModelConfig",
-    "QWEN_VL_CHAT",
-    "get_model",
-    "PAPER_PLATFORMS",
-    "Platform",
-    "PlatformError",
-    "make_platform",
-    "paper_platform",
-]

@@ -89,10 +89,3 @@ class MemoryTimeline:
     def average_future_required_fraction(self) -> float:
         """Mean of future_required_tokens / capacity over active steps."""
         return self._active_mean(self.future_required_tokens)
-
-    @property
-    def peak_consumed_fraction(self) -> float:
-        """Maximum observed used_tokens / capacity."""
-        if not self.used_tokens:
-            return 0.0
-        return max(self.used_tokens) / self.token_capacity

@@ -1,91 +1,1 @@
 """Metrics: latency, goodput, fairness, fleet aggregates, availability, memory, similarity."""
-
-from repro.metrics.availability import AvailabilitySummary, summarize_availability
-from repro.metrics.fairness import (
-    FairnessSummary,
-    TenantService,
-    jains_index,
-    max_min_service_ratio,
-    summarize_tenant_fairness,
-)
-from repro.metrics.fleet import (
-    FleetSizeSample,
-    FleetSummary,
-    ReplicaLifetime,
-    load_imbalance,
-    summarize_fleet,
-    total_replica_seconds,
-)
-from repro.metrics.goodput import (
-    ThroughputSummary,
-    evicted_request_fraction,
-    eviction_rate,
-    summarize_throughput,
-)
-from repro.metrics.latency import (
-    LatencySummary,
-    finished_requests,
-    mean_tpots,
-    mtpots,
-    percentile,
-    summarize_latency,
-    ttfts,
-)
-from repro.metrics.memory_stats import MemoryReport, build_memory_report
-from repro.metrics.sessions import (
-    SessionOutcome,
-    SessionSummary,
-    session_requests,
-    summarize_sessions,
-)
-from repro.metrics.similarity import (
-    AdjacentWindowSimilarity,
-    SimilarityMatrix,
-    adjacent_window_similarity,
-    cosine_similarity,
-    default_bin_edges,
-    length_histogram,
-    partition_windows,
-    window_similarity_matrix,
-)
-
-__all__ = [
-    "AvailabilitySummary",
-    "summarize_availability",
-    "FairnessSummary",
-    "TenantService",
-    "jains_index",
-    "max_min_service_ratio",
-    "summarize_tenant_fairness",
-    "FleetSizeSample",
-    "FleetSummary",
-    "ReplicaLifetime",
-    "load_imbalance",
-    "summarize_fleet",
-    "total_replica_seconds",
-    "ThroughputSummary",
-    "evicted_request_fraction",
-    "eviction_rate",
-    "summarize_throughput",
-    "LatencySummary",
-    "finished_requests",
-    "mean_tpots",
-    "mtpots",
-    "percentile",
-    "summarize_latency",
-    "ttfts",
-    "MemoryReport",
-    "build_memory_report",
-    "SessionOutcome",
-    "SessionSummary",
-    "session_requests",
-    "summarize_sessions",
-    "AdjacentWindowSimilarity",
-    "SimilarityMatrix",
-    "adjacent_window_similarity",
-    "cosine_similarity",
-    "default_bin_edges",
-    "length_histogram",
-    "partition_windows",
-    "window_similarity_matrix",
-]

@@ -114,11 +114,6 @@ class FairnessSummary:
         return len(self.per_tenant)
 
     @property
-    def total_served_tokens(self) -> int:
-        """Output tokens served across all tenants."""
-        return sum(t.served_tokens for t in self.per_tenant.values())
-
-    @property
     def jain_served_tokens(self) -> float:
         """Jain's index over per-tenant served (finished) output tokens."""
         return jains_index([t.served_tokens for t in self.per_tenant.values()])

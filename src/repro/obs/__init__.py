@@ -20,35 +20,3 @@ attached, simulation results are byte-identical to an untraced run — tracing
 reads state, never writes it, and every emission site is guarded so the
 disabled path costs one attribute check.
 """
-
-from repro.obs.events import EVENT_TAXONOMY
-from repro.obs.export import (
-    chrome_trace,
-    derive_request_phases,
-    export_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    JsonlTracer,
-    NullTracer,
-    RingTracer,
-    TraceEvent,
-    Tracer,
-    read_jsonl_trace,
-)
-
-__all__ = [
-    "EVENT_TAXONOMY",
-    "JsonlTracer",
-    "NULL_TRACER",
-    "NullTracer",
-    "RingTracer",
-    "TraceEvent",
-    "Tracer",
-    "chrome_trace",
-    "derive_request_phases",
-    "export_chrome_trace",
-    "read_jsonl_trace",
-    "write_chrome_trace",
-]

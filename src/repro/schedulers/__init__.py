@@ -1,45 +1,4 @@
 """Admission-control schedulers: the paper's baselines plus the registry.
 
-The Past-Future scheduler itself lives in :mod:`repro.core.past_future`; it is
-exposed here lazily (module ``__getattr__``) so that
-``from repro.schedulers import PastFutureScheduler`` works without creating a
-circular import with :mod:`repro.core`.
+The Past-Future scheduler itself lives in :mod:`repro.core.past_future`.
 """
-
-from repro.schedulers.aggressive import AggressiveScheduler
-from repro.schedulers.base import Scheduler, SchedulingContext
-from repro.schedulers.conservative import ConservativeScheduler
-from repro.schedulers.fair import (
-    ANONYMOUS_TENANT,
-    VirtualTokenCounterScheduler,
-    WeightedServiceCounterScheduler,
-)
-from repro.schedulers.oracle import OracleScheduler
-from repro.schedulers.registry import (
-    SCHEDULER_REGISTRY,
-    available_schedulers,
-    create_scheduler,
-)
-
-__all__ = [
-    "PastFutureScheduler",
-    "AggressiveScheduler",
-    "Scheduler",
-    "SchedulingContext",
-    "ConservativeScheduler",
-    "OracleScheduler",
-    "ANONYMOUS_TENANT",
-    "VirtualTokenCounterScheduler",
-    "WeightedServiceCounterScheduler",
-    "SCHEDULER_REGISTRY",
-    "available_schedulers",
-    "create_scheduler",
-]
-
-
-def __getattr__(name: str):
-    if name == "PastFutureScheduler":
-        from repro.core.past_future import PastFutureScheduler
-
-        return PastFutureScheduler
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

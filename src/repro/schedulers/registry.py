@@ -1,14 +1,15 @@
 """Name-based scheduler construction for experiment configs and benches.
 
 The Past-Future scheduler lives in :mod:`repro.core.past_future` (it is the
-paper's contribution, not a baseline) and is imported lazily here to avoid a
-circular import between :mod:`repro.core` and :mod:`repro.schedulers`.
+paper's contribution, not a baseline); the rest are the baselines of this
+package.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.past_future import PastFutureScheduler
 from repro.registry import instantiate
 from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.base import Scheduler
@@ -21,15 +22,8 @@ from repro.schedulers.oracle import OracleScheduler
 
 SchedulerFactory = Callable[..., Scheduler]
 
-
-def _past_future_factory(**kwargs) -> Scheduler:
-    from repro.core.past_future import PastFutureScheduler
-
-    return PastFutureScheduler(**kwargs)
-
-
 SCHEDULER_REGISTRY: dict[str, SchedulerFactory] = {
-    "past-future": _past_future_factory,
+    "past-future": PastFutureScheduler,
     "aggressive": AggressiveScheduler,
     "conservative": ConservativeScheduler,
     "oracle": OracleScheduler,
@@ -53,8 +47,3 @@ def create_scheduler(name: str, **kwargs) -> Scheduler:
             listing the keywords it does accept (where introspectable).
     """
     return instantiate("scheduler", SCHEDULER_REGISTRY, name, kwargs)
-
-
-def available_schedulers() -> list[str]:
-    """Names of all registered schedulers."""
-    return sorted(SCHEDULER_REGISTRY)

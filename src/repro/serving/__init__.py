@@ -1,100 +1,1 @@
 """Serving: SLA specs, clients, simulators, routing, autoscaling, fault injection."""
-
-from repro.serving.autoscale import (
-    AUTOSCALE_POLICY_REGISTRY,
-    Autoscaler,
-    AutoscalerPolicy,
-    FleetView,
-    PredictivePolicy,
-    ReactivePolicy,
-    StaticPolicy,
-    available_autoscale_policies,
-    create_autoscale_policy,
-)
-from repro.serving.clients import ClosedLoopClientPool, OpenLoopArrivals
-from repro.serving.cluster import ClusterSimulator, ReplicaState
-from repro.serving.faults import (
-    HEALTH_DEGRADED,
-    HEALTH_HEALTHY,
-    HEALTH_STATES,
-    FaultInjector,
-    FaultPlan,
-    Preemption,
-    ReplicaCrash,
-    RetryPolicy,
-    RoutingErrorWindow,
-    Straggler,
-)
-from repro.serving.results import ClusterResult, RunResult
-from repro.serving.routing import (
-    ROUTER_REGISTRY,
-    LeastKVLoadRouter,
-    LeastOutstandingRouter,
-    MemoryAwareRouter,
-    ReplicaView,
-    RoundRobinRouter,
-    Router,
-    SessionAffinityRouter,
-    available_routers,
-    create_router,
-)
-from repro.serving.server import ServingSimulator, SimulationLimits
-from repro.serving.throttle import REASON_THROTTLED, OverloadThrottle
-from repro.serving.sla import (
-    SLA_LARGE_MODEL,
-    SLA_SMALL_MODEL,
-    ClassLimits,
-    SLASpec,
-    sla_for_model,
-    two_class_sla,
-)
-from repro.workloads.arrivals import Arrival
-
-__all__ = [
-    "AUTOSCALE_POLICY_REGISTRY",
-    "Autoscaler",
-    "AutoscalerPolicy",
-    "FleetView",
-    "PredictivePolicy",
-    "ReactivePolicy",
-    "StaticPolicy",
-    "available_autoscale_policies",
-    "create_autoscale_policy",
-    "Arrival",
-    "ClosedLoopClientPool",
-    "OpenLoopArrivals",
-    "ClusterSimulator",
-    "ReplicaState",
-    "HEALTH_DEGRADED",
-    "HEALTH_HEALTHY",
-    "HEALTH_STATES",
-    "FaultInjector",
-    "FaultPlan",
-    "Preemption",
-    "ReplicaCrash",
-    "RetryPolicy",
-    "RoutingErrorWindow",
-    "Straggler",
-    "ClusterResult",
-    "RunResult",
-    "ROUTER_REGISTRY",
-    "LeastKVLoadRouter",
-    "LeastOutstandingRouter",
-    "MemoryAwareRouter",
-    "ReplicaView",
-    "RoundRobinRouter",
-    "Router",
-    "SessionAffinityRouter",
-    "available_routers",
-    "create_router",
-    "ServingSimulator",
-    "SimulationLimits",
-    "REASON_THROTTLED",
-    "OverloadThrottle",
-    "SLA_LARGE_MODEL",
-    "SLA_SMALL_MODEL",
-    "ClassLimits",
-    "SLASpec",
-    "sla_for_model",
-    "two_class_sla",
-]

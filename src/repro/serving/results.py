@@ -23,7 +23,6 @@ from repro.metrics.latency import LatencySummary, summarize_latency
 from repro.serving.sla import SLASpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.metrics.availability import AvailabilitySummary
     from repro.metrics.sessions import SessionSummary
 
 
@@ -293,10 +292,6 @@ class ClusterResult(_RequestAggregates):
             replica_seconds=self.replica_seconds,
         )
 
-    def per_replica_goodput(self, sla: SLASpec) -> list[float]:
-        """Each replica's goodput over its own local duration."""
-        return [replica.goodput(sla) for replica in self.replicas]
-
     # ---------------------------------------------------------- per-class
     def per_class_goodput_per_replica_second(self, sla: SLASpec) -> dict[str, float]:
         """Per-class goodput divided by the fleet's provisioned replica-seconds.
@@ -311,12 +306,6 @@ class ClusterResult(_RequestAggregates):
             name: slice_summary.goodput_per_replica_second
             for name, slice_summary in self.fleet_summary(sla).per_class.items()
         }
-
-    def availability_summary(self, sla: SLASpec) -> "AvailabilitySummary":
-        """Failure/recovery summary of the run (see :mod:`repro.metrics.availability`)."""
-        from repro.metrics.availability import summarize_availability
-
-        return summarize_availability(self, sla)
 
     def session_summary(self, sla: SLASpec | None = None) -> "SessionSummary":
         """Fleet-wide per-session outcomes of multi-turn traffic.

@@ -1,94 +1,1 @@
 """Workload substrate: request specs and synthetic trace generators."""
-
-from repro.workloads.arrivals import (
-    assign_bursty_arrivals,
-    assign_diurnal_arrivals,
-    assign_poisson_arrivals,
-)
-from repro.workloads.burstgpt import (
-    API_ARCHETYPES,
-    FIGURE3_TRACES,
-    TaskArchetype,
-    figure3_trace,
-    generate_api_trace,
-    generate_conversation_trace,
-)
-from repro.workloads.distributions import (
-    DISTRIBUTION_1,
-    DISTRIBUTION_2,
-    DISTRIBUTION_3,
-    PAPER_DISTRIBUTIONS,
-    UniformLengthSpec,
-    distribution_workload,
-    generate_uniform_workload,
-)
-from repro.workloads.interactions import (
-    Interaction,
-    InteractionLoadGenerator,
-    InteractionStage,
-    generate_interactions,
-    interactions_workload,
-)
-from repro.workloads.mixed import generate_phase_workload, generate_varying_load
-from repro.workloads.multimodal import generate_textvqa_workload
-from repro.workloads.sharegpt import (
-    generate_sharegpt_o1_workload,
-    generate_sharegpt_workload,
-)
-from repro.workloads.spec import (
-    SLA_CLASS_BATCH,
-    SLA_CLASS_INTERACTIVE,
-    RequestSpec,
-    Workload,
-    assign_sla_classes,
-    concatenate,
-    interleave,
-    scale_workload,
-)
-from repro.workloads.tenants import (
-    TenantPopulation,
-    TenantProfile,
-    assign_tenants,
-    generate_tenant_population,
-)
-
-__all__ = [
-    "assign_bursty_arrivals",
-    "assign_diurnal_arrivals",
-    "assign_poisson_arrivals",
-    "assign_sla_classes",
-    "SLA_CLASS_BATCH",
-    "SLA_CLASS_INTERACTIVE",
-    "API_ARCHETYPES",
-    "FIGURE3_TRACES",
-    "TaskArchetype",
-    "figure3_trace",
-    "generate_api_trace",
-    "generate_conversation_trace",
-    "DISTRIBUTION_1",
-    "DISTRIBUTION_2",
-    "DISTRIBUTION_3",
-    "PAPER_DISTRIBUTIONS",
-    "UniformLengthSpec",
-    "distribution_workload",
-    "generate_uniform_workload",
-    "Interaction",
-    "InteractionLoadGenerator",
-    "InteractionStage",
-    "generate_interactions",
-    "interactions_workload",
-    "generate_phase_workload",
-    "generate_varying_load",
-    "generate_textvqa_workload",
-    "generate_sharegpt_o1_workload",
-    "generate_sharegpt_workload",
-    "RequestSpec",
-    "Workload",
-    "concatenate",
-    "interleave",
-    "scale_workload",
-    "TenantPopulation",
-    "TenantProfile",
-    "assign_tenants",
-    "generate_tenant_population",
-]

@@ -60,11 +60,6 @@ class ArrivalQueue:
         self._sequence = 0
         self._in_flight = 0
 
-    @property
-    def in_flight(self) -> int:
-        """Requests currently submitted but not yet finished."""
-        return self._in_flight
-
     def start(self, time: float = 0.0) -> None:
         """Begin generating arrivals at simulation time ``time``."""
         raise NotImplementedError

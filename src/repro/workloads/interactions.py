@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.workloads.arrivals import ArrivalQueue
-from repro.workloads.spec import SLA_CLASS_INTERACTIVE, RequestSpec, Workload
+from repro.workloads.spec import SLA_CLASS_INTERACTIVE, RequestSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.request import Request
@@ -130,21 +130,6 @@ class Interaction:
     def total_output_tokens(self) -> int:
         """Sum of true output lengths across all turns."""
         return sum(s.output_tokens for s in self.stages)
-
-
-def interactions_workload(name: str, interactions: list[Interaction]) -> Workload:
-    """Flatten sessions into a :class:`Workload` (all turns, session order).
-
-    Useful for inspection and for open-loop replay experiments; closed-loop
-    runs should drive an :class:`InteractionLoadGenerator` instead so stage
-    *n + 1* arrives only after stage *n* completes.
-    """
-    specs = [it.spec(stage) for it in interactions for stage in range(it.num_stages)]
-    return Workload(
-        name=name,
-        requests=specs,
-        description=f"{len(interactions)} multi-turn sessions",
-    )
 
 
 def generate_interactions(

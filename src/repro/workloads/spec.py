@@ -129,11 +129,6 @@ class RequestSpec:
         """Prompt plus generated tokens — the request's final KV footprint."""
         return self.prompt_tokens + self.output_length
 
-    @property
-    def worst_case_tokens(self) -> int:
-        """Prompt plus ``max_new_tokens`` — what a conservative scheduler reserves."""
-        return self.prompt_tokens + self.max_new_tokens
-
     def with_arrival(self, arrival_time: float) -> "RequestSpec":
         """Copy of this spec with an arrival timestamp."""
         return replace(self, arrival_time=arrival_time)
@@ -213,21 +208,9 @@ class Workload:
         return sum(r.output_length for r in self.requests)
 
     @property
-    def is_decode_heavy(self) -> bool:
-        """Whether outputs are longer than inputs on average."""
-        return self.mean_output_length > self.mean_input_length
-
-    @property
     def sla_classes(self) -> list[str]:
         """Distinct service classes present, sorted for determinism."""
         return sorted({r.sla_class for r in self.requests})
-
-    def class_counts(self) -> dict[str, int]:
-        """Requests per service class, keyed in sorted class order."""
-        counts: dict[str, int] = {}
-        for name in self.sla_classes:
-            counts[name] = sum(1 for r in self.requests if r.sla_class == name)
-        return counts
 
     @property
     def user_ids(self) -> list[str]:
@@ -243,16 +226,6 @@ class Workload:
     def has_tenants(self) -> bool:
         """Whether any request carries a user or application identity."""
         return any(r.user_id is not None or r.app_id is not None for r in self.requests)
-
-    @property
-    def session_ids(self) -> list[str]:
-        """Distinct session identities present, sorted (sessionless specs excluded)."""
-        return sorted({r.session_id for r in self.requests if r.session_id is not None})
-
-    @property
-    def has_sessions(self) -> bool:
-        """Whether any request belongs to a multi-turn session."""
-        return any(r.session_id is not None for r in self.requests)
 
     def head(self, count: int) -> "Workload":
         """A workload containing the first ``count`` requests."""

@@ -103,10 +103,10 @@ def assert_pool_ledger(engine) -> None:
     """
     cache = engine.prefix_cache
     cached = cache.resident_tokens if cache is not None else 0
-    expected = engine.batch.total_context_tokens + cached
-    assert engine.pool.used_tokens == expected, (
+    resident = sum(r.current_context_tokens for r in engine.batch.requests)
+    assert engine.pool.used_tokens == resident + cached, (
         f"pool ledger broken: {engine.pool.used_tokens} used != "
-        f"{engine.batch.total_context_tokens} resident + {cached} cached"
+        f"{resident} resident + {cached} cached"
     )
 
 

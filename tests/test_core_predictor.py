@@ -34,13 +34,17 @@ class TestDistribution:
         assert predictor.probability(7) == 0.0
 
     def test_exceedance_matches_counts(self):
-        predictor = make_predictor([1, 2, 2, 3])
-        assert predictor.exceedance(1) == pytest.approx(0.75)
-        assert predictor.exceedance(3) == 0.0
+        # Past generated=1 the window's mass is 0.75: two 2s and one 3, so
+        # conditional samples split 2:1 between them; past 3 it is empty.
+        predictor = make_predictor([1, 2, 2, 3], seed=4)
+        samples = predictor.predict_running([1] * 3000)
+        assert set(samples.tolist()) == {2, 3}
+        assert float(np.mean(samples == 2)) == pytest.approx(2 / 3, abs=0.03)
+        assert predictor.predict_running([3]).tolist() == [4]
 
     def test_support_and_max(self):
         predictor = make_predictor([5, 3, 3, 9])
-        assert list(predictor.support) == [3, 5, 9]
+        assert [k for k in range(1, 11) if predictor.probability(k) > 0] == [3, 5, 9]
         assert predictor.max_length == 9
 
 

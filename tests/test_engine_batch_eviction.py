@@ -41,12 +41,6 @@ class TestRunningBatch:
         assert batch.decoding == [decoding]
         assert batch.prefilling == [prefilling]
 
-    def test_total_context_tokens(self):
-        batch = RunningBatch()
-        batch.add(running_request("a", 1.0, generated=5))
-        batch.add(running_request("b", 2.0, generated=2))
-        assert batch.total_context_tokens == (10 + 5) + (10 + 2)
-
 
 def full_engine(platform_7b, residents: list[Request], free: int = 0) -> InferenceEngine:
     """An engine holding ``residents`` in batch order with ``free`` slots to spare."""

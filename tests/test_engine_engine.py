@@ -11,6 +11,7 @@ from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.fair import VirtualTokenCounterScheduler
 from repro.schedulers.oracle import OracleScheduler
 from tests.conftest import make_spec
+from tests.helpers import assert_pool_ledger
 
 
 def make_engine(platform_7b, scheduler=None, capacity=512, **kwargs) -> InferenceEngine:
@@ -157,7 +158,7 @@ class TestContinuousBatching:
                 break
             result = engine.step(time)
             time = result.end_time
-            assert engine.pool.used_tokens == engine.batch.total_context_tokens
+            assert_pool_ledger(engine)
 
 
 class TestEvictionBehaviour:
@@ -191,7 +192,7 @@ class TestEvictionBehaviour:
         for _ in range(200):
             result = engine.step(time)
             time = result.end_time
-            assert engine.pool.used_tokens == engine.batch.total_context_tokens
+            assert_pool_ledger(engine)
             if result.evicted:
                 break
         (victim,) = result.evicted

@@ -37,17 +37,7 @@ class TestAverages:
         assert timeline.average_consumed_fraction == pytest.approx(0.8)
 
 
-class TestPeaks:
-    def test_peak_fractions(self):
-        timeline = MemoryTimeline(token_capacity=200)
-        record(timeline, used=50, future=150)
-        record(timeline, used=120, future=210)
-        assert timeline.peak_consumed_fraction == pytest.approx(0.6)
-
-    def test_peaks_of_empty_timeline(self):
-        timeline = MemoryTimeline(token_capacity=200)
-        assert timeline.peak_consumed_fraction == 0.0
-
+class TestLength:
     def test_len(self):
         timeline = MemoryTimeline(token_capacity=100)
         record(timeline, used=1, future=1)

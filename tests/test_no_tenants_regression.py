@@ -23,8 +23,9 @@ from repro.analysis.perf import (
     cluster_snapshot,
     run_fingerprint,
 )
-from repro.schedulers import create_scheduler
-from repro.serving import ClusterSimulator, ServingSimulator
+from repro.schedulers.registry import create_scheduler
+from repro.serving.cluster import ClusterSimulator
+from repro.serving.server import ServingSimulator
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload, generate_sharegpt_workload
 from repro.workloads.spec import scale_workload

@@ -7,14 +7,13 @@ from dataclasses import replace
 import pytest
 
 from repro.engine.request import Request
-from repro.schedulers import (
+from repro.schedulers.base import SchedulingContext
+from repro.schedulers.fair import (
     ANONYMOUS_TENANT,
     VirtualTokenCounterScheduler,
     WeightedServiceCounterScheduler,
-    available_schedulers,
-    create_scheduler,
 )
-from repro.schedulers.base import SchedulingContext
+from repro.schedulers.registry import SCHEDULER_REGISTRY, create_scheduler
 from repro.serving.server import ServingSimulator
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY, make_spec, make_workload
@@ -311,9 +310,8 @@ class TestSaturatedHorizon:
 
 class TestConstructionAndRegistry:
     def test_registered_names(self):
-        names = available_schedulers()
-        assert "vtc" in names
-        assert "weighted-vtc" in names
+        assert "vtc" in SCHEDULER_REGISTRY
+        assert "weighted-vtc" in SCHEDULER_REGISTRY
         assert isinstance(create_scheduler("vtc"), VirtualTokenCounterScheduler)
         weighted = create_scheduler("weighted-vtc", weights={"u": 2.0})
         assert isinstance(weighted, WeightedServiceCounterScheduler)

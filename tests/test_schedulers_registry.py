@@ -10,13 +10,13 @@ from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.oracle import OracleScheduler
-from repro.schedulers.registry import available_schedulers, create_scheduler
+from repro.schedulers.registry import SCHEDULER_REGISTRY, create_scheduler
 from tests.conftest import make_spec
 
 
 class TestRegistry:
     def test_all_expected_names_present(self):
-        assert available_schedulers() == [
+        assert sorted(SCHEDULER_REGISTRY) == [
             "aggressive",
             "conservative",
             "oracle",
@@ -24,6 +24,9 @@ class TestRegistry:
             "vtc",
             "weighted-vtc",
         ]
+
+    def test_past_future_is_registered_directly(self):
+        assert SCHEDULER_REGISTRY["past-future"] is PastFutureScheduler
 
     def test_create_past_future(self):
         scheduler = create_scheduler("past-future", reserved_fraction=0.1)
@@ -46,13 +49,6 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             create_scheduler("nonexistent")
-
-    def test_lazy_export_from_schedulers_package(self):
-        import repro.schedulers as schedulers
-
-        assert schedulers.PastFutureScheduler is PastFutureScheduler
-        with pytest.raises(AttributeError):
-            schedulers.NoSuchScheduler  # noqa: B018
 
 
 class TestBatchCapUtility:
@@ -128,6 +124,10 @@ class TestRegistrySuggestions:
     def test_misspelled_kwarg_suggests_closest(self):
         with pytest.raises(TypeError, match="did you mean 'watermark'"):
             create_scheduler("aggressive", watermrak=0.9)
+
+    def test_misspelled_past_future_kwarg_suggests_closest(self):
+        with pytest.raises(TypeError, match="did you mean 'reserved_fraction'"):
+            create_scheduler("past-future", reserved_fracton=0.1)
 
     def test_misspelled_router_name_suggests_closest(self):
         from repro.serving.routing import create_router

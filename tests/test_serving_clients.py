@@ -31,7 +31,7 @@ class TestClosedLoopClientPool:
         pool.start(0.0)
         arrivals = pool.pop_arrivals(0.0)
         assert len(arrivals) == 4
-        assert pool.in_flight == 4
+        assert pool._in_flight == 4
 
     def test_completion_triggers_next_request(self):
         pool = ClosedLoopClientPool(make_workload(10), num_clients=2)

@@ -448,7 +448,7 @@ class TestEventLoopPolling:
 
 class TestAvailabilityMetrics:
     def test_summary_counts_faults_and_recovery(self, platform_7b):
-        from repro.metrics import summarize_availability
+        from repro.metrics.availability import summarize_availability
         from repro.serving.sla import SLASpec
 
         plan = FaultPlan(
@@ -467,10 +467,16 @@ class TestAvailabilityMetrics:
         assert summary.mean_time_to_recovery == pytest.approx(1.0)
         assert "goodput" in summary.describe()
 
-    def test_result_convenience_method_matches_function(self, platform_7b):
-        from repro.metrics import summarize_availability
+    def test_fault_free_run_reduces_to_goodput_and_delivery(self, platform_7b):
+        from repro.metrics.availability import summarize_availability
         from repro.serving.sla import SLASpec
 
         sla = SLASpec(ttft_limit=60.0, mtpot_limit=60.0)
         result = make_cluster(platform_7b, None).run_open_loop(spread_workload())
-        assert result.availability_summary(sla) == summarize_availability(result, sla)
+        summary = summarize_availability(result, sla)
+        assert summary.goodput == result.goodput(sla) > 0.0
+        assert summary.delivery_rate == 1.0
+        counters = (summary.failed_requests, summary.lost_tokens, summary.retries, summary.migrations)
+        assert counters == (0, 0, 0, 0)
+        assert (summary.crashes, summary.preemptions, summary.stragglers) == (0, 0, 0)
+        assert summary.mean_time_to_recovery == 0.0

@@ -61,7 +61,7 @@ class TestClosedLoopRuns:
         sim = simulator(platform_7b, AggressiveScheduler(watermark=1.0), capacity=1024)
         result = sim.run_closed_loop(small_decode_heavy_workload, num_clients=12)
         assert result.memory_timeline is not None
-        assert result.memory_timeline.peak_consumed_fraction <= 1.0
+        assert max(result.memory_timeline.used_tokens) <= result.memory_timeline.token_capacity
 
 
 class TestOpenLoopRuns:

@@ -6,13 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.schedulers import create_scheduler
-from repro.serving import (
-    ClusterSimulator,
-    OverloadThrottle,
-    REASON_THROTTLED,
-    ServingSimulator,
-)
+from repro.schedulers.registry import create_scheduler
+from repro.serving.cluster import ClusterSimulator
+from repro.serving.server import ServingSimulator
+from repro.serving.throttle import REASON_THROTTLED, OverloadThrottle
 from repro.workloads.arrivals import assign_poisson_arrivals
 from repro.workloads.spec import RequestSpec, Workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population

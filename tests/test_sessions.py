@@ -35,7 +35,6 @@ from repro.workloads.interactions import (
     InteractionLoadGenerator,
     InteractionStage,
     generate_interactions,
-    interactions_workload,
 )
 from tests.conftest import TINY_CAPACITY, UNCAPPED, make_spec
 from tests.helpers import (
@@ -106,13 +105,6 @@ class TestInteractionModel:
             spec = interaction.spec(stage)
             assert spec.user_id == "u1" and spec.app_id == "a2"
 
-    def test_workload_flattening(self):
-        sessions = [make_interaction("s0", 2), make_interaction("s1", 3)]
-        workload = interactions_workload("flat", sessions)
-        assert len(workload) == 5
-        assert workload.has_sessions
-        assert workload.session_ids == ["s0", "s1"]
-
 
 class TestGenerateInteractions:
     def test_deterministic_in_seed(self):
@@ -176,7 +168,7 @@ class TestInteractionLoadGenerator:
         assert generator.next_arrival_time() == 0.0
         first = generator.pop_arrivals(0.0)
         assert [s.request_id for s in first] == ["s0/t0"]
-        assert generator.in_flight == 1
+        assert generator._in_flight == 1
         assert generator.next_arrival_time() == 3.0
         assert generator.pop_arrivals(2.9) == []
 

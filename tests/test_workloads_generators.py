@@ -33,11 +33,11 @@ class TestUniformDistributions:
         for spec in workload:
             assert 32 <= spec.input_length <= 4096
             assert spec.output_length <= 4096
-        assert workload.is_decode_heavy
+        assert workload.mean_output_length > workload.mean_input_length
 
     def test_distribution3_is_prefill_heavy(self):
         workload = generate_uniform_workload(DISTRIBUTION_3, 500, seed=2)
-        assert not workload.is_decode_heavy
+        assert workload.mean_output_length < workload.mean_input_length
 
     def test_distribution2_is_balanced(self):
         workload = generate_uniform_workload(DISTRIBUTION_2, 2000, seed=3)
@@ -73,7 +73,7 @@ class TestShareGPT:
 
     def test_sharegpt_o1_is_decode_heavy(self):
         workload = generate_sharegpt_o1_workload(500, seed=5)
-        assert workload.is_decode_heavy
+        assert workload.mean_output_length > workload.mean_input_length
         # Paper reports ~381 input / ~2160 output tokens on average.
         assert 200 < workload.mean_input_length < 700
         assert 1400 < workload.mean_output_length < 3200

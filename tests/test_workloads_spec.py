@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ class TestRequestSpec:
         spec = make_spec(input_length=10, output_length=5, max_new_tokens=20)
         assert spec.prompt_tokens == 10
         assert spec.total_tokens == 15
-        assert spec.worst_case_tokens == 30
 
     def test_image_tokens_add_to_prompt(self):
         spec = make_spec(input_length=10, image_tokens=256)
@@ -76,7 +77,6 @@ class TestWorkload:
         workload = make_workload(num_requests=4, input_length=10, output_length=30)
         assert workload.mean_input_length == 10
         assert workload.mean_output_length == 30
-        assert workload.is_decode_heavy
 
     def test_empty_workload_statistics(self):
         workload = Workload(name="empty")
@@ -159,14 +159,15 @@ class TestSLAClasses:
             ],
         )
         assert workload.sla_classes == [SLA_CLASS_BATCH, SLA_CLASS_INTERACTIVE]
-        assert workload.class_counts() == {SLA_CLASS_BATCH: 2, SLA_CLASS_INTERACTIVE: 1}
+        counts = Counter(spec.sla_class for spec in workload)
+        assert counts == {SLA_CLASS_BATCH: 2, SLA_CLASS_INTERACTIVE: 1}
 
     def test_assign_sla_classes_mixes_to_fractions(self):
         workload = make_workload(num_requests=400)
         stamped = assign_sla_classes(
             workload, {SLA_CLASS_INTERACTIVE: 0.75, SLA_CLASS_BATCH: 0.25}, seed=1
         )
-        counts = stamped.class_counts()
+        counts = Counter(spec.sla_class for spec in stamped)
         assert counts[SLA_CLASS_INTERACTIVE] + counts[SLA_CLASS_BATCH] == 400
         assert 0.6 < counts[SLA_CLASS_INTERACTIVE] / 400 < 0.9
         assert "classes:" in stamped.description

@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.conftest import write_report
 from repro.analysis.tables import render_table
-from repro.core.future_memory import memory_timeline, peak_future_memory_arrays
+from repro.core.future_memory import memory_timeline, peak_future_memory
 
 #: The Figure 6 running batch at time t: (current KV tokens, remaining outputs).
 RUNNING_BATCH = [(7, 1), (5, 2), (4, 3)]
@@ -40,7 +40,7 @@ def admission_peaks(max_delay: int = 3) -> list[dict]:
     rows = []
     for delay in range(max_delay + 1):
         current, remaining = zip(*_batch_after(delay), (NEW_REQUEST_PROMPT, NEW_REQUEST_OUTPUT))
-        peak = peak_future_memory_arrays(current, remaining)
+        peak = peak_future_memory(current, remaining)
         rows.append(
             {
                 "admit_at": f"t+{delay}" if delay else "t",

@@ -13,7 +13,7 @@ Run with:  python examples/admission_walkthrough.py
 from __future__ import annotations
 
 from repro.analysis.tables import render_table
-from repro.core.future_memory import memory_timeline, peak_future_memory_arrays
+from repro.core.future_memory import memory_timeline, peak_future_memory
 
 CAPACITY = 21
 #: Running batch at time t: (current KV tokens, remaining output tokens).
@@ -37,7 +37,7 @@ def main() -> None:
     rows = []
     for delay in range(4):
         current, remaining = zip(*batch_after(delay), QUEUED)
-        peak = peak_future_memory_arrays(current, remaining)
+        peak = peak_future_memory(current, remaining)
         rows.append(
             {
                 "admit_at": f"t+{delay}" if delay else "t",

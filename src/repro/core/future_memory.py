@@ -19,6 +19,7 @@ no eviction, assuming the remaining-length estimates hold.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -37,52 +38,46 @@ def _token_arrays(current, remaining, ndims: tuple[int, ...]) -> tuple[np.ndarra
     return current_arr, remaining_arr
 
 
-def peak_future_memory_arrays(
-    current: np.ndarray | Sequence[int],
-    remaining: np.ndarray | Sequence[int],
-) -> int | np.ndarray:
-    """Peak future memory (tokens) required to finish a batch (Eq. 2–4).
+def peak_future_memory(current: Sequence[int], remaining: Sequence[int]) -> int:
+    """Peak future memory (tokens) required to finish one batch (Eq. 2–4).
 
-    The one Eq. 2–4 kernel: a stable sort by descending remaining length,
-    a prefix sum of current tokens, and the maximum of the Eq. 3 profile,
-    all along the last axis.  A 1-D batch returns an ``int``; a 2-D input
-    is many batches at once and returns one ``int64`` peak per row.
-
-    Rows of unequal length are padded with ``(current 0, remaining 0)``
-    entries.  A pad sorts after every request with a positive remaining
-    length and adds nothing to any prefix sum, so no real entry's Eq. 3
-    value moves.  The pad's own value is a prefix sum of current tokens, at
-    most the row's total, which the last entry's value already reaches, so
-    padding never raises a peak.
+    A stable sort by descending remaining length (Eq. 2), a running prefix
+    sum of current tokens giving each Eq. 3 value, and their maximum (Eq. 4),
+    in plain Python: the engine and the router evaluate one small batch per
+    event, where numpy's fixed per-call cost would dominate.  Many what-if
+    rows at once go to :func:`batched_peak_with_candidate` instead.
 
     Args:
-        current: ``(batch,)`` or ``(rows, batch)`` current context tokens.
-        remaining: remaining tokens per request, same shape as ``current``.
+        current: current context tokens per request.
+        remaining: remaining tokens per request, same length as ``current``.
 
     Returns:
-        The peak as an ``int`` (0 for an empty batch) for 1-D input, or a
-        ``(rows,)`` int64 array for 2-D input.
+        The peak, 0 for an empty batch.
     """
-    current_arr, remaining_arr = _token_arrays(current, remaining, (1, 2))
-    peaks = _peaks(current_arr, remaining_arr)
-    return int(peaks) if current_arr.ndim == 1 else peaks
+    if len(current) != len(remaining):
+        raise ValueError("current and remaining must have the same shape")
+    if min(current, default=0) < 0 or min(remaining, default=0) < 0:
+        raise ValueError("token counts must be non-negative")
+    peak = total = 0
+    ranked = sorted(zip(remaining, current), key=itemgetter(0), reverse=True)
+    for count, (left, tokens) in enumerate(ranked, 1):
+        total += tokens
+        value = total + left * count  # Eq. 3
+        if value > peak:
+            peak = value
+    return peak
 
 
 def _peaks(current: np.ndarray, remaining: np.ndarray) -> np.ndarray:
-    """Eq. 2–4 along the last axis of validated int64 ``(batch,)`` or ``(rows, batch)`` arrays."""
+    """:func:`peak_future_memory` of each row of validated int64 ``(rows, batch)`` arrays."""
     order = np.argsort(-remaining, axis=-1, kind="stable")
-    if current.ndim == 1:
-        # Direct indexing: take_along_axis costs a few µs more per 1-D call,
-        # and the engine and router make one such call per event.
-        current_sorted, remaining_sorted = current[order], remaining[order]
-    else:
-        # One flat gather per operand: offsetting each row's sort order into
-        # the raveled rows is about twice as fast as take_along_axis at 2 and
-        # at 32 rows of a few dozen entries.
-        rows, batch = current.shape
-        order += batch * np.arange(rows, dtype=np.int64)[:, None]
-        current_sorted, remaining_sorted = current.ravel()[order], remaining.ravel()[order]
-    counts = np.arange(1, current.shape[-1] + 1, dtype=np.int64)
+    # One flat gather per operand: offsetting each row's sort order into
+    # the raveled rows is about twice as fast as take_along_axis at 2 and
+    # at 32 rows of a few dozen entries.
+    rows, batch = current.shape
+    order += batch * np.arange(rows, dtype=np.int64)[:, None]
+    current_sorted, remaining_sorted = current.ravel()[order], remaining.ravel()[order]
+    counts = np.arange(1, batch + 1, dtype=np.int64)
     # Every Eq. 3 value is non-negative, so ``initial=0`` only covers empty batches.
     return (np.cumsum(current_sorted, axis=-1) + remaining_sorted * counts).max(axis=-1, initial=0)
 
@@ -96,7 +91,7 @@ def memory_timeline(
     Step 0 is "now".  At each subsequent step every unfinished request grows by
     one token; requests whose remaining generation is exhausted release all
     their tokens.  The maximum of this timeline equals
-    :func:`peak_future_memory_arrays`; the full series is used by the
+    :func:`peak_future_memory`; the full series is used by the
     admission walk-through example and the Figure 5/6 bench.
 
     Computed in one cumulative pass over the horizon: with requests sorted by
@@ -137,9 +132,9 @@ def batched_peak_with_candidate(
     one row per upcoming iteration, so the whole proof window is a handful of
     vectorized array operations instead of per-iteration Python.
 
-    The candidate is appended as the *last* column and the rows go to the
-    core of :func:`peak_future_memory_arrays`, whose stable descending sort
-    places it after every incumbent with an equal remaining length — the
+    The candidate is appended as the *last* column, and each row's stable
+    descending sort (the one :func:`peak_future_memory` uses) places it
+    after every incumbent with an equal remaining length — the
     same tie order :class:`FutureMemoryIndex` commits to, so row ``k`` is
     bit-identical (exact integer arithmetic) to the incremental evaluation
     the reference admission loop performs.  The inputs are validated once,

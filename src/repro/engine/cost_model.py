@@ -17,8 +17,7 @@ framework-specific speed factor used by the end-to-end comparison (Fig. 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterator
 
 from repro.hardware.platform import Platform
 
@@ -138,39 +137,36 @@ class CostModel:
         total = prefill + decode + vision + self.step_overhead_seconds
         return total * self.speed_factor
 
-    def decode_step_durations(
-        self,
-        decode_requests: int,
-        start_context_tokens: int,
-        num_steps: int,
-    ) -> np.ndarray:
-        """Latencies of ``num_steps`` consecutive decode-only iterations.
+    def decode_durations(self, decode_requests: int, start_context_tokens: int) -> Iterator[float]:
+        """Latencies of consecutive decode-only iterations, one per ``next``.
 
-        Step ``j`` (0-based) decodes one token for each of ``decode_requests``
-        residents whose aggregate KV context is ``start_context_tokens +
-        j * decode_requests`` — exactly the work sequence of a batch that
-        admits nothing, prefills nothing, and finishes nothing.  This is the
-        cost model's multi-step integration for the engine's event-jump fast
-        path.
+        Iteration ``j`` (0-based) decodes one token for each of
+        ``decode_requests`` residents whose aggregate KV context is
+        ``start_context_tokens + j * decode_requests`` — exactly the work
+        sequence of a batch that admits nothing, prefills nothing, and
+        finishes nothing.  The engine's event jump draws only the iterations
+        it fuses.
 
-        The per-step evaluation is vectorized rather than reduced to the
-        arithmetic-series closed form on purpose: each element performs the
-        *same* float64 operations in the *same* order as a scalar
-        :meth:`step_seconds` call, so the returned durations are bit-identical
-        to the reference one-iteration-at-a-time loop (a closed-form sum would
-        round differently).
+        Each value is the float :meth:`step_seconds` returns for that
+        iteration's :class:`StepWork`: the per-iteration constants are
+        hoisted, but the float operations and their order are unchanged (a
+        closed-form sum would round differently).
         """
         if decode_requests <= 0:
             raise ValueError("decode_requests must be positive")
-        if num_steps <= 0:
-            return np.zeros(0, dtype=np.float64)
         model = self.platform.model
-        context = start_context_tokens + np.arange(num_steps, dtype=np.int64) * decode_requests
-        kv_bytes = context * model.kv_bytes_per_token
-        memory_time = (model.weight_bytes + kv_bytes) / (
-            self.platform.aggregate_bandwidth * self.bandwidth_efficiency
-        )
+        # Exact integer bytes: ``weight_bytes + context * kv_bytes_per_token``
+        # for each iteration's context, so each quotient is step_seconds' own.
+        memory_bytes = model.weight_bytes + start_context_tokens * model.kv_bytes_per_token
+        step_bytes = decode_requests * model.kv_bytes_per_token
+        bandwidth = self.platform.aggregate_bandwidth * self.bandwidth_efficiency
         flops = decode_requests * model.flops_per_token
         compute_time = flops / (self.platform.aggregate_flops * self.compute_efficiency)
-        decode = np.maximum(memory_time, compute_time)
-        return (decode + self.step_overhead_seconds) * self.speed_factor
+        overhead, speed_factor = self.step_overhead_seconds, self.speed_factor
+        while True:
+            memory_time = memory_bytes / bandwidth
+            # ``max(memory_time, compute_time)`` without the call; ``0.0 +
+            # decode + 0.0`` in step_seconds is ``decode`` exactly.
+            decode = memory_time if memory_time >= compute_time else compute_time
+            yield (decode + overhead) * speed_factor
+            memory_bytes += step_bytes

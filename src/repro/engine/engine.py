@@ -18,12 +18,12 @@ request arrivals between iterations.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 
-import numpy as np
-
-from repro.core.future_memory import peak_future_memory_arrays
+from repro.core.future_memory import peak_future_memory
 from repro.engine.batch import RunningBatch
 from repro.engine.cost_model import CostModel, StepWork
 from repro.engine.request import Request, RequestState
@@ -733,16 +733,11 @@ class InferenceEngine:
         if not requests:
             self._silent_cache = None
             return 0
-        current = np.array([r.current_context_tokens for r in requests], dtype=np.int64)
-        remaining = np.array([r.remaining_true_tokens for r in requests], dtype=np.int64)
-        future_required = peak_future_memory_arrays(current, remaining)
+        current = [r.current_context_tokens for r in requests]
+        remaining = [r.remaining_true_tokens for r in requests]
+        future_required = peak_future_memory(current, remaining)
         if all(r.state is RequestState.DECODING for r in requests):
-            self._silent_cache = (
-                len(requests),
-                int(current.sum()),
-                future_required,
-                int(remaining.min()),
-            )
+            self._silent_cache = (len(requests), sum(current), future_required, min(remaining))
         else:
             self._silent_cache = None
         return future_required
@@ -775,10 +770,11 @@ class InferenceEngine:
           sequential consultations would have left it.
 
         The macro-step reproduces the reference loop exactly: per-iteration
-        durations come from :meth:`CostModel.decode_step_durations` (the same
-        float64 operations the scalar path performs), token timestamps are the
-        cumulative-sum chain of those durations, the pool grows by the fused
-        iterations' tokens in one allocation, and the memory timeline
+        durations come from :meth:`CostModel.decode_durations` (the same
+        float operations the scalar path performs), drawn only for the
+        iterations that fuse; token timestamps are the reference loop's
+        ``time += duration`` chain of those durations; the pool grows by the
+        fused iterations' tokens in one allocation; and the memory timeline
         receives one row per fused iteration (with the constant waiting-queue
         depth, as the reference iterations record).
 
@@ -862,21 +858,21 @@ class InferenceEngine:
         cache = self._silent_cache
         assert cache is not None  # established by the caller's bound proof
         batch_size, context_tokens, future_required, min_remaining = cache
-        durations = self.cost_model.decode_step_durations(batch_size, context_tokens, bound)
-        # cumsum chains the additions sequentially from ``time``, giving the
-        # exact floats the reference loop's ``time += duration`` produces.
-        ends = np.cumsum(np.concatenate(((time,), durations)))[1:]
-        steps = bound
-        if horizon is not None:
-            # Iterations whose end reaches the horizon must not be fused past:
-            # the reference loop would process the event before the next one.
-            steps = min(steps, int(np.searchsorted(ends, horizon, side="left")) + 1)
-        if max_time is not None:
-            steps = min(steps, int(np.searchsorted(ends, max_time, side="left")) + 1)
+        # The reference loop's ``time += duration`` chain, drawn one
+        # iteration at a time: it stops at ``bound`` or after the first end
+        # that reaches the clip, since the reference loop would handle the
+        # external event (or the time limit) before the next iteration.
+        clip = min(math.inf if horizon is None else horizon, math.inf if max_time is None else max_time)
+        ends = accumulate(self.cost_model.decode_durations(batch_size, context_tokens), initial=time)
+        end_times: list[float] = []
+        for end in islice(ends, 1, bound + 1):  # skip the initial ``time``
+            end_times.append(end)
+            if end >= clip:
+                break
+        steps = len(end_times)
         if steps < _MIN_JUMP_STEPS:
             return None
 
-        end_times: list[float] = ends[:steps].tolist()
         used_before = self.pool.used_tokens
         self.pool.allocate(steps * batch_size)
         for request in requests:

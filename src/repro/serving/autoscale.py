@@ -247,7 +247,7 @@ class PredictivePolicy(AutoscalerPolicy):
        :class:`~repro.serving.routing.MemoryAwareRouter` computes its
        placement signal (conditional-mean remaining lengths over a sliding
        window of finished outputs, fed through
-       :func:`repro.core.future_memory.peak_future_memory_arrays`).  Queued
+       :func:`repro.core.future_memory.peak_future_memory`).  Queued
        prompts count, so a burst is visible the moment it lands in admission
        queues — before any replica saturates.
     2. **Incoming demand** — arrivals forecast within ``horizon`` seconds

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Iterator
 
 from repro.engine.cost_model import CostModel, StepWork
 
@@ -378,11 +377,11 @@ class SlowdownCostModel:
 
     Wraps a replica's :class:`~repro.engine.cost_model.CostModel` for the
     duration of a straggler window.  Both the scalar reference path
-    (:meth:`step_seconds`) and the vectorized fast path
-    (:meth:`decode_step_durations`) scale by the *same* float factor, so the
-    event-jump equivalence guarantee (fast == reference, bit-identical)
-    survives the slowdown.  Every other attribute proxies to the wrapped
-    model.
+    (:meth:`step_seconds`) and the event jump's iteration stream
+    (:meth:`decode_durations`) multiply the wrapped model's float by the
+    *same* factor, so the event-jump equivalence guarantee (fast ==
+    reference, bit-identical) survives the slowdown.  Every other attribute
+    proxies to the wrapped model.
     """
 
     def __init__(self, inner: CostModel, slowdown: float) -> None:
@@ -395,9 +394,11 @@ class SlowdownCostModel:
         """Slowed latency of one iteration."""
         return self.inner.step_seconds(work) * self.slowdown
 
-    def decode_step_durations(self, batch_size: int, context_tokens: int, steps: int) -> np.ndarray:
-        """Slowed per-iteration latencies for a fused decode macro-step."""
-        return self.inner.decode_step_durations(batch_size, context_tokens, steps) * self.slowdown
+    def decode_durations(self, decode_requests: int, start_context_tokens: int) -> Iterator[float]:
+        """Slowed latencies of consecutive decode-only iterations, one per ``next``."""
+        slowdown = self.slowdown
+        for duration in self.inner.decode_durations(decode_requests, start_context_tokens):
+            yield duration * slowdown
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)

@@ -33,10 +33,11 @@ Five policies are provided, in increasing order of awareness:
   fraction of the replica's own capacity, weighted by replica speed.  It
   maintains the same sliding output-length history the Past-Future scheduler
   uses and evaluates every candidate's peak future memory in one pass (one
-  prediction over all candidates' requests, one padded 2-D Eq. 2–4 call via
-  :func:`repro.core.future_memory.peak_future_memory_arrays`), so a replica
-  whose batch *will* balloon is avoided even while its present occupancy
-  still looks low;
+  prediction over all candidates' requests, then one plain-Python Eq. 2–4
+  evaluation per busy candidate via
+  :func:`repro.core.future_memory.peak_future_memory`), so a replica whose
+  batch *will* balloon is avoided even while its present occupancy still
+  looks low;
 * :class:`SessionAffinityRouter` — memory-aware placement plus *session
   stickiness*: follow-up turns of a multi-turn session are routed back to
   the replica holding the session's cached KV prefix (see
@@ -52,11 +53,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.future_memory import peak_future_memory_arrays
+from repro.core.future_memory import peak_future_memory
 from repro.core.history import OutputLengthHistory
 from repro.engine.request import Request
 from repro.hardware.platform import Platform
@@ -411,26 +413,25 @@ class MemoryAwareRouter(Router):
         """Predicted peak future memory of each view's in-flight work, in order.
 
         All views' requests share one :meth:`_expected_remaining` call, and
-        each busy view is one row of one padded 2-D Eq. 2–4 kernel call.
-        Each request's predicted growth is clamped to its ``max_new_tokens``
-        budget, like the Past-Future scheduler: a 2048-token cold-start
-        default must not predict growth a 128-cap request can never occupy.
-        Pads are ``(current 0, remaining 0)`` *after* that clamp, so they
-        never raise a row's peak.
+        each busy view is then one plain-Python Eq. 2–4 evaluation
+        (:func:`~repro.core.future_memory.peak_future_memory`); an idle view
+        scores 0 without either.  Each request's predicted growth is clamped
+        to its ``max_new_tokens`` budget, like the Past-Future scheduler: a
+        2048-token cold-start default must not predict growth a 128-cap
+        request can never occupy.
         """
         busy = [view for view in views if view.current_tokens]
         if not busy:
             return [0] * len(views)  # idle replicas are common and need no numpy call
-        columns = [(view.current_tokens, view.generated_tokens, view.remaining_cap_tokens) for view in busy]
-        current, generated, caps = np.array([sum(column, ()) for column in zip(*columns)], dtype=np.int64)
-        lengths = [len(view.current_tokens) for view in busy]
-        real = np.arange(max(lengths)) < np.array(lengths)[:, None]
-        padded_current = np.zeros(real.shape, dtype=np.int64)
-        padded_remaining = np.zeros(real.shape, dtype=np.int64)
-        padded_current[real] = current
-        padded_remaining[real] = np.maximum(np.minimum(self._expected_remaining(generated), caps), 1)
-        peaks = iter(peak_future_memory_arrays(padded_current, padded_remaining).tolist())
-        return [next(peaks) if view.current_tokens else 0 for view in views]
+        generated = np.array(sum((view.generated_tokens for view in busy), ()), dtype=np.int64)
+        caps = np.array(sum((view.remaining_cap_tokens for view in busy), ()), dtype=np.int64)
+        remaining = iter(np.maximum(np.minimum(self._expected_remaining(generated), caps), 1).tolist())
+        return [
+            peak_future_memory(view.current_tokens, list(islice(remaining, len(view.current_tokens))))
+            if view.current_tokens
+            else 0
+            for view in views
+        ]
 
     def predicted_peak_tokens(self, view: ReplicaView) -> int:
         """Predicted peak future memory of one replica's in-flight work."""

@@ -94,6 +94,16 @@ def assert_rng_stream_identity(fast: Fingerprintable, reference: Fingerprintable
     )
 
 
+def reference_peak(current, remaining) -> int:
+    """Eq. 2-4 written out in plain Python: sort, then the max of Eq. 3."""
+    ordered = sorted(zip(current, remaining), key=lambda entry: -entry[1])
+    peak, prefix = 0, 0
+    for rank, (tokens, left) in enumerate(ordered, start=1):
+        prefix += tokens
+        peak = max(peak, prefix + left * rank)
+    return peak
+
+
 def assert_pool_ledger(engine) -> None:
     """The pool's used tokens are exactly what their owners hold.
 

@@ -12,19 +12,19 @@ on/off, and closed-loop client counts, and compare everything.
 from __future__ import annotations
 
 import dataclasses
+import math
 
-import numpy as np
 import pytest
 
 from repro.analysis.perf import cluster_snapshot, run_snapshot
-from repro.core.future_memory import peak_future_memory_arrays
-from repro.engine.cost_model import CostModel
+from repro.core.future_memory import peak_future_memory
+from repro.engine.cost_model import CostModel, StepWork
 from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import paper_platform
 from repro.schedulers.registry import create_scheduler
 from repro.serving.cluster import ClusterSimulator
-from repro.serving.faults import FaultPlan, ReplicaCrash
+from repro.serving.faults import FaultPlan, ReplicaCrash, SlowdownCostModel
 from repro.serving.server import ServingSimulator
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.burstgpt import generate_api_trace, generate_conversation_trace
@@ -191,15 +191,116 @@ def test_autoscaled_cluster_bit_identical():
 
 
 # ------------------------------------------------------------- building blocks
-def test_decode_step_durations_match_scalar_cost_model():
-    """Vectorized multi-step integration = scalar step_seconds, bitwise."""
-    from repro.engine.cost_model import StepWork
+#: Iterations a jump from :func:`_decoding_engine` may fuse: every resident
+#: has 199 tokens left, and the iteration delivering the last one finishes it.
+DECODE_BOUND = 198
 
-    model = CostModel(PLATFORM)
-    durations = model.decode_step_durations(7, 3000, 50)
-    for j in range(50):
-        work = StepWork(decode_requests=7, decode_context_tokens=3000 + j * 7)
-        assert durations[j] == model.step_seconds(work)
+COST_MODELS = {
+    "baseline": lambda: CostModel(PLATFORM),
+    "speed-factor": lambda: CostModel(PLATFORM, speed_factor=1.37),
+    "slowdown": lambda: SlowdownCostModel(CostModel(PLATFORM), 2.5),
+    "slowdown-speed-factor": lambda: SlowdownCostModel(CostModel(PLATFORM, speed_factor=0.83), 1.3),
+}
+
+
+def _decoding_engine(cost_model):
+    """Three decoding residents in a roomy pool, after their prefill step.
+
+    Returns the engine and the clock after that step; the prefill ran on the
+    default cost model and every later iteration runs on ``cost_model``.
+    """
+    engine = InferenceEngine(PLATFORM, create_scheduler("aggressive", watermark=1.0))
+    for index in range(3):
+        spec = RequestSpec(
+            request_id=f"r{index}", input_length=20 + index, output_length=200, max_new_tokens=200
+        )
+        engine.submit(Request(spec=spec, arrival_time=0.0))
+    time = engine.step(0.0).end_time
+    assert engine.num_running == 3 and not engine.waiting
+    engine.cost_model = cost_model
+    return engine, time
+
+
+def _step_seconds_chain(engine, time, steps):
+    """End times of ``steps`` reference decode iterations: ``time += step_seconds(...)``."""
+    batch_size = engine.num_running
+    context = sum(r.current_context_tokens for r in engine.batch)
+    ends = []
+    for j in range(steps):
+        work = StepWork(decode_requests=batch_size, decode_context_tokens=context + j * batch_size)
+        time += engine.cost_model.step_seconds(work)
+        ends.append(time)
+    return ends
+
+
+def _assert_jump_follows_chain(engine, jump, chain):
+    """The jump fused ``len(chain)`` iterations ending at exactly ``chain``'s floats."""
+    steps = len(chain)
+    assert jump.steps == steps
+    assert jump.end_time == chain[-1]
+    assert engine.memory_timeline.times[-steps:] == chain
+    for request in engine.batch:
+        assert request.token_times[-steps:] == chain
+
+
+@pytest.mark.parametrize("name", list(COST_MODELS))
+def test_jump_end_times_equal_the_step_seconds_chain(name):
+    """Unclipped, a jump stops at its proof bound on the reference chain's floats."""
+    engine, time = _decoding_engine(COST_MODELS[name]())
+    chain = _step_seconds_chain(engine, time, DECODE_BOUND)
+    _assert_jump_follows_chain(engine, engine.try_jump_any(time), chain)
+
+
+@pytest.mark.parametrize("name", list(COST_MODELS))
+@pytest.mark.parametrize("limit", ["horizon", "max_time", "horizon-first", "max-time-first"])
+@pytest.mark.parametrize("nudge, fused", [(-math.inf, 40), (0, 40), (math.inf, 41)])
+def test_jump_stops_after_the_first_end_reaching_the_clip(name, limit, nudge, fused):
+    """The last fused end is the first one at or past ``min(horizon, max_time)``.
+
+    The clip sits one ulp below, exactly at, or one ulp above the 40th end.
+    """
+    engine, time = _decoding_engine(COST_MODELS[name]())
+    chain = _step_seconds_chain(engine, time, DECODE_BOUND)
+    clip = chain[39] if nudge == 0 else math.nextafter(chain[39], nudge)
+    later = chain[100]
+    horizon, max_time = {
+        "horizon": (clip, None),
+        "max_time": (None, clip),
+        "horizon-first": (clip, later),
+        "max-time-first": (later, clip),
+    }[limit]
+    jump = engine.try_jump_any(time, horizon=horizon, max_time=max_time)
+    _assert_jump_follows_chain(engine, jump, chain[:fused])
+
+
+@pytest.mark.parametrize("name", list(COST_MODELS))
+def test_jump_stops_at_a_step_budget_below_the_clip(name):
+    engine, time = _decoding_engine(COST_MODELS[name]())
+    chain = _step_seconds_chain(engine, time, DECODE_BOUND)
+    jump = engine.try_jump_any(time, horizon=chain[-1], max_steps=25)
+    _assert_jump_follows_chain(engine, jump, chain[:25])
+
+
+def test_clipped_jump_draws_only_the_iterations_it_fuses(monkeypatch):
+    """A jump the horizon clips at k iterations computes k durations, not its bound's.
+
+    The proof bound is 198 iterations; the horizon sits on the 30th end.
+    """
+    draws = 0
+    original = CostModel.decode_durations
+
+    def counting(self, decode_requests, start_context_tokens):
+        nonlocal draws
+        for duration in original(self, decode_requests, start_context_tokens):
+            draws += 1
+            yield duration
+
+    monkeypatch.setattr(CostModel, "decode_durations", counting)
+    engine, time = _decoding_engine(CostModel(PLATFORM))
+    chain = _step_seconds_chain(engine, time, DECODE_BOUND)
+    jump = engine.try_jump_any(time, horizon=chain[29])
+    _assert_jump_follows_chain(engine, jump, chain[:30])
+    assert draws == 30
 
 
 #: Tokens a parked prefix holds in the pool-bound engines below.
@@ -301,16 +402,9 @@ def _profile_from_batch(engine):
     requests = engine.batch.requests
     if not requests or any(r.state is not RequestState.DECODING for r in requests):
         return None
-    current = np.array([r.current_context_tokens for r in requests], dtype=np.int64)
-    remaining = np.array(
-        [min(r.remaining_true_tokens, r.remaining_cap_tokens) for r in requests], dtype=np.int64
-    )
-    return (
-        len(requests),
-        int(current.sum()),
-        peak_future_memory_arrays(current, remaining),
-        int(remaining.min()),
-    )
+    current = [r.current_context_tokens for r in requests]
+    remaining = [min(r.remaining_true_tokens, r.remaining_cap_tokens) for r in requests]
+    return (len(requests), sum(current), peak_future_memory(current, remaining), min(remaining))
 
 
 @pytest.fixture

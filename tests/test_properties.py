@@ -17,7 +17,7 @@ from repro.core.future_memory import (
     FutureMemoryIndex,
     batched_peak_with_candidate,
     memory_timeline,
-    peak_future_memory_arrays,
+    peak_future_memory,
 )
 from repro.core.history import OutputLengthHistory
 from repro.core.predictor import OutputLengthPredictor
@@ -50,6 +50,7 @@ from tests.helpers import (
     assert_no_late_arrivals,
     assert_pool_ledger,
     assert_rng_stream_identity,
+    reference_peak,
 )
 
 #: One request of a batch: ``(current tokens, remaining tokens)``.
@@ -66,7 +67,7 @@ def columns(entries):
 
 
 def peak_of(entries) -> int:
-    return peak_future_memory_arrays(*columns(entries))
+    return peak_future_memory(*columns(entries))
 
 
 def padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -101,9 +102,24 @@ class TestFutureMemoryProperties:
     def test_adding_a_request_never_lowers_the_peak(self, entries, extra):
         assert peak_of(entries + [extra]) >= peak_of(entries)
 
+    @given(entries=st.one_of(entries_strategy, st.lists(tied_entry_strategy, max_size=12)))
+    def test_scalar_kernel_equals_reference_and_batched_row(self, entries):
+        """One batch's peak: the scalar kernel, the plain-Python spec and a numpy row agree.
+
+        The batched row holds the batch minus its last entry, which rides as
+        the candidate; an empty batch rides a ``(0, 0)`` candidate.
+        """
+        peak = peak_of(entries)
+        assert type(peak) is int
+        assert peak == reference_peak(*columns(entries))
+        *batch, (candidate_current, candidate_remaining) = entries or [(0, 0)]
+        row = batched_peak_with_candidate(*padded_rows([batch]), candidate_current, [candidate_remaining])
+        assert row.tolist() == [peak]
+
     @given(rows=st.lists(st.lists(entry_strategy, max_size=12), min_size=1, max_size=6))
     def test_rows_equal_one_dimensional_peaks(self, rows):
-        peaks = peak_future_memory_arrays(*padded_rows(rows))
+        # A ``(0, 0)`` candidate, like a pad, sorts last and raises no peak.
+        peaks = batched_peak_with_candidate(*padded_rows(rows), 0, np.zeros(len(rows), dtype=np.int64))
         assert peaks.tolist() == [peak_of(row) for row in rows]
 
     @given(
@@ -283,6 +299,45 @@ def reference_remaining(window: list[int], generated: int, cap: int) -> int:
     return max(min(max(expected_total - generated, 1), cap), 1)
 
 
+#: Replicas of ``(running, waiting)`` residents.  Caps of 0 and 1 and long
+#: generations make remaining-1 entries, the ones a pad with remaining 1
+#: would outgrow.
+replicas_strategy = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(1, 500), st.integers(0, 500), st.integers(0, 3)), max_size=6),
+        st.lists(resident_strategy, max_size=6),
+    ),
+    max_size=5,
+)
+
+
+def padded_two_dimensional_peaks(router: MemoryAwareRouter, views) -> list[int]:
+    """The spec of ``predicted_peaks``: one padded 2-D numpy Eq. 2-4 evaluation.
+
+    One prediction covers every busy view's requests; each busy view is one
+    row, padded with ``(current 0, remaining 0)`` after the cap clamp; each
+    row is sorted stably by descending remaining, prefix-summed and maxed;
+    an idle view scores 0.
+    """
+    busy = [view for view in views if view.current_tokens]
+    if not busy:
+        return [0] * len(views)
+    per_view = [(view.current_tokens, view.generated_tokens, view.remaining_cap_tokens) for view in busy]
+    current, generated, caps = np.array([sum(column, ()) for column in zip(*per_view)], dtype=np.int64)
+    lengths = [len(view.current_tokens) for view in busy]
+    real = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    padded_current = np.zeros(real.shape, dtype=np.int64)
+    padded_remaining = np.zeros(real.shape, dtype=np.int64)
+    padded_current[real] = current
+    padded_remaining[real] = np.maximum(np.minimum(router._expected_remaining(generated), caps), 1)
+    order = np.argsort(-padded_remaining, axis=-1, kind="stable")
+    current_sorted = np.take_along_axis(padded_current, order, axis=-1)
+    remaining_sorted = np.take_along_axis(padded_remaining, order, axis=-1)
+    counts = np.arange(1, real.shape[1] + 1, dtype=np.int64)
+    peaks = iter((np.cumsum(current_sorted, axis=-1) + remaining_sorted * counts).max(axis=-1).tolist())
+    return [next(peaks) if view.current_tokens else 0 for view in views]
+
+
 def resident_view(replica_id: int, running, waiting) -> ReplicaView:
     """A view of ``running`` then ``waiting`` residents, each ``(prompt, generated, cap)``."""
     # Queued entries with ``generated > 0`` are evictees waiting to be readmitted.
@@ -327,15 +382,7 @@ class TestRouterPredictionProperties:
         earlier=st.lists(st.integers(1, 400), max_size=60),
         later=st.lists(st.integers(1, 400), max_size=60),
         window_size=st.integers(1, 50),
-        # Caps of 0 and 1 and long generations make remaining-1 entries, the
-        # ones a pad with remaining 1 would outgrow.
-        replicas=st.lists(
-            st.tuples(
-                st.lists(st.tuples(st.integers(1, 500), st.integers(0, 500), st.integers(0, 3)), max_size=6),
-                st.lists(resident_strategy, max_size=6),
-            ),
-            max_size=5,
-        ),
+        replicas=replicas_strategy,
     )
     @settings(max_examples=25)
     def test_batched_peaks_match_per_view_and_reference(self, earlier, later, window_size, replicas):
@@ -354,6 +401,21 @@ class TestRouterPredictionProperties:
         ]
         assert router.predicted_peaks(views) == expected
         assert [router.predicted_peak_tokens(view) for view in views] == expected
+
+    @given(
+        history=st.lists(st.integers(1, 400), max_size=60),
+        window_size=st.integers(1, 50),
+        replicas=replicas_strategy,
+        idle=st.lists(st.integers(0, 5), max_size=3),
+    )
+    @settings(max_examples=50)
+    def test_predicted_peaks_equal_padded_two_dimensional_spec(self, history, window_size, replicas, idle):
+        router = MemoryAwareRouter(window_size=window_size, default_length=200)
+        router.history.extend(history)
+        views = [resident_view(index, running, waiting) for index, (running, waiting) in enumerate(replicas)]
+        for position in idle:
+            views.insert(min(position, len(views)), resident_view(len(views), [], []))
+        assert router.predicted_peaks(views) == padded_two_dimensional_peaks(router, views)
 
     @given(
         running=st.lists(resident_strategy, min_size=1, max_size=6),

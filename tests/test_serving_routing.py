@@ -260,7 +260,7 @@ class TestMemoryAware:
 
 
 class TestOneRoutingPass:
-    """One decision is one prediction and one Eq. 2–4 call, however many replicas are busy."""
+    """One decision is one prediction, and one Eq. 2–4 call per busy replica and none per idle one."""
 
     @pytest.fixture()
     def calls(self, monkeypatch) -> Counter:
@@ -273,15 +273,14 @@ class TestOneRoutingPass:
 
             return wrapper
 
-        # The kernel is looked up in the routing module, where the layer profile patches it too.
-        monkeypatch.setattr(
-            routing, "peak_future_memory_arrays", counted("kernel", routing.peak_future_memory_arrays)
-        )
+        # The kernel is looked up in the routing module.
+        monkeypatch.setattr(routing, "peak_future_memory", counted("kernel", routing.peak_future_memory))
         monkeypatch.setattr(
             MemoryAwareRouter, "_expected_remaining", counted("prediction", MemoryAwareRouter._expected_remaining)
         )
         return calls
 
+    #: Three busy replicas and one idle one.
     BUSY = (
         snap(0, used=400, running=((200, 2), (200, 2)), waiting=(30,)),
         snap(1),
@@ -291,22 +290,22 @@ class TestOneRoutingPass:
 
     def test_memory_aware_decision(self, calls):
         assert MemoryAwareRouter(default_length=100).decide(SPEC, self.BUSY) == 1
-        assert calls == {"kernel": 1, "prediction": 1}
+        assert calls == {"kernel": 3, "prediction": 1}
 
     def test_session_fallback(self, calls):
         router = create_router("session-affinity", default_length=100)
         turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
         busy = [view for view in self.BUSY if view.current_tokens]
         assert router.decide(turn, busy) == 2
-        assert calls == {"kernel": 1, "prediction": 1}
+        assert calls == {"kernel": 3, "prediction": 1}
         # The home is viable on the next turn: no scoring at all.
         assert router.decide(turn, busy) == 2
-        assert calls == {"kernel": 1, "prediction": 1}
+        assert calls == {"kernel": 3, "prediction": 1}
 
     def test_fleet_demand_forecast(self, calls):
         policy = PredictivePolicy(default_length=100)
         demand = policy.predicted_fleet_demand_tokens(FleetView(time=0.0, snapshots=self.BUSY))
-        assert calls == {"kernel": 1, "prediction": 1}
+        assert calls == {"kernel": 3, "prediction": 1}
         forecaster = MemoryAwareRouter(default_length=100)
         assert demand == sum(forecaster.predicted_peak_tokens(view) for view in self.BUSY)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import CAPACITY_7B_A100, PREFILL_CAP_SCALED, scaled, write_report
@@ -46,7 +45,7 @@ class NaiveSumScheduler(PastFutureScheduler):
         predictor = self._make_predictor()
         budget = self.admission_budget(context)
         current, remaining = self._predicted_entries(predictor, context.running)
-        committed = int(np.sum(current + remaining)) if current.size else 0
+        committed = sum(current) + sum(remaining)
 
         def fits(candidate: Request) -> bool:
             nonlocal committed

@@ -13,7 +13,6 @@ of actual generation) is exercised by the unit tests.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import CAPACITY_7B_A100, PREFILL_CAP_SCALED, scaled, write_report
@@ -52,16 +51,8 @@ class StaticPredictionScheduler(PastFutureScheduler):
         return prediction
 
     def _predicted_entries(self, predictor, requests):
-        if not requests:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        current = np.array([r.current_context_tokens for r in requests], dtype=np.int64)
-        remaining = np.array(
-            [
-                max(self._static_prediction(predictor, r) - r.generated_tokens, 0)
-                for r in requests
-            ],
-            dtype=np.int64,
-        )
+        current = [r.current_context_tokens for r in requests]
+        remaining = [max(self._static_prediction(predictor, r) - r.generated_tokens, 0) for r in requests]
         return current, remaining
 
     def _candidate_entry(self, predictor, request):

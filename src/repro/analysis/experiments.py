@@ -49,6 +49,7 @@ from repro.obs.tracer import Tracer
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import create_scheduler
 from repro.serving.autoscale import Autoscaler, StaticPolicy
+from repro.serving.clients import check_client_pool_args
 from repro.serving.cluster import ClusterSimulator, SimulationLimits, check_fleet_args
 from repro.serving.faults import FaultPlan
 from repro.serving.results import ClusterResult, RunResult
@@ -102,6 +103,8 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.think_time > 0 and self.num_clients is None:
             raise ValueError("think_time paces closed-loop clients; num_clients=None is open loop")
+        if self.num_clients is not None:
+            check_client_pool_args(self.num_clients, self.think_time)
         # Building the scheduler and a named router once makes an unknown
         # name or keyword raise here, not when a run starts.
         self.build_scheduler()

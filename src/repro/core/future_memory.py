@@ -15,6 +15,12 @@ by *descending* remaining length (Eq. 2), the occupancy when request *i*
 and the future required memory of the batch is ``max_i M_i`` (Eq. 4).  This is
 the minimum pool size that lets every admitted request run to completion with
 no eviction, assuming the remaining-length estimates hold.
+
+Every one-batch evaluation — the engine's oracle column, the router, the
+autoscaler forecast and the admission tests of :class:`FutureMemoryIndex` —
+calls :func:`peak_future_memory`.  numpy serves only many rows at once: the
+saturated-phase horizon proofs (:func:`batched_peak_with_candidate`) and
+:func:`memory_timeline`.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ def peak_future_memory(current: Sequence[int], remaining: Sequence[int]) -> int:
 
     A stable sort by descending remaining length (Eq. 2), a running prefix
     sum of current tokens giving each Eq. 3 value, and their maximum (Eq. 4),
-    in plain Python: the engine and the router evaluate one small batch per
-    event, where numpy's fixed per-call cost would dominate.  Many what-if
+    in plain Python: the engine, the router and the admission tests evaluate
+    one small batch per event, where numpy's fixed per-call cost would
+    dominate.  Many what-if
     rows at once go to :func:`batched_peak_with_candidate` instead.
 
     Args:
@@ -125,9 +132,9 @@ def batched_peak_with_candidate(
 ) -> np.ndarray:
     """Eq. 2–4 peaks of *batch + one candidate* for many what-if rows at once.
 
-    Row ``k`` answers the same question :meth:`FutureMemoryIndex.peak_with`
-    answers for one iteration: what would the peak future memory be if the
-    candidate joined the running batch whose per-request state is
+    Row ``k`` answers the question :meth:`FutureMemoryIndex.admit` tests
+    against the budget for one iteration: what would the peak future memory
+    be if the candidate joined the running batch whose per-request state is
     ``(current[k], remaining[k])``?  The saturated-phase event jump evaluates
     one row per upcoming iteration, so the whole proof window is a handful of
     vectorized array operations instead of per-iteration Python.
@@ -135,9 +142,9 @@ def batched_peak_with_candidate(
     The candidate is appended as the *last* column, and each row's stable
     descending sort (the one :func:`peak_future_memory` uses) places it
     after every incumbent with an equal remaining length — the
-    same tie order :class:`FutureMemoryIndex` commits to, so row ``k`` is
-    bit-identical (exact integer arithmetic) to the incremental evaluation
-    the reference admission loop performs.  The inputs are validated once,
+    same place :meth:`FutureMemoryIndex.admit` appends it — so row ``k`` is
+    bit-identical (exact integer arithmetic) to the peak the reference
+    admission loop tests.  The inputs are validated once,
     before the candidate column is appended.
 
     Args:
@@ -168,76 +175,34 @@ def batched_peak_with_candidate(
 
 
 class FutureMemoryIndex:
-    """Incremental Eq. 2–4 evaluation for per-candidate admission tests.
+    """The running batch of one admission pass, grown one admitted candidate at a time.
 
     The admission loop of the Past-Future and oracle schedulers asks, for each
-    waiting candidate in FCFS order, "what would the batch's peak future
-    memory be with this candidate added?"  Recomputing Eq. 2–4 from scratch
-    makes each step O(Q·B log B) over Q candidates.  This index sorts the
-    running batch **once** (O(B log B)), caches the prefix sums and running
-    maxima of the completion-time profile, and answers each what-if query in
-    O(log B) via :func:`numpy.searchsorted`; admitting a candidate
-    (:meth:`insert`) rebuilds the caches in O(B).
-
-    Queries are exact integer arithmetic, so admission decisions are
-    bit-identical to the from-scratch evaluation, including the stable
-    tie-order of the reference ``argsort`` (a candidate sorts *after* every
-    incumbent with equal remaining length, matching its position at the end
-    of the trial array).
+    waiting candidate in FCFS order, "does the batch's peak future memory with
+    this candidate added still fit the budget?"  :meth:`admit` answers with
+    :func:`peak_future_memory` over the batch plus the candidate, and keeps
+    the candidate only on a yes, so the next candidate is tested against
+    everything admitted before it.  The batch is two plain lists: each test
+    re-sorts the batch plus the candidate, so the index keeps no sorted
+    state of its own.
     """
 
-    __slots__ = ("_current", "_remaining", "_prefix", "_neg_remaining", "_left_max", "_tail_max")
+    __slots__ = ("_current", "_remaining")
 
-    def __init__(
-        self,
-        current: np.ndarray | Sequence[int],
-        remaining: np.ndarray | Sequence[int],
-    ) -> None:
-        current_arr, remaining_arr = _token_arrays(current, remaining, (1,))
-        order = np.argsort(-remaining_arr, kind="stable")
-        self._current = current_arr[order]
-        self._remaining = remaining_arr[order]
-        self._recompute()
+    def __init__(self, current: Sequence[int], remaining: Sequence[int]) -> None:
+        self._current = list(current)
+        self._remaining = list(remaining)
 
-    def _recompute(self) -> None:
-        remaining = self._remaining
-        self._prefix = np.cumsum(self._current)
-        self._neg_remaining = -remaining
-        profile = self._prefix + remaining * np.arange(1, remaining.size + 1, dtype=np.int64)
-        self._left_max = np.maximum.accumulate(profile)
-        # Insertion at position p shifts every later entry's completion
-        # rank by one: M'_i = M_i + remaining_i + cand_current.
-        self._tail_max = np.maximum.accumulate((profile + remaining)[::-1])[::-1]
+    def admit(self, current_tokens: int, remaining_tokens: int, budget: int) -> bool:
+        """Append the candidate iff the batch's Eq. 2–4 peak with it is at most ``budget``.
 
-    def __len__(self) -> int:
-        return int(self._current.size)
-
-    @property
-    def peak(self) -> int:
-        """Peak future memory of the base batch alone (Eq. 4)."""
-        return int(self._left_max[-1]) if self._left_max.size else 0
-
-    def _insert_position(self, remaining_tokens: int) -> int:
-        return int(np.searchsorted(self._neg_remaining, -remaining_tokens, side="right"))
-
-    def peak_with(self, current_tokens: int, remaining_tokens: int) -> int:
-        """Peak future memory of the batch plus one hypothetical candidate."""
-        if current_tokens < 0 or remaining_tokens < 0:
-            raise ValueError("token counts must be non-negative")
-        p = self._insert_position(remaining_tokens)
-        before = int(self._prefix[p - 1]) if p else 0
-        peak = before + current_tokens + remaining_tokens * (p + 1)
-        if p:
-            peak = max(peak, int(self._left_max[p - 1]))
-        if p < self._current.size:
-            peak = max(peak, int(self._tail_max[p]) + current_tokens)
-        return peak
-
-    def insert(self, current_tokens: int, remaining_tokens: int) -> None:
-        """Commit a candidate to the batch (it was admitted)."""
-        if current_tokens < 0 or remaining_tokens < 0:
-            raise ValueError("token counts must be non-negative")
-        p = self._insert_position(remaining_tokens)
-        self._current = np.insert(self._current, p, current_tokens)
-        self._remaining = np.insert(self._remaining, p, remaining_tokens)
-        self._recompute()
+        The candidate goes last, so the stable sort places it after every
+        resident with an equal remaining length; within such a tie the Eq. 3
+        maximum sits at the last member whatever the order.
+        """
+        current = [*self._current, current_tokens]
+        remaining = [*self._remaining, remaining_tokens]
+        if peak_future_memory(current, remaining) > budget:
+            return False
+        self._current, self._remaining = current, remaining
+        return True

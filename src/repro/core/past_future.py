@@ -150,12 +150,12 @@ class PastFutureScheduler(Scheduler):
         self,
         predictor: OutputLengthPredictor,
         requests: list[Request],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Current-token and predicted-remaining arrays for resident requests."""
+    ) -> tuple[list[int], list[int]]:
+        """Current-token and predicted-remaining lists for resident requests."""
         generated = np.array([r.generated_tokens for r in requests], dtype=np.int64)
         caps = np.array([r.spec.max_new_tokens for r in requests], dtype=np.int64)
-        current = np.array([r.current_context_tokens for r in requests], dtype=np.int64)
-        return current, _predicted_remaining(predictor.predict_running(generated), generated, caps)
+        remaining = _predicted_remaining(predictor.predict_running(generated), generated, caps)
+        return [r.current_context_tokens for r in requests], remaining.tolist()
 
     def _candidate_entry(
         self,
@@ -167,31 +167,23 @@ class PastFutureScheduler(Scheduler):
         # Re-queued after eviction: predict conditionally on what it has
         # already produced, exactly like a running request.
         predicted = predictor.predict_running([generated]) if generated > 0 else predictor.predict_new(1)
-        remaining = _predicted_remaining(predicted, generated, request.spec.max_new_tokens)
-        return request.current_context_tokens, int(remaining[0])
+        # The one prediction clamped to [generated + 1, cap], as _predicted_remaining does.
+        total = max(min(int(predicted[0]), request.spec.max_new_tokens), generated + 1)
+        return request.current_context_tokens, total - generated
 
     def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
         """Admit a candidate while the predicted Eq. 2–4 peak fits the budget.
 
         One predictor, and one conditional draw for the whole running batch,
-        per consult; each candidate then draws its own prediction.
-        Incremental admission: the running batch is sorted once; each
-        candidate is a searchsorted query over cached prefix sums instead of
-        a from-scratch re-sort of the whole trial batch (O(B log B + Q·B)
-        instead of O(Q·B log B)); decisions are bit-identical.
+        per consult; each candidate then draws its own prediction, and
+        :meth:`FutureMemoryIndex.admit` tests the batch plus that candidate
+        with :func:`repro.core.future_memory.peak_future_memory`, keeping it
+        for the next candidate's test only if it fits.
         """
         predictor = self._make_predictor()
         budget = self.admission_budget(context)
         index = FutureMemoryIndex(*self._predicted_entries(predictor, context.running))
-
-        def fits(candidate: Request) -> bool:
-            current, remaining = self._candidate_entry(predictor, candidate)
-            if index.peak_with(current, remaining) > budget:
-                return False
-            index.insert(current, remaining)
-            return True
-
-        return fits
+        return lambda candidate: index.admit(*self._candidate_entry(predictor, candidate), budget)
 
     # -------------------------------------------------- saturated-phase jumps
     def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
 from repro.core.future_memory import peak_future_memory
-from repro.engine.batch import RunningBatch
 from repro.engine.cost_model import CostModel, StepWork
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import Platform
@@ -255,7 +254,9 @@ class InferenceEngine:
             else None
         )
         self.waiting: deque[Request] = deque()
-        self.batch = RunningBatch()
+        #: Requests resident in the KV cache, in admission order: the eviction
+        #: rule breaks ties between requests admitted at the same instant by it.
+        self.batch: list[Request] = []
         self.stats = EngineStats()
         self.jump_stats = JumpStats()
         self.memory_timeline = MemoryTimeline(token_capacity=self.pool.token_capacity)
@@ -290,7 +291,7 @@ class InferenceEngine:
 
     def has_work(self) -> bool:
         """Whether any request is queued or resident."""
-        return bool(self.waiting) or not self.batch.is_empty
+        return bool(self.waiting or self.batch)
 
     def submit(self, request: Request, time: float | None = None) -> None:
         """Add an arriving request to the waiting queue.
@@ -339,11 +340,11 @@ class InferenceEngine:
             # A crash takes the cached prefixes with it (no eviction events:
             # the replica is gone, not under memory pressure).
             self.prefix_cache.clear()
-        for request in list(self.batch):
+        for request in self.batch:
             self.pool.free(request.current_context_tokens)
-            self.batch.remove(request)
             request.abort(time)
             aborted.append(request)
+        self.batch.clear()
         for request in self.waiting:
             request.abort(time)
             aborted.append(request)
@@ -452,7 +453,7 @@ class InferenceEngine:
                             )
                         )
             admitted.append(request)
-            self.batch.add(request)
+            self.batch.append(request)
         self.stats.total_admissions += len(admitted)
         if self._tracing and admitted:
             signals = self.scheduler.trace_signals()
@@ -480,7 +481,7 @@ class InferenceEngine:
         Returns the number of prompt tokens processed and the requests whose
         prefill completed (and therefore deliver their first token this step).
         """
-        prefilling = self.batch.prefilling
+        prefilling = [r for r in self.batch if r.state is RequestState.PREFILLING]
         if not prefilling:
             return 0, []
         budget = self.chunked_prefill_tokens
@@ -543,7 +544,7 @@ class InferenceEngine:
         while True:
             # ``max`` keeps the first of equal keys: the tie-break above.
             victim = max(
-                (r for r in self.batch.requests if r is not protect),
+                (r for r in self.batch if r is not protect),
                 key=lambda r: r.admission_times[-1],
                 default=protect,
             )
@@ -643,7 +644,7 @@ class InferenceEngine:
         """Run one continuous-batching iteration starting at ``time``."""
         self._step_counter += 1
         admitted = self._admit(time)
-        decode_targets = self.batch.decoding
+        decode_targets = [r for r in self.batch if r.state is RequestState.DECODING]
         decode_count = len(decode_targets)
         decode_context = sum(r.current_context_tokens for r in decode_targets)
         prefill_tokens, completed_prefill = self._plan_prefill()
@@ -729,7 +730,7 @@ class InferenceEngine:
         resident is decoding, ``None`` otherwise.  :meth:`step` calls this
         after its last batch change, so the profile is always current.
         """
-        requests = self.batch.requests
+        requests = self.batch
         if not requests:
             self._silent_cache = None
             return 0
@@ -854,7 +855,7 @@ class InferenceEngine:
         The tail of :meth:`try_jump_any`, which has already proven that the
         next ``bound`` iterations are pure uniform decode with no admissions.
         """
-        requests = self.batch.requests
+        requests = self.batch
         cache = self._silent_cache
         assert cache is not None  # established by the caller's bound proof
         batch_size, context_tokens, future_required, min_remaining = cache

@@ -96,18 +96,13 @@ def summarize_throughput_by_class(
     }
 
 
-def eviction_rate(requests: Sequence[Request]) -> float:
-    """Evictions per request (can exceed 1.0 when requests are evicted repeatedly)."""
-    if not requests:
-        return 0.0
-    return sum(r.eviction_count for r in requests) / len(requests)
-
-
 def evicted_request_fraction(requests: Sequence[Request]) -> float:
     """Ratio of total evictions to total requests, as reported in Table 1.
 
     The paper's "Evicted Reqs" column divides the *number of request
     evictions* by the number of requests, so values above 100% mean the
-    average request was evicted more than once.
+    average request was evicted more than once.  An empty run scores 0.
     """
-    return eviction_rate(requests)
+    if not requests:
+        return 0.0
+    return sum(r.eviction_count for r in requests) / len(requests)

@@ -37,20 +37,13 @@ class OracleScheduler(Scheduler):
         return request.current_context_tokens, request.remaining_true_tokens
 
     def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
-        # Incremental per-candidate admission (see PastFutureScheduler): sort
-        # the running batch once, then each candidate is a searchsorted query.
-        capacity = context.token_capacity
-        entries = [self._entry(r) for r in context.running]
-        index = FutureMemoryIndex([c for c, _ in entries], [r for _, r in entries])
-
-        def fits(candidate: Request) -> bool:
-            current, remaining = self._entry(candidate)
-            if index.peak_with(current, remaining) > capacity:
-                return False
-            index.insert(current, remaining)
-            return True
-
-        return fits
+        # The Past-Future admission test on true remaining lengths, against
+        # the whole capacity: each candidate joins the batch only if it fits.
+        running = context.running
+        index = FutureMemoryIndex(
+            [r.current_context_tokens for r in running], [r.remaining_true_tokens for r in running]
+        )
+        return lambda candidate: index.admit(*self._entry(candidate), context.token_capacity)
 
     def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:
         """Count upcoming iterations whose head-admission test provably fails.

@@ -20,6 +20,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.request import Request
 
 
+def check_client_pool_args(num_clients: int, think_time: float) -> None:
+    """Raise ``ValueError`` unless a closed-loop pool of these settings could run."""
+    if num_clients <= 0:
+        raise ValueError("num_clients must be positive")
+    if not 0 <= think_time < math.inf:
+        raise ValueError("think_time must be finite and non-negative")
+
+
 class ClosedLoopClientPool(ArrivalQueue):
     """``num_clients`` clients, each keeping one request in flight.
 
@@ -30,10 +38,7 @@ class ClosedLoopClientPool(ArrivalQueue):
     """
 
     def __init__(self, workload: Workload, num_clients: int, think_time: float = 0.0) -> None:
-        if num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        if not 0 <= think_time < math.inf:
-            raise ValueError("think_time must be finite and non-negative")
+        check_client_pool_args(num_clients, think_time)
         super().__init__()
         self._specs: Iterator[RequestSpec] = iter(workload.requests)
         self._num_clients = num_clients

@@ -113,7 +113,7 @@ def assert_pool_ledger(engine) -> None:
     """
     cache = engine.prefix_cache
     cached = cache.resident_tokens if cache is not None else 0
-    resident = sum(r.current_context_tokens for r in engine.batch.requests)
+    resident = sum(r.current_context_tokens for r in engine.batch)
     assert engine.pool.used_tokens == resident + cached, (
         f"pool ledger broken: {engine.pool.used_tokens} used != "
         f"{resident} resident + {cached} cached"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis import experiments
@@ -96,6 +98,10 @@ class TestConstruction:
             ),
             ({"prefix_cache_tokens": 0}, "prefix_cache_tokens must be positive when set"),
             ({"think_time": 1.0}, "num_clients=None is open loop"),
+            ({"num_clients": 0}, "num_clients must be positive"),
+            ({"num_clients": -3}, "num_clients must be positive"),
+            ({"num_clients": 4, "think_time": -1.0}, "think_time must be finite and non-negative"),
+            ({"num_clients": 4, "think_time": math.inf}, "think_time must be finite and non-negative"),
             (
                 {"faults": FaultPlan(crashes=[ReplicaCrash(time=1.0, replica=0)])},
                 "router=None serves one fixed replica",
@@ -466,6 +472,12 @@ class TestSweep:
             name: {"autoscaler": Autoscaler(name, max_replicas=3)} for name in ("static", "reactive")
         }
         with pytest.raises(ValueError, match=r"\[1, 3\] bounds"):
+            sweep(config, stamped, variants)
+        assert runs == []
+
+    def test_invalid_client_variant_raises_before_any_run(self, config, stamped, runs):
+        variants = {"a": {"router": "round-robin"}, "b": {"num_clients": 0}}
+        with pytest.raises(ValueError, match="num_clients must be positive"):
             sweep(config, stamped, variants)
         assert runs == []
 

@@ -1,8 +1,7 @@
-"""Tests for the running-batch container and the engine's eviction rule."""
+"""Tests for the engine's eviction rule."""
 
 from __future__ import annotations
 
-from repro.engine.batch import RunningBatch
 from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
 from repro.schedulers.aggressive import AggressiveScheduler
@@ -21,27 +20,6 @@ def running_request(request_id: str, admit_time: float, generated: int = 0) -> R
     return request
 
 
-class TestRunningBatch:
-    def test_add_remove_len(self):
-        batch = RunningBatch()
-        a = running_request("a", 1.0)
-        batch.add(a)
-        assert len(batch) == 1
-        assert a in batch
-        batch.remove(a)
-        assert batch.is_empty
-
-    def test_decoding_and_prefilling_views(self):
-        batch = RunningBatch()
-        decoding = running_request("a", 1.0)
-        prefilling = Request(spec=make_spec(request_id="b"), arrival_time=0.0)
-        prefilling.admit(2.0)
-        batch.add(decoding)
-        batch.add(prefilling)
-        assert batch.decoding == [decoding]
-        assert batch.prefilling == [prefilling]
-
-
 def full_engine(platform_7b, residents: list[Request], free: int = 0) -> InferenceEngine:
     """An engine holding ``residents`` in batch order with ``free`` slots to spare."""
     engine = InferenceEngine(
@@ -50,7 +28,7 @@ def full_engine(platform_7b, residents: list[Request], free: int = 0) -> Inferen
         token_capacity_override=sum(r.current_context_tokens for r in residents) + free,
     )
     for request in residents:
-        engine.batch.add(request)
+        engine.batch.append(request)
         engine.pool.allocate(request.current_context_tokens)
     assert engine.pool.free_tokens == free
     return engine
@@ -71,7 +49,7 @@ class TestEvictionRule:
         evicted: list[Request] = []
         assert engine._make_room(old, 4.0, evicted)
         assert evicted == [new]
-        assert engine.batch.requests == [old, mid]
+        assert engine.batch == [old, mid]
 
     def test_protected_request_is_skipped(self, platform_7b):
         old, mid, new = self._residents()
@@ -90,7 +68,7 @@ class TestEvictionRule:
         evicted: list[Request] = []
         assert engine._make_room(old, 3.0, evicted)
         assert evicted == [first]
-        assert engine.batch.requests == [old, second]
+        assert engine.batch == [old, second]
 
     def test_protect_is_the_last_resort(self, platform_7b):
         only = running_request("only", 1.0, generated=3)
@@ -98,7 +76,7 @@ class TestEvictionRule:
         evicted: list[Request] = []
         assert not engine._make_room(only, 2.0, evicted)
         assert evicted == [only]
-        assert engine.batch.is_empty
+        assert not engine.batch
         assert engine.pool.used_tokens == 0
 
     def test_victim_is_requeued_at_the_head_and_recomputes_its_context(self, platform_7b):
@@ -149,13 +127,13 @@ class TestEvictionRule:
             prefix_cache_tokens=5,
         )
         for request in (old, mid, new):
-            engine.batch.add(request)
+            engine.batch.append(request)
         engine.pool.allocate(residents + 5)
         engine.prefix_cache.retain("s0", 0, 5)
         evicted: list[Request] = []
         assert engine._make_room(old, 4.0, evicted)
         assert evicted == []
-        assert engine.batch.requests == [old, mid, new]
+        assert engine.batch == [old, mid, new]
         assert len(engine.prefix_cache) == 0
         assert engine.pool.free_tokens == 5
 
@@ -191,7 +169,7 @@ class TestDeliveryAtThePoolBoundary:
         assert result.finished == [a]
         assert a.is_finished
         assert (b.generated_tokens, c.generated_tokens) == (3, 3)
-        assert engine.batch.requests == [b, c]
+        assert engine.batch == [b, c]
         assert engine.pool.used_tokens == self._context(engine)
         assert engine.stats.total_decode_tokens == 3
 
@@ -207,7 +185,7 @@ class TestDeliveryAtThePoolBoundary:
         assert result.finished == []
         assert new.state is RequestState.QUEUED
         assert list(engine.waiting) == [new]
-        assert engine.batch.requests == [old, mid]
+        assert engine.batch == [old, mid]
         assert (old.generated_tokens, new.generated_tokens, mid.generated_tokens) == (3, 3, 3)
         assert engine.pool.used_tokens == self._context(engine)
         assert engine.stats.total_decode_tokens == 3

@@ -263,7 +263,7 @@ class TestEvictionBehaviour:
                 break
         assert first.admission_times == second.admission_times == third.admission_times == [0.0]
         assert result.evicted == [second]
-        assert engine.batch.requests == [first, third]
+        assert engine.batch == [first, third]
 
 
 class BackToFrontScheduler(VirtualTokenCounterScheduler):
@@ -284,7 +284,7 @@ class TestAdmissionByIdentity:
         admitted = engine._admit(0.0)
         assert len(admitted) == 1 and admitted[0] is second
         assert len(engine.waiting) == 1 and engine.waiting[0] is first
-        assert engine.batch.requests[0] is second
+        assert engine.batch[0] is second
 
     def test_admitting_a_request_the_queue_does_not_hold_raises(self, platform_7b):
         stranger = Request(spec=make_spec(request_id="stranger"), arrival_time=0.0)
@@ -328,6 +328,19 @@ class TestChunkedPrefill:
             time = result.end_time
             steps += 1
         assert steps == 4  # 64 prompt tokens at 16 per step
+
+    def test_a_prefilling_resident_gets_no_decode_token(self, platform_7b):
+        engine = make_engine(platform_7b, capacity=4096, chunked_prefill_tokens=16)
+        [decoding] = submit_requests(engine, 1, input_length=16, output_length=8)
+        time = engine.step(0.0).end_time
+        assert decoding.state is RequestState.DECODING and decoding.generated_tokens == 1
+        prefilling = Request(spec=make_spec(request_id="long", input_length=64), arrival_time=time)
+        engine.submit(prefilling)
+        result = engine.step(time)
+        assert engine.batch == [decoding, prefilling]
+        assert result.work.prefill_tokens == 16
+        assert decoding.generated_tokens == 2
+        assert prefilling.state is RequestState.PREFILLING and prefilling.generated_tokens == 0
 
     def test_chunked_prefill_work_never_exceeds_budget(self, platform_7b):
         engine = make_engine(platform_7b, capacity=4096, chunked_prefill_tokens=32)

@@ -399,7 +399,7 @@ def test_pool_incremental_used_tokens_stays_consistent():
 # ------------------------------------------------------- batch profile invariant
 def _profile_from_batch(engine):
     """The jump's batch profile recomputed from scratch (``None``: not uniform)."""
-    requests = engine.batch.requests
+    requests = engine.batch
     if not requests or any(r.state is not RequestState.DECODING for r in requests):
         return None
     current = [r.current_context_tokens for r in requests]

@@ -8,7 +8,6 @@ import pytest
 from repro.engine.request import Request
 from repro.metrics.goodput import (
     evicted_request_fraction,
-    eviction_rate,
     summarize_throughput,
 )
 from repro.metrics.latency import (
@@ -98,14 +97,13 @@ class TestThroughputSummary:
 
 
 class TestEvictionMetrics:
-    def test_eviction_rate(self):
+    def test_evicted_request_fraction(self):
         requests = [finished(0.0, [1.0], evictions=2), finished(0.0, [1.0], evictions=0)]
-        assert eviction_rate(requests) == pytest.approx(1.0)
         assert evicted_request_fraction(requests) == pytest.approx(1.0)
 
     def test_rate_can_exceed_one(self):
         requests = [finished(0.0, [1.0], evictions=3)]
-        assert eviction_rate(requests) == pytest.approx(3.0)
+        assert evicted_request_fraction(requests) == pytest.approx(3.0)
 
     def test_empty_requests(self):
-        assert eviction_rate([]) == 0.0
+        assert evicted_request_fraction([]) == 0.0

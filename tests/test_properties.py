@@ -124,17 +124,21 @@ class TestFutureMemoryProperties:
 
     @given(
         batch=st.lists(tied_entry_strategy, max_size=10),
-        candidates=st.lists(tied_entry_strategy, min_size=1, max_size=8),
+        trials=st.lists(st.tuples(tied_entry_strategy, st.integers(-2, 2)), min_size=1, max_size=8),
     )
-    def test_index_peak_with_equals_kernel_over_inserts(self, batch, candidates):
+    def test_admit_keeps_exactly_the_candidates_that_fit(self, batch, trials):
+        """``admit`` answers the kernel over batch + candidate and keeps only a candidate that fits.
+
+        Budgets sit within two tokens of the true peak, so both answers are
+        common, and a rejected candidate must leave every later answer unchanged.
+        """
         index = FutureMemoryIndex(*columns(batch))
-        for candidate in candidates:
-            assert index.peak == peak_of(batch)
-            assert index.peak_with(*candidate) == peak_of(batch + [candidate])
-            index.insert(*candidate)
-            batch = batch + [candidate]
-            assert len(index) == len(batch)
-        assert index.peak == peak_of(batch)
+        for candidate, offset in trials:
+            peak = peak_of(batch + [candidate])
+            budget = peak + offset
+            assert index.admit(*candidate, budget) is (peak <= budget)
+            if peak <= budget:
+                batch = batch + [candidate]
 
     @given(
         width=st.integers(0, 8),
@@ -142,15 +146,14 @@ class TestFutureMemoryProperties:
         candidate_current=st.integers(0, 300),
         data=st.data(),
     )
-    def test_batched_rows_equal_peak_with(self, width, row_count, candidate_current, data):
+    def test_batched_rows_equal_kernel_with_candidate(self, width, row_count, candidate_current, data):
         row = st.lists(tied_entry_strategy, min_size=width, max_size=width)
         rows = data.draw(st.lists(row, min_size=row_count, max_size=row_count))
         candidate_remaining = data.draw(st.lists(st.integers(0, 4), min_size=row_count, max_size=row_count))
         current, remaining = padded_rows(rows)
         peaks = batched_peak_with_candidate(current, remaining, candidate_current, candidate_remaining)
         expected = [
-            FutureMemoryIndex(*columns(entries)).peak_with(candidate_current, cand)
-            for entries, cand in zip(rows, candidate_remaining)
+            peak_of(entries + [(candidate_current, cand)]) for entries, cand in zip(rows, candidate_remaining)
         ]
         assert peaks.tolist() == expected
 

@@ -30,19 +30,14 @@ is spelled out in ``docs/simulation-semantics.md`` and enforced by
 
 from __future__ import annotations
 
-from typing import Callable, get_args
+from typing import Callable
 
 import numpy as np
 
 from repro.core import rng_streams
 from repro.core.future_memory import FutureMemoryIndex, batched_peak_with_candidate
 from repro.core.history import OutputLengthHistory
-from repro.core.predictor import (
-    Aggregation,
-    OutputLengthPredictor,
-    aggregate_samples,
-    conditional_prediction_samples,
-)
+from repro.core.predictor import OutputLengthPredictor, aggregate_samples, conditional_prediction_samples
 from repro.engine.request import Request
 from repro.schedulers.base import Scheduler, SchedulingContext, checked_batch_cap
 
@@ -79,8 +74,7 @@ class PastFutureScheduler(Scheduler):
             length).
         seed: RNG seed for prediction sampling, an ``int`` in ``[0, 2**63)``.
         num_samples: repeated-sampling count used to stabilise predictions
-            when the batch is small.
-        aggregation: how repeated samples are combined.
+            when the batch is small; the maximum sample is kept.
         max_running_requests: optional hard cap on the running batch size.
     """
 
@@ -93,7 +87,6 @@ class PastFutureScheduler(Scheduler):
         default_length: int = 2048,
         seed: int = 0,
         num_samples: int = 1,
-        aggregation: Aggregation = "max",
         max_running_requests: int | None = None,
     ) -> None:
         if not 0.0 <= reserved_fraction < 1.0:
@@ -104,15 +97,11 @@ class PastFutureScheduler(Scheduler):
             raise ValueError(f"seed must be an int in [0, 2**63), got {seed!r}")
         if num_samples < 1:
             raise ValueError(f"num_samples must be at least 1, got {num_samples!r}")
-        if aggregation not in get_args(Aggregation):
-            choices = ", ".join(get_args(Aggregation))
-            raise ValueError(f"aggregation must be one of {choices}, got {aggregation!r}")
         self.reserved_fraction = reserved_fraction
         self.window_size = window_size
         self.default_length = default_length
         self.seed = seed
         self.num_samples = num_samples
-        self.aggregation: Aggregation = aggregation
         self.max_running_requests = checked_batch_cap(max_running_requests)
         self.history = OutputLengthHistory(window_size=window_size, default_length=default_length)
         self._sample_counter = 0
@@ -138,7 +127,6 @@ class PastFutureScheduler(Scheduler):
             lengths=self.history.sorted_snapshot(),
             seed=self.seed + self._sample_counter,
             num_samples=self.num_samples,
-            aggregation=self.aggregation,
             presorted=True,
         )
 
@@ -232,7 +220,6 @@ class PastFutureScheduler(Scheduler):
         head_cap = head.spec.max_new_tokens
         batch = generated.size
         num_samples = self.num_samples
-        aggregation = self.aggregation
         run_draws = num_samples * batch
         if head_generated > 0:
             head_draws = num_samples
@@ -271,13 +258,13 @@ class PastFutureScheduler(Scheduler):
             offsets = np.arange(horizon, horizon + size, dtype=np.int64)[:, None]
             gens = generated + offsets
             samples = conditional_prediction_samples(window, run_uniforms, gens)
-            predicted = aggregate_samples(samples, aggregation).astype(np.int64, copy=False)
+            predicted = aggregate_samples(samples).astype(np.int64, copy=False)
             remaining = _predicted_remaining(predicted, gens, caps)
             if head_generated > 0:
                 cand_samples = conditional_prediction_samples(window, cand_uniforms, head_generated_rows)
             else:
                 cand_samples = cand_choices
-            cand_predicted = aggregate_samples(cand_samples, aggregation).astype(np.int64, copy=False)[:, 0]
+            cand_predicted = aggregate_samples(cand_samples).astype(np.int64, copy=False)[:, 0]
             cand_remaining = _predicted_remaining(cand_predicted, head_generated, head_cap)
             peaks = batched_peak_with_candidate(current + offsets, remaining, head_current, cand_remaining)
             admit = peaks <= budget

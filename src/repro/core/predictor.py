@@ -10,9 +10,9 @@ The predictor turns the historical window into an empirical distribution
   prediction can only stay ahead of what has actually been produced.
 
 When the running batch is small the paper repeats the sampling several times
-to stabilise the estimate; ``num_samples``/``aggregation`` expose that knob
-(aggregating with ``max`` keeps the estimate on the safe side, which is what
-admission control wants).
+to stabilise the estimate; ``num_samples`` exposes that knob, and the
+repeated samples combine by ``max`` (:func:`aggregate_samples`), which keeps
+the estimate on the safe side, as admission control wants.
 
 Because the RNG stream is part of the reproduced semantics (see
 ``docs/simulation-semantics.md``), each sampling call documents exactly what
@@ -24,22 +24,13 @@ proof rebuilds those draws from the raw stream
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-Aggregation = Literal["max", "mean", "median"]
 
-
-def aggregate_samples(samples: np.ndarray, how: Aggregation) -> np.ndarray:
-    """Collapse the sample axis (axis ``-2``) of a ``(..., num_samples, n)`` array."""
-    if how == "max":
-        return samples.max(axis=-2)
-    if how == "mean":
-        return np.ceil(samples.mean(axis=-2))
-    if how == "median":
-        return np.ceil(np.median(samples, axis=-2))
-    raise ValueError(f"unknown aggregation {how!r}")
+def aggregate_samples(samples: np.ndarray) -> np.ndarray:
+    """Collapse the sample axis (axis ``-2``) of a ``(..., num_samples, n)`` array by ``max``."""
+    return samples.max(axis=-2)
 
 
 def conditional_prediction_samples(
@@ -89,9 +80,8 @@ class OutputLengthPredictor:
     Args:
         lengths: the historical output lengths (the window snapshot).
         seed: RNG seed for reproducible sampling.
-        num_samples: how many independent samples to draw per request before
-            aggregating.
-        aggregation: how to combine repeated samples.
+        num_samples: how many independent samples to draw per request; their
+            maximum is the prediction.
         presorted: promise that ``lengths`` is already sorted ascending,
             skipping the per-construction sort.  Callers that build one
             predictor per iteration over a slowly changing window (the
@@ -103,7 +93,6 @@ class OutputLengthPredictor:
     lengths: np.ndarray
     seed: int = 0
     num_samples: int = 1
-    aggregation: Aggregation = "max"
     presorted: bool = False
 
     def __post_init__(self) -> None:
@@ -144,7 +133,7 @@ class OutputLengthPredictor:
         if count == 0:
             return np.zeros(0, dtype=np.int64)
         samples = self._rng.choice(self._sorted, size=(self.num_samples, count), replace=True)
-        return aggregate_samples(samples, self.aggregation).astype(np.int64)
+        return aggregate_samples(samples).astype(np.int64)
 
     def predict_running(self, generated: np.ndarray | list[int]) -> np.ndarray:
         """Resample predictions for running requests from ``P(l | l > generated)``.
@@ -168,4 +157,4 @@ class OutputLengthPredictor:
             raise ValueError("generated token counts must be non-negative")
         uniforms = self._rng.random((self.num_samples, generated_arr.size))
         samples = conditional_prediction_samples(self._sorted, uniforms, generated_arr)
-        return aggregate_samples(samples, self.aggregation).astype(np.int64)
+        return aggregate_samples(samples).astype(np.int64)

@@ -37,8 +37,8 @@ from __future__ import annotations
 REQUEST_SUBMIT = "request.submit"
 
 #: The overload throttle turned the arrival away before routing/queueing.
-#: attrs: reason, plus the tenant window usage behind the decision
-#: (user_window / user_rpm / app_window / app_rpm when configured).
+#: attrs: reason, plus the user window usage behind the decision
+#: (user_window / user_rpm when configured).
 REQUEST_THROTTLED = "request.throttled"
 
 #: A router placed the request on a replica.  attrs: replica (target id),
@@ -74,8 +74,8 @@ REQUEST_FINISHED = "request.finished"
 #: attrs: generated_tokens, eviction_count.
 REQUEST_EVICTED = "request.evicted"
 
-#: A fault (crash or routing error) sent the request back through the retry
-#: policy; it will re-enter routing at ``retry_at``.
+#: A replica kill (a crash or a preemption deadline) sent the request back
+#: through the retry policy; it will re-enter routing at ``retry_at``.
 #: attrs: attempt, retry_at, cause.
 REQUEST_RETRY = "request.retry"
 

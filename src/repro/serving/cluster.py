@@ -82,7 +82,6 @@ from repro.serving.faults import (
     REASON_NO_REPLICAS,
     REASON_REPLICA_CRASH,
     REASON_RETRIES_EXHAUSTED,
-    REASON_ROUTING_ERROR,
     REASON_UNROUTED,
     FaultEvent,
     FaultInjector,
@@ -109,6 +108,14 @@ class SimulationLimits:
             raise ValueError("max_steps must be at least 1")
         if not self.max_time > 0:
             raise ValueError("max_time must be positive (inf disables the time limit)")
+
+    def reached(self, steps: int, clock: float) -> str | None:
+        """The limit a run at ``steps`` iterations and ``clock`` has hit, if any."""
+        if steps >= self.max_steps:
+            return "max_steps"
+        if clock >= self.max_time:
+            return "max_time"
+        return None
 
 
 def _submit_attrs(spec: RequestSpec) -> dict:
@@ -167,7 +174,7 @@ class _Replica:
         steps: int,
         horizon: float | None = None,
         jump: bool = True,
-    ) -> tuple[int, Sequence[Request], bool]:
+    ) -> tuple[int, Sequence[Request], str | None]:
         """Advance the engine by one event jump or, failing that, one iteration.
 
         With ``jump`` the engine first tries to fuse decode iterations up to
@@ -178,12 +185,13 @@ class _Replica:
         reference :meth:`InferenceEngine.step` runs.  ``steps`` is the run's
         iteration count so far, summed over every replica.
 
-        Returns ``(iterations advanced, finished requests, stop)``.  ``stop``
-        ends the run incomplete: it reached ``limits``, or three idle
-        iterations in a row while requests wait mean no admission is possible
-        (a scheduler that never admits).  The simulation stops instead of
-        spinning forever.  The caller handles the finished requests before it
-        stops.
+        Returns ``(iterations advanced, finished requests, stop reason)``.  A
+        stop reason ends the run incomplete: ``"max_steps"`` or
+        ``"max_time"`` when it reached ``limits``, or ``"stall"`` when three
+        idle iterations in a row while requests wait mean no admission is
+        possible (a scheduler that never admits), so the simulation stops
+        instead of spinning forever.  It is ``None`` while the run may go on.
+        The caller handles the finished requests before it stops.
         """
         if jump:
             jumped = self.engine.try_jump_any(
@@ -195,16 +203,16 @@ class _Replica:
             if jumped is not None:
                 self.clock = jumped.end_time
                 self.idle_streak = 0
-                stop = steps + jumped.steps >= limits.max_steps or self.clock >= limits.max_time
-                return jumped.steps, (), stop
+                return jumped.steps, (), limits.reached(steps + jumped.steps, self.clock)
         result = self.engine.step(self.clock)
         if result.duration > 0:
             self.clock = result.end_time
         self.idle_streak = self.idle_streak + 1 if result.was_idle else 0
-        stop = self.idle_streak >= 3 or steps + 1 >= limits.max_steps or self.clock >= limits.max_time
-        return 1, result.finished, stop
+        if self.idle_streak >= 3:
+            return 1, result.finished, "stall"
+        return 1, result.finished, limits.reached(steps + 1, self.clock)
 
-    def run_result(self, workload: str, num_clients: int, completed: bool) -> RunResult:
+    def run_result(self, workload: str, num_clients: int, termination: str) -> RunResult:
         """The replica's :class:`RunResult` at its clock."""
         engine = self.engine
         return RunResult(
@@ -217,7 +225,7 @@ class _Replica:
             engine_stats=engine.stats,
             memory_timeline=engine.memory_timeline,
             token_capacity=engine.token_capacity,
-            completed=completed,
+            termination=termination,
             jump_stats=engine.jump_stats,
             prefix_stats=engine.prefix_cache.stats if engine.prefix_cache is not None else None,
         )
@@ -392,11 +400,10 @@ class ClusterSimulator:
             byte-identical to untraced ones.
         faults: optional seeded failure schedule (see
             :mod:`repro.serving.faults`): replica crashes, spot-style
-            preemptions with drain windows, straggler slowdowns, and
-            transient routing errors, plus the plan's retry/migration/
-            replacement recovery knobs.  ``None`` (the default) keeps every
-            replica perfectly reliable and runs byte-identical to builds
-            that predate fault injection.
+            preemptions with drain windows and straggler slowdowns, plus
+            the plan's retry/migration/replacement recovery knobs.
+            ``None`` (the default) keeps every replica perfectly reliable
+            and runs byte-identical to builds that predate fault injection.
         prefix_cache_tokens: per-replica session prefix-cache budget in KV
             tokens (see :class:`repro.memory.prefix_cache.PrefixCache`);
             each replica's engine retains finished session turns' KV context
@@ -732,13 +739,7 @@ class ClusterSimulator:
             replacement=replacement.index if replacement is not None else None,
         )
         for request in aborted:
-            self._redispatch(
-                request.spec,
-                request.arrival_time,
-                time,
-                cause=cause,
-                no_retry_reason=REASON_REPLICA_CRASH,
-            )
+            self._redispatch(request.spec, request.arrival_time, time, cause)
 
     def _preempt_replica(self, replica: _Replica, time: float, fault) -> None:
         """Spot-style preemption notice: stop placements, drain, migrate queue."""
@@ -812,26 +813,20 @@ class ClusterSimulator:
         """Append one entry to the run's fault log."""
         self.fault_log.append(FaultEvent(time=time, kind=kind, replica=replica, detail=detail))
 
-    def _redispatch(
-        self,
-        spec: RequestSpec,
-        arrived_at: float,
-        now: float,
-        cause: str,
-        no_retry_reason: str,
-    ) -> None:
-        """Re-dispatch work lost to a fault, or reject it with a typed reason.
+    def _redispatch(self, spec: RequestSpec, arrived_at: float, now: float, cause: str) -> None:
+        """Re-dispatch work a replica kill aborted, or reject it with a typed reason.
 
         Consults the plan's :class:`~repro.serving.faults.RetryPolicy` for
         this request's next backoff; a ``None`` policy (recovery disabled)
-        rejects with ``no_retry_reason``, an exhausted attempt budget with
+        rejects with :data:`~repro.serving.faults.REASON_REPLICA_CRASH`, an
+        exhausted attempt budget with
         :data:`~repro.serving.faults.REASON_RETRIES_EXHAUSTED`.
         """
         policy = self.fault_plan.retry_policy if self.fault_plan is not None else None
         attempt = self._retry_attempts.get(spec.request_id, 0)
         delay = policy.delay(spec.request_id, attempt) if policy is not None else None
         if delay is None:
-            reason = no_retry_reason if policy is None else REASON_RETRIES_EXHAUSTED
+            reason = REASON_REPLICA_CRASH if policy is None else REASON_RETRIES_EXHAUSTED
             self._reject_spec(spec, now, arrived_at, reason)
             return
         self._retry_attempts[spec.request_id] = attempt + 1
@@ -989,20 +984,6 @@ class ClusterSimulator:
     ) -> _Replica | None:
         """Run one routing decision; the chosen replica, or ``None`` if parked or rejected."""
         assert self.router is not None
-        if self._fault_injector is not None:
-            # Transient routing errors: a deterministic per-(request, attempt)
-            # coin decides whether this routing attempt is dropped by the
-            # control plane.  Dropped attempts re-enter via the retry policy.
-            attempt = self._retry_attempts.get(spec.request_id, 0)
-            if self._fault_injector.routing_error(spec.request_id, now, attempt):
-                self._redispatch(
-                    spec,
-                    arrived_at,
-                    now,
-                    cause="routing-error",
-                    no_retry_reason=REASON_ROUTING_ERROR,
-                )
-                return None
         routable = {replica.index: replica for replica in self.active_replicas}
         views = [replica.snapshot() for replica in routable.values()]
         if not views:
@@ -1091,7 +1072,7 @@ class ClusterSimulator:
             self.throttle.on_run_start()
         if self.autoscaler is not None:
             self.autoscaler.on_run_start()
-        completed = True
+        termination = "drained"
         total_steps = 0
         time = 0.0
         follow_up_delay = generator.min_follow_up_delay
@@ -1219,8 +1200,8 @@ class ClusterSimulator:
                     self._retire(step_replica, time)
                     stale = True
 
-            if stop:
-                completed = False
+            if stop is not None:
+                termination = stop
                 break
 
         makespan = max((r.clock for r in self.replicas), default=0.0)
@@ -1234,7 +1215,7 @@ class ClusterSimulator:
             self._reject_spec(leftover.spec, makespan, leftover.arrived_at, REASON_UNROUTED)
         self._record_fleet_sample(makespan)
         replica_results = [
-            replica.run_result(workload_name, num_clients, completed) for replica in self.replicas
+            replica.run_result(workload_name, num_clients, termination) for replica in self.replicas
         ]
         distinct_platforms = dict.fromkeys(p.describe() for p in self.platforms)
         return ClusterResult(
@@ -1245,7 +1226,7 @@ class ClusterSimulator:
             duration=makespan,
             replicas=replica_results,
             rejected=list(self.rejected),
-            completed=completed,
+            termination=termination,
             autoscaler=self.autoscaler.describe() if self.autoscaler is not None else None,
             fleet_timeline=list(self.fleet_timeline),
             lifetimes=[replica.lifetime() for replica in self.replicas],

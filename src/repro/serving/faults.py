@@ -3,10 +3,9 @@
 Every replica the simulator launches is perfectly reliable by default, which
 makes the fleet a poor testbed for the availability questions production
 serving actually faces: GPUs fall over mid-decode, spot instances get
-preempted with a notice window, one card silently runs 3x slow, and the
-control plane drops a routing RPC now and then.  This module models those
-four failure classes as *data*, so a run with faults is exactly as
-reproducible as a run without:
+preempted with a notice window, and one card silently runs 3x slow.  This
+module models those three failure classes as *data*, so a run with faults is
+exactly as reproducible as a run without:
 
 * :class:`ReplicaCrash` — a replica dies at an instant; every in-flight and
   queued request on it is aborted (partial tokens are accounted as lost
@@ -19,16 +18,12 @@ reproducible as a run without:
 * :class:`Straggler` — a transient slowdown window multiplying the
   replica's cost model by a factor; the replica is marked ``degraded`` so
   health-aware routers steer around it.
-* :class:`RoutingErrorWindow` — a window during which each routing attempt
-  fails with a given probability (decided by a seeded hash of the request
-  id and attempt number, never by RNG-stream order), forcing the retry
-  machinery even without any replica dying.
 
 The determinism contract (see ``docs/resilience.md``): a
 :class:`FaultPlan` is a pure value — the injector derives every fault time
-at construction and every probabilistic decision from
-``sha256(seed, request_id, attempt)``, so two runs of the same plan over the
-same workload are bit-identical, and a run with ``faults=None`` is
+at construction, and the one probabilistic decision, retry jitter, comes
+from ``sha256(seed, request_id, attempt)``, so two runs of the same plan
+over the same workload are bit-identical, and a run with ``faults=None`` is
 byte-identical to one built before this module existed.
 """
 
@@ -53,9 +48,6 @@ HEALTH_STATES = (HEALTH_HEALTHY, HEALTH_DEGRADED)
 # -------------------------------------------------------------- typed reasons
 #: Reject reason for work lost to a replica crash with no retry policy.
 REASON_REPLICA_CRASH = "replica-crash"
-#: Reject reason for a routing attempt dropped by a routing-error window
-#: with no retry policy attached.
-REASON_ROUTING_ERROR = "routing-error"
 #: Reject reason when a request's retry attempt budget is exhausted.
 REASON_RETRIES_EXHAUSTED = "retries-exhausted"
 #: Reject reason for requests still parked when the run terminates
@@ -69,10 +61,10 @@ REASON_NO_REPLICAS = "no-replicas"
 def hash_fraction(*parts: object) -> float:
     """Uniform fraction in ``[0, 1)`` derived from a sha256 of ``parts``.
 
-    The basis of every probabilistic fault decision: keyed on stable
-    identifiers (seed, request id, attempt number) rather than an RNG
-    stream, so the outcome for one request cannot depend on how many draws
-    *other* requests consumed before it.
+    The basis of retry jitter: keyed on stable identifiers (seed, request
+    id, attempt number) rather than an RNG stream, so the outcome for one
+    request cannot depend on how many draws *other* requests consumed
+    before it.
     """
     digest = hashlib.sha256("\x1f".join(str(part) for part in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
@@ -145,32 +137,6 @@ class Straggler:
         return self.start + self.duration
 
 
-@dataclass(frozen=True)
-class RoutingErrorWindow:
-    """A window during which each routing attempt fails with ``error_rate``.
-
-    Failure is decided per ``(request_id, attempt)`` via :func:`hash_fraction`
-    — deterministic, order-independent, and different across retry attempts
-    so a retried request is not doomed to hit the same error forever.
-    """
-
-    start: float
-    duration: float
-    error_rate: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError("window start must be non-negative")
-        if self.duration <= 0:
-            raise ValueError("window duration must be positive")
-        if not 0.0 < self.error_rate <= 1.0:
-            raise ValueError("error_rate must be in (0, 1]")
-
-    def covers(self, time: float) -> bool:
-        """Whether ``time`` falls inside the half-open window ``[start, end)``."""
-        return self.start <= time < self.start + self.duration
-
-
 # ---------------------------------------------------------------- retry policy
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -240,7 +206,6 @@ class FaultPlan:
     crashes: tuple[ReplicaCrash, ...] = ()
     preemptions: tuple[Preemption, ...] = ()
     stragglers: tuple[Straggler, ...] = ()
-    routing_errors: tuple[RoutingErrorWindow, ...] = ()
     seed: int = 0
     retry_policy: RetryPolicy | None = field(default_factory=RetryPolicy)
     #: migrate queued work off a preempted (draining) replica immediately.
@@ -252,7 +217,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         # Accept lists for ergonomics but store tuples (frozen hashability).
-        for name in ("crashes", "preemptions", "stragglers", "routing_errors"):
+        for name in ("crashes", "preemptions", "stragglers"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
@@ -262,7 +227,7 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         """Whether the plan schedules no faults at all."""
-        return not (self.crashes or self.preemptions or self.stragglers or self.routing_errors)
+        return not (self.crashes or self.preemptions or self.stragglers)
 
     def describe(self) -> str:
         """One-line plan summary for result tables and logs."""
@@ -273,8 +238,6 @@ class FaultPlan:
             parts.append(f"{len(self.preemptions)} preempt")
         if self.stragglers:
             parts.append(f"{len(self.stragglers)} straggler")
-        if self.routing_errors:
-            parts.append(f"{len(self.routing_errors)} routing-error-window")
         schedule = ", ".join(parts) if parts else "no faults"
         recovery = self.retry_policy.describe() if self.retry_policy else "no-retry"
         return f"faults(seed={self.seed}: {schedule}; {recovery})"
@@ -315,7 +278,7 @@ class FaultInjector:
     Built once per run by the cluster simulator.  Every point action (crash,
     preemption notice, preemption deadline, straggler start/end) is derived
     and sorted at construction, so the injection order at equal times is a
-    pure function of the plan; routing-error decisions are stateless hashes.
+    pure function of the plan.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -357,18 +320,6 @@ class FaultInjector:
             due.append(self._actions[self._cursor])
             self._cursor += 1
         return due
-
-    def routing_error(self, request_id: str, now: float, attempt: int) -> bool:
-        """Whether this routing attempt is dropped by an error window.
-
-        Deterministic per ``(seed, request_id, attempt)``; the attempt number
-        matters so a retried request re-rolls rather than failing forever.
-        """
-        for window in self.plan.routing_errors:
-            if window.covers(now):
-                draw = hash_fraction(self.plan.seed, "routing-error", request_id, attempt)
-                return draw < window.error_rate
-        return False
 
 
 # ------------------------------------------------------------ straggler model

@@ -30,12 +30,20 @@ class _RequestAggregates:
     """Request aggregates read only from ``requests``, ``duration`` and ``rejected``.
 
     Shared by :class:`RunResult` (one engine over its clock) and
-    :class:`ClusterResult` (every replica's requests over the fleet makespan).
+    :class:`ClusterResult` (every replica's requests over the fleet makespan),
+    with the run's ``termination``: ``"drained"`` on a normal end, otherwise
+    the stop reason (``"max_steps"``, ``"max_time"`` or ``"stall"``).
     """
 
     requests: list[Request]
     duration: float
     rejected: list[Request]
+    termination: str
+
+    @property
+    def completed(self) -> bool:
+        """Whether the run drained rather than stopping early."""
+        return self.termination == "drained"
 
     @property
     def finished_requests(self) -> list[Request]:
@@ -107,7 +115,7 @@ class RunResult(_RequestAggregates):
     engine_stats: EngineStats = field(default_factory=EngineStats)
     memory_timeline: MemoryTimeline | None = None
     token_capacity: int = 0
-    completed: bool = True
+    termination: str = "drained"
     rejected: list[Request] = field(default_factory=list)
     reject_reasons: dict[str, int] = field(default_factory=dict)
     jump_stats: JumpStats = field(default_factory=JumpStats)
@@ -184,7 +192,7 @@ class ClusterResult(_RequestAggregates):
     duration: float
     replicas: list[RunResult] = field(default_factory=list)
     rejected: list[Request] = field(default_factory=list)
-    completed: bool = True
+    termination: str = "drained"
     autoscaler: str | None = None
     fleet_timeline: list[FleetSizeSample] = field(default_factory=list)
     lifetimes: list[ReplicaLifetime] = field(default_factory=list)

@@ -51,10 +51,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"num_samples must be at least 1, got {num_samples}"):
             PastFutureScheduler(num_samples=num_samples)
 
-    def test_rejects_an_unknown_aggregation(self):
-        with pytest.raises(ValueError, match="aggregation must be one of max, mean, median, got 'mode'"):
-            PastFutureScheduler(aggregation="mode")
-
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
     def test_accepts_the_full_seed_range(self, seed):
         assert PastFutureScheduler(seed=seed).seed == seed

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.predictor import OutputLengthPredictor
+from repro.core.predictor import OutputLengthPredictor, aggregate_samples
 
 
 def make_predictor(lengths, **kwargs) -> OutputLengthPredictor:
@@ -115,26 +115,15 @@ class TestPredictRunning:
 
 
 class TestAggregation:
-    def test_max_aggregation_dominates_mean(self):
-        lengths = list(range(1, 101))
-        max_pred = make_predictor(lengths, seed=5, num_samples=8, aggregation="max")
-        mean_pred = make_predictor(lengths, seed=5, num_samples=8, aggregation="mean")
-        assert max_pred.predict_new(100).mean() >= mean_pred.predict_new(100).mean()
-
-    def test_median_aggregation_supported(self):
-        predictor = make_predictor([1, 2, 3, 4], num_samples=5, aggregation="median")
-        samples = predictor.predict_new(10)
-        assert np.all((samples >= 1) & (samples <= 4))
-
-    def test_unknown_aggregation_rejected(self):
-        predictor = make_predictor([1, 2, 3], num_samples=2, aggregation="max")
-        object.__setattr__(predictor, "aggregation", "bogus")
-        with pytest.raises(ValueError):
-            predictor.predict_new(3)
-
     def test_repeated_sampling_with_max_is_conservative(self):
         # More repeats with max-aggregation can only raise the prediction.
         lengths = list(range(1, 1001))
         single = make_predictor(lengths, seed=11, num_samples=1).predict_new(500).mean()
         repeated = make_predictor(lengths, seed=11, num_samples=10).predict_new(500).mean()
         assert repeated >= single
+
+    def test_aggregate_samples_keeps_each_requests_largest_sample(self):
+        # Shape (..., num_samples, n): the sample axis is -2, and each
+        # request keeps its own maximum, never a neighbour's.
+        samples = np.array([[[3, 9, 1], [7, 2, 1]], [[0, 0, 5], [4, 4, 4]]])
+        np.testing.assert_array_equal(aggregate_samples(samples), [[7, 9, 1], [4, 4, 5]])

@@ -20,7 +20,7 @@ from repro.obs.tracer import NullTracer, RingTracer
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.serving.autoscale import Autoscaler
 from repro.serving.cluster import ClusterSimulator
-from repro.serving.faults import FaultPlan, Preemption, ReplicaCrash, RoutingErrorWindow, Straggler
+from repro.serving.faults import FaultPlan, Preemption, ReplicaCrash, Straggler
 from repro.serving.server import ServingSimulator
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.arrivals import assign_poisson_arrivals
@@ -148,14 +148,13 @@ def _autoscaled(platform, tracer) -> None:
 
 def _faults_with_retries(platform, tracer) -> None:
     # A crash with a replacement, a preemption that migrates its queue and
-    # kills what is still running at the deadline, a straggler window,
-    # routing errors under the retry policy and a crash aimed at a replica
-    # that never exists.
+    # kills what is still running at the deadline, a straggler window, the
+    # retry policy re-dispatching what both kills abort, and a crash aimed
+    # at a replica that never exists.
     plan = FaultPlan(
         crashes=[ReplicaCrash(time=0.2, replica=0), ReplicaCrash(time=0.3, replica=9)],
         preemptions=[Preemption(time=0.1, replica=1, notice=0.05)],
         stragglers=[Straggler(start=0.05, duration=0.3, replica=2, slowdown=3.0)],
-        routing_errors=[RoutingErrorWindow(start=0.0, duration=0.5, error_rate=0.3)],
         seed=5,
     )
     burst = make_workload(num_requests=24, input_length=256, output_length=64, max_new_tokens=64)
@@ -215,7 +214,7 @@ class TestTraceStreams:
 
     STREAMS = {
         "autoscaled": (_autoscaled, "cbe68cb76283a9c3"),
-        "faults_with_retries": (_faults_with_retries, "a8729cf4a8b77853"),
+        "faults_with_retries": (_faults_with_retries, "55722f050508dbb1"),
         "faults_without_retries": (_faults_without_retries, "93d5eedac5b80006"),
         "throttled_sessions": (_throttled_sessions, "20e3a9390e750e43"),
     }

@@ -234,7 +234,6 @@ class TestSaturatedHorizonProperties:
         head=horizon_request_strategy,
         head_evicted=st.booleans(),
         num_samples=st.integers(1, 4),
-        aggregation=st.sampled_from(["max", "mean", "median"]),
         seed=st.integers(0, 2**63 - 1),
         slack=st.integers(0, 3000),
         max_steps=st.integers(1, 64),
@@ -249,7 +248,6 @@ class TestSaturatedHorizonProperties:
         head,
         head_evicted,
         num_samples,
-        aggregation,
         seed,
         slack,
         max_steps,
@@ -265,7 +263,7 @@ class TestSaturatedHorizonProperties:
 
         def horizon() -> int:
             scheduler = past_future.PastFutureScheduler(
-                seed=seed, num_samples=num_samples, aggregation=aggregation, default_length=300
+                seed=seed, num_samples=num_samples, default_length=300
             )
             scheduler.on_run_start()
             scheduler.history.extend(history)
@@ -766,6 +764,10 @@ def run_generated_fleet(
             warmup_delay=warmup,
             sample_window=1.0,
         )
+    limiter = None
+    if throttle is not None:
+        user_rpm, window_seconds = throttle
+        limiter = OverloadThrottle(user_rpm=user_rpm, window_seconds=window_seconds)
     users = 3 if throttle is not None else 0
     tracer = RingTracer()
     simulator = ClusterSimulator(
@@ -777,7 +779,7 @@ def run_generated_fleet(
         prefix_cache_tokens=TINY_CAPACITY // 2 if sessions else None,
         faults=faults,
         fast_path=fast_path,
-        throttle=None if throttle is None else OverloadThrottle(*throttle),
+        throttle=limiter,
         autoscaler=autoscaler,
         tracer=tracer,
     )

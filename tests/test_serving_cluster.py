@@ -11,9 +11,10 @@ from repro.engine.request import Request
 from repro.hardware.platform import paper_platforms
 from repro.obs import events as obs
 from repro.obs.tracer import RingTracer
+from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.registry import create_scheduler
 from repro.serving.autoscale import Autoscaler, StaticPolicy
-from repro.serving.cluster import ClusterSimulator
+from repro.serving.cluster import ClusterSimulator, SimulationLimits
 from repro.serving.faults import REASON_NO_REPLICAS, REASON_REPLICA_CRASH, FaultPlan, ReplicaCrash
 from repro.serving.routing import ReplicaView, Router
 from repro.serving.server import ServingSimulator
@@ -151,6 +152,40 @@ class TestClusterRuns:
         assert request.first_token_time is not None
         assert request.first_token_time >= 5.0
         assert result.duration >= 5.0
+
+
+class NeverAdmit(ConservativeScheduler):
+    """Admits nothing, so requests wait on an idle engine until the stall guard fires."""
+
+    def schedule(self, context):
+        return []
+
+
+class TestTermination:
+    @pytest.mark.parametrize(
+        ("reason", "options"),
+        [
+            ("max_steps", {"limits": SimulationLimits(max_steps=5)}),
+            ("max_time", {"limits": SimulationLimits(max_time=0.05)}),
+            ("stall", {"scheduler_factory": NeverAdmit}),
+        ],
+        ids=["max_steps", "max_time", "stall"],
+    )
+    def test_fleet_and_every_replica_report_the_stop_reason(self, platform_7b, reason, options):
+        cluster = make_cluster(platform_7b, num_replicas=2, **options)
+        result = cluster.run_open_loop(stamped_workload(output=64))
+        assert result.termination == reason
+        assert not result.completed
+        assert [replica.termination for replica in result.replicas] == [reason, reason]
+
+    def test_snapshots_carry_completed_but_not_the_reason(self, platform_7b):
+        # Fingerprints hash these snapshots; the typed reason stays out of
+        # them so no committed fingerprint moves.
+        cluster = make_cluster(platform_7b, limits=SimulationLimits(max_steps=5))
+        snapshot = cluster_snapshot(cluster.run_open_loop(stamped_workload(output=64)))
+        for part in (snapshot, *snapshot["replicas"]):
+            assert part["completed"] is False
+            assert "termination" not in part
 
 
 class TestConservation:

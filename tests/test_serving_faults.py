@@ -1,4 +1,4 @@
-"""Fault injection: crashes, preemptions, stragglers, routing errors, recovery.
+"""Fault injection: crashes, preemptions, stragglers, recovery.
 
 Three invariants anchor every test here:
 
@@ -36,7 +36,6 @@ from repro.serving.faults import (
     Preemption,
     ReplicaCrash,
     RetryPolicy,
-    RoutingErrorWindow,
     SlowdownCostModel,
     Straggler,
     hash_fraction,
@@ -202,6 +201,22 @@ class TestCrashRecovery:
         assert result.reject_reasons.get(REASON_NO_REPLICAS, 0) >= 1
         assert len(result.finished_requests) < 30
 
+    def test_second_crash_exhausts_retries_typed(self, platform_7b):
+        # The first crash spends each request's one retry; the second kills
+        # the replacement that retry landed on, so every request is rejected
+        # as retries-exhausted and the run still drains.
+        plan = FaultPlan(
+            crashes=[ReplicaCrash(time=0.1, replica=0), ReplicaCrash(time=0.3, replica=1)],
+            retry_policy=RetryPolicy(base_delay=0.01, max_attempts=1),
+        )
+        result = make_cluster(platform_7b, plan, num_replicas=1).run_open_loop(
+            spread_workload(num_requests=6, output=400, spacing=0.01)
+        )
+        assert result.termination == "drained"
+        assert len(result.finished_requests) == 0
+        assert result.reject_reasons == {REASON_RETRIES_EXHAUSTED: 6}
+        assert_conservation(result, 6)
+
     def test_trace_carries_fail_and_retry_events(self, platform_7b):
         plan = FaultPlan(crashes=[ReplicaCrash(time=0.2, replica=0)], seed=5)
         ring = RingTracer()
@@ -299,29 +314,6 @@ class TestStragglers:
         assert cluster_fingerprint(first) == cluster_fingerprint(second)
 
 
-class TestRoutingErrors:
-    def test_transient_errors_retry_and_finish(self, platform_7b):
-        plan = FaultPlan(
-            routing_errors=[RoutingErrorWindow(start=0.0, duration=0.5, error_rate=0.5)],
-            seed=13,
-        )
-        result = make_cluster(platform_7b, plan).run_open_loop(spread_workload())
-        assert result.retries >= 1
-        assert len(result.finished_requests) == 24
-        assert_conservation(result, 24)
-
-    def test_total_errors_exhaust_retries_typed(self, platform_7b):
-        plan = FaultPlan(
-            routing_errors=[RoutingErrorWindow(start=0.0, duration=1e9, error_rate=1.0)],
-            seed=13,
-            retry_policy=RetryPolicy(base_delay=0.01, max_attempts=2),
-        )
-        result = make_cluster(platform_7b, plan).run_open_loop(spread_workload(num_requests=6))
-        assert len(result.finished_requests) == 0
-        assert result.reject_reasons.get(REASON_RETRIES_EXHAUSTED) == 6
-        assert_conservation(result, 6)
-
-
 class TestEndOfRunFlush:
     def test_deferred_requests_reject_typed_on_abnormal_end(self, platform_7b):
         # A crash on replica 0 parks its requests for a retry far in the
@@ -341,6 +333,7 @@ class TestEndOfRunFlush:
             num_replicas=2,
             limits=SimulationLimits(max_steps=60),
         ).run_open_loop(spread_workload(num_requests=8, output=256, spacing=0.0))
+        assert result.termination == "max_steps"
         assert not result.completed
         assert result.reject_reasons.get(REASON_UNROUTED, 0) >= 1
         assert_conservation(result, 8)

@@ -7,6 +7,7 @@ import pytest
 from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.core.past_future import PastFutureScheduler
+from repro.serving.results import RunResult
 from repro.serving.server import ServingSimulator, SimulationLimits
 from repro.serving.sla import SLASpec
 from repro.workloads.spec import RequestSpec, Workload
@@ -26,6 +27,7 @@ class TestClosedLoopRuns:
     def test_all_requests_complete(self, platform_7b):
         sim = simulator(platform_7b, AggressiveScheduler())
         result = sim.run_closed_loop(make_workload(30, output_length=8), num_clients=6)
+        assert result.termination == "drained"
         assert result.completed
         assert len(result.finished_requests) == 30
         assert result.duration > 0
@@ -88,7 +90,41 @@ class TestSafetyLimits:
             limits=SimulationLimits(max_steps=5),
         )
         result = sim.run_closed_loop(make_workload(50, output_length=50, max_new_tokens=64), num_clients=10)
+        assert result.termination == "max_steps"
         assert not result.completed
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_max_time_terminates_run(self, platform_7b, fast_path):
+        # A jump stops at the time limit just as a reference step does.
+        sim = simulator(
+            platform_7b,
+            AggressiveScheduler(),
+            capacity=2048,
+            limits=SimulationLimits(max_time=0.5),
+            fast_path=fast_path,
+        )
+        result = sim.run_closed_loop(make_workload(50, output_length=50, max_new_tokens=64), num_clients=10)
+        assert result.termination == "max_time"
+        assert not result.completed
+        assert result.duration >= 0.5
+        assert len(result.finished_requests) < 50
+
+    def test_completed_is_a_read_only_view_of_termination(self):
+        result = RunResult(scheduler="s", workload="w", platform="p", num_clients=1, duration=0.0)
+        assert result.termination == "drained" and result.completed
+        stalled = RunResult(
+            scheduler="s", workload="w", platform="p", num_clients=1, duration=0.0, termination="stall"
+        )
+        assert not stalled.completed
+        with pytest.raises(AttributeError):
+            stalled.completed = True
+
+    def test_reached_names_the_limit_hit_and_checks_steps_first(self):
+        limits = SimulationLimits(max_steps=10, max_time=2.0)
+        assert limits.reached(9, 1.99) is None
+        assert limits.reached(10, 1.0) == "max_steps"
+        assert limits.reached(3, 2.0) == "max_time"
+        assert limits.reached(10, 2.0) == "max_steps"
 
     @pytest.mark.parametrize(
         "limits",
@@ -124,6 +160,7 @@ class TestSafetyLimits:
 
         sim = simulator(platform_7b, NeverAdmit(), capacity=256)
         result = sim.run_closed_loop(make_workload(3, output_length=4), num_clients=2)
+        assert result.termination == "stall"
         assert not result.completed
         assert result.finished_requests == []
         assert result.engine_stats.total_finished == 0

@@ -16,23 +16,20 @@ from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY, make_spec, make_workload
 
 
-def tenant_spec(request_id: str, user_id: str | None = None, app_id: str | None = None):
-    return replace(make_spec(request_id=request_id), user_id=user_id, app_id=app_id)
+def tenant_spec(request_id: str, user_id: str | None = None):
+    return replace(make_spec(request_id=request_id), user_id=user_id)
 
 
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError, match="user_rpm"):
             OverloadThrottle(user_rpm=0)
-        with pytest.raises(ValueError, match="app_rpm"):
-            OverloadThrottle(app_rpm=-1)
         with pytest.raises(ValueError, match="window_seconds"):
             OverloadThrottle(user_rpm=1, window_seconds=0.0)
 
     def test_describe(self):
         assert "user<=10" in OverloadThrottle(user_rpm=10).describe()
         assert "disabled" in OverloadThrottle().describe()
-        assert "exempt" in OverloadThrottle(user_rpm=1, exempt=lambda s: True).describe()
 
 
 class TestSlidingWindow:
@@ -69,43 +66,10 @@ class TestSlidingWindow:
         assert throttle.check(tenant_spec("b", user_id="bob"), 0.0) is None
         assert throttle.check(tenant_spec("a2", user_id="alice"), 1.0) == REASON_THROTTLED
 
-    def test_app_limit_independent_of_user_limit(self):
-        throttle = OverloadThrottle(app_rpm=2)
-        specs = [
-            tenant_spec(f"r{i}", user_id=f"user-{i}", app_id="chat") for i in range(3)
-        ]
-        assert throttle.check(specs[0], 0.0) is None
-        assert throttle.check(specs[1], 0.0) is None
-        assert throttle.check(specs[2], 0.0) == REASON_THROTTLED
-
-    def test_user_reject_does_not_charge_app_window(self):
-        throttle = OverloadThrottle(user_rpm=1, app_rpm=2)
-        alice = tenant_spec("a", user_id="alice", app_id="chat")
-        assert throttle.check(alice, 0.0) is None
-        # alice is over her user limit; the reject must not consume chat's
-        # remaining app slot...
-        assert throttle.check(alice, 1.0) == REASON_THROTTLED
-        # ...which bob can still use.
-        assert throttle.check(tenant_spec("b", user_id="bob", app_id="chat"), 2.0) is None
-
     def test_tenantless_requests_pass_through(self):
-        throttle = OverloadThrottle(user_rpm=1, app_rpm=1)
+        throttle = OverloadThrottle(user_rpm=1)
         for t in range(5):
             assert throttle.check(make_spec(request_id=f"r{t}"), float(t)) is None
-
-    def test_exempt_bypasses_check_and_recording(self):
-        throttle = OverloadThrottle(
-            user_rpm=1, exempt=lambda spec: spec.request_id.startswith("vip")
-        )
-        vip = tenant_spec("vip-0", user_id="alice")
-        plain = tenant_spec("r0", user_id="alice")
-        for t in range(3):
-            assert throttle.check(replace(vip, request_id=f"vip-{t}"), float(t)) is None
-        # Exempt traffic did not eat alice's budget.
-        assert throttle.check(plain, 5.0) is None
-        assert throttle.check(tenant_spec("r1", user_id="alice"), 6.0) == REASON_THROTTLED
-        # Exemption also waves through a tenant already at her limit.
-        assert throttle.check(replace(vip, request_id="vip-9"), 7.0) is None
 
     def test_reset_forgets_window_state(self):
         throttle = OverloadThrottle(user_rpm=1)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation checker: links resolve, fenced Python snippets execute.
+"""Documentation checker: links resolve, snippets execute, names exist.
 
 Walks ``README.md`` and every Markdown file under ``docs/`` and enforces the
-two properties that keep prose honest:
+three properties that keep prose honest:
 
 1. **Links** — every relative Markdown link (and image) must point at a file
    or directory that exists in the checkout.  External (``http(s)://``,
@@ -13,24 +13,34 @@ two properties that keep prose honest:
    code cannot rot silently.  A fence immediately preceded by an
    ``<!-- docs-check: skip -->`` comment (optionally with blank lines in
    between) is skipped — use it for deliberately partial fragments.
+3. **Names** — every CamelCase identifier inside an inline code span (for
+   example ``FaultPlan`` or ``FleetConfig(autoscaler=...)``) must be defined
+   by a class, function or assignment in the checkout's Python code
+   (``src/``, ``tools/``, ``bench/``, ``tests/``, ``benchmarks/``,
+   ``examples/``), or be a builtin or ``numpy`` / ``numpy.random`` name.  A
+   class that is deleted or renamed therefore cannot live on in the prose.
 
 Run from anywhere inside the checkout::
 
     python tools/check_docs.py
 
-Exit status is non-zero when any link is broken or any snippet fails; this is
-the ``docs-check`` CI job's second half (the first half is ruff's
-missing-docstring rules over all of ``src/repro``).
+Exit status is non-zero when any link is broken, any snippet fails or any
+name is undefined; this is the ``docs-check`` CI job's second half (the
+first half is ruff's missing-docstring rules over all of ``src/repro``).
 """
 
 from __future__ import annotations
 
+import ast
+import builtins
 import os
 import re
 import sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy
 
 SKIP_MARKER = "<!-- docs-check: skip -->"
 
@@ -53,6 +63,13 @@ _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 #: Schemes that point outside the checkout and are therefore not checked.
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: Inline code spans, and the CamelCase identifiers (two humps or more) in them.
+_CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+_CAMEL_RE = re.compile(r"\b[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*\b")
+
+#: Directories whose Python code may define a name the docs mention.
+SOURCE_DIRS = ("src", "tools", "bench", "tests", "benchmarks", "examples")
 
 
 def repo_root() -> Path:
@@ -79,9 +96,10 @@ class Snippet:
     source: str
 
 
-def extract(path: Path) -> tuple[list[tuple[int, str]], list[Snippet]]:
-    """Collect (line, target) link references and executable Python snippets."""
+def extract(path: Path) -> tuple[list[tuple[int, str]], list[Snippet], list[tuple[int, str]]]:
+    """Collect (line, target) links, executable Python snippets and (line, name) code names."""
     links: list[tuple[int, str]] = []
+    names: list[tuple[int, str]] = []
     snippets: list[Snippet] = []
     lines = path.read_text().splitlines()
     in_fence = False
@@ -114,7 +132,9 @@ def extract(path: Path) -> tuple[list[tuple[int, str]], list[Snippet]]:
             skip_armed = False
         for match in _LINK_RE.finditer(line):
             links.append((number, match.group(1)))
-    return links, snippets
+        for span in _CODE_SPAN_RE.findall(line):
+            names.extend((number, name) for name in _CAMEL_RE.findall(span))
+    return links, snippets, names
 
 
 def check_links(root: Path, path: Path, links: list[tuple[int, str]]) -> list[str]:
@@ -129,6 +149,28 @@ def check_links(root: Path, path: Path, links: list[tuple[int, str]]) -> list[st
                 f"{path.relative_to(root)}:{number}: broken link -> {target}"
             )
     return errors
+
+
+def defined_names(root: Path) -> set[str]:
+    """Every class, function and assigned name in the checkout, plus builtins and numpy's."""
+    names = set(dir(builtins)) | set(dir(numpy)) | set(dir(numpy.random))
+    for directory in SOURCE_DIRS:
+        for source in sorted((root / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+    return names
+
+
+def check_names(root: Path, path: Path, names: list[tuple[int, str]], known: set[str]) -> list[str]:
+    """Return one error string per code-span name the checkout does not define."""
+    return [
+        f"{path.relative_to(root)}:{number}: undefined name `{name}`"
+        for number, name in names
+        if name not in known
+    ]
 
 
 def run_snippet(root: Path, snippet: Snippet) -> str | None:
@@ -155,11 +197,14 @@ def main() -> int:
     for name in REQUIRED_DOCS:
         if not (root / "docs" / name).exists():
             errors.append(f"docs/{name}: required page is missing (see REQUIRED_DOCS)")
-    checked_links = executed = 0
+    checked_links = executed = checked_names = 0
+    known = defined_names(root)
     for path in documentation_files(root):
-        links, snippets = extract(path)
+        links, snippets, names = extract(path)
         checked_links += len(links)
+        checked_names += len(names)
         errors.extend(check_links(root, path, links))
+        errors.extend(check_names(root, path, names, known))
         for snippet in snippets:
             executed += 1
             error = run_snippet(root, snippet)
@@ -169,8 +214,8 @@ def main() -> int:
         print(f"FAIL {error}")
     status = "FAILED" if errors else "ok"
     print(
-        f"docs-check {status}: {checked_links} links checked, "
-        f"{executed} python snippets executed, {len(errors)} problem(s)"
+        f"docs-check {status}: {checked_links} links checked, {checked_names} code names "
+        f"checked, {executed} python snippets executed, {len(errors)} problem(s)"
     )
     return 1 if errors else 0
 

@@ -348,6 +348,7 @@ class InferenceEngine:
         for request in self.waiting:
             request.abort(time)
             aborted.append(request)
+            self.scheduler.on_request_dequeued(request)
         self.waiting.clear()
         self._silent_cache = None
         return aborted
@@ -357,24 +358,27 @@ class InferenceEngine:
 
         The requests stay ``QUEUED`` — they hold no KV and can be submitted
         to another engine.  The running batch is untouched, so the batch
-        profile stays current.  Note the scheduler is *not* told about the
-        removal; migrating work off a replica whose scheduler keeps
-        cross-request state (e.g. VTC counters) leaves that state behind,
-        exactly as a real drain abandons a dying scheduler's bookkeeping.
+        profile stays current.  The scheduler is told each request left the
+        queue, but cross-request state (e.g. VTC counters and tenant
+        activity) stays behind, exactly as a real drain abandons a dying
+        scheduler's bookkeeping.
         """
         drained = list(self.waiting)
         self.waiting.clear()
+        for request in drained:
+            self.scheduler.on_request_dequeued(request)
         return drained
 
     # ------------------------------------------------------------- admission
     def _scheduling_context(self) -> SchedulingContext:
-        # Only built when the scheduler is actually consulted (non-empty
-        # waiting queue — see the guards in _admit and try_jump_any); the
-        # running/waiting list copies here must never be constructed on pure
-        # decode iterations.
+        # Only built when the scheduler is consulted (non-empty waiting queue).
+        # No copies: a consult only reads the batch and queue.  The pool holds
+        # the batch's context plus the cached prefixes (the ledger).
+        cache = self.prefix_cache
         return SchedulingContext(
-            running=list(self.batch),
-            waiting=list(self.waiting),
+            running=self.batch,
+            running_tokens=self.pool.used_tokens - (cache.resident_tokens if cache is not None else 0),
+            waiting=self.waiting,
             token_capacity=self.pool.token_capacity,
         )
 
@@ -414,6 +418,7 @@ class InferenceEngine:
                         f"scheduler {self.scheduler.name!r} admitted "
                         f"{request.request_id}, which is not in the waiting queue"
                     ) from None
+            self.scheduler.on_request_dequeued(request)
             self.pool.allocate(cost)
             if entry is not None:
                 cache.claim(entry)

@@ -46,10 +46,14 @@ class AggressiveScheduler(Scheduler):
         """Token budget the charged footprints must stay within."""
         return int(context.token_capacity * self.watermark)
 
+    def _occupied(self, context: SchedulingContext) -> int:
+        """The running batch's charge: its current context, off the pool ledger."""
+        return context.running_tokens
+
     def _fit_test(self, context: SchedulingContext) -> Callable[[Request], bool]:
         budget = self._budget(context)
         cost = self._cost
-        occupied = sum(map(cost, context.running))
+        occupied = self._occupied(context)
 
         def fits(candidate: Request) -> bool:
             nonlocal occupied

@@ -2,11 +2,11 @@
 
 Every scheduler answers one question per continuous-batching iteration: *which
 waiting requests should join the running batch right now?*  The engine hands
-it a :class:`SchedulingContext` snapshot and expects back an ordered list of
-requests to admit.  :meth:`Scheduler.schedule` is the one admission loop: a
-policy supplies only what it charges a candidate (:meth:`Scheduler._fit_test`)
-and, optionally, the order candidates are considered in
-(:meth:`Scheduler._candidates`).  The paper's schedulers are FCFS over
+it a :class:`SchedulingContext` of its batch and queue and expects back an
+ordered list of requests to admit.  :meth:`Scheduler.schedule` is the one
+admission loop: a policy supplies only what it charges a candidate
+(:meth:`Scheduler._fit_test`) and, optionally, the order candidates are
+considered in (:meth:`Scheduler._candidates`).  The paper's schedulers are FCFS over
 admission order (they admit a prefix of the queue, deciding only *when*, not
 *who first*); fair schedulers (:mod:`repro.schedulers.fair`) additionally
 reorder admission across tenants, which the engine supports — admitted
@@ -14,26 +14,29 @@ requests may be any subset of the waiting queue, in any order.
 
 Schedulers also receive lifecycle callbacks so that history-based policies
 (the Past-Future scheduler) can observe finished output lengths and
-service-accounting policies can observe arrivals and completions.
+service-accounting policies can observe arrivals, dequeues and completions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.engine.request import Request
 
 
 @dataclass
 class SchedulingContext:
-    """Snapshot of the serving system handed to a scheduler each iteration."""
+    """The engine's own batch and queue (not copies: a consult only reads them)."""
 
     #: requests currently resident in the KV cache, admission order.
-    running: list[Request]
+    running: Sequence[Request]
+    #: ``sum(r.current_context_tokens for r in running)``, read off the
+    #: engine's pool ledger rather than summed.
+    running_tokens: int
     #: requests waiting for admission, in queue order (evicted requests are
     #: re-queued at the front by the engine).
-    waiting: list[Request]
+    waiting: Sequence[Request]
     #: total KV-cache token slots of the platform.
     token_capacity: int
 
@@ -85,7 +88,7 @@ class Scheduler:
             break
         return self._respect_batch_cap(context, admitted)
 
-    def _candidates(self, waiting: list[Request]) -> Iterable[Request]:
+    def _candidates(self, waiting: Sequence[Request]) -> Iterable[Request]:
         """Waiting requests in the order admission considers them (queue order).
 
         :meth:`schedule` asks for the next candidate only after admitting the
@@ -191,6 +194,9 @@ class Scheduler:
 
     def on_request_evicted(self, request: Request, time: float) -> None:
         """Called by the engine when a request is evicted from the batch."""
+
+    def on_request_dequeued(self, request: Request) -> None:
+        """Called by the engine when a request leaves the queue: admission, crash or drain."""
 
     def on_run_start(self) -> None:
         """Called once before a simulation run begins (reset mutable state)."""

@@ -48,6 +48,10 @@ class ConservativeScheduler(AggressiveScheduler):
         """Worst-case final footprint: prompt + the full generation cap."""
         return request.prompt_tokens + request.spec.max_new_tokens
 
+    def _occupied(self, context: SchedulingContext) -> int:
+        """The running batch's worst-case footprints (the pool holds less)."""
+        return sum(map(self._cost, context.running))
+
     def _budget(self, context: SchedulingContext) -> int:
         """The capacity, scaled by the overcommit factor."""
         return int(context.token_capacity * self.overcommit)

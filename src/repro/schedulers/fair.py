@@ -11,6 +11,8 @@ from the LLM fair-serving literature fixes the *who first* half:
 * admission considers waiting requests in order of **lowest tenant counter**
   (FIFO among a tenant's own requests), under the same current-occupancy
   watermark test as the :class:`~repro.schedulers.aggressive.AggressiveScheduler`;
+  one FIFO per tenant, kept by the engine's queue hooks (Sheng et al.'s
+  per-client queues), makes a consult O(tenants + admitted), not O(queue);
 * on completion a request **charges** its tenant the actual service it
   consumed — ``prefill_weight * prompt_tokens + decode_weight *
   generated_tokens``;
@@ -39,7 +41,9 @@ lowest-counter candidate proves a whole no-admit window.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Mapping
+from collections import deque
+from itertools import count
+from typing import Iterator, Mapping, Sequence
 
 from repro.engine.request import Request
 from repro.schedulers.aggressive import AggressiveScheduler
@@ -78,12 +82,7 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
             raise ValueError("at least one service weight must be positive")
         self.prefill_weight = prefill_weight
         self.decode_weight = decode_weight
-        #: accumulated (weighted) service per tenant.
-        self._counters: dict[str, float] = {}
-        #: requests currently inside the engine (waiting or running) per
-        #: tenant; a tenant with zero entries is *inactive* and gets lifted
-        #: on its next arrival.
-        self._active: dict[str, int] = {}
+        self.on_run_start()
 
     # ------------------------------------------------------------- accounting
     def _tenant(self, request: Request) -> str:
@@ -105,9 +104,18 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
         return self._counters.get(tenant, 0.0)
 
     def on_run_start(self) -> None:
-        """Forget every tenant's counter and activity (a fresh run)."""
-        self._counters = {}
-        self._active = {}
+        """Forget every tenant's counter, activity and queue (a fresh run)."""
+        #: accumulated (weighted) service per tenant.
+        self._counters: dict[str, float] = {}
+        #: requests inside the engine (waiting or running) per tenant; a
+        #: tenant with none is *inactive* and gets lifted on its next arrival.
+        self._active: dict[str, int] = {}
+        #: each tenant's waiting ``(seq, request)``s.  Submits number up from
+        #: 0, evictions down from -1, mirroring the engine's queue (``submit``
+        #: appends, ``_evict`` re-queues at the front), so seq is queue order.
+        self._fifos: dict[str, deque[tuple[int, Request]]] = {}
+        self._back_seq = count()
+        self._front_seq = count(-1, -1)
 
     def on_request_submitted(self, request: Request) -> None:
         """Lift a lagged tenant to the active minimum, then mark it active.
@@ -125,6 +133,23 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
             if floor is not None and floor > self._counters.get(tenant, 0.0):
                 self._counters[tenant] = floor
         self._active[tenant] = self._active.get(tenant, 0) + 1
+        self._fifos.setdefault(tenant, deque()).append((next(self._back_seq), request))
+
+    def on_request_evicted(self, request: Request, time: float) -> None:
+        """Re-queue the request at the front of its tenant's FIFO."""
+        self._fifos.setdefault(self._tenant(request), deque()).appendleft((next(self._front_seq), request))
+
+    def on_request_dequeued(self, request: Request) -> None:
+        """Pop the request off its tenant's FIFO (the engine only dequeues heads)."""
+        tenant = self._tenant(request)
+        fifo = self._fifos.get(tenant)
+        if not fifo or fifo[0][1] is not request:
+            raise RuntimeError(
+                f"{request.request_id} left the queue but is not the head of tenant {tenant!r}'s FIFO"
+            )
+        fifo.popleft()
+        if not fifo:
+            del self._fifos[tenant]
 
     def on_request_finished(self, request: Request, time: float) -> None:
         """Charge the tenant the service actually consumed; retire if idle."""
@@ -140,7 +165,7 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
             self._active.pop(tenant, None)
 
     # -------------------------------------------------------------- admission
-    def _candidates(self, waiting: list[Request]) -> Iterator[Request]:
+    def _candidates(self, waiting: Sequence[Request]) -> Iterator[Request]:
         """Waiting requests, lowest committed counter first, FIFO within a tenant.
 
         Each admitted pick *provisionally* charges its tenant (local to this
@@ -148,26 +173,23 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
         tenant with many queued requests cannot fill the whole batch in a
         single consult; admission rotates across tenants.  The charge is
         applied after ``yield``: the admission loop asks for the next
-        candidate only once it has admitted the previous one.  The heap holds
-        only each tenant's FIFO head, keyed ``(counter, queue index)``; after
-        a pick the tenant's next queued request enters at the charged counter.
+        candidate only once it has admitted the previous one.  ``waiting`` is
+        not read (it is only :meth:`schedule`'s empty-queue guard): the
+        per-tenant FIFOs the queue hooks keep are the source of truth.  The
+        heap holds only each tenant's head, keyed ``(counter, seq)``, which
+        orders like ``(counter, queue index)``; after a pick the tenant's
+        next queued request enters at the charged counter.
         """
-        counters = self._counters
-        tenants = [self._tenant(candidate) for candidate in waiting]
-        # Reversed, so each tenant keeps the index of its first request.
-        heads = dict(zip(reversed(tenants), range(len(tenants) - 1, -1, -1)))
-        heap = [(counters.get(tenant, 0.0), index, tenant) for tenant, index in heads.items()]
+        counters, fifos = self._counters, self._fifos
+        heap = [(counters.get(tenant, 0.0), *fifo[0], tenant, 1) for tenant, fifo in fifos.items()]
         heapq.heapify(heap)
         while heap:
-            counter, index, tenant = heapq.heappop(heap)
-            candidate = waiting[index]
+            counter, _, candidate, tenant, following = heapq.heappop(heap)
             yield candidate
-            try:
-                following = tenants.index(tenant, index + 1)
-            except ValueError:
-                continue
-            charged = counter + self._service_tokens(candidate) / self._weight(tenant)
-            heapq.heappush(heap, (charged, following, tenant))
+            fifo = fifos[tenant]
+            if following < len(fifo):
+                charged = counter + self._service_tokens(candidate) / self._weight(tenant)
+                heapq.heappush(heap, (charged, *fifo[following], tenant, following + 1))
 
     def trace_signals(self) -> dict:
         """Virtual counters of the currently active tenants (rounded)."""

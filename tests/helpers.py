@@ -15,10 +15,12 @@ have without re-running simulations.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from collections import deque
+from typing import Callable, Iterable, Union
 
 from repro.analysis.perf import cluster_fingerprint, run_fingerprint
 from repro.obs import events as obs
+from repro.schedulers.base import SchedulingContext
 from repro.serving.results import ClusterResult, RunResult
 
 #: Anything the helpers can reduce to a fingerprint digest.
@@ -144,3 +146,43 @@ def assert_no_late_arrivals(events, result) -> None:
         f"{len(late)} of {len(submits)} arrivals handled late; first: "
         f"{late[0][0]} submitted at {late[0][1]!r}, scheduled at {late[0][2]!r}"
     )
+
+
+class SchedulerQueue:
+    """A waiting queue kept the way the engine keeps it, for hand-built consults.
+
+    A scheduler may index the queue itself (VTC keeps one FIFO per tenant),
+    so a test that consults one directly fires the hooks the engine fires:
+    :meth:`submit` appends, :meth:`evict` re-queues at the front and
+    :meth:`dequeue` removes an admitted request.  :meth:`context` fills the
+    running batch's context total from the requests, as the pool ledger does.
+    Build one per scheduler and call :meth:`context` once per consult: a
+    second queue over the same requests would submit them twice.
+    """
+
+    def __init__(self, scheduler, waiting: Iterable = ()) -> None:
+        self.scheduler = scheduler
+        self.waiting: deque = deque()
+        for request in waiting:
+            self.submit(request)
+
+    def submit(self, request) -> None:
+        self.waiting.append(request)
+        self.scheduler.on_request_submitted(request)
+
+    def evict(self, request, time: float = 0.0) -> None:
+        self.waiting.appendleft(request)
+        self.scheduler.on_request_evicted(request, time)
+
+    def dequeue(self, request) -> None:
+        self.waiting.remove(request)
+        self.scheduler.on_request_dequeued(request)
+
+    def context(self, running: Iterable = (), token_capacity: int = 1000) -> SchedulingContext:
+        running = list(running)
+        return SchedulingContext(
+            running=running,
+            running_tokens=sum(r.current_context_tokens for r in running),
+            waiting=list(self.waiting),
+            token_capacity=token_capacity,
+        )

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.past_future import PastFutureScheduler
 from repro.engine.request import Request
-from repro.schedulers.base import SchedulingContext
 from tests.conftest import make_spec
+from tests.helpers import SchedulerQueue
 
 
 def make_request(request_id: str, input_length: int, output_length: int,
@@ -27,10 +27,6 @@ def make_request(request_id: str, input_length: int, output_length: int,
         for _ in range(generated):
             request.deliver_token(0.0)
     return request
-
-
-def make_context(running, waiting, capacity=1000) -> SchedulingContext:
-    return SchedulingContext(running=list(running), waiting=list(waiting), token_capacity=capacity)
 
 
 class TestConstruction:
@@ -81,14 +77,14 @@ class TestHistoryFeedback:
 class TestAdmission:
     def test_empty_queue_admits_nothing(self):
         scheduler = PastFutureScheduler()
-        context = make_context(running=[], waiting=[])
+        context = SchedulerQueue(scheduler).context()
         assert scheduler.schedule(context) == []
 
     def test_admits_when_memory_clearly_sufficient(self):
         scheduler = PastFutureScheduler(seed=1)
         scheduler.history.extend([8] * 100)
         waiting = [make_request(f"w{i}", 10, 8, max_new_tokens=64) for i in range(3)]
-        context = make_context(running=[], waiting=waiting, capacity=10_000)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=10_000)
         admitted = scheduler.schedule(context)
         assert admitted == waiting
 
@@ -100,14 +96,14 @@ class TestAdmission:
         waiting = [make_request("w0", 50, 100)]
         # Capacity fits the running request's worst case (150) but not both
         # requests' predicted peaks.
-        context = make_context(running=running, waiting=waiting, capacity=200)
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=200)
         assert scheduler.schedule(context) == []
 
     def test_admission_is_queue_prefix(self):
         scheduler = PastFutureScheduler(seed=3)
         scheduler.history.extend([64] * 100)
         waiting = [make_request(f"w{i}", 40, 64, max_new_tokens=128) for i in range(10)]
-        context = make_context(running=[], waiting=waiting, capacity=600)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=600)
         admitted = scheduler.schedule(context)
         assert admitted == waiting[: len(admitted)]
         assert 0 < len(admitted) < len(waiting)
@@ -118,7 +114,7 @@ class TestAdmission:
         for reserved in (0.0, 0.3):
             scheduler = PastFutureScheduler(seed=5, reserved_fraction=reserved)
             scheduler.history.extend([64] * 100)
-            context = make_context(running=[], waiting=list(waiting), capacity=1500)
+            context = SchedulerQueue(scheduler, waiting).context(token_capacity=1500)
             counts[reserved] = len(scheduler.schedule(context))
         assert counts[0.3] <= counts[0.0]
 
@@ -128,7 +124,7 @@ class TestAdmission:
         scheduler = PastFutureScheduler(seed=2, reserved_fraction=0.5)
         scheduler.history.extend([4000] * 100)
         waiting = [make_request("w0", 600, 4000)]
-        context = make_context(running=[], waiting=waiting, capacity=1000)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=1000)
         admitted = scheduler.schedule(context)
         assert admitted == waiting
 
@@ -136,7 +132,7 @@ class TestAdmission:
         scheduler = PastFutureScheduler(seed=4, max_running_requests=2)
         scheduler.history.extend([8] * 50)
         waiting = [make_request(f"w{i}", 10, 8, max_new_tokens=32) for i in range(5)]
-        context = make_context(running=[], waiting=waiting, capacity=100_000)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=100_000)
         assert len(scheduler.schedule(context)) == 2
 
     def test_seeded_history_limits_admissions_before_first_completion(self):
@@ -144,13 +140,13 @@ class TestAdmission:
         # output length, so the scheduler behaves conservatively at first.
         scheduler = PastFutureScheduler(seed=6, default_length=1000)
         waiting = [make_request(f"w{i}", 10, 100, max_new_tokens=1000) for i in range(10)]
-        context = make_context(running=[], waiting=waiting, capacity=2500)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=2500)
         admitted = scheduler.schedule(context)
         assert len(admitted) <= 2
 
     def test_admission_budget_scales_with_reserved(self):
         scheduler = PastFutureScheduler(reserved_fraction=0.1)
-        context = make_context(running=[], waiting=[], capacity=1000)
+        context = SchedulerQueue(scheduler).context(token_capacity=1000)
         assert scheduler.admission_budget(context) == 900
 
 
@@ -162,6 +158,6 @@ class TestEvictedRequeue:
         # must exceed 30, so the admission accounts for at least 20 more.
         evicted = make_request("e0", 20, 50, generated=30)
         evicted.evict()
-        context = make_context(running=[], waiting=[evicted], capacity=10_000)
+        context = SchedulerQueue(scheduler, [evicted]).context(token_capacity=10_000)
         admitted = scheduler.schedule(context)
         assert admitted == [evicted]

@@ -266,8 +266,12 @@ class TestEvictionBehaviour:
         assert engine.batch == [first, third]
 
 
-class BackToFrontScheduler(VirtualTokenCounterScheduler):
-    """A fair scheduler that considers the queue newest first."""
+class BackToFrontScheduler(AggressiveScheduler):
+    """A scheduler that admits across the queue, newest first.
+
+    Not a VTC subclass: VTC's per-tenant FIFOs only ever give up their
+    heads, which this order does not take.
+    """
 
     def _candidates(self, waiting):
         return reversed(waiting)
@@ -297,6 +301,24 @@ class TestAdmissionByIdentity:
         submit_requests(engine, 2)
         with pytest.raises(RuntimeError, match="stranger, which is not in the waiting queue"):
             engine._admit(0.0)
+
+
+class TestSchedulingContext:
+    def test_prefix_hit_admission_charges_the_batch_not_the_cached_prefixes(self, platform_7b):
+        """The consult's batch total is the pool's used tokens minus the parked prefixes."""
+        engine = make_engine(platform_7b, capacity=64, prefix_cache_tokens=64)
+        engine.pool.allocate(30)
+        engine.prefix_cache.retain("s0", 0, 30)
+        (resident,) = submit_requests(engine, 1, input_length=16, output_length=20, max_new_tokens=20)
+        engine.step(0.0)
+        spec = make_spec(request_id="turn-1", input_length=40, output_length=4, max_new_tokens=4)
+        follow_up = Request(spec=spec.with_session("s0", 1), arrival_time=0.0)
+        engine.submit(follow_up)
+        assert engine._scheduling_context().running_tokens == resident.current_context_tokens == 17
+        # 17 + 40 fits the 64-token budget; charging the 30 cached tokens too
+        # (87) would refuse the turn that reuses them.
+        assert engine.step(1.0).admitted == [follow_up]
+        assert engine.prefix_cache.stats.hits == 1
 
 
 class TestAbortAll:

@@ -28,7 +28,6 @@ from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.obs.tracer import RingTracer
-from repro.schedulers.base import SchedulingContext
 from repro.schedulers.fair import VirtualTokenCounterScheduler, WeightedServiceCounterScheduler
 from repro.serving.autoscale import Autoscaler, create_autoscale_policy
 from repro.serving.cluster import ClusterSimulator
@@ -46,6 +45,7 @@ from repro.workloads.spec import RequestSpec
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY
 from tests.helpers import (
+    SchedulerQueue,
     assert_conservation,
     assert_no_late_arrivals,
     assert_pool_ledger,
@@ -267,7 +267,7 @@ class TestSaturatedHorizonProperties:
             )
             scheduler.on_run_start()
             scheduler.history.extend(history)
-            context = SchedulingContext(running=residents, waiting=[queued], token_capacity=capacity)
+            context = SchedulerQueue(scheduler, [queued]).context(residents, token_capacity=capacity)
             return scheduler.saturated_no_admit_horizon(context, max_steps)
 
         default = horizon()
@@ -1000,7 +1000,101 @@ class TestVirtualTokenCounterOrderProperties:
                 weights=weights, prefill_weight=prefill_weight, decode_weight=decode_weight
             ),
         ):
+            queue = SchedulerQueue(scheduler, waiting)
             scheduler._counters = dict(counters)
-            got = list(islice(scheduler._candidates(waiting), admitted))
+            got = list(islice(scheduler._candidates(queue.waiting), admitted))
             want = list(islice(whole_queue_vtc_order(scheduler, waiting), admitted))
             assert [r.request_id for r in got] == [r.request_id for r in want], scheduler.name
+
+
+#: One operation on an engine under VTC, ``(kind, tenant, prompt, output,
+#: follow-up turn?, victim)``: a submit, an admitting step, a forced eviction
+#: of the resident at index ``victim``, a crash or a queue drain.  Repeated
+#: kinds weight the draw, so queues grow long and mix evicted and fresh
+#: requests before a crash or drain empties them.
+vtc_engine_operation = st.tuples(
+    st.sampled_from(["submit"] * 4 + ["step"] * 3 + ["evict"] * 2 + ["abort", "drain"]),
+    vtc_tenant_strategy,
+    st.integers(1, 32),
+    st.integers(1, 12),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+
+
+def apply_vtc_engine_operation(engine, operation, index: int, time: float) -> float:
+    """Run one ``vtc_engine_operation`` on ``engine``; returns the new clock.
+
+    A follow-up turn extends its tenant's cached session prefix, so the
+    admission it leads to is a prefix hit.
+    """
+    kind, tenant, prompt, output, follow_up, victim = operation
+    if kind == "submit":
+        spec = RequestSpec(
+            request_id=f"q{index}",
+            input_length=prompt,
+            output_length=output,
+            max_new_tokens=output,
+            user_id=tenant,
+        )
+        if engine.prefix_cache is not None:
+            session = f"s-{tenant}"
+            entry = next((e for e in engine.prefix_cache.entries() if e.session_id == session), None)
+            stage = index
+            if follow_up and entry is not None:
+                stage = entry.stage + 1
+                spec = dataclasses.replace(spec, input_length=entry.tokens + prompt)
+            spec = spec.with_session(session, stage)
+        if spec.total_tokens <= engine.token_capacity:
+            engine.submit(Request(spec=spec, arrival_time=time), time)
+    elif kind == "step":
+        if engine.has_work():
+            time = engine.step(time).end_time
+    elif kind == "evict":
+        if engine.batch:
+            engine._evict(engine.batch[victim % len(engine.batch)], time)
+    elif kind == "abort":
+        engine.abort_all(time)
+    else:
+        engine.drain_waiting()
+    return time
+
+
+class TestVirtualTokenCounterEngineOrder:
+    """The FIFOs the engine's hooks keep give the whole-queue heap's order.
+
+    A real engine drives VTC through submits, admitting steps, forced
+    evictions, crashes and queue drains.  After every operation the
+    scheduler's candidates must come in the spec's order over
+    ``engine.waiting``, and a consult's batch total, read off the pool
+    ledger, must be the batch's context.
+    """
+
+    @given(
+        weighted=st.booleans(),
+        capacity=st.integers(48, 384),
+        cached=st.booleans(),
+        operations=st.lists(vtc_engine_operation, min_size=20, max_size=80),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_and_batch_total_track_the_engine(self, weighted, capacity, cached, operations):
+        scheduler = (
+            WeightedServiceCounterScheduler(weights={"t0": 2.0, "t1": 0.5})
+            if weighted
+            else VirtualTokenCounterScheduler()
+        )
+        engine = InferenceEngine(
+            FLEET_PLATFORM,
+            scheduler,
+            token_capacity_override=capacity,
+            prefix_cache_tokens=capacity // 2 if cached else None,
+        )
+        time = 0.0
+        for index, operation in enumerate(operations):
+            time = apply_vtc_engine_operation(engine, operation, index, time)
+            waiting = list(engine.waiting)
+            got = list(scheduler._candidates(engine.waiting))
+            want = list(whole_queue_vtc_order(scheduler, waiting))
+            assert [r.request_id for r in got] == [r.request_id for r in want], operation
+            context = engine._scheduling_context()
+            assert context.running_tokens == sum(r.current_context_tokens for r in engine.batch), operation

@@ -15,7 +15,8 @@ import pytest
 
 from repro.core import rng_streams
 from repro.core.past_future import PastFutureScheduler
-from tests.test_saturated_jump import _context, _decoding_request, _queued_request
+from tests.helpers import SchedulerQueue
+from tests.test_saturated_jump import _decoding_request, _queued_request
 
 #: Block edges of the seed-hash cache, both entropy-word counts, the largest seed.
 EDGE_SEEDS = [0, 4095, 4096, 8191, 8192, 2**32 - 1, 2**32, 2**63 - 1]
@@ -100,7 +101,7 @@ def _saturated_case(head_generated: int = 0):
         _decoding_request("r1", prompt=700, generated=45),
     ]
     waiting = [_queued_request("q0", prompt=2700, generated=head_generated)]
-    return scheduler, _context(running, waiting, 4800)
+    return scheduler, SchedulerQueue(scheduler, waiting).context(running, token_capacity=4800)
 
 
 def _count_generators(monkeypatch) -> list[int]:

@@ -37,7 +37,6 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import paper_platform
 from repro.schedulers.aggressive import AggressiveScheduler
-from repro.schedulers.base import SchedulingContext
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.fair import VirtualTokenCounterScheduler
 from repro.schedulers.oracle import OracleScheduler
@@ -48,6 +47,7 @@ from repro.workloads.burstgpt import generate_conversation_trace
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload, generate_sharegpt_workload
 from repro.workloads.spec import RequestSpec, scale_workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
+from tests.helpers import SchedulerQueue
 
 PLATFORM = paper_platform("7b-a100")
 
@@ -107,10 +107,6 @@ def _queued_request(
     return request
 
 
-def _context(running, waiting, capacity):
-    return SchedulingContext(running=list(running), waiting=list(waiting), token_capacity=capacity)
-
-
 def _grow_uniformly(requests, steps=1):
     for request in requests:
         request.generated_tokens += steps
@@ -153,16 +149,18 @@ def _assert_horizon_replays_sequential_schedule(
 
     max_steps = 200
     batched, running, waiting = build()
+    batched_queue = SchedulerQueue(batched, waiting)
     horizon = batched.saturated_no_admit_horizon(
-        _context(running, waiting, capacity), max_steps
+        batched_queue.context(running, capacity), max_steps
     )
     # The proof must not touch persistent state until steps are committed.
     assert batched._sample_counter == 0
 
     sequential, running, waiting = build()
+    sequential_queue = SchedulerQueue(sequential, waiting)
     replayed = 0
     while replayed < max_steps:
-        admitted = sequential.schedule(_context(running, waiting, capacity))
+        admitted = sequential.schedule(sequential_queue.context(running, capacity))
         if admitted:
             break
         replayed += 1
@@ -178,9 +176,7 @@ def _assert_horizon_replays_sequential_schedule(
     if horizon < max_steps:
         # Consulting the batched scheduler for real at the post-window state
         # re-draws the admitting iteration's exact samples and admits.
-        admitted = batched.schedule(
-            _context(running, waiting, capacity)
-        )
+        admitted = batched.schedule(batched_queue.context(running, capacity))
         assert admitted, "horizon ended on an iteration that does not admit"
 
 
@@ -256,17 +252,14 @@ def test_saturated_horizon_spans_full_window_when_head_cannot_fit(monkeypatch):
     waiting = [_queued_request("q0", prompt=3200)]
     capacity = 4800
     max_steps = 150  # a first chunk of 32 rows, then doubling: 32 + 64 + 54
-    horizon = scheduler.saturated_no_admit_horizon(
-        _context(running, waiting, capacity), max_steps
-    )
+    queue = SchedulerQueue(scheduler, waiting)
+    horizon = scheduler.saturated_no_admit_horizon(queue.context(running, capacity), max_steps)
     assert horizon == max_steps
     # One Eq. 2-4 call per chunk: the proof costs three chunks, not one per row.
     assert chunk_rows == [32, 64, 54]
     replayed = 0
     while replayed < max_steps:
-        assert not scheduler.schedule(
-            _context(running, waiting, capacity)
-        )
+        assert not scheduler.schedule(queue.context(running, capacity))
         replayed += 1
         _grow_uniformly(running)
 
@@ -276,9 +269,12 @@ def test_saturated_horizon_zero_when_empty_batch_or_queue():
     scheduler.on_run_start()
     running = [_decoding_request("r0", prompt=100, generated=4)]
     waiting = [_queued_request("q0", prompt=100)]
-    assert scheduler.saturated_no_admit_horizon(_context(running, [], 4096), 50) == 0
-    assert scheduler.saturated_no_admit_horizon(_context([], waiting, 4096), 50) == 0
-    assert scheduler.saturated_no_admit_horizon(_context(running, waiting, 4096), 0) == 0
+    horizon = scheduler.saturated_no_admit_horizon
+    queue = SchedulerQueue(scheduler)
+    assert horizon(queue.context(running, token_capacity=4096), 50) == 0
+    queue.submit(waiting[0])
+    assert horizon(queue.context(token_capacity=4096), 50) == 0
+    assert horizon(queue.context(running, token_capacity=4096), 0) == 0
 
 
 def test_conservative_horizon_is_all_or_nothing():
@@ -287,19 +283,19 @@ def test_conservative_horizon_is_all_or_nothing():
     blocked = [_queued_request("q0", prompt=1500, cap=2000)]
     tiny = [_queued_request("q1", prompt=10, cap=100)]
     # Worst-case footprints are constant: 3000 committed + 3500 > 4096 forever.
-    assert scheduler.saturated_no_admit_horizon(_context(running, blocked, 4096), 75) == 75
+    horizon = scheduler.saturated_no_admit_horizon
+    assert horizon(SchedulerQueue(scheduler, blocked).context(running, token_capacity=4096), 75) == 75
     # 3000 + 110 fits, so the very next iteration admits: no proof possible.
-    assert scheduler.saturated_no_admit_horizon(_context(running, tiny, 4096), 75) == 0
+    assert horizon(SchedulerQueue(scheduler, tiny).context(running, token_capacity=4096), 75) == 0
 
 
-def _assert_horizon_matches_sequential_schedule(scheduler, running, waiting, capacity, max_steps):
+def _assert_horizon_matches_sequential_schedule(queue, running, capacity, max_steps):
     """The proven horizon == the count of leading no-admit schedule() calls."""
-    horizon = scheduler.saturated_no_admit_horizon(
-        _context(running, waiting, capacity), max_steps
-    )
+    scheduler = queue.scheduler
+    horizon = scheduler.saturated_no_admit_horizon(queue.context(running, capacity), max_steps)
     replayed = 0
     while replayed < max_steps:
-        if scheduler.schedule(_context(running, waiting, capacity)):
+        if scheduler.schedule(queue.context(running, capacity)):
             break
         replayed += 1
         _grow_uniformly(running)
@@ -322,25 +318,26 @@ def _watermark_case(name):
     small = _queued_request("q-small", prompt=10, cap=100, user_id="heavy")
     if name == "conservative":
         # Worst cases: 1200 + 1500 committed; 2700 + 1200 > 3000, 2700 + 110 fits.
-        return ConservativeScheduler(), running, [blocked, small], 3000
+        return SchedulerQueue(ConservativeScheduler(), [blocked, small]), running, 3000
     if name == "aggressive":
         # 1330 current tokens; 1330 + 700 > 1900 (95% of 2000), + 10 fits.
-        return AggressiveScheduler(watermark=0.95), running, [blocked, small], 2000
+        return SchedulerQueue(AggressiveScheduler(watermark=0.95), [blocked, small]), running, 2000
     scheduler = VirtualTokenCounterScheduler(watermark=0.95)
     scheduler.on_run_start()
+    # "heavy" is charged while still active, so "light" is never lifted.
     served = _queued_request("served", prompt=300, user_id="heavy")
-    scheduler.on_request_submitted(served)
+    queue = SchedulerQueue(scheduler, [served, small, blocked])
+    queue.dequeue(served)
     scheduler.on_request_finished(served, 0.0)
-    for request in (blocked, small):
-        scheduler.on_request_submitted(request)
     assert scheduler.counter("heavy") > scheduler.counter("light")
-    return scheduler, running, [small, blocked], 2000
+    assert list(queue.waiting) == [small, blocked]
+    return queue, running, 2000
 
 
 @pytest.mark.parametrize("name", ["aggressive", "conservative", "vtc"])
 def test_watermark_horizon_matches_sequential_schedule(name):
-    scheduler, running, waiting, capacity = _watermark_case(name)
-    _assert_horizon_matches_sequential_schedule(scheduler, running, waiting, capacity, max_steps=60)
+    queue, running, capacity = _watermark_case(name)
+    _assert_horizon_matches_sequential_schedule(queue, running, capacity, max_steps=60)
 
 
 def test_oracle_horizon_matches_sequential_schedule():
@@ -350,7 +347,7 @@ def test_oracle_horizon_matches_sequential_schedule():
     ]
     waiting = [_queued_request("q0", prompt=400, cap=500, true_length=450)]
     _assert_horizon_matches_sequential_schedule(
-        OracleScheduler(), running, waiting, capacity=3000, max_steps=120
+        SchedulerQueue(OracleScheduler(), waiting), running, capacity=3000, max_steps=120
     )
 
 

@@ -6,10 +6,10 @@ import pytest
 
 from repro.engine.request import Request
 from repro.schedulers.aggressive import AggressiveScheduler
-from repro.schedulers.base import SchedulingContext
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.oracle import OracleScheduler
 from tests.conftest import make_spec
+from tests.helpers import SchedulerQueue
 
 
 def make_request(request_id: str, input_length: int, output_length: int,
@@ -25,10 +25,6 @@ def make_request(request_id: str, input_length: int, output_length: int,
     )
 
 
-def make_context(running, waiting, capacity) -> SchedulingContext:
-    return SchedulingContext(running=list(running), waiting=list(waiting), token_capacity=capacity)
-
-
 class TestConservativeScheduler:
     def test_rejects_non_positive_overcommit(self):
         with pytest.raises(ValueError):
@@ -38,7 +34,7 @@ class TestConservativeScheduler:
         scheduler = ConservativeScheduler()
         # Each request's worst case is 10 + 100 = 110 tokens.
         waiting = [make_request(f"w{i}", 10, 5, max_new_tokens=100) for i in range(5)]
-        context = make_context([], waiting, capacity=350)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=350)
         admitted = scheduler.schedule(context)
         assert len(admitted) == 3
 
@@ -46,8 +42,8 @@ class TestConservativeScheduler:
         waiting = [make_request(f"w{i}", 10, 5, max_new_tokens=100) for i in range(5)]
         strict = ConservativeScheduler(overcommit=1.0)
         relaxed = ConservativeScheduler(overcommit=1.5)
-        strict_count = len(strict.schedule(make_context([], waiting, capacity=350)))
-        relaxed_count = len(relaxed.schedule(make_context([], waiting, capacity=350)))
+        strict_count = len(strict.schedule(SchedulerQueue(strict, waiting).context(token_capacity=350)))
+        relaxed_count = len(relaxed.schedule(SchedulerQueue(relaxed, waiting).context(token_capacity=350)))
         assert relaxed_count > strict_count
 
     def test_accounts_for_running_worst_case(self):
@@ -56,19 +52,19 @@ class TestConservativeScheduler:
         running[0].admit(0.0)
         waiting = [make_request("w0", 10, 5, max_new_tokens=100)]
         # Capacity fits one worst case but not two.
-        context = make_context(running, waiting, capacity=150)
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=150)
         assert scheduler.schedule(context) == []
 
     def test_empty_queue(self):
         scheduler = ConservativeScheduler()
-        assert scheduler.schedule(make_context([], [], capacity=100)) == []
+        assert scheduler.schedule(SchedulerQueue(scheduler).context(token_capacity=100)) == []
 
     def test_progress_guarantee(self):
         scheduler = ConservativeScheduler()
         # Worst case (10 + 200) exceeds capacity, but the prompt itself fits:
         # an empty system still admits the head request.
         waiting = [make_request("w0", 10, 5, max_new_tokens=200)]
-        context = make_context([], waiting, capacity=150)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=150)
         assert scheduler.schedule(context) == waiting
 
     def test_describe_mentions_overcommit(self):
@@ -88,15 +84,15 @@ class TestAggressiveScheduler:
         # Prompts are 10 tokens; outputs would eventually need 100 more each,
         # but the aggressive scheduler ignores that and admits all of them.
         waiting = [make_request(f"w{i}", 10, 100, max_new_tokens=100) for i in range(5)]
-        context = make_context([], waiting, capacity=60)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=60)
         assert len(scheduler.schedule(context)) == 5
 
     def test_watermark_limits_admission(self):
         waiting = [make_request(f"w{i}", 10, 20) for i in range(10)]
         high = AggressiveScheduler(watermark=1.0)
         low = AggressiveScheduler(watermark=0.5)
-        high_count = len(high.schedule(make_context([], waiting, capacity=100)))
-        low_count = len(low.schedule(make_context([], waiting, capacity=100)))
+        high_count = len(high.schedule(SchedulerQueue(high, waiting).context(token_capacity=100)))
+        low_count = len(low.schedule(SchedulerQueue(low, waiting).context(token_capacity=100)))
         assert high_count == 10
         assert low_count == 5
 
@@ -105,16 +101,19 @@ class TestAggressiveScheduler:
         running = [make_request("r0", 50, 20)]
         running[0].admit(0.0)
         waiting = [make_request("w0", 60, 20)]
-        context = make_context(running, waiting, capacity=100)
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=100)
         assert scheduler.schedule(context) == []
 
     def test_admits_more_than_conservative(self):
         waiting = [make_request(f"w{i}", 10, 5, max_new_tokens=500) for i in range(8)]
         aggressive = AggressiveScheduler()
         conservative = ConservativeScheduler()
-        capacity = 1000
-        aggressive_count = len(aggressive.schedule(make_context([], list(waiting), capacity)))
-        conservative_count = len(conservative.schedule(make_context([], list(waiting), capacity)))
+        aggressive_count = len(
+            aggressive.schedule(SchedulerQueue(aggressive, waiting).context(token_capacity=1000))
+        )
+        conservative_count = len(
+            conservative.schedule(SchedulerQueue(conservative, waiting).context(token_capacity=1000))
+        )
         assert aggressive_count > conservative_count
 
     def test_describe_mentions_watermark(self):
@@ -127,7 +126,7 @@ class TestOracleScheduler:
         # True outputs are tiny although the cap is huge; the oracle knows and
         # admits everything a conservative scheduler would refuse.
         waiting = [make_request(f"w{i}", 10, 2, max_new_tokens=1000) for i in range(5)]
-        context = make_context([], waiting, capacity=100)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=100)
         assert len(scheduler.schedule(context)) == 5
 
     def test_refuses_when_true_peak_exceeds_capacity(self):
@@ -135,13 +134,13 @@ class TestOracleScheduler:
         running = [make_request("r0", 10, 80)]
         running[0].admit(0.0)
         waiting = [make_request("w0", 10, 80)]
-        context = make_context(running, waiting, capacity=120)
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=120)
         assert scheduler.schedule(context) == []
 
     def test_admission_is_prefix(self):
         scheduler = OracleScheduler()
         waiting = [make_request(f"w{i}", 10, 30) for i in range(10)]
-        context = make_context([], waiting, capacity=200)
+        context = SchedulerQueue(scheduler, waiting).context(token_capacity=200)
         admitted = scheduler.schedule(context)
         assert admitted == waiting[: len(admitted)]
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request
-from repro.schedulers.base import SchedulingContext
 from repro.schedulers.fair import (
     ANONYMOUS_TENANT,
     VirtualTokenCounterScheduler,
@@ -17,6 +18,7 @@ from repro.schedulers.registry import SCHEDULER_REGISTRY, create_scheduler
 from repro.serving.server import ServingSimulator
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY, make_spec, make_workload
+from tests.helpers import SchedulerQueue
 
 
 def tenant_request(
@@ -29,14 +31,6 @@ def tenant_request(
         make_spec(request_id=request_id, input_length=input_length), user_id=user_id
     )
     return Request(spec=spec, arrival_time=arrival_time)
-
-
-def make_context(
-    waiting: list[Request],
-    running: list[Request] | None = None,
-    token_capacity: int = 1000,
-) -> SchedulingContext:
-    return SchedulingContext(running=running or [], waiting=waiting, token_capacity=token_capacity)
 
 
 def finish(scheduler, request: Request, generated: int = 0) -> None:
@@ -164,11 +158,10 @@ class TestAdmissionOrdering:
         debt = tenant_request("a0", "alice")
         keeper = tenant_request("a1", "alice")
         bob = tenant_request("b0", "bob")
-        scheduler.on_request_submitted(debt)
-        scheduler.on_request_submitted(keeper)
-        scheduler.on_request_submitted(bob)
+        queue = SchedulerQueue(scheduler, [debt, keeper, bob])
+        queue.dequeue(debt)
         finish(scheduler, debt, generated=32)
-        admitted = scheduler.schedule(make_context([keeper, bob]))
+        admitted = scheduler.schedule(queue.context())
         assert admitted == [bob, keeper]
 
     def test_fifo_within_a_tenant(self):
@@ -176,9 +169,7 @@ class TestAdmissionOrdering:
         scheduler.on_run_start()
         first = tenant_request("a0", "alice")
         second = tenant_request("a1", "alice")
-        for request in (first, second):
-            scheduler.on_request_submitted(request)
-        admitted = scheduler.schedule(make_context([first, second]))
+        admitted = scheduler.schedule(SchedulerQueue(scheduler, [first, second]).context())
         assert admitted == [first, second]
 
     def test_provisional_charging_rotates_equal_tenants(self):
@@ -187,12 +178,33 @@ class TestAdmissionOrdering:
         a0 = tenant_request("a0", "alice")
         a1 = tenant_request("a1", "alice")
         b0 = tenant_request("b0", "bob")
-        for request in (a0, a1, b0):
-            scheduler.on_request_submitted(request)
         # Both tenants at counter 0: after alice's first pick she is
         # provisionally charged, so bob's request comes before her second.
-        admitted = scheduler.schedule(make_context([a0, a1, b0]))
+        admitted = scheduler.schedule(SchedulerQueue(scheduler, [a0, a1, b0]).context())
         assert admitted == [a0, b0, a1]
+
+    def test_later_eviction_is_considered_first_across_tenants(self):
+        scheduler = VirtualTokenCounterScheduler()
+        a0, a1, b0 = tenant_request("a0", "alice"), tenant_request("a1", "alice"), tenant_request("b0", "bob")
+        queue = SchedulerQueue(scheduler, [a0, a1, b0])
+        for request in (a0, b0):
+            queue.dequeue(request)
+        queue.evict(a0)
+        queue.evict(b0)
+        assert list(queue.waiting) == [b0, a0, a1]
+        # Every counter is 0, so queue position decides: bob's re-queued
+        # request is at the very front.
+        assert scheduler.schedule(queue.context()) == [b0, a0, a1]
+
+    def test_dequeue_of_a_non_head_fails_naming_request_and_tenant(self):
+        scheduler = VirtualTokenCounterScheduler()
+        a0, a1 = tenant_request("a0", "alice"), tenant_request("a1", "alice")
+        SchedulerQueue(scheduler, [a0, a1])
+        with pytest.raises(RuntimeError, match="a1 left the queue but is not the head of tenant 'alice'"):
+            scheduler.on_request_dequeued(a1)
+        stranger = tenant_request("s0", "carol")
+        with pytest.raises(RuntimeError, match="s0 .* tenant 'carol'"):
+            scheduler.on_request_dequeued(stranger)
 
     def test_stops_at_first_non_fitting_candidate(self):
         scheduler = VirtualTokenCounterScheduler(watermark=1.0)
@@ -204,40 +216,64 @@ class TestAdmissionOrdering:
         blocker = tenant_request("b0", "bob", input_length=900)
         small = tenant_request("a0", "alice", input_length=10)
         alice_debtor = tenant_request("a1", "alice")
-        scheduler.on_request_submitted(blocker)
-        scheduler.on_request_submitted(alice_debtor)
-        scheduler.on_request_submitted(small)
+        queue = SchedulerQueue(scheduler, [alice_debtor, small, blocker])
+        queue.dequeue(alice_debtor)
         finish(scheduler, alice_debtor, generated=32)
         running = [tenant_request("r", None, input_length=200)]
-        context = make_context([small, blocker], running=running, token_capacity=1000)
+        assert list(queue.waiting) == [small, blocker]
+        context = queue.context(running, token_capacity=1000)
         assert scheduler.schedule(context) == []
 
     def test_bootstrap_admits_oversized_head_into_empty_batch(self):
         scheduler = VirtualTokenCounterScheduler(watermark=0.5)
         scheduler.on_run_start()
         big = tenant_request("a0", "alice", input_length=800)
-        scheduler.on_request_submitted(big)
-        context = make_context([big], token_capacity=1000)
+        context = SchedulerQueue(scheduler, [big]).context(token_capacity=1000)
         assert scheduler.schedule(context) == [big]
 
     def test_batch_cap_respected(self):
         scheduler = VirtualTokenCounterScheduler(max_running_requests=2)
         scheduler.on_run_start()
         waiting = [tenant_request(f"r{i}", "alice", input_length=8) for i in range(4)]
-        for request in waiting:
-            scheduler.on_request_submitted(request)
         running = [tenant_request("run", None, input_length=8)]
-        admitted = scheduler.schedule(make_context(waiting, running=running))
+        admitted = scheduler.schedule(SchedulerQueue(scheduler, waiting).context(running))
         assert len(admitted) == 1
 
     def test_schedule_does_not_mutate_counters(self):
         scheduler = VirtualTokenCounterScheduler()
         scheduler.on_run_start()
         request = tenant_request("a0", "alice")
-        scheduler.on_request_submitted(request)
-        scheduler.schedule(make_context([request]))
+        scheduler.schedule(SchedulerQueue(scheduler, [request]).context())
         # Provisional charges are local to the consult.
         assert scheduler.counter("alice") == 0.0
+
+
+class TestConsultCost:
+    def test_calls_bounded_by_tenants_plus_admitted(self):
+        """A consult reads counters and tenant heads, not the whole queue and batch."""
+        scheduler = VirtualTokenCounterScheduler(watermark=1.0)
+        waiting = [tenant_request(f"q{i}", f"t{i % 3}", input_length=8) for i in range(100)]
+        queue = SchedulerQueue(scheduler, waiting)
+        running = [tenant_request(f"r{i}", "t0", input_length=40) for i in range(20)]
+        calls = Counter()
+        for name in ("_tenant", "_cost"):
+            method = getattr(scheduler, name)
+
+            def counted(request, method=method, name=name):
+                calls[name] += 1
+                return method(request)
+
+            setattr(scheduler, name, counted)
+        # 800 running tokens leave room for 25 of the 8-token prompts.
+        admitted = scheduler.schedule(queue.context(running, token_capacity=1000))
+        assert len(admitted) == 25
+        tenants = 3
+        assert calls["_tenant"] <= tenants + len(admitted), calls
+        assert calls["_cost"] <= tenants + len(admitted), calls
+        calls.clear()
+        blocked = queue.context(running, token_capacity=805)
+        assert scheduler.saturated_no_admit_horizon(blocked, 10) == 10
+        assert calls["_tenant"] + calls["_cost"] <= tenants, calls
 
 
 class TestSaturatedHorizon:
@@ -248,26 +284,24 @@ class TestSaturatedHorizon:
 
     def test_zero_without_waiting_or_running(self):
         scheduler = self._saturated_scheduler()
-        waiting = [tenant_request("w", "alice")]
+        queue = SchedulerQueue(scheduler, [tenant_request("w", "alice")])
         running = [tenant_request("r", None, input_length=100)]
-        assert scheduler.saturated_no_admit_horizon(make_context([], running=running), 10) == 0
-        assert scheduler.saturated_no_admit_horizon(make_context(waiting), 10) == 0
-        assert scheduler.saturated_no_admit_horizon(make_context(waiting, running=running), 0) == 0
+        assert scheduler.saturated_no_admit_horizon(SchedulerQueue(scheduler).context(running), 10) == 0
+        assert scheduler.saturated_no_admit_horizon(queue.context(), 10) == 0
+        assert scheduler.saturated_no_admit_horizon(queue.context(running), 0) == 0
 
     def test_full_horizon_when_head_does_not_fit(self):
         scheduler = self._saturated_scheduler()
         waiting = [tenant_request("w", "alice", input_length=200)]
-        scheduler.on_request_submitted(waiting[0])
         running = [tenant_request("r", None, input_length=800)]
-        context = make_context(waiting, running=running, token_capacity=1000)
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=1000)
         assert scheduler.saturated_no_admit_horizon(context, 10) == 10
 
     def test_zero_when_head_fits(self):
         scheduler = self._saturated_scheduler()
         waiting = [tenant_request("w", "alice", input_length=50)]
-        scheduler.on_request_submitted(waiting[0])
         running = [tenant_request("r", None, input_length=100)]
-        context = make_context(waiting, running=running, token_capacity=1000)
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=1000)
         assert scheduler.saturated_no_admit_horizon(context, 10) == 0
 
     def test_head_is_lowest_counter_not_queue_front(self):
@@ -276,14 +310,14 @@ class TestSaturatedHorizon:
         # a big one.  The proof must test bob's request, the true first pick.
         # Bob goes active before alice's charge lands so he is not lifted.
         big = tenant_request("b0", "bob", input_length=400)
-        scheduler.on_request_submitted(big)
         debtor = tenant_request("a0", "alice")
-        scheduler.on_request_submitted(debtor)
-        finish(scheduler, debtor, generated=64)
         small = tenant_request("a1", "alice", input_length=10)
-        scheduler.on_request_submitted(small)
+        queue = SchedulerQueue(scheduler, [debtor, small, big])
+        queue.dequeue(debtor)
+        finish(scheduler, debtor, generated=64)
         running = [tenant_request("r", None, input_length=600)]
-        context = make_context([small, big], running=running, token_capacity=1000)
+        assert list(queue.waiting) == [small, big]
+        context = queue.context(running, token_capacity=1000)
         # bob's 400 does not fit over 600 occupied at watermark 0.9 -> whole
         # window proven, even though alice's 10 would fit.
         assert scheduler.saturated_no_admit_horizon(context, 10) == 10
@@ -292,17 +326,15 @@ class TestSaturatedHorizon:
         scheduler = VirtualTokenCounterScheduler(max_running_requests=1)
         scheduler.on_run_start()
         waiting = [tenant_request("w", "alice", input_length=1)]
-        scheduler.on_request_submitted(waiting[0])
         running = [tenant_request("r", None, input_length=1)]
-        context = make_context(waiting, running=running, token_capacity=1000)
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=1000)
         assert scheduler.saturated_no_admit_horizon(context, 10) == 10
 
     def test_horizon_does_not_mutate_state(self):
         scheduler = self._saturated_scheduler()
         waiting = [tenant_request("w", "alice", input_length=200)]
-        scheduler.on_request_submitted(waiting[0])
         running = [tenant_request("r", None, input_length=800)]
-        context = make_context(waiting, running=running, token_capacity=1000)
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=1000)
         before = scheduler.counter("alice")
         scheduler.saturated_no_admit_horizon(context, 10)
         assert scheduler.counter("alice") == before
@@ -350,6 +382,21 @@ class TestEngineIntegration:
                 simulator.run_closed_loop(workload, num_clients=8)
             )
         assert digests["vtc"] == digests["aggressive"]
+
+    def test_evicted_request_is_considered_before_its_tenants_later_arrivals(self, platform_7b):
+        scheduler = VirtualTokenCounterScheduler(watermark=1.0)
+        engine = InferenceEngine(platform_7b, scheduler, token_capacity_override=1000)
+        first = tenant_request("a0", "alice")
+        engine.submit(first)
+        engine.step(0.0)
+        later, bob = tenant_request("a1", "alice"), tenant_request("b0", "bob")
+        engine.submit(later)
+        engine.submit(bob)
+        engine._evict(first, 1.0)
+        assert list(engine.waiting) == [first, later, bob]
+        # Every counter is 0, so queue position decides the first pick; its
+        # provisional charge then puts bob ahead of alice's later request.
+        assert scheduler.schedule(engine._scheduling_context()) == [first, bob, later]
 
     @pytest.mark.parametrize("name", ["vtc", "weighted-vtc"])
     def test_fast_path_bit_identity_with_tenants(self, platform_7b, name):

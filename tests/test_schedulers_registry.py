@@ -12,6 +12,7 @@ from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.oracle import OracleScheduler
 from repro.schedulers.registry import SCHEDULER_REGISTRY, create_scheduler
 from tests.conftest import make_spec
+from tests.helpers import SchedulerQueue
 
 
 class TestRegistry:
@@ -58,7 +59,7 @@ class TestBatchCapUtility:
         def schedule(self, context):
             return self._respect_batch_cap(context, list(context.waiting))
 
-    def _context(self, num_running: int, num_waiting: int) -> SchedulingContext:
+    def _context(self, scheduler: Scheduler, num_running: int, num_waiting: int) -> SchedulingContext:
         running = [
             Request(spec=make_spec(request_id=f"r{i}"), arrival_time=0.0)
             for i in range(num_running)
@@ -67,21 +68,21 @@ class TestBatchCapUtility:
             Request(spec=make_spec(request_id=f"w{i}"), arrival_time=0.0)
             for i in range(num_waiting)
         ]
-        return SchedulingContext(running=running, waiting=waiting, token_capacity=10_000)
+        return SchedulerQueue(scheduler, waiting).context(running, token_capacity=10_000)
 
     def test_unlimited_by_default(self):
         scheduler = self._DummyScheduler()
-        assert len(scheduler.schedule(self._context(0, 7))) == 7
+        assert len(scheduler.schedule(self._context(scheduler, 0, 7))) == 7
 
     def test_cap_limits_total_running(self):
         scheduler = self._DummyScheduler()
         scheduler.max_running_requests = 5
-        assert len(scheduler.schedule(self._context(3, 7))) == 2
+        assert len(scheduler.schedule(self._context(scheduler, 3, 7))) == 2
 
     def test_cap_already_met(self):
         scheduler = self._DummyScheduler()
         scheduler.max_running_requests = 2
-        assert scheduler.schedule(self._context(3, 7)) == []
+        assert scheduler.schedule(self._context(scheduler, 3, 7)) == []
 
     @pytest.mark.parametrize(
         "name", ["aggressive", "conservative", "oracle", "past-future", "vtc", "weighted-vtc"]

@@ -39,7 +39,7 @@ from repro.core.future_memory import FutureMemoryIndex, batched_peak_with_candid
 from repro.core.history import OutputLengthHistory
 from repro.core.predictor import OutputLengthPredictor, aggregate_samples, conditional_prediction_samples
 from repro.engine.request import Request
-from repro.schedulers.base import Scheduler, SchedulingContext, checked_batch_cap
+from repro.schedulers.base import Scheduler, SchedulingContext
 
 #: First chunk size of the lazy saturated-horizon evaluation.  A chunk costs a
 #: fixed few dozen numpy calls plus a small per-row term (one rebuilt stream
@@ -75,7 +75,6 @@ class PastFutureScheduler(Scheduler):
         seed: RNG seed for prediction sampling, an ``int`` in ``[0, 2**63)``.
         num_samples: repeated-sampling count used to stabilise predictions
             when the batch is small; the maximum sample is kept.
-        max_running_requests: optional hard cap on the running batch size.
     """
 
     name = "past-future"
@@ -87,7 +86,6 @@ class PastFutureScheduler(Scheduler):
         default_length: int = 2048,
         seed: int = 0,
         num_samples: int = 1,
-        max_running_requests: int | None = None,
     ) -> None:
         if not 0.0 <= reserved_fraction < 1.0:
             raise ValueError("reserved_fraction must be in [0, 1)")
@@ -102,7 +100,6 @@ class PastFutureScheduler(Scheduler):
         self.default_length = default_length
         self.seed = seed
         self.num_samples = num_samples
-        self.max_running_requests = checked_batch_cap(max_running_requests)
         self.history = OutputLengthHistory(window_size=window_size, default_length=default_length)
         self._sample_counter = 0
 
@@ -119,16 +116,9 @@ class PastFutureScheduler(Scheduler):
     # -------------------------------------------------------------- scheduling
     def _make_predictor(self) -> OutputLengthPredictor:
         # A fresh per-call seed keeps runs reproducible while avoiding
-        # re-drawing identical samples every iteration.  The ascending-sorted
-        # window is cached on the history itself (invalidated by its version
-        # counter), so per-call construction is O(1) instead of O(w log w).
+        # re-drawing identical samples every iteration.
         self._sample_counter += 1
-        return OutputLengthPredictor(
-            lengths=self.history.sorted_snapshot(),
-            seed=self.seed + self._sample_counter,
-            num_samples=self.num_samples,
-            presorted=True,
-        )
+        return OutputLengthPredictor(self.history, self.seed + self._sample_counter, self.num_samples)
 
     def admission_budget(self, context: SchedulingContext) -> int:
         """Token budget available to the admission decision."""

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.history import OutputLengthHistory
+
 
 def aggregate_samples(samples: np.ndarray) -> np.ndarray:
     """Collapse the sample axis (axis ``-2``) of a ``(..., num_samples, n)`` array by ``max``."""
@@ -75,43 +77,27 @@ def conditional_prediction_samples(
 
 @dataclass
 class OutputLengthPredictor:
-    """Samples predicted output lengths from an empirical distribution.
+    """Samples predicted output lengths from a history's empirical distribution.
 
     Args:
-        lengths: the historical output lengths (the window snapshot).
+        history: the historical window; sampling reads its cached ascending
+            snapshot (:meth:`OutputLengthHistory.sorted_snapshot`), so
+            building one predictor per consult costs no sort.
         seed: RNG seed for reproducible sampling.
         num_samples: how many independent samples to draw per request; their
             maximum is the prediction.
-        presorted: promise that ``lengths`` is already sorted ascending,
-            skipping the per-construction sort.  Callers that build one
-            predictor per iteration over a slowly changing window (the
-            Past-Future scheduler) cache the sorted array and pass it here;
-            sampling is over the sorted array either way, so results are
-            identical.
     """
 
-    lengths: np.ndarray
+    history: OutputLengthHistory
     seed: int = 0
     num_samples: int = 1
-    presorted: bool = False
 
     def __post_init__(self) -> None:
-        """Validate the window, sort it unless promised sorted, seed the RNG."""
-        lengths = np.asarray(self.lengths, dtype=np.int64)
-        if lengths.ndim != 1 or lengths.size == 0:
-            raise ValueError("lengths must be a non-empty 1-D array")
+        """Validate the sample count, take the sorted window, seed the RNG."""
         if self.num_samples <= 0:
             raise ValueError("num_samples must be positive")
-        if self.presorted:
-            if lengths[0] <= 0:
-                raise ValueError("lengths must be positive")
-            object.__setattr__(self, "_sorted", lengths)
-        else:
-            if np.any(lengths <= 0):
-                raise ValueError("lengths must be positive")
-            # Sorted copy enables O(log n) conditional sampling via searchsorted.
-            object.__setattr__(self, "_sorted", np.sort(lengths))
-        object.__setattr__(self, "_rng", np.random.default_rng(self.seed))
+        self._sorted = self.history.sorted_snapshot()
+        self._rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------ distribution
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, islice
 
 from repro.core.future_memory import peak_future_memory
@@ -103,9 +103,10 @@ class JumpStats:
     """Self-profiling counters of the event-jump fast path.
 
     Answers "what did the fast path actually do" for one engine's lifetime:
-    how often each jump was attempted and taken, how many iterations each
-    fused, why attempts fell back to the reference loop, and how often the
-    admission scheduler was consulted.  Kept separate from
+    how often each jump was taken, how many iterations the jumps fused, why
+    attempts fell back to the reference loop (so a kind's attempts are its
+    jumps plus its ``fallback_reasons``), and how often the admission
+    scheduler was consulted.  Kept separate from
     :class:`EngineStats` on purpose — these counters describe the *execution
     strategy*, not the simulated system, so they differ between fast-path
     and reference runs and are deliberately excluded from result
@@ -114,20 +115,12 @@ class JumpStats:
 
     #: reference iterations executed via :meth:`InferenceEngine.step`.
     loop_steps: int = 0
-    #: silent-jump attempts (:meth:`InferenceEngine.try_jump_any` calls
-    #: with an empty waiting queue).
-    silent_attempts: int = 0
-    #: silent-jump attempts that produced a macro-step.
+    #: macro-steps taken with an empty waiting queue.
     silent_jumps: int = 0
-    #: iterations fused across all silent macro-steps.
-    silent_steps_fused: int = 0
-    #: saturated-jump attempts (:meth:`InferenceEngine.try_jump_any` calls
-    #: with a non-empty waiting queue).
-    saturated_attempts: int = 0
-    #: saturated-jump attempts that produced a macro-step.
+    #: macro-steps taken with a non-empty waiting queue.
     saturated_jumps: int = 0
-    #: iterations fused across all saturated macro-steps.
-    saturated_steps_fused: int = 0
+    #: iterations fused across all macro-steps of either kind.
+    steps_fused: int = 0
     #: iterations on which the admission scheduler was consulted (non-empty
     #: waiting queue at :meth:`InferenceEngine.step` time).
     scheduler_consults: int = 0
@@ -142,11 +135,6 @@ class JumpStats:
         self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
 
     # ------------------------------------------------------------ derived
-    @property
-    def steps_fused(self) -> int:
-        """Iterations advanced by macro-steps of either kind."""
-        return self.silent_steps_fused + self.saturated_steps_fused
-
     @property
     def total_steps(self) -> int:
         """Iterations the engine advanced by any path."""
@@ -170,16 +158,13 @@ class JumpStats:
 
     def merge(self, other: "JumpStats") -> None:
         """Accumulate another engine's counters into this one (fleet totals)."""
-        self.loop_steps += other.loop_steps
-        self.silent_attempts += other.silent_attempts
-        self.silent_jumps += other.silent_jumps
-        self.silent_steps_fused += other.silent_steps_fused
-        self.saturated_attempts += other.saturated_attempts
-        self.saturated_jumps += other.saturated_jumps
-        self.saturated_steps_fused += other.saturated_steps_fused
-        self.scheduler_consults += other.scheduler_consults
-        for reason, count in other.fallback_reasons.items():
-            self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + count
+        for counter in fields(self):
+            mine, theirs = getattr(self, counter.name), getattr(other, counter.name)
+            if isinstance(mine, dict):
+                for reason, count in theirs.items():
+                    mine[reason] = mine.get(reason, 0) + count
+            else:
+                setattr(self, counter.name, mine + theirs)
 
     def summary(self) -> dict:
         """Compact JSON-ready view (the ``jump`` block of ``BENCH_core.json``)."""
@@ -402,22 +387,17 @@ class InferenceEngine:
                     self._evict_prefixes(cache.evict_for_allocation(cost, protect), time)
                 if not self.pool.can_allocate(cost):
                     break
-            if self.waiting and self.waiting[0] is request:
-                # The common (FCFS prefix) case: exactly the operation the
-                # pre-fair-scheduler engine performed, so prefix-admitting
-                # policies replay bit-identically.
-                self.waiting.popleft()
-            else:
-                # Fair schedulers admit across the queue in counter order.
-                try:
-                    self.waiting.remove(request)
-                except ValueError:
-                    # A request the queue does not hold (or admitted twice) is
-                    # a policy bug we surface immediately.
-                    raise RuntimeError(
-                        f"scheduler {self.scheduler.name!r} admitted "
-                        f"{request.request_id}, which is not in the waiting queue"
-                    ) from None
+            # By identity (``Request`` is ``eq=False``): a prefix admission
+            # finds its request at the head, a fair one anywhere in the queue.
+            try:
+                self.waiting.remove(request)
+            except ValueError:
+                # A request the queue does not hold (or admitted twice) is
+                # a policy bug we surface immediately.
+                raise RuntimeError(
+                    f"scheduler {self.scheduler.name!r} admitted "
+                    f"{request.request_id}, which is not in the waiting queue"
+                ) from None
             self.scheduler.on_request_dequeued(request)
             self.pool.allocate(cost)
             if entry is not None:
@@ -804,12 +784,7 @@ class InferenceEngine:
         """
         stats = self.jump_stats
         queued = len(self.waiting)
-        if queued:
-            source = "saturated"
-            stats.saturated_attempts += 1
-        else:
-            source = "silent"
-            stats.silent_attempts += 1
+        source = "saturated" if queued else "silent"
         # The engine-side half of the proof.  A profile exists only while
         # every resident decodes; the iteration that delivers some request's
         # last token finishes it (an event), so only those before it can
@@ -837,13 +812,13 @@ class InferenceEngine:
         result = self._execute_jump(time, bound, horizon, max_time, queued, source)
         if result is None:
             stats.note_fallback(f"{source}:horizon-clip")
-        elif queued:
-            stats.saturated_jumps += 1
-            stats.saturated_steps_fused += result.steps
-            self.scheduler.on_saturated_steps_fused(result.steps)
         else:
-            stats.silent_jumps += 1
-            stats.silent_steps_fused += result.steps
+            stats.steps_fused += result.steps
+            if queued:
+                stats.saturated_jumps += 1
+                self.scheduler.on_saturated_steps_fused(result.steps)
+            else:
+                stats.silent_jumps += 1
         return result
 
     def _execute_jump(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.engine.request import Request
-from repro.schedulers.base import Scheduler, SchedulingContext, checked_batch_cap
+from repro.schedulers.base import Scheduler, SchedulingContext
 
 
 class AggressiveScheduler(Scheduler):
@@ -26,16 +26,14 @@ class AggressiveScheduler(Scheduler):
         watermark: fraction of the capacity the scheduler is willing to fill
             with *current* tokens at admission time (the paper evaluates 90%,
             95% and 99%).
-        max_running_requests: optional hard cap on the running batch size.
     """
 
     name = "aggressive"
 
-    def __init__(self, watermark: float = 0.99, max_running_requests: int | None = None) -> None:
+    def __init__(self, watermark: float = 0.99) -> None:
         if not 0.0 < watermark <= 1.0:
             raise ValueError("watermark must be in (0, 1]")
         self.watermark = watermark
-        self.max_running_requests = checked_batch_cap(max_running_requests)
 
     @staticmethod
     def _cost(request: Request) -> int:
@@ -79,8 +77,6 @@ class AggressiveScheduler(Scheduler):
         """
         if max_steps <= 0 or not context.waiting or not context.running:
             return 0
-        if self._batch_cap_blocks_window(context):
-            return max_steps
         first = next(iter(self._candidates(context.waiting)))
         return 0 if self._fit_test(context)(first) else max_steps
 

@@ -41,26 +41,11 @@ class SchedulingContext:
     token_capacity: int
 
 
-def checked_batch_cap(max_running_requests: int | None) -> int | None:
-    """``max_running_requests`` if it is ``None`` (no cap) or at least 1.
-
-    A cap of 0 would trim every admission to nothing and stall the run, so it
-    is rejected when the scheduler is built.
-    """
-    if max_running_requests is not None and max_running_requests < 1:
-        raise ValueError(f"max_running_requests must be at least 1 or None, got {max_running_requests!r}")
-    return max_running_requests
-
-
 class Scheduler:
     """Admission-control policy for continuous batching."""
 
     #: human-readable policy name used in tables and figures.
     name: str = "abstract"
-
-    #: hard cap on concurrently running requests (``None`` = unlimited).  Real
-    #: frameworks bound the batch size; the paper's experiments never hit it.
-    max_running_requests: int | None = None
 
     def schedule(self, context: SchedulingContext) -> list[Request]:
         """Return the waiting requests to admit this iteration, in order.
@@ -69,10 +54,10 @@ class Scheduler:
         :meth:`_candidates` and stop at the first candidate the policy's
         :meth:`_fit_test` rejects.  An empty system still admits that first
         candidate when it fits the pool at all (the progress guarantee: a
-        request larger than the policy's budget must not starve forever),
-        and the batch cap trims the result.  The returned requests come from
-        ``context.waiting``, each at most once; the engine admits them in the
-        returned order.  The context is not mutated.
+        request larger than the policy's budget must not starve forever).
+        The returned requests come from ``context.waiting``, each at most
+        once; the engine admits them in the returned order.  The context is
+        not mutated.
         """
         if not context.waiting:
             return []
@@ -86,7 +71,7 @@ class Scheduler:
                 if candidate.current_context_tokens + 1 <= context.token_capacity:
                     admitted.append(candidate)
             break
-        return self._respect_batch_cap(context, admitted)
+        return admitted
 
     def _candidates(self, waiting: Sequence[Request]) -> Iterable[Request]:
         """Waiting requests in the order admission considers them (queue order).
@@ -151,22 +136,6 @@ class Scheduler:
         returned).  Stateless schedulers need not override this.
         """
 
-    def _batch_cap_blocks_window(self, context: SchedulingContext) -> bool:
-        """Whether the batch cap alone proves a whole no-admit window.
-
-        With ``max_running_requests`` reached, :meth:`_respect_batch_cap`
-        trims every admission to nothing, and batch membership is fixed for
-        the duration of a uniform-decode window — so the decision is "admit
-        nothing" for as long as the window lasts.  Only valid for policies
-        that draw **no randomness**: an RNG-consuming scheduler's admission
-        loop may consume a data-dependent number of draws before the trim,
-        so it must not use this shortcut.
-        """
-        return (
-            self.max_running_requests is not None
-            and len(context.running) >= self.max_running_requests
-        )
-
     # ---------------------------------------------------------- observability
     def trace_signals(self) -> dict:
         """Policy-specific attributes attached to ``request.admitted`` events.
@@ -202,13 +171,6 @@ class Scheduler:
         """Called once before a simulation run begins (reset mutable state)."""
 
     # -------------------------------------------------------------- utilities
-    def _respect_batch_cap(self, context: SchedulingContext, admitted: list[Request]) -> list[Request]:
-        """Trim an admission list so the running batch stays under the cap."""
-        if self.max_running_requests is None:
-            return admitted
-        slots = self.max_running_requests - len(context.running)
-        return admitted[: max(slots, 0)]
-
     def describe(self) -> str:
         """One-line parameterised description used in result tables."""
         return self.name

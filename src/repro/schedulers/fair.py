@@ -63,7 +63,6 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
             admission *order*).
         prefill_weight: cost per prompt token charged on completion.
         decode_weight: cost per generated token charged on completion.
-        max_running_requests: optional hard cap on the running batch size.
     """
 
     name = "vtc"
@@ -73,9 +72,8 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
         watermark: float = 0.95,
         prefill_weight: float = 1.0,
         decode_weight: float = 1.0,
-        max_running_requests: int | None = None,
     ) -> None:
-        super().__init__(watermark, max_running_requests)
+        super().__init__(watermark)
         if prefill_weight < 0 or decode_weight < 0:
             raise ValueError("service weights must be non-negative")
         if prefill_weight == 0 and decode_weight == 0:
@@ -217,8 +215,8 @@ class WeightedServiceCounterScheduler(VirtualTokenCounterScheduler):
     Args:
         weights: per-tenant (``user_id``) service weight; must be positive.
         default_weight: weight of tenants not in ``weights``.
-        watermark / prefill_weight / decode_weight / max_running_requests:
-            as for :class:`VirtualTokenCounterScheduler`.
+        watermark / prefill_weight / decode_weight: as for
+            :class:`VirtualTokenCounterScheduler`.
     """
 
     name = "weighted-vtc"
@@ -230,14 +228,8 @@ class WeightedServiceCounterScheduler(VirtualTokenCounterScheduler):
         watermark: float = 0.95,
         prefill_weight: float = 1.0,
         decode_weight: float = 1.0,
-        max_running_requests: int | None = None,
     ) -> None:
-        super().__init__(
-            watermark=watermark,
-            prefill_weight=prefill_weight,
-            decode_weight=decode_weight,
-            max_running_requests=max_running_requests,
-        )
+        super().__init__(watermark=watermark, prefill_weight=prefill_weight, decode_weight=decode_weight)
         if default_weight <= 0:
             raise ValueError("default_weight must be positive")
         self.weights = dict(weights or {})

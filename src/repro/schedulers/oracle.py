@@ -20,16 +20,13 @@ import numpy as np
 
 from repro.core.future_memory import FutureMemoryIndex, batched_peak_with_candidate
 from repro.engine.request import Request
-from repro.schedulers.base import Scheduler, SchedulingContext, checked_batch_cap
+from repro.schedulers.base import Scheduler, SchedulingContext
 
 
 class OracleScheduler(Scheduler):
     """Future-memory admission using the hidden true output lengths."""
 
     name = "oracle"
-
-    def __init__(self, max_running_requests: int | None = None) -> None:
-        self.max_running_requests = checked_batch_cap(max_running_requests)
 
     @staticmethod
     def _entry(request: Request) -> tuple[int, int]:
@@ -60,8 +57,6 @@ class OracleScheduler(Scheduler):
         """
         if max_steps <= 0 or not context.waiting or not context.running:
             return 0
-        if self._batch_cap_blocks_window(context):
-            return max_steps
         head_current, head_remaining = self._entry(context.waiting[0])
         current = np.array([r.current_context_tokens for r in context.running], dtype=np.int64)
         remaining = np.array([r.remaining_true_tokens for r in context.running], dtype=np.int64)

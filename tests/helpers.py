@@ -19,6 +19,7 @@ from collections import deque
 from typing import Callable, Iterable, Union
 
 from repro.analysis.perf import cluster_fingerprint, run_fingerprint
+from repro.core.history import OutputLengthHistory
 from repro.obs import events as obs
 from repro.schedulers.base import SchedulingContext
 from repro.serving.results import ClusterResult, RunResult
@@ -146,6 +147,14 @@ def assert_no_late_arrivals(events, result) -> None:
         f"{len(late)} of {len(submits)} arrivals handled late; first: "
         f"{late[0][0]} submitted at {late[0][1]!r}, scheduled at {late[0][2]!r}"
     )
+
+
+def history_of(lengths: Iterable[int]) -> OutputLengthHistory:
+    """A history whose window holds exactly ``lengths``."""
+    lengths = list(lengths)
+    history = OutputLengthHistory(window_size=max(len(lengths), 1))
+    history.extend(lengths)
+    return history
 
 
 class SchedulerQueue:

@@ -128,13 +128,6 @@ class TestAdmission:
         admitted = scheduler.schedule(context)
         assert admitted == waiting
 
-    def test_respects_batch_cap(self):
-        scheduler = PastFutureScheduler(seed=4, max_running_requests=2)
-        scheduler.history.extend([8] * 50)
-        waiting = [make_request(f"w{i}", 10, 8, max_new_tokens=32) for i in range(5)]
-        context = SchedulerQueue(scheduler, waiting).context(token_capacity=100_000)
-        assert len(scheduler.schedule(context)) == 2
-
     def test_seeded_history_limits_admissions_before_first_completion(self):
         # At service start the distribution is seeded with the preset maximum
         # output length, so the scheduler behaves conservatively at first.

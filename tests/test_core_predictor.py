@@ -5,19 +5,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.history import OutputLengthHistory
 from repro.core.predictor import OutputLengthPredictor, aggregate_samples
+from tests.helpers import history_of
 
 
 def make_predictor(lengths, **kwargs) -> OutputLengthPredictor:
-    return OutputLengthPredictor(np.array(lengths, dtype=np.int64), **kwargs)
+    return OutputLengthPredictor(history_of(lengths), **kwargs)
 
 
 class TestConstruction:
-    def test_rejects_empty_lengths(self):
-        with pytest.raises(ValueError):
-            make_predictor([])
+    def test_empty_history_samples_its_default_length(self):
+        predictor = OutputLengthPredictor(OutputLengthHistory(default_length=77))
+        assert predictor.predict_new(5).tolist() == [77] * 5
+        assert predictor.max_length == 77
+
+    def test_samples_the_historys_cached_sorted_window(self):
+        # One sort per window change, not one per predictor (one per consult).
+        history = history_of([9, 2, 5])
+        predictor = OutputLengthPredictor(history)
+        assert predictor._sorted is history.sorted_snapshot()
+        assert predictor._sorted.tolist() == [2, 5, 9]
 
     def test_rejects_non_positive_lengths(self):
+        # The window refuses them, so a predictor never samples one.
         with pytest.raises(ValueError):
             make_predictor([4, 0, 2])
 

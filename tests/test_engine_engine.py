@@ -149,6 +149,18 @@ class TestContinuousBatching:
         assert all(r.is_finished for r in requests)
         assert engine.stats.total_evictions == 0
 
+    def test_conservative_batch_cap_bounds_the_running_batch(self, platform_7b):
+        # Memory fits all ten; only the static batch of 3 holds the rest back.
+        scheduler = ConservativeScheduler(max_running_requests=3)
+        engine = make_engine(platform_7b, scheduler=scheduler, capacity=4096)
+        requests = submit_requests(engine, 10, input_length=16, output_length=8, max_new_tokens=16)
+        time, batch_sizes = 0.0, []
+        while engine.has_work():
+            time = engine.step(time).end_time
+            batch_sizes.append(engine.num_running)
+        assert max(batch_sizes) == 3
+        assert all(r.is_finished for r in requests)
+
     def test_used_tokens_equals_batch_context(self, platform_7b):
         engine = make_engine(platform_7b, capacity=4096)
         submit_requests(engine, 4, input_length=32, output_length=16)
@@ -266,20 +278,20 @@ class TestEvictionBehaviour:
         assert engine.batch == [first, third]
 
 
-class BackToFrontScheduler(AggressiveScheduler):
-    """A scheduler that admits across the queue, newest first.
+class BackOfQueueScheduler(AggressiveScheduler):
+    """A scheduler that considers only the newest waiting request.
 
     Not a VTC subclass: VTC's per-tenant FIFOs only ever give up their
     heads, which this order does not take.
     """
 
     def _candidates(self, waiting):
-        return reversed(waiting)
+        return [waiting[-1]]
 
 
 class TestAdmissionByIdentity:
     def test_admitting_the_second_of_two_equal_requests_removes_the_second(self, platform_7b):
-        engine = make_engine(platform_7b, scheduler=BackToFrontScheduler(max_running_requests=1))
+        engine = make_engine(platform_7b, scheduler=BackOfQueueScheduler())
         spec = make_spec()
         first = Request(spec=spec, arrival_time=0.0)
         second = Request(spec=spec, arrival_time=0.0)

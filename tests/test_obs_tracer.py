@@ -222,9 +222,9 @@ class TestJumpStats:
         assert stats.fused_fraction == 0.0
 
     def test_merge_accumulates_everything(self):
-        a = JumpStats(loop_steps=3, silent_jumps=1, silent_steps_fused=10)
+        a = JumpStats(loop_steps=3, silent_jumps=1, steps_fused=10)
         a.note_fallback("silent:no-window")
-        b = JumpStats(loop_steps=2, saturated_jumps=2, saturated_steps_fused=8, scheduler_consults=5)
+        b = JumpStats(loop_steps=2, saturated_jumps=2, steps_fused=8, scheduler_consults=5)
         b.note_fallback("silent:no-window")
         b.note_fallback("saturated:not-uniform")
         a.merge(b)

@@ -28,6 +28,7 @@ from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.obs.tracer import RingTracer
+from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.fair import VirtualTokenCounterScheduler, WeightedServiceCounterScheduler
 from repro.serving.autoscale import Autoscaler, create_autoscale_policy
 from repro.serving.cluster import ClusterSimulator
@@ -50,6 +51,7 @@ from tests.helpers import (
     assert_no_late_arrivals,
     assert_pool_ledger,
     assert_rng_stream_identity,
+    history_of,
     reference_peak,
 )
 
@@ -162,7 +164,7 @@ class TestPredictorProperties:
     @given(lengths=lengths_strategy, seed=st.integers(0, 1000), count=st.integers(1, 50))
     @settings(max_examples=50)
     def test_new_samples_are_drawn_from_history(self, lengths, seed, count):
-        predictor = OutputLengthPredictor(np.array(lengths), seed=seed)
+        predictor = OutputLengthPredictor(history_of(lengths), seed=seed)
         samples = predictor.predict_new(count)
         assert set(samples.tolist()) <= set(lengths)
 
@@ -173,13 +175,13 @@ class TestPredictorProperties:
     )
     @settings(max_examples=50)
     def test_running_predictions_strictly_exceed_generated(self, lengths, generated, seed):
-        predictor = OutputLengthPredictor(np.array(lengths), seed=seed)
+        predictor = OutputLengthPredictor(history_of(lengths), seed=seed)
         predictions = predictor.predict_running(generated)
         assert np.all(predictions > np.array(generated))
 
     @given(lengths=lengths_strategy)
     def test_probabilities_sum_to_one_over_support(self, lengths):
-        predictor = OutputLengthPredictor(np.array(lengths))
+        predictor = OutputLengthPredictor(history_of(lengths))
         total = sum(predictor.probability(int(v)) for v in np.unique(lengths))
         assert abs(total - 1.0) < 1e-9
 
@@ -274,6 +276,37 @@ class TestSaturatedHorizonProperties:
         for first, factor in ((1, 1), (first_chunk, growth)):
             with mock.patch.multiple(past_future, _HORIZON_FIRST_CHUNK=first, _HORIZON_CHUNK_GROWTH=factor):
                 assert horizon() == default, (first, factor)
+
+
+class TestConservativeBatchCapProperties:
+    """The static batch is one more refusal of the conservative fit test."""
+
+    @given(
+        running=st.lists(horizon_request_strategy, max_size=6),
+        waiting=st.lists(horizon_request_strategy, min_size=1, max_size=10),
+        cap=st.integers(1, 8),
+        overcommit=st.sampled_from([0.5, 1.0, 1.5]),
+        capacity=st.integers(200, 20_000),
+        max_steps=st.integers(1, 64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_capped_consult_is_the_uncapped_one_cut_to_the_free_slots(
+        self, running, waiting, cap, overcommit, capacity, max_steps
+    ):
+        residents = [horizon_request(f"r{i}", *entry, decoding=True) for i, entry in enumerate(running)]
+        queued = [horizon_request(f"w{i}", *entry, decoding=False) for i, entry in enumerate(waiting)]
+        capped = ConservativeScheduler(overcommit, max_running_requests=cap)
+        uncapped = ConservativeScheduler(overcommit)
+        capped_context = SchedulerQueue(capped, queued).context(residents, token_capacity=capacity)
+        uncapped_context = SchedulerQueue(uncapped, queued).context(residents, token_capacity=capacity)
+        free_slots = max(cap - len(residents), 0)
+        assert capped.schedule(capped_context) == uncapped.schedule(uncapped_context)[:free_slots]
+        # The proof before the cap moved here: a full batch proved the whole
+        # window outright, otherwise the uncapped one-test proof decided.
+        expected = uncapped.saturated_no_admit_horizon(uncapped_context, max_steps)
+        if residents and len(residents) >= cap:
+            expected = max_steps
+        assert capped.saturated_no_admit_horizon(capped_context, max_steps) == expected
 
 
 class TestHistoryProperties:

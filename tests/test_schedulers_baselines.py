@@ -72,6 +72,46 @@ class TestConservativeScheduler:
         assert "no overcommit" in ConservativeScheduler().describe()
 
 
+class TestConservativeBatchCap:
+    """The static batch (Table 2's "Origin" profile) is one more refusal of the fit test."""
+
+    @staticmethod
+    def _context(scheduler, num_running: int, num_waiting: int):
+        # Worst cases of 32 + 64 tokens: ten of them fit the pool many times.
+        running = [make_request(f"r{i}", 32, 16, max_new_tokens=64) for i in range(num_running)]
+        waiting = [make_request(f"w{i}", 32, 16, max_new_tokens=64) for i in range(num_waiting)]
+        return SchedulerQueue(scheduler, waiting).context(running, token_capacity=10_000)
+
+    def test_unlimited_by_default(self):
+        scheduler = ConservativeScheduler()
+        assert len(scheduler.schedule(self._context(scheduler, 0, 7))) == 7
+
+    def test_cap_trims_to_free_slots(self):
+        scheduler = ConservativeScheduler(max_running_requests=5)
+        assert len(scheduler.schedule(self._context(scheduler, 3, 7))) == 2
+
+    def test_cap_fills_an_empty_batch(self):
+        scheduler = ConservativeScheduler(max_running_requests=5)
+        assert len(scheduler.schedule(self._context(scheduler, 0, 7))) == 5
+
+    def test_full_batch_admits_nothing(self):
+        scheduler = ConservativeScheduler(max_running_requests=3)
+        assert scheduler.schedule(self._context(scheduler, 3, 7)) == []
+
+    def test_overfull_batch_admits_nothing(self):
+        scheduler = ConservativeScheduler(max_running_requests=2)
+        assert scheduler.schedule(self._context(scheduler, 3, 7)) == []
+
+    def test_full_batch_proves_window(self):
+        # The head fits the pool, so only the full batch proves no-admit.
+        scheduler = ConservativeScheduler(max_running_requests=1)
+        assert scheduler.saturated_no_admit_horizon(self._context(scheduler, 1, 1), 10) == 10
+
+    def test_free_slot_does_not_prove_window(self):
+        scheduler = ConservativeScheduler(max_running_requests=2)
+        assert scheduler.saturated_no_admit_horizon(self._context(scheduler, 1, 1), 10) == 0
+
+
 class TestAggressiveScheduler:
     def test_rejects_invalid_watermark(self):
         with pytest.raises(ValueError):

@@ -231,14 +231,6 @@ class TestAdmissionOrdering:
         context = SchedulerQueue(scheduler, [big]).context(token_capacity=1000)
         assert scheduler.schedule(context) == [big]
 
-    def test_batch_cap_respected(self):
-        scheduler = VirtualTokenCounterScheduler(max_running_requests=2)
-        scheduler.on_run_start()
-        waiting = [tenant_request(f"r{i}", "alice", input_length=8) for i in range(4)]
-        running = [tenant_request("run", None, input_length=8)]
-        admitted = scheduler.schedule(SchedulerQueue(scheduler, waiting).context(running))
-        assert len(admitted) == 1
-
     def test_schedule_does_not_mutate_counters(self):
         scheduler = VirtualTokenCounterScheduler()
         scheduler.on_run_start()
@@ -320,14 +312,6 @@ class TestSaturatedHorizon:
         context = queue.context(running, token_capacity=1000)
         # bob's 400 does not fit over 600 occupied at watermark 0.9 -> whole
         # window proven, even though alice's 10 would fit.
-        assert scheduler.saturated_no_admit_horizon(context, 10) == 10
-
-    def test_batch_cap_proves_window(self):
-        scheduler = VirtualTokenCounterScheduler(max_running_requests=1)
-        scheduler.on_run_start()
-        waiting = [tenant_request("w", "alice", input_length=1)]
-        running = [tenant_request("r", None, input_length=1)]
-        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=1000)
         assert scheduler.saturated_no_admit_horizon(context, 10) == 10
 
     def test_horizon_does_not_mutate_state(self):

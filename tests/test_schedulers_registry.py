@@ -1,18 +1,14 @@
-"""Tests for the scheduler registry and the base-class utilities."""
+"""Tests for the scheduler registry and its keyword validation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.past_future import PastFutureScheduler
-from repro.engine.request import Request
 from repro.schedulers.aggressive import AggressiveScheduler
-from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.oracle import OracleScheduler
 from repro.schedulers.registry import SCHEDULER_REGISTRY, create_scheduler
-from tests.conftest import make_spec
-from tests.helpers import SchedulerQueue
 
 
 class TestRegistry:
@@ -52,46 +48,19 @@ class TestRegistry:
             create_scheduler("nonexistent")
 
 
-class TestBatchCapUtility:
-    class _DummyScheduler(Scheduler):
-        name = "dummy"
+class TestBatchCapSetting:
+    """Only the conservative scheduler takes a static batch size."""
 
-        def schedule(self, context):
-            return self._respect_batch_cap(context, list(context.waiting))
-
-    def _context(self, scheduler: Scheduler, num_running: int, num_waiting: int) -> SchedulingContext:
-        running = [
-            Request(spec=make_spec(request_id=f"r{i}"), arrival_time=0.0)
-            for i in range(num_running)
-        ]
-        waiting = [
-            Request(spec=make_spec(request_id=f"w{i}"), arrival_time=0.0)
-            for i in range(num_waiting)
-        ]
-        return SchedulerQueue(scheduler, waiting).context(running, token_capacity=10_000)
-
-    def test_unlimited_by_default(self):
-        scheduler = self._DummyScheduler()
-        assert len(scheduler.schedule(self._context(scheduler, 0, 7))) == 7
-
-    def test_cap_limits_total_running(self):
-        scheduler = self._DummyScheduler()
-        scheduler.max_running_requests = 5
-        assert len(scheduler.schedule(self._context(scheduler, 3, 7))) == 2
-
-    def test_cap_already_met(self):
-        scheduler = self._DummyScheduler()
-        scheduler.max_running_requests = 2
-        assert scheduler.schedule(self._context(scheduler, 3, 7)) == []
-
-    @pytest.mark.parametrize(
-        "name", ["aggressive", "conservative", "oracle", "past-future", "vtc", "weighted-vtc"]
-    )
     @pytest.mark.parametrize("cap", [0, -1])
-    def test_cap_below_one_fails_at_construction(self, name, cap):
-        # A cap of 0 would trim every admission to nothing and stall the run.
+    def test_conservative_cap_below_one_fails_at_construction(self, cap):
+        # A cap of 0 would refuse every admission and stall the run.
         with pytest.raises(ValueError, match=rf"max_running_requests must be at least 1 or None, got {cap}"):
-            create_scheduler(name, max_running_requests=cap)
+            create_scheduler("conservative", max_running_requests=cap)
+
+    @pytest.mark.parametrize("name", ["aggressive", "oracle", "past-future", "vtc", "weighted-vtc"])
+    def test_other_schedulers_reject_the_keyword(self, name):
+        with pytest.raises(TypeError, match="max_running_requests"):
+            create_scheduler(name, max_running_requests=8)
 
 
 class TestRegistryKwargValidation:

@@ -1,0 +1,269 @@
+#!/usr/bin/env python3
+"""Committed mutants: every one must be killed by the tests it names.
+
+Each entry of :data:`MUTANTS` is a one-snippet edit of a file under ``src/``
+(an exact ``old`` snippet and its ``new`` replacement) plus the pytest node
+ids expected to catch it.  The tool copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, runs every named id once on
+the unmutated copy (all must pass), then applies each mutant in turn and runs
+only that mutant's ids: at least one of them must fail.
+
+The tool fails when
+
+* an ``old`` snippet does not occur exactly once in its file (a refactor that
+  moves the code must re-target the mutant, not drop it quietly);
+* a named id fails, or is missing, on the unmutated copy;
+* a mutant survives: all of its ids pass.
+
+Run from anywhere inside the checkout::
+
+    python tools/mutants.py              # every mutant
+    python tools/mutants.py NAME [NAME]  # the named ones
+    python tools/mutants.py --list       # names, files and ids
+
+Exit status is non-zero on any failure; this is CI's ``mutants`` job.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+#: pytest options for every run: quiet, stop at the first failure, no cache
+#: writes, and the property suites' pinned Hypothesis seed.
+PYTEST_ARGS = ("-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """One edit the named tests must catch."""
+
+    name: str
+    #: file to edit, relative to the checkout root.
+    path: str
+    old: str
+    new: str
+    #: pytest node ids, relative to the checkout root.
+    tests: tuple[str, ...]
+
+
+#: The property that replays ``FutureMemoryIndex.admit`` against the Eq. 2–4 spec.
+ADMIT_PROPERTY = (
+    "tests/test_properties.py::TestFutureMemoryProperties::test_admit_keeps_exactly_the_candidates_that_fit"
+)
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "batch-cap-admits-into-a-full-batch",
+        "src/repro/schedulers/conservative.py",
+        "if slots <= 0 or not fits(candidate):",
+        "if slots < 0 or not fits(candidate):",
+        (
+            "tests/test_schedulers_baselines.py::TestConservativeBatchCap::test_full_batch_admits_nothing",
+            "tests/test_schedulers_baselines.py::TestConservativeBatchCap::test_full_batch_proves_window",
+            "tests/test_properties.py::TestConservativeBatchCapProperties",
+        ),
+    ),
+    Mutant(
+        "batch-cap-forgets-the-running-batch",
+        "src/repro/schedulers/conservative.py",
+        "slots = self.max_running_requests - len(context.running)",
+        "slots = self.max_running_requests",
+        (
+            "tests/test_schedulers_baselines.py::TestConservativeBatchCap::test_cap_trims_to_free_slots",
+            "tests/test_properties.py::TestConservativeBatchCapProperties",
+        ),
+    ),
+    Mutant(
+        "running-tokens-count-cached-prefixes",
+        "src/repro/engine/engine.py",
+        "running_tokens=self.pool.used_tokens - (cache.resident_tokens if cache is not None else 0),",
+        "running_tokens=self.pool.used_tokens,",
+        (
+            "tests/test_engine_engine.py::TestSchedulingContext"
+            "::test_prefix_hit_admission_charges_the_batch_not_the_cached_prefixes",
+        ),
+    ),
+    Mutant(
+        "vtc-requeues-an-evictee-at-its-tenants-back",
+        "src/repro/schedulers/fair.py",
+        ".appendleft((next(self._front_seq), request))",
+        ".append((next(self._back_seq), request))",
+        (
+            "tests/test_schedulers_fair.py::TestEngineIntegration"
+            "::test_evicted_request_is_considered_before_its_tenants_later_arrivals",
+            "tests/test_schedulers_fair.py::TestAdmissionOrdering"
+            "::test_later_eviction_is_considered_first_across_tenants",
+        ),
+    ),
+    Mutant(
+        "watermark-occupancy-resums-the-batch",
+        "src/repro/schedulers/aggressive.py",
+        "return context.running_tokens",
+        "return sum(map(self._cost, context.running))",
+        ("tests/test_schedulers_fair.py::TestConsultCost",),
+    ),
+    Mutant(
+        "future-memory-admit-commits-a-rejected-candidate",
+        "src/repro/core/future_memory.py",
+        "        if peak_future_memory(current, remaining) > budget:\n"
+        "            return False\n"
+        "        self._current, self._remaining = current, remaining\n",
+        "        self._current, self._remaining = current, remaining\n"
+        "        if peak_future_memory(current, remaining) > budget:\n"
+        "            return False\n",
+        (ADMIT_PROPERTY,),
+    ),
+    Mutant(
+        "future-memory-admit-refuses-an-exact-fit",
+        "src/repro/core/future_memory.py",
+        "if peak_future_memory(current, remaining) > budget:",
+        "if peak_future_memory(current, remaining) >= budget:",
+        (ADMIT_PROPERTY,),
+    ),
+    Mutant(
+        "jump-fuses-an-iteration-ending-at-the-clip",
+        "src/repro/engine/engine.py",
+        "if end >= clip:",
+        "if end > clip:",
+        (
+            "tests/test_engine_fast_path.py::test_jump_stops_after_the_first_end_reaching_the_clip",
+            "tests/test_engine_fast_path.py::test_clipped_jump_draws_only_the_iterations_it_fuses",
+        ),
+    ),
+    Mutant(
+        "future-memory-peak-sorts-ascending",
+        "src/repro/core/future_memory.py",
+        "ranked = sorted(zip(remaining, current), key=itemgetter(0), reverse=True)",
+        "ranked = sorted(zip(remaining, current), key=itemgetter(0))",
+        (
+            "tests/test_properties.py::TestFutureMemoryProperties"
+            "::test_scalar_kernel_equals_reference_and_batched_row",
+            "tests/test_properties.py::TestRouterPredictionProperties"
+            "::test_predicted_peaks_equal_padded_two_dimensional_spec",
+        ),
+    ),
+)
+
+
+def repo_root() -> Path:
+    """The checkout root (where ``pyproject.toml`` lives)."""
+    for parent in Path(__file__).resolve().parents:
+        if (parent / "pyproject.toml").exists():
+            return parent
+    raise SystemExit("could not locate the repo root (no pyproject.toml found)")
+
+
+def copy_checkout(root: Path, into: Path) -> None:
+    """Copy what the named tests need: ``src/``, ``tests/`` and ``pyproject.toml``."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(root / name, into / name, ignore=ignore)
+    shutil.copy2(root / "pyproject.toml", into / "pyproject.toml")
+
+
+def run_python(workdir: Path, *args: str, check: bool = False) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in the copy, importing ``repro`` from its ``src/``.
+
+    No bytecode is written, so a restored file can never be shadowed by the
+    cached bytecode of its mutant.
+    """
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *args], cwd=workdir, env=env, capture_output=True, text=True, check=check
+    )
+
+
+def run_pytest(workdir: Path, node_ids: list[str]) -> subprocess.CompletedProcess:
+    """Run ``node_ids`` against the copy's own ``src/``."""
+    return run_python(workdir, "-m", "pytest", *PYTEST_ARGS, *node_ids)
+
+
+def check_imports_from(workdir: Path) -> None:
+    """Fail unless ``repro`` resolves to the copy (not an installed checkout)."""
+    found = run_python(workdir, "-c", "import repro; print(repro.__file__)", check=True).stdout.strip()
+    if not Path(found).resolve().is_relative_to(workdir.resolve()):
+        raise SystemExit(f"repro imports from {found}, not from the mutated copy in {workdir}")
+
+
+def tail(output: str, lines: int = 15) -> str:
+    """The last ``lines`` lines of a pytest report, indented."""
+    return "\n".join("    " + line for line in output.strip().splitlines()[-lines:])
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Check every selected mutant; return the exit status."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the table and exit")
+    args = parser.parse_args(argv)
+
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    selected = [by_name[name] for name in args.names] if args.names else list(MUTANTS)
+    if args.list:
+        for mutant in selected:
+            print(f"{mutant.name}  ({mutant.path})")
+            for node_id in mutant.tests:
+                print(f"    {node_id}")
+        return 0
+
+    root = repo_root()
+    started = time.perf_counter()
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        workdir = Path(tmp)
+        copy_checkout(root, workdir)
+        check_imports_from(workdir)
+
+        for mutant in selected:
+            count = (workdir / mutant.path).read_text().count(mutant.old)
+            if count != 1:
+                print(f"STALE    {mutant.name}: old snippet occurs {count} times in {mutant.path}")
+                failures += 1
+        if failures:
+            return 1
+
+        node_ids = list(dict.fromkeys(node_id for mutant in selected for node_id in mutant.tests))
+        baseline = run_pytest(workdir, node_ids)
+        if baseline.returncode != 0:
+            print("BASELINE the named tests do not all pass on the unmutated copy:")
+            print(tail(baseline.stdout + baseline.stderr))
+            return 1
+        print(f"baseline {len(node_ids)} test ids pass on the unmutated copy")
+
+        for mutant in selected:
+            target = workdir / mutant.path
+            original = target.read_text()
+            target.write_text(original.replace(mutant.old, mutant.new))
+            try:
+                mutant_started = time.perf_counter()
+                result = run_pytest(workdir, list(mutant.tests))
+                elapsed = time.perf_counter() - mutant_started
+            finally:
+                target.write_text(original)
+            if result.returncode == 1:
+                print(f"killed   {mutant.name} ({elapsed:.1f} s)")
+            else:
+                # 0: every named test passed; anything else: pytest could not
+                # run them (a collection error is not a kill).
+                print(f"SURVIVED {mutant.name} (pytest exit {result.returncode})")
+                print(tail(result.stdout + result.stderr))
+                failures += 1
+
+    elapsed = time.perf_counter() - started
+    print(f"{len(selected) - failures} of {len(selected)} mutants killed in {elapsed:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

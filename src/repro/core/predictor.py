@@ -12,12 +12,14 @@ The predictor turns the historical window into an empirical distribution
 When the running batch is small the paper repeats the sampling several times
 to stabilise the estimate; ``num_samples`` exposes that knob, and the
 repeated samples combine by ``max`` (:func:`aggregate_samples`), which keeps
-the estimate on the safe side, as admission control wants.
+the estimate on the safe side, as admission control wants.  The window is
+ascending, so only each request's largest draw needs mapping to a length.
 
 Because the RNG stream is part of the reproduced semantics (see
 ``docs/simulation-semantics.md``), each sampling call documents exactly what
 it draws from the generator: the Past-Future scheduler's saturated-phase
-proof rebuilds those draws from the raw stream
+proof rebuilds those draws from the raw stream, and the generator itself is
+``default_rng(seed)`` built from a cached seed hash
 (:mod:`repro.core.rng_streams`).
 """
 
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import rng_streams
 from repro.core.history import OutputLengthHistory
 
 
@@ -44,34 +47,32 @@ def conditional_prediction_samples(
 
     The shared kernel behind :meth:`OutputLengthPredictor.predict_running`
     and the Past-Future scheduler's batched saturated-phase admission path
-    (which stacks the uniforms of several per-iteration predictors and maps
-    them in one call).
+    (which stacks the draws of several per-iteration predictors and maps
+    them in one call).  The map is elementwise and monotone in each uniform,
+    so callers map only the largest: ``aggregate_samples(uniforms)``.
 
     Args:
         sorted_lengths: the historical window, ascending.
-        uniforms: samples in ``[0, 1)`` of shape ``(..., num_samples, n)``.
-        generated: generated-token counts of shape ``(..., n)`` — the shape
-            of ``uniforms`` minus the sample axis, or any shape that
-            broadcasts to it.
+        uniforms: samples in ``[0, 1)``.
+        generated: generated-token counts; broadcast against ``uniforms``.
 
     Returns:
-        Length samples with the shape of ``uniforms``.  Entries whose
-        generated count meets or exceeds every historical length fall back to
+        Length samples with the broadcast shape.  Entries whose generated
+        count meets or exceeds every historical length fall back to
         ``generated + 1`` (the most optimistic consistent estimate).
     """
     n = sorted_lengths.size
     # Index of the first historical length strictly greater than each
     # generated count; everything at or beyond it is a valid sample.
     starts = np.searchsorted(sorted_lengths, generated, side="right")
-    starts_b = starts[..., None, :]
     # Draw a uniform index in [start, n); exhausted tails handled below.
-    spans = np.maximum(n - starts_b, 1)
-    indices = starts_b + np.floor(uniforms * spans).astype(np.int64)
+    spans = np.maximum(n - starts, 1)
+    indices = starts + np.floor(uniforms * spans).astype(np.int64)
     np.minimum(indices, n - 1, out=indices)
     predictions = sorted_lengths[indices]
-    exhausted = starts_b >= n
+    exhausted = starts >= n
     if exhausted.any():
-        predictions = np.where(exhausted, generated[..., None, :] + 1, predictions)
+        predictions = np.where(exhausted, generated + 1, predictions)
     return predictions
 
 
@@ -83,7 +84,7 @@ class OutputLengthPredictor:
         history: the historical window; sampling reads its cached ascending
             snapshot (:meth:`OutputLengthHistory.sorted_snapshot`), so
             building one predictor per consult costs no sort.
-        seed: RNG seed for reproducible sampling.
+        seed: RNG seed for reproducible sampling, an ``int`` in ``[0, 2**64)``.
         num_samples: how many independent samples to draw per request; their
             maximum is the prediction.
     """
@@ -93,11 +94,13 @@ class OutputLengthPredictor:
     num_samples: int = 1
 
     def __post_init__(self) -> None:
-        """Validate the sample count, take the sorted window, seed the RNG."""
+        """Validate the sample count and seed, take the sorted window, seed the RNG."""
         if self.num_samples <= 0:
             raise ValueError("num_samples must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         self._sorted = self.history.sorted_snapshot()
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = rng_streams.generator(self.seed)
 
     # ------------------------------------------------------------ distribution
     @property
@@ -113,13 +116,15 @@ class OutputLengthPredictor:
 
     # ---------------------------------------------------------------- sampling
     def predict_new(self, count: int) -> np.ndarray:
-        """Sample predicted output lengths for ``count`` queued requests."""
+        """Sample predicted output lengths for ``count`` queued requests.
+
+        Draws what ``choice(window, (num_samples, count))`` draws and keeps
+        each request's largest index, the largest sample of the ascending window.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        samples = self._rng.choice(self._sorted, size=(self.num_samples, count), replace=True)
-        return aggregate_samples(samples).astype(np.int64)
+        indices = self._rng.integers(0, self._sorted.size, (self.num_samples, count))
+        return self._sorted[aggregate_samples(indices)]
 
     def predict_running(self, generated: np.ndarray | list[int]) -> np.ndarray:
         """Resample predictions for running requests from ``P(l | l > generated)``.
@@ -137,10 +142,7 @@ class OutputLengthPredictor:
         generated_arr = np.asarray(generated, dtype=np.int64)
         if generated_arr.ndim != 1:
             raise ValueError("generated must be 1-D")
-        if generated_arr.size == 0:
-            return np.zeros(0, dtype=np.int64)
         if np.any(generated_arr < 0):
             raise ValueError("generated token counts must be non-negative")
         uniforms = self._rng.random((self.num_samples, generated_arr.size))
-        samples = conditional_prediction_samples(self._sorted, uniforms, generated_arr)
-        return aggregate_samples(samples).astype(np.int64)
+        return conditional_prediction_samples(self._sorted, aggregate_samples(uniforms), generated_arr)

@@ -1,36 +1,45 @@
-"""The raw streams of ``np.random.default_rng(s)`` for runs of consecutive seeds.
+"""The streams of ``np.random.default_rng(s)`` from a cached seed hash.
 
-The saturated-phase proof of the Past-Future scheduler replays one fresh
-``default_rng(seed)`` per iteration.  Building a ``Generator`` costs far more
-than the handful of draws it serves, so :func:`raw_streams` rebuilds each
-stream from its definition instead: ``SeedSequence(s).generate_state(4,
-uint64)`` (NumPy's pool hash, evaluated vectorised over a block of seeds and
-cached), then ``pcg64_set_seed`` on one reused :class:`numpy.random.PCG64`.
-:func:`doubles` and :func:`lemire_indices` turn the raw outputs into what
-``Generator.random`` and a uniform ``Generator.choice`` would return.
-:func:`streams_match` checks all three against ``default_rng`` once per
-process; callers fall back to ``default_rng`` when it is false.
+``default_rng(s)`` spends most of its time in NumPy's pool hash of the seed,
+``SeedSequence(s).generate_state(4, uint64)``.  This module evaluates that
+hash vectorised over blocks of consecutive seeds, caches the words and hands
+them to ``PCG64`` through NumPy's public ``ISeedSequence`` interface, which
+gives bit for bit the bit generator of ``default_rng(s)``.  :func:`generator`
+serves the Past-Future scheduler's per-consult generators, :func:`raw_streams`
+the raw outputs its saturated-phase proof replays; :func:`doubles` and
+:func:`lemire_indices` turn those into what ``Generator.random`` and a uniform
+``Generator.choice`` return.  :func:`streams_match` checks it all against
+``default_rng`` once per process; when it is false, :func:`generator` returns
+``default_rng`` and the proof redraws every row from it.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # SeedSequence constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_BLOCK = 4096
+#: Seeds per cached hash block (about 0.2 ms to hash, 32 KiB to keep).  The cache
+#: holds 16, so replicas whose seed counters sit in different blocks do not thrash.
+_BLOCK = 1024
 
-_blocks: dict[int, np.ndarray] = {}
-_pcg = np.random.PCG64(0)
-_state = {"state": 0, "inc": 1}
-_pcg_state = {"bit_generator": "PCG64", "state": _state, "has_uint32": 0, "uinteger": 0}
+
+class _Words(ISeedSequence):
+    """A seed's cached words: ``PCG64`` seeds itself from them and builds no ``SeedSequence``."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """The four cached uint64 words (the one request ``PCG64`` makes)."""
+        return self._words
 
 
 def _hasher(init: int, mult: int):
@@ -52,6 +61,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
+@functools.lru_cache(maxsize=16)
 def _seed_words(block: int) -> np.ndarray:
     """``(BLOCK, 4)`` uint64: ``SeedSequence(s).generate_state(4, uint64)`` per seed of the block."""
     seeds = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
@@ -68,7 +78,23 @@ def _seed_words(block: int) -> np.ndarray:
     # generate_state: 8 hashed 32-bit words, paired little-endian into 4 uint64.
     output = _hasher(_INIT_B, _MULT_B)
     words = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return np.stack([words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1)
+    block_words = np.stack([words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1)
+    # Every generator of the block shares these words (as its seed_seq state).
+    block_words.flags.writeable = False
+    return block_words
+
+
+def _pcg64(seed: int) -> np.random.PCG64:
+    """``PCG64(seed)`` from the cached words of a seed in ``[0, 2**64)``."""
+    block, offset = divmod(operator.index(seed), _BLOCK)
+    return np.random.PCG64(_Words(_seed_words(block)[offset]))
+
+
+def generator(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a seed in ``[0, 2**64)``: the same generator, no seed hash."""
+    if not streams_match():
+        return np.random.default_rng(seed)
+    return np.random.Generator(_pcg64(seed))
 
 
 def raw_streams(first_seed: int, rows: int, count: int) -> np.ndarray:
@@ -82,18 +108,8 @@ def raw_streams(first_seed: int, rows: int, count: int) -> np.ndarray:
     row = 0
     while row < rows:
         block, offset = divmod(first_seed + row, _BLOCK)
-        words = _blocks.get(block)
-        if words is None:
-            if len(_blocks) == 2:
-                del _blocks[next(iter(_blocks))]
-            words = _blocks[block] = _seed_words(block)
-        for s_hi, s_lo, i_hi, i_lo in words[offset : offset + rows - row].tolist():
-            # pcg64_set_seed: inc = 2*initseq + 1, two LCG steps around "+= initstate".
-            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-            _state["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-            _state["inc"] = inc
-            _pcg.state = _pcg_state
-            out[row] = _pcg.random_raw(count)
+        for words in _seed_words(block)[offset : offset + rows - row]:
+            out[row] = np.random.PCG64(_Words(words)).random_raw(count)
             row += 1
     return out
 
@@ -126,13 +142,13 @@ def lemire_indices(raw: np.ndarray, count: int, n: int) -> tuple[np.ndarray, np.
 
 @functools.cache
 def streams_match() -> bool:
-    """Whether the rebuilt streams equal ``default_rng`` on two seeds (checked once)."""
+    """Whether the cached-hash generators equal ``default_rng`` on two seeds (checked once)."""
     for seed in (20240917, 2**40 + 3):
         rng = np.random.default_rng(seed)
         raw = raw_streams(seed, 1, 7)
         indices, rejected = lemire_indices(raw[:, 6:], 1, 1000)
         if not (
-            np.array_equal(raw[0], np.random.PCG64(seed).random_raw(7))
+            _pcg64(seed).state == rng.bit_generator.state
             and np.array_equal(doubles(raw[0, :6]), rng.random(6))
             and not rejected[0]
             and indices[0, 0] == rng.choice(np.arange(1000), size=(1, 1))[0, 0]

@@ -67,6 +67,16 @@ class TestSnapshotSeeding:
         history.record(9)
         assert history.snapshot().dtype == np.int64
 
+    def test_shared_sorted_snapshot_is_read_only(self):
+        # The consult and the saturated horizon share one cached array: a
+        # stray in-place write must raise, not skew every later draw.
+        history = OutputLengthHistory()
+        history.extend([9, 3])
+        window = history.sorted_snapshot()
+        with pytest.raises(ValueError, match="read-only"):
+            window[0] = 1
+        assert history.sorted_snapshot().tolist() == [3, 9]
+
 
 class TestStatistics:
     def test_mean(self):

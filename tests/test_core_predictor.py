@@ -36,6 +36,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_predictor([1, 2], num_samples=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_two_entropy_words(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+            make_predictor([1, 2], seed=seed)
+
+    def test_accepts_the_largest_seed(self):
+        assert make_predictor([1, 2], seed=2**64 - 1).predict_new(1).size == 1
+
 
 class TestDistribution:
     def test_probability_matches_counts(self):
@@ -83,6 +91,20 @@ class TestPredictNew:
     def test_single_value_history_is_constant(self):
         predictor = make_predictor([77])
         assert set(predictor.predict_new(20).tolist()) == {77}
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("num_samples", [1, 3, 4])
+    def test_equals_the_choice_draw_and_leaves_the_same_state(self, window, num_samples):
+        """The largest of ``choice(window, (num_samples, count))``, drawn by ``integers``."""
+        lengths = np.random.default_rng(window).integers(1, 60, window).tolist()  # ties for w > 59
+        history = history_of(lengths)
+        for seed in range(50):
+            predictor = OutputLengthPredictor(history, seed=seed, num_samples=num_samples)
+            rng = np.random.default_rng(seed)
+            for count in (1, 5):
+                drawn = rng.choice(history.sorted_snapshot(), size=(num_samples, count), replace=True)
+                np.testing.assert_array_equal(predictor.predict_new(count), drawn.max(axis=0))
+            assert predictor._rng.bit_generator.state == rng.bit_generator.state
 
     def test_samples_approximate_distribution(self):
         # With a large sample the empirical frequency of each value should be

@@ -20,7 +20,7 @@ from repro.core.future_memory import (
     peak_future_memory,
 )
 from repro.core.history import OutputLengthHistory
-from repro.core.predictor import OutputLengthPredictor
+from repro.core.predictor import OutputLengthPredictor, aggregate_samples, conditional_prediction_samples
 from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import paper_platform
@@ -184,6 +184,44 @@ class TestPredictorProperties:
         predictor = OutputLengthPredictor(history_of(lengths))
         total = sum(predictor.probability(int(v)) for v in np.unique(lengths))
         assert abs(total - 1.0) < 1e-9
+
+
+class TestMaxFirstProperties:
+    """Mapping only the largest draw equals ``aggregate_samples`` of every mapped draw.
+
+    Each map from a draw to a length is monotone non-decreasing, so the max
+    commutes with it: raw word to double, double to conditional sample, and
+    index into the ascending window.
+    """
+
+    @given(
+        window=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+        num_samples=st.integers(1, 5),
+        rows=st.sampled_from([None, 1, 4]),
+        width=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100)
+    def test_max_first_equals_max_of_mapped_samples(self, window, num_samples, rows, width, seed):
+        sorted_lengths = np.sort(np.array(window, dtype=np.int64))
+        batch = (width,) if rows is None else (rows, width)
+        drawn = batch[:-1] + (num_samples, width)
+        rng = np.random.default_rng(seed)
+        # Generated counts up to past the window max: exhausted tails included.
+        generated = rng.integers(0, sorted_lengths[-1] + 3, batch)
+        # Eighths tie often; raw words reach the top of the double range.
+        raw = rng.integers(0, 2**64, drawn, dtype=np.uint64)
+        for uniforms in (rng.integers(0, 8, drawn) / 8, rng_streams.doubles(raw)):
+            every = conditional_prediction_samples(sorted_lengths, uniforms, generated[..., None, :])
+            first = conditional_prediction_samples(sorted_lengths, aggregate_samples(uniforms), generated)
+            np.testing.assert_array_equal(first, aggregate_samples(every))
+        np.testing.assert_array_equal(
+            rng_streams.doubles(aggregate_samples(raw)), aggregate_samples(rng_streams.doubles(raw))
+        )
+        indices = rng.integers(0, sorted_lengths.size, drawn)
+        np.testing.assert_array_equal(
+            sorted_lengths[aggregate_samples(indices)], aggregate_samples(sorted_lengths[indices])
+        )
 
 
 class TestRebuiltStreamProperties:

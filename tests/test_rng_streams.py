@@ -1,10 +1,12 @@
 """Rebuilt ``default_rng(seed)`` streams equal numpy's, draw for draw.
 
-:mod:`repro.core.rng_streams` re-derives the raw PCG64 outputs of
-``np.random.default_rng(s)`` for consecutive seeds, and the saturated-horizon
-proof of the Past-Future scheduler reads its uniforms and ``choice`` indices
-from them.  These tests pin the three layers against numpy itself — the raw
-words, ``Generator.random`` and ``Generator.choice`` — and show that a typical
+:mod:`repro.core.rng_streams` builds ``np.random.default_rng(s)`` from a
+cached seed hash: the predictor's generator (:func:`rng_streams.generator`)
+and the raw PCG64 outputs of consecutive seeds, from which the
+saturated-horizon proof of the Past-Future scheduler reads its uniforms and
+``choice`` indices.  These tests pin every layer against numpy itself — the
+generator and its state, the raw words, ``Generator.random`` and
+``Generator.choice`` — and show that a consult hashes no seed and a typical
 horizon builds no generator at all.
 """
 
@@ -24,6 +26,24 @@ EDGE_SEEDS = [0, 4095, 4096, 8191, 8192, 2**32 - 1, 2**32, 2**63 - 1]
 
 def test_self_check_passes_on_this_numpy():
     assert rng_streams.streams_match()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + [2**64 - 1])
+def test_generator_equals_default_rng(seed):
+    built, expected = rng_streams.generator(seed), np.random.default_rng(seed)
+    assert built.bit_generator.state == expected.bit_generator.state
+    np.testing.assert_array_equal(built.random((3, 4)), expected.random((3, 4)))
+    np.testing.assert_array_equal(built.integers(0, 1000, 7), expected.integers(0, 1000, 7))
+    window = np.arange(5, 50, dtype=np.int64)
+    np.testing.assert_array_equal(built.choice(window, (4, 2)), expected.choice(window, (4, 2)))
+    assert built.bit_generator.state == expected.bit_generator.state
+
+
+def test_generators_share_read_only_seed_words():
+    words = rng_streams.generator(4097).bit_generator.seed_seq.generate_state(4, np.uint64)
+    np.testing.assert_array_equal(words, np.random.SeedSequence(4097).generate_state(4, np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        words[0] = 0
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
@@ -116,6 +136,18 @@ def _count_generators(monkeypatch) -> list[int]:
     return built
 
 
+def _record_predictors(monkeypatch, scheduler) -> list:
+    made = []
+    real = scheduler._make_predictor
+
+    def recording():
+        made.append(real())
+        return made[-1]
+
+    monkeypatch.setattr(scheduler, "_make_predictor", recording)
+    return made
+
+
 def test_typical_horizon_builds_no_generator(monkeypatch):
     scheduler, context = _saturated_case()
     # The first horizon of a process also runs the once-per-process self-check.
@@ -124,6 +156,26 @@ def test_typical_horizon_builds_no_generator(monkeypatch):
     built = _count_generators(monkeypatch)
     assert scheduler.saturated_no_admit_horizon(context, 300) == expected
     assert built[0] == 0
+
+    # A consult hashes no seed: its generator's seed sequence is the cached words.
+    hashed = [0]
+    real_seed_sequence = np.random.SeedSequence
+
+    def counting_seed_sequence(*args, **kwargs):
+        hashed[0] += 1
+        return real_seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    made = _record_predictors(monkeypatch, scheduler)
+    assert scheduler.schedule(context) == []
+    assert len(made) == 1 and built[0] == 0 and hashed[0] == 0
+    assert not isinstance(made[0]._rng.bit_generator.seed_seq, real_seed_sequence)
+
+    # Without the self-check, the consult's generator is default_rng's.
+    monkeypatch.setattr(rng_streams, "streams_match", lambda: False)
+    assert scheduler.schedule(context) == []
+    assert len(made) == 2 and built[0] == 1
+    assert isinstance(made[1]._rng.bit_generator.seed_seq, real_seed_sequence)
 
 
 @pytest.mark.parametrize("head_generated", [0, 7])

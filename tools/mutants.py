@@ -61,6 +61,55 @@ ADMIT_PROPERTY = (
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
+        "horizon-max-over-the-wrong-draws",
+        "src/repro/core/past_future.py",
+        "raw[:, :run_draws].reshape(size, num_samples, batch)",
+        "raw[:, :run_draws].reshape(size, batch, num_samples).swapaxes(1, 2)",
+        (
+            "tests/test_saturated_jump.py"
+            "::test_saturated_horizon_replays_sequential_decisions_at_stream_edges",
+            "tests/test_saturated_jump.py::test_saturated_past_future_bit_identical[None-sharegpt]",
+        ),
+    ),
+    Mutant(
+        "predict-new-keeps-the-smallest-sample",
+        "src/repro/core/predictor.py",
+        "return self._sorted[aggregate_samples(indices)]",
+        "return self._sorted[indices.min(axis=0)]",
+        (
+            "tests/test_core_predictor.py::TestPredictNew"
+            "::test_equals_the_choice_draw_and_leaves_the_same_state[3-7]",
+        ),
+    ),
+    Mutant(
+        "generator-ignores-the-self-check",
+        "src/repro/core/rng_streams.py",
+        "    if not streams_match():\n        return np.random.default_rng(seed)\n",
+        "",
+        ("tests/test_rng_streams.py::test_typical_horizon_builds_no_generator",),
+    ),
+    Mutant(
+        "admission-loop-continues-past-a-misfit",
+        "src/repro/schedulers/base.py",
+        "                    admitted.append(candidate)\n            break\n",
+        "                    admitted.append(candidate)\n            continue\n",
+        (
+            "tests/test_saturated_jump.py::test_watermark_horizon_matches_sequential_schedule",
+            "tests/test_schedulers_fair.py::TestAdmissionOrdering",
+        ),
+    ),
+    Mutant(
+        "watermark-proof-tests-the-queue-front",
+        "src/repro/schedulers/aggressive.py",
+        "first = next(iter(self._candidates(context.waiting)))",
+        "first = context.waiting[0]",
+        (
+            "tests/test_saturated_jump.py::test_watermark_horizon_matches_sequential_schedule[vtc]",
+            "tests/test_schedulers_fair.py::TestSaturatedHorizon"
+            "::test_head_is_lowest_counter_not_queue_front",
+        ),
+    ),
+    Mutant(
         "batch-cap-admits-into-a-full-batch",
         "src/repro/schedulers/conservative.py",
         "if slots <= 0 or not fits(candidate):",

@@ -91,10 +91,13 @@ class OutputLengthHistory:
     def sorted_snapshot(self) -> np.ndarray:
         """Ascending-sorted window, cached until the next mutation.
 
-        Every per-consult predictor and the saturated horizon sample from it;
-        the cache, invalidated by :attr:`version`, re-sorts only when an
-        observation arrived.  Consumers share the array, so it is read-only:
-        an in-place write raises ``ValueError``.
+        Per-iteration predictor construction and the batched saturated-phase
+        admission path both want the window sorted (conditional sampling is a
+        ``searchsorted`` over it); sorting per consultation would be
+        O(w log w) each time.  The cache is invalidated by :attr:`version`,
+        so the array is re-sorted only when an observation actually arrived.
+        The returned array is shared between consumers until the window
+        changes, so it is read-only: an in-place write raises ``ValueError``.
         """
         if self._sorted_cache is None or self._sorted_cache_version != self._version:
             self._sorted_cache = np.sort(self.snapshot())

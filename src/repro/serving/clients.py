@@ -43,18 +43,10 @@ class ClosedLoopClientPool(ArrivalQueue):
         self._specs: Iterator[RequestSpec] = iter(workload.requests)
         self._num_clients = num_clients
         self._think_time = think_time
-        self._exhausted = False
-
-    @property
-    def num_clients(self) -> int:
-        """Size of the client pool."""
-        return self._num_clients
 
     def _schedule(self, time: float) -> None:
         spec = next(self._specs, None)
-        if spec is None:
-            self._exhausted = True
-        else:
+        if spec is not None:
             self._push(time, spec)
 
     def start(self, time: float = 0.0) -> None:
@@ -64,18 +56,12 @@ class ClosedLoopClientPool(ArrivalQueue):
 
     def on_request_finished(self, time: float, request: Request | None = None) -> None:
         """Free one client (completed or turned away); it resubmits one think time later."""
-        super().on_request_finished(time, request)
         self._schedule(time + self._think_time)
 
     @property
     def min_follow_up_delay(self) -> float:
         """A completion schedules its client's next request one think time later."""
         return self._think_time
-
-    @property
-    def drained(self) -> bool:
-        """Whether every workload spec has been handed out and completed."""
-        return self._exhausted and not self._pending and self._in_flight == 0
 
 
 class OpenLoopArrivals(ArrivalQueue):

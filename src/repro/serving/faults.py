@@ -138,12 +138,16 @@ class Straggler:
 
 
 # ---------------------------------------------------------------- retry policy
+#: Largest retry jitter, as a fraction of the backoff.
+_RETRY_JITTER = 0.1
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Capped exponential backoff with deterministic jitter.
 
     Attempt ``k`` (0-based) waits ``min(base_delay * multiplier**k,
-    max_delay)`` seconds, plus a jitter fraction drawn from
+    max_delay)`` seconds, plus up to 10% jitter drawn from
     :func:`hash_fraction` of the seed, request id, and attempt — so two runs
     of the same plan back off identically, and reordering unrelated requests
     cannot shift anyone's delays.  ``delay`` returns ``None`` once the
@@ -155,7 +159,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay: float = 5.0
     max_attempts: int = 4
-    jitter: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -167,8 +170,6 @@ class RetryPolicy:
             raise ValueError("max_delay must be >= base_delay")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
     def delay(self, request_id: str, attempt: int) -> float | None:
         """Backoff before retry number ``attempt`` (0-based), or ``None``.
@@ -179,9 +180,7 @@ class RetryPolicy:
         if attempt >= self.max_attempts:
             return None
         backoff = min(self.base_delay * self.multiplier**attempt, self.max_delay)
-        if self.jitter:
-            backoff *= 1.0 + self.jitter * hash_fraction(self.seed, request_id, attempt)
-        return backoff
+        return backoff * (1.0 + _RETRY_JITTER * hash_fraction(self.seed, request_id, attempt))
 
     def describe(self) -> str:
         """One-line summary for result tables."""

@@ -162,7 +162,7 @@ class ReplicaView:
         Negative when the admission queue already oversubscribes the pool.
         This is *present-state* headroom; the predicted-peak (Eq. 2–4)
         counterpart lives on the router that owns the length history —
-        :meth:`MemoryAwareRouter.predicted_headroom_tokens`.
+        :meth:`MemoryAwareRouter.predicted_peaks`.
         """
         return self.token_capacity - self.used_tokens - self.queued_demand_tokens
 
@@ -433,19 +433,6 @@ class MemoryAwareRouter(Router):
             for view in views
         ]
 
-    def predicted_peak_tokens(self, view: ReplicaView) -> int:
-        """Predicted peak future memory of one replica's in-flight work."""
-        return self.predicted_peaks([view])[0]
-
-    def predicted_headroom_tokens(self, view: ReplicaView) -> int:
-        """Predicted future-memory headroom (can be negative when oversubscribed).
-
-        Distinct from :attr:`ReplicaView.headroom_tokens`, which measures
-        *present* occupancy plus queued prompts; this subtracts the Eq. 2–4
-        predicted peak, so growth the batch has not realised yet counts.
-        """
-        return view.token_capacity - self.predicted_peak_tokens(view)
-
     def placement_scores(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> list[float]:
         """Speed-weighted normalised headroom left after placing ``spec``, per view.
 
@@ -517,10 +504,6 @@ class SessionAffinityRouter(MemoryAwareRouter):
         """Forget session homes and the length history for a fresh run."""
         super().on_run_start()
         self._homes.clear()
-
-    def home_of(self, session_id: str) -> int | None:
-        """The replica id this router last placed ``session_id`` on, if any."""
-        return self._homes.get(session_id)
 
     def decide(self, spec: RequestSpec, views: Sequence[ReplicaView]) -> int:
         """The session's home replica when viable, else the memory-aware pick."""

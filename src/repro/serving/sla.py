@@ -24,7 +24,7 @@ deadlines.  Per-class goodput accounting on top of this lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.engine.request import Request
@@ -56,10 +56,9 @@ class SLASpec:
         mtpot_limit: base maximum inter-token-gap bound (seconds).
         percentile: service-level attainment target.
         class_limits: optional per-SLA-class deadline overrides; classes not
-            listed fall back to the base bounds.  Build incrementally with
-            :meth:`with_class`.  Excluded from the hash (the mapping is not
-            hashable) so specs remain usable as dict keys / set members;
-            equality still compares it.
+            listed fall back to the base bounds.  Excluded from the hash
+            (the mapping is not hashable) so specs remain usable as dict
+            keys / set members; equality still compares it.
     """
 
     ttft_limit: float
@@ -72,12 +71,6 @@ class SLASpec:
             raise ValueError("SLA limits must be positive")
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile must be in (0, 100]")
-
-    def with_class(self, sla_class: str, ttft_limit: float, mtpot_limit: float) -> "SLASpec":
-        """Copy of this spec with deadlines bound for one service class."""
-        limits = dict(self.class_limits)
-        limits[sla_class] = ClassLimits(ttft_limit=ttft_limit, mtpot_limit=mtpot_limit)
-        return replace(self, class_limits=limits)
 
     def limits_for(self, sla_class: str) -> ClassLimits:
         """Effective deadlines for a service class (base bounds by default)."""

@@ -47,7 +47,7 @@ class Arrival:
 
 
 class ArrivalQueue:
-    """The arrival heap and in-flight count every load generator keeps.
+    """The arrival heap every load generator keeps.
 
     Every client model subclasses it.  Subclasses schedule arrivals with
     :meth:`_push` and implement :meth:`start` and
@@ -58,7 +58,6 @@ class ArrivalQueue:
     def __init__(self) -> None:
         self._pending: list[Arrival] = []
         self._sequence = 0
-        self._in_flight = 0
 
     def start(self, time: float = 0.0) -> None:
         """Begin generating arrivals at simulation time ``time``."""
@@ -78,8 +77,7 @@ class ArrivalQueue:
         self._sequence += 1
 
     def on_request_finished(self, time: float, request: Request | None = None) -> None:
-        """Release one in-flight slot (``request`` is ``None`` unless it completed)."""
-        self._in_flight = max(self._in_flight - 1, 0)
+        """A request left the fleet (``request`` is ``None`` unless it completed)."""
 
     def pop_arrivals(self, now: float) -> list[RequestSpec]:
         """Specs whose scheduled arrival time is at or before ``now``."""
@@ -87,28 +85,16 @@ class ArrivalQueue:
         while self._pending and self._pending[0].time <= now:
             arrival = heapq.heappop(self._pending)
             ready.append(arrival.spec.with_arrival(arrival.time))
-            self._in_flight += 1
         return ready
 
     def next_arrival_time(self) -> float | None:
         """Time of the earliest scheduled arrival, if any."""
         return self._pending[0].time if self._pending else None
 
-    @property
-    def drained(self) -> bool:
-        """Whether no arrival is scheduled and nothing is in flight.
 
-        Terminal when arrivals are pre-scheduled or spawned only by in-flight
-        completions; a generator with another source overrides it.
-        """
-        return not self._pending and self._in_flight == 0
-
-
-def _stamp_exponential_gaps(
-    workload: Workload, rates: np.ndarray, rng: np.random.Generator, note: str
-) -> Workload:
+def _stamp_exponential_gaps(workload: Workload, rates: np.ndarray, seed: int, note: str) -> Workload:
     """Stamp arrival times from per-request exponential gaps at ``rates``."""
-    gaps = rng.exponential(scale=1.0, size=len(workload)) / rates
+    gaps = np.random.default_rng(seed).exponential(scale=1.0, size=len(workload)) / rates
     times = np.cumsum(gaps)
     requests = [
         replace(spec, arrival_time=float(time))
@@ -125,24 +111,18 @@ def assign_poisson_arrivals(
     workload: Workload,
     request_rate: float,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> Workload:
     """Stamp a workload with Poisson arrival times at a constant rate.
 
     Args:
         workload: the requests to stamp, in submission order.
         request_rate: arrival rate in requests per second.
-        seed: seed for a fresh generator when ``rng`` is not given.
-        rng: an explicit :class:`numpy.random.Generator` to draw from; takes
-            precedence over ``seed``, letting experiments thread one seeded
-            generator through every stochastic stage for end-to-end
-            reproducibility.
+        seed: seed of the generator the gaps are drawn from.
     """
     if not 0 < request_rate < math.inf:
         raise ValueError("request_rate must be positive and finite")
     rates = np.full(len(workload), request_rate)
-    generator = rng if rng is not None else np.random.default_rng(seed)
-    return _stamp_exponential_gaps(workload, rates, generator, f"poisson {request_rate:g} req/s")
+    return _stamp_exponential_gaps(workload, rates, seed, f"poisson {request_rate:g} req/s")
 
 
 def _bursty_nominal_rates(
@@ -176,7 +156,6 @@ def assign_bursty_arrivals(
     burst_length: int = 32,
     cycle_length: int = 64,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> Workload:
     """Stamp a workload with on/off modulated Poisson arrival times.
 
@@ -190,11 +169,7 @@ def assign_bursty_arrivals(
         burst_rate: arrival rate during bursts; must exceed ``base_rate``.
         burst_length: number of requests per cycle that arrive at burst rate.
         cycle_length: total requests per quiet+burst cycle.
-        seed: seed for a fresh generator when ``rng`` is not given.
-        rng: an explicit :class:`numpy.random.Generator` to draw the
-            exponential gaps from; takes precedence over ``seed`` so cluster
-            and autoscale experiments can share one seeded generator
-            end-to-end.
+        seed: seed of the generator the gaps are drawn from.
     """
     rates = _bursty_nominal_rates(
         len(workload), base_rate, burst_rate, burst_length, cycle_length
@@ -203,8 +178,7 @@ def assign_bursty_arrivals(
         f"bursty {base_rate:g}->{burst_rate:g} req/s, "
         f"{burst_length}/{cycle_length} cycle"
     )
-    generator = rng if rng is not None else np.random.default_rng(seed)
-    return _stamp_exponential_gaps(workload, rates, generator, note)
+    return _stamp_exponential_gaps(workload, rates, seed, note)
 
 
 def assign_diurnal_arrivals(
@@ -216,7 +190,6 @@ def assign_diurnal_arrivals(
     burst_length: int = 32,
     cycle_length: int = 64,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> Workload:
     """Stamp arrivals from a bursty process under a sinusoidal daily envelope.
 
@@ -231,8 +204,8 @@ def assign_diurnal_arrivals(
     accumulated sequentially — each gap is an exponential draw scaled by the
     instantaneous rate — which is the standard stepwise-rate construction of
     a nonhomogeneous Poisson process.  The random stream is the same
-    per-request standard-exponential draw the other stampers use, so one
-    seeded :class:`numpy.random.Generator` threads through unchanged.
+    per-request standard-exponential draw the other stampers use, so the
+    same ``seed`` draws the same gaps.
 
     Args:
         workload: the requests to stamp, in submission order.
@@ -242,9 +215,7 @@ def assign_diurnal_arrivals(
         amplitude: relative swing of the envelope, in ``[0, 1)``.
         burst_length: number of requests per cycle that arrive at burst rate.
         cycle_length: total requests per quiet+burst cycle.
-        seed: seed for a fresh generator when ``rng`` is not given.
-        rng: an explicit :class:`numpy.random.Generator` to draw the
-            exponential gaps from; takes precedence over ``seed``.
+        seed: seed of the generator the gaps are drawn from.
     """
     if not 0 < period < math.inf:
         raise ValueError("period must be positive and finite")
@@ -253,8 +224,7 @@ def assign_diurnal_arrivals(
     nominal_rates = _bursty_nominal_rates(
         len(workload), base_rate, burst_rate, burst_length, cycle_length
     )
-    generator = rng if rng is not None else np.random.default_rng(seed)
-    standard_gaps = generator.exponential(scale=1.0, size=len(workload))
+    standard_gaps = np.random.default_rng(seed).exponential(scale=1.0, size=len(workload))
     times = np.empty(len(workload))
     now = 0.0
     angular = 2.0 * np.pi / period

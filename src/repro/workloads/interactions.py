@@ -38,6 +38,9 @@ from repro.workloads.spec import SLA_CLASS_INTERACTIVE, RequestSpec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.request import Request
 
+#: Zipf exponent of a session's turn count (before clipping to the turn range).
+_TURN_ALPHA = 1.8
+
 
 @dataclass(frozen=True)
 class InteractionStage:
@@ -137,7 +140,6 @@ def generate_interactions(
     seed: int = 0,
     mean_prompt_tokens: float = 128.0,
     mean_output_tokens: float = 96.0,
-    turn_alpha: float = 1.8,
     min_turns: int = 1,
     max_turns: int = 8,
     think_time: float = 0.0,
@@ -148,7 +150,7 @@ def generate_interactions(
 ) -> list[Interaction]:
     """Synthesize sessions with heavy-tail turn counts, deterministically.
 
-    Turn counts follow a Zipf(``turn_alpha``) draw clipped to
+    Turn counts follow a Zipf(1.8) draw clipped to
     [``min_turns``, ``max_turns``] — most sessions are short, a heavy tail
     runs long (the agent-pipeline shape).  Per-stage prompt sizes are
     lognormal around ``mean_prompt_tokens``; outputs are exponential around
@@ -163,7 +165,7 @@ def generate_interactions(
     rng = np.random.default_rng(seed)
     sessions: list[Interaction] = []
     for index in range(num_sessions):
-        turns = int(np.clip(rng.zipf(turn_alpha), min_turns, max_turns))
+        turns = int(np.clip(rng.zipf(_TURN_ALPHA), min_turns, max_turns))
         stages = []
         for _ in range(turns):
             prompt = max(1, int(rng.lognormal(np.log(mean_prompt_tokens), 0.5)))
@@ -193,8 +195,8 @@ class InteractionLoadGenerator(ArrivalQueue):
 
     An :class:`~repro.workloads.arrivals.ArrivalQueue`: completing turn *n*
     of a session schedules turn *n + 1* at completion time plus the
-    session's think time.  A turn that is throttled or rejected releases its
-    slot without a request, so the session spawns no further turns — it is
+    session's think time.  A turn that is throttled or rejected ends without
+    a request, so the session spawns no further turns — it is
     *abandoned*, which per-session metrics account.
     """
 
@@ -208,15 +210,6 @@ class InteractionLoadGenerator(ArrivalQueue):
                 raise ValueError(f"duplicate session id {interaction.session_id!r}")
             self._interactions[interaction.session_id] = interaction
         self._min_think_time = min(it.think_time for it in interactions)
-        #: session_id -> turns completed so far (exposed for tests/metrics).
-        self.turns_completed: dict[str, int] = {
-            sid: 0 for sid in self._interactions
-        }
-
-    @property
-    def num_sessions(self) -> int:
-        """Number of sessions this generator drives."""
-        return len(self._interactions)
 
     def start(self, time: float = 0.0) -> None:
         """Schedule every session's first turn."""
@@ -224,8 +217,7 @@ class InteractionLoadGenerator(ArrivalQueue):
             self._push(max(time, interaction.start_time), interaction.spec(0))
 
     def on_request_finished(self, time: float, request: Request | None = None) -> None:
-        """Release a slot; a completed ``request`` spawns its session's next stage."""
-        super().on_request_finished(time, request)
+        """A completed ``request`` spawns its session's next stage."""
         if request is None or request.spec.session_id is None or not request.is_finished:
             return
         spec = request.spec
@@ -233,8 +225,6 @@ class InteractionLoadGenerator(ArrivalQueue):
         if interaction is None or spec.session_stage is None:
             return
         done = spec.session_stage + 1
-        if done > self.turns_completed[spec.session_id]:
-            self.turns_completed[spec.session_id] = done
         if done < interaction.num_stages:
             self._push(time + interaction.think_time, interaction.spec(done))
 

@@ -133,22 +133,6 @@ class RequestSpec:
         """Copy of this spec with an arrival timestamp."""
         return replace(self, arrival_time=arrival_time)
 
-    def with_sla_class(self, sla_class: str) -> "RequestSpec":
-        """Copy of this spec stamped with a service class."""
-        return replace(self, sla_class=sla_class)
-
-    def with_tenant(self, user_id: str | None, app_id: str | None = None) -> "RequestSpec":
-        """Copy of this spec stamped with tenant identities."""
-        return replace(self, user_id=user_id, app_id=app_id)
-
-    def with_session(
-        self, session_id: str, stage: int, stages: int | None = None
-    ) -> "RequestSpec":
-        """Copy of this spec stamped as turn ``stage`` of a multi-turn session."""
-        return replace(
-            self, session_id=session_id, session_stage=stage, session_stages=stages
-        )
-
     @property
     def is_final_stage(self) -> bool:
         """Whether this is the last turn of its session (``False`` if unknown)."""
@@ -207,34 +191,6 @@ class Workload:
         """Sum of all true output lengths."""
         return sum(r.output_length for r in self.requests)
 
-    @property
-    def sla_classes(self) -> list[str]:
-        """Distinct service classes present, sorted for determinism."""
-        return sorted({r.sla_class for r in self.requests})
-
-    @property
-    def user_ids(self) -> list[str]:
-        """Distinct user identities present, sorted (tenant-less specs excluded)."""
-        return sorted({r.user_id for r in self.requests if r.user_id is not None})
-
-    @property
-    def app_ids(self) -> list[str]:
-        """Distinct application identities present, sorted."""
-        return sorted({r.app_id for r in self.requests if r.app_id is not None})
-
-    @property
-    def has_tenants(self) -> bool:
-        """Whether any request carries a user or application identity."""
-        return any(r.user_id is not None or r.app_id is not None for r in self.requests)
-
-    def head(self, count: int) -> "Workload":
-        """A workload containing the first ``count`` requests."""
-        return Workload(
-            name=f"{self.name}[:{count}]",
-            requests=self.requests[:count],
-            description=self.description,
-        )
-
     def renumbered(self, prefix: str) -> "Workload":
         """Copy with request ids rewritten as ``{prefix}-{index}``.
 
@@ -247,8 +203,8 @@ class Workload:
         return Workload(name=self.name, requests=renamed, description=self.description)
 
 
-def scale_workload(workload: Workload, factor: float, min_tokens: int = 1) -> Workload:
-    """Scale every length in a workload by ``factor`` (rounding, with a floor).
+def scale_workload(workload: Workload, factor: float) -> Workload:
+    """Scale every length in a workload by ``factor`` (rounding, at least one token).
 
     Scheduling behaviour depends on the *ratio* between request footprints and
     the KV-cache capacity, not on absolute token counts.  Scaling a workload
@@ -260,12 +216,12 @@ def scale_workload(workload: Workload, factor: float, min_tokens: int = 1) -> Wo
         raise ValueError("factor must be positive")
     scaled: list[RequestSpec] = []
     for spec in workload.requests:
-        output = max(int(round(spec.output_length * factor)), min_tokens)
+        output = max(int(round(spec.output_length * factor)), 1)
         cap = max(int(round(spec.max_new_tokens * factor)), output)
         scaled.append(
             replace(
                 spec,
-                input_length=max(int(round(spec.input_length * factor)), min_tokens),
+                input_length=max(int(round(spec.input_length * factor)), 1),
                 output_length=output,
                 max_new_tokens=cap,
                 image_tokens=int(round(spec.image_tokens * factor)),
@@ -282,7 +238,6 @@ def assign_sla_classes(
     workload: Workload,
     fractions: Mapping[str, float],
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> Workload:
     """Stamp each request with a service class drawn from ``fractions``.
 
@@ -294,11 +249,7 @@ def assign_sla_classes(
     Args:
         workload: the requests to stamp, in submission order.
         fractions: class name to probability; must sum to 1 (within 1e-9).
-        seed: seed for a fresh generator when ``rng`` is not given.
-        rng: an explicit :class:`numpy.random.Generator` to draw from; takes
-            precedence over ``seed``, letting experiments thread one seeded
-            generator through every stochastic stage (class stamping, arrival
-            stamping, workload synthesis) for end-to-end reproducibility.
+        seed: seed of the generator the classes are drawn from.
     """
     if not fractions:
         raise ValueError("fractions must name at least one class")
@@ -306,8 +257,7 @@ def assign_sla_classes(
     probabilities = np.array([fractions[name] for name in names], dtype=float)
     if np.any(probabilities < 0) or abs(probabilities.sum() - 1.0) > 1e-9:
         raise ValueError("fractions must be non-negative and sum to 1")
-    generator = rng if rng is not None else np.random.default_rng(seed)
-    drawn = generator.choice(len(names), size=len(workload), p=probabilities)
+    drawn = np.random.default_rng(seed).choice(len(names), size=len(workload), p=probabilities)
     requests = [
         replace(spec, sla_class=names[index])
         for spec, index in zip(workload.requests, drawn)
@@ -329,20 +279,3 @@ def concatenate(name: str, workloads: Sequence[Workload]) -> Workload:
     description = " + ".join(w.name for w in workloads)
     return Workload(name=name, requests=requests, description=description)
 
-
-def interleave(name: str, workloads: Sequence[Workload]) -> Workload:
-    """Round-robin interleave several workloads into one."""
-    iterators: list[Iterator[RequestSpec]] = [iter(w.renumbered(f"w{i}")) for i, w in enumerate(workloads)]
-    requests: list[RequestSpec] = []
-    live: list[Iterator[RequestSpec]] = list(iterators)
-    while live:
-        still_live: list[Iterator[RequestSpec]] = []
-        for iterator in live:
-            try:
-                requests.append(next(iterator))
-            except StopIteration:
-                continue
-            still_live.append(iterator)
-        live = still_live
-    description = " | ".join(w.name for w in workloads)
-    return Workload(name=name, requests=requests, description=description)

@@ -11,9 +11,8 @@ tail from starving everyone else, and a throttle must cut it off at the door.
 request shares follow a Zipf-style power law, optionally with a few explicit
 *abusive* users that together carry a configurable fraction of all traffic.
 :func:`assign_tenants` then stamps an existing workload with user/application
-identities drawn i.i.d. from those shares, following the same seed/``rng``
-idiom as :func:`repro.workloads.spec.assign_sla_classes` so one seeded
-generator can thread through every stochastic stage of an experiment.
+identities drawn i.i.d. from those shares by a generator built from a
+``seed``, like :func:`repro.workloads.spec.assign_sla_classes`.
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ class TenantPopulation:
         return len(self.tenants)
 
     @property
-    def user_ids(self) -> list[str]:
-        """User identities in population order."""
-        return [t.user_id for t in self.tenants]
-
-    @property
     def app_ids(self) -> list[str]:
         """Distinct application identities, sorted."""
         return sorted({t.app_id for t in self.tenants})
@@ -85,17 +79,6 @@ class TenantPopulation:
     def shares(self) -> np.ndarray:
         """Request share per user, in population order (sums to 1)."""
         return np.array([t.share for t in self.tenants], dtype=float)
-
-    def share_of(self, user_id: str) -> float:
-        """Request share of one user.
-
-        Raises:
-            KeyError: if the user is not part of the population.
-        """
-        for tenant in self.tenants:
-            if tenant.user_id == user_id:
-                return tenant.share
-        raise KeyError(f"unknown user {user_id!r}")
 
     def describe(self) -> str:
         """One-line population summary for logs and tables."""
@@ -174,7 +157,6 @@ def assign_tenants(
     workload: Workload,
     population: TenantPopulation,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> Workload:
     """Stamp each request with a user (and its app) drawn from the population.
 
@@ -186,14 +168,9 @@ def assign_tenants(
     Args:
         workload: the requests to stamp, in submission order.
         population: who submits, with what probability.
-        seed: seed for a fresh generator when ``rng`` is not given.
-        rng: an explicit :class:`numpy.random.Generator` to draw from; takes
-            precedence over ``seed``, letting experiments thread one seeded
-            generator through every stochastic stage for end-to-end
-            reproducibility.
+        seed: seed of the generator the users are drawn from.
     """
-    generator = rng if rng is not None else np.random.default_rng(seed)
-    drawn = generator.choice(population.num_users, size=len(workload), p=population.shares)
+    drawn = np.random.default_rng(seed).choice(population.num_users, size=len(workload), p=population.shares)
     requests = [
         replace(
             spec,

@@ -45,14 +45,16 @@ def make_spec(
     output_length: int = 16,
     max_new_tokens: int = 64,
     image_tokens: int = 0,
+    **fields,
 ) -> RequestSpec:
-    """Convenience RequestSpec builder for tests."""
+    """Convenience RequestSpec builder for tests; ``fields`` sets any other field."""
     return RequestSpec(
         request_id=request_id,
         input_length=input_length,
         output_length=output_length,
         max_new_tokens=max_new_tokens,
         image_tokens=image_tokens,
+        **fields,
     )
 
 

@@ -323,8 +323,15 @@ class TestSchedulingContext:
         engine.prefix_cache.retain("s0", 0, 30)
         (resident,) = submit_requests(engine, 1, input_length=16, output_length=20, max_new_tokens=20)
         engine.step(0.0)
-        spec = make_spec(request_id="turn-1", input_length=40, output_length=4, max_new_tokens=4)
-        follow_up = Request(spec=spec.with_session("s0", 1), arrival_time=0.0)
+        spec = make_spec(
+            request_id="turn-1",
+            input_length=40,
+            output_length=4,
+            max_new_tokens=4,
+            session_id="s0",
+            session_stage=1,
+        )
+        follow_up = Request(spec=spec, arrival_time=0.0)
         engine.submit(follow_up)
         assert engine._scheduling_context().running_tokens == resident.current_context_tokens == 17
         # 17 + 40 fits the 64-token budget; charging the 30 cached tokens too

@@ -4,6 +4,7 @@ Every public name is imported from the module that defines it; a package
 ``__init__.py`` holds only its docstring.  One subprocess imports each
 ``repro`` module first, from an empty ``repro`` namespace, so an import
 cycle fails whichever of its modules a caller happens to import first.
+Every public name of ``src/`` has a caller outside ``tests/``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE_ROOT = Path(importlib.util.find_spec("repro").origin).parent
+CHECKOUT_ROOT = Path(__file__).resolve().parents[1]
+
+#: Where a public name of ``src/`` counts as used: everything but ``tests/``.
+CALLER_DIRS = ("src", "benchmarks", "examples", "bench", "tools")
 
 #: Layers the paper's Eq. 2-4 kernel must never pull in.
 KERNEL_MUST_NOT_LOAD = ("repro.serving", "repro.analysis", "repro.metrics")
@@ -80,3 +85,54 @@ def test_package_init_files_hold_only_a_docstring():
         if len(tree.body) != 1 or ast.get_docstring(tree) is None:
             offenders.append(str(init.relative_to(PACKAGE_ROOT.parent)))
     assert offenders == []
+
+
+def referenced_identifiers(roots: list[Path]) -> set[str]:
+    """Every name, attribute, imported name and identifier string under ``roots``.
+
+    Strings count because ``bench/layers.py`` looks methods up by name.
+    """
+    found: set[str] = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    found.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if node.value.isidentifier():
+                        found.add(node.value)
+    return found
+
+
+def definitions(path: Path):
+    """``(qualified name, name)`` of each top-level function, class and
+    constant in ``path``, and of each method of its top-level classes."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    roots = [CHECKOUT_ROOT / name for name in CALLER_DIRS]
+    assert all(root.is_dir() for root in roots), roots
+    used = referenced_identifiers(roots)
+    unused = [
+        f"{path.relative_to(CHECKOUT_ROOT)}:{qualified}"
+        for path in sorted((CHECKOUT_ROOT / "src").rglob("*.py"))
+        for qualified, name in definitions(path)
+        if not name.startswith("_") and name not in used
+    ]
+    assert unused == []

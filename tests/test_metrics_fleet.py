@@ -14,7 +14,7 @@ from repro.metrics.fleet import (
     summarize_fleet,
     total_replica_seconds,
 )
-from repro.serving.sla import SLASpec
+from repro.serving.sla import ClassLimits, SLASpec
 from tests.conftest import make_spec
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
@@ -183,7 +183,7 @@ class TestFleetSizeSample:
 
 class TestPerClassAccounting:
     def make_class_request(self, request_id: str, sla_class: str, tokens: int = 4, gap: float = 0.1) -> Request:
-        spec = make_spec(request_id=request_id, output_length=tokens).with_sla_class(sla_class)
+        spec = make_spec(request_id=request_id, output_length=tokens, sla_class=sla_class)
         request = Request(spec=spec, arrival_time=0.0)
         request.admit(0.0)
         request.note_prefill(request.recompute_tokens)
@@ -225,9 +225,9 @@ class TestPerClassAccounting:
     def test_rejected_requests_attributed_to_their_class(self):
         served = [self.make_class_request("i0", "interactive")]
         rejected = [
-            Request(spec=make_spec(request_id="rb").with_sla_class("batch"), arrival_time=0.0),
-            Request(spec=make_spec(request_id="ri").with_sla_class("interactive"), arrival_time=0.0),
-            Request(spec=make_spec(request_id="rb2").with_sla_class("batch"), arrival_time=0.0),
+            Request(spec=make_spec(request_id="rb", sla_class="batch"), arrival_time=0.0),
+            Request(spec=make_spec(request_id="ri", sla_class="interactive"), arrival_time=0.0),
+            Request(spec=make_spec(request_id="rb2", sla_class="batch"), arrival_time=0.0),
         ]
         summary = summarize_fleet([served], duration=1.0, sla=SLA, rejected=rejected)
         assert summary.rejected_requests == 3
@@ -246,9 +246,8 @@ class TestPerClassAccounting:
         assert summary.per_class["interactive"].rejected_requests == 0
 
     def test_class_deadlines_decide_class_compliance(self):
-        sla = SLASpec(ttft_limit=10.0, mtpot_limit=1.5).with_class(
-            "batch", ttft_limit=0.05, mtpot_limit=1.5
-        )
+        batch = ClassLimits(ttft_limit=0.05, mtpot_limit=1.5)
+        sla = SLASpec(ttft_limit=10.0, mtpot_limit=1.5, class_limits={"batch": batch})
         requests = [
             self.make_class_request("i0", "interactive"),  # TTFT 0.1 < 10
             self.make_class_request("b0", "batch"),        # TTFT 0.1 > 0.05

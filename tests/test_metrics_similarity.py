@@ -18,22 +18,27 @@ from repro.workloads.burstgpt import generate_api_trace, generate_conversation_t
 
 class TestHistogramBasics:
     def test_histogram_normalised(self):
-        edges = default_bin_edges(1000, 16)
+        edges = default_bin_edges(1000)
         hist = length_histogram([1, 5, 10, 200, 900], edges)
         assert hist.sum() == pytest.approx(1.0)
 
     def test_empty_histogram_is_zero(self):
-        edges = default_bin_edges(100, 8)
+        edges = default_bin_edges(100)
         assert length_histogram([], edges).sum() == 0.0
 
     def test_default_bin_edges_validation(self):
         with pytest.raises(ValueError):
-            default_bin_edges(1, 8)
-        with pytest.raises(ValueError):
-            default_bin_edges(100, 1)
+            default_bin_edges(1)
+
+    def test_default_bin_edges_are_zero_then_64_geometric_edges(self):
+        edges = default_bin_edges(8192)
+        assert len(edges) == 65
+        assert edges[0] == 0.0 and edges[1] == 1.0
+        assert edges[-1] == pytest.approx(8192)
+        np.testing.assert_allclose(edges[2:] / edges[1:-1], 8192 ** (1 / 63))
 
     def test_default_bin_edges_monotone(self):
-        edges = default_bin_edges(4096, 32)
+        edges = default_bin_edges(4096)
         assert np.all(np.diff(edges) > 0)
 
 
@@ -93,6 +98,15 @@ class TestSimilarityMatrix:
         assert sim.diagonal_mean() > sim.global_mean()
         assert sim.diagonal_mean() > 0.8
 
+    def test_bins_reach_the_trace_maximum(self):
+        # Both windows share their short half; their long halves (9000 and
+        # 20000 tokens) lie past 8192, in two different bins up to the
+        # trace's maximum.  Bins that stopped at 8192 would drop both long
+        # halves and call the windows identical.
+        lengths = [5] * 5 + [9000] * 5 + [5] * 5 + [20_000] * 5
+        sim = window_similarity_matrix(lengths, window_size=10)
+        assert sim.matrix[0, 1] == pytest.approx(0.5)
+
     def test_too_few_windows(self):
         sim = window_similarity_matrix(list(range(100)), window_size=200)
         assert sim.num_windows == 0
@@ -110,6 +124,11 @@ class TestAdjacentWindowSimilarity:
         lengths = generate_api_trace(30_000, seed=5, drift_period=8_000).output_lengths
         result = adjacent_window_similarity(lengths, historical_window=1000, running_window=500)
         assert result.diagonal_mean > result.global_mean
+
+    def test_bins_reach_the_trace_maximum(self):
+        lengths = [5] * 5 + [9000] * 5 + [5] * 5 + [20_000] * 5
+        result = adjacent_window_similarity(lengths, historical_window=10, running_window=10)
+        assert result.diagonal_mean == pytest.approx(0.5)
 
     def test_trace_too_short_returns_zero(self):
         result = adjacent_window_similarity([10, 20, 30], historical_window=100, running_window=100)

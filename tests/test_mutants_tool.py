@@ -1,7 +1,8 @@
 """The committed mutant table stays applicable to the current source.
 
 Running the mutants is CI's separate ``mutants`` job; this only checks the
-table, so a refactor that moves a registered snippet fails here first.
+table and what the tool copies, so a refactor that moves a registered snippet
+fails here first.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+
+from tests.test_import_hygiene import CALLER_DIRS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,6 +22,10 @@ def load_tool():
     sys.modules[spec.name] = module  # dataclasses resolve their module by name
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_copy_holds_every_directory_the_name_scan_reads():
+    assert {*CALLER_DIRS, "tests"} <= set(load_tool().COPIED_DIRS)
 
 
 def test_every_mutant_edits_one_snippet_and_names_existing_test_files():

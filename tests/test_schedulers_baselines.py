@@ -177,6 +177,15 @@ class TestOracleScheduler:
         context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=120)
         assert scheduler.schedule(context) == []
 
+    def test_has_no_saturated_window_proof(self):
+        scheduler = OracleScheduler()
+        running = [make_request("r0", 10, 80)]
+        running[0].admit(0.0)
+        waiting = [make_request("w0", 10, 80)]
+        context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=120)
+        assert scheduler.schedule(context) == []
+        assert scheduler.saturated_no_admit_horizon(context, 10) == 0
+
     def test_admission_is_prefix(self):
         scheduler = OracleScheduler()
         waiting = [make_request(f"w{i}", 10, 30) for i in range(10)]

@@ -31,7 +31,6 @@ class TestClosedLoopClientPool:
         pool.start(0.0)
         arrivals = pool.pop_arrivals(0.0)
         assert len(arrivals) == 4
-        assert pool._in_flight == 4
 
     def test_completion_triggers_next_request(self):
         pool = ClosedLoopClientPool(make_workload(10), num_clients=2)
@@ -56,15 +55,14 @@ class TestClosedLoopClientPool:
         pool.start(0.0)
         assert len(pool.pop_arrivals(0.0)) == 2
 
-    def test_drained_lifecycle(self):
+    def test_exhausted_workload_schedules_nothing(self):
         pool = ClosedLoopClientPool(make_workload(2), num_clients=2)
         pool.start(0.0)
-        assert not pool.drained
         pool.pop_arrivals(0.0)
         pool.on_request_finished(1.0)
         pool.on_request_finished(2.0)
         assert pool.pop_arrivals(10.0) == []
-        assert pool.drained
+        assert pool.next_arrival_time() is None
 
     def test_next_arrival_time(self):
         pool = ClosedLoopClientPool(make_workload(5), num_clients=1)
@@ -78,16 +76,8 @@ class TestOpenLoopArrivals:
     def test_poisson_arrival_times_monotone(self):
         arrivals = OpenLoopArrivals(make_workload(50), request_rate=5.0, seed=1)
         times = []
-        now = 0.0
-        while not arrivals.drained:
-            next_time = arrivals.next_arrival_time()
-            if next_time is None:
-                break
-            now = next_time
-            batch = arrivals.pop_arrivals(now)
-            times.extend(spec.arrival_time for spec in batch)
-            for _ in batch:
-                arrivals.on_request_finished(now)
+        while (now := arrivals.next_arrival_time()) is not None:
+            times.extend(spec.arrival_time for spec in arrivals.pop_arrivals(now))
         assert times == sorted(times)
         assert len(times) == 50
 
@@ -124,5 +114,6 @@ class TestOpenLoopArrivals:
 
     def test_start_is_noop(self):
         arrivals = OpenLoopArrivals(make_workload(3), request_rate=1.0)
+        first = arrivals.next_arrival_time()
         arrivals.start(0.0)
-        assert not arrivals.drained
+        assert arrivals.next_arrival_time() == first is not None

@@ -95,6 +95,11 @@ class TestPlanAndPolicy:
         assert policy.delay("a", 0) == policy.delay("a", 0)
         assert policy.delay("a", 0) != policy.delay("b", 0)
 
+    def test_retry_jitter_adds_a_tenth_of_the_hash_fraction(self):
+        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.3, seed=5)
+        for attempt, backoff in enumerate([0.1, 0.2, 0.3]):
+            assert policy.delay("r7", attempt) == backoff * (1.0 + 0.1 * hash_fraction(5, "r7", attempt))
+
     def test_plan_validation_and_describe(self):
         invalid = [
             lambda: Straggler(start=0.0, duration=1.0, replica=0, slowdown=1.0),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -196,31 +197,31 @@ class TestMemoryAware:
     def test_empty_replica_has_full_headroom(self):
         router = MemoryAwareRouter()
         snapshots = [snap(0, used=10, running=((10, 1),)), snap(1)]
-        assert router.predicted_headroom_tokens(snapshots[1]) == snapshots[1].token_capacity
+        assert router.predicted_peaks([snapshots[1]]) == [0]
         assert router.decide(SPEC, snapshots) == 1
 
     def test_learns_from_finished_requests(self):
         router = MemoryAwareRouter(default_length=1000)
         snapshot = snap(0, used=100, running=((100, 10),))
-        pessimistic = router.predicted_peak_tokens(snapshot)
+        pessimistic = router.predicted_peaks([snapshot])[0]
         # Observing short completions shrinks the predicted remaining length.
         for _ in range(50):
             request = Request(spec=make_spec(output_length=16), arrival_time=0.0)
             request.generated_tokens = 16
             router.on_request_finished(request, time=1.0)
-        optimistic = router.predicted_peak_tokens(snapshot)
+        optimistic = router.predicted_peaks([snapshot])[0]
         assert optimistic < pessimistic
 
     def test_cached_history_table_follows_the_window(self):
         router = MemoryAwareRouter(default_length=1000)
         snapshot = snap(0, used=100, running=((100, 10),), waiting=(50,))
-        cold = router.predicted_peak_tokens(snapshot)
+        cold = router.predicted_peaks([snapshot])[0]
         request = Request(spec=make_spec(output_length=16), arrival_time=0.0)
         request.generated_tokens = 16
         router.on_request_finished(request, time=1.0)
-        assert router.predicted_peak_tokens(snapshot) != cold
+        assert router.predicted_peaks([snapshot])[0] != cold
         router.on_run_start()
-        assert router.predicted_peak_tokens(snapshot) == cold
+        assert router.predicted_peaks([snapshot])[0] == cold
 
     def test_clamps_prediction_to_request_caps(self):
         router = MemoryAwareRouter(default_length=2048)
@@ -236,8 +237,8 @@ class TestMemoryAware:
         capped = ReplicaView(**base, remaining_cap_tokens=(8, 8))
         # Cold-start default of 2048 predicted tokens cannot exceed what the
         # requests' max_new_tokens budgets physically allow.
-        assert router.predicted_peak_tokens(capped) == 216  # 200 + 2*8
-        assert router.predicted_peak_tokens(uncapped) > 1000
+        assert router.predicted_peaks([capped, uncapped])[0] == 216  # 200 + 2*8
+        assert router.predicted_peaks([capped, uncapped])[1] > 1000
 
     def test_history_cleared_on_run_start(self):
         router = MemoryAwareRouter(default_length=1000)
@@ -294,7 +295,7 @@ class TestOneRoutingPass:
 
     def test_session_fallback(self, calls):
         router = create_router("session-affinity", default_length=100)
-        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        turn = make_spec(request_id="s0/t0", session_id="s0", session_stage=0, session_stages=2)
         busy = [view for view in self.BUSY if view.current_tokens]
         assert router.decide(turn, busy) == 2
         assert calls == {"kernel": 3, "prediction": 1}
@@ -307,12 +308,12 @@ class TestOneRoutingPass:
         demand = policy.predicted_fleet_demand_tokens(FleetView(time=0.0, snapshots=self.BUSY))
         assert calls == {"kernel": 3, "prediction": 1}
         forecaster = MemoryAwareRouter(default_length=100)
-        assert demand == sum(forecaster.predicted_peak_tokens(view) for view in self.BUSY)
+        assert demand == sum(forecaster.predicted_peaks([view])[0] for view in self.BUSY)
 
     @pytest.mark.parametrize("name", ["memory-aware", "session-affinity"])
     def test_idle_fleet_makes_no_numpy_call(self, calls, name):
         router = create_router(name)
-        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        turn = make_spec(request_id="s0/t0", session_id="s0", session_stage=0, session_stages=2)
         for spec in (SPEC, turn):
             assert router.decide(spec, [snap(4), snap(2), snap(9)]) == 2
         assert router.predicted_peaks([snap(4), snap(2)]) == [0, 0]
@@ -326,7 +327,7 @@ class TestDecideAPI:
         router = create_router(name)
         # Ids 3/7/12 are opaque keys, not list indices; a session turn
         # exercises session-affinity's own path as well as the fallback.
-        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        turn = make_spec(request_id="s0/t0", session_id="s0", session_stage=0, session_stages=2)
         views = [snap(3), snap(7, used=500), snap(12, used=100)]
         for spec in (SPEC, turn):
             chosen = router.decide(spec, views)
@@ -345,7 +346,7 @@ class TestDecideAPI:
 
     @pytest.mark.parametrize("name", available_routers())
     def test_zero_views_raise(self, name):
-        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        turn = make_spec(request_id="s0/t0", session_id="s0", session_stage=0, session_stages=2)
         for spec in (SPEC, turn):
             with pytest.raises(ValueError, match="zero replicas"):
                 create_router(name).decide(spec, [])
@@ -365,9 +366,11 @@ class TestDecideAPI:
 
     def test_saturated_fleet_still_homes_the_session(self):
         router = create_router("session-affinity")
-        turn = make_spec(request_id="s0/t0").with_session("s0", 0, 2)
+        turn = make_spec(request_id="s0/t0", session_id="s0", session_stage=0, session_stages=2)
         assert router.decide(turn, [snap(4, capacity=10, used=10)]) == 4
-        assert router.home_of("s0") == 4
+        # The next turn goes home, though memory-aware placement alone would pick replica 2.
+        next_turn = dataclasses.replace(turn, request_id="s0/t1", session_stage=1)
+        assert router.decide(next_turn, [snap(2), snap(4, used=500)]) == 4
 
     def test_router_without_decide_cannot_be_instantiated(self):
         class EmptyRouter(Router):
@@ -417,7 +420,8 @@ class TestReplicaViewNormalised:
             # Small replica: less absolute headroom, far more relative slack.
             snap(1, capacity=2000, used=200, running=((200, 100),)),
         ]
-        assert router.predicted_headroom_tokens(views[0]) > router.predicted_headroom_tokens(views[1]) - 4000
+        big_peak, small_peak = router.predicted_peaks(views)
+        assert views[0].token_capacity - big_peak > views[1].token_capacity - small_peak - 4000
         assert router.decide(SPEC, views) == 1
 
     def test_memory_aware_speed_weighting_breaks_fraction_ties(self):

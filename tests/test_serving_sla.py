@@ -88,8 +88,8 @@ class TestCompliance:
 def finished_class_request(sla_class: str, arrival=0.0, token_times=(1.0, 1.5, 2.0)) -> Request:
     request = Request(
         spec=make_spec(
-            output_length=len(token_times), max_new_tokens=len(token_times) + 1
-        ).with_sla_class(sla_class),
+            output_length=len(token_times), max_new_tokens=len(token_times) + 1, sla_class=sla_class
+        ),
         arrival_time=arrival,
     )
     request.admit(arrival)
@@ -101,34 +101,17 @@ def finished_class_request(sla_class: str, arrival=0.0, token_times=(1.0, 1.5, 2
 
 
 class TestClassLimits:
-    def test_with_class_binds_overrides(self):
-        sla = SLASpec(ttft_limit=2.0, mtpot_limit=0.5).with_class(
-            "batch", ttft_limit=10.0, mtpot_limit=2.0
-        )
-        assert sla.limits_for("batch").ttft_limit == 10.0
-        assert sla.limits_for("batch").mtpot_limit == 2.0
-        # Unlisted classes fall back to the base bounds.
-        assert sla.limits_for("interactive").ttft_limit == 2.0
-        assert sla.limits_for("interactive").mtpot_limit == 0.5
-
-    def test_with_class_is_non_destructive(self):
-        base = SLASpec(ttft_limit=2.0, mtpot_limit=0.5)
-        extended = base.with_class("batch", ttft_limit=10.0, mtpot_limit=2.0)
-        assert not base.class_limits
-        assert set(extended.class_limits) == {"batch"}
-
     def test_class_limits_validated(self):
         with pytest.raises(ValueError):
             ClassLimits(ttft_limit=0.0, mtpot_limit=1.0)
         with pytest.raises(ValueError):
-            SLASpec(ttft_limit=1.0, mtpot_limit=1.0).with_class("x", -1.0, 1.0)
+            ClassLimits(ttft_limit=-1.0, mtpot_limit=1.0)
 
     def test_compliance_judged_per_class(self):
         # TTFT of the test request is 1.0s: inside batch's deadline, outside
         # interactive's.
-        sla = SLASpec(ttft_limit=0.5, mtpot_limit=1.0).with_class(
-            "batch", ttft_limit=5.0, mtpot_limit=1.0
-        )
+        batch = ClassLimits(ttft_limit=5.0, mtpot_limit=1.0)
+        sla = SLASpec(ttft_limit=0.5, mtpot_limit=1.0, class_limits={"batch": batch})
         assert sla.request_compliant(finished_class_request("batch"))
         assert not sla.request_compliant(finished_class_request("interactive"))
 

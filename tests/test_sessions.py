@@ -115,6 +115,12 @@ class TestGenerateInteractions:
         sessions = generate_interactions(40, seed=1, min_turns=2, max_turns=5)
         assert all(2 <= s.num_stages <= 5 for s in sessions)
 
+    def test_turn_counts_are_heavy_tailed(self):
+        # Zipf(1.8): about half the sessions have one turn, a tail runs long.
+        turns = [s.num_stages for s in generate_interactions(400, seed=1, max_turns=50)]
+        assert 0.45 < turns.count(1) / len(turns) < 0.65
+        assert max(turns) >= 20
+
     def test_start_spacing_and_think_time(self):
         sessions = generate_interactions(4, seed=0, think_time=1.5, start_spacing=2.0)
         assert [s.start_time for s in sessions] == [0.0, 2.0, 4.0, 6.0]
@@ -168,7 +174,6 @@ class TestInteractionLoadGenerator:
         assert generator.next_arrival_time() == 0.0
         first = generator.pop_arrivals(0.0)
         assert [s.request_id for s in first] == ["s0/t0"]
-        assert generator._in_flight == 1
         assert generator.next_arrival_time() == 3.0
         assert generator.pop_arrivals(2.9) == []
 
@@ -181,26 +186,31 @@ class TestInteractionLoadGenerator:
         (follow_up,) = generator.pop_arrivals(5.0)
         assert follow_up.request_id == "s0/t1"
         assert follow_up.arrival_time == 5.0
-        assert generator.turns_completed["s0"] == 1
 
-    def test_final_stage_completion_drains_the_generator(self):
+    def test_final_stage_completion_spawns_nothing(self):
         generator = InteractionLoadGenerator([make_interaction("s0", 1)])
         generator.start(0.0)
         (spec,) = generator.pop_arrivals(0.0)
-        assert not generator.drained
         generator.on_request_finished(1.0, _FinishedTurn(spec))
-        assert generator.drained
-        assert generator.turns_completed["s0"] == 1
+        assert generator.next_arrival_time() is None
+
+    def test_unfinished_request_spawns_no_follow_up(self):
+        generator = InteractionLoadGenerator([make_interaction("s0", 3)])
+        generator.start(0.0)
+        (spec,) = generator.pop_arrivals(0.0)
+        aborted = _FinishedTurn(spec)
+        aborted.is_finished = False
+        generator.on_request_finished(1.0, aborted)
+        assert generator.next_arrival_time() is None
 
     def test_identity_free_finish_abandons_the_session(self):
-        # A throttled or rejected turn releases its slot without a request
-        # — the session spawns no further turns.
+        # A throttled or rejected turn ends without a request — the session
+        # spawns no further turns.
         generator = InteractionLoadGenerator([make_interaction("s0", 3)])
         generator.start(0.0)
         generator.pop_arrivals(0.0)
         generator.on_request_finished(1.0)
-        assert generator.drained
-        assert generator.turns_completed["s0"] == 0
+        assert generator.next_arrival_time() is None
 
 
 def view(replica_id: int, capacity: int = 100_000, used: int = 0, **kwargs) -> ReplicaView:
@@ -209,10 +219,28 @@ def view(replica_id: int, capacity: int = 100_000, used: int = 0, **kwargs) -> R
     )
 
 
-def turn_spec(stage: int = 0, session_id: str = "s0", stages: int = 4):
-    return make_spec(request_id=f"{session_id}/t{stage}").with_session(
-        session_id, stage, stages
+def busy_view(replica_id: int) -> ReplicaView:
+    """A replica whose running request memory-aware placement avoids."""
+    return view(
+        replica_id,
+        used=50_000,
+        current_tokens=(50_000,),
+        generated_tokens=(100,),
+        remaining_cap_tokens=(UNCAPPED,),
+        num_running=1,
     )
+
+
+def turn_spec(stage: int = 0, session_id: str = "s0", stages: int = 4):
+    return make_spec(
+        request_id=f"{session_id}/t{stage}", session_id=session_id, session_stage=stage, session_stages=stages
+    )
+
+
+def assert_next_turn_goes_home(router: SessionAffinityRouter, stage: int, home: int) -> None:
+    """Turn ``stage`` of ``s0`` lands on ``home`` though it is the only busy replica."""
+    views = [busy_view(home)] + [view(replica_id) for replica_id in range(3) if replica_id != home]
+    assert router.decide(turn_spec(stage), views) == home
 
 
 class TestSessionAffinityRouter:
@@ -225,7 +253,7 @@ class TestSessionAffinityRouter:
         views = [view(0, used=50_000), view(1, used=1_000), view(2, used=60_000)]
         chosen = router.decide(turn_spec(0), views)
         assert chosen == fallback.decide(turn_spec(0), views)
-        assert router.home_of("s0") == chosen
+        assert_next_turn_goes_home(router, 1, chosen)
 
     def test_follow_up_turns_stick_to_the_home_replica(self):
         router = SessionAffinityRouter()
@@ -234,7 +262,7 @@ class TestSessionAffinityRouter:
         # The home is now the *worse* load-balancing choice — affinity wins.
         loaded = [view(0, used=90_000), view(1, used=0)]
         assert router.decide(turn_spec(1), loaded) == 0
-        assert router.home_of("s0") == 0
+        assert_next_turn_goes_home(router, 2, 0)
 
     def test_saturated_home_falls_back_and_rehomes(self):
         router = SessionAffinityRouter()
@@ -242,7 +270,7 @@ class TestSessionAffinityRouter:
         assert router.decide(turn_spec(0), views) == 0
         saturated_home = [view(0, capacity=100, used=100), view(1)]
         assert router.decide(turn_spec(1), saturated_home) == 1
-        assert router.home_of("s0") == 1
+        assert_next_turn_goes_home(router, 2, 1)
 
     def test_unhealthy_home_falls_back_to_healthy_replicas(self):
         router = SessionAffinityRouter()
@@ -256,27 +284,20 @@ class TestSessionAffinityRouter:
         assert router.decide(turn_spec(0), [view(0), view(1, used=50_000)]) == 0
         # Replica 0 crashed out of the routable set entirely.
         assert router.decide(turn_spec(1), [view(1), view(2, used=50_000)]) == 1
-        assert router.home_of("s0") == 1
+        assert_next_turn_goes_home(router, 2, 1)
 
     def test_sessionless_traffic_is_routed_memory_aware_without_homes(self):
         router = SessionAffinityRouter()
-        busy = view(
-            0,
-            used=50_000,
-            current_tokens=(50_000,),
-            generated_tokens=(100,),
-            remaining_cap_tokens=(UNCAPPED,),
-            num_running=1,
-        )
-        assert router.decide(make_spec(), [busy, view(1)]) == 1
-        assert router.home_of("s0") is None
+        assert router.decide(make_spec(), [busy_view(0), view(1)]) == 1
+        # No home was recorded: the session's first turn is placed memory-aware.
+        assert router.decide(turn_spec(0), [view(0), busy_view(1)]) == 0
 
     def test_on_run_start_forgets_homes(self):
         router = SessionAffinityRouter()
-        router.decide(turn_spec(0), [view(0), view(1)])
-        assert router.home_of("s0") is not None
+        assert router.decide(turn_spec(0), [view(0), view(1)]) == 0
         router.on_run_start()
-        assert router.home_of("s0") is None
+        # Without the forgotten home, the next turn avoids the busy replica 0.
+        assert router.decide(turn_spec(1), [busy_view(0), view(1)]) == 1
 
 
 def finished_turn(spec, arrival: float = 0.0, ttft: float = 0.5) -> Request:

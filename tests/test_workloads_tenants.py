@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.workloads.spec import RequestSpec
+from repro.workloads.arrivals import assign_poisson_arrivals
+from repro.workloads.spec import RequestSpec, assign_sla_classes
 from repro.workloads.tenants import (
     TenantPopulation,
     TenantProfile,
@@ -21,16 +21,9 @@ class TestRequestSpecTenantFields:
         assert spec.user_id is None
         assert spec.app_id is None
 
-    def test_with_tenant_stamps_identities(self):
-        spec = make_spec().with_tenant("alice", app_id="chat")
-        assert spec.user_id == "alice"
-        assert spec.app_id == "chat"
-        # Everything else is untouched.
-        assert spec.input_length == make_spec().input_length
-
     def test_empty_identity_rejected(self):
         with pytest.raises(ValueError, match="user_id"):
-            make_spec().with_tenant("")
+            make_spec(user_id="")
         with pytest.raises(ValueError, match="app_id"):
             RequestSpec(
                 request_id="r0",
@@ -39,23 +32,6 @@ class TestRequestSpecTenantFields:
                 max_new_tokens=16,
                 app_id="",
             )
-
-    def test_workload_tenant_properties(self):
-        workload = make_workload(num_requests=4)
-        assert not workload.has_tenants
-        assert workload.user_ids == []
-        stamped = type(workload)(
-            name=workload.name,
-            requests=[
-                workload.requests[0].with_tenant("bob", app_id="search"),
-                workload.requests[1].with_tenant("alice", app_id="chat"),
-                workload.requests[2].with_tenant("alice", app_id="chat"),
-                workload.requests[3],
-            ],
-        )
-        assert stamped.has_tenants
-        assert stamped.user_ids == ["alice", "bob"]
-        assert stamped.app_ids == ["chat", "search"]
 
 
 class TestTenantPopulation:
@@ -82,12 +58,6 @@ class TestTenantPopulation:
                     TenantProfile("u0", "b", 0.5),
                 )
             )
-
-    def test_share_of(self):
-        population = generate_tenant_population(4)
-        assert population.share_of("user-0000") == population.shares[0]
-        with pytest.raises(KeyError):
-            population.share_of("nobody")
 
 
 class TestGenerateTenantPopulation:
@@ -142,10 +112,9 @@ class TestAssignTenants:
         workload = make_workload(num_requests=50)
         population = generate_tenant_population(4, num_apps=2)
         stamped = assign_tenants(workload, population, seed=3)
-        assert stamped.has_tenants
         assert all(spec.user_id is not None for spec in stamped.requests)
         assert all(spec.app_id is not None for spec in stamped.requests)
-        assert set(stamped.user_ids) <= set(population.user_ids)
+        assert {spec.user_id for spec in stamped} <= {t.user_id for t in population.tenants}
         # User/app pairing follows the population's binding.
         binding = {t.user_id: t.app_id for t in population.tenants}
         assert all(spec.app_id == binding[spec.user_id] for spec in stamped.requests)
@@ -159,16 +128,13 @@ class TestAssignTenants:
         assert [s.user_id for s in a.requests] == [s.user_id for s in b.requests]
         assert [s.user_id for s in a.requests] != [s.user_id for s in c.requests]
 
-    def test_explicit_rng_takes_precedence(self):
-        workload = make_workload(num_requests=30)
-        population = generate_tenant_population(6)
-        from_seed = assign_tenants(workload, population, seed=5)
-        from_rng = assign_tenants(
-            workload, population, seed=999, rng=np.random.default_rng(5)
-        )
-        assert [s.user_id for s in from_seed.requests] == [
-            s.user_id for s in from_rng.requests
-        ]
+    def test_keeps_classes_and_arrival_times(self):
+        classes = {"interactive": 0.5, "batch": 0.5}
+        workload = assign_sla_classes(make_workload(num_requests=20), classes, seed=2)
+        workload = assign_poisson_arrivals(workload, request_rate=4.0, seed=3)
+        stamped = assign_tenants(workload, generate_tenant_population(4), seed=5)
+        before = [(s.sla_class, s.arrival_time) for s in workload]
+        assert [(s.sla_class, s.arrival_time) for s in stamped] == before
 
     def test_heavy_tail_dominates_assignment(self):
         workload = make_workload(num_requests=400)

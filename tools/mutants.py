@@ -3,8 +3,8 @@
 
 Each entry of :data:`MUTANTS` is a one-snippet edit of a file under ``src/``
 (an exact ``old`` snippet and its ``new`` replacement) plus the pytest node
-ids expected to catch it.  The tool copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a temporary directory, runs every named id once on
+ids expected to catch it.  The tool copies the checkout's Python directories
+and ``pyproject.toml`` into a temporary directory, runs every named id once on
 the unmutated copy (all must pass), then applies each mutant in turn and runs
 only that mutant's ids: at least one of them must fail.
 
@@ -199,6 +199,58 @@ MUTANTS: tuple[Mutant, ...] = (
             "::test_predicted_peaks_equal_padded_two_dimensional_spec",
         ),
     ),
+    Mutant(
+        "request-spec-regrows-a-test-only-helper",
+        "src/repro/workloads/spec.py",
+        "        return replace(self, arrival_time=arrival_time)\n",
+        "        return replace(self, arrival_time=arrival_time)\n"
+        "\n"
+        "    def with_sla_class(self, sla_class: str) -> \"RequestSpec\":\n"
+        "        \"\"\"Copy of this spec stamped with a service class.\"\"\"\n"
+        "        return replace(self, sla_class=sla_class)\n",
+        ("tests/test_import_hygiene.py::test_every_public_name_has_a_caller_outside_tests",),
+    ),
+    Mutant(
+        "eviction-picks-the-oldest-admission",
+        "src/repro/engine/engine.py",
+        "admission_times[-1]",
+        "admission_times[0]",
+        (
+            "tests/test_engine_batch_eviction.py::TestEvictionRule"
+            "::test_a_readmitted_request_counts_from_its_latest_admission",
+        ),
+    ),
+    Mutant(
+        "admission-allocates-one-token-too-many",
+        "src/repro/engine/engine.py",
+        "self.pool.allocate(roomy)",
+        "self.pool.allocate(roomy + 1)",
+        (
+            "tests/test_engine_engine.py::TestContinuousBatching::test_used_tokens_equals_batch_context",
+            "tests/test_engine_engine.py::TestEvictionBehaviour::test_eviction_frees_the_whole_context",
+        ),
+    ),
+    Mutant(
+        "requests-compare-by-value",
+        "src/repro/engine/request.py",
+        "@dataclass(eq=False)",
+        "@dataclass(eq=True)",
+        (
+            "tests/test_engine_engine.py::TestAdmissionByIdentity"
+            "::test_admitting_the_second_of_two_equal_requests_removes_the_second",
+        ),
+    ),
+    Mutant(
+        "memory-aware-ties-favour-the-highest-id",
+        "src/repro/serving/routing.py",
+        "key=lambda pair: (-pair[0], pair[1].replica_id)",
+        "key=lambda pair: (-pair[0], -pair[1].replica_id)",
+        (
+            "tests/test_serving_routing.py::TestMemoryAware::test_tie_breaks_to_lowest_id",
+            "tests/test_serving_routing.py::TestReplicaViewNormalised"
+            "::test_memory_aware_speed_weighting_breaks_fraction_ties",
+        ),
+    ),
 )
 
 
@@ -210,10 +262,15 @@ def repo_root() -> Path:
     raise SystemExit("could not locate the repo root (no pyproject.toml found)")
 
 
+#: Directories the named tests need: ``tests/test_import_hygiene.py`` reads
+#: every one of them for callers of ``src/``'s names.
+COPIED_DIRS = ("src", "tests", "benchmarks", "examples", "bench", "tools")
+
+
 def copy_checkout(root: Path, into: Path) -> None:
-    """Copy what the named tests need: ``src/``, ``tests/`` and ``pyproject.toml``."""
+    """Copy what the named tests need: :data:`COPIED_DIRS` and ``pyproject.toml``."""
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
-    for name in ("src", "tests"):
+    for name in COPIED_DIRS:
         shutil.copytree(root / name, into / name, ignore=ignore)
     shutil.copy2(root / "pyproject.toml", into / "pyproject.toml")
 

@@ -121,6 +121,8 @@ class FleetConfig:
             capacity_scale=self.capacity_scale,
             explicit_cost_model=self.speed_factor != 1.0,
             prefix_cache_tokens=self.prefix_cache_tokens,
+            chunked_prefill_tokens=self.chunked_prefill_tokens,
+            speed_factor=self.speed_factor,
         )
         if self.router is None and self.capacity_scale is not None:
             raise ValueError(

@@ -16,10 +16,20 @@ framework-specific speed factor used by the end-to-end comparison (Fig. 9).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.hardware.platform import Platform
+
+
+def check_engine_settings(**settings: float | None) -> None:
+    """Raise ``ValueError`` unless each set (not ``None``) engine-level number is
+    finite and positive, NaN included; the cost model, the engine and
+    :func:`repro.serving.cluster.check_fleet_args` all run it."""
+    for name, value in settings.items():
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +83,7 @@ class CostModel:
             raise ValueError("bandwidth_efficiency must be in (0, 1]")
         if self.step_overhead_seconds < 0:
             raise ValueError("step_overhead_seconds must be non-negative")
-        if self.speed_factor <= 0:
-            raise ValueError("speed_factor must be positive")
+        check_engine_settings(speed_factor=self.speed_factor)
 
     # -------------------------------------------------------------- components
     def prefill_seconds(self, prompt_tokens: int) -> float:

@@ -18,13 +18,14 @@ request arrivals between iterations.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 
 from repro.core.future_memory import peak_future_memory
-from repro.engine.cost_model import CostModel, StepWork
+from repro.engine.cost_model import CostModel, StepWork, check_engine_settings
 from repro.engine.request import Request, RequestState
 from repro.hardware.platform import Platform
 from repro.memory.block_manager import BlockKVCachePool
@@ -223,8 +224,9 @@ class InferenceEngine:
         self.platform = platform
         self.scheduler = scheduler
         self.cost_model = cost_model or CostModel(platform)
-        if chunked_prefill_tokens is not None and chunked_prefill_tokens <= 0:
-            raise ValueError("chunked_prefill_tokens must be positive when set")
+        check_engine_settings(
+            chunked_prefill_tokens=chunked_prefill_tokens, token_capacity_override=token_capacity_override
+        )
         self.chunked_prefill_tokens = chunked_prefill_tokens
         capacity = token_capacity_override if token_capacity_override is not None else platform.token_capacity
         if capacity <= 0:
@@ -253,12 +255,23 @@ class InferenceEngine:
         #: standalone engines trace as replica 0).
         self.trace_replica = 0
         self._step_counter = 0
+        # Iteration end times, one per step and per fused iteration: each
+        # decoding resident's tokens are a suffix (Request.open_segment).
+        self._ends: list[float] = []
+        # Batch (admission) order per resident; a heap of (last end index,
+        # completed-prefill tie group, order, request) for coming finishes,
+        # whose entries for requests that left the batch are skipped.
+        self._order: dict[Request, int] = {}
+        self._admissions = count()
+        self._due: list[tuple[int, bool, int, Request]] = []
+        # Decoding residents and their context sum; the rest is prefilling.
+        self._decoding = self._decode_context = 0
+        # Targets the pool boundary has not served yet (no token if evicted).
+        self._unserved: set[Request] = set()
         # Profile of a *uniform* batch (every resident decoding), rewritten by
         # every step() and advanced in closed form by every jump, so it is
-        # always current; ``None`` when the batch is empty or some resident
-        # is not decoding.  A jump grows every resident by one token per
-        # fused iteration, so the context sum, oracle future-memory peak and
-        # steps-until-first-finish need no O(B) recomputation.
+        # always current; ``None`` when the batch is empty, some resident is
+        # not decoding, or the batch changed since.
         # Layout: (batch_size, context_sum, future_required, min_remaining).
         self._silent_cache: tuple[int, int, int, int] | None = None
         self.scheduler.on_run_start()
@@ -330,6 +343,10 @@ class InferenceEngine:
             request.abort(time)
             aborted.append(request)
         self.batch.clear()
+        self._order.clear()
+        self._ends.clear()
+        self._due.clear()
+        self._decoding = self._decode_context = 0
         for request in self.waiting:
             request.abort(time)
             aborted.append(request)
@@ -438,7 +455,10 @@ class InferenceEngine:
                             )
                         )
             admitted.append(request)
-            self.batch.append(request)
+            self._join(request)
+            if request.state is RequestState.DECODING:
+                # A prefix hit covering the whole prompt decodes right away.
+                self._open(request, len(self._ends))
         self.stats.total_admissions += len(admitted)
         if self._tracing and admitted:
             signals = self.scheduler.trace_signals()
@@ -458,6 +478,31 @@ class InferenceEngine:
                     )
                 )
         return admitted
+
+    # ------------------------------------------------------------ membership
+    def _join(self, request: Request) -> None:
+        self.batch.append(request)
+        self._order[request] = next(self._admissions)
+
+    def _open(self, request: Request, lead: int, prefilled: bool = False) -> None:
+        """Open a resident's segment at ``lead``; a finish there by a request
+        ``prefilled`` this iteration ties after the decode targets."""
+        last = request.open_segment(self._ends, lead)
+        heapq.heappush(self._due, (last, prefilled and last == lead, self._order[request], request))
+        self._decoding += 1
+        self._decode_context += request.current_context_tokens
+
+    def _remove(self, request: Request, stop: int | None = None) -> int:
+        """Take a resident out, closing its segment at ``stop``; returns its context."""
+        self.batch.remove(request)
+        del self._order[request]
+        self._silent_cache = None
+        if request.state is RequestState.DECODING:
+            self._decoding -= 1
+            # The counter assumed this iteration's token for every segment.
+            self._decode_context -= request.current_context_tokens
+            request.close_segment(stop)
+        return request.current_context_tokens
 
     # ---------------------------------------------------------------- prefill
     def _plan_prefill(self) -> tuple[int, list[Request]]:
@@ -541,8 +586,8 @@ class InferenceEngine:
                 return True
 
     def _evict(self, request: Request, time: float) -> None:
-        self.pool.free(request.current_context_tokens)
-        self.batch.remove(request)
+        stop = len(self._ends) - 1 if request in self._unserved else None
+        self.pool.free(self._remove(request, stop))
         request.evict()
         self.waiting.appendleft(request)
         self.stats.total_evictions += 1
@@ -561,102 +606,121 @@ class InferenceEngine:
                 )
             )
 
-    def _deliver_one_token(
-        self,
-        request: Request,
-        end_time: float,
-        evicted: list[Request],
-        finished: list[Request],
-    ) -> None:
-        """Grow the request by one token, making room first if the pool is full."""
-        if not self.pool.free_tokens and not self._make_room(request, end_time, evicted):
-            return
-        self.pool.allocate(1)
-        self.stats.total_decode_tokens += 1
-        self._stream_token(request, end_time, finished)
-
-    def _stream_token(self, request: Request, end_time: float, finished: list[Request]) -> None:
-        """Stream one token whose slot is already allocated; finish if done."""
-        request.deliver_token(end_time)
-        if self._tracing and request.generated_tokens == 1:
+    def _finish(self, request: Request, end_time: float, finished: list[Request]) -> None:
+        """Retire a resident whose last token ended this iteration."""
+        tokens = self._remove(request)
+        request.finish(end_time)
+        retained = False
+        spec = request.spec
+        if (
+            self.prefix_cache is not None
+            and spec.session_id is not None
+            and spec.session_stage is not None
+            and not spec.is_final_stage
+        ):
+            # Park the accumulated context for the session's next turn
+            # instead of freeing it; the tokens stay charged to the pool.
+            outcome = self.prefix_cache.retain(spec.session_id, spec.session_stage, tokens)
+            self._evict_prefixes(outcome.evicted, end_time)
+            retained = outcome.retained
+        if not retained:
+            self.pool.free(tokens)
+        finished.append(request)
+        self.stats.total_finished += 1
+        self.scheduler.on_request_finished(request, end_time)
+        if self._tracing:
             self.tracer.emit(
                 TraceEvent(
-                    obs.REQUEST_FIRST_TOKEN,
+                    obs.REQUEST_FINISHED,
                     end_time,
                     request_id=request.request_id,
                     replica=self.trace_replica,
-                    attrs={"prefill_tokens": request.prefilled_tokens},
+                    attrs={
+                        "generated_tokens": request.generated_tokens,
+                        "evictions": request.eviction_count,
+                    },
                 )
             )
-        if request.should_stop:
-            request.finish(end_time)
-            tokens = request.current_context_tokens
-            retained = False
-            spec = request.spec
-            if (
-                self.prefix_cache is not None
-                and spec.session_id is not None
-                and spec.session_stage is not None
-                and not spec.is_final_stage
-            ):
-                # Park the accumulated context for the session's next turn
-                # instead of freeing it; the tokens stay charged to the pool.
-                outcome = self.prefix_cache.retain(spec.session_id, spec.session_stage, tokens)
-                self._evict_prefixes(outcome.evicted, end_time)
-                retained = outcome.retained
-            if not retained:
-                self.pool.free(tokens)
-            self.batch.remove(request)
-            finished.append(request)
-            self.stats.total_finished += 1
-            self.scheduler.on_request_finished(request, end_time)
-            if self._tracing:
+
+    def _serve_in_order(
+        self,
+        targets: list[Request],
+        roomy: int,
+        end_time: float,
+        finished: list[Request],
+        evicted: list[Request],
+    ) -> None:
+        """Serve the targets in order; past the ``roomy`` allocated ones each
+        grower makes room first, and may be evicted unserved."""
+        unserved = self._unserved
+        unserved.update(targets[roomy:])
+        for position, request in enumerate(targets):
+            if position >= roomy:
+                if not request.is_running:
+                    continue  # evicted to make room for an earlier grower
+                if not self.pool.free_tokens and not self._make_room(request, end_time, evicted):
+                    continue
+                self.pool.allocate(1)
+                self.stats.total_decode_tokens += 1
+                unserved.discard(request)
+            if self._tracing and request.generated_tokens == 1:
                 self.tracer.emit(
                     TraceEvent(
-                        obs.REQUEST_FINISHED,
+                        obs.REQUEST_FIRST_TOKEN,
                         end_time,
                         request_id=request.request_id,
                         replica=self.trace_replica,
-                        attrs={
-                            "generated_tokens": request.generated_tokens,
-                            "evictions": request.eviction_count,
-                        },
+                        attrs={"prefill_tokens": request.prefilled_tokens},
                     )
                 )
+            if request.remaining_true_tokens == 0:
+                self._finish(request, end_time, finished)
+        unserved.clear()
 
     # ------------------------------------------------------------------- step
     def step(self, time: float) -> StepResult:
         """Run one continuous-batching iteration starting at ``time``."""
         self._step_counter += 1
         admitted = self._admit(time)
-        decode_targets = [r for r in self.batch if r.state is RequestState.DECODING]
-        decode_count = len(decode_targets)
-        decode_context = sum(r.current_context_tokens for r in decode_targets)
-        prefill_tokens, completed_prefill = self._plan_prefill()
+        decode_count = self._decoding
+        # Target order matters only at the pool boundary or when tracing.
+        slow = self._tracing or len(self.batch) > self.pool.free_tokens
+        decoders = [r for r in self.batch if r.state is RequestState.DECODING] if slow else None
+        uniform = decode_count == len(self.batch)
+        prefill_tokens, completed_prefill = (0, []) if uniform else self._plan_prefill()
         images = sum(1 for r in admitted if r.spec.image_tokens > 0)
         work = StepWork(
             prefill_tokens=prefill_tokens,
             decode_requests=decode_count,
-            decode_context_tokens=decode_context,
+            decode_context_tokens=self._decode_context,
             images_encoded=images,
         )
         duration = self.cost_model.step_seconds(work)
         end_time = time + duration
 
-        evicted: list[Request] = []
-        finished: list[Request] = []
+        # Every open segment gains this end's token; completed prefills open.
+        index = len(self._ends)
+        self._ends.append(end_time)
+        self._decode_context += decode_count
+        for request in completed_prefill:
+            self._open(request, index, prefilled=True)
         # The first ``roomy`` tokens take one allocation: none of them can
         # find the pool full, and finishes among them free exactly what the
         # per-token path would have seen.  Only the rest may need evictions.
-        targets = decode_targets + completed_prefill
-        roomy = min(self.pool.free_tokens, len(targets))
+        roomy = min(self.pool.free_tokens, decode_count + len(completed_prefill))
         self.pool.allocate(roomy)
         self.stats.total_decode_tokens += roomy
-        for request in targets[:roomy]:
-            self._stream_token(request, end_time, finished)
-        for request in targets[roomy:]:
-            if request.is_running:
-                self._deliver_one_token(request, end_time, evicted, finished)
+        evicted: list[Request] = []
+        finished: list[Request] = []
+        if decoders is None:
+            # Finish every resident whose last token is this end, in heap order.
+            due, order = self._due, self._order
+            while due and due[0][0] <= index:
+                _, _, position, request = heapq.heappop(due)
+                if order.get(request) == position:
+                    self._finish(request, end_time, finished)
+        else:
+            self._serve_in_order(decoders + completed_prefill, roomy, end_time, finished, evicted)
         future_required = self._refresh_silent_cache()
 
         self.stats.total_prefill_tokens += prefill_tokens
@@ -717,15 +781,26 @@ class InferenceEngine:
         """
         requests = self.batch
         if not requests:
+            # No segment reads the end list: start it afresh (bounded memory).
+            self._ends.clear()
+            self._due.clear()
             self._silent_cache = None
             return 0
-        current = [r.current_context_tokens for r in requests]
-        remaining = [r.remaining_true_tokens for r in requests]
-        future_required = peak_future_memory(current, remaining)
-        if all(r.state is RequestState.DECODING for r in requests):
-            self._silent_cache = (len(requests), sum(current), future_required, min(remaining))
-        else:
+        if self._decoding < len(requests):
             self._silent_cache = None
+            return peak_future_memory(
+                [r.current_context_tokens for r in requests], [r.remaining_true_tokens for r in requests]
+            )
+        # Uniform: each resident's two segment constants give both columns.
+        n = len(self._ends)
+        future_required = peak_future_memory(
+            [r.context_offset + n for r in requests], [r.last_end + 1 - n for r in requests]
+        )
+        due, order = self._due, self._order
+        while order.get(due[0][3]) != due[0][2]:
+            heapq.heappop(due)  # a request that left the batch
+        min_remaining = due[0][0] + 1 - len(self._ends)
+        self._silent_cache = (len(requests), self._decode_context, future_required, min_remaining)
         return future_required
 
     # ------------------------------------------------------------- event jump
@@ -759,10 +834,10 @@ class InferenceEngine:
         durations come from :meth:`CostModel.decode_durations` (the same
         float operations the scalar path performs), drawn only for the
         iterations that fuse; token timestamps are the reference loop's
-        ``time += duration`` chain of those durations; the pool grows by the
-        fused iterations' tokens in one allocation; and the memory timeline
-        receives one row per fused iteration (with the constant waiting-queue
-        depth, as the reference iterations record).
+        ``time += duration`` chain, added to the end-time list once; the
+        pool grows by the fused iterations' tokens in one allocation; and the
+        memory timeline receives one row per fused iteration (with the
+        constant waiting-queue depth, as the reference iterations record).
 
         Args:
             time: simulation clock at the start of the macro-step.
@@ -835,7 +910,6 @@ class InferenceEngine:
         The tail of :meth:`try_jump_any`, which has already proven that the
         next ``bound`` iterations are pure uniform decode with no admissions.
         """
-        requests = self.batch
         cache = self._silent_cache
         assert cache is not None  # established by the caller's bound proof
         batch_size, context_tokens, future_required, min_remaining = cache
@@ -856,8 +930,8 @@ class InferenceEngine:
 
         used_before = self.pool.used_tokens
         self.pool.allocate(steps * batch_size)
-        for request in requests:
-            request.deliver_tokens(end_times)
+        self._ends += end_times
+        self._decode_context += steps * batch_size
         self.memory_timeline.record_jump(
             times=end_times,
             first_used_tokens=used_before,

@@ -5,6 +5,11 @@ mutable state the engine and schedulers track: how many tokens have been
 generated, when each token was delivered to the client (for TTFT/TPOT/MTPOT),
 how often the request has been evicted, and which lifecycle state it is in.
 
+A decoding request gets one token per iteration end, so it keeps only an open
+*segment*: the engine's list of end times and the index (its *lead*) of its
+first token there.  Token counts and times are derived from it until
+:meth:`Request.close_segment` materialises them (finish, eviction, abort).
+
 Lifecycle::
 
     QUEUED --admit--> PREFILLING --prompt done--> DECODING --EOS/cap--> FINISHED
@@ -53,13 +58,9 @@ class Request:
     spec: RequestSpec
     arrival_time: float
     state: RequestState = RequestState.QUEUED
-    #: number of output tokens generated so far (across evictions).
-    generated_tokens: int = 0
     #: prompt tokens whose KV has been computed in the current residency;
     #: relevant for chunked prefill and after eviction (recomputation).
     prefilled_tokens: int = 0
-    #: wall-clock times at which each output token reached the client.
-    token_times: list[float] = field(default_factory=list)
     #: times at which the request was admitted into the running batch.
     admission_times: list[float] = field(default_factory=list)
     #: number of times the request was evicted from the running batch.
@@ -73,6 +74,14 @@ class Request:
         # per-iteration accounting does one attribute read instead of a
         # property chain through the spec.
         self._prompt_tokens = self.spec.prompt_tokens
+        # Tokens materialised so far, then the open segment (``_ends`` is
+        # ``None`` when closed) and its lead.
+        self._generated, self._times = 0, []
+        self._ends: list[float] | None = None
+        self._lead = 0
+        #: While a segment is open: the context minus the end list's length,
+        #: and the index of the end that carries the last token.
+        self.context_offset = self.last_end = 0
 
     # ------------------------------------------------------------ identities
     @property
@@ -82,25 +91,39 @@ class Request:
 
     # ------------------------------------------------------------ token math
     @property
+    def generated_tokens(self) -> int:
+        """Output tokens generated so far (across evictions)."""
+        ends = self._ends
+        return self._generated if ends is None else self._generated + len(ends) - self._lead
+
+    @property
+    def token_times(self) -> list[float]:
+        """Wall-clock times at which each output token reached the client."""
+        ends = self._ends
+        return self._times if ends is None else self._times + ends[self._lead :]
+
+    @property
     def prompt_tokens(self) -> int:
         """Prompt tokens including any image prefix."""
         return self._prompt_tokens
 
     @property
-    def recompute_tokens(self) -> int:
-        """Tokens that must be (re)computed at admission: prompt plus any
-        previously generated tokens lost to an eviction."""
-        return self._prompt_tokens + self.generated_tokens
-
-    @property
     def current_context_tokens(self) -> int:
         """KV tokens the request holds once resident: prompt + generated."""
-        return self._prompt_tokens + self.generated_tokens
+        ends = self._ends
+        return self._prompt_tokens + self._generated if ends is None else self.context_offset + len(ends)
+
+    #: Tokens (re)computed at admission: the prompt plus any tokens generated
+    #: before an eviction, which is exactly the context the request holds.
+    recompute_tokens = current_context_tokens
 
     @property
     def remaining_true_tokens(self) -> int:
         """Tokens still to be generated according to the hidden true length."""
-        return max(self.spec.output_length - self.generated_tokens, 0)
+        ends = self._ends
+        if ends is None:
+            return max(self.spec.output_length - self._generated, 0)
+        return self.last_end + 1 - len(ends)
 
     @property
     def remaining_cap_tokens(self) -> int:
@@ -139,29 +162,33 @@ class Request:
         if self.prefill_remaining == 0 and self.state is RequestState.PREFILLING:
             self.state = RequestState.DECODING
 
-    def deliver_token(self, time: float) -> None:
-        """Record one generated token delivered to the client at ``time``."""
-        if not self.is_running:
-            raise ValueError(f"cannot deliver token in state {self.state}")
-        self.generated_tokens += 1
-        self.token_times.append(time)
+    def open_segment(self, ends: list[float], lead: int) -> int:
+        """Stream this residency's tokens as ``ends[lead:]``, an engine's
+        append-only end times; returns the index of the last token."""
+        if self.state is not RequestState.DECODING:
+            raise ValueError(f"cannot stream tokens in state {self.state}")
+        generated = self._generated
+        self._ends = ends
+        self._lead = lead
+        self.context_offset = self._prompt_tokens + generated - lead
+        self.last_end = lead + self.spec.output_length - generated - 1
+        return self.last_end
 
-    def deliver_tokens(self, times: list[float]) -> None:
-        """Record one generated token per entry of ``times`` in one call.
-
-        Bulk variant of :meth:`deliver_token` used by the engine's event-jump
-        fast path; the caller guarantees none of these tokens triggers
-        :attr:`should_stop` before the last one.
-        """
-        if not self.is_running:
-            raise ValueError(f"cannot deliver tokens in state {self.state}")
-        self.generated_tokens += len(times)
-        self.token_times.extend(times)
+    def close_segment(self, stop: int | None = None) -> None:
+        """Materialise the open segment's tokens ``ends[lead:stop]``, if any."""
+        ends = self._ends
+        if ends is None:
+            return
+        tokens = ends[self._lead : stop]
+        self._times += tokens
+        self._generated += len(tokens)
+        self._ends = None
 
     def evict(self) -> None:
         """Remove the request from the running batch, losing its KV cache."""
         if not self.is_running:
             raise ValueError(f"cannot evict request in state {self.state}")
+        self.close_segment()
         self.state = RequestState.QUEUED
         self.prefilled_tokens = 0
         self.eviction_count += 1
@@ -170,6 +197,7 @@ class Request:
         """Mark the request complete."""
         if not self.is_running:
             raise ValueError(f"cannot finish request in state {self.state}")
+        self.close_segment()
         self.state = RequestState.FINISHED
         self.finish_time = time
 
@@ -183,22 +211,16 @@ class Request:
         """
         if self.state in (RequestState.FINISHED, RequestState.ABORTED):
             raise ValueError(f"cannot abort request in state {self.state}")
+        self.close_segment()
         self.state = RequestState.ABORTED
         self.abort_time = time
-
-    @property
-    def should_stop(self) -> bool:
-        """Whether generation must stop (EOS reached or cap exhausted)."""
-        return (
-            self.generated_tokens >= self.spec.output_length
-            or self.generated_tokens >= self.spec.max_new_tokens
-        )
 
     # ------------------------------------------------------------ SLA metrics
     @property
     def first_token_time(self) -> float | None:
         """Wall-clock time of the first delivered token, if any."""
-        return self.token_times[0] if self.token_times else None
+        times = self.token_times
+        return times[0] if times else None
 
     @property
     def ttft(self) -> float | None:

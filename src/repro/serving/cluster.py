@@ -65,7 +65,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.engine.cost_model import CostModel
+from repro.engine.cost_model import CostModel, check_engine_settings
 from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request
 from repro.hardware.platform import Platform, ensure_single_model
@@ -291,6 +291,8 @@ def check_fleet_args(
     capacity_scale: float | None = None,
     explicit_cost_model: bool = False,
     prefix_cache_tokens: int | None = None,
+    chunked_prefill_tokens: int | None = None,
+    speed_factor: float | None = None,
 ) -> list[Platform]:
     """Validate a fleet's constructor arguments and return its platform cycle.
 
@@ -323,8 +325,12 @@ def check_fleet_args(
         )
     if token_capacity_override is not None and capacity_scale is not None:
         raise ValueError("token_capacity_override and capacity_scale are mutually exclusive")
-    if capacity_scale is not None and capacity_scale <= 0:
-        raise ValueError("capacity_scale must be positive")
+    check_engine_settings(
+        speed_factor=speed_factor,
+        token_capacity_override=token_capacity_override,
+        chunked_prefill_tokens=chunked_prefill_tokens,
+        capacity_scale=capacity_scale,
+    )
     if prefix_cache_tokens is not None and prefix_cache_tokens <= 0:
         raise ValueError("prefix_cache_tokens must be positive when set")
     fleet = list(platforms) if platforms is not None else [platform]
@@ -446,6 +452,7 @@ class ClusterSimulator:
             capacity_scale=capacity_scale,
             explicit_cost_model=cost_model is not None,
             prefix_cache_tokens=prefix_cache_tokens,
+            chunked_prefill_tokens=chunked_prefill_tokens,
         )
         #: first platform of the cycle; the homogeneous fleet's platform.
         self.platform = self.platforms[0]

@@ -7,6 +7,11 @@ stream and produces bit-identical results), the KV ledger (the pool's
 one number is what its owners hold), and punctuality (every arrival is
 handled at its scheduled time).  Each used to be hand-rolled per
 test module; this module is the single implementation they all share.
+It also holds the one builder of requests in a given token state
+(:func:`grown_request`, :func:`deliver`, :func:`seat`): a request's decode
+tokens are a segment of its engine's end-time list, so tests reach that
+state through the segment API and real lifecycle transitions, never by
+assigning derived fields.
 
 Every helper accepts results, zero-argument callables producing results, or
 precomputed digest strings, so call sites can pass whatever they already
@@ -20,6 +25,7 @@ from typing import Callable, Iterable, Union
 
 from repro.analysis.perf import cluster_fingerprint, run_fingerprint
 from repro.core.history import OutputLengthHistory
+from repro.engine.request import Request, RequestState
 from repro.obs import events as obs
 from repro.schedulers.base import SchedulingContext
 from repro.serving.results import ClusterResult, RunResult
@@ -147,6 +153,56 @@ def assert_no_late_arrivals(events, result) -> None:
         f"{len(late)} of {len(submits)} arrivals handled late; first: "
         f"{late[0][0]} submitted at {late[0][1]!r}, scheduled at {late[0][2]!r}"
     )
+
+
+def deliver(request: Request, times: Iterable[float]) -> Request:
+    """Stream one token per entry of ``times`` to a running request.
+
+    The engine's own path: a request still prefilling finishes its
+    (re)prefill, then a decode segment over ``times`` opens and closes.
+    """
+    if request.state is RequestState.PREFILLING:
+        request.note_prefill(request.prefill_remaining)
+    request.open_segment(list(times), 0)
+    request.close_segment()
+    return request
+
+
+def grown_request(
+    spec,
+    generated: int = 0,
+    *,
+    queued: bool = False,
+    admit_time: float = 0.0,
+    arrival_time: float = 0.0,
+) -> Request:
+    """A request of ``spec`` that has generated ``generated`` tokens.
+
+    Admitted at ``admit_time`` and prefilled, it receives one token per
+    second after admission and is left decoding — or, with ``queued``,
+    evicted back to the queue, where it waits to recompute its context (a
+    queued request with no tokens is a fresh arrival).
+    """
+    request = Request(spec=spec, arrival_time=arrival_time)
+    if queued and not generated:
+        return request
+    request.admit(admit_time)
+    deliver(request, [admit_time + step + 1 for step in range(generated)])
+    if queued:
+        request.evict()
+    return request
+
+
+def seat(engine, requests: Iterable[Request]) -> None:
+    """Make decoding ``requests`` residents of ``engine``, in batch order.
+
+    As admission does: each joins the batch, its context is allocated, and
+    its decode segment opens on the engine's next iteration end.
+    """
+    for request in requests:
+        engine._join(request)
+        engine.pool.allocate(request.current_context_tokens)
+        engine._open(request, len(engine._ends))
 
 
 def history_of(lengths: Iterable[int]) -> OutputLengthHistory:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -63,6 +64,18 @@ def runs(monkeypatch):
     return started
 
 
+#: The engine-level numbers one check covers, and values it must refuse.
+ENGINE_SETTINGS = ("speed_factor", "token_capacity_override", "chunked_prefill_tokens", "capacity_scale")
+BAD_SETTING_VALUES = (0, -1, math.nan, math.inf)
+
+
+def _bad_setting(setting: str, value) -> dict:
+    """Overrides setting ``setting`` alone: ``capacity_scale`` excludes the pool override."""
+    if setting == "capacity_scale":
+        return {setting: value, "token_capacity_override": None}
+    return {setting: value}
+
+
 def _router_variants(names):
     return {name: {"router": name} for name in names}
 
@@ -111,6 +124,25 @@ class TestConstruction:
     def test_invalid_config_raises_at_construction(self, platform_7b, overrides, message):
         with pytest.raises(ValueError, match=message):
             FleetConfig(**{"platform": platform_7b, **overrides})
+
+    @pytest.mark.parametrize("value", BAD_SETTING_VALUES)
+    @pytest.mark.parametrize("setting", ENGINE_SETTINGS)
+    def test_engine_settings_must_be_finite_and_positive(self, config, setting, value):
+        with pytest.raises(ValueError, match=f"{setting} must be finite and positive"):
+            dataclasses.replace(config, **_bad_setting(setting, value))
+
+    @pytest.mark.parametrize("value", BAD_SETTING_VALUES)
+    def test_engines_and_cost_models_check_their_own_settings(self, platform_7b, value):
+        # A NaN speed used to stall the fleet loop at an infinite clock.
+        with pytest.raises(ValueError, match="speed_factor must be finite and positive"):
+            CostModel(platform_7b, speed_factor=value)
+        for setting in ("token_capacity_override", "chunked_prefill_tokens"):
+            with pytest.raises(ValueError, match=f"{setting} must be finite and positive"):
+                ServingSimulator(platform_7b, create_scheduler("aggressive"), **{setting: value})
+        with pytest.raises(ValueError, match="capacity_scale must be finite and positive"):
+            ClusterSimulator(
+                platform=platform_7b, num_replicas=2, router="round-robin", capacity_scale=value
+            )
 
     # Each case builds a config the way a caller does: an autoscaler is an
     # instance, so its policy name and keywords raise where it is built.
@@ -478,6 +510,14 @@ class TestSweep:
     def test_invalid_client_variant_raises_before_any_run(self, config, stamped, runs):
         variants = {"a": {"router": "round-robin"}, "b": {"num_clients": 0}}
         with pytest.raises(ValueError, match="num_clients must be positive"):
+            sweep(config, stamped, variants)
+        assert runs == []
+
+    @pytest.mark.parametrize("value", BAD_SETTING_VALUES)
+    @pytest.mark.parametrize("setting", ENGINE_SETTINGS)
+    def test_invalid_engine_setting_raises_before_any_run(self, config, stamped, runs, setting, value):
+        variants = {"ok": {}, "bad": _bad_setting(setting, value)}
+        with pytest.raises(ValueError, match=f"{setting} must be finite and positive"):
             sweep(config, stamped, variants)
         assert runs == []
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.past_future import PastFutureScheduler
 from repro.engine.request import Request
 from tests.conftest import make_spec
-from tests.helpers import SchedulerQueue
+from tests.helpers import SchedulerQueue, deliver
 
 
 def make_request(request_id: str, input_length: int, output_length: int,
@@ -24,8 +24,7 @@ def make_request(request_id: str, input_length: int, output_length: int,
     if generated:
         request.admit(0.0)
         request.note_prefill(request.recompute_tokens)
-        for _ in range(generated):
-            request.deliver_token(0.0)
+        deliver(request, [0.0] * generated)
     return request
 
 

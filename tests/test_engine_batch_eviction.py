@@ -6,18 +6,12 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
 from repro.schedulers.aggressive import AggressiveScheduler
 from tests.conftest import make_spec
+from tests.helpers import grown_request, seat
 
 
 def running_request(request_id: str, admit_time: float, generated: int = 0) -> Request:
-    request = Request(
-        spec=make_spec(request_id=request_id, input_length=10, output_length=20, max_new_tokens=40),
-        arrival_time=0.0,
-    )
-    request.admit(admit_time)
-    request.note_prefill(request.recompute_tokens)
-    for step in range(generated):
-        request.deliver_token(admit_time + step + 1)
-    return request
+    spec = make_spec(request_id=request_id, input_length=10, output_length=20, max_new_tokens=40)
+    return grown_request(spec, generated, admit_time=admit_time)
 
 
 def full_engine(platform_7b, residents: list[Request], free: int = 0) -> InferenceEngine:
@@ -27,9 +21,7 @@ def full_engine(platform_7b, residents: list[Request], free: int = 0) -> Inferen
         scheduler=AggressiveScheduler(watermark=1.0),
         token_capacity_override=sum(r.current_context_tokens for r in residents) + free,
     )
-    for request in residents:
-        engine.batch.append(request)
-        engine.pool.allocate(request.current_context_tokens)
+    seat(engine, residents)
     assert engine.pool.free_tokens == free
     return engine
 
@@ -126,9 +118,8 @@ class TestEvictionRule:
             token_capacity_override=residents + 5,
             prefix_cache_tokens=5,
         )
-        for request in (old, mid, new):
-            engine.batch.append(request)
-        engine.pool.allocate(residents + 5)
+        seat(engine, [old, mid, new])
+        engine.pool.allocate(5)
         engine.prefix_cache.retain("s0", 0, 5)
         evicted: list[Request] = []
         assert engine._make_room(old, 4.0, evicted)
@@ -189,3 +180,39 @@ class TestDeliveryAtThePoolBoundary:
         assert (old.generated_tokens, new.generated_tokens, mid.generated_tokens) == (3, 3, 3)
         assert engine.pool.used_tokens == self._context(engine)
         assert engine.stats.total_decode_tokens == 3
+
+    def test_a_grower_evicted_before_it_is_served_gets_no_token(self, platform_7b):
+        # ``mid`` and ``new`` are growers past the one free slot.  ``mid``
+        # evicts ``new``, the newest admission and a later target: ``new``
+        # leaves before this iteration serves it, so it keeps its two tokens.
+        old = running_request("old", 1.0, generated=2)
+        mid = running_request("mid", 2.0, generated=2)
+        new = running_request("new", 3.0, generated=2)
+        engine = full_engine(platform_7b, [old, mid, new], free=1)
+        result = engine.step(4.0)
+        assert result.evicted == [new]
+        assert (old.generated_tokens, mid.generated_tokens) == (3, 3)
+        assert new.generated_tokens == 2
+        assert new.token_times == [4.0, 5.0]
+        assert new.recompute_tokens == 10 + 2
+        assert engine.pool.used_tokens == self._context(engine)
+        assert engine.stats.total_decode_tokens == 2
+
+    def test_a_lone_grower_that_finds_no_room_gets_no_token(self, platform_7b):
+        only = running_request("only", 1.0, generated=3)
+        engine = full_engine(platform_7b, [only])
+        result = engine.step(2.0)
+        assert result.evicted == [only]
+        assert only.generated_tokens == 3 and len(only.token_times) == 3
+        assert engine.pool.used_tokens == 0
+
+    def test_an_eviction_between_iterations_voids_the_jump_profile(self, platform_7b):
+        # A forced eviction outside ``step`` (crash handling, tests) must not
+        # leave the last step's batch profile for the next jump to trust.
+        only = running_request("only", 1.0, generated=2)
+        engine = full_engine(platform_7b, [only], free=100)
+        time = engine.step(2.0).end_time
+        engine._evict(only, time)
+        assert engine.drain_waiting() == [only]
+        assert engine.try_jump_any(time) is None
+        assert engine.pool.used_tokens == 0

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.engine import request as request_module
 from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
+from repro.obs import events as obs
+from repro.obs.tracer import RingTracer
 from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.fair import VirtualTokenCounterScheduler
@@ -397,6 +402,78 @@ class TestChunkedPrefill:
         requests = submit_requests(engine, 4, input_length=50, output_length=6)
         run_until_drained(engine)
         assert all(r.is_finished for r in requests)
+
+
+class TestDecodeSegments:
+    """Decode tokens are read off the engine's end-time list, not streamed per request."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_finish_ties_put_decode_targets_before_completed_prefills(self, platform_7b, traced):
+        # ``x`` is admitted after ``y`` but decodes from admission on (its
+        # prefix hit covers the whole prompt), while ``y`` completes a
+        # chunked prefill in the same iteration.  Both end there: the decode
+        # target finishes first, as the per-token loop serves targets.
+        tracer = RingTracer() if traced else None
+        engine = make_engine(
+            platform_7b, capacity=4096, chunked_prefill_tokens=32, prefix_cache_tokens=4096, tracer=tracer
+        )
+        turn = {"session_id": "s", "session_stages": 2}
+        first = Request(
+            spec=make_spec(request_id="x0", input_length=10, output_length=2, session_stage=0, **turn),
+            arrival_time=0.0,
+        )
+        engine.submit(first)
+        time = run_until_drained(engine)
+        assert first.is_finished and engine.prefix_cache.resident_tokens == 12
+        y = Request(spec=make_spec(request_id="y", input_length=40, output_length=1), arrival_time=time)
+        engine.submit(y)
+        time = engine.step(time).end_time
+        assert y.state is RequestState.PREFILLING
+        x = Request(
+            spec=make_spec(request_id="x", input_length=12, output_length=1, session_stage=1, **turn),
+            arrival_time=time,
+        )
+        engine.submit(x)
+        result = engine.step(time)
+        assert result.admitted == [x]
+        assert result.finished == [x, y]
+        assert (x.token_times, y.token_times) == ([result.end_time], [result.end_time])
+        if traced:
+            order = [
+                (e.name, e.request_id)
+                for e in tracer.events
+                if e.name in (obs.REQUEST_FIRST_TOKEN, obs.REQUEST_FINISHED) and e.time == result.end_time
+            ]
+            assert order == [
+                (obs.REQUEST_FIRST_TOKEN, "x"),
+                (obs.REQUEST_FINISHED, "x"),
+                (obs.REQUEST_FIRST_TOKEN, "y"),
+                (obs.REQUEST_FINISHED, "y"),
+            ]
+
+    def test_event_free_step_and_jump_call_no_request_method(self, platform_7b):
+        engine = make_engine(platform_7b, capacity=4096)
+        requests = submit_requests(engine, 4, input_length=16, output_length=64, max_new_tokens=64)
+        time = 0.0
+        for _ in range(2):  # admit and prefill, then one uniform step
+            time = engine.step(time).end_time
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == request_module.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            result = engine.step(time)
+            jump = engine.try_jump_any(result.end_time)
+        finally:
+            sys.setprofile(None)
+        assert not (result.admitted or result.finished or result.evicted or result.work.prefill_tokens)
+        assert jump is not None and jump.steps >= 2
+        assert calls == []
+        assert [r.generated_tokens for r in requests] == [3 + jump.steps] * 4
+        assert requests[0].token_times[-1] == jump.end_time
 
 
 class TestMultimodalAccounting:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine.request import Request, RequestState
 from tests.conftest import make_spec
+from tests.helpers import deliver
 
 
 def make_request(**kwargs) -> Request:
@@ -67,7 +68,7 @@ class TestLifecycle:
         request = make_request(input_length=4, output_length=1)
         request.admit(0.0)
         request.note_prefill(4)
-        request.deliver_token(1.0)
+        deliver(request, [1.0])
         request.finish(1.0)
         assert request.is_finished
         assert request.finish_time == 1.0
@@ -77,10 +78,13 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             request.finish(1.0)
 
-    def test_deliver_token_requires_running_state(self):
+    def test_open_segment_requires_decoding_state(self):
         request = make_request()
         with pytest.raises(ValueError):
-            request.deliver_token(1.0)
+            request.open_segment([1.0], 0)
+        request.admit(0.0)
+        with pytest.raises(ValueError):
+            request.open_segment([1.0], 0)
 
 
 class TestEviction:
@@ -88,8 +92,7 @@ class TestEviction:
         request = make_request(input_length=8, output_length=10, max_new_tokens=20)
         request.admit(0.0)
         request.note_prefill(8)
-        for step in range(generated):
-            request.deliver_token(float(step + 1))
+        deliver(request, [float(step + 1) for step in range(generated)])
         return request
 
     def test_evict_returns_to_queue_and_counts(self):
@@ -131,26 +134,81 @@ class TestTokenMath:
         request = make_request(input_length=4, output_length=10, max_new_tokens=20)
         request.admit(0.0)
         request.note_prefill(4)
-        request.deliver_token(1.0)
+        deliver(request, [1.0])
         assert request.remaining_true_tokens == 9
         assert request.remaining_cap_tokens == 19
 
-    def test_should_stop_at_true_length(self):
+    def test_segment_last_token_at_true_length(self):
         request = make_request(input_length=4, output_length=2, max_new_tokens=50)
         request.admit(0.0)
         request.note_prefill(4)
-        request.deliver_token(1.0)
-        assert not request.should_stop
-        request.deliver_token(2.0)
-        assert request.should_stop
+        ends = [0.5]
+        assert request.open_segment(ends, 1) == 2
+        ends.append(1.0)
+        assert request.remaining_true_tokens == 1
+        ends.append(2.0)
+        assert request.remaining_true_tokens == 0
+        assert request.generated_tokens == 2
+        assert request.token_times == [1.0, 2.0]
 
-    def test_should_stop_at_cap(self):
+    def test_segment_last_token_counts_earlier_residencies(self):
         request = make_request(input_length=4, output_length=3, max_new_tokens=3)
         request.admit(0.0)
         request.note_prefill(4)
-        for step in range(3):
-            request.deliver_token(float(step))
-        assert request.should_stop
+        deliver(request, [1.0])
+        request.evict()
+        request.admit(2.0)
+        request.note_prefill(request.recompute_tokens)
+        # One token is already out: two remain, on ends 5 and 6.
+        assert request.open_segment([0.0] * 5, 5) == 6
+
+
+class TestSegments:
+    """Decode tokens are read off the engine's end-time list until the segment closes."""
+
+    def _decoding(self, input_length: int = 4) -> Request:
+        request = make_request(input_length=input_length, output_length=10, max_new_tokens=20)
+        request.admit(0.0)
+        request.note_prefill(input_length)
+        return request
+
+    def test_derived_state_follows_the_end_list(self):
+        request = self._decoding()
+        deliver(request, [1.0])
+        ends = [0.1, 0.2]
+        request.open_segment(ends, 2)
+        assert (request.generated_tokens, request.token_times) == (1, [1.0])
+        ends += [2.0, 3.0]
+        assert request.generated_tokens == 3
+        assert request.current_context_tokens == 4 + 3
+        assert request.token_times == [1.0, 2.0, 3.0]
+        assert request.remaining_true_tokens == 7
+
+    def test_close_materialises_and_detaches(self):
+        request = self._decoding()
+        ends = [1.0, 2.0]
+        request.open_segment(ends, 0)
+        request.close_segment()
+        ends.append(3.0)
+        assert request.generated_tokens == 2
+        assert request.token_times == [1.0, 2.0]
+
+    def test_close_before_an_unserved_end(self):
+        request = self._decoding()
+        ends = [1.0, 2.0, 3.0]
+        request.open_segment(ends, 1)
+        request.close_segment(2)
+        assert request.token_times == [2.0]
+        assert request.current_context_tokens == 4 + 1
+
+    @pytest.mark.parametrize("leave", ["evict", "finish", "abort"])
+    def test_leaving_the_batch_closes_the_segment(self, leave):
+        request = self._decoding()
+        ends = [1.0]
+        request.open_segment(ends, 0)
+        getattr(request, leave)(*(() if leave == "evict" else (1.0,)))
+        ends.append(2.0)
+        assert request.token_times == [1.0]
 
 
 class TestLatencyProperties:
@@ -158,7 +216,7 @@ class TestLatencyProperties:
         request = make_request()
         request.admit(1.5)
         request.note_prefill(request.prompt_tokens)
-        request.deliver_token(3.0)
+        deliver(request, [3.0])
         assert request.ttft == pytest.approx(2.0)  # arrival was at 1.0
 
     def test_ttft_none_before_first_token(self):
@@ -168,8 +226,7 @@ class TestLatencyProperties:
         request = make_request(output_length=5, max_new_tokens=8)
         request.admit(1.0)
         request.note_prefill(request.prompt_tokens)
-        for time in (2.0, 2.5, 4.0):
-            request.deliver_token(time)
+        deliver(request, [2.0, 2.5, 4.0])
         assert request.tpots == [0.5, 1.5]
         assert request.max_tpot == pytest.approx(1.5)
         assert request.mean_tpot == pytest.approx(1.0)
@@ -178,6 +235,6 @@ class TestLatencyProperties:
         request = make_request(output_length=5, max_new_tokens=8)
         request.admit(1.0)
         request.note_prefill(request.prompt_tokens)
-        request.deliver_token(2.0)
+        deliver(request, [2.0])
         assert request.max_tpot is None
         assert request.mean_tpot is None

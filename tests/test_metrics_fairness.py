@@ -15,6 +15,7 @@ from repro.metrics.fairness import (
 )
 from repro.serving.sla import SLASpec
 from tests.conftest import make_spec
+from tests.helpers import deliver
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
@@ -35,8 +36,7 @@ def finished_request(
     request = Request(spec=spec, arrival_time=0.0)
     request.admit(0.0)
     request.note_prefill(request.recompute_tokens)
-    for step in range(tokens):
-        request.deliver_token(0.1 + gap * step)
+    deliver(request, [0.1 + gap * step for step in range(tokens)])
     request.finish(0.1 + gap * (tokens - 1))
     return request
 

@@ -16,6 +16,7 @@ from repro.metrics.fleet import (
 )
 from repro.serving.sla import ClassLimits, SLASpec
 from tests.conftest import make_spec
+from tests.helpers import deliver
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
@@ -25,8 +26,7 @@ def finished_request(request_id: str, tokens: int = 4, gap: float = 0.1) -> Requ
     request = Request(spec=make_spec(request_id=request_id, output_length=tokens), arrival_time=0.0)
     request.admit(0.0)
     request.note_prefill(request.recompute_tokens)
-    for step in range(tokens):
-        request.deliver_token(0.1 + gap * step)
+    deliver(request, [0.1 + gap * step for step in range(tokens)])
     request.finish(0.1 + gap * (tokens - 1))
     return request
 
@@ -187,8 +187,7 @@ class TestPerClassAccounting:
         request = Request(spec=spec, arrival_time=0.0)
         request.admit(0.0)
         request.note_prefill(request.recompute_tokens)
-        for step in range(tokens):
-            request.deliver_token(0.1 + gap * step)
+        deliver(request, [0.1 + gap * step for step in range(tokens)])
         request.finish(0.1 + gap * (tokens - 1))
         return request
 

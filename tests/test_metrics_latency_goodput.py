@@ -20,6 +20,7 @@ from repro.metrics.latency import (
 )
 from repro.serving.sla import SLASpec
 from tests.conftest import make_spec
+from tests.helpers import deliver
 
 
 def finished(arrival: float, token_times: list[float], evictions: int = 0) -> Request:
@@ -33,8 +34,7 @@ def finished(arrival: float, token_times: list[float], evictions: int = 0) -> Re
     )
     request.admit(arrival)
     request.note_prefill(request.prompt_tokens)
-    for time in token_times:
-        request.deliver_token(time)
+    deliver(request, token_times)
     request.finish(token_times[-1])
     request.eviction_count = evictions
     return request

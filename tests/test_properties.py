@@ -28,6 +28,7 @@ from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
 from repro.obs.tracer import RingTracer
+from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.schedulers.fair import VirtualTokenCounterScheduler, WeightedServiceCounterScheduler
 from repro.serving.autoscale import Autoscaler, create_autoscale_policy
@@ -51,6 +52,7 @@ from tests.helpers import (
     assert_no_late_arrivals,
     assert_pool_ledger,
     assert_rng_stream_identity,
+    grown_request,
     history_of,
     reference_peak,
 )
@@ -249,14 +251,8 @@ horizon_request_strategy = st.tuples(st.integers(1, 800), st.integers(0, 300), s
 def horizon_request(request_id: str, prompt: int, generated: int, headroom: int, decoding: bool) -> Request:
     """A request that has generated ``generated`` tokens of a ``generated + headroom`` cap."""
     cap = generated + headroom
-    request = Request(
-        spec=RequestSpec(request_id=request_id, input_length=prompt, output_length=cap, max_new_tokens=cap),
-        arrival_time=0.0,
-    )
-    if decoding:
-        request.state = RequestState.DECODING
-    request.generated_tokens = generated
-    return request
+    spec = RequestSpec(request_id=request_id, input_length=prompt, output_length=cap, max_new_tokens=cap)
+    return grown_request(spec, generated, queued=not decoding)
 
 
 class TestSaturatedHorizonProperties:
@@ -1052,10 +1048,8 @@ class TestVirtualTokenCounterOrderProperties:
                 max_new_tokens=64,
                 user_id=tenant,
             )
-            request = Request(spec=spec, arrival_time=0.0)
             # An evicted request is queued again with its generated tokens.
-            request.generated_tokens = generated
-            waiting.append(request)
+            waiting.append(grown_request(spec, generated, queued=True))
         prefill_weight, decode_weight = service_weights
         for scheduler in (
             VirtualTokenCounterScheduler(prefill_weight=prefill_weight, decode_weight=decode_weight),
@@ -1161,3 +1155,75 @@ class TestVirtualTokenCounterEngineOrder:
             assert [r.request_id for r in got] == [r.request_id for r in want], operation
             context = engine._scheduling_context()
             assert context.running_tokens == sum(r.current_context_tokens for r in engine.batch), operation
+
+
+#: ``vtc_engine_operation`` plus event jumps; a follow-up turn's new prompt
+#: may be empty, so its prefix hit covers the whole prompt and it decodes
+#: from admission on.
+token_state_operation = st.tuples(
+    st.sampled_from(["submit"] * 4 + ["step"] * 4 + ["jump"] * 2 + ["evict"] * 2 + ["abort", "drain"]),
+    vtc_tenant_strategy,
+    st.integers(0, 32),
+    st.integers(1, 12),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+
+
+def assert_token_state(engine, requests) -> None:
+    """Every request's derived token state agrees with itself and the engine."""
+    for request in requests:
+        times = request.token_times
+        assert len(times) == request.generated_tokens, request.request_id
+        assert times == sorted(times), request.request_id
+        if request.is_finished:
+            assert request.generated_tokens == request.spec.output_length, request.request_id
+    decoding = [r for r in engine.batch if r.state is RequestState.DECODING]
+    for request in engine.batch:
+        assert request.current_context_tokens == request.prompt_tokens + request.generated_tokens
+    assert engine._decoding == len(decoding)
+    assert engine._decode_context == sum(r.current_context_tokens for r in decoding)
+    assert_pool_ledger(engine)
+
+
+class TestDerivedTokenStateProperties:
+    """Token state read off the engine's end-time list survives every event.
+
+    Small pools force boundary evictions; forced evictions, crashes and
+    queue drains close segments between iterations.  After every step and
+    jump each request's token timeline, the resident contexts, the decode
+    counters and the pool ledger must agree.
+    """
+
+    @given(
+        fair=st.booleans(),
+        capacity=st.integers(32, 256),
+        chunk=st.sampled_from([None, 4, 16]),
+        cached=st.booleans(),
+        operations=st.lists(token_state_operation, min_size=20, max_size=80),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_token_state_is_consistent_after_every_step_and_jump(
+        self, fair, capacity, chunk, cached, operations
+    ):
+        engine = InferenceEngine(
+            FLEET_PLATFORM,
+            VirtualTokenCounterScheduler() if fair else AggressiveScheduler(watermark=1.0),
+            token_capacity_override=capacity,
+            chunked_prefill_tokens=chunk,
+            prefix_cache_tokens=capacity // 2 if cached else None,
+        )
+        requests: dict[str, Request] = {}
+        time = 0.0
+        for index, operation in enumerate(operations):
+            if operation[0] == "jump":
+                jump = engine.try_jump_any(time)
+                time = time if jump is None else jump.end_time
+            else:
+                time = apply_vtc_engine_operation(engine, operation, index, time)
+            requests.update((r.request_id, r) for r in (*engine.batch, *engine.waiting))
+            assert_token_state(engine, requests.values())
+        while engine.has_work():
+            jump = engine.try_jump_any(time)
+            time = engine.step(time).end_time if jump is None else jump.end_time
+            assert_token_state(engine, requests.values())

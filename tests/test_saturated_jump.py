@@ -34,7 +34,7 @@ from repro.core import past_future
 from repro.core.history import OutputLengthHistory
 from repro.core.past_future import PastFutureScheduler
 from repro.engine.engine import InferenceEngine
-from repro.engine.request import Request, RequestState
+from repro.engine.request import Request
 from repro.hardware.platform import paper_platform
 from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.conservative import ConservativeScheduler
@@ -46,7 +46,7 @@ from repro.workloads.burstgpt import generate_conversation_trace
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload, generate_sharegpt_workload
 from repro.workloads.spec import RequestSpec, scale_workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
-from tests.helpers import SchedulerQueue
+from tests.helpers import SchedulerQueue, deliver, grown_request
 
 PLATFORM = paper_platform("7b-a100")
 
@@ -67,21 +67,20 @@ def test_history_sorted_snapshot_is_cached_until_mutation():
 
 
 # ------------------------------------------------- scheduler decision equality
+def _spec(request_id: str, prompt: int, cap: int, user_id: str | None = None) -> RequestSpec:
+    return RequestSpec(
+        request_id=request_id,
+        input_length=prompt,
+        output_length=cap,
+        max_new_tokens=cap,
+        user_id=user_id,
+    )
+
+
 def _decoding_request(
     request_id: str, prompt: int, generated: int, cap: int = 4096
 ) -> Request:
-    request = Request(
-        spec=RequestSpec(
-            request_id=request_id,
-            input_length=prompt,
-            output_length=cap,
-            max_new_tokens=cap,
-        ),
-        arrival_time=0.0,
-    )
-    request.state = RequestState.DECODING
-    request.generated_tokens = generated
-    return request
+    return grown_request(_spec(request_id, prompt, cap), generated)
 
 
 def _queued_request(
@@ -91,23 +90,12 @@ def _queued_request(
     generated: int = 0,
     user_id: str | None = None,
 ) -> Request:
-    request = Request(
-        spec=RequestSpec(
-            request_id=request_id,
-            input_length=prompt,
-            output_length=cap,
-            max_new_tokens=cap,
-            user_id=user_id,
-        ),
-        arrival_time=0.0,
-    )
-    request.generated_tokens = generated
-    return request
+    return grown_request(_spec(request_id, prompt, cap, user_id), generated, queued=True)
 
 
 def _grow_uniformly(requests, steps=1):
     for request in requests:
-        request.generated_tokens += steps
+        deliver(request, [0.0] * steps)
 
 
 #: A shortish history makes sampled predictions small enough that the head

@@ -18,7 +18,7 @@ from repro.schedulers.registry import SCHEDULER_REGISTRY, create_scheduler
 from repro.serving.server import ServingSimulator
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY, make_spec, make_workload
-from tests.helpers import SchedulerQueue
+from tests.helpers import SchedulerQueue, deliver
 
 
 def tenant_request(
@@ -37,8 +37,7 @@ def finish(scheduler, request: Request, generated: int = 0) -> None:
     """Deliver ``generated`` tokens and fire the completion callback."""
     request.admit(0.0)
     request.note_prefill(request.recompute_tokens)
-    for step in range(generated):
-        request.deliver_token(0.1 * (step + 1))
+    deliver(request, [0.1 * (step + 1) for step in range(generated)])
     request.finish(0.1 * max(generated, 1))
     scheduler.on_request_finished(request, request.finish_time)
 

@@ -24,6 +24,7 @@ from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.spec import RequestSpec, Workload
 from tests.conftest import UNCAPPED, make_workload
+from tests.helpers import deliver
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
@@ -242,8 +243,7 @@ class TestPredictivePolicy:
         request = Request(spec=make_spec(output_length=4), arrival_time=0.0)
         request.admit(0.0)
         request.note_prefill(request.recompute_tokens)
-        for step in range(4):
-            request.deliver_token(0.1 * (step + 1))
+        deliver(request, [0.1 * (step + 1) for step in range(4)])
         request.finish(0.4)
         policy.on_request_finished(request, 0.4)
         # The window now holds one real (short) observation, not the default.

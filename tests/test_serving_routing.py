@@ -7,7 +7,6 @@ from collections import Counter
 
 import pytest
 
-from repro.engine.request import Request
 from repro.serving import routing
 from repro.serving.autoscale import FleetView, PredictivePolicy
 from repro.serving.routing import (
@@ -21,6 +20,7 @@ from repro.serving.routing import (
     create_router,
 )
 from tests.conftest import UNCAPPED, make_spec
+from tests.helpers import grown_request
 
 
 def snap(
@@ -206,8 +206,7 @@ class TestMemoryAware:
         pessimistic = router.predicted_peaks([snapshot])[0]
         # Observing short completions shrinks the predicted remaining length.
         for _ in range(50):
-            request = Request(spec=make_spec(output_length=16), arrival_time=0.0)
-            request.generated_tokens = 16
+            request = grown_request(make_spec(output_length=16), 16)
             router.on_request_finished(request, time=1.0)
         optimistic = router.predicted_peaks([snapshot])[0]
         assert optimistic < pessimistic
@@ -216,8 +215,7 @@ class TestMemoryAware:
         router = MemoryAwareRouter(default_length=1000)
         snapshot = snap(0, used=100, running=((100, 10),), waiting=(50,))
         cold = router.predicted_peaks([snapshot])[0]
-        request = Request(spec=make_spec(output_length=16), arrival_time=0.0)
-        request.generated_tokens = 16
+        request = grown_request(make_spec(output_length=16), 16)
         router.on_request_finished(request, time=1.0)
         assert router.predicted_peaks([snapshot])[0] != cold
         router.on_run_start()
@@ -242,8 +240,7 @@ class TestMemoryAware:
 
     def test_history_cleared_on_run_start(self):
         router = MemoryAwareRouter(default_length=1000)
-        request = Request(spec=make_spec(output_length=16), arrival_time=0.0)
-        request.generated_tokens = 16
+        request = grown_request(make_spec(output_length=16), 16)
         router.on_request_finished(request, time=1.0)
         assert len(router.history) == 1
         router.on_run_start()

@@ -14,6 +14,7 @@ from repro.serving.sla import (
     two_class_sla,
 )
 from tests.conftest import make_spec
+from tests.helpers import deliver
 
 
 def finished_request(arrival=0.0, token_times=(1.0, 1.5, 2.0)) -> Request:
@@ -23,8 +24,7 @@ def finished_request(arrival=0.0, token_times=(1.0, 1.5, 2.0)) -> Request:
     )
     request.admit(arrival)
     request.note_prefill(request.prompt_tokens)
-    for time in token_times:
-        request.deliver_token(time)
+    deliver(request, token_times)
     request.finish(token_times[-1])
     return request
 
@@ -94,8 +94,7 @@ def finished_class_request(sla_class: str, arrival=0.0, token_times=(1.0, 1.5, 2
     )
     request.admit(arrival)
     request.note_prefill(request.prompt_tokens)
-    for time in token_times:
-        request.deliver_token(time)
+    deliver(request, token_times)
     request.finish(token_times[-1])
     return request
 

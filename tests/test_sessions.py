@@ -42,6 +42,7 @@ from tests.helpers import (
     assert_fingerprint_neutral,
     assert_no_late_arrivals,
     assert_rng_stream_identity,
+    deliver,
 )
 
 STAGE = InteractionStage(prompt_tokens=8, output_tokens=4)
@@ -303,7 +304,7 @@ class TestSessionAffinityRouter:
 def finished_turn(spec, arrival: float = 0.0, ttft: float = 0.5) -> Request:
     request = Request(spec=spec, arrival_time=arrival)
     request.admit(arrival)
-    request.deliver_token(arrival + ttft)
+    deliver(request, [arrival + ttft])
     request.finish(arrival + ttft + 0.1)
     return request
 

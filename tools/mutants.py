@@ -231,6 +231,58 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "unserved-grower-keeps-its-token",
+        "src/repro/engine/engine.py",
+        "stop = len(self._ends) - 1 if request in self._unserved else None",
+        "stop = None",
+        (
+            "tests/test_engine_batch_eviction.py::TestDeliveryAtThePoolBoundary"
+            "::test_a_grower_evicted_before_it_is_served_gets_no_token",
+        ),
+    ),
+    Mutant(
+        "finish-ties-drop-the-completed-prefill-group",
+        "src/repro/engine/engine.py",
+        "(last, prefilled and last == lead, self._order[request], request)",
+        "(last, False, self._order[request], request)",
+        (
+            "tests/test_engine_engine.py::TestDecodeSegments"
+            "::test_finish_ties_put_decode_targets_before_completed_prefills[False]",
+        ),
+    ),
+    Mutant(
+        "uniform-oracle-peak-misreads-a-segment-constant",
+        "src/repro/engine/engine.py",
+        "[r.last_end + 1 - n for r in requests]",
+        "[r.last_end - n for r in requests]",
+        (
+            "tests/test_engine_fast_path.py"
+            "::test_profile_is_current_after_every_step_and_jump[aggressive-kwargs1-sharegpt-True]",
+        ),
+    ),
+    Mutant(
+        "forced-eviction-keeps-a-stale-jump-profile",
+        "src/repro/engine/engine.py",
+        "        del self._order[request]\n        self._silent_cache = None\n",
+        "        del self._order[request]\n",
+        (
+            "tests/test_engine_batch_eviction.py::TestDeliveryAtThePoolBoundary"
+            "::test_an_eviction_between_iterations_voids_the_jump_profile",
+        ),
+    ),
+    Mutant(
+        "step-discards-the-profile-refresh",
+        "src/repro/engine/engine.py",
+        "        future_required = self._refresh_silent_cache()\n",
+        "        profile = self._silent_cache\n"
+        "        future_required = self._refresh_silent_cache()\n"
+        "        self._silent_cache = profile\n",
+        (
+            "tests/test_engine_fast_path.py"
+            "::test_profile_is_current_after_every_step_and_jump[aggressive-kwargs1-sharegpt-True]",
+        ),
+    ),
+    Mutant(
         "requests-compare-by-value",
         "src/repro/engine/request.py",
         "@dataclass(eq=False)",

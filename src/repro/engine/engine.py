@@ -355,22 +355,6 @@ class InferenceEngine:
         self._silent_cache = None
         return aborted
 
-    def drain_waiting(self) -> list[Request]:
-        """Remove and return the waiting queue (queue migration off a drain).
-
-        The requests stay ``QUEUED`` — they hold no KV and can be submitted
-        to another engine.  The running batch is untouched, so the batch
-        profile stays current.  The scheduler is told each request left the
-        queue, but cross-request state (e.g. VTC counters and tenant
-        activity) stays behind, exactly as a real drain abandons a dying
-        scheduler's bookkeeping.
-        """
-        drained = list(self.waiting)
-        self.waiting.clear()
-        for request in drained:
-            self.scheduler.on_request_dequeued(request)
-        return drained
-
     # ------------------------------------------------------------- admission
     def _scheduling_context(self) -> SchedulingContext:
         # Only built when the scheduler is consulted (non-empty waiting queue).

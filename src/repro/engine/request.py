@@ -38,7 +38,7 @@ class RequestState(enum.Enum):
     PREFILLING = "prefilling"
     DECODING = "decoding"
     FINISHED = "finished"
-    #: killed before completion (replica crash / preemption deadline); the
+    #: killed before completion (replica crash); the
     #: tokens already streamed stay recorded as the work lost with it.
     ABORTED = "aborted"
 
@@ -202,7 +202,7 @@ class Request:
         self.finish_time = time
 
     def abort(self, time: float) -> None:
-        """Kill the request before completion (replica crash / preemption).
+        """Kill the request before completion (replica crash).
 
         Legal from any live state — queued, prefilling, or decoding — since a
         dying replica takes its whole queue and batch with it.  The token

@@ -123,15 +123,6 @@ class PrefixCache:
         """Tokens currently parked across all entries."""
         return self._resident_tokens
 
-    @property
-    def capacity_tokens(self) -> int | None:
-        """The cache's own token budget (``None`` = pool-bounded only)."""
-        return self._capacity
-
-    def entries(self) -> list[PrefixEntry]:
-        """Resident entries, least recently used first."""
-        return list(self._entries.values())
-
     # ----------------------------------------------------------------- lookup
     def lookup(self, spec: RequestSpec) -> PrefixEntry | None:
         """The resident prefix ``spec`` extends, or ``None``.

@@ -12,8 +12,8 @@ the fig14 failure-recovery benchmark (and any chaos experiment) compares:
 * **delivery rate** — finished requests over all requests the generator
   produced (routed + rejected), the request-level availability number;
 * **lost work** — requests aborted by crashes and the partial output tokens
-  thrown away with aborted/migrated work;
-* **recovery effort** — fault-driven retries and queue migrations;
+  thrown away with them;
+* **recovery effort** — fault-driven retries;
 * **time to recovery** — per crash with a replacement launch, how long the
   fleet ran short: from the crash instant until the replacement replica
   became routable (``ready_at`` from the provisioned lifetimes).
@@ -37,32 +37,19 @@ class AvailabilitySummary:
     goodput: float
     #: finished requests / submitted requests (1.0 when nothing was lost).
     delivery_rate: float
-    #: requests aborted by crashes or preemption deadlines.
+    #: requests aborted by crashes.
     failed_requests: int
-    #: output tokens discarded with aborted and migrated work.
+    #: output tokens discarded with aborted work.
     lost_tokens: int
     #: fault-driven re-dispatches through the retry policy.
     retries: int
-    #: queued requests migrated off preempted replicas.
-    migrations: int
-    #: replica crashes (including preemption-deadline kills).
+    #: replica crashes.
     crashes: int
-    #: preemption notices served.
-    preemptions: int
     #: straggler windows entered.
     stragglers: int
     #: mean seconds from a crash to its replacement becoming routable;
     #: 0.0 when no crash had a replacement.
     mean_time_to_recovery: float
-
-    def describe(self) -> str:
-        """One-line summary for logs and benchmark tables."""
-        return (
-            f"goodput={self.goodput:.1f} tok/s, delivered={self.delivery_rate:.1%}, "
-            f"failed={self.failed_requests}, lost={self.lost_tokens} tok, "
-            f"retries={self.retries}, migrations={self.migrations}, "
-            f"ttr={self.mean_time_to_recovery:.2f}s"
-        )
 
 
 def summarize_availability(result: "ClusterResult", sla: "SLASpec") -> AvailabilitySummary:
@@ -72,17 +59,15 @@ def summarize_availability(result: "ClusterResult", sla: "SLASpec") -> Availabil
     fault plan every failure counter is zero and the summary reduces to the
     run's goodput and delivery rate.
     """
-    crashes = preemptions = stragglers = 0
+    crashes = stragglers = 0
     recovery_times: list[float] = []
     ready_by_replica = {life.replica_id: life.ready_at for life in result.lifetimes}
     for event in result.fault_events:
-        if event.kind in ("crash", "preemption-deadline"):
+        if event.kind == "crash":
             crashes += 1
             replacement = event.detail.get("replacement")
             if replacement is not None and replacement in ready_by_replica:
                 recovery_times.append(max(0.0, ready_by_replica[replacement] - event.time))
-        elif event.kind == "preemption":
-            preemptions += 1
         elif event.kind == "straggler-start":
             stragglers += 1
     # submitted_requests already conserves routed + rejected: crashed work is
@@ -96,9 +81,7 @@ def summarize_availability(result: "ClusterResult", sla: "SLASpec") -> Availabil
         failed_requests=len(result.failed),
         lost_tokens=result.lost_tokens,
         retries=result.retries,
-        migrations=result.migrations,
         crashes=crashes,
-        preemptions=preemptions,
         stragglers=stragglers,
         mean_time_to_recovery=(
             sum(recovery_times) / len(recovery_times) if recovery_times else 0.0

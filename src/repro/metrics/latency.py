@@ -31,11 +31,6 @@ class LatencySummary:
     p99_mtpot: float
     max_mtpot: float
 
-    @classmethod
-    def empty(cls) -> "LatencySummary":
-        """The all-zero summary of a run that finished no request."""
-        return cls(count=0, mean_ttft=0.0, p99_ttft=0.0, mean_tpot=0.0, p99_mtpot=0.0, max_mtpot=0.0)
-
 
 def finished_requests(requests: Sequence[Request]) -> list[Request]:
     """Requests that completed generation and delivered at least one token."""
@@ -71,7 +66,7 @@ def summarize_latency(requests: Sequence[Request]) -> LatencySummary:
     """Aggregate TTFT/TPOT/MTPOT statistics for a run."""
     done = finished_requests(requests)
     if not done:
-        return LatencySummary.empty()
+        return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     ttft_values = ttfts(done)
     mtpot_values = mtpots(done)
     tpot_values = mean_tpots(done)

@@ -22,17 +22,6 @@ class MemoryReport:
     future_required_fraction: float
     evicted_request_fraction: float
 
-    def as_row(self) -> dict[str, object]:
-        """Dictionary row for table rendering."""
-        return {
-            "scheduler": self.scheduler,
-            "workload": self.workload,
-            "decoding_steps": self.decoding_steps,
-            "consumed_memory": f"{self.consumed_memory_fraction:.2%}",
-            "future_required": f"{self.future_required_fraction:.2%}",
-            "evicted_requests": f"{self.evicted_request_fraction:.2%}",
-        }
-
 
 def build_memory_report(
     scheduler: str,

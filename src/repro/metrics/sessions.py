@@ -45,11 +45,6 @@ class SessionOutcome:
     abandoned: bool
     ttft_by_stage: dict[int, float] = field(default_factory=dict)
 
-    @property
-    def completed(self) -> bool:
-        """Whether the session ran to its final scripted stage."""
-        return not self.abandoned
-
 
 @dataclass(frozen=True)
 class SessionSummary:

@@ -25,8 +25,8 @@ logging millions of silent decode steps.
 Fleet: replica lifecycle transitions plus the decisions that caused them.
 When a fault plan is attached (:mod:`repro.serving.faults`), the taxonomy
 grows a failure arc: ``replica.fail`` / ``replica.recover`` on the fleet
-side, and ``request.retry`` / ``request.migrate`` feeding requests back into
-the routing funnel above.
+side, and ``request.retry`` feeding requests back into the routing funnel
+above.
 """
 
 from __future__ import annotations
@@ -74,15 +74,9 @@ REQUEST_FINISHED = "request.finished"
 #: attrs: generated_tokens, eviction_count.
 REQUEST_EVICTED = "request.evicted"
 
-#: A replica kill (a crash or a preemption deadline) sent the request back
-#: through the retry policy; it will re-enter routing at ``retry_at``.
-#: attrs: attempt, retry_at, cause.
+#: A replica crash sent the request back through the retry policy; it will
+#: re-enter routing at ``retry_at``.  attrs: attempt, retry_at, cause.
 REQUEST_RETRY = "request.retry"
-
-#: A queued request was drained off a preempted replica (the event's
-#: ``replica`` field) and re-entered routing at the same instant, with no
-#: retry-attempt charge.  attrs: generated_tokens (partial output discarded).
-REQUEST_MIGRATE = "request.migrate"
 
 # ------------------------------------------------------------ session lifecycle
 #: The first stage of a multi-turn session entered the system.
@@ -104,7 +98,7 @@ SESSION_END = "session.end"
 PREFIX_HIT = "prefix.hit"
 
 #: A session request found no resident prefix on its replica (first turn,
-#: migrated session, or an already-evicted entry) and prefills in full.
+#: re-homed session, or an already-evicted entry) and prefills in full.
 #: attrs: session_id, prompt_tokens.
 PREFIX_MISS = "prefix.miss"
 
@@ -141,9 +135,9 @@ REPLICA_DRAIN = "replica.drain"
 #: A replica was released (drained or cancelled while warming).
 REPLICA_RETIRE = "replica.retire"
 
-#: A fault degraded or killed a replica.  attrs: cause ("crash",
-#: "preemption-deadline", or "straggler"), plus killed / lost_tokens for
-#: crashes and slowdown for stragglers.
+#: A fault degraded or killed a replica.  attrs: cause ("crash" or
+#: "straggler"), plus killed / lost_tokens for crashes and slowdown for
+#: stragglers.
 REPLICA_FAIL = "replica.fail"
 
 #: A degraded replica returned to full health (straggler window closed).
@@ -167,7 +161,6 @@ EVENT_TAXONOMY: dict[str, str] = {
     REQUEST_FINISHED: "generation completed",
     REQUEST_EVICTED: "request evicted back to the waiting queue",
     REQUEST_RETRY: "fault sent the request back through the retry policy",
-    REQUEST_MIGRATE: "queued request migrated off a preempted replica",
     SESSION_START: "first stage of a multi-turn session entered the system",
     SESSION_STAGE: "session stage completed, spawning the next turn",
     SESSION_END: "session finished its final stage or was abandoned",

@@ -45,7 +45,6 @@ _INSTANT_EVENTS = {
     ev.REQUEST_DEFERRED,
     ev.REQUEST_EVICTED,
     ev.REQUEST_RETRY,
-    ev.REQUEST_MIGRATE,
     ev.REPLICA_LAUNCH,
     ev.REPLICA_ACTIVATE,
     ev.REPLICA_DRAIN,
@@ -91,9 +90,9 @@ def derive_request_phases(source: Iterable[TraceEvent] | str | Path) -> list[Req
     to admission, ``prefill`` from admission to the first token, ``decode``
     from the first token to completion.  An eviction closes the open phase
     and reopens ``queued``, so re-queued requests contribute one interval per
-    residency; fault retries and migrations do the same but back at the
-    fleet level.  Phases still open when the trace ends are clamped to the last
-    event time and flagged ``complete=False``.
+    residency; fault retries do the same but back at the fleet level.
+    Phases still open when the trace ends are clamped to the last event time
+    and flagged ``complete=False``.
     """
     events = iter_events(source)
     phases: list[RequestPhase] = []
@@ -112,22 +111,14 @@ def derive_request_phases(source: Iterable[TraceEvent] | str | Path) -> list[Req
 
         if event.name in (ev.REQUEST_QUEUED, ev.REQUEST_SUBMIT):
             # A queued event after a submit refines the start; keep the
-            # earliest open marker and adopt the replica once known.  But a
-            # queued event on a *different* replica than the open span is a
-            # hand-off (evicted on one replica, then migrated before
-            # re-admission): split at the boundary so neither replica is
-            # charged for the other's wait.  An open prefill/decode span at
-            # that point is likewise closed rather than silently discarded.
+            # earliest open marker and adopt the replica once known.  An open
+            # prefill/decode span at that point is closed rather than
+            # silently discarded.
             if rid not in open_phase:
                 open_phase[rid] = ("queued", event.time, event.replica)
             elif event.name == ev.REQUEST_QUEUED:
-                name, start, replica = open_phase[rid]
-                crossed = (
-                    replica is not None
-                    and event.replica is not None
-                    and replica != event.replica
-                )
-                if name != "queued" or crossed:
+                name, start, _ = open_phase[rid]
+                if name != "queued":
                     close(event.time)
                     start = event.time
                 open_phase[rid] = ("queued", start, event.replica)
@@ -139,10 +130,10 @@ def derive_request_phases(source: Iterable[TraceEvent] | str | Path) -> list[Req
             if rid in open_phase:
                 close(event.time)
             open_phase[rid] = ("decode", event.time, event.replica)
-        elif event.name in (ev.REQUEST_EVICTED, ev.REQUEST_RETRY, ev.REQUEST_MIGRATE):
-            # Eviction re-queues on the same replica; fault retries and
-            # migrations send the request back to the router (replica unknown
-            # until the next request.queued refines it).
+        elif event.name in (ev.REQUEST_EVICTED, ev.REQUEST_RETRY):
+            # Eviction re-queues on the same replica; fault retries send the
+            # request back to the router (replica unknown until the next
+            # request.queued refines it).
             if rid in open_phase:
                 close(event.time)
             replica = event.replica if event.name == ev.REQUEST_EVICTED else None

@@ -150,9 +150,6 @@ class RingTracer(Tracer):
         """Retained events, oldest first."""
         return list(self._ring)
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
 
 class JsonlTracer(Tracer):
     """Streaming tracer appending one JSON object per event to a file.

@@ -165,7 +165,7 @@ class Scheduler:
         """Called by the engine when a request is evicted from the batch."""
 
     def on_request_dequeued(self, request: Request) -> None:
-        """Called by the engine when a request leaves the queue: admission, crash or drain."""
+        """Called by the engine when a request leaves the queue: admission or crash."""
 
     def on_run_start(self) -> None:
         """Called once before a simulation run begins (reset mutable state)."""

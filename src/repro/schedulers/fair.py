@@ -97,10 +97,6 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
             + self.decode_weight * request.generated_tokens
         )
 
-    def counter(self, tenant: str) -> float:
-        """Current virtual counter of one tenant (0 if never charged)."""
-        return self._counters.get(tenant, 0.0)
-
     def on_run_start(self) -> None:
         """Forget every tenant's counter, activity and queue (a fresh run)."""
         #: accumulated (weighted) service per tenant.

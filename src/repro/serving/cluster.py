@@ -21,8 +21,8 @@ The router only places: it returns the id of one routable replica, and
 that replica's scheduler decides when the request is admitted.  A request
 leaves the fleet unserved only through the throttle or a fault (reported in
 :attr:`~repro.serving.results.ClusterResult.rejected` with per-reason
-counts).  Retries, migrations and arrivals that find every replica still
-warming are parked and routed again later; the request's arrival timestamp
+counts).  Retries and arrivals that find every replica still warming are
+parked and routed again later; the request's arrival timestamp
 — and therefore its TTFT — still counts from the original arrival.
 
 The simulation is event-driven over six event types:
@@ -32,9 +32,8 @@ The simulation is event-driven over six event types:
 2. **fault action** — an instant of the attached
    :class:`~repro.serving.faults.FaultPlan` arrives: a replica crash (all
    resident and queued work aborted and, under the plan's
-   :class:`~repro.serving.faults.RetryPolicy`, re-dispatched), a spot-style
-   preemption notice (drain plus queue migration) or its deadline, or a
-   straggler window boundary (cost-model slowdown on/off);
+   :class:`~repro.serving.faults.RetryPolicy`, re-dispatched) or a straggler
+   window boundary (cost-model slowdown on/off);
 3. **autoscale decision** — the autoscaler evaluates its policy on the fixed
    decision interval; scale-up launches warming replicas, scale-down drains
    the least-loaded active replica (no new placements, resident work runs to
@@ -42,8 +41,8 @@ The simulation is event-driven over six event types:
 4. **arrival** — the next request of the load generator arrives, passes the
    throttle at its arrival time, and the router places it over a
    :class:`~repro.serving.routing.ReplicaView` per *routable* replica;
-5. **retry** — a parked request (retried, migrated, or waiting for a warming
-   replica) reaches its ``retry_at`` instant and is routed again;
+5. **retry** — a parked request (retried, or waiting for a warming replica)
+   reaches its ``retry_at`` instant and is routed again;
 6. **replica step** — the replica with the earliest local clock among those
    with work (active or draining) runs one continuous-batching iteration,
    advancing its clock by the iteration's modelled latency.
@@ -141,8 +140,8 @@ class ReplicaState(enum.Enum):
     DRAINING = "draining"
     #: fully drained and released; accrues no further replica-seconds.
     RETIRED = "retired"
-    #: crashed (or preemption deadline expired); its in-flight work was
-    #: aborted and it accrues no further replica-seconds.
+    #: crashed; its in-flight work was aborted and it accrues no further
+    #: replica-seconds.
     DEAD = "dead"
 
 
@@ -269,7 +268,7 @@ class _Replica:
 
 @dataclass(frozen=True)
 class _DeferredArrival:
-    """One parked request (retry, migration or warming wait), keyed for the retry heap."""
+    """One parked request (retry or warming wait), keyed for the retry heap."""
 
     retry_at: float
     sequence: int
@@ -348,7 +347,11 @@ class ClusterSimulator:
 
     A cluster serves exactly one ``run_*`` call: its engines accumulate
     stats, timelines and scheduler history, so a second call raises
-    :class:`RuntimeError`.  Build a fresh simulator per run.
+    :class:`RuntimeError`.  Build a fresh simulator per run.  Each ``run_*``
+    raises :class:`ValueError` before the first step if any request of the
+    load (any session turn, counted with its accumulated prefix) needs more
+    KV tokens than the largest replica can hold — whether or not the
+    throttle or an abandoned session would have kept it from a replica.
 
     Args:
         platform: deployment target shared by every replica (homogeneous
@@ -405,9 +408,8 @@ class ClusterSimulator:
             default :class:`~repro.obs.tracer.NullTracer` keeps runs
             byte-identical to untraced ones.
         faults: optional seeded failure schedule (see
-            :mod:`repro.serving.faults`): replica crashes, spot-style
-            preemptions with drain windows and straggler slowdowns, plus
-            the plan's retry/migration/replacement recovery knobs.
+            :mod:`repro.serving.faults`): replica crashes and straggler
+            slowdowns, plus the plan's retry and replacement recovery knobs.
             ``None`` (the default) keeps every replica perfectly reliable
             and runs byte-identical to builds that predate fault injection.
         prefix_cache_tokens: per-replica session prefix-cache budget in KV
@@ -502,7 +504,6 @@ class ClusterSimulator:
         self._fault_injector = FaultInjector(faults) if faults is not None else None
         self.failed: list[Request] = []
         self.retries = 0
-        self.migrations = 0
         self.lost_tokens = 0
         self.fault_log: list[FaultEvent] = []
         self._retry_attempts: dict[str, int] = {}
@@ -548,13 +549,13 @@ class ClusterSimulator:
         slot = launch_index % len(self.platforms)
         return self.platforms[slot], self._platform_speeds[slot]
 
-    def _effective_capacity(self, platform: Platform) -> int | None:
-        """Per-replica token-capacity override, or ``None`` for the native one."""
+    def _effective_capacity(self, platform: Platform) -> int:
+        """KV token capacity of a replica launched on ``platform``."""
         if self._token_capacity_override is not None:
             return self._token_capacity_override
         if self._capacity_scale is not None:
             return max(1, int(platform.token_capacity * self._capacity_scale))
-        return None
+        return platform.token_capacity
 
     def next_launch_capacity(self) -> int:
         """KV token capacity the *next* launched replica would have.
@@ -562,9 +563,7 @@ class ClusterSimulator:
         The autoscaler consumes this so heterogeneous scale-up is sized in
         capacity units rather than replica counts.
         """
-        platform, _ = self._platform_slot(len(self.replicas))
-        override = self._effective_capacity(platform)
-        return override if override is not None else platform.token_capacity
+        return self._effective_capacity(self._platform_slot(len(self.replicas))[0])
 
     def _build_engine(self, platform: Platform) -> InferenceEngine:
         return InferenceEngine(
@@ -697,22 +696,14 @@ class ClusterSimulator:
             replica = self.replicas[action.replica]
             if action.kind == "crash":
                 if replica.state not in (ReplicaState.RETIRED, ReplicaState.DEAD):
-                    self._crash_replica(replica, time, cause="crash")
-            elif action.kind == "preempt":
-                if replica.state is ReplicaState.ACTIVE:
-                    self._preempt_replica(replica, time, action.fault)
-            elif action.kind == "preempt-deadline":
-                # Only fires if the drain did not complete in time; a replica
-                # that finished its resident work already retired gracefully.
-                if replica.state is ReplicaState.DRAINING and replica.engine.has_work():
-                    self._crash_replica(replica, time, cause="preemption-deadline")
+                    self._crash_replica(replica, time)
             elif action.kind == "straggler-start":
                 if replica.steppable or replica.state is ReplicaState.WARMING:
                     self._begin_straggler(replica, time, action.fault)
             elif action.kind == "straggler-end":
                 self._end_straggler(replica, time)
 
-    def _crash_replica(self, replica: _Replica, time: float, cause: str) -> None:
+    def _crash_replica(self, replica: _Replica, time: float) -> None:
         """Kill ``replica``: abort its work, mark it dead, recover what we can.
 
         Aborted requests leave the replica's per-replica accounting and move
@@ -730,7 +721,7 @@ class ClusterSimulator:
         lost = sum(request.generated_tokens for request in aborted)
         self.lost_tokens += lost
         self.failed.extend(aborted)
-        attrs = {"cause": cause, "killed": len(aborted), "lost_tokens": lost}
+        attrs = {"cause": "crash", "killed": len(aborted), "lost_tokens": lost}
         self._transition(replica, ReplicaState.DEAD, time, obs.REPLICA_FAIL, attrs)
         replacement = None
         if self.fault_plan.replace_crashed and not was_warming:
@@ -739,53 +730,14 @@ class ClusterSimulator:
             )
         self._log_fault(
             time,
-            cause,
+            "crash",
             replica.index,
             killed=len(aborted),
             lost_tokens=lost,
             replacement=replacement.index if replacement is not None else None,
         )
         for request in aborted:
-            self._redispatch(request.spec, request.arrival_time, time, cause)
-
-    def _preempt_replica(self, replica: _Replica, time: float, fault) -> None:
-        """Spot-style preemption notice: stop placements, drain, migrate queue."""
-        assert self.fault_plan is not None
-        migrated = replica.engine.drain_waiting() if self.fault_plan.migrate_on_drain else []
-        if migrated:
-            migrated_ids = {id(request) for request in migrated}
-            replica.requests = [r for r in replica.requests if id(r) not in migrated_ids]
-            for request in migrated:
-                # Evictees in the queue lose their streamed-so-far progress
-                # with the migration (the target replica starts them cold).
-                self.lost_tokens += request.generated_tokens
-                self.migrations += 1
-                if self._tracing:
-                    self.tracer.emit(
-                        TraceEvent(
-                            obs.REQUEST_MIGRATE,
-                            time,
-                            request_id=request.request_id,
-                            replica=replica.index,
-                            attrs={"generated_tokens": request.generated_tokens},
-                        )
-                    )
-                # retry_at == time: the RETRY event fires at this same
-                # instant, right after any arrival, so migrated work re-routes
-                # with zero added latency and no retry-attempt charge.
-                self._park(request.spec, request.arrival_time, retry_at=time)
-        # The drain is recorded after the migration, so every request.migrate
-        # event precedes replica.drain and the migrated count is known.
-        attrs = {
-            "cause": "preemption",
-            "notice": fault.notice,
-            "running": replica.engine.num_running,
-            "migrated": len(migrated),
-        }
-        self._transition(replica, ReplicaState.DRAINING, time, obs.REPLICA_DRAIN, attrs)
-        self._log_fault(time, "preemption", replica.index, notice=fault.notice, migrated=len(migrated))
-        if not replica.engine.has_work():
-            self._retire(replica, time)
+            self._redispatch(request.spec, request.arrival_time, time)
 
     def _begin_straggler(self, replica: _Replica, time: float, fault) -> None:
         """Install the slowdown wrapper and mark the replica degraded."""
@@ -820,7 +772,7 @@ class ClusterSimulator:
         """Append one entry to the run's fault log."""
         self.fault_log.append(FaultEvent(time=time, kind=kind, replica=replica, detail=detail))
 
-    def _redispatch(self, spec: RequestSpec, arrived_at: float, now: float, cause: str) -> None:
+    def _redispatch(self, spec: RequestSpec, arrived_at: float, now: float) -> None:
         """Re-dispatch work a replica kill aborted, or reject it with a typed reason.
 
         Consults the plan's :class:`~repro.serving.faults.RetryPolicy` for
@@ -845,7 +797,7 @@ class ClusterSimulator:
                     obs.REQUEST_RETRY,
                     now,
                     request_id=spec.request_id,
-                    attrs={"attempt": attempt + 1, "retry_at": retry_at, "cause": cause},
+                    attrs={"attempt": attempt + 1, "retry_at": retry_at, "cause": "crash"},
                 )
             )
         self._park(spec, arrived_at, retry_at)
@@ -1065,12 +1017,27 @@ class ClusterSimulator:
     def _run(
         self,
         generator: ArrivalQueue,
+        load: Workload | Sequence[Interaction],
         workload_name: str,
         num_clients: int,
     ) -> ClusterResult:
         if self._consumed:
             raise RuntimeError("ClusterSimulator instances are single-use; build a new one per run")
         self._consumed = True
+        # ``submit``'s test, against the largest replica, before the first step.
+        capacity = max(map(self._effective_capacity, self.platforms))
+        if isinstance(load, Workload):
+            specs = load.requests
+        else:
+            # A turn's total is the context the next turn carries in, so a
+            # session's last turn is its largest.
+            specs = [session.spec(session.num_stages - 1) for session in load]
+        for spec in specs:
+            if spec.total_tokens > capacity:
+                raise ValueError(
+                    f"request {spec.request_id} needs {spec.total_tokens} KV tokens, "
+                    f"more than the largest replica's capacity of {capacity}"
+                )
         generator.start(0.0)
         router = self.router
         if router is not None:
@@ -1108,7 +1075,7 @@ class ClusterSimulator:
                     if fault_time is not None:
                         # Fault actions are loop events, so they bound every
                         # replica's event-jump horizon: a macro-step can never
-                        # fuse past a crash/preemption/straggler edge.
+                        # fuse past a crash or straggler edge.
                         sources.append((fault_time, FAULT))
                 if self.autoscaler is not None:
                     sources.append((self.autoscaler.next_decision_time, DECIDE))
@@ -1241,7 +1208,6 @@ class ClusterSimulator:
             reject_reasons=dict(self.reject_reasons),
             failed=list(self.failed),
             retries=self.retries,
-            migrations=self.migrations,
             lost_tokens=self.lost_tokens,
             fault_events=list(self.fault_log),
             fault_plan=self.fault_plan.describe() if self.fault_plan is not None else None,
@@ -1255,7 +1221,7 @@ class ClusterSimulator:
     ) -> ClusterResult:
         """Serve a workload with a fleet-wide closed-loop client pool."""
         pool = ClosedLoopClientPool(workload, num_clients=num_clients, think_time=think_time)
-        return self._run(pool, workload.name, num_clients)
+        return self._run(pool, workload, workload.name, num_clients)
 
     def run_open_loop(
         self,
@@ -1265,7 +1231,7 @@ class ClusterSimulator:
     ) -> ClusterResult:
         """Serve a workload with open-loop (Poisson, bursty, or recorded) arrivals."""
         arrivals = OpenLoopArrivals(workload, request_rate=request_rate, seed=seed)
-        return self._run(arrivals, workload.name, num_clients=0)
+        return self._run(arrivals, workload, workload.name, num_clients=0)
 
     def run_sessions(
         self,
@@ -1283,4 +1249,4 @@ class ClusterSimulator:
         others' event jumps at its clock plus the shortest think time.
         """
         generator = InteractionLoadGenerator(interactions)
-        return self._run(generator, name, num_clients=len(interactions))
+        return self._run(generator, interactions, name, num_clients=len(interactions))

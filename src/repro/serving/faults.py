@@ -2,19 +2,14 @@
 
 Every replica the simulator launches is perfectly reliable by default, which
 makes the fleet a poor testbed for the availability questions production
-serving actually faces: GPUs fall over mid-decode, spot instances get
-preempted with a notice window, and one card silently runs 3x slow.  This
-module models those three failure classes as *data*, so a run with faults is
-exactly as reproducible as a run without:
+serving actually faces: GPUs fall over mid-decode, and one card silently runs
+3x slow.  This module models those two failure classes as *data*, so a run
+with faults is exactly as reproducible as a run without:
 
 * :class:`ReplicaCrash` — a replica dies at an instant; every in-flight and
   queued request on it is aborted (partial tokens are accounted as lost
   work) and, under a :class:`RetryPolicy`, parked and routed again after
   its backoff.
-* :class:`Preemption` — a spot-style advance notice: the replica stops
-  accepting placements and drains; queued work migrates off immediately,
-  and whatever is still resident when the notice window expires is killed
-  exactly like a crash.
 * :class:`Straggler` — a transient slowdown window multiplying the
   replica's cost model by a factor; the replica is marked ``degraded`` so
   health-aware routers steer around it.
@@ -83,33 +78,6 @@ class ReplicaCrash:
             raise ValueError("crash time must be non-negative")
         if self.replica < 0:
             raise ValueError("crash replica id must be non-negative")
-
-
-@dataclass(frozen=True)
-class Preemption:
-    """Spot-style preemption: drain notice at ``time``, kill at ``time + notice``.
-
-    The replica stops accepting placements at ``time`` (queued work migrates
-    off it when the plan's ``migrate_on_drain`` is set); resident work that
-    has not finished by the deadline is aborted exactly like a crash.
-    """
-
-    time: float
-    replica: int
-    notice: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("preemption time must be non-negative")
-        if self.notice <= 0:
-            raise ValueError("preemption notice must be positive")
-        if self.replica < 0:
-            raise ValueError("preemption replica id must be non-negative")
-
-    @property
-    def deadline(self) -> float:
-        """Instant at which still-resident work is killed."""
-        return self.time + self.notice
 
 
 @dataclass(frozen=True)
@@ -203,12 +171,9 @@ class FaultPlan:
     """
 
     crashes: tuple[ReplicaCrash, ...] = ()
-    preemptions: tuple[Preemption, ...] = ()
     stragglers: tuple[Straggler, ...] = ()
     seed: int = 0
     retry_policy: RetryPolicy | None = field(default_factory=RetryPolicy)
-    #: migrate queued work off a preempted (draining) replica immediately.
-    migrate_on_drain: bool = True
     #: launch a cold replacement replica the instant one crashes.
     replace_crashed: bool = True
     #: warm-up delay of replacement launches (seconds).
@@ -216,25 +181,18 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         # Accept lists for ergonomics but store tuples (frozen hashability).
-        for name in ("crashes", "preemptions", "stragglers"):
+        for name in ("crashes", "stragglers"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
         if self.replacement_warmup < 0:
             raise ValueError("replacement_warmup must be non-negative")
 
-    @property
-    def empty(self) -> bool:
-        """Whether the plan schedules no faults at all."""
-        return not (self.crashes or self.preemptions or self.stragglers)
-
     def describe(self) -> str:
         """One-line plan summary for result tables and logs."""
         parts = []
         if self.crashes:
             parts.append(f"{len(self.crashes)} crash")
-        if self.preemptions:
-            parts.append(f"{len(self.preemptions)} preempt")
         if self.stragglers:
             parts.append(f"{len(self.stragglers)} straggler")
         schedule = ", ".join(parts) if parts else "no faults"
@@ -254,7 +212,7 @@ class FaultEvent:
 
 # --------------------------------------------------------------- fault injector
 #: Fault-action kinds, in intra-instant application order.
-_ACTION_ORDER = ("crash", "preempt-deadline", "preempt", "straggler-end", "straggler-start")
+_ACTION_ORDER = ("crash", "straggler-end", "straggler-start")
 
 
 @dataclass(frozen=True)
@@ -275,9 +233,8 @@ class FaultInjector:
     """Turns a :class:`FaultPlan` into a deterministic event timeline.
 
     Built once per run by the cluster simulator.  Every point action (crash,
-    preemption notice, preemption deadline, straggler start/end) is derived
-    and sorted at construction, so the injection order at equal times is a
-    pure function of the plan.
+    straggler start/end) is derived and sorted at construction, so the
+    injection order at equal times is a pure function of the plan.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -297,9 +254,6 @@ class FaultInjector:
 
         for crash in plan.crashes:
             add(crash.time, "crash", crash.replica, crash)
-        for preemption in plan.preemptions:
-            add(preemption.time, "preempt", preemption.replica, preemption)
-            add(preemption.deadline, "preempt-deadline", preemption.replica, preemption)
         for straggler in plan.stragglers:
             add(straggler.start, "straggler-start", straggler.replica, straggler)
             add(straggler.end, "straggler-end", straggler.replica, straggler)
@@ -330,8 +284,8 @@ class SlowdownCostModel:
     (:meth:`step_seconds`) and the event jump's iteration stream
     (:meth:`decode_durations`) multiply the wrapped model's float by the
     *same* factor, so the event-jump equivalence guarantee (fast ==
-    reference, bit-identical) survives the slowdown.  Every other attribute
-    proxies to the wrapped model.
+    reference, bit-identical) survives the slowdown.  The engine reads
+    nothing else from its cost model.
     """
 
     def __init__(self, inner: CostModel, slowdown: float) -> None:
@@ -349,6 +303,3 @@ class SlowdownCostModel:
         slowdown = self.slowdown
         for duration in self.inner.decode_durations(decode_requests, start_context_tokens):
             yield duration * slowdown
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

@@ -164,7 +164,7 @@ class ClusterResult(_RequestAggregates):
 
     Elastic runs (see :mod:`repro.serving.autoscale`) additionally carry the
     fleet-size timeline and per-replica provisioned lifetimes, from which the
-    fleet-cost metrics — :attr:`replica_seconds`, :attr:`avg_fleet_size`, and
+    fleet-cost metrics — :attr:`replica_seconds` and
     :meth:`goodput_per_replica_second` — derive.  ``num_replicas`` counts
     every replica ever launched, including retired ones.
 
@@ -179,9 +179,8 @@ class ClusterResult(_RequestAggregates):
     Fault injection (see :mod:`repro.serving.faults`) adds availability
     bookkeeping, all zero/empty on fault-free runs: ``failed`` holds the
     requests aborted by crashes (their partial token timelines intact),
-    ``retries`` counts fault-driven re-dispatches, ``migrations`` counts
-    queued requests moved off preempted replicas, ``lost_tokens`` sums the
-    output tokens thrown away with aborted and migrated work, and
+    ``retries`` counts fault-driven re-dispatches, ``lost_tokens`` sums the
+    output tokens thrown away with aborted work, and
     ``fault_events`` is the run's chronological fault log.
     """
 
@@ -200,7 +199,6 @@ class ClusterResult(_RequestAggregates):
     reject_reasons: dict[str, int] = field(default_factory=dict)
     failed: list[Request] = field(default_factory=list)
     retries: int = 0
-    migrations: int = 0
     lost_tokens: int = 0
     fault_events: list = field(default_factory=list)
     fault_plan: str | None = None
@@ -265,13 +263,6 @@ class ClusterResult(_RequestAggregates):
         if self.lifetimes:
             return total_replica_seconds(self.lifetimes, self.duration)
         return self.num_replicas * self.duration
-
-    @property
-    def avg_fleet_size(self) -> float:
-        """Mean provisioned replicas over the run (replica-seconds / makespan)."""
-        if self.duration <= 0:
-            return float(self.num_replicas)
-        return self.replica_seconds / self.duration
 
     def goodput_per_replica_second(self, sla: SLASpec) -> float:
         """SLA-compliant output tokens per provisioned replica-second.
@@ -344,7 +335,7 @@ class ClusterResult(_RequestAggregates):
         if self.fault_plan:
             scaling += (
                 f", {self.fault_plan}: {len(self.failed)} failed, "
-                f"{self.retries} retries, {self.migrations} migrated, "
+                f"{self.retries} retries, "
                 f"{self.lost_tokens} tokens lost"
             )
         deferred = f", {self.deferrals} deferred" if self.deferrals else ""

@@ -141,11 +141,6 @@ class ReplicaView:
         return self.num_running + self.num_waiting
 
     @property
-    def free_tokens(self) -> int:
-        """Token slots not currently occupied."""
-        return self.token_capacity - self.used_tokens
-
-    @property
     def queued_demand_tokens(self) -> int:
         """Prompt tokens waiting to be admitted."""
         return sum(self.current_tokens[self.num_running :])
@@ -486,8 +481,8 @@ class SessionAffinityRouter(MemoryAwareRouter):
       the session.
 
     Whatever replica wins becomes the session's new home, so sessions that
-    are migrated, retried, or re-placed after a crash *re-home* on their
-    next turn and regain affinity from there on.
+    are retried or re-placed after a crash *re-home* on their next turn and
+    regain affinity from there on.
 
     Args:
         window_size: sliding-window length for the memory-aware fallback.
@@ -550,4 +545,3 @@ def create_router(name: str, **kwargs) -> Router:
 def available_routers() -> list[str]:
     """Names of all registered routers, sorted for deterministic listings."""
     return sorted(ROUTER_REGISTRY)
-

@@ -10,10 +10,9 @@ engine's clock joins its next iteration, an idle engine jumps to the next
 arrival — are therefore the fleet's, documented in
 ``docs/simulation-semantics.md``.
 
-The single engine is perfectly reliable: fault injection (crashes,
-preemptions, stragglers — :mod:`repro.serving.faults`) is a fleet-level
-concern, attached to a fleet with
-``FleetConfig(faults=…)`` (:class:`~repro.analysis.experiments.FleetConfig`),
+The single engine is perfectly reliable: fault injection (crashes and
+stragglers — :mod:`repro.serving.faults`) is a fleet-level concern,
+attached to a fleet with ``FleetConfig(faults=…)`` (:class:`~repro.analysis.experiments.FleetConfig`),
 because recovery is meaningless without other replicas to absorb the
 displaced work.
 """
@@ -100,13 +99,19 @@ class ServingSimulator:
         self.engine = self._fleet.replicas[0].engine
 
     # ---------------------------------------------------------------- running
-    def _run(self, generator: ArrivalQueue, workload_name: str, num_clients: int) -> RunResult:
+    def _run(
+        self,
+        generator: ArrivalQueue,
+        load: Workload | Sequence[Interaction],
+        workload_name: str,
+        num_clients: int,
+    ) -> RunResult:
         # The fleet is handed over, so the finished run's request lists are
         # not kept alive by the simulator.
         fleet, self._fleet = self._fleet, None
         if fleet is None:
             raise RuntimeError("ServingSimulator instances are single-use; build a new one per run")
-        fleet_result = fleet._run(generator, workload_name, num_clients)
+        fleet_result = fleet._run(generator, load, workload_name, num_clients)
         result = fleet_result.replicas[0]
         result.rejected = fleet_result.rejected
         result.reject_reasons = fleet_result.reject_reasons
@@ -120,7 +125,7 @@ class ServingSimulator:
     ) -> RunResult:
         """Serve a workload with a fixed-size closed-loop client pool."""
         pool = ClosedLoopClientPool(workload, num_clients=num_clients, think_time=think_time)
-        return self._run(pool, workload.name, num_clients)
+        return self._run(pool, workload, workload.name, num_clients)
 
     def run_open_loop(
         self,
@@ -130,7 +135,7 @@ class ServingSimulator:
     ) -> RunResult:
         """Serve a workload with open-loop (Poisson or recorded) arrivals."""
         arrivals = OpenLoopArrivals(workload, request_rate=request_rate, seed=seed)
-        return self._run(arrivals, workload.name, num_clients=0)
+        return self._run(arrivals, workload, workload.name, num_clients=0)
 
     def run_sessions(
         self,
@@ -146,4 +151,4 @@ class ServingSimulator:
         ``prefix_cache_tokens`` to model KV prefix reuse across turns.
         """
         generator = InteractionLoadGenerator(interactions)
-        return self._run(generator, name, num_clients=len(interactions))
+        return self._run(generator, interactions, name, num_clients=len(interactions))

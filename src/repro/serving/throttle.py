@@ -99,10 +99,6 @@ class OverloadThrottle:
         window = self._user_windows.get(spec.user_id, ())
         return {"user_window": sum(1 for t in window if t > cutoff), "user_rpm": self.user_rpm}
 
-    def describe(self) -> str:
-        """One-line parameterised description used in result tables."""
-        limit = f"user<={self.user_rpm}" if self.user_rpm is not None else "disabled"
-        return f"throttle ({limit} per {self.window_seconds:g}s)"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OverloadThrottle({self.describe()})"
+        limit = f"user<={self.user_rpm}" if self.user_rpm is not None else "disabled"
+        return f"OverloadThrottle({limit} per {self.window_seconds:g}s)"

@@ -129,11 +129,6 @@ class Interaction:
             session_stages=self.num_stages,
         )
 
-    @property
-    def total_output_tokens(self) -> int:
-        """Sum of true output lengths across all turns."""
-        return sum(s.output_tokens for s in self.stages)
-
 
 def generate_interactions(
     num_sessions: int,

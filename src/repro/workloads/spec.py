@@ -164,9 +164,6 @@ class Workload:
     def __iter__(self) -> Iterator[RequestSpec]:
         return iter(self.requests)
 
-    def __getitem__(self, index: int) -> RequestSpec:
-        return self.requests[index]
-
     @property
     def mean_input_length(self) -> float:
         """Mean prompt length (excluding image tokens)."""
@@ -185,11 +182,6 @@ class Workload:
     def output_lengths(self) -> list[int]:
         """True output lengths in order, e.g. for distribution analysis."""
         return [r.output_length for r in self.requests]
-
-    @property
-    def total_output_tokens(self) -> int:
-        """Sum of all true output lengths."""
-        return sum(r.output_length for r in self.requests)
 
     def renumbered(self, prefix: str) -> "Workload":
         """Copy with request ids rewritten as ``{prefix}-{index}``.
@@ -278,4 +270,3 @@ def concatenate(name: str, workloads: Sequence[Workload]) -> Workload:
         requests.extend(renamed.requests)
     description = " + ".join(w.name for w in workloads)
     return Workload(name=name, requests=requests, description=description)
-

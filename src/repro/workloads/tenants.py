@@ -71,11 +71,6 @@ class TenantPopulation:
         return len(self.tenants)
 
     @property
-    def app_ids(self) -> list[str]:
-        """Distinct application identities, sorted."""
-        return sorted({t.app_id for t in self.tenants})
-
-    @property
     def shares(self) -> np.ndarray:
         """Request share per user, in population order (sums to 1)."""
         return np.array([t.share for t in self.tenants], dtype=float)
@@ -84,7 +79,7 @@ class TenantPopulation:
         """One-line population summary for logs and tables."""
         return (
             self.description
-            or f"{self.num_users} users across {len(self.app_ids)} apps"
+            or f"{self.num_users} users across {len({t.app_id for t in self.tenants})} apps"
         )
 
 

@@ -50,10 +50,10 @@ def assert_conservation(result, submitted: int | None = None) -> None:
 
     Works for both :class:`~repro.serving.results.RunResult` (served ==
     ``len(requests)``) and ``ClusterResult`` (served == ``routed_requests``,
-    which counts each request once however many retries or migrations it
-    took).  When ``submitted`` is omitted it is derived from the distinct
-    request ids the result knows about, which stays correct when retried
-    copies of one request appear on several replicas.
+    which counts each request once however many retries it took).  When
+    ``submitted`` is omitted it is derived from the distinct request ids the
+    result knows about, which stays correct when retried copies of one
+    request appear on several replicas.
     """
     rejected = len(result.rejected)
     if isinstance(result, ClusterResult):
@@ -205,12 +205,28 @@ def seat(engine, requests: Iterable[Request]) -> None:
         engine._open(request, len(engine._ends))
 
 
+def record(history: OutputLengthHistory, lengths: Iterable[int]) -> None:
+    """Record each finished output length of ``lengths``, in order."""
+    for length in lengths:
+        history.record(length)
+
+
 def history_of(lengths: Iterable[int]) -> OutputLengthHistory:
     """A history whose window holds exactly ``lengths``."""
     lengths = list(lengths)
     history = OutputLengthHistory(window_size=max(len(lengths), 1))
-    history.extend(lengths)
+    record(history, lengths)
     return history
+
+
+def vtc_counter(scheduler, tenant: str) -> float:
+    """A VTC scheduler's virtual counter for ``tenant`` (0 if never charged)."""
+    return scheduler._counters.get(tenant, 0.0)
+
+
+def cache_entries(cache) -> list:
+    """A prefix cache's resident entries, least recently used first."""
+    return list(cache._entries.values())
 
 
 class SchedulerQueue:

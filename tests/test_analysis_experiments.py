@@ -12,6 +12,7 @@ from repro.analysis.experiments import FleetConfig, run_experiment, sweep
 from repro.analysis.perf import cluster_fingerprint, run_fingerprint
 from repro.analysis.tables import autoscale_table, fleet_table, render_table
 from repro.engine.cost_model import CostModel
+from repro.engine.engine import InferenceEngine
 from repro.hardware.platform import paper_platforms
 from repro.obs.tracer import RingTracer
 from repro.schedulers.registry import create_scheduler
@@ -21,12 +22,13 @@ from repro.serving.faults import FaultPlan, ReplicaCrash, RetryPolicy
 from repro.serving.results import ClusterResult, RunResult
 from repro.serving.routing import available_routers
 from repro.serving.server import ServingSimulator
-from repro.serving.sla import SLASpec, sla_for_model
+from repro.serving.sla import SLASpec
 from repro.serving.throttle import REASON_THROTTLED, OverloadThrottle
 from repro.workloads.arrivals import assign_poisson_arrivals
-from repro.workloads.interactions import generate_interactions
+from repro.workloads.interactions import Interaction, InteractionStage, generate_interactions
+from repro.workloads.spec import Workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
-from tests.conftest import make_workload
+from tests.conftest import make_spec, make_workload
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
@@ -191,12 +193,6 @@ class TestConstruction:
         # entry on a reactive run was dropped without a word.
         with pytest.raises(TypeError, match="target_utilization"):
             create_autoscale_policy("reactive", target_utilization=0.8)
-
-    def test_default_sla_matches_model_preset(self, platform_7b, platform_70b):
-        assert FleetConfig(platform=platform_7b).default_sla() == sla_for_model(
-            platform_7b.model.name
-        )
-        assert FleetConfig(platform=platform_70b).default_sla().ttft_limit == 15.0
 
     def test_config_round_trips_into_simulator(self, platform_7b):
         config = FleetConfig(
@@ -425,6 +421,79 @@ class TestEquivalence:
         assert run_fingerprint(result) == run_fingerprint(hand_built)
         assert result.reject_reasons[REASON_THROTTLED] > 0
         assert any(event.name == "request.throttled" for event in tracer.events)
+
+
+class TestLoadAgainstConfig:
+    """A load that can never fit fails before the first engine step."""
+
+    @pytest.fixture()
+    def steps(self, monkeypatch):
+        """Every ``InferenceEngine.step`` call, as it happens."""
+        calls: list[float] = []
+        real = InferenceEngine.step
+
+        def counting(engine, time, *args, **kwargs):
+            calls.append(time)
+            return real(engine, time, *args, **kwargs)
+
+        monkeypatch.setattr(InferenceEngine, "step", counting)
+        return calls
+
+    @pytest.mark.parametrize("router", [None, "round-robin"], ids=["engine", "fleet"])
+    def test_a_prompt_larger_than_every_pool_raises_before_any_step(
+        self, platform_7b, stamped, steps, router
+    ):
+        last = stamped.requests[-1].arrival_time
+        big = make_spec("big", input_length=5000, output_length=20, max_new_tokens=20, arrival_time=last + 1)
+        config = FleetConfig(
+            platform=platform_7b,
+            num_replicas=1 if router is None else 2,
+            router=router,
+            scheduler_name="conservative",
+            token_capacity_override=4096,
+        )
+        with pytest.raises(ValueError, match="request big needs 5020 KV tokens, more than .* 4096"):
+            run_experiment(config, Workload("misfit", [*stamped.requests, big]))
+        assert steps == []
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["engine", "fleet"])
+    @pytest.mark.parametrize("run", ["run_open_loop", "run_closed_loop"])
+    def test_every_run_entry_point_checks_the_load(self, platform_7b, steps, fleet, run):
+        if fleet:
+            sim = ClusterSimulator(platform_7b, num_replicas=2, token_capacity_override=512)
+        else:
+            sim = ServingSimulator(platform_7b, create_scheduler("conservative"), token_capacity_override=512)
+        # "big" comes second (one client, or a later arrival), after steps ran.
+        load = Workload(
+            "misfit", [make_spec("ok", arrival_time=0.0), make_spec("big", input_length=600, arrival_time=1.0)]
+        )
+        args = (1,) if run == "run_closed_loop" else ()
+        with pytest.raises(ValueError, match="request big needs 616 KV tokens"):
+            getattr(sim, run)(load, *args)
+        assert steps == []
+
+    def test_a_request_the_throttle_would_reject_is_still_checked(self, config, steps):
+        # The throttle would turn "big" away (its user's one-request window is
+        # full), yet a load that names a request no replica holds is refused.
+        load = Workload(
+            "throttled-misfit",
+            [
+                make_spec("first", user_id="u", arrival_time=0.0),
+                make_spec("big", input_length=3000, user_id="u", arrival_time=0.1),
+            ],
+        )
+        throttled = dataclasses.replace(config, throttle=OverloadThrottle(user_rpm=1))
+        with pytest.raises(ValueError, match="request big needs 3016 KV tokens"):
+            run_experiment(throttled, load)
+        assert steps == []
+
+    def test_a_session_turn_larger_than_every_pool_raises_before_any_step(self, config, steps):
+        # The third turn's prompt carries both earlier turns' context.
+        turns = tuple(InteractionStage(prompt_tokens=900, output_tokens=100) for _ in range(3))
+        sessions = [Interaction("small", turns[:1]), Interaction("long", turns)]
+        with pytest.raises(ValueError, match="request long/t2 needs 3000 KV tokens"):
+            run_experiment(config, sessions)
+        assert steps == []
 
 
 class TestSweep:

@@ -7,7 +7,7 @@ import pytest
 from repro.core.past_future import PastFutureScheduler
 from repro.engine.request import Request
 from tests.conftest import make_spec
-from tests.helpers import SchedulerQueue, deliver
+from tests.helpers import SchedulerQueue, deliver, record
 
 
 def make_request(request_id: str, input_length: int, output_length: int,
@@ -63,8 +63,7 @@ class TestHistoryFeedback:
         request = make_request("a", 10, 5, generated=5)
         request.finish(1.0)
         scheduler.on_request_finished(request, 1.0)
-        assert len(scheduler.history) == 1
-        assert scheduler.history.snapshot()[0] == 5
+        assert scheduler.history.snapshot().tolist() == [5]
 
     def test_on_run_start_clears_history(self):
         scheduler = PastFutureScheduler()
@@ -81,7 +80,7 @@ class TestAdmission:
 
     def test_admits_when_memory_clearly_sufficient(self):
         scheduler = PastFutureScheduler(seed=1)
-        scheduler.history.extend([8] * 100)
+        record(scheduler.history, [8] * 100)
         waiting = [make_request(f"w{i}", 10, 8, max_new_tokens=64) for i in range(3)]
         context = SchedulerQueue(scheduler, waiting).context(token_capacity=10_000)
         admitted = scheduler.schedule(context)
@@ -90,7 +89,7 @@ class TestAdmission:
     def test_rejects_when_predicted_peak_exceeds_budget(self):
         scheduler = PastFutureScheduler(seed=1, reserved_fraction=0.0)
         # History says outputs are 100 tokens long.
-        scheduler.history.extend([100] * 200)
+        record(scheduler.history, [100] * 200)
         running = [make_request("r0", 50, 100, generated=10)]
         waiting = [make_request("w0", 50, 100)]
         # Capacity fits the running request's worst case (150) but not both
@@ -100,7 +99,7 @@ class TestAdmission:
 
     def test_admission_is_queue_prefix(self):
         scheduler = PastFutureScheduler(seed=3)
-        scheduler.history.extend([64] * 100)
+        record(scheduler.history, [64] * 100)
         waiting = [make_request(f"w{i}", 40, 64, max_new_tokens=128) for i in range(10)]
         context = SchedulerQueue(scheduler, waiting).context(token_capacity=600)
         admitted = scheduler.schedule(context)
@@ -112,7 +111,7 @@ class TestAdmission:
         counts = {}
         for reserved in (0.0, 0.3):
             scheduler = PastFutureScheduler(seed=5, reserved_fraction=reserved)
-            scheduler.history.extend([64] * 100)
+            record(scheduler.history, [64] * 100)
             context = SchedulerQueue(scheduler, waiting).context(token_capacity=1500)
             counts[reserved] = len(scheduler.schedule(context))
         assert counts[0.3] <= counts[0.0]
@@ -121,7 +120,7 @@ class TestAdmission:
         # Even if the prediction says the head request cannot fit the budget,
         # an idle system must admit it to avoid starvation.
         scheduler = PastFutureScheduler(seed=2, reserved_fraction=0.5)
-        scheduler.history.extend([4000] * 100)
+        record(scheduler.history, [4000] * 100)
         waiting = [make_request("w0", 600, 4000)]
         context = SchedulerQueue(scheduler, waiting).context(token_capacity=1000)
         admitted = scheduler.schedule(context)
@@ -145,7 +144,7 @@ class TestAdmission:
 class TestEvictedRequeue:
     def test_requeued_request_uses_conditional_prediction(self):
         scheduler = PastFutureScheduler(seed=7)
-        scheduler.history.extend([50] * 100)
+        record(scheduler.history, [50] * 100)
         # An evicted request that already generated 30 tokens: its prediction
         # must exceed 30, so the admission accounts for at least 20 more.
         evicted = make_request("e0", 20, 50, generated=30)

@@ -18,7 +18,6 @@ class TestConstruction:
     def test_empty_history_samples_its_default_length(self):
         predictor = OutputLengthPredictor(OutputLengthHistory(default_length=77))
         assert predictor.predict_new(5).tolist() == [77] * 5
-        assert predictor.max_length == 77
 
     def test_samples_the_historys_cached_sorted_window(self):
         # One sort per window change, not one per predictor (one per consult).
@@ -55,10 +54,9 @@ class TestDistribution:
         assert float(np.mean(samples == 2)) == pytest.approx(2 / 3, abs=0.03)
         assert predictor.predict_running([3]).tolist() == [4]
 
-    def test_support_and_max(self):
+    def test_support(self):
         predictor = make_predictor([5, 3, 3, 9], num_samples=1)
         assert set(predictor.predict_new(500).tolist()) == {3, 5, 9}
-        assert predictor.max_length == 9
 
 
 class TestPredictNew:

@@ -213,6 +213,8 @@ class TestDeliveryAtThePoolBoundary:
         engine = full_engine(platform_7b, [only], free=100)
         time = engine.step(2.0).end_time
         engine._evict(only, time)
-        assert engine.drain_waiting() == [only]
+        # Empty the queue, so only a stale batch profile could license a jump.
+        engine.waiting.remove(only)
+        engine.scheduler.on_request_dequeued(only)
         assert engine.try_jump_any(time) is None
         assert engine.pool.used_tokens == 0

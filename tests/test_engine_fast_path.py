@@ -30,7 +30,7 @@ from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.burstgpt import generate_api_trace, generate_conversation_trace
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload, generate_sharegpt_workload
 from repro.workloads.spec import RequestSpec, scale_workload
-from tests.helpers import assert_pool_ledger
+from tests.helpers import assert_pool_ledger, cache_entries
 
 
 PLATFORM = paper_platform("7b-a100")
@@ -382,7 +382,7 @@ def test_pool_incremental_used_tokens_stays_consistent():
 
     def check():
         expected = sum(r.current_context_tokens for r in engine.batch)
-        expected += sum(e.tokens for e in engine.prefix_cache.entries())
+        expected += sum(e.tokens for e in cache_entries(engine.prefix_cache))
         assert engine.pool.used_tokens == expected
         assert engine.pool.free_tokens == engine.pool.token_capacity - expected
 

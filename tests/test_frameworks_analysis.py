@@ -109,16 +109,6 @@ class TestExperimentDriver:
         report = memory_report_from_run(result)
         assert report.decoding_steps > 0
         assert 0.0 < report.consumed_memory_fraction <= 1.0
-        assert set(report.as_row()) == {
-            "scheduler", "workload", "decoding_steps",
-            "consumed_memory", "future_required", "evicted_requests",
-        }
-
-    def test_default_sla_tracks_model(self, platform_7b, platform_70b):
-        small = FleetConfig(platform=platform_7b)
-        large = FleetConfig(platform=platform_70b)
-        assert small.default_sla().ttft_limit == 10.0
-        assert large.default_sla().ttft_limit == 15.0
 
     def test_run_framework_uses_profile_name(self, platform_7b, tiny_workload):
         config = FleetConfig(platform=platform_7b, num_clients=4, token_capacity_override=1024)
@@ -133,10 +123,9 @@ class TestSweeps:
             scheduler_name="past-future",
             token_capacity_override=1024,
         )
-        points = client_sweep(config, tiny_workload, client_counts=[2, 6])
+        points = client_sweep(config, tiny_workload, client_counts=[2, 6], sla=SLA_SMALL_MODEL)
         assert [p.num_clients for p in points] == [2, 6]
         assert all(p.goodput >= 0 for p in points)
-        assert set(points[0].as_row()) >= {"scheduler", "clients", "goodput_tok_s"}
 
     def test_scheduler_comparison_sweep(self, platform_7b, tiny_workload):
         curves = scheduler_comparison_sweep(
@@ -147,9 +136,26 @@ class TestSweeps:
                 "Past-Future": {"scheduler_name": "past-future"},
                 "Aggressive": {"scheduler_name": "aggressive"},
             },
+            sla=SLA_SMALL_MODEL,
         )
         assert set(curves) == {"Past-Future", "Aggressive"}
         assert all(len(points) == 1 for points in curves.values())
+
+    @pytest.mark.parametrize(
+        "run_sweep",
+        [
+            lambda config, workload: client_sweep(config, workload, [4]),
+            lambda config, workload: scheduler_comparison_sweep(
+                config, workload, [4], {"Past-Future": {"scheduler_name": "past-future"}}
+            ),
+        ],
+        ids=["client_sweep", "scheduler_comparison_sweep"],
+    )
+    def test_goodput_sweeps_require_an_sla(self, platform_7b, tiny_workload, run_sweep):
+        # Goodput has no meaning without SLA limits, so there is no default.
+        config = FleetConfig(platform=platform_7b, token_capacity_override=1024)
+        with pytest.raises(TypeError, match="sla"):
+            run_sweep(config, tiny_workload)
 
     def test_parameter_sweep(self, platform_7b, tiny_workload):
         points = parameter_sweep(
@@ -173,7 +179,7 @@ class TestSweeps:
         "run_sweep",
         [
             lambda config, workload, variants: scheduler_comparison_sweep(
-                config, workload, [4], variants
+                config, workload, [4], variants, SLA_SMALL_MODEL
             ),
             parameter_sweep,
             experiments.sweep,

@@ -10,6 +10,7 @@ from repro.memory.block_manager import BlockKVCachePool, OutOfMemoryError
 from repro.memory.prefix_cache import PrefixCache
 from repro.schedulers.aggressive import AggressiveScheduler
 from tests.conftest import make_spec
+from tests.helpers import cache_entries
 
 
 class TestConstruction:
@@ -158,7 +159,7 @@ class TestPinning:
         growing = [10]  # only "a" decodes
         assert pool.free_tokens // len(growing) == 60
         # A follow-up stage claims the prefix: its tokens grow again.
-        cache.claim(cache.entries()[0])
+        cache.claim(cache_entries(cache)[0])
         growing.append(30)
         assert pool.used_tokens == sum(growing)
         assert pool.free_tokens // len(growing) == 30

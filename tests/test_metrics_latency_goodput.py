@@ -63,7 +63,7 @@ class TestLatencyHelpers:
         assert summary.p99_ttft <= 2.0
 
     def test_summarize_latency_empty(self):
-        assert summarize_latency([]) == LatencySummary.empty()
+        assert summarize_latency([]) == LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestThroughputSummary:

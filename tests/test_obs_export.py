@@ -132,40 +132,16 @@ class TestDeriveRequestPhases:
         assert phases[0].end == 9.0
         assert not phases[0].complete
 
-    def test_evicted_then_migrated_splits_at_handoff(self):
-        # Evicted on replica 0, then drained to replica 1 *before*
-        # re-admission.  Neither replica may be charged for the other's
-        # wait: the post-eviction span belongs to replica 0 and the new
-        # queue span starts only when the request lands on replica 1.
-        events = [
-            TraceEvent(obs.REQUEST_SUBMIT, 0.0, request_id="r0"),
-            TraceEvent(obs.REQUEST_QUEUED, 0.0, request_id="r0", replica=0),
-            TraceEvent(obs.REQUEST_ADMITTED, 1.0, request_id="r0", replica=0),
-            TraceEvent(obs.REQUEST_EVICTED, 2.0, request_id="r0", replica=0),
-            TraceEvent(obs.REQUEST_QUEUED, 3.0, request_id="r0", replica=1),
-            TraceEvent(obs.REQUEST_ADMITTED, 4.0, request_id="r0", replica=1),
-            TraceEvent(obs.REQUEST_FIRST_TOKEN, 5.0, request_id="r0", replica=1),
-            TraceEvent(obs.REQUEST_FINISHED, 6.0, request_id="r0", replica=1),
-        ]
-        phases = derive_request_phases(events)
-        assert [(p.name, p.start, p.end, p.replica) for p in phases] == [
-            ("queued", 0.0, 1.0, 0),
-            ("prefill", 1.0, 2.0, 0),
-            ("queued", 2.0, 3.0, 0),
-            ("queued", 3.0, 4.0, 1),
-            ("prefill", 4.0, 5.0, 1),
-            ("decode", 5.0, 6.0, 1),
-        ]
-
-    def test_evicted_then_explicit_migrate_keeps_replica_attribution(self):
-        # Same hand-off but with the fleet-level migrate marker present:
-        # the migrate closes the replica-0 wait and the queued refinement
-        # adopts the destination replica without inventing extra spans.
+    def test_evicted_then_retry_keeps_replica_attribution(self):
+        # A hand-off through the fleet's retry marker (a crash sent the
+        # queued request back to the router): the retry closes the
+        # replica-0 wait and the queued refinement adopts the destination
+        # replica without inventing extra spans.
         events = [
             TraceEvent(obs.REQUEST_QUEUED, 0.0, request_id="r0", replica=0),
             TraceEvent(obs.REQUEST_ADMITTED, 1.0, request_id="r0", replica=0),
             TraceEvent(obs.REQUEST_EVICTED, 2.0, request_id="r0", replica=0),
-            TraceEvent(obs.REQUEST_MIGRATE, 3.0, request_id="r0", replica=0),
+            TraceEvent(obs.REQUEST_RETRY, 3.0, request_id="r0"),
             TraceEvent(obs.REQUEST_QUEUED, 3.0, request_id="r0", replica=1),
             TraceEvent(obs.REQUEST_ADMITTED, 4.0, request_id="r0", replica=1),
             TraceEvent(obs.REQUEST_FINISHED, 5.0, request_id="r0", replica=1),

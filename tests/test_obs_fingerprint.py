@@ -16,11 +16,12 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.perf import BENCH_PATH, SCENARIOS, cluster_fingerprint, run_fingerprint
+from repro.obs.events import EVENT_TAXONOMY, REQUEST_EVICTED
 from repro.obs.tracer import NullTracer, RingTracer
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.serving.autoscale import Autoscaler
 from repro.serving.cluster import ClusterSimulator
-from repro.serving.faults import FaultPlan, Preemption, ReplicaCrash, Straggler
+from repro.serving.faults import FaultPlan, ReplicaCrash, Straggler
 from repro.serving.server import ServingSimulator
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.arrivals import assign_poisson_arrivals
@@ -147,13 +148,11 @@ def _autoscaled(platform, tracer) -> None:
 
 
 def _faults_with_retries(platform, tracer) -> None:
-    # A crash with a replacement, a preemption that migrates its queue and
-    # kills what is still running at the deadline, a straggler window, the
-    # retry policy re-dispatching what both kills abort, and a crash aimed
-    # at a replica that never exists.
+    # A crash with a replacement, a straggler window, the retry policy
+    # re-dispatching what the crash aborts, and a crash aimed at a replica
+    # that never exists.
     plan = FaultPlan(
         crashes=[ReplicaCrash(time=0.2, replica=0), ReplicaCrash(time=0.3, replica=9)],
-        preemptions=[Preemption(time=0.1, replica=1, notice=0.05)],
         stragglers=[Straggler(start=0.05, duration=0.3, replica=2, slowdown=3.0)],
         seed=5,
     )
@@ -163,13 +162,11 @@ def _faults_with_retries(platform, tracer) -> None:
 
 
 def _faults_without_retries(platform, tracer) -> None:
-    # Replica 1 is preempted while idle and retires at once.  Replica 0
-    # crashes: its work is rejected, arrivals wait for the warming
-    # replacement, which crashes too; the rest find no replica.
+    # Replicas 0 and 1 crash: their work is rejected, arrivals wait for the
+    # warming replacements, which crash too; the rest find no replica.
     plan = FaultPlan(
         crashes=[ReplicaCrash(time=0.2, replica=i) for i in range(2)]
         + [ReplicaCrash(time=0.3, replica=i) for i in (2, 3)],
-        preemptions=[Preemption(time=0.0, replica=1)],
         retry_policy=None,
         replacement_warmup=0.3,
         seed=5,
@@ -206,16 +203,21 @@ class TestTraceStreams:
     """The complete event streams of small fleets that reach every fleet event.
 
     Between them the runs emit every replica transition, fault-log entry,
-    retry, deferral, migration, reject and throttle the fleet loop records.
-    The digests were taken before the fleet bookkeeping was consolidated, so
-    any change to the order of events or to the key order of their payloads
-    shows up here.
+    retry, deferral, reject and throttle the fleet loop records.  The digests
+    were taken before the fleet bookkeeping was consolidated, so any change
+    to the order of events or to the key order of their payloads shows up
+    here.  The two fault streams were re-pinned when preemption was deleted,
+    from the older code with only their preemptions removed.
     """
+
+    #: Event names no stream emits.  No fleet here runs a pool out of decode
+    #: room, so none evicts; the engine-level suites drive evictions.
+    NOT_EMITTED = {REQUEST_EVICTED}
 
     STREAMS = {
         "autoscaled": (_autoscaled, "cbe68cb76283a9c3"),
-        "faults_with_retries": (_faults_with_retries, "55722f050508dbb1"),
-        "faults_without_retries": (_faults_without_retries, "93d5eedac5b80006"),
+        "faults_with_retries": (_faults_with_retries, "bbe2d2a51ba4409e"),
+        "faults_without_retries": (_faults_without_retries, "4161249a012f0734"),
         "throttled_sessions": (_throttled_sessions, "20e3a9390e750e43"),
     }
 
@@ -223,3 +225,11 @@ class TestTraceStreams:
     def test_stream_matches_snapshot(self, platform_7b, name):
         run, expected = self.STREAMS[name]
         assert _traced_stream_digest(lambda tracer: run(platform_7b, tracer)) == expected
+
+    def test_streams_emit_every_event_name(self, platform_7b):
+        emitted = set()
+        for run, _ in self.STREAMS.values():
+            ring = RingTracer(capacity=1_000_000)
+            run(platform_7b, ring)
+            emitted.update(event.name for event in ring.events)
+        assert emitted == set(EVENT_TAXONOMY) - self.NOT_EMITTED

@@ -52,8 +52,10 @@ from tests.helpers import (
     assert_no_late_arrivals,
     assert_pool_ledger,
     assert_rng_stream_identity,
+    cache_entries,
     grown_request,
     history_of,
+    record,
     reference_peak,
 )
 
@@ -296,7 +298,7 @@ class TestSaturatedHorizonProperties:
                 seed=seed, num_samples=num_samples, default_length=300
             )
             scheduler.on_run_start()
-            scheduler.history.extend(history)
+            record(scheduler.history, history)
             context = SchedulerQueue(scheduler, [queued]).context(residents, token_capacity=capacity)
             return scheduler.saturated_no_admit_horizon(context, max_steps)
 
@@ -344,10 +346,9 @@ class TestHistoryProperties:
     )
     def test_window_keeps_most_recent_values(self, values, window):
         history = OutputLengthHistory(window_size=window)
-        history.extend(values)
+        record(history, values)
         expected = values[-window:]
         assert list(history.snapshot()) == expected
-        assert len(history) == len(expected)
 
 
 #: One resident request of a hand-built view: ``(prompt, generated, remaining cap)``.
@@ -430,9 +431,9 @@ class TestRouterPredictionProperties:
     ):
         router = MemoryAwareRouter(window_size=window_size, default_length=default_length)
         view = resident_view(0, running, waiting)
-        router.history.extend(earlier)
+        record(router.history, earlier)
         router.predicted_peaks([view])  # fill the table cache before the window moves
-        router.history.extend(later)
+        record(router.history, later)
         window = (earlier + later)[-window_size:] or [default_length]
         expected = peak_of([
             (prompt + generated, reference_remaining(window, generated, cap))
@@ -450,9 +451,9 @@ class TestRouterPredictionProperties:
     def test_batched_peaks_match_per_view_and_reference(self, earlier, later, window_size, replicas):
         router = MemoryAwareRouter(window_size=window_size, default_length=200)
         views = [resident_view(index, running, waiting) for index, (running, waiting) in enumerate(replicas)]
-        router.history.extend(earlier)
+        record(router.history, earlier)
         router.predicted_peaks(views)  # fill the table cache before the window moves
-        router.history.extend(later)
+        record(router.history, later)
         window = (earlier + later)[-window_size:] or [200]
         expected = [
             peak_of([
@@ -473,7 +474,7 @@ class TestRouterPredictionProperties:
     @settings(max_examples=50)
     def test_predicted_peaks_equal_padded_two_dimensional_spec(self, history, window_size, replicas, idle):
         router = MemoryAwareRouter(window_size=window_size, default_length=200)
-        router.history.extend(history)
+        record(router.history, history)
         views = [resident_view(index, running, waiting) for index, (running, waiting) in enumerate(replicas)]
         for position in idle:
             views.insert(min(position, len(views)), resident_view(len(views), [], []))
@@ -492,7 +493,7 @@ class TestRouterPredictionProperties:
         views = [resident_view(replica_id, running, []) for replica_id in ids]
         for name in ("memory-aware", "session-affinity"):
             router = ROUTER_REGISTRY[name]()
-            router.history.extend(history)
+            record(router.history, history)
             assert router.decide(spec, views) == min(ids)
             turn = dataclasses.replace(spec, session_id="s", session_stage=0, session_stages=2)
             assert router.decide(turn, views) == min(ids)
@@ -637,7 +638,7 @@ class TestPrefixCacheProperties:
             if not outcome.retained:
                 pool.free(tokens)
             assert cache.resident_tokens <= capacity
-            assert cache.resident_tokens == sum(e.tokens for e in cache.entries())
+            assert cache.resident_tokens == sum(e.tokens for e in cache_entries(cache))
             assert cache.resident_tokens == pool.used_tokens
             assert pool.used_tokens <= pool.token_capacity
         cache.clear()
@@ -1066,11 +1067,11 @@ class TestVirtualTokenCounterOrderProperties:
 
 #: One operation on an engine under VTC, ``(kind, tenant, prompt, output,
 #: follow-up turn?, victim)``: a submit, an admitting step, a forced eviction
-#: of the resident at index ``victim``, a crash or a queue drain.  Repeated
-#: kinds weight the draw, so queues grow long and mix evicted and fresh
-#: requests before a crash or drain empties them.
+#: of the resident at index ``victim``, or a crash.  Repeated kinds weight
+#: the draw, so queues grow long and mix evicted and fresh requests before a
+#: crash empties them.
 vtc_engine_operation = st.tuples(
-    st.sampled_from(["submit"] * 4 + ["step"] * 3 + ["evict"] * 2 + ["abort", "drain"]),
+    st.sampled_from(["submit"] * 4 + ["step"] * 3 + ["evict"] * 2 + ["abort"]),
     vtc_tenant_strategy,
     st.integers(1, 32),
     st.integers(1, 12),
@@ -1096,7 +1097,7 @@ def apply_vtc_engine_operation(engine, operation, index: int, time: float) -> fl
         )
         if engine.prefix_cache is not None:
             session = f"s-{tenant}"
-            entry = next((e for e in engine.prefix_cache.entries() if e.session_id == session), None)
+            entry = next((e for e in cache_entries(engine.prefix_cache) if e.session_id == session), None)
             stage = index
             if follow_up and entry is not None:
                 stage = entry.stage + 1
@@ -1110,10 +1111,8 @@ def apply_vtc_engine_operation(engine, operation, index: int, time: float) -> fl
     elif kind == "evict":
         if engine.batch:
             engine._evict(engine.batch[victim % len(engine.batch)], time)
-    elif kind == "abort":
-        engine.abort_all(time)
     else:
-        engine.drain_waiting()
+        engine.abort_all(time)
     return time
 
 
@@ -1121,7 +1120,7 @@ class TestVirtualTokenCounterEngineOrder:
     """The FIFOs the engine's hooks keep give the whole-queue heap's order.
 
     A real engine drives VTC through submits, admitting steps, forced
-    evictions, crashes and queue drains.  After every operation the
+    evictions and crashes.  After every operation the
     scheduler's candidates must come in the spec's order over
     ``engine.waiting``, and a consult's batch total, read off the pool
     ledger, must be the batch's context.
@@ -1161,7 +1160,7 @@ class TestVirtualTokenCounterEngineOrder:
 #: may be empty, so its prefix hit covers the whole prompt and it decodes
 #: from admission on.
 token_state_operation = st.tuples(
-    st.sampled_from(["submit"] * 4 + ["step"] * 4 + ["jump"] * 2 + ["evict"] * 2 + ["abort", "drain"]),
+    st.sampled_from(["submit"] * 4 + ["step"] * 4 + ["jump"] * 2 + ["evict"] * 2 + ["abort"]),
     vtc_tenant_strategy,
     st.integers(0, 32),
     st.integers(1, 12),
@@ -1189,8 +1188,8 @@ def assert_token_state(engine, requests) -> None:
 class TestDerivedTokenStateProperties:
     """Token state read off the engine's end-time list survives every event.
 
-    Small pools force boundary evictions; forced evictions, crashes and
-    queue drains close segments between iterations.  After every step and
+    Small pools force boundary evictions; forced evictions and crashes
+    close segments between iterations.  After every step and
     jump each request's token timeline, the resident contexts, the decode
     counters and the pool ledger must agree.
     """

@@ -46,7 +46,7 @@ from repro.workloads.burstgpt import generate_conversation_trace
 from repro.workloads.sharegpt import generate_sharegpt_o1_workload, generate_sharegpt_workload
 from repro.workloads.spec import RequestSpec, scale_workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
-from tests.helpers import SchedulerQueue, deliver, grown_request
+from tests.helpers import SchedulerQueue, deliver, grown_request, vtc_counter
 
 PLATFORM = paper_platform("7b-a100")
 
@@ -315,7 +315,7 @@ def _watermark_case(name):
     queue = SchedulerQueue(scheduler, [served, small, blocked])
     queue.dequeue(served)
     scheduler.on_request_finished(served, 0.0)
-    assert scheduler.counter("heavy") > scheduler.counter("light")
+    assert vtc_counter(scheduler, "heavy") > vtc_counter(scheduler, "light")
     assert list(queue.waiting) == [small, blocked]
     return queue, running, 2000
 

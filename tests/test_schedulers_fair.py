@@ -18,7 +18,7 @@ from repro.schedulers.registry import SCHEDULER_REGISTRY, create_scheduler
 from repro.serving.server import ServingSimulator
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import TINY_CAPACITY, make_spec, make_workload
-from tests.helpers import SchedulerQueue, deliver
+from tests.helpers import SchedulerQueue, deliver, vtc_counter
 
 
 def tenant_request(
@@ -49,7 +49,7 @@ class TestCounterAccounting:
         request = tenant_request("r0", "alice", input_length=32)
         scheduler.on_request_submitted(request)
         finish(scheduler, request, generated=16)
-        assert scheduler.counter("alice") == pytest.approx(32 + 16)
+        assert vtc_counter(scheduler, "alice") == pytest.approx(32 + 16)
 
     def test_service_weights_scale_the_charge(self):
         scheduler = VirtualTokenCounterScheduler(prefill_weight=0.5, decode_weight=2.0)
@@ -57,7 +57,7 @@ class TestCounterAccounting:
         request = tenant_request("r0", "alice", input_length=32)
         scheduler.on_request_submitted(request)
         finish(scheduler, request, generated=16)
-        assert scheduler.counter("alice") == pytest.approx(0.5 * 32 + 2.0 * 16)
+        assert vtc_counter(scheduler, "alice") == pytest.approx(0.5 * 32 + 2.0 * 16)
 
     def test_weighted_tenant_charged_slower(self):
         scheduler = WeightedServiceCounterScheduler(weights={"paid": 2.0})
@@ -67,8 +67,8 @@ class TestCounterAccounting:
         for request in (paid, free):
             scheduler.on_request_submitted(request)
             finish(scheduler, request, generated=16)
-        assert scheduler.counter("paid") == pytest.approx((32 + 16) / 2.0)
-        assert scheduler.counter("free") == pytest.approx(32 + 16)
+        assert vtc_counter(scheduler, "paid") == pytest.approx((32 + 16) / 2.0)
+        assert vtc_counter(scheduler, "free") == pytest.approx(32 + 16)
 
     def test_anonymous_tenant_for_tenantless_requests(self):
         scheduler = VirtualTokenCounterScheduler()
@@ -76,7 +76,7 @@ class TestCounterAccounting:
         request = tenant_request("r0", None, input_length=8)
         scheduler.on_request_submitted(request)
         finish(scheduler, request, generated=4)
-        assert scheduler.counter(ANONYMOUS_TENANT) == pytest.approx(12)
+        assert vtc_counter(scheduler, ANONYMOUS_TENANT) == pytest.approx(12)
 
     def test_on_run_start_resets_counters(self):
         scheduler = VirtualTokenCounterScheduler()
@@ -84,9 +84,9 @@ class TestCounterAccounting:
         request = tenant_request("r0", "alice")
         scheduler.on_request_submitted(request)
         finish(scheduler, request, generated=4)
-        assert scheduler.counter("alice") > 0
+        assert vtc_counter(scheduler, "alice") > 0
         scheduler.on_run_start()
-        assert scheduler.counter("alice") == 0.0
+        assert vtc_counter(scheduler, "alice") == 0.0
 
 
 class TestArrivalLift:
@@ -101,10 +101,10 @@ class TestArrivalLift:
         scheduler.on_request_submitted(first)
         scheduler.on_request_submitted(second)
         finish(scheduler, first, generated=16)
-        assert scheduler.counter("alice") == pytest.approx(48)
+        assert vtc_counter(scheduler, "alice") == pytest.approx(48)
         # bob arrives fresh: lifted to the active minimum, not admitted at 0.
         scheduler.on_request_submitted(tenant_request("b0", "bob"))
-        assert scheduler.counter("bob") == pytest.approx(48)
+        assert vtc_counter(scheduler, "bob") == pytest.approx(48)
 
     def test_lift_never_lowers_a_counter(self):
         scheduler = VirtualTokenCounterScheduler()
@@ -113,7 +113,7 @@ class TestArrivalLift:
         heavy = tenant_request("c0", "carol", input_length=64)
         scheduler.on_request_submitted(heavy)
         finish(scheduler, heavy, generated=64)
-        carol_debt = scheduler.counter("carol")
+        carol_debt = vtc_counter(scheduler, "carol")
         # alice is active with light debt.
         light = tenant_request("a0", "alice", input_length=8)
         keeper = tenant_request("a1", "alice", input_length=8)
@@ -122,7 +122,7 @@ class TestArrivalLift:
         finish(scheduler, light, generated=4)
         # carol returns: the floor is below her debt, which must stick.
         scheduler.on_request_submitted(tenant_request("c1", "carol"))
-        assert scheduler.counter("carol") == pytest.approx(carol_debt)
+        assert vtc_counter(scheduler, "carol") == pytest.approx(carol_debt)
 
     def test_no_lift_while_tenant_is_active(self):
         scheduler = VirtualTokenCounterScheduler()
@@ -136,15 +136,15 @@ class TestArrivalLift:
         # ...then bob accrues debt.  A second alice arrival while she is
         # STILL active must not lift her to bob's counter.
         finish(scheduler, bob, generated=32)
-        assert scheduler.counter("bob") > 0
+        assert vtc_counter(scheduler, "bob") > 0
         scheduler.on_request_submitted(tenant_request("a1", "alice"))
-        assert scheduler.counter("alice") == 0.0
+        assert vtc_counter(scheduler, "alice") == 0.0
 
     def test_first_arrival_with_no_active_tenants_stays_at_zero(self):
         scheduler = VirtualTokenCounterScheduler()
         scheduler.on_run_start()
         scheduler.on_request_submitted(tenant_request("a0", "alice"))
-        assert scheduler.counter("alice") == 0.0
+        assert vtc_counter(scheduler, "alice") == 0.0
 
 
 class TestAdmissionOrdering:
@@ -236,7 +236,7 @@ class TestAdmissionOrdering:
         request = tenant_request("a0", "alice")
         scheduler.schedule(SchedulerQueue(scheduler, [request]).context())
         # Provisional charges are local to the consult.
-        assert scheduler.counter("alice") == 0.0
+        assert vtc_counter(scheduler, "alice") == 0.0
 
 
 class TestConsultCost:
@@ -318,9 +318,9 @@ class TestSaturatedHorizon:
         waiting = [tenant_request("w", "alice", input_length=200)]
         running = [tenant_request("r", None, input_length=800)]
         context = SchedulerQueue(scheduler, waiting).context(running, token_capacity=1000)
-        before = scheduler.counter("alice")
+        before = vtc_counter(scheduler, "alice")
         scheduler.saturated_no_admit_horizon(context, 10)
-        assert scheduler.counter("alice") == before
+        assert vtc_counter(scheduler, "alice") == before
 
 
 class TestConstructionAndRegistry:

@@ -535,8 +535,8 @@ class TestElasticCluster:
         # The shrink must make the run cheaper than a static 3-replica fleet,
         # but no cheaper than a single always-on replica.
         assert result.duration < result.replica_seconds < 3 * result.duration
-        assert 1.0 < result.avg_fleet_size < 3.0
         summary = result.fleet_summary(SLA)
+        assert 1.0 < summary.avg_fleet_size < 3.0
         assert summary.replica_seconds == pytest.approx(result.replica_seconds)
         assert summary.goodput_per_replica_second == pytest.approx(
             result.goodput_per_replica_second(SLA)
@@ -546,7 +546,7 @@ class TestElasticCluster:
         cluster = make_cluster(platform_7b, num_replicas=2)
         result = cluster.run_closed_loop(make_workload(num_requests=8), num_clients=2)
         assert result.replica_seconds == pytest.approx(2 * result.duration)
-        assert result.avg_fleet_size == pytest.approx(2.0)
+        assert result.fleet_summary(SLA).avg_fleet_size == pytest.approx(2.0)
 
     def test_goodput_per_replica_second_rewards_elasticity(self, platform_7b):
         # Same trace, same router: a fleet that sheds two idle replicas must

@@ -407,7 +407,7 @@ class TestHeterogeneousFleet:
             router="round-robin",
             scheduler_name="aggressive",
         )
-        with pytest.raises(ValueError, match="huge needs 18550 .* largest routable .* 18525"):
+        with pytest.raises(ValueError, match="huge needs 18550 .* largest replica's capacity of 18525"):
             cluster.run_open_loop(Workload(name="huge", requests=[spec]))
 
     def test_homogeneous_platform_string_unchanged(self, platform_7b):

@@ -51,7 +51,6 @@ class TestReplicaView:
         assert snapshot.num_running == 2
         assert snapshot.num_waiting == 2
         assert snapshot.outstanding == 4
-        assert snapshot.free_tokens == 60
         assert snapshot.queued_demand_tokens == 25
         assert snapshot.load_fraction == pytest.approx(0.65)
         assert not snapshot.saturated
@@ -242,7 +241,7 @@ class TestMemoryAware:
         router = MemoryAwareRouter(default_length=1000)
         request = grown_request(make_spec(output_length=16), 16)
         router.on_request_finished(request, time=1.0)
-        assert len(router.history) == 1
+        assert router.history.snapshot().tolist() == [16]
         router.on_run_start()
         assert router.history.is_empty
 

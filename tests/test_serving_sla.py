@@ -6,11 +6,9 @@ import pytest
 
 from repro.engine.request import Request
 from repro.serving.sla import (
-    SLA_LARGE_MODEL,
     SLA_SMALL_MODEL,
     ClassLimits,
     SLASpec,
-    sla_for_model,
     two_class_sla,
 )
 from tests.conftest import make_spec
@@ -43,13 +41,6 @@ class TestSLASpec:
     def test_presets_match_paper(self):
         assert SLA_SMALL_MODEL.ttft_limit == 10.0
         assert SLA_SMALL_MODEL.mtpot_limit == 1.5
-        assert SLA_LARGE_MODEL.ttft_limit == 15.0
-        assert SLA_LARGE_MODEL.mtpot_limit == 5.0
-
-    def test_sla_for_model(self):
-        assert sla_for_model("Llama-2-7B-Chat") is SLA_SMALL_MODEL
-        assert sla_for_model("Llama-2-13B-Chat") is SLA_SMALL_MODEL
-        assert sla_for_model("Llama-2-70B-Chat") is SLA_LARGE_MODEL
 
     def test_describe(self):
         assert "TTFT 10s" in SLA_SMALL_MODEL.describe()
@@ -131,4 +122,4 @@ class TestClassLimits:
         # class-carrying specs must both keep working as dict keys.
         sla = two_class_sla(interactive=(2.5, 0.5), batch=(10.0, 1.5))
         assert {SLA_SMALL_MODEL: 1, sla: 2}[sla] == 2
-        assert len({SLA_SMALL_MODEL, SLA_LARGE_MODEL}) == 2
+        assert len({SLA_SMALL_MODEL, SLASpec(ttft_limit=15.0, mtpot_limit=5.0)}) == 2

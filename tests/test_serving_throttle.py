@@ -27,9 +27,9 @@ class TestConstruction:
         with pytest.raises(ValueError, match="window_seconds"):
             OverloadThrottle(user_rpm=1, window_seconds=0.0)
 
-    def test_describe(self):
-        assert "user<=10" in OverloadThrottle(user_rpm=10).describe()
-        assert "disabled" in OverloadThrottle().describe()
+    def test_repr(self):
+        assert "user<=10" in repr(OverloadThrottle(user_rpm=10))
+        assert "disabled" in repr(OverloadThrottle())
 
 
 class TestSlidingWindow:

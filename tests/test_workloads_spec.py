@@ -81,10 +81,10 @@ class TestWorkload:
         with pytest.raises(ValueError):
             Workload(name="w", requests=[spec, spec])
 
-    def test_iteration_and_indexing(self):
+    def test_iteration(self):
         workload = make_workload(num_requests=3)
         assert len(workload) == 3
-        assert list(workload)[0] is workload[0]
+        assert list(workload) == workload.requests
 
     def test_means(self):
         workload = make_workload(num_requests=4, input_length=10, output_length=30)
@@ -95,12 +95,10 @@ class TestWorkload:
         workload = Workload(name="empty")
         assert workload.mean_input_length == 0.0
         assert workload.mean_output_length == 0.0
-        assert workload.total_output_tokens == 0
 
-    def test_output_lengths_and_total(self):
+    def test_output_lengths(self):
         workload = make_workload(num_requests=5, output_length=7)
         assert workload.output_lengths == [7] * 5
-        assert workload.total_output_tokens == 35
 
     def test_renumbered_ids_unique(self):
         workload = make_workload(num_requests=3, name="a")
@@ -114,15 +112,15 @@ class TestComposition:
         second = make_workload(num_requests=3, name="beta")
         combined = concatenate("combo", [first, second])
         assert len(combined) == 5
-        assert combined[0].request_id.startswith("w0-")
-        assert combined[-1].request_id.startswith("w1-")
+        assert combined.requests[0].request_id.startswith("w0-")
+        assert combined.requests[-1].request_id.startswith("w1-")
 
     def test_scale_workload_halves_lengths(self):
         workload = make_workload(num_requests=2, input_length=100, output_length=50, max_new_tokens=80)
         scaled = scale_workload(workload, 0.5)
-        assert scaled[0].input_length == 50
-        assert scaled[0].output_length == 25
-        assert scaled[0].max_new_tokens == 40
+        assert scaled.requests[0].input_length == 50
+        assert scaled.requests[0].output_length == 25
+        assert scaled.requests[0].max_new_tokens == 40
 
     def test_scale_workload_respects_floor_and_cap_invariant(self):
         workload = make_workload(num_requests=2, input_length=3, output_length=2, max_new_tokens=2)

@@ -303,6 +303,33 @@ MUTANTS: tuple[Mutant, ...] = (
             "::test_memory_aware_speed_weighting_breaks_fraction_ties",
         ),
     ),
+    Mutant(
+        "same-instant-straggler-before-crash",
+        "src/repro/serving/faults.py",
+        '_ACTION_ORDER = ("crash", "straggler-end", "straggler-start")',
+        '_ACTION_ORDER = ("straggler-start", "straggler-end", "crash")',
+        (
+            "tests/test_serving_faults.py::TestPlanAndPolicy"
+            "::test_injector_orders_same_instant_crash_before_straggler_start",
+        ),
+    ),
+    Mutant(
+        "autoscaler-keeps-the-policy-state",
+        "src/repro/serving/autoscale.py",
+        "        self._next_decision = self.interval\n        self.policy.on_run_start()\n",
+        "        self._next_decision = self.interval\n",
+        (
+            "tests/test_serving_autoscale.py::TestAutoscalerDriver"
+            "::test_run_start_resets_cadence_window_and_policy",
+        ),
+    ),
+    Mutant(
+        "kernel-imports-the-metrics-layer",
+        "src/repro/core/future_memory.py",
+        "from operator import itemgetter\n",
+        "from operator import itemgetter\n\nimport repro.metrics.latency  # noqa: F401\n",
+        ("tests/test_import_hygiene.py::test_future_memory_kernel_loads_no_upper_layer",),
+    ),
 )
 
 

@@ -177,7 +177,6 @@ def failure_table(events: list[TraceEvent]) -> list[dict]:
     policy is fighting dead or overloaded capacity.
     """
     spans: dict[int | None, list[dict]] = defaultdict(list)
-    migrations: dict[int | None, int] = defaultdict(int)
     retries: dict[int, int] = defaultdict(int)
     for event in events:
         if event.name == obs.REPLICA_FAIL:
@@ -192,19 +191,12 @@ def failure_table(events: list[TraceEvent]) -> list[dict]:
             open_spans = [s for s in spans[event.replica] if s["until"] is None]
             if open_spans:
                 open_spans[-1]["until"] = event.time
-        elif event.name == obs.REQUEST_MIGRATE:
-            migrations[event.replica] += 1
         elif event.name == obs.REQUEST_RETRY:
             retries[int(event.attrs.get("attempt", 0))] += 1
-    rows = []
-    for replica in sorted(spans, key=lambda r: (r is None, r)):
-        rows.append(
-            {
-                "replica": replica,
-                "faults": spans[replica],
-                "migrated_off": migrations.get(replica, 0),
-            }
-        )
+    rows = [
+        {"replica": replica, "faults": spans[replica]}
+        for replica in sorted(spans, key=lambda r: (r is None, r))
+    ]
     if retries:
         rows.append(
             {

@@ -17,7 +17,6 @@ from repro.metrics.similarity import window_similarity_matrix
 from repro.workloads.burstgpt import FIGURE3_TRACES, figure3_trace
 
 REQUESTS_PER_TRACE = 12_000
-WINDOW_SIZE = 1000
 
 
 @pytest.mark.benchmark(group="fig03")
@@ -26,7 +25,7 @@ def test_fig03_window_similarity(benchmark, results_dir):
         rows = []
         for label in FIGURE3_TRACES:
             trace = figure3_trace(label, REQUESTS_PER_TRACE, seed=31)
-            matrix = window_similarity_matrix(trace.output_lengths, window_size=WINDOW_SIZE)
+            matrix = window_similarity_matrix(trace.output_lengths)
             rows.append(
                 {
                     "trace": label,

@@ -36,7 +36,7 @@ PANELS = {
 
 
 def run_panel(platform) -> list[dict]:
-    workload = generate_sharegpt_workload(NUM_REQUESTS, seed=91, max_new_tokens=2048)
+    workload = generate_sharegpt_workload(NUM_REQUESTS, seed=91)
     profiles = [get_framework(name) for name in FIGURE9_FRAMEWORKS]
     curves = framework_sweep(
         profiles,

@@ -19,7 +19,7 @@ def main() -> None:
     platform = paper_platform("7b-a100")
     print(f"Platform: {platform.describe()}")
 
-    workload = generate_sharegpt_workload(num_requests=200, seed=0, max_new_tokens=2048)
+    workload = generate_sharegpt_workload(num_requests=200, seed=0)
     print(
         f"Workload: {workload.name}, {len(workload)} requests, "
         f"mean input {workload.mean_input_length:.0f} tokens, "

@@ -23,7 +23,7 @@ def main() -> None:
 
     rows = []
     for name, trace in traces.items():
-        matrix = window_similarity_matrix(trace.output_lengths, window_size=1000)
+        matrix = window_similarity_matrix(trace.output_lengths)
         rows.append(
             {
                 "trace": name,

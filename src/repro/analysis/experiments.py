@@ -9,7 +9,7 @@ reproducible from the config alone:
   a :class:`RunResult`;
 * naming a ``router`` makes it a fleet, giving a :class:`ClusterResult`;
   an ``autoscaler`` (:class:`~repro.serving.autoscale.Autoscaler`) makes
-  the fleet elastic within its ``[min_replicas, max_replicas]``, starting
+  the fleet elastic within ``[1, max_replicas]``, starting
   at ``num_replicas``.  Under a
   :class:`~repro.serving.autoscale.StaticPolicy` the fleet is the
   peak-provisioned baseline: a fixed fleet of ``max_replicas``.
@@ -86,7 +86,6 @@ class FleetConfig:
     scheduler_name: str = "past-future"
     scheduler_kwargs: Mapping[str, object] = field(default_factory=dict)
     num_clients: int | None = None
-    think_time: float = 0.0
     chunked_prefill_tokens: int | None = None
     token_capacity_override: int | None = None
     capacity_scale: float | None = None
@@ -100,10 +99,8 @@ class FleetConfig:
     prefix_cache_tokens: int | None = None
 
     def __post_init__(self) -> None:
-        if self.think_time > 0 and self.num_clients is None:
-            raise ValueError("think_time paces closed-loop clients; num_clients=None is open loop")
         if self.num_clients is not None:
-            check_client_pool_args(self.num_clients, self.think_time)
+            check_client_pool_args(self.num_clients)
         # Building the scheduler and a named router once makes an unknown
         # name or keyword raise here, not when a run starts.
         self.build_scheduler()
@@ -199,15 +196,13 @@ def run_experiment(
             :class:`~repro.serving.cluster.ClusterSimulator`).
     """
     if not isinstance(load, Workload) and config.num_clients is not None:
-        raise ValueError("sessions carry their own think times; unset num_clients and think_time")
+        raise ValueError("sessions carry their own think times; unset num_clients")
     simulator = config.build_simulator(tracer)
     if not isinstance(load, Workload):
         return simulator.run_sessions(load)
     if config.num_clients is None:
         return simulator.run_open_loop(load)
-    return simulator.run_closed_loop(
-        load, num_clients=config.num_clients, think_time=config.think_time
-    )
+    return simulator.run_closed_loop(load, num_clients=config.num_clients)
 
 
 def sweep(

@@ -3,8 +3,8 @@
 Section 3.2 of the paper observes that the output-length distribution of the
 most recent *w* finished requests (the "historical window", w = 1000 in the
 paper) predicts the distribution of the requests currently being served.  The
-:class:`OutputLengthHistory` keeps exactly that window and exposes it as an
-empirical distribution.
+:class:`OutputLengthHistory` keeps exactly that window, :data:`WINDOW_SIZE`
+requests long, and exposes it as an empirical distribution.
 
 Before any request has finished (service start-up), the paper initialises the
 distribution with the preset maximum output length; :meth:`snapshot` mirrors
@@ -18,34 +18,27 @@ from collections import deque
 
 import numpy as np
 
+#: The paper's historical request window: the last 1000 finished requests.
+WINDOW_SIZE = 1000
+
 
 class OutputLengthHistory:
-    """Fixed-size sliding window over finished output lengths.
+    """Sliding window over the last :data:`WINDOW_SIZE` finished output lengths.
 
     Args:
-        window_size: maximum number of recent observations retained
-            (the paper's *historical request window*, default 1000).
         default_length: length used to seed the distribution before any
             request has finished (the paper uses the preset
             ``max_new_tokens``).
     """
 
-    def __init__(self, window_size: int = 1000, default_length: int = 2048) -> None:
-        if window_size <= 0:
-            raise ValueError("window_size must be positive")
+    def __init__(self, default_length: int = 2048) -> None:
         if default_length <= 0:
             raise ValueError("default_length must be positive")
-        self._window_size = window_size
         self._default_length = default_length
-        self._lengths: deque[int] = deque(maxlen=window_size)
+        self._lengths: deque[int] = deque(maxlen=WINDOW_SIZE)
         self._version = 0
         self._sorted_cache: np.ndarray | None = None
         self._sorted_cache_version = -1
-
-    @property
-    def window_size(self) -> int:
-        """Maximum number of retained observations."""
-        return self._window_size
 
     @property
     def is_empty(self) -> bool:

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core import rng_streams
 from repro.core.future_memory import FutureMemoryIndex, batched_peak_with_candidate
-from repro.core.history import OutputLengthHistory
+from repro.core.history import WINDOW_SIZE, OutputLengthHistory
 from repro.core.predictor import OutputLengthPredictor, aggregate_samples, conditional_prediction_samples
 from repro.engine.request import Request
 from repro.schedulers.base import Scheduler, SchedulingContext
@@ -66,12 +66,8 @@ class PastFutureScheduler(Scheduler):
     Args:
         reserved_fraction: fraction of the token capacity withheld from the
             admission budget to absorb prediction error (the paper evaluates
-            3%, 5%, 10% and 20%).
-        window_size: size of the historical output-length window (1000 in the
-            paper).
-        default_length: output length used to seed the distribution before
-            any request finishes (the paper uses the preset maximum output
-            length).
+            3%, 5%, 10% and 20%).  The history window is the paper's
+            :data:`~repro.core.history.WINDOW_SIZE`.
         seed: RNG seed for prediction sampling, an ``int`` in ``[0, 2**63)``.
         num_samples: repeated-sampling count used to stabilise predictions
             when the batch is small; the maximum sample is kept.
@@ -82,8 +78,6 @@ class PastFutureScheduler(Scheduler):
     def __init__(
         self,
         reserved_fraction: float = 0.03,
-        window_size: int = 1000,
-        default_length: int = 2048,
         seed: int = 0,
         num_samples: int = 1,
     ) -> None:
@@ -96,11 +90,9 @@ class PastFutureScheduler(Scheduler):
         if num_samples < 1:
             raise ValueError(f"num_samples must be at least 1, got {num_samples!r}")
         self.reserved_fraction = reserved_fraction
-        self.window_size = window_size
-        self.default_length = default_length
         self.seed = seed
         self.num_samples = num_samples
-        self.history = OutputLengthHistory(window_size=window_size, default_length=default_length)
+        self.history = OutputLengthHistory()
         self._sample_counter = 0
 
     # ------------------------------------------------------------- lifecycle
@@ -276,4 +268,4 @@ class PastFutureScheduler(Scheduler):
 
     def describe(self) -> str:
         """One-line parameterised description used in result tables."""
-        return f"past-future (reserved={self.reserved_fraction:.0%}, window={self.window_size})"
+        return f"past-future (reserved={self.reserved_fraction:.0%}, window={WINDOW_SIZE})"

@@ -22,6 +22,14 @@ from typing import Iterator
 
 from repro.hardware.platform import Platform
 
+#: Fraction of peak FLOP/s achieved by prefill GEMMs.
+COMPUTE_EFFICIENCY = 0.55
+#: Fraction of peak bandwidth achieved by decode.
+BANDWIDTH_EFFICIENCY = 0.70
+#: Fixed per-iteration overhead in seconds (kernel launches, Python
+#: scheduling, tokenization/detokenization).
+STEP_OVERHEAD_SECONDS = 0.004
+
 
 def check_engine_settings(**settings: float | None) -> None:
     """Raise ``ValueError`` unless each set (not ``None``) engine-level number is
@@ -59,30 +67,20 @@ class StepWork:
 class CostModel:
     """Analytical latency model for one platform.
 
+    The efficiency factors and the per-iteration overhead are the module's
+    calibration constants.
+
     Args:
         platform: the (model, GPU, TP) deployment to cost.
-        compute_efficiency: fraction of peak FLOP/s achieved by prefill GEMMs.
-        bandwidth_efficiency: fraction of peak bandwidth achieved by decode.
-        step_overhead_seconds: fixed per-iteration overhead (kernel launches,
-            Python scheduling, tokenization/detokenization).
         speed_factor: multiplier on the final latency; ``1.0`` is the LightLLM
             baseline, other frameworks use values from
             :mod:`repro.frameworks.profiles`.
     """
 
     platform: Platform
-    compute_efficiency: float = 0.55
-    bandwidth_efficiency: float = 0.70
-    step_overhead_seconds: float = 0.004
     speed_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.compute_efficiency <= 1.0:
-            raise ValueError("compute_efficiency must be in (0, 1]")
-        if not 0.0 < self.bandwidth_efficiency <= 1.0:
-            raise ValueError("bandwidth_efficiency must be in (0, 1]")
-        if self.step_overhead_seconds < 0:
-            raise ValueError("step_overhead_seconds must be non-negative")
         check_engine_settings(speed_factor=self.speed_factor)
 
     # -------------------------------------------------------------- components
@@ -92,7 +90,7 @@ class CostModel:
             return 0.0
         model = self.platform.model
         flops = prompt_tokens * model.flops_per_token
-        return flops / (self.platform.aggregate_flops * self.compute_efficiency)
+        return flops / (self.platform.aggregate_flops * COMPUTE_EFFICIENCY)
 
     def decode_seconds(self, decode_requests: int, decode_context_tokens: int) -> float:
         """Memory-bound time for one decode iteration over the running batch."""
@@ -102,10 +100,10 @@ class CostModel:
         weight_bytes = model.weight_bytes
         kv_bytes = decode_context_tokens * model.kv_bytes_per_token
         memory_time = (weight_bytes + kv_bytes) / (
-            self.platform.aggregate_bandwidth * self.bandwidth_efficiency
+            self.platform.aggregate_bandwidth * BANDWIDTH_EFFICIENCY
         )
         flops = decode_requests * model.flops_per_token
-        compute_time = flops / (self.platform.aggregate_flops * self.compute_efficiency)
+        compute_time = flops / (self.platform.aggregate_flops * COMPUTE_EFFICIENCY)
         return max(memory_time, compute_time)
 
     @property
@@ -116,7 +114,7 @@ class CostModel:
         discounted by the empirical efficiency factor — is the speed axis on
         which replicas of different GPU generations compare.
         """
-        return self.platform.aggregate_bandwidth * self.bandwidth_efficiency
+        return self.platform.aggregate_bandwidth * BANDWIDTH_EFFICIENCY
 
     def relative_speed(self, reference: "CostModel") -> float:
         """Decode speed of this platform relative to ``reference`` (1.0 = equal).
@@ -143,7 +141,7 @@ class CostModel:
         prefill = self.prefill_seconds(work.prefill_tokens)
         decode = self.decode_seconds(work.decode_requests, work.decode_context_tokens)
         vision = self.vision_seconds(work.images_encoded)
-        total = prefill + decode + vision + self.step_overhead_seconds
+        total = prefill + decode + vision + STEP_OVERHEAD_SECONDS
         return total * self.speed_factor
 
     def decode_durations(self, decode_requests: int, start_context_tokens: int) -> Iterator[float]:
@@ -168,10 +166,10 @@ class CostModel:
         # for each iteration's context, so each quotient is step_seconds' own.
         memory_bytes = model.weight_bytes + start_context_tokens * model.kv_bytes_per_token
         step_bytes = decode_requests * model.kv_bytes_per_token
-        bandwidth = self.platform.aggregate_bandwidth * self.bandwidth_efficiency
+        bandwidth = self.platform.aggregate_bandwidth * BANDWIDTH_EFFICIENCY
         flops = decode_requests * model.flops_per_token
-        compute_time = flops / (self.platform.aggregate_flops * self.compute_efficiency)
-        overhead, speed_factor = self.step_overhead_seconds, self.speed_factor
+        compute_time = flops / (self.platform.aggregate_flops * COMPUTE_EFFICIENCY)
+        overhead, speed_factor = STEP_OVERHEAD_SECONDS, self.speed_factor
         while True:
             memory_time = memory_bytes / bandwidth
             # ``max(memory_time, compute_time)`` without the call; ``0.0 +

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Fraction of device memory usable for weights + KV cache (the remainder is
+#: activation workspace, CUDA context, fragmentation headroom).
+USABLE_FRACTION = 0.9
+
 
 @dataclass(frozen=True)
 class GPUConfig:
@@ -21,14 +25,11 @@ class GPUConfig:
     fp16_tflops: float
     bandwidth_gbps: float
     nvlink: bool = False
-    #: fraction of device memory usable for weights + KV cache (the remainder
-    #: is activation workspace, CUDA context, fragmentation headroom).
-    usable_fraction: float = 0.9
 
     @property
     def usable_memory_bytes(self) -> float:
         """Bytes available for model weights plus the KV-cache pool."""
-        return self.memory_bytes * self.usable_fraction
+        return self.memory_bytes * USABLE_FRACTION
 
     @property
     def flops_per_second(self) -> float:

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Bytes per weight and per KV element: every served model runs in FP16.
+DTYPE_BYTES = 2
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -35,7 +38,6 @@ class ModelConfig:
     num_key_value_heads: int
     intermediate_size: int
     vocab_size: int = 32000
-    dtype_bytes: int = 2
     #: extra tokens prepended to every request (e.g. image patch tokens for
     #: multimodal models); 0 for text-only models.
     vision_prefix_tokens: int = 0
@@ -54,13 +56,13 @@ class ModelConfig:
         Per layer a token stores a key and a value vector of
         ``num_key_value_heads * head_dim`` elements each.
         """
-        per_layer = 2 * self.num_key_value_heads * self.head_dim * self.dtype_bytes
+        per_layer = 2 * self.num_key_value_heads * self.head_dim * DTYPE_BYTES
         return per_layer * self.num_layers
 
     @property
     def weight_bytes(self) -> int:
         """Approximate bytes occupied by the model weights."""
-        return int(self.num_parameters * self.dtype_bytes)
+        return int(self.num_parameters * DTYPE_BYTES)
 
     @property
     def flops_per_token(self) -> float:

@@ -12,11 +12,16 @@ KV footprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.hardware.gpus import GPUConfig, get_gpu
 from repro.hardware.models import ModelConfig, get_model
+
+#: Multiplicative penalty on per-step latency from TP communication; it is
+#: smaller on NVLink-connected devices.
+TP_OVERHEAD_NVLINK = 0.08
+TP_OVERHEAD_PCIE = 0.20
 
 
 class PlatformError(ValueError):
@@ -30,10 +35,6 @@ class Platform:
     model: ModelConfig
     gpu: GPUConfig
     tensor_parallel: int = 1
-    #: multiplicative penalty on per-step latency from TP communication.  The
-    #: penalty is smaller on NVLink-connected devices.
-    _tp_overhead_nvlink: float = field(default=0.08, repr=False)
-    _tp_overhead_pcie: float = field(default=0.20, repr=False)
 
     def __post_init__(self) -> None:
         if self.tensor_parallel < 1:
@@ -63,8 +64,7 @@ class Platform:
         """Fractional latency overhead added by tensor-parallel communication."""
         if self.tensor_parallel == 1:
             return 0.0
-        factor = self._tp_overhead_nvlink if self.gpu.nvlink else self._tp_overhead_pcie
-        return factor
+        return TP_OVERHEAD_NVLINK if self.gpu.nvlink else TP_OVERHEAD_PCIE
 
     @property
     def aggregate_flops(self) -> float:

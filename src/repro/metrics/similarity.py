@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.history import WINDOW_SIZE
+
 
 def length_histogram(
     lengths: Sequence[int] | np.ndarray,
@@ -72,18 +74,17 @@ class SimilarityMatrix:
     """Pairwise cosine-similarity matrix between trace windows."""
 
     matrix: np.ndarray
-    window_size: int
 
     @property
     def num_windows(self) -> int:
         """Number of windows compared."""
         return self.matrix.shape[0]
 
-    def diagonal_mean(self, offset: int = 1) -> float:
-        """Mean similarity of windows ``offset`` apart (adjacent windows by default)."""
-        if self.num_windows <= offset:
+    def diagonal_mean(self) -> float:
+        """Mean similarity of adjacent windows."""
+        if self.num_windows <= 1:
             return 0.0
-        return float(np.mean(np.diagonal(self.matrix, offset=offset)))
+        return float(np.mean(np.diagonal(self.matrix, offset=1)))
 
     def global_mean(self) -> float:
         """Mean similarity over all distinct window pairs."""
@@ -94,12 +95,9 @@ class SimilarityMatrix:
         return float(upper.mean())
 
 
-def window_similarity_matrix(
-    lengths: Sequence[int],
-    window_size: int = 1000,
-) -> SimilarityMatrix:
-    """Cosine-similarity matrix between equal-size windows of a trace."""
-    windows = partition_windows(lengths, window_size)
+def window_similarity_matrix(lengths: Sequence[int]) -> SimilarityMatrix:
+    """Cosine-similarity matrix between the trace's :data:`WINDOW_SIZE` windows."""
+    windows = partition_windows(lengths, WINDOW_SIZE)
     max_length = int(max(lengths)) if len(lengths) else 2
     bin_edges = default_bin_edges(max(max_length, 2))
     histograms = [length_histogram(window, bin_edges) for window in windows]
@@ -110,7 +108,7 @@ def window_similarity_matrix(
             sim = cosine_similarity(histograms[i], histograms[j])
             matrix[i, j] = sim
             matrix[j, i] = sim
-    return SimilarityMatrix(matrix=matrix, window_size=window_size)
+    return SimilarityMatrix(matrix=matrix)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ simulation results are byte-identical whether or not a tracer is attached.
 Pick an implementation by what you can afford to keep:
 
 * :class:`NullTracer` — nothing; the default everywhere.
-* :class:`RingTracer` — the last ``capacity`` events in memory, evicting the
-  oldest first.  Constant memory, so it can stay attached to very long runs
+* :class:`RingTracer` — the last :data:`RING_CAPACITY` events in memory,
+  evicting the oldest first.  Constant memory, so it can stay attached to very long runs
   (the ROADMAP's million-request streaming scenarios) as a flight recorder.
 * :class:`JsonlTracer` — every event appended to a JSON-Lines file as it is
   emitted.  Unbounded but durable; the input format of
@@ -24,6 +24,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
+
+
+#: Events a :class:`RingTracer` retains.
+RING_CAPACITY = 65536
 
 
 @dataclass(frozen=True)
@@ -121,18 +125,14 @@ NULL_TRACER = NullTracer()
 
 
 class RingTracer(Tracer):
-    """Bounded in-memory tracer keeping the most recent ``capacity`` events.
+    """Bounded in-memory tracer keeping the most recent :data:`RING_CAPACITY` events.
 
-    Args:
-        capacity: maximum events retained; older events are evicted
-            oldest-first once the ring is full (:attr:`dropped` counts them).
+    Older events are evicted oldest-first once the ring is full
+    (:attr:`dropped` counts them).
     """
 
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._ring: deque[TraceEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._ring: deque[TraceEvent] = deque(maxlen=RING_CAPACITY)
         #: events evicted so far to honour the capacity bound.
         self.dropped = 0
         #: events ever emitted (retained + dropped).
@@ -140,7 +140,7 @@ class RingTracer(Tracer):
 
     def emit(self, event: TraceEvent) -> None:
         """Append the event, evicting the oldest when at capacity."""
-        if len(self._ring) == self.capacity:
+        if len(self._ring) == RING_CAPACITY:
             self.dropped += 1
         self._ring.append(event)
         self.emitted += 1

@@ -14,8 +14,7 @@ from the LLM fair-serving literature fixes the *who first* half:
   one FIFO per tenant, kept by the engine's queue hooks (Sheng et al.'s
   per-client queues), makes a consult O(tenants + admitted), not O(queue);
 * on completion a request **charges** its tenant the actual service it
-  consumed — ``prefill_weight * prompt_tokens + decode_weight *
-  generated_tokens``;
+  consumed — its prompt tokens plus its generated tokens;
 * a tenant that arrives (or returns) after sitting idle is **lifted** to the
   minimum counter among currently active tenants, so accumulated "credit"
   from a quiet period cannot be spent monopolising the batch later.
@@ -61,25 +60,12 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
             fill with *current* tokens at admission time (the same knob as
             the aggressive baseline, so FCFS-vs-VTC comparisons isolate the
             admission *order*).
-        prefill_weight: cost per prompt token charged on completion.
-        decode_weight: cost per generated token charged on completion.
     """
 
     name = "vtc"
 
-    def __init__(
-        self,
-        watermark: float = 0.95,
-        prefill_weight: float = 1.0,
-        decode_weight: float = 1.0,
-    ) -> None:
+    def __init__(self, watermark: float = 0.95) -> None:
         super().__init__(watermark)
-        if prefill_weight < 0 or decode_weight < 0:
-            raise ValueError("service weights must be non-negative")
-        if prefill_weight == 0 and decode_weight == 0:
-            raise ValueError("at least one service weight must be positive")
-        self.prefill_weight = prefill_weight
-        self.decode_weight = decode_weight
         self.on_run_start()
 
     # ------------------------------------------------------------- accounting
@@ -90,12 +76,9 @@ class VirtualTokenCounterScheduler(AggressiveScheduler):
         """Service weight of one tenant (charges divide by it)."""
         return 1.0
 
-    def _service_tokens(self, request: Request) -> float:
-        """Actual service a request consumed: weighted prefill + decode tokens."""
-        return (
-            self.prefill_weight * request.prompt_tokens
-            + self.decode_weight * request.generated_tokens
-        )
+    def _service_tokens(self, request: Request) -> int:
+        """Actual service a request consumed: its prompt plus generated tokens."""
+        return request.prompt_tokens + request.generated_tokens
 
     def on_run_start(self) -> None:
         """Forget every tenant's counter, activity and queue (a fresh run)."""
@@ -206,40 +189,28 @@ class WeightedServiceCounterScheduler(VirtualTokenCounterScheduler):
     A tenant's completion charge is divided by its weight, so a weight-``w``
     tenant accrues virtual debt ``w`` times slower and receives roughly a
     ``w``-proportional share of contended admission slots.  Tenants not in
-    the mapping use ``default_weight``.
+    the mapping have weight 1.
 
     Args:
         weights: per-tenant (``user_id``) service weight; must be positive.
-        default_weight: weight of tenants not in ``weights``.
-        watermark / prefill_weight / decode_weight: as for
-            :class:`VirtualTokenCounterScheduler`.
+        watermark: as for :class:`VirtualTokenCounterScheduler`.
     """
 
     name = "weighted-vtc"
 
-    def __init__(
-        self,
-        weights: Mapping[str, float] | None = None,
-        default_weight: float = 1.0,
-        watermark: float = 0.95,
-        prefill_weight: float = 1.0,
-        decode_weight: float = 1.0,
-    ) -> None:
-        super().__init__(watermark=watermark, prefill_weight=prefill_weight, decode_weight=decode_weight)
-        if default_weight <= 0:
-            raise ValueError("default_weight must be positive")
+    def __init__(self, weights: Mapping[str, float] | None = None, watermark: float = 0.95) -> None:
+        super().__init__(watermark=watermark)
         self.weights = dict(weights or {})
         for tenant, weight in self.weights.items():
             if weight <= 0:
                 raise ValueError(f"weight for tenant {tenant!r} must be positive")
-        self.default_weight = default_weight
 
     def _weight(self, tenant: str) -> float:
-        return self.weights.get(tenant, self.default_weight)
+        return self.weights.get(tenant, 1.0)
 
     def describe(self) -> str:
         """One-line parameterised description used in result tables."""
         return (
             f"weighted-vtc (watermark={self.watermark:.0%}, "
-            f"{len(self.weights)} weighted tenants, default={self.default_weight:g})"
+            f"{len(self.weights)} weighted tenants, default=1)"
         )

@@ -57,6 +57,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.history import WINDOW_SIZE
 from repro.engine.request import Request
 from repro.registry import instantiate
 from repro.serving.routing import MemoryAwareRouter, ReplicaView
@@ -142,8 +143,8 @@ class AutoscalerPolicy(abc.ABC):
     def target_size(self, view: FleetView) -> int:
         """Desired provisioned fleet size (active + warming replicas).
 
-        The :class:`Autoscaler` clamps the result to its ``min_replicas`` /
-        ``max_replicas`` bounds, so policies may return any integer.
+        The :class:`Autoscaler` clamps the result to ``[1, max_replicas]``,
+        so policies may return any integer.
         """
 
     # ------------------------------------------------------------- lifecycle
@@ -174,17 +175,16 @@ class StaticPolicy(AutoscalerPolicy):
 class ReactivePolicy(AutoscalerPolicy):
     """Threshold autoscaling on the windowed saturation rate.
 
-    Scale up by ``step`` when recent arrivals saw at least
-    ``scale_up_threshold`` of the active fleet saturated; scale down by
-    ``step`` when the rate is at or below ``scale_down_threshold`` *and* no
-    work is queued.  The gap between the two thresholds is the hysteresis
+    Scale up by one replica when recent arrivals saw at least
+    ``scale_up_threshold`` of the active fleet saturated; scale down by one
+    when the rate is at or below ``scale_down_threshold`` *and* no work is
+    queued.  The gap between the two thresholds is the hysteresis
     band; ``cooldown`` seconds must elapse between consecutive actions so one
     burst does not trigger a scale-up/scale-down oscillation.
 
     Args:
         scale_up_threshold: windowed saturation rate that triggers growth.
         scale_down_threshold: windowed saturation rate that permits shrink.
-        step: replicas added or removed per action.
         cooldown: minimum seconds between consecutive scaling actions.
     """
 
@@ -194,18 +194,14 @@ class ReactivePolicy(AutoscalerPolicy):
         self,
         scale_up_threshold: float = 0.5,
         scale_down_threshold: float = 0.05,
-        step: int = 1,
         cooldown: float = 5.0,
     ) -> None:
         if not 0.0 <= scale_down_threshold < scale_up_threshold <= 1.0:
             raise ValueError("thresholds must satisfy 0 <= down < up <= 1")
-        if step <= 0:
-            raise ValueError("step must be positive")
         if not 0 <= cooldown < math.inf:
             raise ValueError("cooldown must be non-negative and finite")
         self.scale_up_threshold = scale_up_threshold
         self.scale_down_threshold = scale_down_threshold
-        self.step = step
         self.cooldown = cooldown
         self._last_action: float | None = None
 
@@ -223,10 +219,10 @@ class ReactivePolicy(AutoscalerPolicy):
             return current
         if view.saturation_rate >= self.scale_up_threshold:
             self._last_action = view.time
-            return current + self.step
+            return current + 1
         if view.saturation_rate <= self.scale_down_threshold and view.queued_requests == 0:
             self._last_action = view.time
-            return current - self.step
+            return current - 1
         return current
 
     def describe(self) -> str:
@@ -267,12 +263,12 @@ class PredictivePolicy(AutoscalerPolicy):
     while scale-down steps one replica per ``scale_down_cooldown`` so a lull
     inside a burst train does not flap the fleet.
 
+    The arrival-forecast lookahead is the autoscaler's warm-up delay, bound
+    at run time.
+
     Args:
         target_utilization: fraction of aggregate KV capacity predicted
             demand may occupy before the fleet grows.
-        horizon: arrival-forecast lookahead in seconds; ``None`` uses the
-            autoscaler's warm-up delay at run time.
-        window_size: sliding output-length window (the paper uses 1000).
         default_length: output length assumed before any request finishes.
         scale_down_cooldown: minimum seconds between single-replica shrinks.
     """
@@ -282,26 +278,19 @@ class PredictivePolicy(AutoscalerPolicy):
     def __init__(
         self,
         target_utilization: float = 0.7,
-        horizon: float | None = None,
-        window_size: int = 1000,
         default_length: int = 2048,
         scale_down_cooldown: float = 10.0,
     ) -> None:
         if not 0.0 < target_utilization <= 1.0:
             raise ValueError("target_utilization must be in (0, 1]")
-        if horizon is not None and not 0 <= horizon < math.inf:
-            raise ValueError("horizon must be non-negative and finite when set")
         if not 0 <= scale_down_cooldown < math.inf:
             raise ValueError("scale_down_cooldown must be non-negative and finite")
         self.target_utilization = target_utilization
-        self.horizon = horizon
         self.scale_down_cooldown = scale_down_cooldown
         # The memory-aware router doubles as the forecaster: same history,
         # same peak-demand equations, applied to sizing instead of placement.
-        self._forecaster = MemoryAwareRouter(
-            window_size=window_size, default_length=default_length
-        )
-        self._effective_horizon = horizon if horizon is not None else 0.0
+        self._forecaster = MemoryAwareRouter(default_length=default_length)
+        self._horizon = 0.0
         self._last_shrink: float | None = None
 
     def on_run_start(self) -> None:
@@ -315,15 +304,14 @@ class PredictivePolicy(AutoscalerPolicy):
 
     def bind_warmup(self, warmup_delay: float) -> None:
         """Adopt the fleet's warm-up delay as the forecast horizon."""
-        if self.horizon is None:
-            self._effective_horizon = warmup_delay
+        self._horizon = warmup_delay
 
     # ------------------------------------------------------------ forecasting
     def predicted_fleet_demand_tokens(self, view: FleetView) -> float:
         """Forecast peak KV tokens the fleet must hold within the horizon."""
         resident = sum(self._forecaster.predicted_peaks(view.snapshots))
         expected_request = view.mean_arrival_tokens + self._forecaster.history.mean()
-        incoming = view.arrival_rate * self._effective_horizon * expected_request
+        incoming = view.arrival_rate * self._horizon * expected_request
         return resident + incoming
 
     def target_size(self, view: FleetView) -> int:
@@ -359,10 +347,9 @@ class PredictivePolicy(AutoscalerPolicy):
 
     def describe(self) -> str:
         """One-line parameterised description used in result tables."""
-        horizon = self.horizon if self.horizon is not None else self._effective_horizon
         return (
-            f"{self.name} (util<={self.target_utilization:g}, horizon={horizon:g}s, "
-            f"window={self._forecaster.history.window_size})"
+            f"{self.name} (util<={self.target_utilization:g}, horizon={self._horizon:g}s, "
+            f"window={WINDOW_SIZE})"
         )
 
 
@@ -375,7 +362,7 @@ class Autoscaler:
     arrival-rate statistics policies consume), and at each decision instant
     builds a :class:`FleetView` with :meth:`make_view` and passes it to
     :meth:`evaluate`; the returned target — clamped to
-    ``[min_replicas, max_replicas]`` — is then executed by the cluster
+    ``[1, max_replicas]`` — is then executed by the cluster
     (launch warming replicas or drain active ones).  One instance may serve
     runs one after another: each run starts with :meth:`on_run_start`.
 
@@ -383,7 +370,6 @@ class Autoscaler:
         policy: sizing policy instance, or a registry name (``static``,
             ``reactive``, ``predictive``).
         interval: seconds of fleet clock between decisions.
-        min_replicas: lower clamp on the provisioned fleet size.
         max_replicas: upper clamp on the provisioned fleet size.
         warmup_delay: seconds a newly launched replica spends warming (cold
             engine, not routable) before it can serve.
@@ -395,24 +381,20 @@ class Autoscaler:
         self,
         policy: AutoscalerPolicy | str,
         interval: float = 1.0,
-        min_replicas: int = 1,
         max_replicas: int = 8,
         warmup_delay: float = 0.0,
         sample_window: float = 5.0,
     ) -> None:
         if not 0 < interval < math.inf:
             raise ValueError("interval must be positive and finite")
-        if min_replicas <= 0:
-            raise ValueError("min_replicas must be positive")
-        if max_replicas < min_replicas:
-            raise ValueError("max_replicas must be at least min_replicas")
+        if max_replicas < 1:
+            raise ValueError("max_replicas must be positive")
         if not 0 <= warmup_delay < math.inf:
             raise ValueError("warmup_delay must be non-negative and finite")
         if not 0 < sample_window < math.inf:
             raise ValueError("sample_window must be positive and finite")
         self.policy = create_autoscale_policy(policy) if isinstance(policy, str) else policy
         self.interval = interval
-        self.min_replicas = min_replicas
         self.max_replicas = max_replicas
         self.warmup_delay = warmup_delay
         self.sample_window = sample_window
@@ -485,7 +467,7 @@ class Autoscaler:
     # -------------------------------------------------------------- deciding
     def evaluate(self, view: FleetView) -> int:
         """Clamp the policy's target for ``view`` and advance the decision cadence."""
-        target = max(self.min_replicas, min(self.max_replicas, self.policy.target_size(view)))
+        target = max(1, min(self.max_replicas, self.policy.target_size(view)))
         while self._next_decision <= view.time:
             self._next_decision += self.interval
         return target
@@ -494,7 +476,7 @@ class Autoscaler:
         """One-line parameterised description used in result tables."""
         return (
             f"{self.policy.describe()} @ {self.interval:g}s, "
-            f"warmup {self.warmup_delay:g}s, fleet {self.min_replicas}..{self.max_replicas}"
+            f"warmup {self.warmup_delay:g}s, fleet 1..{self.max_replicas}"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

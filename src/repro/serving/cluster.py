@@ -310,12 +310,9 @@ def check_fleet_args(
         raise ValueError("platforms must not be empty")
     if num_replicas <= 0:
         raise ValueError("num_replicas must be positive")
-    if autoscaler is not None and not (
-        autoscaler.min_replicas <= num_replicas <= autoscaler.max_replicas
-    ):
+    if autoscaler is not None and num_replicas > autoscaler.max_replicas:
         raise ValueError(
-            "num_replicas must start within the autoscaler's "
-            f"[{autoscaler.min_replicas}, {autoscaler.max_replicas}] bounds"
+            f"num_replicas must start within the autoscaler's [1, {autoscaler.max_replicas}] bounds"
         )
     if router is None and (num_replicas != 1 or autoscaler is not None or faults is not None):
         raise ValueError(
@@ -1038,7 +1035,7 @@ class ClusterSimulator:
                     f"request {spec.request_id} needs {spec.total_tokens} KV tokens, "
                     f"more than the largest replica's capacity of {capacity}"
                 )
-        generator.start(0.0)
+        generator.start()
         router = self.router
         if router is not None:
             router.on_run_start()
@@ -1217,27 +1214,17 @@ class ClusterSimulator:
         self,
         workload: Workload,
         num_clients: int,
-        think_time: float = 0.0,
     ) -> ClusterResult:
         """Serve a workload with a fleet-wide closed-loop client pool."""
-        pool = ClosedLoopClientPool(workload, num_clients=num_clients, think_time=think_time)
+        pool = ClosedLoopClientPool(workload, num_clients=num_clients)
         return self._run(pool, workload, workload.name, num_clients)
 
-    def run_open_loop(
-        self,
-        workload: Workload,
-        request_rate: float | None = None,
-        seed: int = 0,
-    ) -> ClusterResult:
-        """Serve a workload with open-loop (Poisson, bursty, or recorded) arrivals."""
-        arrivals = OpenLoopArrivals(workload, request_rate=request_rate, seed=seed)
+    def run_open_loop(self, workload: Workload) -> ClusterResult:
+        """Serve a workload open-loop, at its stamped arrival times."""
+        arrivals = OpenLoopArrivals(workload)
         return self._run(arrivals, workload, workload.name, num_clients=0)
 
-    def run_sessions(
-        self,
-        interactions: Sequence[Interaction],
-        name: str = "interactions",
-    ) -> ClusterResult:
+    def run_sessions(self, interactions: Sequence[Interaction]) -> ClusterResult:
         """Serve multi-turn sessions closed-loop across the fleet.
 
         Each interaction's opening turn arrives at its start time; every
@@ -1249,4 +1236,4 @@ class ClusterSimulator:
         others' event jumps at its clock plus the shortest think time.
         """
         generator = InteractionLoadGenerator(interactions)
-        return self._run(generator, interactions, name, num_clients=len(interactions))
+        return self._run(generator, interactions, "interactions", num_clients=len(interactions))

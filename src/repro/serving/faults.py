@@ -25,6 +25,7 @@ byte-identical to one built before this module existed.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -74,8 +75,8 @@ class ReplicaCrash:
     replica: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("crash time must be non-negative")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"crash time must be finite and non-negative, got {self.time!r}")
         if self.replica < 0:
             raise ValueError("crash replica id must be non-negative")
 
@@ -90,12 +91,12 @@ class Straggler:
     slowdown: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError("straggler start must be non-negative")
-        if self.duration <= 0:
-            raise ValueError("straggler duration must be positive")
-        if self.slowdown <= 1.0:
-            raise ValueError("slowdown must exceed 1.0 (1.0 is a healthy replica)")
+        if not 0 <= self.start < math.inf:
+            raise ValueError(f"straggler start must be finite and non-negative, got {self.start!r}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"straggler duration must be finite and positive, got {self.duration!r}")
+        if not 1.0 < self.slowdown < math.inf:
+            raise ValueError(f"straggler slowdown must be finite and exceed 1.0, got {self.slowdown!r}")
         if self.replica < 0:
             raise ValueError("straggler replica id must be non-negative")
 
@@ -108,14 +109,17 @@ class Straggler:
 # ---------------------------------------------------------------- retry policy
 #: Largest retry jitter, as a fraction of the backoff.
 _RETRY_JITTER = 0.1
+#: Backoff growth per attempt, and its cap in seconds.
+_RETRY_MULTIPLIER = 2.0
+_MAX_RETRY_DELAY = 5.0
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Capped exponential backoff with deterministic jitter.
 
-    Attempt ``k`` (0-based) waits ``min(base_delay * multiplier**k,
-    max_delay)`` seconds, plus up to 10% jitter drawn from
+    Attempt ``k`` (0-based) waits ``min(base_delay * 2**k,
+    _MAX_RETRY_DELAY)`` seconds, plus up to 10% jitter drawn from
     :func:`hash_fraction` of the seed, request id, and attempt — so two runs
     of the same plan back off identically, and reordering unrelated requests
     cannot shift anyone's delays.  ``delay`` returns ``None`` once the
@@ -124,18 +128,14 @@ class RetryPolicy:
     """
 
     base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 5.0
     max_attempts: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.base_delay <= 0:
-            raise ValueError("base_delay must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1.0")
-        if self.max_delay < self.base_delay:
-            raise ValueError("max_delay must be >= base_delay")
+        if not 0 < self.base_delay <= _MAX_RETRY_DELAY:
+            raise ValueError(
+                f"retry base_delay must be in (0, {_MAX_RETRY_DELAY:g}] s, got {self.base_delay!r}"
+            )
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
@@ -147,14 +147,14 @@ class RetryPolicy:
         """
         if attempt >= self.max_attempts:
             return None
-        backoff = min(self.base_delay * self.multiplier**attempt, self.max_delay)
+        backoff = min(self.base_delay * _RETRY_MULTIPLIER**attempt, _MAX_RETRY_DELAY)
         return backoff * (1.0 + _RETRY_JITTER * hash_fraction(self.seed, request_id, attempt))
 
     def describe(self) -> str:
         """One-line summary for result tables."""
         return (
-            f"retry(base={self.base_delay:g}s x{self.multiplier:g} "
-            f"cap={self.max_delay:g}s attempts={self.max_attempts})"
+            f"retry(base={self.base_delay:g}s x{_RETRY_MULTIPLIER:g} "
+            f"cap={_MAX_RETRY_DELAY:g}s attempts={self.max_attempts})"
         )
 
 
@@ -185,8 +185,10 @@ class FaultPlan:
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
-        if self.replacement_warmup < 0:
-            raise ValueError("replacement_warmup must be non-negative")
+        if not 0 <= self.replacement_warmup < math.inf:
+            raise ValueError(
+                f"replacement_warmup must be finite and non-negative, got {self.replacement_warmup!r}"
+            )
 
     def describe(self) -> str:
         """One-line plan summary for result tables and logs."""

@@ -73,21 +73,15 @@ class _RequestAggregates:
             return 0.0
         return self.total_output_tokens / self.duration
 
-    def fairness_summary(self, sla: SLASpec, group_by: str = "user") -> FairnessSummary:
-        """Per-tenant service summary (Jain's index, per-tenant goodput).
+    def fairness_summary(self, sla: SLASpec) -> FairnessSummary:
+        """Per-user service summary (Jain's index, per-user goodput).
 
         Covers every request the run saw — served and rejected alike — so a
-        tenant whose traffic was mostly rejected shows the low service that
-        earned.  Empty (``num_tenants == 0``) when no request carried the
-        grouping identity.
+        user whose traffic was mostly rejected shows the low service that
+        earned.  Empty (``num_tenants == 0``) when no request carried a
+        ``user_id``.
         """
-        return summarize_tenant_fairness(
-            self.requests,
-            self.duration,
-            sla,
-            rejected=self.rejected,
-            group_by=group_by,
-        )
+        return summarize_tenant_fairness(self.requests, self.duration, sla, rejected=self.rejected)
 
 
 @dataclass

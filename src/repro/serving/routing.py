@@ -59,7 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.future_memory import peak_future_memory
-from repro.core.history import OutputLengthHistory
+from repro.core.history import WINDOW_SIZE, OutputLengthHistory
 from repro.engine.request import Request
 from repro.hardware.platform import Platform
 from repro.registry import instantiate
@@ -353,15 +353,16 @@ class MemoryAwareRouter(Router):
     equal, so the ordering — and therefore every routing decision — is
     identical to the absolute-headroom comparison this replaces.
 
+    The window is the paper's :data:`~repro.core.history.WINDOW_SIZE`.
+
     Args:
-        window_size: sliding-window length (the paper uses 1000).
         default_length: output length assumed before any request finishes.
     """
 
     name = "memory-aware"
 
-    def __init__(self, window_size: int = 1000, default_length: int = 2048) -> None:
-        self.history = OutputLengthHistory(window_size=window_size, default_length=default_length)
+    def __init__(self, default_length: int = 2048) -> None:
+        self.history = OutputLengthHistory(default_length=default_length)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._table_version = -1
 
@@ -455,7 +456,7 @@ class MemoryAwareRouter(Router):
 
     def describe(self) -> str:
         """One-line parameterised description used in result tables."""
-        return f"{self.name} (window={self.history.window_size})"
+        return f"{self.name} (window={WINDOW_SIZE})"
 
 
 class SessionAffinityRouter(MemoryAwareRouter):
@@ -483,16 +484,12 @@ class SessionAffinityRouter(MemoryAwareRouter):
     Whatever replica wins becomes the session's new home, so sessions that
     are retried or re-placed after a crash *re-home* on their next turn and
     regain affinity from there on.
-
-    Args:
-        window_size: sliding-window length for the memory-aware fallback.
-        default_length: output length assumed before any request finishes.
     """
 
     name = "session-affinity"
 
-    def __init__(self, window_size: int = 1000, default_length: int = 2048) -> None:
-        super().__init__(window_size=window_size, default_length=default_length)
+    def __init__(self) -> None:
+        super().__init__()
         self._homes: dict[str, int] = {}
 
     def on_run_start(self) -> None:
@@ -532,7 +529,7 @@ def create_router(name: str, **kwargs) -> Router:
         name: one of ``round-robin``, ``least-outstanding``,
             ``least-kv-load``, ``memory-aware``, ``session-affinity``.
         **kwargs: forwarded to the router constructor, e.g. the
-            memory-aware routers' ``window_size``.
+            memory-aware routers' ``default_length``.
 
     Raises:
         KeyError: if the name is unknown.

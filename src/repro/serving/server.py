@@ -121,27 +121,17 @@ class ServingSimulator:
         self,
         workload: Workload,
         num_clients: int,
-        think_time: float = 0.0,
     ) -> RunResult:
         """Serve a workload with a fixed-size closed-loop client pool."""
-        pool = ClosedLoopClientPool(workload, num_clients=num_clients, think_time=think_time)
+        pool = ClosedLoopClientPool(workload, num_clients=num_clients)
         return self._run(pool, workload, workload.name, num_clients)
 
-    def run_open_loop(
-        self,
-        workload: Workload,
-        request_rate: float | None = None,
-        seed: int = 0,
-    ) -> RunResult:
-        """Serve a workload with open-loop (Poisson or recorded) arrivals."""
-        arrivals = OpenLoopArrivals(workload, request_rate=request_rate, seed=seed)
+    def run_open_loop(self, workload: Workload) -> RunResult:
+        """Serve a workload open-loop, at its stamped arrival times."""
+        arrivals = OpenLoopArrivals(workload)
         return self._run(arrivals, workload, workload.name, num_clients=0)
 
-    def run_sessions(
-        self,
-        interactions: Sequence[Interaction],
-        name: str = "interactions",
-    ) -> RunResult:
+    def run_sessions(self, interactions: Sequence[Interaction]) -> RunResult:
         """Serve multi-turn sessions closed-loop.
 
         Each interaction's opening turn arrives at its start time; every
@@ -151,4 +141,4 @@ class ServingSimulator:
         ``prefix_cache_tokens`` to model KV prefix reuse across turns.
         """
         generator = InteractionLoadGenerator(interactions)
-        return self._run(generator, interactions, name, num_clients=len(interactions))
+        return self._run(generator, interactions, "interactions", num_clients=len(interactions))

@@ -49,12 +49,11 @@ class ClassLimits:
 
 @dataclass(frozen=True)
 class SLASpec:
-    """Per-request latency bounds plus the service-level percentile target.
+    """Per-request latency bounds under the paper's P99 service-level target.
 
     Attributes:
         ttft_limit: base time-to-first-token bound (seconds).
         mtpot_limit: base maximum inter-token-gap bound (seconds).
-        percentile: service-level attainment target.
         class_limits: optional per-SLA-class deadline overrides; classes not
             listed fall back to the base bounds.  Excluded from the hash
             (the mapping is not hashable) so specs remain usable as dict
@@ -63,14 +62,11 @@ class SLASpec:
 
     ttft_limit: float
     mtpot_limit: float
-    percentile: float = 99.0
     class_limits: Mapping[str, ClassLimits] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         if self.ttft_limit <= 0 or self.mtpot_limit <= 0:
             raise ValueError("SLA limits must be positive")
-        if not 0.0 < self.percentile <= 100.0:
-            raise ValueError("percentile must be in (0, 100]")
 
     def limits_for(self, sla_class: str) -> ClassLimits:
         """Effective deadlines for a service class (base bounds by default)."""
@@ -100,8 +96,8 @@ class SLASpec:
     def describe(self) -> str:
         """Human-readable SLA string as used in the paper's figure captions."""
         base = (
-            f"P{self.percentile:.0f} TTFT {self.ttft_limit:g}s, "
-            f"P{self.percentile:.0f} MTPOT {self.mtpot_limit:g}s"
+            f"P99 TTFT {self.ttft_limit:g}s, "
+            f"P99 MTPOT {self.mtpot_limit:g}s"
         )
         if not self.class_limits:
             return base
@@ -120,7 +116,6 @@ SLA_SMALL_MODEL = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 def two_class_sla(
     interactive: ClassLimits | tuple[float, float],
     batch: ClassLimits | tuple[float, float],
-    percentile: float = 99.0,
 ) -> SLASpec:
     """Build the canonical interactive/batch two-class SLA.
 
@@ -131,7 +126,6 @@ def two_class_sla(
         interactive: ``ClassLimits`` or ``(ttft, mtpot)`` for interactive
             traffic.
         batch: ``ClassLimits`` or ``(ttft, mtpot)`` for batch traffic.
-        percentile: service-level attainment target.
     """
     if isinstance(interactive, tuple):
         interactive = ClassLimits(*interactive)
@@ -140,6 +134,5 @@ def two_class_sla(
     return SLASpec(
         ttft_limit=interactive.ttft_limit,
         mtpot_limit=interactive.mtpot_limit,
-        percentile=percentile,
         class_limits={SLA_CLASS_INTERACTIVE: interactive, SLA_CLASS_BATCH: batch},
     )

@@ -8,7 +8,7 @@ stacks put a request-rate limiter in front of admission.  This module models
 that limiter:
 
 * a **sliding window** per user counts admitted arrivals over the last
-  ``window_seconds`` (the half-open interval ``(now - window, now]``);
+  :data:`WINDOW_SECONDS` (the half-open interval ``(now - window, now]``);
 * an arrival whose user is at its per-window limit is rejected with reason
   :data:`REASON_THROTTLED` before it consumes any serving resources —
   throttled arrivals are *not* recorded, so they do not extend their own
@@ -36,24 +36,22 @@ from repro.workloads.spec import RequestSpec
 #: Reject reason stamped by the throttle (see ``RunResult.reject_reasons``).
 REASON_THROTTLED = "throttled"
 
+#: Sliding-window length in seconds: the limit is per minute (RPM).
+WINDOW_SECONDS = 60.0
+
 
 class OverloadThrottle:
     """Per-user sliding-window RPM limiter applied before routing/admission.
 
     Args:
-        user_rpm: maximum admitted arrivals per user per window (``None``
-            disables the limit).
-        window_seconds: sliding-window length; "RPM" limits with the default
-            60-second window.
+        user_rpm: maximum admitted arrivals per user per
+            :data:`WINDOW_SECONDS` window (``None`` disables the limit).
     """
 
-    def __init__(self, user_rpm: int | None = None, window_seconds: float = 60.0) -> None:
+    def __init__(self, user_rpm: int | None = None) -> None:
         if user_rpm is not None and user_rpm <= 0:
             raise ValueError("user_rpm must be positive (or None to disable)")
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
         self.user_rpm = user_rpm
-        self.window_seconds = window_seconds
         self._user_windows: dict[str, deque[float]] = {}
 
     # ------------------------------------------------------------------ state
@@ -76,7 +74,7 @@ class OverloadThrottle:
         if self.user_rpm is None or user_id is None:
             return None
         window = self._user_windows.setdefault(user_id, deque())
-        cutoff = now - self.window_seconds
+        cutoff = now - WINDOW_SECONDS
         while window and window[0] <= cutoff:
             window.popleft()
         if len(window) >= self.user_rpm:
@@ -95,10 +93,10 @@ class OverloadThrottle:
         """
         if self.user_rpm is None or spec.user_id is None:
             return {}
-        cutoff = now - self.window_seconds
+        cutoff = now - WINDOW_SECONDS
         window = self._user_windows.get(spec.user_id, ())
         return {"user_window": sum(1 for t in window if t > cutoff), "user_rpm": self.user_rpm}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         limit = f"user<={self.user_rpm}" if self.user_rpm is not None else "disabled"
-        return f"OverloadThrottle({limit} per {self.window_seconds:g}s)"
+        return f"OverloadThrottle({limit} per {WINDOW_SECONDS:g}s)"

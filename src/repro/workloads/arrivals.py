@@ -4,8 +4,7 @@
 generator (closed-loop clients, open-loop arrivals, multi-turn sessions).
 
 The single-engine experiments either let closed-loop clients pace themselves
-or draw plain Poisson arrivals inside
-:class:`~repro.serving.clients.OpenLoopArrivals`.  Fleet-level routing only
+or replay plain Poisson arrivals stamped by :func:`assign_poisson_arrivals`.  Fleet-level routing only
 becomes interesting under *bursty* traffic — production request streams arrive
 in waves (diurnal peaks, retry storms, batch jobs), and it is exactly during a
 burst that a router's placement decisions determine whether one replica melts
@@ -59,8 +58,8 @@ class ArrivalQueue:
         self._pending: list[Arrival] = []
         self._sequence = 0
 
-    def start(self, time: float = 0.0) -> None:
-        """Begin generating arrivals at simulation time ``time``."""
+    def start(self) -> None:
+        """Begin generating arrivals at simulation time zero."""
         raise NotImplementedError
 
     @property

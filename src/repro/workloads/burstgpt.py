@@ -78,23 +78,24 @@ def generate_conversation_trace(
     seed: int = 0,
     mean_output: float = 330.0,
     sigma: float = 0.9,
-    mean_input: float = 420.0,
-    max_new_tokens: int = 4096,
     name: str = "BurstGPT-Conversation",
 ) -> Workload:
-    """Stationary single-service trace (conversation/dialog/code-completion)."""
+    """Stationary single-service trace (conversation/dialog/code-completion).
+
+    Prompts average 420 tokens and outputs are capped at 4096 new tokens.
+    """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
     rng = np.random.default_rng(seed)
-    archetype = TaskArchetype("conversation", mean_output=mean_output, sigma=sigma, mean_input=mean_input)
-    outputs = np.minimum(archetype.sample_output(rng, num_requests), max_new_tokens)
+    archetype = TaskArchetype("conversation", mean_output=mean_output, sigma=sigma, mean_input=420.0)
+    outputs = np.minimum(archetype.sample_output(rng, num_requests), 4096)
     inputs = archetype.sample_input(rng, num_requests)
     requests = [
         RequestSpec(
             request_id=f"{name.lower()}-{i}",
             input_length=int(inputs[i]),
             output_length=int(outputs[i]),
-            max_new_tokens=max_new_tokens,
+            max_new_tokens=4096,
         )
         for i in range(num_requests)
     ]
@@ -109,7 +110,6 @@ def generate_api_trace(
     num_requests: int,
     seed: int = 0,
     drift_period: int = 20_000,
-    max_new_tokens: int = 8192,
     name: str = "BurstGPT-API",
 ) -> Workload:
     """API-style trace whose task mixture drifts slowly over the trace.
@@ -117,6 +117,7 @@ def generate_api_trace(
     The mixture weights over :data:`API_ARCHETYPES` rotate with a period of
     ``drift_period`` requests, so windows separated by less than ~1/10 of the
     period have nearly the same distribution while windows far apart differ.
+    Outputs are capped at 8192 new tokens, the archetypes' own clip.
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
@@ -138,7 +139,7 @@ def generate_api_trace(
         count = int(mask.sum())
         if count == 0:
             continue
-        outputs = np.minimum(archetype.sample_output(rng, count), max_new_tokens)
+        outputs = archetype.sample_output(rng, count)
         inputs = archetype.sample_input(rng, count)
         slots = np.flatnonzero(mask)
         for slot, inp, out in zip(slots, inputs, outputs):
@@ -147,7 +148,7 @@ def generate_api_trace(
                     request_id=f"{name.lower()}-{slot}",
                     input_length=int(inp),
                     output_length=int(out),
-                    max_new_tokens=max_new_tokens,
+                    max_new_tokens=8192,
                     sla_class=archetype.sla_class,
                 )
             )

@@ -30,11 +30,6 @@ class UniformLengthSpec:
     input_high: int
     output_low: int
     output_high: int
-    max_new_tokens: int | None = None
-
-    def resolved_max_new_tokens(self) -> int:
-        """The generation cap: explicit value or the top of the output range."""
-        return self.max_new_tokens if self.max_new_tokens is not None else self.output_high
 
 
 DISTRIBUTION_1 = UniformLengthSpec("Distribution-1", 32, 4096, 2048, 4096)
@@ -65,13 +60,12 @@ def generate_uniform_workload(
     rng = np.random.default_rng(seed)
     inputs = rng.integers(spec.input_low, spec.input_high + 1, size=num_requests)
     outputs = rng.integers(spec.output_low, spec.output_high + 1, size=num_requests)
-    cap = spec.resolved_max_new_tokens()
     requests = [
         RequestSpec(
             request_id=f"{spec.name.lower()}-{i}",
             input_length=int(inputs[i]),
-            output_length=int(min(outputs[i], cap)),
-            max_new_tokens=cap,
+            output_length=int(outputs[i]),
+            max_new_tokens=spec.output_high,
         )
         for i in range(num_requests)
     ]

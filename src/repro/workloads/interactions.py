@@ -53,15 +53,12 @@ class InteractionStage:
 
     prompt_tokens: int
     output_tokens: int
-    max_new_tokens: int | None = None
 
     def __post_init__(self) -> None:
         if self.prompt_tokens <= 0:
             raise ValueError("prompt_tokens must be positive")
         if self.output_tokens <= 0:
             raise ValueError("output_tokens must be positive")
-        if self.max_new_tokens is not None and self.max_new_tokens < self.output_tokens:
-            raise ValueError("max_new_tokens must cover output_tokens")
 
 
 @dataclass(frozen=True)
@@ -75,17 +72,14 @@ class Interaction:
         start_time: when the session's first turn arrives.
         think_time: delay between a turn's completion and the next turn's
             arrival (user typing / tool latency).
-        user_id / app_id: optional tenant identity stamped on every turn.
-        sla_class: service class stamped on every turn.
+
+    Every turn is an interactive-class request without a tenant.
     """
 
     session_id: str
     stages: tuple[InteractionStage, ...]
     start_time: float = 0.0
     think_time: float = 0.0
-    user_id: str | None = None
-    app_id: str | None = None
-    sla_class: str = SLA_CLASS_INTERACTIVE
 
     def __post_init__(self) -> None:
         if not self.session_id:
@@ -115,15 +109,12 @@ class Interaction:
         """The request spec of turn ``stage`` (prompt = accumulated context)."""
         turn = self.stages[stage]
         input_length = self.context_before(stage) + turn.prompt_tokens
-        cap = turn.max_new_tokens if turn.max_new_tokens is not None else turn.output_tokens
         return RequestSpec(
             request_id=f"{self.session_id}/t{stage}",
             input_length=input_length,
             output_length=turn.output_tokens,
-            max_new_tokens=cap,
-            sla_class=self.sla_class,
-            user_id=self.user_id,
-            app_id=self.app_id,
+            max_new_tokens=turn.output_tokens,
+            sla_class=SLA_CLASS_INTERACTIVE,
             session_id=self.session_id,
             session_stage=stage,
             session_stages=self.num_stages,
@@ -139,9 +130,6 @@ def generate_interactions(
     max_turns: int = 8,
     think_time: float = 0.0,
     start_spacing: float = 0.0,
-    num_users: int = 0,
-    num_apps: int = 0,
-    sla_class: str = SLA_CLASS_INTERACTIVE,
 ) -> list[Interaction]:
     """Synthesize sessions with heavy-tail turn counts, deterministically.
 
@@ -149,9 +137,8 @@ def generate_interactions(
     [``min_turns``, ``max_turns``] — most sessions are short, a heavy tail
     runs long (the agent-pipeline shape).  Per-stage prompt sizes are
     lognormal around ``mean_prompt_tokens``; outputs are exponential around
-    ``mean_output_tokens``.  With ``num_users``/``num_apps`` set, sessions
-    are stamped with Zipf-skewed tenant identities (every turn of a session
-    shares its tenant).  The same ``seed`` always yields the same sessions.
+    ``mean_output_tokens``.  The same ``seed`` always yields the same
+    sessions.
     """
     if num_sessions <= 0:
         raise ValueError("num_sessions must be positive")
@@ -166,20 +153,12 @@ def generate_interactions(
             prompt = max(1, int(rng.lognormal(np.log(mean_prompt_tokens), 0.5)))
             output = max(1, int(rng.exponential(mean_output_tokens)))
             stages.append(InteractionStage(prompt_tokens=prompt, output_tokens=output))
-        user = app = None
-        if num_users > 0:
-            user = f"u{int(np.clip(rng.zipf(1.5), 1, num_users)) - 1}"
-        if num_apps > 0:
-            app = f"a{int(np.clip(rng.zipf(1.5), 1, num_apps)) - 1}"
         sessions.append(
             Interaction(
                 session_id=f"s{index:04d}",
                 stages=tuple(stages),
                 start_time=index * start_spacing,
                 think_time=think_time,
-                user_id=user,
-                app_id=app,
-                sla_class=sla_class,
             )
         )
     return sessions
@@ -206,10 +185,10 @@ class InteractionLoadGenerator(ArrivalQueue):
             self._interactions[interaction.session_id] = interaction
         self._min_think_time = min(it.think_time for it in interactions)
 
-    def start(self, time: float = 0.0) -> None:
-        """Schedule every session's first turn."""
+    def start(self) -> None:
+        """Schedule every session's first turn at its start time."""
         for interaction in self._interactions.values():
-            self._push(max(time, interaction.start_time), interaction.spec(0))
+            self._push(interaction.start_time, interaction.spec(0))
 
     def on_request_finished(self, time: float, request: Request | None = None) -> None:
         """A completed ``request`` spawns its session's next stage."""

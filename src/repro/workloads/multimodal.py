@@ -20,12 +20,14 @@ import numpy as np
 from repro.hardware.models import ModelConfig
 from repro.workloads.spec import RequestSpec, Workload
 
+#: Generation cap of the short VQA answers.
+_MAX_NEW_TOKENS = 256
+
 
 def generate_textvqa_workload(
     model: ModelConfig,
     num_requests: int = 5000,
     seed: int = 0,
-    max_new_tokens: int = 256,
 ) -> Workload:
     """VQA-style workload with the image-token prefix of ``model``.
 
@@ -34,7 +36,8 @@ def generate_textvqa_workload(
             tokens prepended to every prompt.
         num_requests: number of questions (the TextVQA validation set has 5,000).
         seed: RNG seed.
-        max_new_tokens: generation cap for the short answers.
+
+    Answers are capped at 256 new tokens.
     """
     if not model.is_multimodal:
         raise ValueError(f"model {model.name} has no image-token prefix")
@@ -44,13 +47,13 @@ def generate_textvqa_workload(
     # Question lengths: short, 6-40 tokens.  Answer lengths: geometric-ish,
     # mostly a handful of tokens with an occasional sentence.
     questions = rng.integers(6, 41, size=num_requests)
-    answers = np.clip(rng.geometric(p=0.12, size=num_requests) + 2, 3, max_new_tokens)
+    answers = np.clip(rng.geometric(p=0.12, size=num_requests) + 2, 3, _MAX_NEW_TOKENS)
     requests = [
         RequestSpec(
             request_id=f"textvqa-{i}",
             input_length=int(questions[i]),
             output_length=int(answers[i]),
-            max_new_tokens=max_new_tokens,
+            max_new_tokens=_MAX_NEW_TOKENS,
             image_tokens=model.vision_prefix_tokens,
         )
         for i in range(num_requests)

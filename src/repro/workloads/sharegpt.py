@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.spec import SLA_CLASS_INTERACTIVE, RequestSpec, Workload
+from repro.workloads.spec import RequestSpec, Workload
+
+#: Generation cap of plain ShareGPT requests (the paper's Figure 9).
+SHAREGPT_MAX_NEW_TOKENS = 2048
 
 
 def _lognormal_lengths(
@@ -36,33 +39,28 @@ def _lognormal_lengths(
     return np.clip(np.round(samples), low, high).astype(int)
 
 
-def generate_sharegpt_workload(
-    num_requests: int,
-    seed: int = 0,
-    max_new_tokens: int = 2048,
-    sla_class: str = SLA_CLASS_INTERACTIVE,
-) -> Workload:
+def generate_sharegpt_workload(num_requests: int, seed: int = 0) -> Workload:
     """Plain ShareGPT-style conversation workload.
 
     Inputs average a few hundred tokens; outputs average ~250 tokens with a
-    long tail, capped at ``max_new_tokens`` (2048 in the paper's Figure 9).
-    Conversations are end-user traffic, so requests are stamped
-    ``interactive`` unless a different ``sla_class`` is given (mixed-class
-    traces can also be produced post hoc with
+    long tail, capped at :data:`SHAREGPT_MAX_NEW_TOKENS`.  Conversations are
+    end-user traffic, so requests are stamped ``interactive`` (mixed-class
+    traces are produced post hoc with
     :func:`repro.workloads.spec.assign_sla_classes`).
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
     rng = np.random.default_rng(seed)
     inputs = _lognormal_lengths(rng, mean_target=300.0, sigma=1.0, size=num_requests, low=8, high=4096)
-    outputs = _lognormal_lengths(rng, mean_target=250.0, sigma=1.1, size=num_requests, low=4, high=max_new_tokens)
+    outputs = _lognormal_lengths(
+        rng, mean_target=250.0, sigma=1.1, size=num_requests, low=4, high=SHAREGPT_MAX_NEW_TOKENS
+    )
     requests = [
         RequestSpec(
             request_id=f"sharegpt-{i}",
             input_length=int(inputs[i]),
             output_length=int(outputs[i]),
-            max_new_tokens=max_new_tokens,
-            sla_class=sla_class,
+            max_new_tokens=SHAREGPT_MAX_NEW_TOKENS,
         )
         for i in range(num_requests)
     ]
@@ -77,14 +75,12 @@ def generate_sharegpt_o1_workload(
     num_requests: int,
     seed: int = 0,
     max_new_tokens: int = 8192,
-    sla_class: str = SLA_CLASS_INTERACTIVE,
 ) -> Workload:
     """ShareGPT-o1 style decode-heavy workload (chain-of-thought outputs).
 
     Matches the paper's reported averages: ~381 input tokens and ~2160 output
     tokens per request, with a heavy output tail from long reasoning chains.
-    Stamped ``interactive`` by default, like
-    :func:`generate_sharegpt_workload`.
+    Stamped ``interactive``, like :func:`generate_sharegpt_workload`.
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
@@ -97,7 +93,6 @@ def generate_sharegpt_o1_workload(
             input_length=int(inputs[i]),
             output_length=int(outputs[i]),
             max_new_tokens=max_new_tokens,
-            sla_class=sla_class,
         )
         for i in range(num_requests)
     ]

@@ -83,10 +83,13 @@ class TenantPopulation:
         )
 
 
+#: Power-law exponent of a population's non-abusive tail.
+ZIPF_ALPHA = 1.1
+
+
 def generate_tenant_population(
     num_users: int,
     num_apps: int = 1,
-    zipf_alpha: float = 1.1,
     abusive_users: int = 0,
     abusive_share: float = 0.0,
 ) -> TenantPopulation:
@@ -94,7 +97,7 @@ def generate_tenant_population(
 
     The first ``abusive_users`` users split ``abusive_share`` of all traffic
     evenly among themselves; the remaining users split the rest following a
-    Zipf power law (the ``k``-th of them carries weight ``k**-zipf_alpha``).
+    Zipf power law (the ``k``-th of them carries weight ``k**-ZIPF_ALPHA``).
     With ``abusive_users=0`` the whole population is the plain Zipf tail.
     Users are named ``user-0000``... and assigned to apps ``app-0``... round
     robin, so every app serves both heavy and light users.
@@ -102,8 +105,6 @@ def generate_tenant_population(
     Args:
         num_users: total population size.
         num_apps: number of applications users are spread over.
-        zipf_alpha: power-law exponent of the non-abusive tail; larger means
-            steeper skew.  Must be positive.
         abusive_users: how many users form the explicit abusive head.
         abusive_share: the fraction of all requests the abusive head submits
             together; must be in ``[0, 1)`` and 0 iff ``abusive_users`` is 0.
@@ -112,8 +113,6 @@ def generate_tenant_population(
         raise ValueError("num_users must be positive")
     if not 0 < num_apps <= num_users:
         raise ValueError("num_apps must be in [1, num_users]")
-    if zipf_alpha <= 0:
-        raise ValueError("zipf_alpha must be positive")
     if not 0 <= abusive_users < num_users:
         raise ValueError("abusive_users must be in [0, num_users)")
     if not 0.0 <= abusive_share < 1.0:
@@ -121,7 +120,7 @@ def generate_tenant_population(
     if (abusive_users == 0) != (abusive_share == 0.0):
         raise ValueError("abusive_users and abusive_share must be set together")
     num_tail = num_users - abusive_users
-    tail_weights = np.arange(1, num_tail + 1, dtype=float) ** -zipf_alpha
+    tail_weights = np.arange(1, num_tail + 1, dtype=float) ** -ZIPF_ALPHA
     tail_shares = tail_weights / tail_weights.sum() * (1.0 - abusive_share)
     shares = np.concatenate(
         (np.full(abusive_users, abusive_share / max(abusive_users, 1)), tail_shares)
@@ -143,7 +142,7 @@ def generate_tenant_population(
     return TenantPopulation(
         tenants=tenants,
         description=(
-            f"{num_users} users / {num_apps} apps ({head}zipf alpha={zipf_alpha:g})"
+            f"{num_users} users / {num_apps} apps ({head}zipf alpha={ZIPF_ALPHA:g})"
         ),
     )
 

@@ -21,14 +21,63 @@ have without re-running simulations.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
 
+import numpy as np
+
 from repro.analysis.perf import cluster_fingerprint, run_fingerprint
-from repro.core.history import OutputLengthHistory
+from repro.core.history import WINDOW_SIZE, OutputLengthHistory
 from repro.engine.request import Request, RequestState
 from repro.obs import events as obs
 from repro.schedulers.base import SchedulingContext
 from repro.serving.results import ClusterResult, RunResult
+from repro.workloads.interactions import Interaction, InteractionStage
+from repro.workloads.spec import RequestSpec
+
+
+@dataclass(frozen=True)
+class TenantSession(Interaction):
+    """A session whose every turn carries one tenant (library sessions carry none)."""
+
+    user_id: str = ""
+
+    def spec(self, stage: int) -> RequestSpec:
+        return replace(super().spec(stage), user_id=self.user_id)
+
+
+def tenant_sessions(
+    num_sessions: int,
+    seed: int,
+    num_users: int,
+    mean_prompt_tokens: float,
+    mean_output_tokens: float,
+    min_turns: int,
+    max_turns: int,
+    think_time: float,
+    start_spacing: float,
+) -> list[TenantSession]:
+    """Zipf-tenanted sessions: each drawn turn by turn as
+    ``generate_interactions`` draws its own, then one Zipf(1.5) tenant draw.
+
+    The draws interleave on one stream, so the tenanted runs that pinned
+    digests hash keep their inputs.
+    """
+    rng = np.random.default_rng(seed)
+    sessions = []
+    for index in range(num_sessions):
+        turns = int(np.clip(rng.zipf(1.8), min_turns, max_turns))
+        stages = tuple(
+            InteractionStage(
+                max(1, int(rng.lognormal(np.log(mean_prompt_tokens), 0.5))),
+                max(1, int(rng.exponential(mean_output_tokens))),
+            )
+            for _ in range(turns)
+        )
+        user = f"u{int(np.clip(rng.zipf(1.5), 1, num_users)) - 1}"
+        sessions.append(TenantSession(f"s{index:04d}", stages, index * start_spacing, think_time, user))
+    return sessions
+
 
 #: Anything the helpers can reduce to a fingerprint digest.
 Fingerprintable = Union[RunResult, ClusterResult, str, Callable[[], "Fingerprintable"]]
@@ -214,7 +263,8 @@ def record(history: OutputLengthHistory, lengths: Iterable[int]) -> None:
 def history_of(lengths: Iterable[int]) -> OutputLengthHistory:
     """A history whose window holds exactly ``lengths``."""
     lengths = list(lengths)
-    history = OutputLengthHistory(window_size=max(len(lengths), 1))
+    assert len(lengths) <= WINDOW_SIZE, "more lengths than the window holds"
+    history = OutputLengthHistory()
     record(history, lengths)
     return history
 

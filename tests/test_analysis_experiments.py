@@ -29,6 +29,7 @@ from repro.workloads.interactions import Interaction, InteractionStage, generate
 from repro.workloads.spec import Workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import make_spec, make_workload
+from tests.helpers import tenant_sessions
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
@@ -93,13 +94,6 @@ class TestConstruction:
             (
                 {
                     "router": "round-robin",
-                    "autoscaler": Autoscaler("reactive", min_replicas=2, max_replicas=6),
-                },
-                r"within the autoscaler's \[2, 6\] bounds",
-            ),
-            (
-                {
-                    "router": "round-robin",
                     "autoscaler": Autoscaler("reactive", max_replicas=6),
                     "num_replicas": 7,
                 },
@@ -112,11 +106,8 @@ class TestConstruction:
                 "explicit cost_model only applies to homogeneous fleets",
             ),
             ({"prefix_cache_tokens": 0}, "prefix_cache_tokens must be positive when set"),
-            ({"think_time": 1.0}, "num_clients=None is open loop"),
             ({"num_clients": 0}, "num_clients must be positive"),
             ({"num_clients": -3}, "num_clients must be positive"),
-            ({"num_clients": 4, "think_time": -1.0}, "think_time must be finite and non-negative"),
-            ({"num_clients": 4, "think_time": math.inf}, "think_time must be finite and non-negative"),
             (
                 {"faults": FaultPlan(crashes=[ReplicaCrash(time=1.0, replica=0)])},
                 "router=None serves one fixed replica",
@@ -343,16 +334,17 @@ class TestEquivalence:
     def test_faulted_throttled_session_fleet_matches_hand_built_simulator(
         self, platform_7b, fast_path
     ):
-        interactions = generate_interactions(
+        # Three tenants, so the throttle has users to limit.
+        interactions = tenant_sessions(
             12,
             seed=5,
+            num_users=3,
             mean_prompt_tokens=64.0,
             mean_output_tokens=16.0,
             min_turns=2,
             max_turns=6,
             think_time=0.5,
             start_spacing=0.2,
-            num_users=3,
         )
         faults = FaultPlan(
             crashes=[ReplicaCrash(time=1.0, replica=1)],

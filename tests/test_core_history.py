@@ -5,15 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.history import OutputLengthHistory
+from repro.core.history import WINDOW_SIZE, OutputLengthHistory
 from tests.helpers import record
 
 
 class TestConstruction:
-    def test_rejects_non_positive_window(self):
-        with pytest.raises(ValueError):
-            OutputLengthHistory(window_size=0)
-
     def test_rejects_non_positive_default_length(self):
         with pytest.raises(ValueError):
             OutputLengthHistory(default_length=0)
@@ -25,7 +21,7 @@ class TestConstruction:
 
 class TestRecording:
     def test_record_appends(self):
-        history = OutputLengthHistory(window_size=10)
+        history = OutputLengthHistory()
         history.record(5)
         history.record(7)
         assert list(history.snapshot()) == [5, 7]
@@ -36,9 +32,10 @@ class TestRecording:
             history.record(0)
 
     def test_window_evicts_oldest(self):
-        history = OutputLengthHistory(window_size=3)
-        record(history, [1, 2, 3, 4])
-        assert list(history.snapshot()) == [2, 3, 4]
+        # The window is the paper's last 1000 finished requests.
+        history = OutputLengthHistory()
+        record(history, range(1, WINDOW_SIZE + 3))
+        assert list(history.snapshot()) == list(range(3, WINDOW_SIZE + 3))
 
     def test_clear_resets(self):
         history = OutputLengthHistory()

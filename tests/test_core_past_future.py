@@ -51,10 +51,10 @@ class TestConstruction:
         assert PastFutureScheduler(seed=seed).seed == seed
 
     def test_describe_mentions_parameters(self):
-        scheduler = PastFutureScheduler(reserved_fraction=0.05, window_size=500)
+        scheduler = PastFutureScheduler(reserved_fraction=0.05)
         description = scheduler.describe()
         assert "5%" in description
-        assert "500" in description
+        assert "window=1000" in description
 
 
 class TestHistoryFeedback:
@@ -129,7 +129,7 @@ class TestAdmission:
     def test_seeded_history_limits_admissions_before_first_completion(self):
         # At service start the distribution is seeded with the preset maximum
         # output length, so the scheduler behaves conservatively at first.
-        scheduler = PastFutureScheduler(seed=6, default_length=1000)
+        scheduler = PastFutureScheduler(seed=6)
         waiting = [make_request(f"w{i}", 10, 100, max_new_tokens=1000) for i in range(10)]
         context = SchedulerQueue(scheduler, waiting).context(token_capacity=2500)
         admitted = scheduler.schedule(context)

@@ -177,7 +177,6 @@ def test_autoscaled_cluster_bit_identical():
             autoscaler=Autoscaler(
                 policy=create_autoscale_policy("reactive", scale_up_threshold=0.25),
                 interval=0.5,
-                min_replicas=1,
                 max_replicas=4,
                 warmup_delay=1.5,
                 sample_window=3.0,

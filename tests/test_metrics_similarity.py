@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.history import WINDOW_SIZE
 from repro.metrics.similarity import (
     adjacent_window_similarity,
     cosine_similarity,
@@ -77,8 +78,8 @@ class TestWindowPartitioning:
 
 class TestSimilarityMatrix:
     def test_matrix_is_symmetric_with_unit_diagonal(self):
-        lengths = generate_conversation_trace(3000, seed=1).output_lengths
-        sim = window_similarity_matrix(lengths, window_size=500)
+        lengths = generate_conversation_trace(6000, seed=1).output_lengths
+        sim = window_similarity_matrix(lengths)
         matrix = sim.matrix
         assert matrix.shape == (6, 6)
         np.testing.assert_allclose(matrix, matrix.T)
@@ -86,7 +87,7 @@ class TestSimilarityMatrix:
 
     def test_stationary_trace_is_globally_similar(self):
         lengths = generate_conversation_trace(6000, seed=2).output_lengths
-        sim = window_similarity_matrix(lengths, window_size=1000)
+        sim = window_similarity_matrix(lengths)
         assert sim.global_mean() > 0.9
         assert sim.diagonal_mean() > 0.9
 
@@ -94,7 +95,7 @@ class TestSimilarityMatrix:
         # The paper's key observation: for API traces, adjacent windows stay
         # similar while distant windows drift apart.
         lengths = generate_api_trace(24_000, seed=3, drift_period=8_000).output_lengths
-        sim = window_similarity_matrix(lengths, window_size=1000)
+        sim = window_similarity_matrix(lengths)
         assert sim.diagonal_mean() > sim.global_mean()
         assert sim.diagonal_mean() > 0.8
 
@@ -103,12 +104,13 @@ class TestSimilarityMatrix:
         # 20000 tokens) lie past 8192, in two different bins up to the
         # trace's maximum.  Bins that stopped at 8192 would drop both long
         # halves and call the windows identical.
-        lengths = [5] * 5 + [9000] * 5 + [5] * 5 + [20_000] * 5
-        sim = window_similarity_matrix(lengths, window_size=10)
+        half = WINDOW_SIZE // 2
+        lengths = [5] * half + [9000] * half + [5] * half + [20_000] * half
+        sim = window_similarity_matrix(lengths)
         assert sim.matrix[0, 1] == pytest.approx(0.5)
 
     def test_too_few_windows(self):
-        sim = window_similarity_matrix(list(range(100)), window_size=200)
+        sim = window_similarity_matrix(list(range(1, WINDOW_SIZE)))
         assert sim.num_windows == 0
         assert sim.global_mean() == 0.0
         assert sim.diagonal_mean() == 0.0

@@ -25,10 +25,9 @@ from repro.serving.faults import FaultPlan, ReplicaCrash, Straggler
 from repro.serving.server import ServingSimulator
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.arrivals import assign_poisson_arrivals
-from repro.workloads.interactions import generate_interactions
 from repro.workloads.spec import Workload
 from tests.conftest import TINY_CAPACITY, make_workload
-from tests.helpers import assert_fingerprint_neutral
+from tests.helpers import assert_fingerprint_neutral, tenant_sessions
 from tests.test_serving_autoscale import SchedulePolicy
 
 
@@ -92,7 +91,7 @@ class TestCommittedSnapshots:
 
     def test_fig12_traced_run_matches_snapshot_too(self, committed):
         scenario = next(s for s in SCENARIOS if s.name == "fig12_heterogeneous")
-        _, digest, _ = scenario.run(True, tracer=RingTracer(capacity=1024))
+        _, digest, _ = scenario.run(True, tracer=RingTracer())
         assert_fingerprint_neutral(
             digest, committed["fig12_heterogeneous"]["fingerprint"], label="RingTracer"
         )
@@ -104,7 +103,7 @@ def _traced_stream_digest(run) -> str:
     Each line is the compact JSON of one event, so the digest pins the event
     order, every value and the key order of every ``attrs`` payload.
     """
-    ring = RingTracer(capacity=1_000_000)
+    ring = RingTracer()
     run(ring)
     assert ring.dropped == 0
     lines = [json.dumps(event.to_json(), separators=(",", ":")) for event in ring.events]
@@ -138,7 +137,6 @@ def _autoscaled(platform, tracer) -> None:
     autoscaler = Autoscaler(
         SchedulePolicy([(0.25, 4), (0.5, 3), (1.0, 1)]),
         interval=0.25,
-        min_replicas=1,
         max_replicas=4,
         warmup_delay=0.4,
     )
@@ -177,15 +175,16 @@ def _faults_without_retries(platform, tracer) -> None:
 def _throttled_sessions(platform, tracer) -> None:
     # Session-affinity over a prefix cache; the throttle and a crash with no
     # retry both abandon sessions.
-    sessions = generate_interactions(
+    sessions = tenant_sessions(
         12,
         seed=3,
+        num_users=3,
         mean_prompt_tokens=64.0,
         mean_output_tokens=24.0,
+        min_turns=1,
         max_turns=4,
         think_time=0.05,
         start_spacing=0.02,
-        num_users=3,
     )
     plan = FaultPlan(crashes=[ReplicaCrash(time=0.3, replica=0)], retry_policy=None, seed=1)
     _fleet(
@@ -194,7 +193,7 @@ def _throttled_sessions(platform, tracer) -> None:
         num_replicas=2,
         router="session-affinity",
         prefix_cache_tokens=512,
-        throttle=OverloadThrottle(user_rpm=4, window_seconds=1.0),
+        throttle=OverloadThrottle(user_rpm=4),
         faults=plan,
     ).run_sessions(sessions)
 
@@ -229,7 +228,7 @@ class TestTraceStreams:
     def test_streams_emit_every_event_name(self, platform_7b):
         emitted = set()
         for run, _ in self.STREAMS.values():
-            ring = RingTracer(capacity=1_000_000)
+            ring = RingTracer()
             run(platform_7b, ring)
             emitted.update(event.name for event in ring.events)
         assert emitted == set(EVENT_TAXONOMY) - self.NOT_EMITTED

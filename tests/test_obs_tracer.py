@@ -8,6 +8,7 @@ from repro.engine.engine import JumpStats
 from repro.obs import events as obs
 from repro.obs.tracer import (
     NULL_TRACER,
+    RING_CAPACITY,
     JsonlTracer,
     NullTracer,
     RingTracer,
@@ -51,12 +52,14 @@ class TestNullTracer:
 
 class TestRingTracer:
     def test_bounded_eviction_keeps_newest(self):
-        ring = RingTracer(capacity=4)
-        for i in range(10):
+        ring = RingTracer()
+        for i in range(RING_CAPACITY + 6):
             ring.emit(TraceEvent("e", float(i)))
-        assert ring.emitted == 10
+        assert ring.emitted == RING_CAPACITY + 6
         assert ring.dropped == 6
-        assert [event.time for event in ring.events] == [6.0, 7.0, 8.0, 9.0]
+        events = ring.events
+        assert len(events) == RING_CAPACITY
+        assert (events[0].time, events[-1].time) == (6.0, RING_CAPACITY + 5.0)
 
     def test_empty_ring_is_still_installed(self, platform_7b):
         # RingTracer defines __len__, so an empty ring is falsy; constructors

@@ -19,7 +19,7 @@ from repro.core.future_memory import (
     memory_timeline,
     peak_future_memory,
 )
-from repro.core.history import OutputLengthHistory
+from repro.core.history import WINDOW_SIZE, OutputLengthHistory
 from repro.core.predictor import OutputLengthPredictor, aggregate_samples, conditional_prediction_samples
 from repro.engine.engine import InferenceEngine
 from repro.engine.request import Request, RequestState
@@ -57,6 +57,7 @@ from tests.helpers import (
     history_of,
     record,
     reference_peak,
+    tenant_sessions,
 )
 
 #: One request of a batch: ``(current tokens, remaining tokens)``.
@@ -294,9 +295,7 @@ class TestSaturatedHorizonProperties:
         capacity = sum(r.current_context_tokens for r in residents) + queued.current_context_tokens + slack
 
         def horizon() -> int:
-            scheduler = past_future.PastFutureScheduler(
-                seed=seed, num_samples=num_samples, default_length=300
-            )
+            scheduler = past_future.PastFutureScheduler(seed=seed, num_samples=num_samples)
             scheduler.on_run_start()
             record(scheduler.history, history)
             context = SchedulerQueue(scheduler, [queued]).context(residents, token_capacity=capacity)
@@ -340,15 +339,12 @@ class TestConservativeBatchCapProperties:
 
 
 class TestHistoryProperties:
-    @given(
-        values=st.lists(st.integers(1, 10_000), min_size=1, max_size=300),
-        window=st.integers(1, 50),
-    )
-    def test_window_keeps_most_recent_values(self, values, window):
-        history = OutputLengthHistory(window_size=window)
+    @given(count=st.integers(1, 2 * WINDOW_SIZE + 5), stride=st.integers(1, 9_999))
+    def test_window_keeps_most_recent_values(self, count, stride):
+        values = [(index * stride) % 10_000 + 1 for index in range(count)]
+        history = OutputLengthHistory()
         record(history, values)
-        expected = values[-window:]
-        assert list(history.snapshot()) == expected
+        assert list(history.snapshot()) == values[-WINDOW_SIZE:]
 
 
 #: One resident request of a hand-built view: ``(prompt, generated, remaining cap)``.
@@ -420,21 +416,20 @@ class TestRouterPredictionProperties:
     @given(
         earlier=st.lists(st.integers(1, 400), max_size=60),
         later=st.lists(st.integers(1, 400), max_size=60),
-        window_size=st.integers(1, 50),
         default_length=st.integers(1, 400),
         running=st.lists(resident_strategy, max_size=8),
         waiting=st.lists(resident_strategy, max_size=8),
     )
     @settings(max_examples=100)
     def test_predicted_peak_matches_plain_python_reference(
-        self, earlier, later, window_size, default_length, running, waiting
+        self, earlier, later, default_length, running, waiting
     ):
-        router = MemoryAwareRouter(window_size=window_size, default_length=default_length)
+        router = MemoryAwareRouter(default_length=default_length)
         view = resident_view(0, running, waiting)
         record(router.history, earlier)
         router.predicted_peaks([view])  # fill the table cache before the window moves
         record(router.history, later)
-        window = (earlier + later)[-window_size:] or [default_length]
+        window = (earlier + later)[-WINDOW_SIZE:] or [default_length]
         expected = peak_of([
             (prompt + generated, reference_remaining(window, generated, cap))
             for prompt, generated, cap in running + waiting
@@ -444,17 +439,16 @@ class TestRouterPredictionProperties:
     @given(
         earlier=st.lists(st.integers(1, 400), max_size=60),
         later=st.lists(st.integers(1, 400), max_size=60),
-        window_size=st.integers(1, 50),
         replicas=replicas_strategy,
     )
     @settings(max_examples=25)
-    def test_batched_peaks_match_per_view_and_reference(self, earlier, later, window_size, replicas):
-        router = MemoryAwareRouter(window_size=window_size, default_length=200)
+    def test_batched_peaks_match_per_view_and_reference(self, earlier, later, replicas):
+        router = MemoryAwareRouter(default_length=200)
         views = [resident_view(index, running, waiting) for index, (running, waiting) in enumerate(replicas)]
         record(router.history, earlier)
         router.predicted_peaks(views)  # fill the table cache before the window moves
         record(router.history, later)
-        window = (earlier + later)[-window_size:] or [200]
+        window = (earlier + later)[-WINDOW_SIZE:] or [200]
         expected = [
             peak_of([
                 (prompt + generated, reference_remaining(window, generated, cap))
@@ -467,13 +461,12 @@ class TestRouterPredictionProperties:
 
     @given(
         history=st.lists(st.integers(1, 400), max_size=60),
-        window_size=st.integers(1, 50),
         replicas=replicas_strategy,
         idle=st.lists(st.integers(0, 5), max_size=3),
     )
     @settings(max_examples=50)
-    def test_predicted_peaks_equal_padded_two_dimensional_spec(self, history, window_size, replicas, idle):
-        router = MemoryAwareRouter(window_size=window_size, default_length=200)
+    def test_predicted_peaks_equal_padded_two_dimensional_spec(self, history, replicas, idle):
+        router = MemoryAwareRouter(default_length=200)
         record(router.history, history)
         views = [resident_view(index, running, waiting) for index, (running, waiting) in enumerate(replicas)]
         for position in idle:
@@ -761,7 +754,7 @@ class TestSpawnedArrivalProperties:
             start_spacing=start_spacing,
         )
         generator = InteractionLoadGenerator(sessions)
-        generator.start(0.0)
+        generator.start()
         arrivals: dict[str, list[tuple[int, float]]] = {}
         last_pop = -1.0
         while (now := generator.next_arrival_time()) is not None:
@@ -785,7 +778,8 @@ class TestSpawnedArrivalProperties:
 
 
 #: Think times mixed per session: none, shorter than one decode iteration,
-#: a fraction of a run, and far longer than one.
+#: a fraction of a run, and far longer than one.  Closed-loop clients do not
+#: think.
 THINK_TIMES = (0.0, 1e-3, 0.5, 20.0)
 FLEET_PLATFORM = paper_platform("7b-a100")
 
@@ -798,14 +792,14 @@ def run_generated_fleet(
     sessions: bool,
     think_times: list[float],
     crash: tuple[float, int] | None,
-    throttle: tuple[int, float] | None,
+    throttle: int | None,
     autoscale: tuple[str, float, float] | None,
     seed: int,
 ):
     """One tiny closed-loop fleet run; the inputs are rebuilt per call.
 
-    ``throttle`` is ``(user_rpm, window_seconds)``; with it, requests carry
-    one of three users.  ``autoscale`` is ``(policy, interval, warmup)``;
+    ``throttle`` is a ``user_rpm``; with it, requests carry one of three
+    users.  ``autoscale`` is ``(policy, interval, warmup)``;
     the fleet may then range from one replica to two above its start.
     Every replica's pool ledger is checked at drain, and every arrival must
     have been handled at its scheduled time.
@@ -819,16 +813,11 @@ def run_generated_fleet(
         autoscaler = Autoscaler(
             create_autoscale_policy(policy, **({"default_length": 64} if policy == "predictive" else {})),
             interval=interval,
-            min_replicas=1,
             max_replicas=num_replicas + 2,
             warmup_delay=warmup,
             sample_window=1.0,
         )
-    limiter = None
-    if throttle is not None:
-        user_rpm, window_seconds = throttle
-        limiter = OverloadThrottle(user_rpm=user_rpm, window_seconds=window_seconds)
-    users = 3 if throttle is not None else 0
+    limiter = OverloadThrottle(user_rpm=throttle) if throttle is not None else None
     tracer = RingTracer()
     simulator = ClusterSimulator(
         platform=FLEET_PLATFORM,
@@ -844,15 +833,18 @@ def run_generated_fleet(
         tracer=tracer,
     )
     if sessions:
-        interactions = generate_interactions(
-            6 * len(think_times),
-            seed=seed,
-            mean_prompt_tokens=24.0,
-            mean_output_tokens=48.0,
-            max_turns=4,
-            start_spacing=0.02,
-            num_users=users,
-        )
+        shape = {
+            "mean_prompt_tokens": 24.0,
+            "mean_output_tokens": 48.0,
+            "max_turns": 4,
+            "start_spacing": 0.02,
+        }
+        if throttle is None:
+            interactions = generate_interactions(6 * len(think_times), seed=seed, **shape)
+        else:
+            interactions = tenant_sessions(
+                6 * len(think_times), seed, 3, min_turns=1, think_time=0.0, **shape
+            )
         interactions = [
             dataclasses.replace(it, think_time=think_times[i % len(think_times)])
             for i, it in enumerate(interactions)
@@ -861,11 +853,9 @@ def run_generated_fleet(
     else:
         spec = UniformLengthSpec("generated", 4, 64, 1, 192)
         workload = generate_uniform_workload(spec, 8 * len(think_times) + 8, seed=seed)
-        if users:
-            workload = assign_tenants(workload, generate_tenant_population(users), seed=seed)
-        result = simulator.run_closed_loop(
-            workload, num_clients=2 * len(think_times) + 2, think_time=think_times[0]
-        )
+        if throttle is not None:
+            workload = assign_tenants(workload, generate_tenant_population(3), seed=seed)
+        result = simulator.run_closed_loop(workload, num_clients=2 * len(think_times) + 2)
     for replica in simulator.replicas:
         assert_pool_ledger(replica.engine)
     assert tracer.dropped == 0
@@ -878,10 +868,10 @@ class TestGeneratedClosedLoopFleets:
 
     Closed-loop completions spawn arrivals, so each replica's event jumps are
     bounded by the other replicas' clocks plus the generator's minimum
-    follow-up delay.  Mixed think times put that bound both below and far
-    above one decode iteration.  An optional per-user throttle releases
-    client slots at the instant it turns a request away; its window ranges
-    from shorter than a run to longer than any.  An optional autoscaler
+    follow-up delay.  Mixed session think times put that bound both below
+    and far above one decode iteration.  An optional per-user throttle
+    releases client slots at the instant it turns a request away.  An
+    optional autoscaler
     adds decision instants and warm-up completions to the jump horizon,
     and launches and drains replicas mid-run.  On both loops every arrival,
     spawned or scheduled, is handled at its own time, never at a later event.
@@ -894,7 +884,7 @@ class TestGeneratedClosedLoopFleets:
         sessions=st.booleans(),
         think_times=st.lists(st.sampled_from(THINK_TIMES), min_size=2, max_size=4),
         crash=st.none() | st.tuples(st.floats(0.01, 3.0), st.integers(0, 3)),
-        throttle=st.none() | st.tuples(st.integers(1, 3), st.sampled_from([0.05, 1.0, 60.0])),
+        throttle=st.none() | st.integers(1, 3),
         autoscale=st.none()
         | st.tuples(
             st.sampled_from(["static", "reactive", "predictive"]),
@@ -1033,13 +1023,10 @@ class TestVirtualTokenCounterOrderProperties:
             st.sampled_from(["anonymous", "t0", "t1", "t2", "t3", "t4"]), vtc_counter_strategy
         ),
         weights=st.dictionaries(st.sampled_from(["t0", "t1", "t2", "t3"]), st.floats(0.25, 4.0)),
-        service_weights=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 2.0), (0.5, 1.5)]),
         admitted=st.integers(0, 32),
     )
     @settings(max_examples=200, deadline=None)
-    def test_first_k_candidates_match_the_whole_queue_heap(
-        self, queue, counters, weights, service_weights, admitted
-    ):
+    def test_first_k_candidates_match_the_whole_queue_heap(self, queue, counters, weights, admitted):
         waiting = []
         for index, (tenant, prompt, generated) in enumerate(queue):
             spec = RequestSpec(
@@ -1051,13 +1038,7 @@ class TestVirtualTokenCounterOrderProperties:
             )
             # An evicted request is queued again with its generated tokens.
             waiting.append(grown_request(spec, generated, queued=True))
-        prefill_weight, decode_weight = service_weights
-        for scheduler in (
-            VirtualTokenCounterScheduler(prefill_weight=prefill_weight, decode_weight=decode_weight),
-            WeightedServiceCounterScheduler(
-                weights=weights, prefill_weight=prefill_weight, decode_weight=decode_weight
-            ),
-        ):
+        for scheduler in (VirtualTokenCounterScheduler(), WeightedServiceCounterScheduler(weights=weights)):
             queue = SchedulerQueue(scheduler, waiting)
             scheduler._counters = dict(counters)
             got = list(islice(scheduler._candidates(queue.waiting), admitted))

@@ -53,7 +53,7 @@ PLATFORM = paper_platform("7b-a100")
 
 # ------------------------------------------------------------- stream identity
 def test_history_sorted_snapshot_is_cached_until_mutation():
-    history = OutputLengthHistory(window_size=8, default_length=64)
+    history = OutputLengthHistory(default_length=64)
     seeded = history.sorted_snapshot()
     np.testing.assert_array_equal(seeded, [64])
     assert history.sorted_snapshot() is seeded  # cached object, no re-sort

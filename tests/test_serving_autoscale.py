@@ -52,6 +52,14 @@ def view(
     )
 
 
+def predictive(horizon: float) -> PredictivePolicy:
+    """A full-utilisation predictive policy whose forecast looks ``horizon``
+    seconds ahead, bound as an autoscaler with that warm-up binds it."""
+    policy = PredictivePolicy(target_utilization=1.0, default_length=100)
+    policy.bind_warmup(horizon)
+    return policy
+
+
 class SchedulePolicy(AutoscalerPolicy):
     """Deterministic test policy: target size follows a (time, size) script."""
 
@@ -184,8 +192,6 @@ class TestReactivePolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="thresholds"):
             ReactivePolicy(scale_up_threshold=0.2, scale_down_threshold=0.5)
-        with pytest.raises(ValueError, match="step"):
-            ReactivePolicy(step=0)
         # A NaN cooldown never elapses, which freezes the fleet after one action.
         for cooldown in (math.nan, math.inf):
             with pytest.raises(ValueError, match="cooldown"):
@@ -197,14 +203,14 @@ class TestPredictivePolicy:
         # Empty history -> expected output = default_length (100).  Forecast:
         # 10 req/s * 1 s horizon * (50 + 100) tokens = 1500 tokens, which
         # needs two 1000-token replicas at full utilisation.
-        policy = PredictivePolicy(target_utilization=1.0, horizon=1.0, default_length=100)
+        policy = predictive(horizon=1.0)
         policy.on_run_start()
         v = view(time=1.0, num_active=1, arrival_rate=10.0, mean_arrival_tokens=50.0)
         assert policy.predicted_fleet_demand_tokens(v) == pytest.approx(1500.0)
         assert policy.target_size(v) == 2
 
     def test_resident_demand_counts_queued_prompts(self):
-        policy = PredictivePolicy(target_utilization=1.0, horizon=0.0, default_length=100)
+        policy = PredictivePolicy(target_utilization=1.0, default_length=100)
         policy.on_run_start()
         loaded = FleetView(
             time=1.0,
@@ -225,9 +231,7 @@ class TestPredictivePolicy:
         assert policy.target_size(loaded) >= 2
 
     def test_scale_down_is_stepwise_with_cooldown(self):
-        policy = PredictivePolicy(
-            target_utilization=1.0, horizon=0.0, default_length=100, scale_down_cooldown=5.0
-        )
+        policy = PredictivePolicy(target_utilization=1.0, default_length=100, scale_down_cooldown=5.0)
         policy.on_run_start()
         idle = view(time=1.0, num_active=4)
         assert policy.target_size(idle) == 3  # one step down, not straight to 1
@@ -252,11 +256,7 @@ class TestPredictivePolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="target_utilization"):
             PredictivePolicy(target_utilization=0.0)
-        with pytest.raises(ValueError, match="horizon"):
-            PredictivePolicy(horizon=-1.0)
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="horizon"):
-                PredictivePolicy(horizon=bad)
             with pytest.raises(ValueError, match="scale_down_cooldown"):
                 PredictivePolicy(scale_down_cooldown=bad)
 
@@ -281,12 +281,12 @@ class TestRegistry:
 
 class TestAutoscalerDriver:
     def test_clamps_to_bounds(self):
-        autoscaler = Autoscaler(SchedulePolicy([(0.0, 99)]), min_replicas=2, max_replicas=4)
+        autoscaler = Autoscaler(SchedulePolicy([(0.0, 99)]), max_replicas=4)
         autoscaler.on_run_start()
         assert autoscaler.evaluate(view(time=1.0, num_active=1)) == 4
-        low = Autoscaler(SchedulePolicy([(0.0, 1)]), min_replicas=2, max_replicas=4)
+        low = Autoscaler(SchedulePolicy([(0.0, 0)]), max_replicas=4)
         low.on_run_start()
-        assert low.evaluate(view(time=1.0, num_active=1)) == 2
+        assert low.evaluate(view(time=2.0, num_active=2)) == 1
 
     def test_decision_cadence_advances(self):
         autoscaler = Autoscaler(SchedulePolicy([(0.0, 1)]), interval=2.0)
@@ -333,7 +333,7 @@ class TestAutoscalerDriver:
         # The view shows only routable and warming replicas; the event's
         # draining count comes from the cluster, in a fixed key order.
         autoscaler = Autoscaler(
-            SchedulePolicy([(0.5, 1)]), interval=0.5, min_replicas=1, max_replicas=3
+            SchedulePolicy([(0.5, 1)]), interval=0.5, max_replicas=3
         )
         tracer = RingTracer()
         make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=3, tracer=tracer).run_open_loop(
@@ -375,7 +375,7 @@ class TestAutoscalerDriver:
         with pytest.raises(ValueError, match="interval"):
             Autoscaler(StaticPolicy(), interval=0.0)
         with pytest.raises(ValueError, match="max_replicas"):
-            Autoscaler(StaticPolicy(), min_replicas=4, max_replicas=2)
+            Autoscaler(StaticPolicy(), max_replicas=0)
         with pytest.raises(ValueError, match="warmup_delay"):
             Autoscaler(StaticPolicy(), warmup_delay=-1.0)
         # A NaN interval never advances the decision cadence, and non-finite
@@ -396,7 +396,7 @@ class TestAutoscalerDriver:
 
 class TestElasticCluster:
     def test_initial_size_must_fit_bounds(self, platform_7b):
-        autoscaler = Autoscaler(StaticPolicy(), min_replicas=1, max_replicas=2)
+        autoscaler = Autoscaler(StaticPolicy(), max_replicas=2)
         with pytest.raises(ValueError, match="bounds"):
             make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=5)
 
@@ -429,7 +429,7 @@ class TestElasticCluster:
         # is told to shrink to one.  The drained replicas must finish every
         # resident request before retiring, and nothing may be lost.
         autoscaler = Autoscaler(
-            SchedulePolicy([(0.5, 1)]), interval=0.5, min_replicas=1, max_replicas=3
+            SchedulePolicy([(0.5, 1)]), interval=0.5, max_replicas=3
         )
         cluster = make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=3)
         result = cluster.run_open_loop(instant_workload(18))
@@ -445,7 +445,7 @@ class TestElasticCluster:
 
     def test_drained_replica_gets_no_new_placements(self, platform_7b):
         autoscaler = Autoscaler(
-            SchedulePolicy([(0.5, 1)]), interval=0.5, min_replicas=1, max_replicas=3
+            SchedulePolicy([(0.5, 1)]), interval=0.5, max_replicas=3
         )
         cluster = make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=3)
         late = RequestSpec(
@@ -493,7 +493,6 @@ class TestElasticCluster:
         autoscaler = Autoscaler(
             SchedulePolicy([(0.25, 2), (1.5, 3)]),
             interval=0.25,
-            min_replicas=1,
             max_replicas=4,
         )
         cluster = make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=3)
@@ -509,7 +508,7 @@ class TestElasticCluster:
 
     def test_fleet_timeline_and_replica_seconds(self, platform_7b):
         autoscaler = Autoscaler(
-            SchedulePolicy([(0.5, 1)]), interval=0.5, min_replicas=1, max_replicas=3
+            SchedulePolicy([(0.5, 1)]), interval=0.5, max_replicas=3
         )
         cluster = make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=3)
         # An instant burst followed by a late tail only the survivor serves,
@@ -554,7 +553,7 @@ class TestElasticCluster:
         workload = instant_workload(18)
         static = make_cluster(platform_7b, num_replicas=3).run_open_loop(workload)
         autoscaler = Autoscaler(
-            SchedulePolicy([(0.5, 1)]), interval=0.5, min_replicas=1, max_replicas=3
+            SchedulePolicy([(0.5, 1)]), interval=0.5, max_replicas=3
         )
         elastic = make_cluster(platform_7b, autoscaler=autoscaler, num_replicas=3).run_open_loop(
             instant_workload(18)
@@ -585,7 +584,7 @@ class TestCapacityNormalisedView:
         # Forecast demand: 10 req/s * 1 s * (50 + 100) = 1500 tokens.  The
         # active fleet provisions 1250 tokens (one big, one small replica),
         # so the 250-token deficit costs exactly one 250-token launch.
-        policy = PredictivePolicy(target_utilization=1.0, horizon=1.0, default_length=100)
+        policy = predictive(horizon=1.0)
         policy.on_run_start()
         v = FleetView(
             time=1.0,
@@ -611,7 +610,7 @@ class TestCapacityNormalisedView:
     def test_predictive_homogeneous_arithmetic_unchanged(self):
         # On a homogeneous fleet capacity units are replica counts: 1500
         # tokens over 1000-token replicas -> 2.
-        policy = PredictivePolicy(target_utilization=1.0, horizon=1.0, default_length=100)
+        policy = predictive(horizon=1.0)
         policy.on_run_start()
         v = FleetView(
             time=1.0,
@@ -661,7 +660,7 @@ class TestCapacityNormalisedView:
         # does not choose, so it must only shrink once the surplus covers
         # the largest active replica (here it always does at zero demand),
         # and must hold when the surplus is smaller than the big replica.
-        policy = PredictivePolicy(target_utilization=1.0, horizon=0.0, default_length=100)
+        policy = PredictivePolicy(target_utilization=1.0, default_length=100)
         policy.on_run_start()
         idle_mixed = FleetView(
             time=20.0,

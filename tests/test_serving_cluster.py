@@ -588,7 +588,7 @@ class TestDirectRouting:
         "options",
         [
             {"num_replicas": 2},
-            {"autoscaler": Autoscaler(StaticPolicy(), min_replicas=1, max_replicas=2)},
+            {"autoscaler": Autoscaler(StaticPolicy(), max_replicas=2)},
             {"faults": FaultPlan(crashes=(ReplicaCrash(time=1.0, replica=0),))},
         ],
         ids=["two-replicas", "autoscaler", "faults"],

@@ -14,6 +14,7 @@ Three invariants anchor every test here:
 from __future__ import annotations
 
 import contextlib
+import math
 from itertools import islice
 from unittest import mock
 
@@ -82,10 +83,10 @@ class TestPlanAndPolicy:
         assert 0.3 < sum(values) / len(values) < 0.7
 
     def test_retry_policy_backoff_caps_and_exhausts(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.3, max_attempts=3)
+        policy = RetryPolicy(base_delay=1.5, max_attempts=3)
         delays = [policy.delay("r0", attempt) for attempt in range(4)]
         assert delays[3] is None  # budget spent
-        base = [0.1, 0.2, 0.3]  # capped at max_delay
+        base = [1.5, 3.0, 5.0]  # doubling, capped at 5 s
         for delay, expected in zip(delays[:3], base):
             assert expected <= delay <= expected * 1.1 + 1e-12  # jitter is additive-only
 
@@ -95,8 +96,8 @@ class TestPlanAndPolicy:
         assert policy.delay("a", 0) != policy.delay("b", 0)
 
     def test_retry_jitter_adds_a_tenth_of_the_hash_fraction(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.3, seed=5)
-        for attempt, backoff in enumerate([0.1, 0.2, 0.3]):
+        policy = RetryPolicy(base_delay=1.5, seed=5)
+        for attempt, backoff in enumerate([1.5, 3.0, 5.0]):
             assert policy.delay("r7", attempt) == backoff * (1.0 + 0.1 * hash_fraction(5, "r7", attempt))
 
     def test_plan_validation_and_describe(self):
@@ -111,6 +112,29 @@ class TestPlanAndPolicy:
         plan = FaultPlan(crashes=[ReplicaCrash(time=1.0, replica=0)])
         assert "1 crash" in plan.describe()
         assert "no faults" in FaultPlan().describe()
+
+    @pytest.mark.parametrize(
+        ("build", "field"),
+        [
+            # Each of these once hung a 2-replica round-robin run or ran it
+            # to nonsense (NaN passes every ``x < 0`` style check).
+            (lambda: ReplicaCrash(time=math.nan, replica=0), "time"),
+            (lambda: Straggler(start=math.nan, duration=1.0, replica=0), "start"),
+            (lambda: Straggler(start=1.0, duration=math.nan, replica=0), "duration"),
+            (lambda: RetryPolicy(base_delay=math.nan), "base_delay"),
+            (lambda: FaultPlan(replacement_warmup=math.nan), "replacement_warmup"),
+            (lambda: Straggler(start=1.0, duration=1.0, replica=0, slowdown=math.nan), "slowdown"),
+            (lambda: Straggler(start=1.0, duration=1.0, replica=0, slowdown=math.inf), "slowdown"),
+            # Infinite times and delays, and a base delay above the cap.
+            (lambda: ReplicaCrash(time=math.inf, replica=0), "time"),
+            (lambda: Straggler(start=1.0, duration=math.inf, replica=0), "duration"),
+            (lambda: RetryPolicy(base_delay=5.5), "base_delay"),
+            (lambda: FaultPlan(replacement_warmup=math.inf), "replacement_warmup"),
+        ],
+    )
+    def test_non_finite_fault_values_fail_at_construction(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
 
     def test_injector_orders_same_instant_crash_before_straggler_start(self):
         plan = FaultPlan(
@@ -284,7 +308,7 @@ class TestStragglers:
 
 class TestEndOfRunFlush:
     def test_deferred_requests_reject_typed_on_abnormal_end(self, platform_7b):
-        # A crash on replica 0 parks its requests for a retry far in the
+        # A crash on replica 0 parks its requests for a retry 5 s in the
         # future while replica 1 keeps stepping through its own work; a
         # max_steps limit then kills the run before the retries fire.  The
         # parked requests must surface in reject_reasons as unrouted-at-end,
@@ -292,7 +316,7 @@ class TestEndOfRunFlush:
         plan = FaultPlan(
             crashes=[ReplicaCrash(time=0.2, replica=0)],
             seed=5,
-            retry_policy=RetryPolicy(base_delay=500.0, max_delay=500.0),
+            retry_policy=RetryPolicy(base_delay=5.0),
             replace_crashed=False,
         )
         result = make_cluster(

@@ -290,7 +290,7 @@ class TestOneRoutingPass:
         assert calls == {"kernel": 3, "prediction": 1}
 
     def test_session_fallback(self, calls):
-        router = create_router("session-affinity", default_length=100)
+        router = create_router("session-affinity")
         turn = make_spec(request_id="s0/t0", session_id="s0", session_stage=0, session_stages=2)
         busy = [view for view in self.BUSY if view.current_tokens]
         assert router.decide(turn, busy) == 2
@@ -474,12 +474,12 @@ class TestRegistry:
             create_router("random")
 
     def test_kwargs_forwarded(self):
-        router = create_router("memory-aware", window_size=10)
-        assert router.history.window_size == 10
+        router = create_router("memory-aware", default_length=10)
+        assert router.history.snapshot().tolist() == [10]
 
     def test_unknown_kwargs_rejected_with_accepted_list(self):
         with pytest.raises(TypeError, match="accepted") as excinfo:
-            create_router("memory-aware", window=10)
-        assert "'window'" in str(excinfo.value)
+            create_router("memory-aware", default_len=10)
+        assert "'default_len'" in str(excinfo.value)
         assert "default_length" in str(excinfo.value)
-        assert "did you mean 'window_size'" in str(excinfo.value)
+        assert "did you mean 'default_length'" in str(excinfo.value)

@@ -10,6 +10,7 @@ from repro.core.past_future import PastFutureScheduler
 from repro.serving.results import RunResult
 from repro.serving.server import ServingSimulator, SimulationLimits
 from repro.serving.sla import SLASpec
+from repro.workloads.arrivals import assign_poisson_arrivals
 from repro.workloads.spec import RequestSpec, Workload
 from tests.conftest import make_workload
 
@@ -69,14 +70,14 @@ class TestClosedLoopRuns:
 class TestOpenLoopRuns:
     def test_poisson_run_completes(self, platform_7b):
         sim = simulator(platform_7b, AggressiveScheduler(), capacity=4096)
-        result = sim.run_open_loop(make_workload(20, output_length=6), request_rate=50.0, seed=3)
+        result = sim.run_open_loop(assign_poisson_arrivals(make_workload(20, output_length=6), 50.0, seed=3))
         assert result.completed
         assert len(result.finished_requests) == 20
         assert result.num_clients == 0
 
     def test_low_rate_is_mostly_idle_but_finishes(self, platform_7b):
         sim = simulator(platform_7b, AggressiveScheduler(), capacity=4096)
-        result = sim.run_open_loop(make_workload(5, output_length=4), request_rate=2.0, seed=4)
+        result = sim.run_open_loop(assign_poisson_arrivals(make_workload(5, output_length=4), 2.0, seed=4))
         assert result.completed
         assert result.duration > 1.0
 
@@ -146,10 +147,10 @@ class TestSafetyLimits:
         sim = simulator(platform_7b, AggressiveScheduler(), limits=SimulationLimits(max_time=float("inf")))
         assert sim.run_closed_loop(make_workload(4, output_length=4), num_clients=2).completed
 
-    def test_nan_request_rate_fails_instead_of_hanging(self, platform_7b):
-        sim = simulator(platform_7b, AggressiveScheduler())
+    def test_nan_request_rate_fails_instead_of_hanging(self):
+        # Open loop replays stamped times; the stamper refuses a NaN rate.
         with pytest.raises(ValueError, match="request_rate"):
-            sim.run_open_loop(make_workload(4, output_length=4), request_rate=float("nan"))
+            assign_poisson_arrivals(make_workload(4, output_length=4), float("nan"))
 
     def test_stall_guard_stops_unschedulable_workload(self, platform_7b):
         # A scheduler that never admits leaves the engine idle with requests
@@ -215,7 +216,7 @@ class TestSafetyLimits:
         first = sim.run_closed_loop(make_workload(12, output_length=4), num_clients=3)
         assert first.engine_stats.total_finished == 12
         with pytest.raises(RuntimeError, match="single-use"):
-            sim.run_open_loop(make_workload(12, output_length=4), request_rate=50.0)
+            sim.run_open_loop(assign_poisson_arrivals(make_workload(12, output_length=4), 50.0))
         assert first.engine_stats.total_finished == 12
 
 

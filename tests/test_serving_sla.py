@@ -34,16 +34,12 @@ class TestSLASpec:
         with pytest.raises(ValueError):
             SLASpec(ttft_limit=1, mtpot_limit=0)
 
-    def test_rejects_bad_percentile(self):
-        with pytest.raises(ValueError):
-            SLASpec(ttft_limit=1, mtpot_limit=1, percentile=0)
-
     def test_presets_match_paper(self):
         assert SLA_SMALL_MODEL.ttft_limit == 10.0
         assert SLA_SMALL_MODEL.mtpot_limit == 1.5
 
     def test_describe(self):
-        assert "TTFT 10s" in SLA_SMALL_MODEL.describe()
+        assert SLA_SMALL_MODEL.describe() == "P99 TTFT 10s, P99 MTPOT 1.5s"
 
 
 class TestCompliance:

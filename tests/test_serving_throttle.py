@@ -24,8 +24,6 @@ class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError, match="user_rpm"):
             OverloadThrottle(user_rpm=0)
-        with pytest.raises(ValueError, match="window_seconds"):
-            OverloadThrottle(user_rpm=1, window_seconds=0.0)
 
     def test_repr(self):
         assert "user<=10" in repr(OverloadThrottle(user_rpm=10))
@@ -41,9 +39,9 @@ class TestSlidingWindow:
         assert throttle.check(spec, 2.0) == REASON_THROTTLED
 
     def test_window_boundary_is_half_open(self):
-        # Entries at time t leave the window exactly at t + window_seconds:
+        # Entries at time t leave the window exactly at t + WINDOW_SECONDS:
         # (now - window, now] keeps strictly newer entries only.
-        throttle = OverloadThrottle(user_rpm=1, window_seconds=60.0)
+        throttle = OverloadThrottle(user_rpm=1)
         spec = tenant_spec("r", user_id="alice")
         assert throttle.check(spec, 0.0) is None
         assert throttle.check(spec, 59.999) == REASON_THROTTLED
@@ -53,12 +51,12 @@ class TestSlidingWindow:
         # A throttled burst must not extend its own punishment: after the
         # first admit at t=0 falls out of the window, the tenant is clean
         # no matter how many rejects happened meanwhile.
-        throttle = OverloadThrottle(user_rpm=1, window_seconds=10.0)
+        throttle = OverloadThrottle(user_rpm=1)
         spec = tenant_spec("r", user_id="alice")
         assert throttle.check(spec, 0.0) is None
-        for t in (1.0, 3.0, 5.0, 9.0):
+        for t in (10.0, 30.0, 50.0, 59.0):
             assert throttle.check(spec, t) == REASON_THROTTLED
-        assert throttle.check(spec, 10.5) is None
+        assert throttle.check(spec, 60.5) is None
 
     def test_windows_are_per_user(self):
         throttle = OverloadThrottle(user_rpm=1)

@@ -36,6 +36,7 @@ from repro.workloads.interactions import (
     InteractionStage,
     generate_interactions,
 )
+from repro.workloads.spec import SLA_CLASS_INTERACTIVE
 from tests.conftest import TINY_CAPACITY, UNCAPPED, make_spec
 from tests.helpers import (
     assert_conservation,
@@ -68,8 +69,6 @@ class TestInteractionModel:
             InteractionStage(prompt_tokens=0, output_tokens=4)
         with pytest.raises(ValueError):
             InteractionStage(prompt_tokens=8, output_tokens=0)
-        with pytest.raises(ValueError):
-            InteractionStage(prompt_tokens=8, output_tokens=4, max_new_tokens=3)
 
     def test_interaction_validation(self):
         with pytest.raises(ValueError):
@@ -97,14 +96,9 @@ class TestInteractionModel:
         assert [s.session_stage for s in specs] == [0, 1, 2]
         assert all(s.session_id == "s0" and s.session_stages == 3 for s in specs)
         assert specs[-1].is_final_stage and not specs[0].is_final_stage
-
-    def test_tenant_identity_is_stamped_on_every_turn(self):
-        interaction = Interaction(
-            session_id="s0", stages=(STAGE, STAGE), user_id="u1", app_id="a2"
-        )
-        for stage in range(2):
-            spec = interaction.spec(stage)
-            assert spec.user_id == "u1" and spec.app_id == "a2"
+        # Every turn is an interactive, untenanted request capped at its output.
+        assert all(s.sla_class == SLA_CLASS_INTERACTIVE and s.user_id is None for s in specs)
+        assert all(s.max_new_tokens == s.output_length == 4 for s in specs)
 
 
 class TestGenerateInteractions:
@@ -126,12 +120,6 @@ class TestGenerateInteractions:
         sessions = generate_interactions(4, seed=0, think_time=1.5, start_spacing=2.0)
         assert [s.start_time for s in sessions] == [0.0, 2.0, 4.0, 6.0]
         assert all(s.think_time == 1.5 for s in sessions)
-
-    def test_tenant_stamping(self):
-        sessions = generate_interactions(20, seed=3, num_users=4, num_apps=2)
-        assert all(s.user_id is not None and s.app_id is not None for s in sessions)
-        users = {s.user_id for s in sessions}
-        assert users <= {f"u{i}" for i in range(4)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -171,7 +159,7 @@ class TestInteractionLoadGenerator:
         generator = InteractionLoadGenerator(
             [make_interaction("s0", start_time=0.0), make_interaction("s1", start_time=3.0)]
         )
-        generator.start(0.0)
+        generator.start()
         assert generator.next_arrival_time() == 0.0
         first = generator.pop_arrivals(0.0)
         assert [s.request_id for s in first] == ["s0/t0"]
@@ -180,7 +168,7 @@ class TestInteractionLoadGenerator:
 
     def test_completion_spawns_next_stage_after_think_time(self):
         generator = InteractionLoadGenerator([make_interaction("s0", 2, think_time=1.0)])
-        generator.start(0.0)
+        generator.start()
         (spec,) = generator.pop_arrivals(0.0)
         generator.on_request_finished(4.0, _FinishedTurn(spec))
         assert generator.next_arrival_time() == 5.0
@@ -190,14 +178,14 @@ class TestInteractionLoadGenerator:
 
     def test_final_stage_completion_spawns_nothing(self):
         generator = InteractionLoadGenerator([make_interaction("s0", 1)])
-        generator.start(0.0)
+        generator.start()
         (spec,) = generator.pop_arrivals(0.0)
         generator.on_request_finished(1.0, _FinishedTurn(spec))
         assert generator.next_arrival_time() is None
 
     def test_unfinished_request_spawns_no_follow_up(self):
         generator = InteractionLoadGenerator([make_interaction("s0", 3)])
-        generator.start(0.0)
+        generator.start()
         (spec,) = generator.pop_arrivals(0.0)
         aborted = _FinishedTurn(spec)
         aborted.is_finished = False
@@ -208,7 +196,7 @@ class TestInteractionLoadGenerator:
         # A throttled or rejected turn ends without a request — the session
         # spawns no further turns.
         generator = InteractionLoadGenerator([make_interaction("s0", 3)])
-        generator.start(0.0)
+        generator.start()
         generator.pop_arrivals(0.0)
         generator.on_request_finished(1.0)
         assert generator.next_arrival_time() is None

@@ -67,7 +67,7 @@ class TestUniformDistributions:
 
 class TestShareGPT:
     def test_sharegpt_respects_cap(self):
-        workload = generate_sharegpt_workload(300, seed=4, max_new_tokens=2048)
+        workload = generate_sharegpt_workload(300, seed=4)
         assert all(spec.output_length <= 2048 for spec in workload)
         assert all(spec.max_new_tokens == 2048 for spec in workload)
 

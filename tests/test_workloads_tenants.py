@@ -7,6 +7,7 @@ import pytest
 from repro.workloads.arrivals import assign_poisson_arrivals
 from repro.workloads.spec import RequestSpec, assign_sla_classes
 from repro.workloads.tenants import (
+    ZIPF_ALPHA,
     TenantPopulation,
     TenantProfile,
     assign_tenants,
@@ -76,11 +77,11 @@ class TestGenerateTenantPopulation:
         assert population.shares[2:].sum() == pytest.approx(0.4)
 
     def test_tail_is_zipf_decreasing(self):
-        population = generate_tenant_population(8, zipf_alpha=1.2)
+        population = generate_tenant_population(8)
         shares = population.shares
         assert all(shares[i] > shares[i + 1] for i in range(len(shares) - 1))
         # k-th tail user carries weight proportional to k^-alpha.
-        assert shares[1] / shares[0] == pytest.approx(2.0**-1.2)
+        assert shares[1] / shares[0] == pytest.approx(2.0**-ZIPF_ALPHA)
 
     def test_apps_round_robin(self):
         population = generate_tenant_population(5, num_apps=2)
@@ -97,8 +98,6 @@ class TestGenerateTenantPopulation:
             generate_tenant_population(0)
         with pytest.raises(ValueError, match="num_apps"):
             generate_tenant_population(4, num_apps=5)
-        with pytest.raises(ValueError, match="zipf_alpha"):
-            generate_tenant_population(4, zipf_alpha=0.0)
         with pytest.raises(ValueError, match="set together"):
             generate_tenant_population(4, abusive_users=1)
         with pytest.raises(ValueError, match="set together"):

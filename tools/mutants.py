@@ -324,6 +324,56 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "autoscaler-keeps-the-traffic-window",
+        "src/repro/serving/autoscale.py",
+        "        self._samples.clear()\n        self._next_decision = self.interval\n",
+        "        self._next_decision = self.interval\n",
+        (
+            "tests/test_serving_autoscale.py::TestAutoscalerDriver"
+            "::test_run_start_resets_cadence_window_and_policy",
+        ),
+    ),
+    Mutant(
+        "autoscaler-keeps-the-decision-cadence",
+        "src/repro/serving/autoscale.py",
+        "        self._samples.clear()\n        self._next_decision = self.interval\n",
+        "        self._samples.clear()\n",
+        (
+            "tests/test_serving_autoscale.py::TestAutoscalerDriver"
+            "::test_run_start_resets_cadence_window_and_policy",
+        ),
+    ),
+    Mutant(
+        "crash-time-lets-nan-through",
+        "src/repro/serving/faults.py",
+        "        if not 0 <= self.time < math.inf:\n",
+        "        if self.time < 0:\n",
+        (
+            "tests/test_serving_faults.py::TestPlanAndPolicy"
+            "::test_non_finite_fault_values_fail_at_construction",
+        ),
+    ),
+    Mutant(
+        "sessions-bound-jumps-by-the-longest-think-time",
+        "src/repro/workloads/interactions.py",
+        "self._min_think_time = min(it.think_time for it in interactions)",
+        "self._min_think_time = max(it.think_time for it in interactions)",
+        (
+            "tests/test_sessions.py::TestInteractionLoadGenerator"
+            "::test_min_follow_up_delay_is_the_shortest_think_time",
+        ),
+    ),
+    Mutant(
+        "vtc-pushes-a-tenants-last-request",
+        "src/repro/schedulers/fair.py",
+        "heapq.heappush(heap, (charged, *fifo[following], tenant, following + 1))",
+        "heapq.heappush(heap, (charged, *fifo[-1], tenant, following + 1))",
+        (
+            "tests/test_schedulers_fair.py::TestAdmissionOrdering::test_fifo_within_a_tenant",
+            "tests/test_properties.py::TestVirtualTokenCounterOrderProperties",
+        ),
+    ),
+    Mutant(
         "kernel-imports-the-metrics-layer",
         "src/repro/core/future_memory.py",
         "from operator import itemgetter\n",
